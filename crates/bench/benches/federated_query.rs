@@ -98,7 +98,7 @@ fn workload() -> (PathDatabase, PathLatticeSpec) {
 
 fn start_backend(cube: FlowCube) -> ServerHandle {
     serve_cube(
-        ServedCube::from_cube(cube),
+        ServedCube::from_cube(&cube).expect("encode image"),
         ServerConfig {
             workers: 2,
             ..Default::default()

@@ -148,8 +148,11 @@ fn bench(c: &mut Criterion) {
     let speedup = full_rebuild.mean_us / (delta_compute.mean_us + delta_apply.mean_us);
 
     // Availability: /cell latency idle vs under a stream of ingests.
-    let server = serve_cube(ServedCube::from_cube(live.clone()), ServerConfig::default())
-        .expect("server starts");
+    let server = serve_cube(
+        ServedCube::from_cube(&live).expect("encode image"),
+        ServerConfig::default(),
+    )
+    .expect("server starts");
     let addr = server.addr();
     let apex = "*,*"; // two dimensions (see the config above)
     let target = format!("/cell?cell={apex}&level=loc0/dur0");

@@ -6,123 +6,19 @@
 //! requests hit an identical server with the cache on, where all but
 //! the first answer is a cache hit. Both serve the same in-memory cube.
 //!
-//! A second block compares the two FCUBSNAP formats in-process (no
-//! socket noise): cold start from file to first `/rollup` answer,
-//! steady-state cache-off `/rollup` percentiles, and the `VmRSS` growth
-//! of full hydration — v1 materializes every cell, v2 serves the
-//! columnar sections in place.
-//!
 //! Writes `BENCH_serve_latency.json` — the same results pipeline as the
 //! mining experiments, with the frozen `flowcube-obs` registry attached
 //! so request counters and cache hit rates ride along.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flowcube_bench::experiments::base_config;
-use flowcube_bench::serving::{
-    measure, series_from_us, EndpointLatency, FormatServing, ServeLatencyResult, SnapshotCompare,
-};
-use flowcube_core::{display_key, FlowCube, FlowCubeParams, ItemPlan};
+use flowcube_bench::serving::{measure, EndpointLatency, ServeLatencyResult};
+use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
 use flowcube_datagen::generate;
 use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
-use flowcube_serve::http::Request;
-use flowcube_serve::{
-    handle_request, serve_cube, write_snapshot_with_version, AppState, ResponseCache, ServedCube,
-    ServerConfig, Snapshot,
-};
-use std::time::Instant;
+use flowcube_serve::{serve_cube, ServedCube, ServerConfig};
 
 const REQUESTS: usize = 200;
-
-fn get(path: &str, query: &[(&str, String)]) -> Request {
-    Request {
-        method: "GET".to_string(),
-        path: path.to_string(),
-        query: query
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect(),
-        headers: Vec::new(),
-        body: Vec::new(),
-    }
-}
-
-/// A `/rollup` request for the first cell of the first cuboid whose
-/// dim-0 item level is specialized — a rollup that actually aggregates.
-fn rollup_request(cube: &FlowCube) -> Request {
-    let mut cuboids: Vec<_> = cube.cuboids().collect();
-    cuboids.sort_by(|a, b| a.0.cmp(b.0));
-    for (ck, cuboid) in cuboids {
-        if ck.item_level.0[0] == 0 {
-            continue;
-        }
-        let mut keys: Vec<_> = cuboid.iter().map(|(k, _)| k.clone()).collect();
-        keys.sort();
-        if let Some(key) = keys.first() {
-            let spec = display_key(key, cube.schema())
-                .trim_matches(|c| c == '(' || c == ')')
-                .replace(", ", ",");
-            let level = cube.spec().level(ck.path_level).name.clone();
-            return get(
-                "/rollup",
-                &[("cell", spec), ("level", level), ("dim", "0".to_string())],
-            );
-        }
-    }
-    panic!("cube has no specialized cell to roll up");
-}
-
-/// Serve one snapshot file in-process: cold start, full hydration RSS
-/// growth, and steady-state cache-off `/rollup` percentiles.
-fn measure_format(cube: &FlowCube, version: u32, path: &std::path::Path) -> FormatServing {
-    write_snapshot_with_version(cube, path, version).expect("write snapshot");
-    let snapshot_bytes = std::fs::metadata(path).expect("snapshot metadata").len();
-    let rollup = rollup_request(cube);
-    let level_names: Vec<String> = cube
-        .spec()
-        .levels()
-        .iter()
-        .map(|l| l.name.clone())
-        .collect();
-    let apex = vec!["*"; cube.schema().num_dims()].join(",");
-
-    // Warm the file cache and lazy process state so the timed cold
-    // start below measures open + decode + first answer, not one-time
-    // page faults of whichever format happens to run first.
-    drop(Snapshot::open(path).expect("warmup open"));
-
-    let rss_before = flowcube_obs::rss::current_rss_bytes().unwrap_or(0) as i64;
-    let t0 = Instant::now();
-    let snap = Snapshot::open(path).expect("open snapshot");
-    let state = AppState::new(ServedCube::from_snapshot(snap), ResponseCache::new(0));
-    let (status, _) = handle_request(&state, &rollup);
-    let cold_start_us = t0.elapsed().as_secs_f64() * 1e6;
-    assert_eq!(status, 200, "cold /rollup failed at format v{version}");
-
-    // Hydrate everything: a `/cell` lookup per path level pulls every
-    // cuboid of that level in (the ancestor walk may probe any of them).
-    for level in &level_names {
-        let req = get("/cell", &[("cell", apex.clone()), ("level", level.clone())]);
-        let (status, _) = handle_request(&state, &req);
-        assert_eq!(status, 200, "hydration /cell failed at format v{version}");
-    }
-    let rss_after = flowcube_obs::rss::current_rss_bytes().unwrap_or(0) as i64;
-
-    let mut us = Vec::with_capacity(REQUESTS);
-    for _ in 0..REQUESTS {
-        let t = Instant::now();
-        let (status, _) = handle_request(&state, &rollup);
-        us.push(t.elapsed().as_secs_f64() * 1e6);
-        assert_eq!(status, 200);
-    }
-    let _ = std::fs::remove_file(path);
-    FormatServing {
-        version,
-        snapshot_bytes,
-        cold_start_us,
-        rollup: series_from_us(&format!("rollup/v{version}"), us),
-        hydrated_rss_delta_bytes: rss_after - rss_before,
-    }
-}
 
 fn build_cube(n: usize) -> FlowCube {
     let db = generate(&base_config(n)).db;
@@ -143,28 +39,9 @@ fn bench(c: &mut Criterion) {
     flowcube_obs::reset();
     flowcube_obs::enable();
 
-    // Snapshot-format comparison, in-process (run before the socket
-    // benches so allocator churn from 2×200 HTTP requests does not sit
-    // inside the RSS window). v2 is measured FIRST: the second format
-    // can reuse pages the first one freed, so whoever goes second has
-    // its RSS delta under-reported — ordering v2 first biases the
-    // comparison *against* the claim that v2 is lighter.
-    let snap_dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let v2 = measure_format(
-        &cube,
-        2,
-        &snap_dir.join(format!("flowcube-bench-{pid}-v2.snap")),
-    );
-    let v1 = measure_format(
-        &cube,
-        1,
-        &snap_dir.join(format!("flowcube-bench-{pid}-v1.snap")),
-    );
-    let snapshot_compare = Some(SnapshotCompare { v1, v2 });
-
+    let image = || ServedCube::from_cube(&cube).expect("encode image");
     let cold_server = serve_cube(
-        ServedCube::from_cube(cube.clone()),
+        image(),
         ServerConfig {
             cache_capacity: 0,
             ..Default::default()
@@ -172,7 +49,7 @@ fn bench(c: &mut Criterion) {
     )
     .expect("cold server starts");
     let cached_server = serve_cube(
-        ServedCube::from_cube(cube),
+        image(),
         ServerConfig {
             cache_capacity: 512,
             ..Default::default()
@@ -238,7 +115,6 @@ fn bench(c: &mut Criterion) {
         cells,
         endpoints,
         cache_hit_rate: hit_rate,
-        snapshot_compare,
         metrics: Some(snapshot),
     };
     std::fs::write(
@@ -254,20 +130,6 @@ fn bench(c: &mut Criterion) {
         );
     }
     println!("cache hit rate: {:.3}", result.cache_hit_rate);
-    if let Some(cmp) = &result.snapshot_compare {
-        for f in [&cmp.v1, &cmp.v2] {
-            println!(
-                "format v{}: {:>9} B on disk, cold start {:>9.1}us, \
-                 /rollup p50={:>7.1}us p99={:>7.1}us, hydrated RSS Δ {:+} kB",
-                f.version,
-                f.snapshot_bytes,
-                f.cold_start_us,
-                f.rollup.p50_us,
-                f.rollup.p99_us,
-                f.hydrated_rss_delta_bytes / 1024,
-            );
-        }
-    }
 
     cold_server.shutdown();
     cold_server.join();

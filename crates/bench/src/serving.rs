@@ -28,33 +28,6 @@ pub struct EndpointLatency {
     pub cached: LatencySeries,
 }
 
-/// One snapshot format served in-process: how fast a server comes up
-/// from the file, what a cache-off `/rollup` costs at steady state, and
-/// how much resident memory full hydration adds.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FormatServing {
-    /// FCUBSNAP format version the cube was written at.
-    pub version: u32,
-    /// Snapshot file size on disk.
-    pub snapshot_bytes: u64,
-    /// `Snapshot::open` + server state build + the first `/rollup`
-    /// answer — the full cold path from file to first byte.
-    pub cold_start_us: f64,
-    /// Steady-state `/rollup` with the response cache off.
-    pub rollup: LatencySeries,
-    /// `VmRSS` growth from just-before-open to fully hydrated (every
-    /// path level queried). v2 should hold sections as flat bytes; v1
-    /// materializes every cell.
-    pub hydrated_rss_delta_bytes: i64,
-}
-
-/// v1-vs-v2 comparison block of the serving benchmark.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct SnapshotCompare {
-    pub v1: FormatServing,
-    pub v2: FormatServing,
-}
-
 /// The whole serving benchmark, written to `BENCH_serve_latency.json`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ServeLatencyResult {
@@ -63,8 +36,6 @@ pub struct ServeLatencyResult {
     pub cells: usize,
     pub endpoints: Vec<EndpointLatency>,
     pub cache_hit_rate: f64,
-    /// Snapshot-format comparison (`None` when the bench skipped it).
-    pub snapshot_compare: Option<SnapshotCompare>,
     /// Frozen `flowcube-obs` registry (request counters, latency
     /// histograms, cache gauges); `None` when recording was disabled.
     pub metrics: Option<MetricsSnapshot>,

@@ -110,16 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_format_flag_parses_both_syntaxes() {
-        let a = parse("snapshot --db x.json --out c.snap --snapshot-format 1").unwrap();
-        assert_eq!(a.num::<u32>("snapshot-format", 2).unwrap(), 1);
-        let a = parse("snapshot --out c.snap --snapshot-format=2").unwrap();
-        assert_eq!(a.num::<u32>("snapshot-format", 2).unwrap(), 2);
-        let a = parse("snapshot --out c.snap").unwrap();
-        assert_eq!(a.num::<u32>("snapshot-format", 2).unwrap(), 2);
-    }
-
-    #[test]
     fn replica_set_backend_spec_passes_through_unmangled() {
         let a = parse("federate --backends a:1|a:2,b:1|b:2 --retry-budget 2").unwrap();
         assert_eq!(a.get("backends"), Some("a:1|a:2,b:1|b:2"));

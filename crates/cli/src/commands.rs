@@ -22,7 +22,7 @@ USAGE:
                     [--shards N --shard-id K] (emit one shard partial)
   flowcube merge    part0.json part1.json … --db db.json --min-support N
                     [--eps E] [--tau T] [--no-exceptions] --out cube.json
-                    [--snapshot-out cube.snap] [--snapshot-format V]
+                    [--snapshot-out cube.snap]
   flowcube cells    --cube cube.json [--level NAME] [--limit N]
   flowcube query    --cube cube.json --cell v1,v2,… (use * for any)
                     [--level NAME]
@@ -31,8 +31,9 @@ USAGE:
   flowcube predict  --cube cube.json --cell v1,… --observed loc:dur,loc:dur
                     [--level NAME]
   flowcube snapshot --db db.json [build flags] --out cube.snap
-                    [--snapshot-format V]
-                    (or --cube cube.json --out cube.snap to convert)
+                    (or --cube cube.json --out cube.snap to convert,
+                     or --snapshot old.snap --out cube.snap to upgrade
+                     a format-1 snapshot)
   flowcube serve    --snapshot cube.snap [--addr HOST:PORT] [--workers N]
                     [--queue-depth N] [--cache N] [--deadline-ms MS]
                     [--degraded-after N] [--access-log FILE|-] [--slow-ms MS]
@@ -94,10 +95,11 @@ REPLICA SETS (federate --backends):
   (--retry-budget), so retry storms cannot amplify a brownout. An
   answer degrades to partial only when an entire replica set is down.
 
-SNAPSHOT FORMAT (--snapshot-format):
-  V=2 (default) writes the zero-copy columnar format the server queries
-  in place; V=1 writes the JSON-section format older builds read. Both
-  open and serve identically (the differential suite pins this).
+SNAPSHOT FORMAT:
+  Snapshots are format 2, the columnar layout `serve` queries in place.
+  A format-1 file from an older build is upgrade-only: `snapshot
+  --snapshot old.snap --out new.snap`. `serve --cube` serves the same
+  format from memory; deltas it ingests are not durable.
 
 COMPACTION (--compact-after-bytes / --compact-after-secs):
   A snapshot-backed server folds its <snapshot>.deltas sidecar into a
@@ -336,14 +338,8 @@ pub fn merge(args: &Args) -> Result<(), CliError> {
         cube.total_cells()
     );
     if let Some(snap) = args.get("snapshot-out") {
-        let version = snapshot_format(args)?;
-        let info =
-            flowcube_serve::write_snapshot_with_version(&cube, std::path::Path::new(snap), version)
-                .map_err(|e| e.to_string())?;
-        println!(
-            "wrote snapshot {snap} (format v{version}): {} bytes",
-            info.bytes
-        );
+        let info = flowcube_serve::write_snapshot(&cube, snap).map_err(|e| e.to_string())?;
+        println!("wrote snapshot {snap}: {} bytes", info.bytes);
     }
     let json = serde_json::to_string(&cube).map_err(|e| e.to_string())?;
     std::fs::write(out, json).map_err(|e| e.to_string())?;
@@ -579,21 +575,17 @@ pub fn predict(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parse `--snapshot-format` (default: the newest format version).
-/// Range checking is left to `write_snapshot_with_version`, which
-/// rejects unknown versions with both sides of the negotiation.
-fn snapshot_format(args: &Args) -> Result<u32, String> {
-    args.num("snapshot-format", flowcube_serve::FORMAT_VERSION)
-}
-
-/// Load the cube named by `--cube` (JSON) or build one from `--db`.
+/// Load the cube named by `--cube` (JSON) or `--snapshot` (a format-1
+/// snapshot to upgrade), or build one from `--db`.
 fn cube_for_snapshot(args: &Args) -> Result<FlowCube, String> {
-    if args.get("cube").is_some() {
-        read_cube(args.require("cube")?)
+    if let Some(path) = args.get("cube") {
+        read_cube(path)
+    } else if let Some(path) = args.get("snapshot") {
+        flowcube_serve::load_v1_cube(path).map_err(|e| e.to_string())
     } else if args.get("db").is_some() {
         build_cube(args)
     } else {
-        Err("need --cube cube.json or --db db.json (plus build flags)".into())
+        Err("need --cube cube.json, --snapshot old.snap or --db db.json (plus build flags)".into())
     }
 }
 
@@ -602,14 +594,14 @@ fn cube_for_snapshot(args: &Args) -> Result<FlowCube, String> {
 pub fn snapshot(args: &Args) -> Result<(), CliError> {
     obs_setup(args);
     let out = args.require("out")?;
-    let version = snapshot_format(args)?;
     let cube = cube_for_snapshot(args)?;
-    let info =
-        flowcube_serve::write_snapshot_with_version(&cube, std::path::Path::new(out), version)
-            .map_err(|e| e.to_string())?;
+    let info = flowcube_serve::write_snapshot(&cube, out).map_err(|e| e.to_string())?;
     println!(
-        "wrote snapshot {out} (format v{version}): {} sections ({} cuboids), {} bytes",
-        info.sections, info.cuboids, info.bytes
+        "wrote snapshot {out} (format v{}): {} sections ({} cuboids), {} bytes",
+        flowcube_serve::FORMAT_VERSION,
+        info.sections,
+        info.cuboids,
+        info.bytes
     );
     obs_finish(args)
 }
@@ -644,7 +636,8 @@ pub fn serve_with_handle(args: &Args) -> Result<flowcube_serve::ServerHandle, St
         );
         flowcube_serve::ServedCube::from_snapshot_with_deltas(snap, deltas)
     } else if args.get("cube").is_some() {
-        flowcube_serve::ServedCube::from_cube(read_cube(args.require("cube")?)?)
+        flowcube_serve::ServedCube::from_cube(&read_cube(args.require("cube")?)?)
+            .map_err(|e| e.to_string())?
     } else {
         return Err("need --snapshot cube.snap or --cube cube.json".into());
     };

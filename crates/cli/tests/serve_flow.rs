@@ -172,47 +172,36 @@ fn snapshot_serve_query_shutdown() {
     let _ = std::fs::remove_file(&snap);
 }
 
-/// `--snapshot-format 1` writes the legacy JSON-section format; the
-/// server opens and serves it through the same query surface, and an
-/// unknown version is rejected at write time with the supported range.
+/// A format-1 snapshot is upgrade-only: `serve` refuses it with the
+/// typed version error, `snapshot --snapshot old --out new` rewrites it
+/// in the current format, and the result serves.
 #[test]
-fn snapshot_format_flag_selects_v1() {
-    let db = tmp("v1-db.json");
-    let snap = tmp("v1-cube.snap");
-
-    commands::generate(&args(&format!(
-        "generate --paths 300 --dims 3 --seqs 8 --seed 5 --out {db}"
-    )))
-    .expect("generate");
-    commands::snapshot(&args(&format!(
-        "snapshot --db {db} --min-support 20 --out {snap} --snapshot-format 1"
-    )))
-    .expect("snapshot v1");
-    assert_eq!(
-        flowcube_serve::Snapshot::open(&snap)
-            .expect("open v1")
-            .version(),
-        1
+fn v1_snapshot_upgrades_then_serves() {
+    let old = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../serve/tests/fixtures/golden_v1.snap"
     );
+    let new = tmp("upgraded.snap");
 
+    let err =
+        commands::serve_with_handle(&args(&format!("serve --snapshot {old} --addr 127.0.0.1:0")))
+            .err()
+            .expect("serving a v1 file must fail");
+    assert!(err.contains("version 1 not supported"), "got {err:?}");
+
+    commands::snapshot(&args(&format!("snapshot --snapshot {old} --out {new}"))).expect("upgrade");
     let handle = commands::serve_with_handle(&args(&format!(
-        "serve --snapshot {snap} --addr 127.0.0.1:0 --workers 2 --cache 0"
+        "serve --snapshot {new} --addr 127.0.0.1:0 --workers 2 --cache 0"
     )))
-    .expect("serve v1");
+    .expect("serve the upgrade");
+    expect_json(handle.addr(), "/healthz", &["\"ok\":true"]);
     expect_json(
         handle.addr(),
-        "/cell?cell=*,*,*&level=loc0/dur0",
-        &["\"cell\"", "\"support\"", "\"exact\":true"],
+        "/cell?cell=*,*&level=fine",
+        &["\"support\":30", "\"exact\":true"],
     );
     handle.shutdown();
     handle.join();
 
-    // Versions outside MIN..=FORMAT are refused before any bytes hit disk.
-    let err = commands::snapshot(&args(&format!(
-        "snapshot --db {db} --min-support 20 --out {snap} --snapshot-format 9"
-    )));
-    assert!(err.is_err(), "format 9 must be rejected");
-
-    let _ = std::fs::remove_file(&db);
-    let _ = std::fs::remove_file(&snap);
+    let _ = std::fs::remove_file(&new);
 }

@@ -35,7 +35,7 @@ use crate::merge;
 use crate::replica::{HedgePolicy, ReplicaSet, RetryBudget, ShardOutcome, ShardRuntime};
 use flowcube_obs::flight::{self, FlightKind};
 use flowcube_serve::http::{read_request, write_response_with, HttpError, Request};
-use flowcube_serve::{assign_request_id, ApiError};
+use flowcube_serve::{assign_request_id, status_class, ApiError, HttpResponse};
 use serde_json::Value;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -153,16 +153,6 @@ fn endpoint_tag(path: &str) -> &'static str {
         "/metrics" => "metrics",
         "/debug/flight" => "debug_flight",
         _ => "other",
-    }
-}
-
-fn status_class(status: u16) -> &'static str {
-    match status / 100 {
-        2 => "2xx",
-        3 => "3xx",
-        4 => "4xx",
-        5 => "5xx",
-        _ => "1xx",
     }
 }
 
@@ -349,45 +339,41 @@ fn serve_connection(mut stream: TcpStream, front: &Front) {
             return;
         }
     };
-    let (status, content_type, headers, body) = front.handle_request(&req);
-    let _ = write_response_with(&mut stream, status, content_type, &headers, &body);
+    let resp = front.handle_request(&req);
+    let _ = write_response_with(
+        &mut stream,
+        resp.status,
+        resp.content_type,
+        &resp.headers,
+        &resp.body,
+    );
 }
 
 impl Front {
     /// Route and answer one front request, with the serve-style metric
     /// and flight envelope around it. Public so in-process tests can
     /// drive the routing table without sockets.
-    pub fn handle_request(
-        &self,
-        req: &Request,
-    ) -> (u16, &'static str, Vec<(String, String)>, String) {
-        handle_front_request(req, self)
+    pub fn handle_request(&self, req: &Request) -> HttpResponse {
+        let start = Instant::now();
+        let tag = endpoint_tag(&req.path);
+        let (id, trace) = assign_request_id(req);
+        flowcube_obs::counter_add("federate.requests.total", 1);
+
+        let mut resp = route(req, self, trace);
+
+        let us = start.elapsed().as_micros() as f64;
+        flowcube_obs::histogram_record("federate.latency_us", us);
+        flowcube_obs::histogram_record(
+            &flowcube_obs::labeled(
+                "federate.request.latency_us",
+                &[("endpoint", tag), ("status", status_class(resp.status))],
+            ),
+            us,
+        );
+        flowcube_obs::counter_add(&format!("federate.responses.{}xx", resp.status / 100), 1);
+        resp.headers.push(("X-Request-Id".to_string(), id));
+        resp
     }
-}
-
-fn handle_front_request(
-    req: &Request,
-    front: &Front,
-) -> (u16, &'static str, Vec<(String, String)>, String) {
-    let start = Instant::now();
-    let tag = endpoint_tag(&req.path);
-    let (id, trace) = assign_request_id(req);
-    flowcube_obs::counter_add("federate.requests.total", 1);
-
-    let (status, content_type, mut headers, body) = route(req, front, trace);
-
-    let us = start.elapsed().as_micros() as f64;
-    flowcube_obs::histogram_record("federate.latency_us", us);
-    flowcube_obs::histogram_record(
-        &flowcube_obs::labeled(
-            "federate.request.latency_us",
-            &[("endpoint", tag), ("status", status_class(status))],
-        ),
-        us,
-    );
-    flowcube_obs::counter_add(&format!("federate.responses.{}xx", status / 100), 1);
-    headers.push(("X-Request-Id".to_string(), id));
-    (status, content_type, headers, body)
 }
 
 fn error_body(detail: &str) -> String {
@@ -398,31 +384,21 @@ fn error_body(detail: &str) -> String {
     .unwrap_or_default()
 }
 
-fn api_error(e: FederateError) -> (u16, &'static str, Vec<(String, String)>, String) {
+fn api_error(e: FederateError) -> HttpResponse {
     let api: ApiError = e.into();
-    let mut headers = Vec::new();
+    let mut resp = HttpResponse::json(api.status(), error_body(&api.to_string()));
     if let Some(secs) = api.retry_after_secs() {
-        headers.push(("Retry-After".to_string(), secs.to_string()));
+        resp.headers
+            .push(("Retry-After".to_string(), secs.to_string()));
     }
-    (
-        api.status(),
-        "application/json",
-        headers,
-        error_body(&api.to_string()),
-    )
+    resp
 }
 
-fn route(
-    req: &Request,
-    front: &Front,
-    trace: u64,
-) -> (u16, &'static str, Vec<(String, String)>, String) {
+fn route(req: &Request, front: &Front, trace: u64) -> HttpResponse {
     let config = &front.config;
     if req.method != "GET" {
-        return (
+        return HttpResponse::json(
             405,
-            "application/json",
-            Vec::new(),
             error_body(&format!("method {} not allowed", req.method)),
         );
     }
@@ -465,7 +441,7 @@ fn route(
                 ("replica_sets".into(), Value::Array(replica_sets)),
             ]))
             .unwrap_or_default();
-            (200, "application/json", Vec::new(), body)
+            HttpResponse::json(200, body)
         }
         "/metrics" => {
             let snapshot = flowcube_obs::snapshot();
@@ -474,31 +450,23 @@ fn route(
                 None => req.header("accept").unwrap_or("").contains("text/plain"),
             };
             if prometheus {
-                (
-                    200,
-                    "text/plain; version=0.0.4",
-                    Vec::new(),
-                    flowcube_obs::export::prometheus_text(&snapshot),
-                )
+                HttpResponse {
+                    status: 200,
+                    body: flowcube_obs::export::prometheus_text(&snapshot),
+                    content_type: "text/plain; version=0.0.4",
+                    headers: Vec::new(),
+                }
             } else {
-                (
-                    200,
-                    "application/json",
-                    Vec::new(),
-                    flowcube_obs::export::metrics_json(&snapshot),
-                )
+                HttpResponse::json(200, flowcube_obs::export::metrics_json(&snapshot))
             }
         }
         "/debug/flight" => {
             let events = flight::snapshot();
-            let body = serde_json::to_string(&events).unwrap_or_default();
-            (200, "application/json", Vec::new(), body)
+            HttpResponse::json(200, serde_json::to_string(&events).unwrap_or_default())
         }
         path if FEDERATED.contains(&path) => scatter_gather(req, front, trace),
-        other => (
+        other => HttpResponse::json(
             404,
-            "application/json",
-            Vec::new(),
             error_body(&format!("{other} is not a federated endpoint")),
         ),
     }
@@ -510,11 +478,7 @@ enum ShardReply {
     Failed { detail: String },
 }
 
-fn scatter_gather(
-    req: &Request,
-    front: &Front,
-    trace: u64,
-) -> (u16, &'static str, Vec<(String, String)>, String) {
+fn scatter_gather(req: &Request, front: &Front, trace: u64) -> HttpResponse {
     let config = &front.config;
     let deadline = Instant::now() + config.request_deadline;
     let target = rebuild_target(req);
@@ -603,11 +567,7 @@ fn scatter_gather(
     gather(req, config, &replies)
 }
 
-fn gather(
-    req: &Request,
-    config: &FrontConfig,
-    replies: &[ShardReply],
-) -> (u16, &'static str, Vec<(String, String)>, String) {
+fn gather(req: &Request, config: &FrontConfig, replies: &[ShardReply]) -> HttpResponse {
     let mut ok_raw: Vec<&str> = Vec::new();
     let mut ok_bodies: Vec<Value> = Vec::new();
     let mut not_found: Option<&str> = None;
@@ -638,14 +598,14 @@ fn gather(
     // A non-200/404 backend answer (bad request, conflict) means the
     // request itself is wrong everywhere — pass the first one through.
     if let Some((status, body)) = other_status {
-        return (status, "application/json", Vec::new(), body.to_string());
+        return HttpResponse::json(status, body.to_string());
     }
 
     if ok_bodies.is_empty() {
         // No shard produced data. All-404 is a real federated answer:
         // the cell exists nowhere. Otherwise the fan-out failed.
         return match not_found {
-            Some(body) if failed == 0 => (404, "application/json", Vec::new(), body.to_string()),
+            Some(body) if failed == 0 => HttpResponse::json(404, body.to_string()),
             _ => {
                 let detail = replies
                     .iter()
@@ -654,14 +614,14 @@ fn gather(
                         ShardReply::Answered { .. } => None,
                     })
                     .unwrap_or("no shard answered");
-                let (status, ct, headers, _) = api_error(FederateError::AllShardsFailed {
+                let mut resp = api_error(FederateError::AllShardsFailed {
                     shards: config.shards,
                 });
-                let body = error_body(&format!(
+                resp.body = error_body(&format!(
                     "all {} shards failed or timed out: {detail}",
                     config.shards
                 ));
-                (status, ct, headers, body)
+                resp
             }
         };
     }
@@ -669,7 +629,7 @@ fn gather(
     // Degenerate single-shard federation must be transparent: the
     // backend's body passes through byte-for-byte.
     if config.shards == 1 {
-        return (200, "application/json", Vec::new(), ok_raw[0].to_string());
+        return HttpResponse::json(200, ok_raw[0].to_string());
     }
 
     let k = req
@@ -678,14 +638,18 @@ fn gather(
         .unwrap_or(5);
     match merge::merge_endpoint(&req.path, k, &ok_bodies) {
         Ok(mut merged) => {
-            let mut headers = Vec::new();
-            if failed > 0 {
+            let partial = failed > 0;
+            if partial {
                 merge::mark_partial(&mut merged);
-                headers.push(("Retry-After".to_string(), "1".to_string()));
                 flowcube_obs::counter_add("federate.responses.partial", 1);
             }
-            let body = serde_json::to_string(&merged).unwrap_or_default();
-            (200, "application/json", headers, body)
+            let mut resp =
+                HttpResponse::json(200, serde_json::to_string(&merged).unwrap_or_default());
+            if partial {
+                resp.headers
+                    .push(("Retry-After".to_string(), "1".to_string()));
+            }
+            resp
         }
         Err(e) => api_error(e),
     }
@@ -782,8 +746,9 @@ mod tests {
             ..FrontConfig::default()
         };
         let front = Front::new(config).expect("valid map");
-        let (status, _, _, body) = front.handle_request(&get("/healthz", &[]));
-        assert_eq!(status, 200);
+        let resp = front.handle_request(&get("/healthz", &[]));
+        assert_eq!(resp.status, 200);
+        let body = resp.body;
         assert!(body.contains("\"replica_sets\""), "{body}");
         assert!(body.contains("127.0.0.1:2"), "{body}");
         assert!(body.contains("\"state\":\"closed\""), "{body}");
@@ -803,9 +768,13 @@ mod tests {
             ..FrontConfig::default()
         };
         let front = Front::new(config).expect("valid map");
-        let (status, _, _, body) = front.handle_request(&get("/stats", &[]));
-        assert_eq!(status, 404);
-        assert!(body.contains("not a federated endpoint"), "{body}");
+        let resp = front.handle_request(&get("/stats", &[]));
+        assert_eq!(resp.status, 404);
+        assert!(
+            resp.body.contains("not a federated endpoint"),
+            "{}",
+            resp.body
+        );
     }
 
     #[test]
@@ -823,9 +792,9 @@ mod tests {
                 detail: "down".into(),
             },
         ];
-        let (status, _, headers, _) = gather(&get("/cell", &[]), &config, &replies);
-        assert_eq!(status, 503);
-        assert!(headers.iter().any(|(k, _)| k == "Retry-After"));
+        let resp = gather(&get("/cell", &[]), &config, &replies);
+        assert_eq!(resp.status, 503);
+        assert!(resp.header("retry-after").is_some());
     }
 
     #[test]
@@ -844,10 +813,10 @@ mod tests {
                 detail: "down".into(),
             },
         ];
-        let (status, _, headers, body) = gather(&get("/rollup", &[]), &config, &replies);
-        assert_eq!(status, 200);
-        assert!(body.contains("\"partial\":true"), "{body}");
-        assert!(headers.iter().any(|(k, _)| k == "Retry-After"));
+        let resp = gather(&get("/rollup", &[]), &config, &replies);
+        assert_eq!(resp.status, 200);
+        assert!(resp.body.contains("\"partial\":true"), "{}", resp.body);
+        assert!(resp.header("retry-after").is_some());
     }
 
     #[test]
@@ -867,8 +836,8 @@ mod tests {
                 body: r#"{"error":"no such cell"}"#.into(),
             },
         ];
-        let (status, _, _, body) = gather(&get("/cell", &[]), &config, &replies);
-        assert_eq!(status, 404);
-        assert!(body.contains("no such cell"));
+        let resp = gather(&get("/cell", &[]), &config, &replies);
+        assert_eq!(resp.status, 404);
+        assert!(resp.body.contains("no such cell"));
     }
 }

@@ -58,7 +58,7 @@ fn gen_db(paths: usize, seed: u64) -> (PathDatabase, PathLatticeSpec) {
 
 fn start_backend(cube: FlowCube) -> ServerHandle {
     serve_cube(
-        ServedCube::from_cube(cube),
+        ServedCube::from_cube(&cube).expect("encode image"),
         ServerConfig {
             workers: 2,
             ..Default::default()

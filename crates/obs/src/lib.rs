@@ -78,7 +78,7 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(name) = self.name {
-            trace::push(Event {
+            trace::push_end(Event {
                 name,
                 phase: Phase::End,
                 ts_ns: trace::now_ns(),
@@ -97,17 +97,17 @@ pub fn span_enter(name: &'static str) -> SpanGuard {
 
 /// Open a span with pre-built arguments.
 pub fn span_enter_args(name: &'static str, args: Vec<(&'static str, ArgValue)>) -> SpanGuard {
-    if !is_enabled() {
-        return SpanGuard::noop();
+    let recorded = is_enabled()
+        && trace::push_begin(Event {
+            name,
+            phase: Phase::Begin,
+            ts_ns: trace::now_ns(),
+            tid: trace::lane(),
+            args,
+        });
+    SpanGuard {
+        name: recorded.then_some(name),
     }
-    trace::push(Event {
-        name,
-        phase: Phase::Begin,
-        ts_ns: trace::now_ns(),
-        tid: trace::lane(),
-        args,
-    });
-    SpanGuard { name: Some(name) }
 }
 
 /// Open a named span, returning its RAII guard:
@@ -304,6 +304,29 @@ mod tests {
         assert!(events[0].ts_ns <= events[1].ts_ns);
         disable();
         reset();
+    }
+
+    #[test]
+    fn trace_buffer_is_bounded_and_stays_balanced() {
+        with_clean_recorder(|| {
+            let outer = span!("outer");
+            for _ in 0..trace::MAX_EVENTS / 2 {
+                let _fill = span!("fill");
+            }
+            // Full now: a new span and a timer pair are both refused…
+            {
+                let _late = span!("late");
+            }
+            let _ = Timer::start("late.timer").stop();
+            // …but the end of the span opened before the bound lands.
+            drop(outer);
+            let events = trace::events();
+            assert_eq!(events.len(), trace::MAX_EVENTS + 2);
+            assert!(events.iter().all(|e| !e.name.starts_with("late")));
+            let begins = events.iter().filter(|e| e.phase == Phase::Begin).count();
+            assert_eq!(begins * 2, events.len(), "every begin has its end");
+            assert_eq!(snapshot().counters.get("obs.trace.dropped"), Some(&2));
+        });
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! mark of resident set size) and `VmRSS` (the current resident set).
 //! Elsewhere there is no portable equivalent in std, so the lookups
 //! report `None` and callers simply omit the gauge. `VmHWM` never goes
-//! down, so A/B memory comparisons inside one process (e.g. the
-//! snapshot-format bench) must sample `current_rss_bytes` instead.
+//! down, so A/B memory comparisons inside one process must sample
+//! `current_rss_bytes` instead.
 
 #[cfg(target_os = "linux")]
 fn status_field_bytes(field: &str) -> Option<u64> {

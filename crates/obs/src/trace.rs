@@ -5,6 +5,11 @@
 //! mutex-protected buffer. Timestamps are nanoseconds since a process-wide
 //! epoch taken at first use, so events from concurrent threads share one
 //! clock and render as parallel lanes in a Chrome trace viewer.
+//!
+//! The buffer is bounded at [`MAX_EVENTS`]: a long-running server that
+//! records spans but never exports them must not grow without limit.
+//! Spans that would start past the bound are counted in
+//! `obs.trace.dropped` and not recorded.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -69,6 +74,12 @@ pub struct Event {
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
+/// Events the buffer admits (about 64 MB of them). The end of a span
+/// whose begin was admitted is always recorded too, so the buffer can
+/// overshoot by the spans open at the moment it fills, and recorded
+/// spans stay balanced.
+pub const MAX_EVENTS: usize = 1 << 20;
+
 static BUFFER: Mutex<Vec<Event>> = Mutex::new(Vec::new());
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
@@ -95,7 +106,29 @@ pub fn lane_count() -> u32 {
     NEXT_TID.load(Ordering::Relaxed)
 }
 
-pub(crate) fn push(event: Event) {
+/// Let `record` append a new span's events if the buffer has room;
+/// otherwise count the span as dropped and return `false`.
+fn admit_span(record: impl FnOnce(&mut Vec<Event>)) -> bool {
+    let mut buffer = BUFFER.lock();
+    let room = buffer.len() < MAX_EVENTS;
+    if room {
+        record(&mut buffer);
+    }
+    drop(buffer);
+    if !room {
+        crate::counter_add("obs.trace.dropped", 1);
+    }
+    room
+}
+
+/// Record a span's begin event, unless the buffer is full (`false`); the
+/// span must then record no end either.
+pub(crate) fn push_begin(event: Event) -> bool {
+    admit_span(|buffer| buffer.push(event))
+}
+
+/// Record the end event of a span whose begin was admitted.
+pub(crate) fn push_end(event: Event) {
     BUFFER.lock().push(event);
 }
 
@@ -106,20 +139,21 @@ pub(crate) fn push_pair(
     tid: u32,
     args: Vec<(&'static str, ArgValue)>,
 ) {
-    let mut buffer = BUFFER.lock();
-    buffer.push(Event {
-        name,
-        phase: Phase::Begin,
-        ts_ns: start_ns,
-        tid,
-        args,
-    });
-    buffer.push(Event {
-        name,
-        phase: Phase::End,
-        ts_ns: end_ns,
-        tid,
-        args: Vec::new(),
+    admit_span(|buffer| {
+        buffer.push(Event {
+            name,
+            phase: Phase::Begin,
+            ts_ns: start_ns,
+            tid,
+            args,
+        });
+        buffer.push(Event {
+            name,
+            phase: Phase::End,
+            ts_ns: end_ns,
+            tid,
+            args: Vec::new(),
+        });
     });
 }
 

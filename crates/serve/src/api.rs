@@ -1,6 +1,6 @@
-//! The query API: endpoint handlers mapping HTTP requests onto the
-//! in-process [`FlowCube`] operations, plus [`ServedCube`] — the
-//! lazily-hydrated cube a server answers from.
+//! The query API: endpoint handlers answering the [`FlowCube`]
+//! operations over HTTP, plus [`ServedCube`] — the lazily-hydrated
+//! columnar cube a server answers them from.
 //!
 //! Endpoints (all `GET`, all JSON):
 //!
@@ -27,16 +27,15 @@
 
 use crate::access::{unix_millis, AccessEntry, AccessLog};
 use crate::cache::{CachedResponse, ResponseCache};
-use crate::columnar::{ColumnarSection, StringsCtx};
+use crate::columnar::{encode_cuboid, ColumnarSection, StringTable, StringsCtx};
 use crate::deltalog;
 use crate::error::{ApiError, SnapshotError};
 use crate::http::Request;
 use crate::snapshot::Snapshot;
 use flowcube_core::{
-    display_key, view, CellEntry, CellKey, CellStats, CubeDelta, Cuboid, CuboidKey, CuboidRead,
-    FlowCube, Route,
+    display_key, view, CellKey, CubeDelta, Cuboid, CuboidKey, CuboidRead, FlowCube, Route,
 };
-use flowcube_flowgraph::{Exception, GraphRead};
+use flowcube_flowgraph::GraphRead;
 use flowcube_hier::{ConceptId, FxHashMap, FxHashSet, ItemLevel, PathLevelId, Schema};
 use flowcube_obs::flight::{self, FlightKind};
 use flowcube_pathdb::AggStage;
@@ -47,44 +46,29 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// A cube being served: either fully in memory, or a snapshot-backed
-/// shell that hydrates cuboids from disk the first time a query touches
-/// them (so startup cost is the metadata sections only and a `serve`
-/// process never re-mines).
+/// A cube being served. Every cuboid is answered from one form: a
+/// validated FCC2 columnar section ([`ColumnarSection`]), hydrated from
+/// the snapshot — a file, or the in-memory image of an in-process cube
+/// — the first time a query touches it, so startup cost is the metadata
+/// sections only and a `serve` process never re-mines.
 pub struct ServedCube {
-    cube: RwLock<FlowCube>,
-    snapshot: Option<Snapshot>,
-    /// Ingested micro-batch deltas (sidecar replay), overlaid on each
-    /// snapshot cuboid as it hydrates. Empty for in-memory cubes, whose
-    /// deltas are applied directly by [`AppState::ingest`].
+    /// The section source, and the immutable metadata shell (schema,
+    /// spec, params, stats) every request resolves names against.
+    snapshot: Arc<Snapshot>,
+    /// Ingested micro-batch deltas, overlaid on each cuboid as it
+    /// hydrates.
     deltas: Vec<CubeDelta>,
-    /// Cuboid keys already probed against the snapshot (present or not),
-    /// so each section is read at most once.
-    hydrated: Mutex<FxHashSet<CuboidKey>>,
-    /// Zero-copy store for v2 snapshots: validated columnar sections the
-    /// query path reads in place. `None` for in-memory cubes and v1
-    /// snapshots.
-    columnar: Option<ColumnarStore>,
-}
-
-/// Resident v2 cuboid sections, queried as bytes — a cuboid lands here
-/// (instead of materializing into the in-memory cube) when no pending
-/// delta touches it, which is the common case for a read-mostly server.
-struct ColumnarStore {
-    ctx: Arc<StringsCtx>,
-    sections: RwLock<FxHashMap<CuboidKey, Arc<ColumnarSection>>>,
+    /// Every cuboid key probed so far — its section, or `None` when no
+    /// cell is materialized there — so each section loads at most once.
+    resident: RwLock<FxHashMap<CuboidKey, Option<Arc<ColumnarSection>>>>,
 }
 
 impl ServedCube {
-    /// Serve a fully materialized in-memory cube (tests, benches).
-    pub fn from_cube(cube: FlowCube) -> Self {
-        ServedCube {
-            cube: RwLock::new(cube),
-            snapshot: None,
-            deltas: Vec::new(),
-            hydrated: Mutex::new(FxHashSet::default()),
-            columnar: None,
-        }
+    /// Serve an in-process cube (tests, benches, `serve --cube`). The
+    /// cube is encoded into the bytes [`crate::write_snapshot`] would
+    /// put in a file and served from that image like from a file.
+    pub fn from_cube(cube: &FlowCube) -> Result<Self, SnapshotError> {
+        Snapshot::from_cube(cube).map(Self::from_snapshot)
     }
 
     /// Serve lazily from an opened snapshot.
@@ -99,162 +83,166 @@ impl ServedCube {
     /// re-mined snapshot, since mining them needs the path database the
     /// server does not have.
     pub fn from_snapshot_with_deltas(snapshot: Snapshot, deltas: Vec<CubeDelta>) -> Self {
-        let shell = snapshot.shell().clone();
-        let columnar = snapshot.strings_ctx().cloned().map(|ctx| ColumnarStore {
-            ctx,
-            sections: RwLock::new(FxHashMap::default()),
-        });
+        Self::over(Arc::new(snapshot), deltas)
+    }
+
+    fn over(snapshot: Arc<Snapshot>, deltas: Vec<CubeDelta>) -> Self {
         ServedCube {
-            cube: RwLock::new(shell),
-            snapshot: Some(snapshot),
+            snapshot,
             deltas,
-            hydrated: Mutex::new(FxHashSet::default()),
-            columnar,
+            resident: RwLock::new(FxHashMap::default()),
         }
     }
 
-    /// Whether any pending sidecar delta patches the cuboid at `key` —
-    /// such cuboids must materialize (the columnar bytes are immutable).
-    fn has_delta(&self, key: &CuboidKey) -> bool {
-        self.deltas
-            .iter()
-            .any(|d| d.cuboids.binary_search_by(|(k, _)| k.cmp(key)).is_ok())
+    /// This cube with `delta` added to the overlay, over the same
+    /// section source.
+    fn with_delta(&self, delta: CubeDelta) -> Self {
+        let mut deltas = self.deltas.clone();
+        deltas.push(delta);
+        Self::over(self.snapshot.clone(), deltas)
     }
 
-    /// Overlay every delta's cuboid at `key` onto `base`, re-enforcing
-    /// the cube's iceberg δ. `None` when nothing at this key survives.
-    fn overlay_deltas(&self, key: &CuboidKey, base: Option<Cuboid>) -> Option<Cuboid> {
-        let patches: Vec<&Cuboid> = self
+    /// The cube's metadata — schema, spec, params, stats — with no
+    /// cuboids in it.
+    pub fn shell(&self) -> &FlowCube {
+        self.snapshot.shell()
+    }
+
+    /// Load the section at `key`: read → CRC → validate. When pending
+    /// deltas patch the cuboid it is additionally decoded, merged,
+    /// re-iceberged at the cube's δ and re-encoded, and the new bytes go
+    /// through the same validation. `None` when nothing at this key
+    /// survives.
+    ///
+    /// String ids are positions in a sorted table and a delta may bring
+    /// names the snapshot never interned, so a patched section carries a
+    /// table built from that cuboid alone.
+    fn load(&self, key: &CuboidKey) -> Result<Option<ColumnarSection>, SnapshotError> {
+        let base = self.snapshot.load_cuboid(key)?;
+        let mut patches = self
             .deltas
             .iter()
             .filter_map(|d| {
-                d.cuboids
-                    .binary_search_by(|(k, _)| k.cmp(key))
-                    .ok()
-                    .map(|i| &d.cuboids[i].1)
+                let i = d.cuboids.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
+                Some(&d.cuboids[i].1)
             })
-            .collect();
-        if patches.is_empty() {
-            return base;
+            .peekable();
+        if patches.peek().is_none() {
+            return Ok(base);
         }
-        let mut cuboid = base.unwrap_or_default();
+        let mut cuboid = match base {
+            Some(section) => section.decode_cuboid()?,
+            None => Cuboid::default(),
+        };
         for patch in patches {
             cuboid.merge_from(patch);
         }
-        cuboid.enforce_min_support(self.cube.read().params().min_support);
-        (!cuboid.is_empty()).then_some(cuboid)
+        cuboid.enforce_min_support(self.shell().params().min_support);
+        if cuboid.is_empty() {
+            return Ok(None);
+        }
+        let schema = self.shell().schema();
+        let table = StringTable::from_cuboids(schema, [&cuboid]);
+        let bytes = encode_cuboid(&cuboid, schema, &table)?;
+        let ctx = Arc::new(StringsCtx::new(table, schema));
+        let label = format!("patched cuboid {:?}@{}", key.item_level, key.path_level);
+        ColumnarSection::validate(bytes, &ctx, schema, &label).map(Some)
     }
 
-    /// Hydrate the given cuboids from the snapshot (plus any ingested
-    /// deltas) if not yet loaded.
-    ///
-    /// v2 snapshots take the zero-copy path whenever no pending delta
-    /// touches the cuboid: the section is validated once and kept as
-    /// bytes in the [`ColumnarStore`] — no cell ever materializes. A
-    /// delta-patched cuboid (or any v1 cuboid) decodes into the
-    /// in-memory cube as before; the in-memory copy then takes
-    /// precedence at query time.
-    fn ensure(&self, keys: impl IntoIterator<Item = CuboidKey>) -> Result<(), SnapshotError> {
-        let Some(snapshot) = &self.snapshot else {
-            return Ok(());
+    /// Hydrate the given cuboids if not yet resident.
+    fn ensure<'a>(
+        &self,
+        keys: impl IntoIterator<Item = &'a CuboidKey>,
+    ) -> Result<(), SnapshotError> {
+        let missing: Vec<&CuboidKey> = {
+            let resident = self.resident.read();
+            keys.into_iter()
+                .filter(|k| !resident.contains_key(k))
+                .collect()
         };
-        let mut hydrated = self.hydrated.lock();
-        for key in keys {
-            if hydrated.contains(&key) {
-                continue;
+        if missing.is_empty() {
+            return Ok(());
+        }
+        // Held across the loads, so racing workers do not each read (and
+        // re-encode) the same section.
+        let mut resident = self.resident.write();
+        for key in missing {
+            if !resident.contains_key(key) {
+                let section = self.load(key)?.map(Arc::new);
+                resident.insert(key.clone(), section);
             }
-            if let Some(store) = &self.columnar {
-                if !self.has_delta(&key) {
-                    if let Some(sec) = snapshot.load_cuboid_columnar(&key)? {
-                        store.sections.write().insert(key.clone(), Arc::new(sec));
-                    }
-                    hydrated.insert(key);
-                    continue;
-                }
-            }
-            let base = snapshot.load_cuboid(&key)?;
-            if let Some(cuboid) = self.overlay_deltas(&key, base) {
-                self.cube.write().insert_cuboid(key.clone(), cuboid);
-            }
-            hydrated.insert(key);
         }
         Ok(())
     }
 
-    /// Hydrate every snapshot or delta cuboid at one path level (needed
-    /// by `lookup`'s ancestor walk, which may probe any item level).
-    fn ensure_path_level(&self, path_level: PathLevelId) -> Result<(), SnapshotError> {
-        let Some(snapshot) = &self.snapshot else {
-            return Ok(());
+    /// Every cuboid key of the served cube: snapshot ∪ delta keys (a key
+    /// may repeat).
+    fn all_keys(&self) -> impl Iterator<Item = &CuboidKey> {
+        let delta_keys = self.deltas.iter().flat_map(|d| &d.cuboids).map(|(k, _)| k);
+        self.snapshot.cuboid_keys().chain(delta_keys)
+    }
+
+    /// The hydrated section at `(item level, path level)`, if any cell
+    /// is materialized there.
+    fn cuboid(
+        &self,
+        item_level: &ItemLevel,
+        path_level: PathLevelId,
+    ) -> Result<Option<Arc<ColumnarSection>>, SnapshotError> {
+        let key = CuboidKey {
+            item_level: item_level.clone(),
+            path_level,
         };
-        let mut keys: Vec<CuboidKey> = snapshot
-            .cuboid_keys()
-            .filter(|k| k.path_level == path_level)
-            .cloned()
-            .collect();
-        for delta in &self.deltas {
-            for (k, _) in &delta.cuboids {
-                if k.path_level == path_level && !keys.contains(k) {
-                    keys.push(k.clone());
-                }
-            }
-        }
-        self.ensure(keys)
+        self.ensure([&key])?;
+        Ok(self.resident.read().get(&key).cloned().flatten())
     }
 
-    /// Run a closure against the (read-locked) cube.
-    pub fn with_cube<R>(&self, f: impl FnOnce(&FlowCube) -> R) -> R {
-        f(&self.cube.read())
-    }
-
-    /// Run a closure against a consistent query view: the hydrated
-    /// in-memory cuboids plus any resident zero-copy columnar sections.
-    /// All `GET` handlers answer through this so every storage
-    /// representation goes through identical navigation code.
-    pub fn query<R>(&self, f: impl FnOnce(&QueryView<'_>) -> R) -> R {
-        let cube = self.cube.read();
-        f(&QueryView {
-            cube: &cube,
-            store: self.columnar.as_ref(),
+    /// Point lookup with ancestor fallback ([`view::lookup_route`]): the
+    /// route taken, the answering section, and the cell's row in it.
+    /// Hydrates every cuboid at the path level first — the ancestor walk
+    /// may probe any item level.
+    fn lookup(
+        &self,
+        key: &[ConceptId],
+        path_level: PathLevelId,
+    ) -> Result<(Route, Arc<ColumnarSection>, usize), ApiError> {
+        self.ensure(self.all_keys().filter(|k| k.path_level == path_level))?;
+        let resident = self.resident.read();
+        let at = |item_level: &ItemLevel| {
+            let key = CuboidKey {
+                item_level: item_level.clone(),
+                path_level,
+            };
+            resident.get(&key).and_then(Option::as_ref)
+        };
+        view::lookup_route(self.shell().schema(), key, |lvl, k| {
+            at(lvl).is_some_and(|section| section.contains(k))
         })
+        .and_then(|route| {
+            let section = at(&route.item_level)?.clone();
+            let row = section.find(&route.key)?;
+            Some((route, section, row))
+        })
+        .ok_or_else(|| ApiError::NotFound("no materialized cell or ancestor".into()))
     }
 
-    /// Cuboids currently resident in memory (materialized cells plus
-    /// zero-copy columnar sections).
+    /// Cuboids currently resident in memory.
     pub fn resident_cuboids(&self) -> usize {
-        let col = self
-            .columnar
-            .as_ref()
-            .map_or(0, |s| s.sections.read().len());
-        self.cube.read().num_cuboids() + col
+        self.resident.read().values().flatten().count()
     }
 
-    /// Cells currently resident in memory, across both representations.
+    /// Cells currently resident in memory.
     pub fn resident_cells(&self) -> usize {
-        let col = self.columnar.as_ref().map_or(0, |s| {
-            s.sections.read().values().map(|sec| sec.num_cells()).sum()
-        });
-        self.cube.read().total_cells() + col
+        let resident = self.resident.read();
+        resident.values().flatten().map(|s| s.num_cells()).sum()
     }
 
-    /// Total cuboids in the served cube (snapshot ∪ delta keys when
-    /// snapshot-backed, resident count otherwise).
+    /// Total cuboids in the served cube (snapshot ∪ delta keys).
     pub fn total_cuboids(&self) -> usize {
-        match &self.snapshot {
-            Some(s) => {
-                let mut keys: FxHashSet<&CuboidKey> = s.cuboid_keys().collect();
-                for delta in &self.deltas {
-                    keys.extend(delta.cuboids.iter().map(|(k, _)| k));
-                }
-                keys.len()
-            }
-            None => self.resident_cuboids(),
-        }
+        self.all_keys().collect::<FxHashSet<_>>().len()
     }
 
-    /// Ingested deltas pending in this served cube's overlay (sidecar
-    /// replay); always 0 for in-memory cubes, which fold deltas in
-    /// directly.
+    /// Ingested deltas pending in this served cube's overlay.
     pub fn pending_deltas(&self) -> usize {
         self.deltas.len()
     }
@@ -265,207 +253,10 @@ impl ServedCube {
     }
 
     /// The snapshot file backing this cube, if any — the hot-reload
-    /// source.
+    /// source and the anchor of the delta sidecar. `None` for a cube
+    /// served from an in-memory image.
     pub fn snapshot_path(&self) -> Option<PathBuf> {
-        self.snapshot.as_ref().map(|s| s.path().to_path_buf())
-    }
-}
-
-// ---- representation-independent query facade ----------------------------
-
-/// A read view over everything a served cube can answer from: the
-/// in-memory cuboids (always authoritative when present — they carry
-/// delta overlays) and the resident columnar sections. Handlers use the
-/// same [`view`] navigation helpers over both, so a v1 snapshot, a v2
-/// snapshot, and an in-memory cube answer byte-identically — the
-/// differential suite pins this down.
-pub struct QueryView<'a> {
-    cube: &'a FlowCube,
-    store: Option<&'a ColumnarStore>,
-}
-
-impl<'a> QueryView<'a> {
-    pub fn schema(&self) -> &'a Schema {
-        self.cube.schema()
-    }
-
-    fn col_section(
-        &self,
-        item_level: &ItemLevel,
-        path_level: PathLevelId,
-    ) -> Option<(Arc<ColumnarSection>, &'a StringsCtx)> {
-        let store = self.store?;
-        let sec = store
-            .sections
-            .read()
-            .get(&CuboidKey {
-                item_level: item_level.clone(),
-                path_level,
-            })
-            .cloned()?;
-        Some((sec, &store.ctx))
-    }
-
-    /// The cuboid at `(item level, path level)`, in whichever
-    /// representation holds it (in-memory first: it carries overlays).
-    pub fn cuboid(
-        &self,
-        item_level: &ItemLevel,
-        path_level: PathLevelId,
-    ) -> Option<CuboidHandle<'a>> {
-        if let Some(c) = self.cube.cuboid(item_level, path_level) {
-            return Some(CuboidHandle::Mem(c));
-        }
-        self.col_section(item_level, path_level)
-            .map(|(sec, ctx)| CuboidHandle::Col { sec, ctx })
-    }
-
-    fn contains(&self, item_level: &ItemLevel, path_level: PathLevelId, key: &[ConceptId]) -> bool {
-        self.cuboid(item_level, path_level)
-            .is_some_and(|c| c.contains(key))
-    }
-
-    /// Exact cell probe at a known item level.
-    pub fn cell(
-        &self,
-        item_level: &ItemLevel,
-        path_level: PathLevelId,
-        key: &[ConceptId],
-    ) -> Option<CellHandle<'a>> {
-        match self.cuboid(item_level, path_level)? {
-            CuboidHandle::Mem(c) => c.get(key).map(CellHandle::Mem),
-            CuboidHandle::Col { sec, ctx } => {
-                let row = sec.find(key, ctx)?;
-                Some(CellHandle::Col { sec, row, ctx })
-            }
-        }
-    }
-
-    /// Point lookup with ancestor fallback ([`view::lookup_route`]),
-    /// across representations.
-    pub fn lookup(
-        &self,
-        key: &[ConceptId],
-        path_level: PathLevelId,
-    ) -> Option<(Route, CellHandle<'a>)> {
-        let route = view::lookup_route(self.schema(), key, |lvl, k| {
-            self.contains(lvl, path_level, k)
-        })?;
-        let cell = self.cell(&route.item_level, path_level, &route.key)?;
-        Some((route, cell))
-    }
-
-    /// The human-readable cell description (`FlowCube::describe_cell`'s
-    /// materialized arm, rendered from representation-independent stats).
-    fn describe(&self, key: &[ConceptId], path_level: PathLevelId, stats: CellStats) -> String {
-        format!(
-            "{} @ {}: {} paths, {} nodes, {} exceptions",
-            display_key(key, self.schema()),
-            self.cube.spec().level(path_level).name,
-            stats.support,
-            stats.nodes - 1,
-            stats.exceptions
-        )
-    }
-}
-
-/// One cuboid, wherever it lives. Implements the core [`CuboidRead`]
-/// contract so [`view::slice_keys`] / [`view::dice_keys`] run unchanged
-/// over both representations.
-pub enum CuboidHandle<'a> {
-    Mem(&'a Cuboid),
-    Col {
-        sec: Arc<ColumnarSection>,
-        ctx: &'a StringsCtx,
-    },
-}
-
-impl CuboidRead for CuboidHandle<'_> {
-    fn contains(&self, key: &[ConceptId]) -> bool {
-        match self {
-            CuboidHandle::Mem(c) => CuboidRead::contains(*c, key),
-            CuboidHandle::Col { sec, ctx } => sec.find(key, ctx).is_some(),
-        }
-    }
-
-    fn num_cells(&self) -> usize {
-        match self {
-            CuboidHandle::Mem(c) => c.len(),
-            CuboidHandle::Col { sec, .. } => sec.num_cells(),
-        }
-    }
-
-    fn stats(&self, key: &[ConceptId]) -> Option<CellStats> {
-        match self {
-            CuboidHandle::Mem(c) => CuboidRead::stats(*c, key),
-            CuboidHandle::Col { sec, ctx } => sec.find(key, ctx).map(|row| {
-                let cell = sec.cell(row);
-                CellStats {
-                    support: cell.support,
-                    nodes: cell.num_nodes(),
-                    exceptions: cell.num_exceptions(),
-                }
-            }),
-        }
-    }
-
-    fn keys_sorted(&self) -> Vec<CellKey> {
-        match self {
-            CuboidHandle::Mem(c) => CuboidRead::keys_sorted(*c),
-            CuboidHandle::Col { sec, ctx } => sec.keys_sorted(ctx),
-        }
-    }
-}
-
-/// One cell, wherever it lives. Graph questions are answered through
-/// [`GraphRead`] so the flowgraph algorithms (`top_k_paths`,
-/// `path_probability`) run directly on columnar bytes.
-pub enum CellHandle<'a> {
-    Mem(&'a CellEntry),
-    Col {
-        sec: Arc<ColumnarSection>,
-        row: usize,
-        ctx: &'a StringsCtx,
-    },
-}
-
-impl CellHandle<'_> {
-    pub fn stats(&self) -> CellStats {
-        match self {
-            CellHandle::Mem(e) => CellStats {
-                support: e.support,
-                nodes: e.graph.len(),
-                exceptions: e.exceptions.len(),
-            },
-            CellHandle::Col { sec, row, .. } => {
-                let cell = sec.cell(*row);
-                CellStats {
-                    support: cell.support,
-                    nodes: cell.num_nodes(),
-                    exceptions: cell.num_exceptions(),
-                }
-            }
-        }
-    }
-
-    /// Run a closure against the cell's flowgraph, in place.
-    pub fn with_graph<R>(&self, f: impl FnOnce(&dyn GraphRead) -> R) -> R {
-        match self {
-            CellHandle::Mem(e) => f(&e.graph),
-            CellHandle::Col { sec, row, ctx } => {
-                let cell = sec.cell(*row);
-                f(&cell.graph(ctx))
-            }
-        }
-    }
-
-    /// The cell's exceptions (decoded from bytes on the columnar path;
-    /// only the `/exceptions` endpoint pays this).
-    pub fn exceptions(&self) -> Vec<Exception> {
-        match self {
-            CellHandle::Mem(e) => e.exceptions.clone(),
-            CellHandle::Col { sec, row, ctx } => sec.cell(*row).exceptions(ctx),
-        }
+        self.snapshot.path().map(PathBuf::from)
     }
 }
 
@@ -658,13 +449,15 @@ impl AppState {
     /// `POST /admin/ingest`) into the live cube, without ever taking the
     /// server offline.
     ///
-    /// Snapshot-backed servers append the (validated) delta to the
-    /// `<snapshot>.deltas` sidecar first — making it durable across
-    /// restarts and reloads — then swap in a fresh [`ServedCube`] that
-    /// overlays the full sidecar; in-flight requests keep the cube they
-    /// started with (`Arc` swap), new requests see the merged counts.
-    /// In-memory servers apply the delta directly under the cube's write
-    /// lock. Either way the response cache is dropped.
+    /// The (validated) delta is appended to the `<snapshot>.deltas`
+    /// sidecar first when the cube has a file — making it durable across
+    /// restarts and reloads — then a fresh [`ServedCube`] over the same
+    /// source with the delta in its overlay is swapped in; in-flight
+    /// requests keep the cube they started with (`Arc` swap), new
+    /// requests see the merged counts, and the response cache is
+    /// dropped. A cube served from an in-memory image skips only the
+    /// append, and says so with `mode: "in-memory"`: nothing it ingests
+    /// outlives the process.
     ///
     /// Exceptions on delta-touched cells are *cleared*, not re-mined —
     /// mining is holistic (Lemma 4.3) and needs the path database, which
@@ -680,15 +473,8 @@ impl AppState {
             Ok(resp) => {
                 flowcube_obs::counter_add("serve.ingest.ok", 1);
                 flight::record(FlightKind::Reload, 0, 0, 0, resp.paths);
-                if resp.mode == "sidecar" {
-                    {
-                        let mut since = self.pending_since.lock();
-                        if since.is_none() {
-                            *since = Some(Instant::now());
-                        }
-                    }
-                    self.maybe_auto_compact();
-                }
+                self.pending_since.lock().get_or_insert_with(Instant::now);
+                self.maybe_auto_compact();
             }
             Err(_) => {
                 flowcube_obs::counter_add("serve.ingest.failed", 1);
@@ -766,37 +552,31 @@ impl AppState {
         let served = self.cube();
         // Reject a structurally incompatible delta *before* it is made
         // durable or touches the cube.
-        served.with_cube(|cube| delta.validate_against(cube))?;
+        delta.validate_against(served.shell())?;
         let paths = delta.paths;
         let delta_cells = delta.total_cells();
-        match served.snapshot_path() {
+        let (next, mode) = match served.snapshot_path() {
             Some(path) => {
                 let log = deltalog::deltalog_path(&path);
                 deltalog::append_delta(&log, &delta)?;
                 let snapshot = Snapshot::open(&path)?;
                 let deltas = deltalog::read_deltas(&log)?;
-                let pending = deltas.len();
-                self.install_cube(ServedCube::from_snapshot_with_deltas(snapshot, deltas));
-                Ok(IngestResponse {
-                    ingested: true,
-                    paths,
-                    delta_cells,
-                    mode: "sidecar",
-                    pending_deltas: pending,
-                })
+                (
+                    ServedCube::from_snapshot_with_deltas(snapshot, deltas),
+                    "sidecar",
+                )
             }
-            None => {
-                served.cube.write().apply_delta(&delta)?;
-                self.cache.clear();
-                Ok(IngestResponse {
-                    ingested: true,
-                    paths,
-                    delta_cells,
-                    mode: "in-memory",
-                    pending_deltas: 0,
-                })
-            }
-        }
+            None => (served.with_delta(delta), "in-memory"),
+        };
+        let pending_deltas = next.pending_deltas();
+        self.install_cube(next);
+        Ok(IngestResponse {
+            ingested: true,
+            paths,
+            delta_cells,
+            mode,
+            pending_deltas,
+        })
     }
 }
 
@@ -886,8 +666,7 @@ struct StatsResponse {
     resident_cuboids: usize,
     resident_cells: usize,
     snapshot_backed: bool,
-    /// Sidecar deltas overlaid on the snapshot (0 for in-memory cubes,
-    /// whose applied deltas show up in `build.deltas_applied` instead).
+    /// Ingested deltas overlaid on the snapshot.
     pending_deltas: usize,
     pending_delta_paths: u64,
     summary: String,
@@ -918,10 +697,11 @@ pub struct IngestResponse {
     pub paths: u64,
     /// Cells carried by the delta (before iceberg re-enforcement).
     pub delta_cells: usize,
-    /// `"sidecar"` (snapshot-backed: durable, overlaid lazily) or
-    /// `"in-memory"` (applied directly to the live cube).
+    /// `"sidecar"` (the cube has a file: the delta is durable) or
+    /// `"in-memory"` (served from an image: the delta dies with the
+    /// process). Both overlay it lazily.
     pub mode: &'static str,
-    /// Deltas now pending in the sidecar overlay (0 for in-memory).
+    /// Deltas now pending in the overlay.
     pub pending_deltas: usize,
 }
 
@@ -1034,277 +814,211 @@ fn location_names(schema: &Schema, ids: &[ConceptId]) -> Vec<String> {
     ids.iter().map(|&c| h.name_of(c).to_string()).collect()
 }
 
-/// Render the per-cell rows of a multi-cell response (drilldown / slice /
-/// dice) from representation-independent stats.
-fn cell_rows(q: &QueryView<'_>, cuboid: &CuboidHandle<'_>, keys: Vec<CellKey>) -> Vec<CellRow> {
-    keys.into_iter()
-        .filter_map(|k| {
-            cuboid.stats(&k).map(|s| CellRow {
-                cell: display_key(&k, q.schema()),
-                support: s.support,
-                nodes: s.nodes - 1,
-                exceptions: s.exceptions,
+/// Render a multi-cell response (drilldown / slice / dice): one row per
+/// key `select` picks from the section that is materialized in it.
+fn cells_response(
+    schema: &Schema,
+    section: Option<Arc<ColumnarSection>>,
+    select: impl FnOnce(&ColumnarSection) -> Vec<CellKey>,
+) -> String {
+    let cells: Vec<CellRow> = section.map_or_else(Vec::new, |section| {
+        select(&section)
+            .into_iter()
+            .filter_map(|k| {
+                section.stats(&k).map(|s| CellRow {
+                    cell: display_key(&k, schema),
+                    support: s.support,
+                    nodes: s.nodes - 1,
+                    exceptions: s.exceptions,
+                })
             })
-        })
-        .collect()
+            .collect()
+    });
+    json(&CellsResponse {
+        count: cells.len(),
+        cells,
+    })
 }
 
 // ---- endpoint handlers --------------------------------------------------
 
 fn handle_cell(served: &ServedCube, req: &Request) -> Result<String, ApiError> {
-    let (key, pl) = served.with_cube(|cube| resolve_cell(cube, req))?;
-    served.ensure_path_level(pl)?;
-    served.query(|q| {
-        let (route, cell) = q
-            .lookup(&key, pl)
-            .ok_or_else(|| ApiError::NotFound("no materialized cell or ancestor".into()))?;
-        let stats = cell.stats();
-        Ok(json(&CellResponse {
-            cell: display_key(&key, q.schema()),
-            level: served.with_cube(|cube| cube.spec().level(pl).name.clone()),
-            exact: route.exact,
-            source_cell: display_key(&route.key, q.schema()),
-            support: stats.support,
-            nodes: stats.nodes - 1,
-            exceptions: stats.exceptions,
-            description: q.describe(&route.key, pl, stats),
-        }))
-    })
+    let cube = served.shell();
+    let (key, pl) = resolve_cell(cube, req)?;
+    let (route, section, row) = served.lookup(&key, pl)?;
+    let stats = section.cell(row).stats();
+    let level = &cube.spec().level(pl).name;
+    let source_cell = display_key(&route.key, cube.schema());
+    Ok(json(&CellResponse {
+        cell: display_key(&key, cube.schema()),
+        level: level.clone(),
+        exact: route.exact,
+        support: stats.support,
+        nodes: stats.nodes - 1,
+        exceptions: stats.exceptions,
+        description: format!(
+            "{source_cell} @ {level}: {} paths, {} nodes, {} exceptions",
+            stats.support,
+            stats.nodes - 1,
+            stats.exceptions
+        ),
+        source_cell,
+    }))
 }
 
 fn handle_rollup(served: &ServedCube, req: &Request) -> Result<String, ApiError> {
-    let (key, pl, dim) = served.with_cube(|cube| {
-        let (key, pl) = resolve_cell(cube, req)?;
-        let dim = parse_dim(cube, req)?;
-        Ok::<_, ApiError>((key, pl, dim))
-    })?;
-    let (parent_level, parent_key) = served
-        .with_cube(|cube| view::rollup_target(cube.schema(), &key, dim))
-        .ok_or_else(|| {
+    let cube = served.shell();
+    let (key, pl) = resolve_cell(cube, req)?;
+    let dim = parse_dim(cube, req)?;
+    let (parent_level, parent_key) =
+        view::rollup_target(cube.schema(), &key, dim).ok_or_else(|| {
             ApiError::NotFound(format!("dimension {dim} is already fully aggregated"))
         })?;
-    served.ensure([CuboidKey {
-        item_level: parent_level.clone(),
-        path_level: pl,
-    }])?;
-    served.query(|q| {
-        let cell = q
-            .cell(&parent_level, pl, &parent_key)
-            .ok_or_else(|| ApiError::NotFound("parent cell not materialized".into()))?;
-        let stats = cell.stats();
-        Ok(json(&RollupResponse {
-            cell: display_key(&key, q.schema()),
-            parent: display_key(&parent_key, q.schema()),
-            support: stats.support,
-            nodes: stats.nodes - 1,
-        }))
-    })
+    let stats = served
+        .cuboid(&parent_level, pl)?
+        .and_then(|section| section.stats(&parent_key))
+        .ok_or_else(|| ApiError::NotFound("parent cell not materialized".into()))?;
+    Ok(json(&RollupResponse {
+        cell: display_key(&key, cube.schema()),
+        parent: display_key(&parent_key, cube.schema()),
+        support: stats.support,
+        nodes: stats.nodes - 1,
+    }))
 }
 
 fn handle_drilldown(served: &ServedCube, req: &Request) -> Result<String, ApiError> {
-    let (key, pl, dim) = served.with_cube(|cube| {
-        let (key, pl) = resolve_cell(cube, req)?;
-        let dim = parse_dim(cube, req)?;
-        Ok::<_, ApiError>((key, pl, dim))
-    })?;
-    let (child_level, candidates) =
-        served.with_cube(|cube| view::drilldown_candidates(cube.schema(), &key, dim));
-    served.ensure([CuboidKey {
-        item_level: child_level.clone(),
-        path_level: pl,
-    }])?;
-    served.query(|q| {
-        let rows = match q.cuboid(&child_level, pl) {
-            Some(cuboid) => cell_rows(
-                q,
-                &cuboid,
-                candidates
-                    .into_iter()
-                    .filter(|k| cuboid.contains(k))
-                    .collect(),
-            ),
-            None => Vec::new(),
-        };
-        Ok(json(&CellsResponse {
-            count: rows.len(),
-            cells: rows,
-        }))
-    })
+    let cube = served.shell();
+    let (key, pl) = resolve_cell(cube, req)?;
+    let dim = parse_dim(cube, req)?;
+    let (child_level, candidates) = view::drilldown_candidates(cube.schema(), &key, dim);
+    let section = served.cuboid(&child_level, pl)?;
+    Ok(cells_response(cube.schema(), section, |_| candidates))
 }
 
 fn handle_slice(served: &ServedCube, req: &Request) -> Result<String, ApiError> {
-    let (item_level, pl, dim, value) = served.with_cube(|cube| {
-        let item_level = parse_item_level(cube, req)?;
-        let level_name = require_param(req, "level")?;
-        let pl = cube.require_path_level(level_name)?;
-        let dim = parse_dim(cube, req)?;
-        let name = require_param(req, "value")?;
-        let value = cube.schema().dim(dim as u8).id_of(name).map_err(|_| {
+    let cube = served.shell();
+    let item_level = parse_item_level(cube, req)?;
+    let pl = cube.require_path_level(require_param(req, "level")?)?;
+    let dim = parse_dim(cube, req)?;
+    let name = require_param(req, "value")?;
+    let value =
+        cube.schema().dim(dim as u8).id_of(name).map_err(|_| {
             ApiError::NotFound(format!("unknown value {name:?} in dimension {dim}"))
         })?;
-        Ok::<_, ApiError>((item_level, pl, dim, value))
-    })?;
-    served.ensure([CuboidKey {
-        item_level: item_level.clone(),
-        path_level: pl,
-    }])?;
-    served.query(|q| {
-        let rows = match q.cuboid(&item_level, pl) {
-            Some(cuboid) => cell_rows(q, &cuboid, view::slice_keys(&cuboid, dim, value)),
-            None => Vec::new(),
-        };
-        Ok(json(&CellsResponse {
-            count: rows.len(),
-            cells: rows,
-        }))
-    })
+    let section = served.cuboid(&item_level, pl)?;
+    Ok(cells_response(cube.schema(), section, |section| {
+        view::slice_keys(section, dim, value)
+    }))
 }
 
 fn handle_dice(served: &ServedCube, req: &Request) -> Result<String, ApiError> {
-    let (item_level, pl, constraints) = served.with_cube(|cube| {
-        let item_level = parse_item_level(cube, req)?;
-        let level_name = require_param(req, "level")?;
-        let pl = cube.require_path_level(level_name)?;
-        // `where=0:shoes,1:nike` — key[dim] must equal the named value.
-        let mut constraints: Vec<(usize, ConceptId)> = Vec::new();
-        if let Some(spec) = req.param("where") {
-            for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-                let (d, name) = part.split_once(':').ok_or_else(|| {
-                    ApiError::BadRequest(format!("bad where constraint {part:?}"))
-                })?;
-                let dim: usize = d.trim().parse().map_err(|_| {
-                    ApiError::BadRequest(format!("bad dimension in constraint {part:?}"))
-                })?;
-                let num_dims = cube.schema().num_dims();
-                if dim >= num_dims {
-                    return Err(
-                        flowcube_core::CoreError::DimensionOutOfRange { dim, num_dims }.into(),
-                    );
-                }
-                let value = cube
-                    .schema()
-                    .dim(dim as u8)
-                    .id_of(name.trim())
-                    .map_err(|_| {
-                        ApiError::NotFound(format!("unknown value {name:?} in dimension {dim}"))
-                    })?;
-                constraints.push((dim, value));
+    let cube = served.shell();
+    let item_level = parse_item_level(cube, req)?;
+    let pl = cube.require_path_level(require_param(req, "level")?)?;
+    // `where=0:shoes,1:nike` — key[dim] must equal the named value.
+    let mut constraints: Vec<(usize, ConceptId)> = Vec::new();
+    if let Some(spec) = req.param("where") {
+        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
+            let (d, name) = part
+                .split_once(':')
+                .ok_or_else(|| ApiError::BadRequest(format!("bad where constraint {part:?}")))?;
+            let dim: usize = d.trim().parse().map_err(|_| {
+                ApiError::BadRequest(format!("bad dimension in constraint {part:?}"))
+            })?;
+            let num_dims = cube.schema().num_dims();
+            if dim >= num_dims {
+                return Err(flowcube_core::CoreError::DimensionOutOfRange { dim, num_dims }.into());
             }
+            let value = cube
+                .schema()
+                .dim(dim as u8)
+                .id_of(name.trim())
+                .map_err(|_| {
+                    ApiError::NotFound(format!("unknown value {name:?} in dimension {dim}"))
+                })?;
+            constraints.push((dim, value));
         }
-        Ok::<_, ApiError>((item_level, pl, constraints))
-    })?;
-    served.ensure([CuboidKey {
-        item_level: item_level.clone(),
-        path_level: pl,
-    }])?;
-    served.query(|q| {
-        let rows = match q.cuboid(&item_level, pl) {
-            Some(cuboid) => cell_rows(
-                q,
-                &cuboid,
-                view::dice_keys(&cuboid, |key| constraints.iter().all(|&(d, v)| key[d] == v)),
-            ),
-            None => Vec::new(),
-        };
-        Ok(json(&CellsResponse {
-            count: rows.len(),
-            cells: rows,
-        }))
-    })
+    }
+    let section = served.cuboid(&item_level, pl)?;
+    Ok(cells_response(cube.schema(), section, |section| {
+        view::dice_keys(section, |key| constraints.iter().all(|&(d, v)| key[d] == v))
+    }))
 }
 
 fn handle_topk(served: &ServedCube, req: &Request) -> Result<String, ApiError> {
-    let (key, pl) = served.with_cube(|cube| resolve_cell(cube, req))?;
+    let cube = served.shell();
+    let (key, pl) = resolve_cell(cube, req)?;
     let k: usize = parse_num(req, "k", 5)?;
-    served.ensure_path_level(pl)?;
-    served.query(|q| {
-        let (route, cell) = q
-            .lookup(&key, pl)
-            .ok_or_else(|| ApiError::NotFound("no materialized cell or ancestor".into()))?;
-        let paths = cell.with_graph(|g| flowcube_flowgraph::top_k_paths(g, k));
-        Ok(json(&TopKResponse {
-            cell: display_key(&route.key, q.schema()),
-            support: cell.stats().support,
-            paths: paths
-                .into_iter()
-                .map(|p| PathRow {
-                    locations: location_names(q.schema(), &p.locations),
-                    probability: p.probability,
-                })
-                .collect(),
-        }))
-    })
+    let (route, section, row) = served.lookup(&key, pl)?;
+    let cell = section.cell(row);
+    Ok(json(&TopKResponse {
+        cell: display_key(&route.key, cube.schema()),
+        support: cell.support,
+        paths: flowcube_flowgraph::top_k_paths(&cell.graph(), k)
+            .into_iter()
+            .map(|p| PathRow {
+                locations: location_names(cube.schema(), &p.locations),
+                probability: p.probability,
+            })
+            .collect(),
+    }))
 }
 
 fn handle_probability(served: &ServedCube, req: &Request) -> Result<String, ApiError> {
-    let (key, pl) = served.with_cube(|cube| resolve_cell(cube, req))?;
-    served.ensure_path_level(pl)?;
-    let path = served.with_cube(|cube| parse_path(cube, require_param(req, "path")?))?;
-    served.query(|q| {
-        let (route, cell) = q
-            .lookup(&key, pl)
-            .ok_or_else(|| ApiError::NotFound("no materialized cell or ancestor".into()))?;
-        Ok(json(&ProbabilityResponse {
-            cell: display_key(&route.key, q.schema()),
-            probability: cell.with_graph(|g| flowcube_flowgraph::path_probability(g, &path)),
-        }))
-    })
+    let cube = served.shell();
+    let (key, pl) = resolve_cell(cube, req)?;
+    let path = parse_path(cube, require_param(req, "path")?)?;
+    let (route, section, row) = served.lookup(&key, pl)?;
+    Ok(json(&ProbabilityResponse {
+        cell: display_key(&route.key, cube.schema()),
+        probability: flowcube_flowgraph::path_probability(&section.cell(row).graph(), &path),
+    }))
 }
 
 fn handle_exceptions(served: &ServedCube, req: &Request) -> Result<String, ApiError> {
-    let (key, pl) = served.with_cube(|cube| resolve_cell(cube, req))?;
-    served.ensure_path_level(pl)?;
-    served.query(|q| {
-        let (route, cell) = q
-            .lookup(&key, pl)
-            .ok_or_else(|| ApiError::NotFound("no materialized cell or ancestor".into()))?;
-        let h = q.schema().locations();
-        let exceptions = cell.exceptions();
-        let rows: Vec<ExceptionRow> = cell.with_graph(|graph| {
-            exceptions
+    let cube = served.shell();
+    let (key, pl) = resolve_cell(cube, req)?;
+    let (route, section, row) = served.lookup(&key, pl)?;
+    let cell = section.cell(row);
+    let graph = cell.graph();
+    let h = cube.schema().locations();
+    let rows: Vec<ExceptionRow> = cell
+        .exceptions()
+        .iter()
+        .map(|e| ExceptionRow {
+            node: location_names(cube.schema(), &graph.prefix_of(e.node)),
+            condition: e
+                .condition
                 .iter()
-                .map(|e| ExceptionRow {
-                    node: location_names(q.schema(), &graph.prefix_of(e.node)),
-                    condition: e
-                        .condition
-                        .iter()
-                        .map(|&(n, d)| format!("{}={d}", h.name_of(graph.location(n))))
-                        .collect(),
-                    support: e.support,
-                    deviation: e.deviation,
-                    kind: match e.detail {
-                        flowcube_flowgraph::ExceptionDetail::Duration { .. } => "duration".into(),
-                        flowcube_flowgraph::ExceptionDetail::Transition { .. } => {
-                            "transition".into()
-                        }
-                    },
-                })
-                .collect()
-        });
-        Ok(json(&ExceptionsResponse {
-            cell: display_key(&route.key, q.schema()),
-            count: rows.len(),
-            exceptions: rows,
-        }))
-    })
+                .map(|&(n, d)| format!("{}={d}", h.name_of(graph.location(n))))
+                .collect(),
+            support: e.support,
+            deviation: e.deviation,
+            kind: match e.detail {
+                flowcube_flowgraph::ExceptionDetail::Duration { .. } => "duration".into(),
+                flowcube_flowgraph::ExceptionDetail::Transition { .. } => "transition".into(),
+            },
+        })
+        .collect();
+    Ok(json(&ExceptionsResponse {
+        cell: display_key(&route.key, cube.schema()),
+        count: rows.len(),
+        exceptions: rows,
+    }))
 }
 
 fn handle_stats(served: &ServedCube) -> Result<String, ApiError> {
-    let cuboids = served.total_cuboids();
-    let resident_cuboids = served.resident_cuboids();
-    let resident_cells = served.resident_cells();
-    served.with_cube(|cube| {
-        Ok(json(&StatsResponse {
-            cuboids,
-            resident_cuboids,
-            resident_cells,
-            snapshot_backed: served.snapshot.is_some(),
-            pending_deltas: served.pending_deltas(),
-            pending_delta_paths: served.pending_delta_paths(),
-            summary: cube.stats().summary(),
-            build: cube.stats().clone(),
-        }))
-    })
+    let stats = served.shell().stats();
+    Ok(json(&StatsResponse {
+        cuboids: served.total_cuboids(),
+        resident_cuboids: served.resident_cuboids(),
+        resident_cells: served.resident_cells(),
+        snapshot_backed: served.snapshot_path().is_some(),
+        pending_deltas: served.pending_deltas(),
+        pending_delta_paths: served.pending_delta_paths(),
+        summary: stats.summary(),
+        build: stats.clone(),
+    }))
 }
 
 /// `/metrics` with format negotiation: Prometheus text exposition when
@@ -1425,7 +1139,8 @@ fn flight_label(tag: &'static str) -> u16 {
         .unwrap_or(0)
 }
 
-fn status_class(status: u16) -> &'static str {
+/// The `status` label of the per-endpoint latency histograms.
+pub fn status_class(status: u16) -> &'static str {
     match status / 100 {
         1 => "1xx",
         2 => "2xx",
@@ -1506,7 +1221,8 @@ pub struct HttpResponse {
 }
 
 impl HttpResponse {
-    fn json(status: u16, body: String) -> Self {
+    /// A JSON response with no extra headers.
+    pub fn json(status: u16, body: String) -> Self {
         HttpResponse {
             status,
             body,
@@ -1524,20 +1240,6 @@ impl HttpResponse {
     }
 }
 
-/// Route and answer one request with no deadline. See
-/// [`handle_request_ctx`].
-pub fn handle_request(state: &AppState, req: &Request) -> (u16, String) {
-    handle_request_ctx(state, req, &RequestCtx::default())
-}
-
-/// Route and answer one request under `ctx`'s limits. Returns
-/// `(status, body)` — the body-only view of [`handle_request_full`] for
-/// callers that don't write headers (tests, embedding).
-pub fn handle_request_ctx(state: &AppState, req: &Request, ctx: &RequestCtx) -> (u16, String) {
-    let resp = handle_request_full(state, req, ctx);
-    (resp.status, resp.body)
-}
-
 /// Route and answer one request under `ctx`'s limits, with the full
 /// observability pipeline around the handler:
 ///
@@ -1551,13 +1253,12 @@ pub fn handle_request_ctx(state: &AppState, req: &Request, ctx: &RequestCtx) -> 
 /// - appends a structured access-log entry, embedding the flight
 ///   recorder window when the response is 5xx or past the slow
 ///   threshold.
-pub fn handle_request_full(state: &AppState, req: &Request, ctx: &RequestCtx) -> HttpResponse {
+pub fn handle_request(state: &AppState, req: &Request, ctx: &RequestCtx) -> HttpResponse {
     let start = Instant::now();
     let tag = endpoint_tag(&req.path);
     let label = flight_label(tag);
     let (id, trace) = assign_request_id(req);
     flight::record(FlightKind::RequestStart, trace, label, 0, ctx.queue_wait_us);
-    let _span = flowcube_obs::span!("serve.request");
     flowcube_obs::counter_add("serve.requests.total", 1);
     flowcube_obs::counter_add(&format!("serve.requests.{tag}"), 1);
     flowcube_obs::histogram_record("serve.queue.wait_us", ctx.queue_wait_us as f64);

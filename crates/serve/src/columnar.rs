@@ -1,11 +1,11 @@
 //! FCUBSNAP v2 columnar cuboid sections: flat, offset-indexed layouts
 //! queried in place.
 //!
-//! Format v1 stores each cuboid as JSON that must be decoded into
-//! pointer-heavy `HashMap` cells before the first query — O(cells) heap
-//! allocations on the read path. Version 2 stores the same information
-//! as fixed-width little-endian tables addressed by a shared string
-//! table, so a section loaded into a `Vec<u8>` (or mmap'd) buffer is
+//! A heap [`Cuboid`] is pointer-heavy `HashMap` cells — O(cells)
+//! allocations to build. A section stores the same information as
+//! fixed-width little-endian tables addressed by a string table (the
+//! snapshot's shared one, or a delta-patched section's own), so a
+//! section loaded into a `Vec<u8>` (or mmap'd) buffer is
 //! queryable *as bytes*: probing a cell is a binary search over the key
 //! column, walking a flowgraph is index arithmetic over a
 //! struct-of-arrays node table, and nothing per-cell is ever allocated.
@@ -78,11 +78,12 @@
 //! panic-free without per-access checks.
 
 use crate::error::SnapshotError;
-use flowcube_core::{CellEntry, CellKey, Cuboid};
+use flowcube_core::{CellEntry, CellKey, CellStats, Cuboid, CuboidRead};
 use flowcube_flowgraph::{
     CountDist, Exception, ExceptionDetail, FlowGraph, GraphRead, NodeId, NodeSpec,
 };
 use flowcube_hier::{ConceptId, DurValue, FxHashMap, Schema};
+use std::sync::Arc;
 
 /// First 4 bytes of every v2 cuboid section.
 pub const CUBOID_MAGIC: [u8; 4] = *b"FCC2";
@@ -152,12 +153,14 @@ pub struct StringTable {
 }
 
 impl StringTable {
-    /// Intern every name the cube's cuboid sections will reference.
-    pub fn from_cube(cube: &flowcube_core::FlowCube) -> StringTable {
-        let schema = cube.schema();
+    /// Intern every name the sections encoding `cuboids` will reference.
+    pub fn from_cuboids<'a>(
+        schema: &Schema,
+        cuboids: impl IntoIterator<Item = &'a Cuboid>,
+    ) -> StringTable {
         let loc = schema.locations();
         let mut names: Vec<String> = Vec::new();
-        for (_, cuboid) in cube.cuboids() {
+        for cuboid in cuboids {
             for (key, entry) in cuboid.iter() {
                 for (d, &c) in key.iter().enumerate() {
                     names.push(schema.dim(d as u8).name_of(c).to_string());
@@ -573,7 +576,9 @@ struct Header {
 }
 
 /// One fully validated v2 cuboid section, queryable in place. Holds the
-/// raw payload; every accessor is pure index arithmetic over it.
+/// raw payload and the string context its ids were validated against
+/// (the snapshot's shared one, or a delta-patched section's own); every
+/// accessor is pure index arithmetic over them.
 /// Constructed only through [`ColumnarSection::validate`], which is the
 /// single place structural errors can surface — accessors never panic
 /// on a value validation admitted.
@@ -581,15 +586,16 @@ struct Header {
 pub struct ColumnarSection {
     bytes: Vec<u8>,
     hdr: Header,
+    ctx: Arc<StringsCtx>,
 }
 
 impl ColumnarSection {
-    /// Structurally validate a section payload against the snapshot's
-    /// string context and the schema's dimension count. One O(section)
-    /// pass; no per-cell allocation.
+    /// Structurally validate a section payload against its string
+    /// context and the schema's dimension count. One O(section) pass; no
+    /// per-cell allocation.
     pub fn validate(
         bytes: Vec<u8>,
-        ctx: &StringsCtx,
+        ctx: &Arc<StringsCtx>,
         schema: &Schema,
         label: &str,
     ) -> Result<ColumnarSection, SnapshotError> {
@@ -876,11 +882,11 @@ impl ColumnarSection {
             }
         }
 
-        Ok(ColumnarSection { bytes, hdr: h })
-    }
-
-    pub fn num_cells(&self) -> usize {
-        self.hdr.cell_count
+        Ok(ColumnarSection {
+            bytes,
+            hdr: h,
+            ctx: ctx.clone(),
+        })
     }
 
     fn sid_at(&self, row: usize, d: usize) -> u32 {
@@ -914,29 +920,19 @@ impl ColumnarSection {
     }
 
     /// Probe for a cell by concept key.
-    pub fn find(&self, key: &[ConceptId], ctx: &StringsCtx) -> Option<usize> {
-        self.find_row(&ctx.sids_of_key(key)?)
+    pub fn find(&self, key: &[ConceptId]) -> Option<usize> {
+        self.find_row(&self.ctx.sids_of_key(key)?)
     }
 
     /// The concept key of a row.
-    pub fn key_of(&self, row: usize, ctx: &StringsCtx) -> CellKey {
+    pub fn key_of(&self, row: usize) -> CellKey {
         (0..self.hdr.dims)
             .map(|d| {
-                ctx.dim_concept(d, self.sid_at(row, d))
+                self.ctx
+                    .dim_concept(d, self.sid_at(row, d))
                     .unwrap_or(ConceptId::ROOT)
             })
             .collect()
-    }
-
-    /// All cell keys, ascending in concept order (string-id order is
-    /// name-lexicographic, so re-sorting keeps every representation's
-    /// enumeration identical).
-    pub fn keys_sorted(&self, ctx: &StringsCtx) -> Vec<CellKey> {
-        let mut keys: Vec<CellKey> = (0..self.hdr.cell_count)
-            .map(|r| self.key_of(r, ctx))
-            .collect();
-        keys.sort_unstable();
-        keys
     }
 
     /// The cell at `row`.
@@ -956,13 +952,13 @@ impl ColumnarSection {
 
     /// Materialize the whole section into an in-memory [`Cuboid`] — the
     /// write path's escape hatch (delta overlay, compaction).
-    pub fn decode_cuboid(&self, ctx: &StringsCtx) -> Result<Cuboid, SnapshotError> {
+    pub fn decode_cuboid(&self) -> Result<Cuboid, SnapshotError> {
         let mut cuboid = Cuboid::default();
         for row in 0..self.hdr.cell_count {
-            let key = self.key_of(row, ctx);
+            let key = self.key_of(row);
             let cell = self.cell(row);
-            let graph = cell.materialize_graph(ctx)?;
-            let exceptions = cell.exceptions(ctx);
+            let graph = cell.materialize_graph()?;
+            let exceptions = cell.exceptions();
             cuboid.cells.insert(
                 key,
                 CellEntry {
@@ -974,6 +970,32 @@ impl ColumnarSection {
             );
         }
         Ok(cuboid)
+    }
+}
+
+/// The serving layer's one cuboid representation: the core navigation
+/// helpers (`view::slice_keys`, `view::dice_keys`, `view::lookup_route`
+/// probes) run over the validated bytes.
+impl CuboidRead for ColumnarSection {
+    fn contains(&self, key: &[ConceptId]) -> bool {
+        self.find(key).is_some()
+    }
+
+    fn num_cells(&self) -> usize {
+        self.hdr.cell_count
+    }
+
+    fn stats(&self, key: &[ConceptId]) -> Option<CellStats> {
+        self.find(key).map(|row| self.cell(row).stats())
+    }
+
+    /// Ascending in concept order: string-id order is
+    /// name-lexicographic, so rows are re-sorted to enumerate exactly
+    /// like the heap [`Cuboid`] the section was encoded from.
+    fn keys_sorted(&self) -> Vec<CellKey> {
+        let mut keys: Vec<CellKey> = (0..self.hdr.cell_count).map(|r| self.key_of(r)).collect();
+        keys.sort_unstable();
+        keys
     }
 }
 
@@ -1003,20 +1025,20 @@ pub struct CellColumns<'a> {
 }
 
 impl<'a> CellColumns<'a> {
-    /// Nodes in the cell's flowgraph, including the virtual root.
-    pub fn num_nodes(&self) -> usize {
-        self.gcount
-    }
-
-    pub fn num_exceptions(&self) -> usize {
-        self.ecount
+    /// The scalar facts cell rows are rendered from (`nodes` includes
+    /// the virtual root).
+    pub fn stats(&self) -> CellStats {
+        CellStats {
+            support: self.support,
+            nodes: self.gcount,
+            exceptions: self.ecount,
+        }
     }
 
     /// The zero-copy flowgraph over this cell's node rows.
-    pub fn graph(&self, ctx: &'a StringsCtx) -> GraphView<'a> {
+    pub fn graph(&self) -> GraphView<'a> {
         GraphView {
             sec: self.sec,
-            ctx,
             gstart: self.gstart,
             gcount: self.gcount,
             total_paths: self.total_paths,
@@ -1026,7 +1048,8 @@ impl<'a> CellColumns<'a> {
     /// Decode this cell's exceptions into their in-memory form (used for
     /// rendering responses and for materialization — not on the probe
     /// path).
-    pub fn exceptions(&self, ctx: &StringsCtx) -> Vec<Exception> {
+    pub fn exceptions(&self) -> Vec<Exception> {
+        let ctx = &self.sec.ctx;
         let b = &self.sec.bytes;
         let h = &self.sec.hdr;
         let mut out = Vec::with_capacity(self.ecount);
@@ -1083,7 +1106,8 @@ impl<'a> CellColumns<'a> {
     /// Rebuild the in-memory [`FlowGraph`] (write path only). Node order
     /// is preserved verbatim, so encode(decode(section)) is
     /// byte-identical.
-    pub fn materialize_graph(&self, ctx: &StringsCtx) -> Result<FlowGraph, SnapshotError> {
+    pub fn materialize_graph(&self) -> Result<FlowGraph, SnapshotError> {
+        let ctx = &self.sec.ctx;
         let b = &self.sec.bytes;
         let h = &self.sec.hdr;
         let mut specs = Vec::with_capacity(self.gcount);
@@ -1140,7 +1164,6 @@ impl<'a> CellColumns<'a> {
 #[derive(Copy, Clone)]
 pub struct GraphView<'a> {
     sec: &'a ColumnarSection,
-    ctx: &'a StringsCtx,
     gstart: usize,
     gcount: usize,
     total_paths: u64,
@@ -1175,7 +1198,7 @@ impl GraphRead for GraphView<'_> {
         }
         let sid = u32_at(&self.sec.bytes, self.node_base(n));
         // Validation proved every non-root location id resolves.
-        self.ctx.loc_concept(sid).unwrap_or(ConceptId::ROOT)
+        self.sec.ctx.loc_concept(sid).unwrap_or(ConceptId::ROOT)
     }
 
     fn parent(&self, n: NodeId) -> NodeId {
@@ -1191,7 +1214,7 @@ impl GraphRead for GraphView<'_> {
     }
 
     fn child_at(&self, n: NodeId, loc: ConceptId) -> Option<NodeId> {
-        let want = self.ctx.loc_sid(loc)?;
+        let want = self.sec.ctx.loc_sid(loc)?;
         let (first, count) = self.child_range(n);
         for ci in first..first + count {
             let child = u32_at(&self.sec.bytes, self.sec.hdr.children_off + ci * CHILD_ROW);

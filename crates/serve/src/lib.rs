@@ -4,12 +4,16 @@
 //!
 //! 1. **Snapshot** — [`snapshot::write_snapshot`] persists a built cube
 //!    into a versioned binary container (magic + format version,
-//!    CRC-protected section index, length-prefixed serde-encoded
-//!    sections: schema, path-lattice spec, params, build stats, and one
-//!    section per cuboid). [`snapshot::Snapshot::open`] validates the
-//!    container and loads metadata eagerly but cuboid cell tables
+//!    CRC-protected section index; JSON metadata sections for schema,
+//!    path-lattice spec, params and build stats; an interned string
+//!    table; and one flat columnar FCC2 section per cuboid, see
+//!    [`columnar`]). [`snapshot::Snapshot::open`] validates the
+//!    container and loads metadata eagerly but cuboid sections
 //!    **lazily**, so a server starts in milliseconds regardless of cube
-//!    size.
+//!    size. A validated section is the only form a cuboid is ever
+//!    served from: an in-process cube is encoded into the same
+//!    container in memory, and ingested deltas re-encode the sections
+//!    they touch.
 //! 2. **Serve** — [`server::serve`] answers the OLAP + flowgraph query
 //!    API over HTTP/1.1 with a fixed worker pool, a bounded accept
 //!    queue that sheds load with `429` instead of buffering without
@@ -48,9 +52,9 @@ pub mod snapshot;
 
 pub use access::{AccessEntry, AccessLog};
 pub use api::{
-    assign_request_id, handle_request, handle_request_ctx, handle_request_full,
-    registered_endpoints, AppState, CellHandle, CompactResponse, CuboidHandle, HealthState,
-    HttpResponse, IngestResponse, QueryView, ReloadResponse, RequestCtx, ServedCube,
+    assign_request_id, handle_request, registered_endpoints, status_class, AppState,
+    CompactResponse, HealthState, HttpResponse, IngestResponse, ReloadResponse, RequestCtx,
+    ServedCube,
 };
 pub use cache::{CachedResponse, ResponseCache};
 pub use columnar::{ColumnarSection, GraphView, StringTable, StringsCtx};
@@ -58,7 +62,4 @@ pub use compact::{compact, recover, CompactReport, Recovery};
 pub use deltalog::{append_delta, deltalog_path, read_deltas, read_deltas_up_to};
 pub use error::{ApiError, SnapshotError};
 pub use server::{serve, serve_cube, take_reload_request, ServerConfig, ServerHandle};
-pub use snapshot::{
-    write_snapshot, write_snapshot_with_version, Snapshot, SnapshotInfo, FORMAT_VERSION,
-    MIN_FORMAT_VERSION,
-};
+pub use snapshot::{load_v1_cube, write_snapshot, Snapshot, SnapshotInfo, FORMAT_VERSION};

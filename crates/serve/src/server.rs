@@ -31,7 +31,7 @@
 //!   swapped, and any validation failure leaves the old cube serving.
 
 use crate::access::AccessLog;
-use crate::api::{handle_request_full, AppState, RequestCtx};
+use crate::api::{handle_request, AppState, RequestCtx};
 use crate::cache::ResponseCache;
 use crate::http::{read_request, write_response, write_response_with, HttpError};
 use flowcube_obs::flight::{self, FlightKind};
@@ -390,7 +390,7 @@ fn worker_loop(
                     None => RequestCtx::default(),
                 };
                 ctx.queue_wait_us = queue_wait_us;
-                let resp = handle_request_full(&state, &req, &ctx);
+                let resp = handle_request(&state, &req, &ctx);
                 let _ = write_response_with(
                     &mut stream,
                     resp.status,

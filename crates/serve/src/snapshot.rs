@@ -6,7 +6,7 @@
 //! only the small metadata sections; each cuboid's cell table stays on
 //! disk until a query first touches it.
 //!
-//! ## Container layout (versions 1 and 2)
+//! ## Container layout
 //!
 //! ```text
 //! offset  size  field
@@ -24,14 +24,20 @@
 //! sections, eagerly for the metadata sections (`schema`, `spec`,
 //! `params`, `stats`).
 //!
-//! **Version 1** encodes every section as JSON. **Version 2** (the
-//! default written format) keeps the container, index, and JSON metadata
-//! sections unchanged, but adds a `strings` section (the shared interned
-//! name table) and stores each cuboid as a flat columnar section (see
-//! [`crate::columnar`]) that the server queries in place — opening a v2
-//! snapshot allocates O(header + string table), never O(cells). This
-//! build reads versions 1..=[`FORMAT_VERSION`] and rejects anything else
-//! with [`SnapshotError::UnsupportedVersion`].
+//! The metadata sections are JSON. A `strings` section holds the shared
+//! interned name table, and each cuboid is a flat columnar section (see
+//! [`crate::columnar`]) that the server queries in place — opening a
+//! snapshot allocates O(header + string table), never O(cells).
+//!
+//! This build writes and serves format version [`FORMAT_VERSION`] only;
+//! [`Snapshot::open`] rejects anything else with
+//! [`SnapshotError::UnsupportedVersion`]. Version 1 (every section JSON)
+//! is upgrade-only: [`load_v1_cube`] decodes such a file into a
+//! [`FlowCube`] for [`write_snapshot`] to re-encode.
+//!
+//! The same container also exists as an owned in-memory image — how an
+//! in-process [`FlowCube`] is served. File and image differ in one
+//! function, `Source::read_at`.
 
 use crate::columnar::{encode_cuboid, ColumnarSection, StringTable, StringsCtx};
 use crate::crc::crc32;
@@ -46,10 +52,8 @@ use std::sync::Arc;
 
 /// First 8 bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"FCUBSNAP";
-/// Newest format version this build reads and writes.
+/// The format version this build writes and serves.
 pub const FORMAT_VERSION: u32 = 2;
-/// Oldest format version this build still reads.
-pub const MIN_FORMAT_VERSION: u32 = 1;
 /// Fixed-size header: magic + version + index length + index CRC.
 const HEADER_LEN: u64 = 24;
 
@@ -59,7 +63,7 @@ pub const KIND_SPEC: &str = "spec";
 pub const KIND_PARAMS: &str = "params";
 pub const KIND_STATS: &str = "stats";
 pub const KIND_CUBOID: &str = "cuboid";
-/// Interned name table (format version 2 only).
+/// Interned name table.
 pub const KIND_STRINGS: &str = "strings";
 
 /// One entry of the snapshot index.
@@ -142,38 +146,17 @@ fn canonical_stats(stats: &flowcube_core::BuildStats) -> flowcube_core::BuildSta
     s
 }
 
-/// Serialize `cube` into a snapshot file at `path`, in the newest
-/// format ([`FORMAT_VERSION`]).
-///
-/// Cuboid sections are written in sorted [`CuboidKey`] order, and params /
-/// stats are canonicalized (no timings, no thread knobs), so the same cube
-/// always produces byte-identical snapshots — even when built with
-/// different thread counts.
-pub fn write_snapshot(
-    cube: &FlowCube,
-    path: impl AsRef<Path>,
-) -> Result<SnapshotInfo, SnapshotError> {
-    write_snapshot_with_version(cube, path, FORMAT_VERSION)
-}
-
-/// Serialize `cube` at an explicit format version — the compatibility
-/// escape hatch for producing v1 files readable by older builds (and for
-/// pinning golden fixtures in tests).
-pub fn write_snapshot_with_version(
-    cube: &FlowCube,
-    path: impl AsRef<Path>,
-    version: u32,
-) -> Result<SnapshotInfo, SnapshotError> {
-    let path = path.as_ref();
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
-        return Err(SnapshotError::UnsupportedVersion {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
+/// Encode `cube` as the chunks of a snapshot container, in file order:
+/// header, index, then one payload per section. The file writer and the
+/// in-memory image ([`Snapshot::from_cube`]) are both exactly these
+/// bytes.
+fn encode_container(cube: &FlowCube) -> Result<(Vec<Vec<u8>>, SnapshotInfo), SnapshotError> {
     let _span = flowcube_obs::span!("serve.snapshot.write");
 
     // Metadata sections first, then cuboids in deterministic order.
+    let mut cuboids: Vec<(&CuboidKey, &Cuboid)> = cube.cuboids().collect();
+    cuboids.sort_by(|a, b| a.0.cmp(b.0));
+    let strings = StringTable::from_cuboids(cube.schema(), cuboids.iter().map(|&(_, c)| c));
     let mut payloads: Vec<(String, Option<CuboidKey>, Vec<u8>)> = vec![
         (KIND_SCHEMA.into(), None, encode("schema", cube.schema())?),
         (KIND_SPEC.into(), None, encode("spec", cube.spec())?),
@@ -187,21 +170,10 @@ pub fn write_snapshot_with_version(
             None,
             encode("stats", &canonical_stats(cube.stats()))?,
         ),
+        (KIND_STRINGS.into(), None, strings.encode()),
     ];
-    let strings = if version >= 2 {
-        let table = StringTable::from_cube(cube);
-        payloads.push((KIND_STRINGS.into(), None, table.encode()));
-        Some(table)
-    } else {
-        None
-    };
-    let mut cuboids: Vec<(&CuboidKey, &Cuboid)> = cube.cuboids().collect();
-    cuboids.sort_by(|a, b| a.0.cmp(b.0));
     for (key, cuboid) in cuboids {
-        let bytes = match &strings {
-            Some(table) => encode_cuboid(cuboid, cube.schema(), table)?,
-            None => encode("cuboid", cuboid)?,
-        };
+        let bytes = encode_cuboid(cuboid, cube.schema(), &strings)?;
         payloads.push((KIND_CUBOID.into(), Some(key.clone()), bytes));
     }
 
@@ -219,86 +191,124 @@ pub fn write_snapshot_with_version(
     }
     let index_bytes = encode("index", &index)?;
 
-    let mut file = File::create(path).map_err(|e| io_err(path, e))?;
     let mut header = Vec::with_capacity(HEADER_LEN as usize);
     header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&version.to_le_bytes());
+    header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     header.extend_from_slice(&(index_bytes.len() as u64).to_le_bytes());
     header.extend_from_slice(&crc32(&index_bytes).to_le_bytes());
-    file.write_all(&header).map_err(|e| io_err(path, e))?;
-    file.write_all(&index_bytes).map_err(|e| io_err(path, e))?;
-    for (_, _, bytes) in &payloads {
-        file.write_all(bytes).map_err(|e| io_err(path, e))?;
+
+    let info = SnapshotInfo {
+        sections: index.len(),
+        cuboids: index.iter().filter(|s| s.kind == KIND_CUBOID).count(),
+        bytes: HEADER_LEN + index_bytes.len() as u64 + offset,
+    };
+    let mut chunks = vec![header, index_bytes];
+    chunks.extend(payloads.into_iter().map(|(_, _, bytes)| bytes));
+    Ok((chunks, info))
+}
+
+/// Serialize `cube` into a snapshot file at `path` (format
+/// [`FORMAT_VERSION`]).
+///
+/// Cuboid sections are written in sorted [`CuboidKey`] order, and params /
+/// stats are canonicalized (no timings, no thread knobs), so the same cube
+/// always produces byte-identical snapshots — even when built with
+/// different thread counts.
+pub fn write_snapshot(
+    cube: &FlowCube,
+    path: impl AsRef<Path>,
+) -> Result<SnapshotInfo, SnapshotError> {
+    let path = path.as_ref();
+    let (chunks, info) = encode_container(cube)?;
+    let mut file = File::create(path).map_err(|e| io_err(path, e))?;
+    for chunk in &chunks {
+        file.write_all(chunk).map_err(|e| io_err(path, e))?;
     }
     file.flush().map_err(|e| io_err(path, e))?;
-
-    let cuboid_count = index.iter().filter(|s| s.kind == KIND_CUBOID).count();
-    Ok(SnapshotInfo {
-        sections: index.len(),
-        cuboids: cuboid_count,
-        bytes: HEADER_LEN + index_bytes.len() as u64 + offset,
-    })
+    Ok(info)
 }
 
-/// An open, validated snapshot with lazily-loaded cuboid sections.
-pub struct Snapshot {
-    file: Mutex<File>,
-    path: PathBuf,
-    data_start: u64,
+/// Where a container's bytes live. Everything above `Source::read_at`
+/// — header and index parsing, section CRCs, columnar validation — is
+/// the same code for both.
+enum Source {
+    File(Mutex<File>),
+    Image(Vec<u8>),
+}
+
+impl Source {
+    fn len(&self) -> std::io::Result<u64> {
+        match self {
+            Source::File(file) => Ok(file.lock().metadata()?.len()),
+            Source::Image(bytes) => Ok(bytes.len() as u64),
+        }
+    }
+
+    /// Read `len` bytes at `offset`. Callers have bounds-checked the
+    /// range against `Source::len`; a file that shrank since then
+    /// surfaces as `UnexpectedEof`.
+    fn read_at(&self, offset: u64, len: u64) -> std::io::Result<Vec<u8>> {
+        match self {
+            Source::File(file) => {
+                let mut bytes = vec![0u8; len as usize];
+                let mut file = file.lock();
+                file.seek(SeekFrom::Start(offset))?;
+                file.read_exact(&mut bytes)?;
+                Ok(bytes)
+            }
+            Source::Image(image) => image
+                .get(offset as usize..(offset + len) as usize)
+                .map(<[u8]>::to_vec)
+                .ok_or_else(|| std::io::ErrorKind::UnexpectedEof.into()),
+        }
+    }
+}
+
+/// A parsed container: validated header and index over a byte source,
+/// with CRC-checked section reads. Format-version agnostic — the
+/// version is recorded, and the callers decide what they accept.
+struct Container {
+    source: Source,
+    /// Names the source in errors.
+    label: PathBuf,
     version: u32,
+    data_start: u64,
     sections: Vec<SectionDesc>,
-    shell: FlowCube,
-    /// Interned names resolved against the schema — present iff the
-    /// snapshot is format version ≥ 2. Shared (`Arc`) with every
-    /// columnar section view handed to the serving layer.
-    strings: Option<Arc<StringsCtx>>,
 }
 
-impl Snapshot {
-    /// Open and validate a snapshot: magic, format version, index CRC,
-    /// section bounds against the file size, and the presence and
-    /// integrity of the four metadata sections. Cuboid payloads are *not*
-    /// read here — they load (and CRC-verify) on first access.
-    pub fn open(path: impl AsRef<Path>) -> Result<Snapshot, SnapshotError> {
-        let path = path.as_ref();
-        let _span = flowcube_obs::span!("serve.snapshot.open");
-        let mut file = File::open(path).map_err(|e| io_err(path, e))?;
-        let mut file_len = file.metadata().map_err(|e| io_err(path, e))?.len();
+impl Container {
+    /// Validate magic, index CRC and section bounds against the source
+    /// length. Section payloads are *not* read here.
+    fn parse(source: Source, label: &Path) -> Result<Container, SnapshotError> {
+        let io = |e| io_err(label, e);
+        let mut total_len = source.len().map_err(io)?;
         // Fault injection: pretend the file ends early (a torn copy /
         // partial download) or that the open itself failed.
         match flowcube_testkit::fail_point("serve.snapshot.open") {
             Some(flowcube_testkit::Fault::Error(detail)) => {
                 return Err(SnapshotError::Io {
-                    path: path.display().to_string(),
+                    path: label.display().to_string(),
                     detail,
                 });
             }
-            Some(flowcube_testkit::Fault::ShortRead(n)) => file_len = file_len.min(n as u64),
+            Some(flowcube_testkit::Fault::ShortRead(n)) => total_len = total_len.min(n as u64),
             None => {}
         }
-        if file_len < HEADER_LEN {
+        if total_len < HEADER_LEN {
             return Err(SnapshotError::Truncated { what: "header" });
         }
-        let mut header = [0u8; HEADER_LEN as usize];
-        file.read_exact(&mut header).map_err(|e| io_err(path, e))?;
+        let header = source.read_at(0, HEADER_LEN).map_err(io)?;
         if header[0..8] != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
         let version = u32::from_le_bytes(le_array(&header[8..12]));
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
         let index_len = u64::from_le_bytes(le_array(&header[12..20]));
         let index_crc = u32::from_le_bytes(le_array(&header[20..24]));
-        if HEADER_LEN + index_len > file_len {
-            return Err(SnapshotError::Truncated { what: "index" });
-        }
-        let mut index_bytes = vec![0u8; index_len as usize];
-        file.read_exact(&mut index_bytes)
-            .map_err(|e| io_err(path, e))?;
+        let data_start = HEADER_LEN
+            .checked_add(index_len)
+            .filter(|&end| end <= total_len)
+            .ok_or(SnapshotError::Truncated { what: "index" })?;
+        let index_bytes = source.read_at(HEADER_LEN, index_len).map_err(io)?;
         if crc32(&index_bytes) != index_crc {
             return Err(SnapshotError::ChecksumMismatch {
                 section: "index".into(),
@@ -311,115 +321,196 @@ impl Snapshot {
             serde_json::from_str(index_text).map_err(|e| SnapshotError::Corrupt {
                 detail: format!("index: {e}"),
             })?;
-        let data_start = HEADER_LEN + index_len;
         for s in &sections {
             let end = s.offset.checked_add(s.len).ok_or(SnapshotError::Corrupt {
                 detail: "section bounds overflow".into(),
             })?;
-            if data_start + end > file_len {
+            if end > total_len - data_start {
                 return Err(SnapshotError::Truncated {
                     what: "section payload",
                 });
             }
+            if (s.kind == KIND_CUBOID) != s.cuboid.is_some() {
+                return Err(SnapshotError::Corrupt {
+                    detail: format!("{} section with a mismatched cuboid key", s.kind),
+                });
+            }
         }
-
-        let meta = |kind: &'static str| -> Result<SectionDesc, SnapshotError> {
-            sections
-                .iter()
-                .find(|s| s.kind == kind)
-                .cloned()
-                .ok_or(SnapshotError::MissingSection { kind })
-        };
-        let schema = decode_section(&mut file, path, data_start, &meta(KIND_SCHEMA)?)?;
-        let spec = decode_section(&mut file, path, data_start, &meta(KIND_SPEC)?)?;
-        let params = decode_section(&mut file, path, data_start, &meta(KIND_PARAMS)?)?;
-        let stats = decode_section(&mut file, path, data_start, &meta(KIND_STATS)?)?;
-        let shell = FlowCube::from_parts(schema, spec, params, stats);
-        // v2: the interned name table is metadata — small, loaded
-        // eagerly, and resolved against the schema once so per-query
-        // translation is hash lookups and array indexing only.
-        let strings = if version >= 2 {
-            let bytes = read_section_bytes(&mut file, path, data_start, &meta(KIND_STRINGS)?)?;
-            let table = StringTable::decode(&bytes)?;
-            Some(Arc::new(StringsCtx::new(table, shell.schema())))
-        } else {
-            None
-        };
-        Ok(Snapshot {
-            file: Mutex::new(file),
-            path: path.to_path_buf(),
-            data_start,
+        Ok(Container {
+            source,
+            label: label.to_path_buf(),
             version,
+            data_start,
             sections,
+        })
+    }
+
+    fn open(path: &Path) -> Result<Container, SnapshotError> {
+        let file = File::open(path).map_err(|e| io_err(path, e))?;
+        Container::parse(Source::File(Mutex::new(file)), path)
+    }
+
+    fn meta(&self, kind: &'static str) -> Result<&SectionDesc, SnapshotError> {
+        self.sections
+            .iter()
+            .find(|s| s.kind == kind)
+            .ok_or(SnapshotError::MissingSection { kind })
+    }
+
+    /// Read one section's raw payload and verify its CRC.
+    fn section_bytes(&self, desc: &SectionDesc) -> Result<Vec<u8>, SnapshotError> {
+        let mut bytes = self
+            .source
+            .read_at(self.data_start + desc.offset, desc.len)
+            .map_err(|e| io_err(&self.label, e))?;
+        // Fault injection: lose the payload's tail (torn write / bad disk) —
+        // the CRC below then fails exactly as it would on real corruption.
+        match flowcube_testkit::fail_point("serve.snapshot.section") {
+            Some(flowcube_testkit::Fault::ShortRead(n)) => bytes.truncate(n.min(bytes.len())),
+            Some(flowcube_testkit::Fault::Error(detail)) => {
+                return Err(SnapshotError::Io {
+                    path: self.label.display().to_string(),
+                    detail,
+                });
+            }
+            None => {}
+        }
+        if crc32(&bytes) != desc.crc {
+            return Err(SnapshotError::ChecksumMismatch {
+                section: section_label(desc),
+            });
+        }
+        Ok(bytes)
+    }
+
+    /// Read, verify and JSON-decode one section.
+    fn json_section<T: for<'de> Deserialize<'de>>(
+        &self,
+        desc: &SectionDesc,
+    ) -> Result<T, SnapshotError> {
+        let bytes = self.section_bytes(desc)?;
+        let text = std::str::from_utf8(&bytes).map_err(|_| SnapshotError::Corrupt {
+            detail: format!("{} is not UTF-8", section_label(desc)),
+        })?;
+        serde_json::from_str(text).map_err(|e| SnapshotError::Corrupt {
+            detail: format!("{}: {e}", section_label(desc)),
+        })
+    }
+
+    /// The four metadata sections as an empty cube.
+    fn shell(&self) -> Result<FlowCube, SnapshotError> {
+        Ok(FlowCube::from_parts(
+            self.json_section(self.meta(KIND_SCHEMA)?)?,
+            self.json_section(self.meta(KIND_SPEC)?)?,
+            self.json_section(self.meta(KIND_PARAMS)?)?,
+            self.json_section(self.meta(KIND_STATS)?)?,
+        ))
+    }
+
+    fn cuboid_sections(&self) -> impl Iterator<Item = (&CuboidKey, &SectionDesc)> {
+        self.sections
+            .iter()
+            .filter_map(|s| s.cuboid.as_ref().map(|key| (key, s)))
+    }
+}
+
+/// Load a legacy format-1 snapshot (JSON cuboid sections) into a
+/// [`FlowCube`] — the upgrade path: [`write_snapshot`] the result. This
+/// is the only code that still reads version 1; [`Snapshot::open`]
+/// rejects it with [`SnapshotError::UnsupportedVersion`].
+pub fn load_v1_cube(path: impl AsRef<Path>) -> Result<FlowCube, SnapshotError> {
+    let container = Container::open(path.as_ref())?;
+    if container.version != 1 {
+        return Err(SnapshotError::UnsupportedVersion {
+            found: container.version,
+            supported: 1,
+        });
+    }
+    let mut cube = container.shell()?;
+    for (key, desc) in container.cuboid_sections() {
+        cube.insert_cuboid(key.clone(), container.json_section(desc)?);
+    }
+    Ok(cube)
+}
+
+/// An open, validated snapshot with lazily-loaded cuboid sections,
+/// backed by a file or by an owned in-memory image.
+pub struct Snapshot {
+    container: Container,
+    /// The file this snapshot was opened from; `None` for an image.
+    path: Option<PathBuf>,
+    shell: FlowCube,
+    /// Interned names resolved against the schema. Shared (`Arc`) with
+    /// every columnar section loaded from this snapshot.
+    strings: Arc<StringsCtx>,
+}
+
+impl Snapshot {
+    /// Open and validate a snapshot: magic, format version, index CRC,
+    /// section bounds against the file size, and the presence and
+    /// integrity of the metadata sections. Cuboid payloads are *not*
+    /// read here — they load (and CRC-verify) on first access.
+    pub fn open(path: impl AsRef<Path>) -> Result<Snapshot, SnapshotError> {
+        let path = path.as_ref();
+        let _span = flowcube_obs::span!("serve.snapshot.open");
+        Snapshot::new(Container::open(path)?, Some(path.to_path_buf()))
+    }
+
+    /// Encode `cube` into an in-memory image and open it through the
+    /// same validation as a file.
+    pub(crate) fn from_cube(cube: &FlowCube) -> Result<Snapshot, SnapshotError> {
+        let (chunks, _) = encode_container(cube)?;
+        let container = Container::parse(Source::Image(chunks.concat()), Path::new("<image>"))?;
+        Snapshot::new(container, None)
+    }
+
+    fn new(container: Container, path: Option<PathBuf>) -> Result<Snapshot, SnapshotError> {
+        if container.version != FORMAT_VERSION {
+            return Err(SnapshotError::UnsupportedVersion {
+                found: container.version,
+                supported: FORMAT_VERSION,
+            });
+        }
+        let shell = container.shell()?;
+        // The interned name table is metadata — small, loaded eagerly,
+        // and resolved against the schema once so per-query translation
+        // is hash lookups and array indexing only.
+        let table = StringTable::decode(&container.section_bytes(container.meta(KIND_STRINGS)?)?)?;
+        let strings = Arc::new(StringsCtx::new(table, shell.schema()));
+        Ok(Snapshot {
+            container,
+            path,
             shell,
             strings,
         })
     }
 
-    /// The format version of the opened file.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// The snapshot's resolved string context (format version ≥ 2 only).
-    pub fn strings_ctx(&self) -> Option<&Arc<StringsCtx>> {
-        self.strings.as_ref()
-    }
-
-    /// Read one section payload, verify its CRC, and JSON-decode it.
-    fn read_section<T: for<'de> Deserialize<'de>>(
-        &self,
-        desc: &SectionDesc,
-    ) -> Result<T, SnapshotError> {
-        let mut file = self.file.lock();
-        decode_section(&mut file, &self.path, self.data_start, desc)
-    }
-
-    /// Read one section payload and verify its CRC, without decoding.
-    fn read_section_raw(&self, desc: &SectionDesc) -> Result<Vec<u8>, SnapshotError> {
-        let mut file = self.file.lock();
-        read_section_bytes(&mut file, &self.path, self.data_start, desc)
-    }
-
     /// An empty cube carrying the snapshot's schema, spec, params, and
-    /// stats — the shell the serving layer fills with lazily-loaded
-    /// cuboids.
+    /// stats.
     pub fn shell(&self) -> &FlowCube {
         &self.shell
     }
 
-    /// The file this snapshot was opened from.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// The file this snapshot was opened from (`None` for an in-memory
+    /// image).
+    pub fn path(&self) -> Option<&Path> {
+        self.path.as_deref()
     }
 
     /// Exhaustively validate the snapshot: every section's payload is
-    /// read and CRC-checked, and every cuboid section is test-decoded
-    /// (v1) or structurally validated (v2 — bounds, alignment, ordering,
-    /// string-id resolution). [`Snapshot::open`] only validates the
-    /// header, index, and metadata sections (cuboids stay lazy);
-    /// hot-reload calls this first so a corrupt replacement file is
-    /// rejected *before* the live cube is swapped out.
+    /// read and CRC-checked, and every cuboid section is structurally
+    /// validated (bounds, alignment, ordering, string-id resolution).
+    /// [`Snapshot::open`] only validates the header, index, and metadata
+    /// sections (cuboids stay lazy); hot-reload calls this first so a
+    /// corrupt replacement file is rejected *before* the live cube is
+    /// swapped out.
     pub fn verify_all(&self) -> Result<(), SnapshotError> {
         let _span = flowcube_obs::span!("serve.snapshot.verify_all");
-        for desc in &self.sections {
+        for desc in &self.container.sections {
             if desc.kind == KIND_CUBOID {
-                match &self.strings {
-                    Some(ctx) => {
-                        let bytes = self.read_section_raw(desc)?;
-                        ColumnarSection::validate(
-                            bytes,
-                            ctx,
-                            self.shell.schema(),
-                            &section_label(desc),
-                        )?;
-                    }
-                    None => {
-                        let _cuboid: Cuboid = self.read_section(desc)?;
-                    }
-                }
+                self.load_section(desc)?;
             } else {
-                self.read_section_raw(desc)?;
+                self.container.section_bytes(desc)?;
             }
         }
         Ok(())
@@ -427,97 +518,42 @@ impl Snapshot {
 
     /// Addresses of every cuboid stored in the snapshot.
     pub fn cuboid_keys(&self) -> impl Iterator<Item = &CuboidKey> {
-        self.sections.iter().filter_map(|s| s.cuboid.as_ref())
+        self.container.cuboid_sections().map(|(key, _)| key)
     }
 
     /// Number of cuboid sections.
     pub fn num_cuboids(&self) -> usize {
-        self.sections
-            .iter()
-            .filter(|s| s.kind == KIND_CUBOID)
-            .count()
+        self.container.cuboid_sections().count()
     }
 
-    /// Load one cuboid's cell table from disk into its in-memory form
-    /// (`Ok(None)` when the snapshot holds no cuboid at `key`).
-    /// Integrity is verified against the section CRC on every load; v2
-    /// sections are additionally structurally validated before decoding.
-    /// This is the *materializing* path — the serving layer prefers
-    /// [`Snapshot::load_cuboid_columnar`] on v2 files and only
-    /// materializes when it must mutate (delta overlay, compaction).
-    pub fn load_cuboid(&self, key: &CuboidKey) -> Result<Option<Cuboid>, SnapshotError> {
-        let Some(desc) = self
-            .sections
-            .iter()
-            .find(|s| s.cuboid.as_ref() == Some(key))
-            .cloned()
-        else {
+    /// Read → CRC → structural validation of one cuboid section.
+    fn load_section(&self, desc: &SectionDesc) -> Result<ColumnarSection, SnapshotError> {
+        ColumnarSection::validate(
+            self.container.section_bytes(desc)?,
+            &self.strings,
+            self.shell.schema(),
+            &section_label(desc),
+        )
+    }
+
+    /// Load one cuboid as a validated columnar section (`Ok(None)` when
+    /// the snapshot holds no cuboid at `key`). Integrity is verified
+    /// against the section CRC, then structurally, on every load.
+    pub fn load_cuboid(&self, key: &CuboidKey) -> Result<Option<ColumnarSection>, SnapshotError> {
+        let Some((_, desc)) = self.container.cuboid_sections().find(|(k, _)| *k == key) else {
             return Ok(None);
         };
         let _span = flowcube_obs::span!("serve.snapshot.load_cuboid");
         flowcube_obs::counter_add("serve.snapshot.cuboid_loads", 1);
-        match &self.strings {
-            Some(ctx) => {
-                let bytes = self.read_section_raw(&desc)?;
-                let sec = ColumnarSection::validate(
-                    bytes,
-                    ctx,
-                    self.shell.schema(),
-                    &section_label(&desc),
-                )?;
-                sec.decode_cuboid(ctx).map(Some)
-            }
-            None => self.read_section(&desc).map(Some),
-        }
+        self.load_section(desc).map(Some)
     }
 
-    /// Load one cuboid as a validated zero-copy columnar section
-    /// (`Ok(None)` when the snapshot holds no cuboid at `key` **or** the
-    /// file is format version 1, which has no columnar representation —
-    /// callers fall back to [`Snapshot::load_cuboid`]).
-    pub fn load_cuboid_columnar(
-        &self,
-        key: &CuboidKey,
-    ) -> Result<Option<ColumnarSection>, SnapshotError> {
-        let Some(ctx) = &self.strings else {
-            return Ok(None);
-        };
-        let Some(desc) = self
-            .sections
-            .iter()
-            .find(|s| s.cuboid.as_ref() == Some(key))
-            .cloned()
-        else {
-            return Ok(None);
-        };
-        let _span = flowcube_obs::span!("serve.snapshot.load_cuboid");
-        flowcube_obs::counter_add("serve.snapshot.cuboid_loads", 1);
-        let bytes = self.read_section_raw(&desc)?;
-        ColumnarSection::validate(bytes, ctx, self.shell.schema(), &section_label(&desc)).map(Some)
-    }
-
-    /// Eagerly load every cuboid into a complete [`FlowCube`].
+    /// Eagerly decode every cuboid into a complete heap [`FlowCube`].
     pub fn load_cube(&self) -> Result<FlowCube, SnapshotError> {
         let _span = flowcube_obs::span!("serve.snapshot.load_cube");
         let mut cube = self.shell.clone();
-        for desc in self.sections.iter().filter(|s| s.kind == KIND_CUBOID) {
-            let key = desc.cuboid.clone().ok_or(SnapshotError::Corrupt {
-                detail: "cuboid section without a key".into(),
-            })?;
-            let cuboid: Cuboid = match &self.strings {
-                Some(ctx) => {
-                    let bytes = self.read_section_raw(desc)?;
-                    ColumnarSection::validate(
-                        bytes,
-                        ctx,
-                        self.shell.schema(),
-                        &section_label(desc),
-                    )?
-                    .decode_cuboid(ctx)?
-                }
-                None => self.read_section(desc)?,
-            };
-            cube.insert_cuboid(key, cuboid);
+        for (key, desc) in self.container.cuboid_sections() {
+            cube.insert_cuboid(key.clone(), self.load_section(desc)?.decode_cuboid()?);
         }
         Ok(cube)
     }
@@ -537,53 +573,4 @@ fn section_label(desc: &SectionDesc) -> String {
         Some(key) => format!("cuboid {:?}@{}", key.item_level, key.path_level),
         None => desc.kind.clone(),
     }
-}
-
-/// Seek-read-verify one section's raw payload from an open snapshot
-/// file — the shared front half of both the JSON and the columnar
-/// decode paths (and of raw CRC sweeps in `verify_all`).
-fn read_section_bytes(
-    file: &mut File,
-    path: &Path,
-    data_start: u64,
-    desc: &SectionDesc,
-) -> Result<Vec<u8>, SnapshotError> {
-    let mut bytes = vec![0u8; desc.len as usize];
-    file.seek(SeekFrom::Start(data_start + desc.offset))
-        .map_err(|e| io_err(path, e))?;
-    file.read_exact(&mut bytes).map_err(|e| io_err(path, e))?;
-    // Fault injection: lose the payload's tail (torn write / bad disk) —
-    // the CRC below then fails exactly as it would on real corruption.
-    match flowcube_testkit::fail_point("serve.snapshot.section") {
-        Some(flowcube_testkit::Fault::ShortRead(n)) => bytes.truncate(n.min(bytes.len())),
-        Some(flowcube_testkit::Fault::Error(detail)) => {
-            return Err(SnapshotError::Io {
-                path: path.display().to_string(),
-                detail,
-            });
-        }
-        None => {}
-    }
-    if crc32(&bytes) != desc.crc {
-        return Err(SnapshotError::ChecksumMismatch {
-            section: section_label(desc),
-        });
-    }
-    Ok(bytes)
-}
-
-/// Seek-read-verify-decode one JSON section from an open snapshot file.
-fn decode_section<T: for<'de> Deserialize<'de>>(
-    file: &mut File,
-    path: &Path,
-    data_start: u64,
-    desc: &SectionDesc,
-) -> Result<T, SnapshotError> {
-    let bytes = read_section_bytes(file, path, data_start, desc)?;
-    let text = std::str::from_utf8(&bytes).map_err(|_| SnapshotError::Corrupt {
-        detail: format!("{} is not UTF-8", section_label(desc)),
-    })?;
-    serde_json::from_str(text).map_err(|e| SnapshotError::Corrupt {
-        detail: format!("{}: {e}", section_label(desc)),
-    })
 }

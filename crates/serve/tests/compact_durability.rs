@@ -26,8 +26,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Serializes the failpoint-arming tests: the registry is shared across
-/// every thread of this test binary.
+/// Serializes every test that compacts: the failpoint registry is shared
+/// across the threads of this test binary, so a crash armed by one test
+/// would otherwise fire inside another's fold.
 static FAILPOINTS: Mutex<()> = Mutex::new(());
 
 fn lock_failpoints() -> MutexGuard<'static, ()> {
@@ -139,6 +140,7 @@ fn start(served: ServedCube, config: ServerConfig) -> ServerHandle {
 /// needs no replay to give the same answers.
 #[test]
 fn admin_compact_folds_sidecar_over_http() {
+    let _guard = lock_failpoints();
     let (base, batches) = base_and_batches(101, 2);
     let spec = spec_for(&base);
     let cube = FlowCube::build(&base, spec.clone(), params(), ItemPlan::All);
@@ -208,6 +210,7 @@ fn admin_compact_folds_sidecar_over_http() {
 /// next accepted ingest folds it automatically.
 #[test]
 fn auto_compaction_triggers_on_sidecar_size() {
+    let _guard = lock_failpoints();
     let (base, batches) = base_and_batches(103, 2);
     let spec = spec_for(&base);
     let cube = FlowCube::build(&base, spec.clone(), params(), ItemPlan::All);
@@ -377,6 +380,7 @@ fn crash_after_rename_finishes_trim() {
 /// folded.
 #[test]
 fn tail_appended_mid_compaction_survives() {
+    let _guard = lock_failpoints();
     let (base, batches) = base_and_batches(113, 3);
     let spec = spec_for(&base);
     let cube = FlowCube::build(&base, spec.clone(), params(), ItemPlan::All);

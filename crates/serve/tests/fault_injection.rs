@@ -114,7 +114,7 @@ fn worker_panic_is_counted_and_respawned() {
     }
     flowcube_testkit::reset();
     let handle = start(
-        ServedCube::from_cube(small_cube(11, 8)),
+        ServedCube::from_cube(&small_cube(11, 8)).expect("encode image"),
         ServerConfig {
             workers: 2,
             degraded_after: 0,
@@ -170,7 +170,7 @@ fn deadline_exceeded_returns_503() {
     }
     flowcube_testkit::reset();
     let handle = start(
-        ServedCube::from_cube(small_cube(12, 8)),
+        ServedCube::from_cube(&small_cube(12, 8)).expect("encode image"),
         ServerConfig {
             workers: 2,
             request_deadline: Some(Duration::from_millis(40)),

@@ -1,7 +1,10 @@
 //! End-to-end `POST /admin/ingest`: live delta ingestion over HTTP for
-//! both backing modes, with the availability guarantee the design
-//! demands — the server keeps answering queries while deltas land, and a
-//! restart from the same snapshot replays the sidecar.
+//! a snapshot file and for an in-memory image, with the availability
+//! guarantee the design demands — the server keeps answering queries
+//! while deltas land, and a restart from the same snapshot replays the
+//! sidecar. Delta-patched cuboids are served from re-encoded sections:
+//! names the snapshot never interned, and cuboids that fall below δ, are
+//! covered here.
 
 use flowcube_core::{CubeDelta, FlowCube, FlowCubeParams, ItemPlan};
 use flowcube_datagen::{generate, DimShape, GeneratorConfig};
@@ -99,15 +102,16 @@ fn tmp(name: &str) -> PathBuf {
     ))
 }
 
-/// In-memory backing: the delta is applied directly to the live cube —
-/// queries answer before, after, and with the merged counts; malformed
-/// and mismatched deltas are rejected without hurting the server.
+/// In-memory image: the delta joins the overlay exactly as it would
+/// over a file, minus the sidecar — queries answer before, after, and
+/// with the merged counts; malformed and mismatched deltas are rejected
+/// without hurting the server.
 #[test]
 fn in_memory_ingest_applies_and_rejects_bad_deltas() {
     let (base, batches) = base_and_batches(31, 2);
     let spec = spec_for(&base);
     let cube = FlowCube::build(&base, spec.clone(), params(), ItemPlan::All);
-    let handle = start(ServedCube::from_cube(cube));
+    let handle = start(ServedCube::from_cube(&cube).expect("encode image"));
     let addr = handle.addr();
 
     let (status, stats_before) = get(addr, "/stats");
@@ -121,23 +125,29 @@ fn in_memory_ingest_applies_and_rejects_bad_deltas() {
     assert!(resp.contains("\"ingested\":true"), "got {resp:?}");
     assert!(resp.contains("\"mode\":\"in-memory\""), "got {resp:?}");
     assert!(resp.contains("\"paths\":10"), "got {resp:?}");
+    assert!(resp.contains("\"pending_deltas\":1"), "got {resp:?}");
 
-    // The apply shows up in the build stats, not as a pending overlay.
+    // Queries still answer, with the merged counts.
+    let (status, apex) = get(addr, "/cell?cell=*,*&level=fine");
+    assert_eq!(status, 200);
+    assert!(apex.contains("\"support\":110"), "got {apex:?}");
+
+    // The delta is pending in the overlay, like a sidecar delta — the
+    // only difference from a file-backed cube is that it is not durable.
     let (status, stats_after) = get(addr, "/stats");
     assert_eq!(status, 200);
-    assert!(stats_after.contains("\"pending_deltas\":0"));
     assert!(
-        stats_after.contains("\"deltas_applied\":1"),
+        stats_after.contains("\"snapshot_backed\":false"),
         "got {stats_after:?}"
     );
     assert!(
-        stats_after.contains("\"delta_paths\":10"),
+        stats_after.contains("\"pending_deltas\":1"),
         "got {stats_after:?}"
     );
-
-    // Queries still answer.
-    let (status, _) = get(addr, "/cell?cell=*,*&level=fine");
-    assert_eq!(status, 200);
+    assert!(
+        stats_after.contains("\"pending_delta_paths\":10"),
+        "got {stats_after:?}"
+    );
 
     // Malformed JSON → 400; a delta with a foreign fingerprint → 409.
     let (status, _) = request(addr, "POST", "/admin/ingest", "{not json");
@@ -290,4 +300,120 @@ fn queries_keep_answering_during_ingest() {
     handle.join();
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&sidecar);
+}
+
+/// A delta may bring a dimension value and a location the snapshot's
+/// string table never interned. The patched cuboid is re-encoded with a
+/// table of its own, so the new names are served — `/cell` support, a
+/// `/drilldown` row, `/paths/topk` — byte for byte as a batch rebuild
+/// over the union serves them (δ = 1, where the merge is exact). Same
+/// from a file and from an image.
+#[test]
+fn delta_with_names_the_snapshot_never_interned_is_served() {
+    let (db, _) = base_and_batches(83, 4);
+    let spec = spec_for(&db);
+    let params = FlowCubeParams::new(1).with_exceptions(false);
+    // Everything carrying leaf value `v` in dimension 0, or visiting
+    // location `l`, arrives later as the delta.
+    let probe = &db.records()[0];
+    let (v, l) = (probe.dims[0], probe.stages[0].loc);
+    let (late, early): (Vec<_>, Vec<_>) = db
+        .records()
+        .iter()
+        .cloned()
+        .partition(|r| r.dims[0] == v || r.stages.iter().any(|s| s.loc == l));
+    assert!(!early.is_empty(), "the base must keep some records");
+    let base = PathDatabase::from_records(db.schema().clone(), early).unwrap();
+    let batch = PathDatabase::from_records(db.schema().clone(), late).unwrap();
+    let cube = FlowCube::build(&base, spec.clone(), params.clone(), ItemPlan::All);
+    let delta = CubeDelta::compute(&batch, &spec, &params, &ItemPlan::All);
+    let body = serde_json::to_string(&delta).unwrap();
+
+    let dim0 = db.schema().dim(0);
+    let (v_name, parent) = (dim0.name_of(v), dim0.name_of(dim0.parent_of(v)));
+    let l_name = db.schema().locations().name_of(l);
+    let targets = [
+        format!("/cell?cell={v_name},*&level=fine"),
+        format!("/drilldown?cell={parent},*&dim=0&level=fine"),
+        "/paths/topk?cell=*,*&level=fine&k=1000".to_string(),
+    ];
+    // The reference: the union, batch-built and served unpatched.
+    let full = FlowCube::build(&db, spec, params, ItemPlan::All);
+    let reference = start(ServedCube::from_cube(&full).expect("encode image"));
+    let want = targets.each_ref().map(|t| get(reference.addr(), t));
+    assert!(want[0].1.contains("\"exact\":true"), "got {want:?}");
+    assert!(want[1].1.contains(v_name), "got {want:?}");
+    assert!(want[2].1.contains(l_name), "got {want:?}");
+    reference.shutdown();
+    reference.join();
+
+    let path = tmp("new-names.snap");
+    let sidecar = deltalog_path(&path);
+    let _ = std::fs::remove_file(&sidecar);
+    write_snapshot(&cube, &path).expect("write snapshot");
+    let sources = [
+        ServedCube::from_snapshot(Snapshot::open(&path).unwrap()),
+        ServedCube::from_cube(&cube).expect("encode image"),
+    ];
+    for served in sources {
+        let handle = start(served);
+        let addr = handle.addr();
+        // Before the delta the value has no cell of its own.
+        let (status, cell) = get(addr, &targets[0]);
+        assert_eq!(status, 200);
+        assert!(cell.contains("\"exact\":false"), "got {cell:?}");
+
+        let (status, resp) = request(addr, "POST", "/admin/ingest", &body);
+        assert_eq!(status, 200, "got {resp:?}");
+        assert_eq!(targets.each_ref().map(|t| get(addr, t)), want);
+
+        handle.shutdown();
+        handle.join();
+    }
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&sidecar);
+}
+
+/// The overlay re-enforces the cube's iceberg δ: a patched cuboid whose
+/// cells all stay below it is not served at all, and queries into it fall
+/// back to the nearest materialized ancestor.
+#[test]
+fn patched_cuboid_below_min_support_disappears() {
+    let (base, batches) = base_and_batches(97, 1);
+    let spec = spec_for(&base);
+    // δ = |base|: only the apex cell of the base reaches it.
+    let params = FlowCubeParams::new(100).with_exceptions(false);
+    let cube = FlowCube::build(&base, spec.clone(), params.clone(), ItemPlan::All);
+    assert_eq!(cube.num_cuboids(), 1, "apex cuboid only");
+    let handle = start(ServedCube::from_cube(&cube).expect("encode image"));
+    let addr = handle.addr();
+
+    let delta = CubeDelta::compute(&batches[0], &spec, &params, &ItemPlan::All);
+    assert!(delta.cuboids.len() > 1, "the delta patches finer cuboids");
+    let body = serde_json::to_string(&delta).unwrap();
+    let (status, resp) = request(addr, "POST", "/admin/ingest", &body);
+    assert_eq!(status, 200, "got {resp:?}");
+
+    // Every cell the delta brings to item level (1, 0) has ≤ 10 paths.
+    let (status, dice) = get(addr, "/dice?at=1,0&level=fine");
+    assert_eq!(status, 200);
+    assert_eq!(dice, "{\"count\":0,\"cells\":[]}");
+    let value = base
+        .schema()
+        .dim(0)
+        .name_of(batches[0].records()[0].dims[0]);
+    let (status, cell) = get(addr, &format!("/cell?cell={value},*&level=fine"));
+    assert_eq!(status, 200, "got {cell:?}");
+    assert!(cell.contains("\"exact\":false"), "got {cell:?}");
+    assert!(cell.contains("\"source_cell\":\"(*, *)\""), "got {cell:?}");
+    assert!(cell.contains("\"support\":110"), "got {cell:?}");
+
+    // The lookup probed every cuboid of the level; only the apex stayed.
+    let (status, stats) = get(addr, "/stats");
+    assert_eq!(status, 200);
+    assert!(stats.contains("\"resident_cuboids\":1"), "got {stats:?}");
+    assert!(stats.contains("\"resident_cells\":1"), "got {stats:?}");
+
+    handle.shutdown();
+    handle.join();
 }

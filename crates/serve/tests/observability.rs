@@ -9,7 +9,7 @@ use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
 use flowcube_obs::flight;
 use flowcube_serve::http::Request;
 use flowcube_serve::{
-    handle_request_full, serve_cube, AccessLog, AppState, RequestCtx, ResponseCache, ServedCube,
+    handle_request, serve_cube, AccessLog, AppState, RequestCtx, ResponseCache, ServedCube,
     ServerConfig, ServerHandle,
 };
 use std::io::{Read, Write};
@@ -34,8 +34,12 @@ fn small_cube() -> FlowCube {
     FlowCube::build(&db, spec, FlowCubeParams::new(8), ItemPlan::All)
 }
 
+fn image() -> ServedCube {
+    ServedCube::from_cube(&small_cube()).expect("encode image")
+}
+
 fn start(config: ServerConfig) -> ServerHandle {
-    serve_cube(ServedCube::from_cube(small_cube()), config).expect("server starts")
+    serve_cube(image(), config).expect("server starts")
 }
 
 fn default_config() -> ServerConfig {
@@ -198,19 +202,46 @@ fn prometheus_scrape_is_conformant_with_per_endpoint_histograms() {
 
 #[test]
 fn deadline_503_carries_retry_after_and_request_id() {
-    let state = AppState::new(ServedCube::from_cube(small_cube()), ResponseCache::new(8));
+    let state = AppState::new(image(), ResponseCache::new(8));
     let req = plain_request("/cell", &[("cell", "*,*"), ("level", "fine")], &[]);
     let ctx = RequestCtx::with_timeout(Duration::ZERO);
-    let resp = handle_request_full(&state, &req, &ctx);
+    let resp = handle_request(&state, &req, &ctx);
     assert_eq!(resp.status, 503, "got {}", resp.body);
     assert_eq!(resp.header("retry-after"), Some("1"));
     assert!(resp.header("x-request-id").is_some());
 
     // Client-error statuses are not retryable: no Retry-After.
     let req = plain_request("/cell", &[], &[]);
-    let resp = handle_request_full(&state, &req, &RequestCtx::default());
+    let resp = handle_request(&state, &req, &RequestCtx::default());
     assert_eq!(resp.status, 400);
     assert_eq!(resp.header("retry-after"), None);
+}
+
+/// A serving process records but never exports the span trace, so the
+/// request path must not feed it: per-request telemetry is the flight
+/// ring and the metrics registry, both bounded.
+#[test]
+fn requests_leave_the_span_trace_alone() {
+    flowcube_obs::enable();
+    let state = AppState::new(image(), ResponseCache::new(8));
+    let req = plain_request("/cell", &[("cell", "*,*"), ("level", "fine")], &[]);
+    // Hydration happens (and may span) on the first touch only.
+    assert_eq!(
+        handle_request(&state, &req, &RequestCtx::default()).status,
+        200
+    );
+    // The buffer is process-global and other tests hydrate cubes
+    // meanwhile; the handler runs on this thread, so watch this lane.
+    let lane = flowcube_obs::trace::lane();
+    let on_lane = || {
+        let events = flowcube_obs::trace::events();
+        events.iter().filter(|e| e.tid == lane).count()
+    };
+    let before = on_lane();
+    for _ in 0..10_000 {
+        handle_request(&state, &req, &RequestCtx::default());
+    }
+    assert_eq!(on_lane(), before);
 }
 
 #[test]
@@ -274,18 +305,17 @@ fn access_log_writes_entries_and_dumps_flight_when_bad() {
     let _ = std::fs::remove_file(&path);
     let log =
         AccessLog::open(path.to_str().expect("utf8 path"), Some(10_000)).expect("open access log");
-    let state = AppState::new(ServedCube::from_cube(small_cube()), ResponseCache::new(8))
-        .with_access_log(log);
+    let state = AppState::new(image(), ResponseCache::new(8)).with_access_log(log);
 
     // A routine 200: logged without a flight dump.
-    let ok = handle_request_full(
+    let ok = handle_request(
         &state,
         &plain_request("/healthz", &[], &[("x-request-id", "routine-1")]),
         &RequestCtx::default(),
     );
     assert_eq!(ok.status, 200);
     // A 503 deadline miss: logged with the flight window attached.
-    let bad = handle_request_full(
+    let bad = handle_request(
         &state,
         &plain_request("/cell", &[("cell", "*,*"), ("level", "fine")], &[]),
         &RequestCtx::with_timeout(Duration::ZERO),

@@ -30,7 +30,7 @@ fn small_cube() -> FlowCube {
 
 fn start() -> ServerHandle {
     serve_cube(
-        ServedCube::from_cube(small_cube()),
+        ServedCube::from_cube(&small_cube()).expect("encode image"),
         ServerConfig {
             workers: 2,
             read_timeout: Duration::from_millis(500),

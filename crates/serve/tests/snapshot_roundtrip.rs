@@ -11,18 +11,16 @@
 //!   typed error. The patch harness below repairs every checksum around
 //!   a mutation, so the structural validator — not the CRC — must be the
 //!   thing that catches it;
-//! * golden v1 fixture: a checked-in v1 file stays byte-stable under the
-//!   current writer and answers queries identically through both the v1
-//!   decode path and a v2 re-encode.
+//! * golden v1 fixture: a checked-in format-1 file is refused by
+//!   `Snapshot::open`, decodes through the upgrade reader to the cube it
+//!   was written from, and answers queries identically once re-encoded.
 
 use flowcube_core::{display_key, FlowCube, FlowCubeParams, ItemPlan};
 use flowcube_datagen::{generate, DimShape, GeneratorConfig};
 use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel, Schema};
 use flowcube_serve::crc::crc32;
 use flowcube_serve::snapshot::{SectionDesc, KIND_CUBOID};
-use flowcube_serve::{
-    write_snapshot, write_snapshot_with_version, Snapshot, SnapshotError, FORMAT_VERSION,
-};
+use flowcube_serve::{load_v1_cube, write_snapshot, Snapshot, SnapshotError, FORMAT_VERSION};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -257,9 +255,9 @@ fn wrong_magic_is_rejected() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Version 0 never existed; like any version outside
-/// `MIN_FORMAT_VERSION..=FORMAT_VERSION` it is rejected at `open` with
-/// both sides of the negotiation in the error.
+/// Version 0 never existed; like any version other than
+/// `FORMAT_VERSION` it is rejected at `open` with both sides of the
+/// negotiation in the error.
 #[test]
 fn version_zero_is_rejected() {
     let cube = small_cube(50, 5, 6);
@@ -470,8 +468,8 @@ fn v2_bit_flip_under_crc_is_typed() {
 // Golden v1 fixture
 // ---------------------------------------------------------------------------
 
-/// The checked-in v1 fixture's cube — any change here invalidates the
-/// fixture (regenerate with `regenerate_golden_v1_fixture` below).
+/// The cube the checked-in v1 fixture was written from. The fixture is
+/// frozen: this build has no v1 writer to regenerate it with.
 fn golden_cube() -> FlowCube {
     small_cube(30, 1, 4)
 }
@@ -480,51 +478,35 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v1.snap")
 }
 
-/// Compatibility contract for the checked-in v1 file: the current build
-/// opens it, decodes it, re-writes it **byte-identically** at v1 (the v1
-/// writer has not drifted), and a v2 re-encode answers the same queries
-/// (the formats are semantically interchangeable).
+/// Compatibility contract for the checked-in v1 file: serving refuses it
+/// with the typed version error, the upgrade reader decodes it to the
+/// cube it was written from, and the v2 re-encode of that cube answers
+/// the same queries. (Its endpoint answers are checked against the core
+/// reference in `tests/snapshot_differential.rs`.)
 #[test]
-fn golden_v1_fixture_round_trips() {
-    let fixture = std::fs::read(golden_path()).expect(
-        "tests/fixtures/golden_v1.snap missing — run \
-         `cargo test -p flowcube-serve --test snapshot_roundtrip -- --ignored regenerate`",
-    );
-    let p = tmp("golden-in.snap");
-    std::fs::write(&p, &fixture).unwrap();
-    let snap = Snapshot::open(&p).expect("open golden v1");
-    assert_eq!(snap.version(), 1);
-    let cube = snap.load_cube().expect("load golden v1");
-    let _ = std::fs::remove_file(&p);
+fn golden_v1_fixture_is_upgrade_only() {
+    match Snapshot::open(golden_path()).map(|_| ()) {
+        Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+            assert_eq!((found, supported), (1, FORMAT_VERSION));
+        }
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
 
-    // Writer stability: the loaded cube re-encodes to the exact fixture.
-    let rewrite = tmp("golden-rewrite.snap");
-    write_snapshot_with_version(&cube, &rewrite, 1).expect("rewrite v1");
-    assert_eq!(
-        std::fs::read(&rewrite).unwrap(),
-        fixture,
-        "v1 writer drifted from the checked-in golden fixture"
-    );
-    let _ = std::fs::remove_file(&rewrite);
+    let cube = load_v1_cube(golden_path()).expect("load golden v1");
+    let want = query_fingerprint(&golden_cube());
+    assert_eq!(query_fingerprint(&cube), want);
 
-    // Cross-format equivalence: v2 of the same cube answers identically.
     let v2 = tmp("golden-v2.snap");
     write_snapshot(&cube, &v2).expect("write v2");
     let loaded_v2 = Snapshot::open(&v2)
         .expect("open v2")
         .load_cube()
         .expect("load v2");
-    assert_eq!(query_fingerprint(&loaded_v2), query_fingerprint(&cube));
+    assert_eq!(query_fingerprint(&loaded_v2), want);
+    // The upgrade reader reads format 1 and nothing else.
+    assert!(matches!(
+        load_v1_cube(&v2),
+        Err(SnapshotError::UnsupportedVersion { found: 2, .. })
+    ));
     let _ = std::fs::remove_file(&v2);
-}
-
-/// Regeneration path for the golden fixture — run explicitly with
-/// `cargo test -p flowcube-serve --test snapshot_roundtrip -- --ignored`
-/// after an *intentional* v1 writer change, and commit the new bytes.
-#[test]
-#[ignore = "writes the golden fixture; run only to intentionally regenerate it"]
-fn regenerate_golden_v1_fixture() {
-    let out = golden_path();
-    std::fs::create_dir_all(out.parent().unwrap()).unwrap();
-    write_snapshot_with_version(&golden_cube(), &out, 1).expect("write fixture");
 }

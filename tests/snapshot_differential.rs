@@ -1,36 +1,46 @@
-//! Byte-level differential suite for the FCUBSNAP formats (DESIGN.md
-//! §14): **snapshot bytes are the correctness currency**.
+//! Differential suite for the one served representation (DESIGN.md
+//! §14): a cuboid is only ever answered from a validated FCC2 columnar
+//! section, and that section must be indistinguishable from the heap
+//! `FlowCube` it was encoded from.
 //!
-//! The serving layer has three representations of the same cube — the
-//! in-memory `FlowCube`, a format-v1 (JSON sections) snapshot, and a
-//! format-v2 (zero-copy columnar) snapshot. A query must not be able to
-//! tell them apart: every endpoint's `(status, body)` pair is compared
-//! byte-for-byte across all three, over every materialized cell of a
-//! generated cube, for every endpoint the server registers.
+//! The reference is the in-process core API — `lookup`, `roll_up`,
+//! `drill_down`, `slice`, `dice`, `top_k_paths` / `path_probability` on
+//! the heap `FlowGraph`, the cell's exception list. Three properties:
 //!
-//! The second property pins the v2 writer itself: write → open →
-//! `load_cube` → write again must reproduce the file byte-for-byte.
-//! Together the two properties say the columnar encode/decode pair is
-//! lossless *and* canonical — there is exactly one v2 byte string per
-//! cube content.
+//! 1. every endpoint, over every materialized cell of a generated cube,
+//!    answers field by field what the core API answers — both from the
+//!    in-memory image (`ServedCube::from_cube`) and from a snapshot file,
+//!    whose bodies must also be byte-identical to each other;
+//! 2. the operator contracts the endpoints are built on (`CuboidRead`,
+//!    `GraphRead`) agree between a `ColumnarSection` and the `Cuboid` it
+//!    encodes;
+//! 3. write → open → `load_cube` → write again reproduces the file
+//!    byte-for-byte: the encode/decode pair is lossless *and* canonical.
+//!
+//! The checked-in format-1 fixture rides the same reference: upgraded
+//! through `load_v1_cube` + `write_snapshot`, it answers like core.
 
+use flowcube::core::{display_key, view, CuboidRead};
 use flowcube::datagen::{generate, DimShape, GeneratorConfig};
+use flowcube::flowgraph::{path_probability, top_k_paths, ExceptionDetail, GraphRead};
 use flowcube::hier::{ConceptId, DurationLevel, LocationCut, PathLatticeSpec, PathLevel, Schema};
+use flowcube::pathdb::AggStage;
 use flowcube::serve::http::Request;
 use flowcube::serve::{
-    handle_request, write_snapshot, write_snapshot_with_version, AppState, ResponseCache,
-    ServedCube, Snapshot,
+    handle_request, load_v1_cube, write_snapshot, AppState, RequestCtx, ResponseCache, ServedCube,
+    Snapshot,
 };
 use flowcube::{FlowCube, FlowCubeParams, ItemPlan};
 use proptest::prelude::*;
+use serde_json::{Number, Value};
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("flowcube-snap-diff-{}-{name}", std::process::id()))
 }
 
-/// A small deterministic cube with exceptions on — the v2 exception
-/// columns must survive the round trip too, not just the flowgraphs.
+/// A small deterministic cube with exceptions on — the exception
+/// columns must survive the encoding too, not just the flowgraphs.
 fn small_cube(paths: usize, seed: u64, min_support: u64) -> FlowCube {
     let config = GeneratorConfig {
         num_paths: paths,
@@ -83,18 +93,78 @@ fn cell_spec(key: &[ConceptId], schema: &Schema) -> String {
         .join(",")
 }
 
+// ---- the core reference --------------------------------------------------
+
+fn obj(fields: Vec<(&str, Value)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+fn num(n: u64) -> Value {
+    Value::Number(Number::U(n))
+}
+
+fn count(n: usize) -> Value {
+    num(n as u64)
+}
+
+fn float(f: f64) -> Value {
+    Value::Number(Number::F(f))
+}
+
+fn text(s: impl Into<String>) -> Value {
+    Value::String(s.into())
+}
+
+fn names(schema: &Schema, locations: &[ConceptId]) -> Value {
+    let h = schema.locations();
+    Value::Array(locations.iter().map(|&c| text(h.name_of(c))).collect())
+}
+
+/// What an endpoint must answer, computed from the in-process cube
+/// alone: a `200` with exactly this body, or a `404`.
+type Expected = Option<Value>;
+
+fn cell_rows<K: AsRef<[ConceptId]>>(
+    cube: &FlowCube,
+    rows: Vec<(K, &flowcube::core::CellEntry)>,
+) -> Value {
+    let cells: Vec<Value> = rows
+        .iter()
+        .map(|(key, entry)| {
+            obj(vec![
+                ("cell", text(display_key(key.as_ref(), cube.schema()))),
+                ("support", num(entry.support)),
+                ("nodes", count(entry.graph.len() - 1)),
+                ("exceptions", count(entry.exceptions.len())),
+            ])
+        })
+        .collect();
+    obj(vec![
+        ("count", count(cells.len())),
+        ("cells", Value::Array(cells)),
+    ])
+}
+
 /// Every query endpoint, over every materialized cell of the cube, in a
-/// deterministic order: point lookups, rollup and drilldown along every
-/// dimension, slices and dices over each cuboid, top-k paths, and
-/// exceptions. Misses (rollup past the apex, unmaterialized children)
-/// are part of the matrix on purpose — error answers must agree too.
-fn request_matrix(cube: &FlowCube) -> Vec<Request> {
+/// deterministic order, each paired with the core API's answer: point
+/// lookups, rollup and drilldown along every dimension, slices and dices
+/// over each cuboid, top-k paths, path probabilities, and exceptions.
+/// Misses (rollup past the apex, unmaterialized children) are part of
+/// the matrix on purpose.
+fn request_matrix(cube: &FlowCube) -> Vec<(Request, Expected)> {
     let schema = cube.schema();
+    let loc = schema.locations();
     let mut reqs = Vec::new();
     let mut cuboids: Vec<_> = cube.cuboids().collect();
     cuboids.sort_by(|a, b| a.0.cmp(b.0));
     for (ck, cuboid) in cuboids {
-        let level = cube.spec().level(ck.path_level).name.clone();
+        let pl = ck.path_level;
+        let level = cube.spec().level(pl).name.clone();
         let at = ck
             .item_level
             .0
@@ -102,61 +172,192 @@ fn request_matrix(cube: &FlowCube) -> Vec<Request> {
             .map(|l| l.to_string())
             .collect::<Vec<_>>()
             .join(",");
-        let mut keys: Vec<_> = cuboid.iter().map(|(k, _)| k.clone()).collect();
-        keys.sort();
-        for key in keys {
+        for key in cuboid.keys_sorted() {
             let spec = cell_spec(&key, schema);
-            reqs.push(get("/cell", &[("cell", &spec), ("level", &level)]));
+            let shown = display_key(&key, schema);
+            let lk = cube.lookup(&key, pl).expect("materialized cell");
+            let source = display_key(lk.source_key, schema);
+            reqs.push((
+                get("/cell", &[("cell", &spec), ("level", &level)]),
+                Some(obj(vec![
+                    ("cell", text(&shown)),
+                    ("level", text(&level)),
+                    ("exact", Value::Bool(lk.exact)),
+                    ("source_cell", text(&source)),
+                    ("support", num(lk.entry.support)),
+                    ("nodes", count(lk.entry.graph.len() - 1)),
+                    ("exceptions", count(lk.entry.exceptions.len())),
+                    ("description", text(cube.describe_cell(lk.source_key, pl))),
+                ])),
+            ));
             for dim in 0..schema.num_dims() {
                 let d = dim.to_string();
-                reqs.push(get(
-                    "/rollup",
-                    &[("cell", &spec), ("level", &level), ("dim", &d)],
+                reqs.push((
+                    get(
+                        "/rollup",
+                        &[("cell", &spec), ("level", &level), ("dim", &d)],
+                    ),
+                    cube.roll_up(&key, dim, pl).map(|(parent, entry)| {
+                        obj(vec![
+                            ("cell", text(&shown)),
+                            ("parent", text(display_key(&parent, schema))),
+                            ("support", num(entry.support)),
+                            ("nodes", count(entry.graph.len() - 1)),
+                        ])
+                    }),
                 ));
-                reqs.push(get(
-                    "/drilldown",
-                    &[("cell", &spec), ("level", &level), ("dim", &d)],
+                reqs.push((
+                    get(
+                        "/drilldown",
+                        &[("cell", &spec), ("level", &level), ("dim", &d)],
+                    ),
+                    Some(cell_rows(cube, cube.drill_down(&key, dim, pl))),
                 ));
             }
-            reqs.push(get(
-                "/paths/topk",
-                &[("cell", &spec), ("level", &level), ("k", "3")],
+            let top = top_k_paths(&lk.entry.graph, 3);
+            reqs.push((
+                get(
+                    "/paths/topk",
+                    &[("cell", &spec), ("level", &level), ("k", "3")],
+                ),
+                Some(obj(vec![
+                    ("cell", text(&source)),
+                    ("support", num(lk.entry.support)),
+                    (
+                        "paths",
+                        Value::Array(
+                            top.iter()
+                                .map(|p| {
+                                    obj(vec![
+                                        ("locations", names(schema, &p.locations)),
+                                        ("probability", float(p.probability)),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ),
+                ])),
             ));
-            reqs.push(get("/exceptions", &[("cell", &spec), ("level", &level)]));
+            if let Some(best) = top.first() {
+                let stages: Vec<AggStage> = best
+                    .locations
+                    .iter()
+                    .map(|&loc| AggStage { loc, dur: None })
+                    .collect();
+                let path = best
+                    .locations
+                    .iter()
+                    .map(|&c| loc.name_of(c))
+                    .collect::<Vec<_>>()
+                    .join(",");
+                reqs.push((
+                    get(
+                        "/paths/probability",
+                        &[("cell", &spec), ("level", &level), ("path", &path)],
+                    ),
+                    Some(obj(vec![
+                        ("cell", text(&source)),
+                        (
+                            "probability",
+                            float(path_probability(&lk.entry.graph, &stages)),
+                        ),
+                    ])),
+                ));
+            }
+            let graph = &lk.entry.graph;
+            let exceptions: Vec<Value> = lk
+                .entry
+                .exceptions
+                .iter()
+                .map(|e| {
+                    let condition = e
+                        .condition
+                        .iter()
+                        .map(|&(n, d)| text(format!("{}={d}", loc.name_of(graph.location(n)))))
+                        .collect();
+                    obj(vec![
+                        ("node", names(schema, &graph.prefix_of(e.node))),
+                        ("condition", Value::Array(condition)),
+                        ("support", num(e.support)),
+                        ("deviation", float(e.deviation)),
+                        (
+                            "kind",
+                            text(match e.detail {
+                                ExceptionDetail::Duration { .. } => "duration",
+                                ExceptionDetail::Transition { .. } => "transition",
+                            }),
+                        ),
+                    ])
+                })
+                .collect();
+            reqs.push((
+                get("/exceptions", &[("cell", &spec), ("level", &level)]),
+                Some(obj(vec![
+                    ("cell", text(&source)),
+                    ("count", count(exceptions.len())),
+                    ("exceptions", Value::Array(exceptions)),
+                ])),
+            ));
             if key[0] != ConceptId::ROOT {
                 let value = schema.dim(0).name_of(key[0]).to_string();
-                reqs.push(get(
-                    "/slice",
-                    &[
-                        ("at", &at),
-                        ("level", &level),
-                        ("dim", "0"),
-                        ("value", &value),
-                    ],
+                let expected = cell_rows(cube, cube.slice(&ck.item_level, pl, 0, key[0]));
+                reqs.push((
+                    get(
+                        "/slice",
+                        &[
+                            ("at", &at),
+                            ("level", &level),
+                            ("dim", "0"),
+                            ("value", &value),
+                        ],
+                    ),
+                    Some(expected.clone()),
                 ));
-                reqs.push(get(
-                    "/dice",
-                    &[
-                        ("at", &at),
-                        ("level", &level),
-                        ("where", &format!("0:{value}")),
-                    ],
+                reqs.push((
+                    get(
+                        "/dice",
+                        &[
+                            ("at", &at),
+                            ("level", &level),
+                            ("where", &format!("0:{value}")),
+                        ],
+                    ),
+                    Some(expected),
                 ));
             }
         }
         // The unconstrained dice enumerates the whole cuboid — a direct
-        // probe of `keys_sorted` order across representations.
-        reqs.push(get("/dice", &[("at", &at), ("level", &level)]));
+        // probe of `keys_sorted` order.
+        reqs.push((
+            get("/dice", &[("at", &at), ("level", &level)]),
+            Some(cell_rows(cube, cube.dice(&ck.item_level, pl, |_| true))),
+        ));
     }
     reqs
 }
 
-/// `(request, status, body)` for every request — the unit of comparison.
-fn answers(state: &AppState, reqs: &[Request]) -> Vec<(String, u16, String)> {
-    reqs.iter()
-        .map(|r| {
-            let (status, body) = handle_request(state, r);
-            (format!("{} {:?}", r.path, r.query), status, body)
+/// Answer every request of the matrix from `state`, check each body
+/// field by field against the core reference, and return the raw
+/// `(status, body)` pairs for cross-source comparison.
+fn check_against_core(
+    state: &AppState,
+    matrix: &[(Request, Expected)],
+    source: &str,
+) -> Vec<(u16, String)> {
+    matrix
+        .iter()
+        .map(|(req, expected)| {
+            let resp = handle_request(state, req, &RequestCtx::default());
+            let what = format!("{source}: {} {:?}", req.path, req.query);
+            match expected {
+                Some(want) => {
+                    assert_eq!(resp.status, 200, "{what}: {}", resp.body);
+                    let got = serde_json::parse_value_str(&resp.body).expect("JSON body");
+                    assert_eq!(&got, want, "{what}");
+                }
+                None => assert_eq!(resp.status, 404, "{what}: {}", resp.body),
+            }
+            (resp.status, resp.body)
         })
         .collect()
 }
@@ -164,53 +365,124 @@ fn answers(state: &AppState, reqs: &[Request]) -> Vec<(String, u16, String)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Tentpole differential: the in-memory cube, the v1 snapshot, and
-    /// the v2 snapshot answer every endpoint identically — and the v2
-    /// file survives write → open → load → rewrite byte-for-byte.
+    /// Properties 1 and 3: the in-memory image and the snapshot file
+    /// both answer every endpoint like the in-process cube, identically
+    /// to each other — and the file survives write → open → load →
+    /// rewrite byte-for-byte.
     #[test]
-    fn endpoints_identical_across_mem_v1_v2(
+    fn endpoints_match_core_from_image_and_file(
         paths in 40usize..120,
         seed in 0u64..1000,
         min_support in 2u64..10,
     ) {
         let cube = small_cube(paths, seed, min_support);
-        let reqs = request_matrix(&cube);
+        let matrix = request_matrix(&cube);
         let tag = format!("{paths}-{seed}-{min_support}");
-        let v1 = tmp(&format!("v1-{tag}.snap"));
-        let v2 = tmp(&format!("v2-{tag}.snap"));
-        write_snapshot_with_version(&cube, &v1, 1).expect("write v1");
-        write_snapshot(&cube, &v2).expect("write v2");
+        let file = tmp(&format!("{tag}.snap"));
+        write_snapshot(&cube, &file).expect("write");
 
-        let mem = AppState::new(ServedCube::from_cube(cube), ResponseCache::new(64));
-        let snap1 = Snapshot::open(&v1).expect("open v1");
-        prop_assert_eq!(snap1.version(), 1);
-        let from_v1 = AppState::new(ServedCube::from_snapshot(snap1), ResponseCache::new(64));
-        let snap2 = Snapshot::open(&v2).expect("open v2");
-        prop_assert_eq!(snap2.version(), 2);
-        let from_v2 = AppState::new(ServedCube::from_snapshot(snap2), ResponseCache::new(64));
-
-        let want = answers(&mem, &reqs);
-        prop_assert_eq!(
-            &answers(&from_v1, &reqs), &want,
-            "v1 snapshot diverged from the in-memory cube ({} requests)", reqs.len()
+        let image = AppState::new(
+            ServedCube::from_cube(&cube).expect("encode image"),
+            ResponseCache::new(64),
         );
+        let snapshot = Snapshot::open(&file).expect("open");
+        let from_file = AppState::new(ServedCube::from_snapshot(snapshot), ResponseCache::new(64));
+
+        let image_bodies = check_against_core(&image, &matrix, "image");
+        let file_bodies = check_against_core(&from_file, &matrix, "file");
         prop_assert_eq!(
-            &answers(&from_v2, &reqs), &want,
-            "v2 snapshot diverged from the in-memory cube ({} requests)", reqs.len()
+            image_bodies, file_bodies,
+            "image and file diverged ({} requests)", matrix.len()
         );
 
-        // v2 re-encode stability: one canonical byte string per content.
-        let reloaded = Snapshot::open(&v2).expect("reopen v2").load_cube().expect("load v2");
-        let v2b = tmp(&format!("v2b-{tag}.snap"));
-        write_snapshot(&reloaded, &v2b).expect("rewrite v2");
+        // Re-encode stability: one canonical byte string per content.
+        let reloaded = Snapshot::open(&file).expect("reopen").load_cube().expect("load");
+        let rewrite = tmp(&format!("{tag}-rewrite.snap"));
+        write_snapshot(&reloaded, &rewrite).expect("rewrite");
         prop_assert_eq!(
-            std::fs::read(&v2).expect("read v2"),
-            std::fs::read(&v2b).expect("read v2b"),
-            "v2 write → open → load → rewrite is not byte-stable"
+            std::fs::read(&file).expect("read"),
+            std::fs::read(&rewrite).expect("read rewrite"),
+            "write → open → load → rewrite is not byte-stable"
         );
 
-        for p in [&v1, &v2, &v2b] {
+        for p in [&file, &rewrite] {
             let _ = std::fs::remove_file(p);
         }
     }
+
+    /// Property 2: `CuboidRead` / `GraphRead` over a columnar section ≡
+    /// over the heap cuboid it was encoded from.
+    #[test]
+    fn columnar_operators_match_heap_cuboid(
+        paths in 40usize..120,
+        seed in 0u64..1000,
+        min_support in 2u64..10,
+    ) {
+        let cube = small_cube(paths, seed, min_support);
+        let file = tmp(&format!("ops-{paths}-{seed}-{min_support}.snap"));
+        write_snapshot(&cube, &file).expect("write");
+        let snapshot = Snapshot::open(&file).expect("open");
+
+        for (ck, cuboid) in cube.cuboids() {
+            let section = snapshot.load_cuboid(ck).expect("load").expect("section present");
+            prop_assert_eq!(section.num_cells(), cuboid.num_cells());
+            let keys = cuboid.keys_sorted();
+            prop_assert_eq!(&section.keys_sorted(), &keys);
+            prop_assert_eq!(
+                view::dice_keys(&section, |k| k[1] != ConceptId::ROOT),
+                view::dice_keys(cuboid, |k| k[1] != ConceptId::ROOT)
+            );
+            for key in &keys {
+                prop_assert!(section.contains(key));
+                prop_assert_eq!(section.stats(key), cuboid.stats(key));
+                prop_assert_eq!(
+                    view::slice_keys(&section, 0, key[0]),
+                    view::slice_keys(cuboid, 0, key[0])
+                );
+
+                let entry = cuboid.get(key).expect("cell");
+                let cell = section.cell(section.find(key).expect("row"));
+                prop_assert_eq!(&cell.exceptions(), &entry.exceptions);
+                let (heap, columnar) = (&entry.graph, cell.graph());
+                prop_assert_eq!(columnar.len(), heap.len());
+                for n in heap.node_ids() {
+                    prop_assert_eq!(GraphRead::prefix_of(&columnar, n), heap.prefix_of(n));
+                }
+                let top = top_k_paths(heap, 3);
+                prop_assert_eq!(&top_k_paths(&columnar, 3), &top);
+                for p in &top {
+                    let stages: Vec<AggStage> =
+                        p.locations.iter().map(|&loc| AggStage { loc, dur: None }).collect();
+                    prop_assert_eq!(
+                        path_probability(&columnar, &stages),
+                        path_probability(heap, &stages)
+                    );
+                }
+            }
+            // The apex key is a cell of the apex cuboid only.
+            let apex = vec![ConceptId::ROOT; cube.schema().num_dims()];
+            prop_assert_eq!(section.contains(&apex), cuboid.get(&apex).is_some());
+        }
+        let _ = std::fs::remove_file(&file);
+    }
+}
+
+/// The frozen format-1 fixture, upgraded (`load_v1_cube` →
+/// `write_snapshot`), answers every endpoint like the core API over the
+/// cube the v1 reader decoded.
+#[test]
+fn golden_v1_upgrade_answers_like_core() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/serve/tests/fixtures/golden_v1.snap"
+    );
+    let cube = load_v1_cube(fixture).expect("read golden v1");
+    let upgraded = tmp("golden-upgraded.snap");
+    write_snapshot(&cube, &upgraded).expect("write upgrade");
+    let snapshot = Snapshot::open(&upgraded).expect("open upgrade");
+    let state = AppState::new(ServedCube::from_snapshot(snapshot), ResponseCache::new(64));
+    let matrix = request_matrix(&cube);
+    assert!(!matrix.is_empty());
+    check_against_core(&state, &matrix, "golden upgrade");
+    let _ = std::fs::remove_file(&upgraded);
 }
