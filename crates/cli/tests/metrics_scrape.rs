@@ -9,9 +9,7 @@
 use flowcube_cli::{commands, Args};
 use flowcube_obs::export::check_prometheus_text;
 use flowcube_serve::registered_endpoints;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use flowcube_testkit::http::get;
 
 fn args(line: &str) -> Args {
     Args::parse(line.split_whitespace().map(String::from)).expect("parse")
@@ -25,30 +23,6 @@ fn tmp(name: &str) -> String {
         ))
         .to_string_lossy()
         .into_owned()
-}
-
-fn get(addr: SocketAddr, target: &str) -> (u16, Vec<(String, String)>, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(
-        format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
-    )
-    .expect("write");
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).expect("read");
-    let (head, body) = raw.split_once("\r\n\r\n").unwrap_or((raw.as_str(), ""));
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let headers: Vec<(String, String)> = head
-        .lines()
-        .skip(1)
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, body.to_string())
 }
 
 /// A request that exercises the endpoint behind each registered tag.
@@ -95,7 +69,7 @@ fn every_registered_endpoint_exposes_a_latency_histogram() {
     // Touch every registered endpoint. Some answer 4xx for these
     // synthetic parameters — that still must produce a latency series.
     for tag in registered_endpoints() {
-        let (status, headers, body) = get(addr, &target_for(tag));
+        let (status, headers, body) = get(addr, &target_for(tag), &[]);
         assert!(
             status != 0 && status != 500,
             "{tag}: status {status}, body {body}"
@@ -106,7 +80,7 @@ fn every_registered_endpoint_exposes_a_latency_histogram() {
         );
     }
 
-    let (status, headers, text) = get(addr, "/metrics?format=prometheus");
+    let (status, headers, text) = get(addr, "/metrics?format=prometheus", &[]);
     assert_eq!(status, 200);
     assert!(
         headers

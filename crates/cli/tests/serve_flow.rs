@@ -4,9 +4,8 @@
 //! `FlowCube::roll_up` on the same snapshot.
 
 use flowcube_cli::{commands, Args};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use flowcube_testkit::http::get;
+use std::net::SocketAddr;
 
 fn args(line: &str) -> Args {
     Args::parse(line.split_whitespace().map(String::from)).expect("parse")
@@ -19,30 +18,9 @@ fn tmp(name: &str) -> String {
         .into_owned()
 }
 
-fn get(addr: SocketAddr, target: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(
-        format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
-    )
-    .expect("write");
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).expect("read");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
 /// Assert a 200 whose JSON body contains every expected fragment.
 fn expect_json(addr: SocketAddr, target: &str, fragments: &[&str]) -> String {
-    let (status, body) = get(addr, target);
+    let (status, _, body) = get(addr, target, &[]);
     assert_eq!(status, 200, "{target}: {body}");
     assert!(body.starts_with('{'), "{target}: not a JSON object: {body}");
     for frag in fragments {

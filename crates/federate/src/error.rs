@@ -68,14 +68,14 @@ impl From<CoreError> for FederateError {
 ///   wrong: `BadRequest` (400).
 /// * Core mismatches keep their own mapping (404/400/409).
 /// * A fully failed fan-out is overload-shaped and transient:
-///   `Deadline` (503 with `Retry-After`), matching the per-shard
-///   timeout semantics that caused it.
+///   `Unavailable` (503 with `Retry-After`), like a single node's
+///   deadline miss.
 impl From<FederateError> for ApiError {
     fn from(e: FederateError) -> Self {
         match e {
             FederateError::Core(c) => ApiError::Core(c),
             FederateError::AllShardsFailed { .. } | FederateError::Shard { .. } => {
-                ApiError::Deadline
+                ApiError::Unavailable(e.to_string())
             }
             other => ApiError::BadRequest(other.to_string()),
         }

@@ -21,27 +21,30 @@
 //! second request after the shard's recent p95, and budgeted retries —
 //! a shard leg fails only when its *entire replica set* is down.
 //!
-//! The front reuses the serving layer's wire code (`serve::http`) and
-//! observability idiom: per-endpoint × status latency histograms under
-//! `federate.request.latency_us`, per-shard latency and error series
-//! labeled `shard=K`, per-replica `federate.replica.*` counters labeled
-//! `shard=K replica=R`, and flight-recorder `Scatter`/`Gather`/
-//! `ShardTimeout`/`Hedge`/`BreakerOpen`/`BreakerClose` events tied to
-//! the request's trace id.
+//! The front is a [`Service`] hosted on the serving layer's runtime
+//! (`serve::server`): listener, bounded accept queue, `429` shedding,
+//! supervised workers, the request envelope (request id, flight
+//! `RequestStart`/`RequestEnd`, the `federate.*` request series), the
+//! built-in `/metrics` and `/debug/flight`, and the error bodies are
+//! all that runtime's. This module is what is the front's own: the
+//! shard map, `/healthz`, and scatter-gather — with per-shard latency
+//! and error series labeled `shard=K`, per-replica `federate.replica.*`
+//! counters labeled `shard=K replica=R`, and flight-recorder `Scatter`/
+//! `Gather`/`ShardTimeout`/`Hedge`/`BreakerOpen`/`BreakerClose` events
+//! tied to the request's trace id.
 
 use crate::error::FederateError;
 use crate::health::BreakerConfig;
 use crate::merge;
 use crate::replica::{HedgePolicy, ReplicaSet, RetryBudget, ShardOutcome, ShardRuntime};
 use flowcube_obs::flight::{self, FlightKind};
-use flowcube_serve::http::{read_request, write_response_with, HttpError, Request};
-use flowcube_serve::{assign_request_id, status_class, ApiError, HttpResponse};
+use flowcube_serve::http::Request;
+use flowcube_serve::{
+    error_response, host, ApiError, HealthState, HttpResponse, RequestCtx, Scope, ServerConfig,
+    ServerHandle, Service,
+};
 use serde_json::Value;
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Front-tier tunables; `Default` is sized for tests.
@@ -92,11 +95,13 @@ impl Default for FrontConfig {
 /// The routing state of a running front: the validated config plus one
 /// [`ShardRuntime`] (replica breakers, round-robin cursor, latency
 /// window) per shard. Construct with [`Front::new`]; [`serve_front`]
-/// wraps one in a listener. Public so tests can drive the routing table
-/// without sockets.
+/// hosts one on a listener. Public so tests can drive the routing table
+/// without sockets, through `flowcube_serve::handle_request`.
 pub struct Front {
     config: FrontConfig,
     shards: Vec<Arc<ShardRuntime>>,
+    scope: Scope,
+    health: HealthState,
 }
 
 impl Front {
@@ -124,351 +129,115 @@ impl Front {
             .enumerate()
             .map(|(k, set)| Arc::new(ShardRuntime::new(k as u32, set, config.breaker.clone())))
             .collect();
-        Ok(Front { config, shards })
-    }
-
-    pub fn config(&self) -> &FrontConfig {
-        &self.config
+        let endpoints = [FEDERATED, &[("/healthz", "healthz")]].concat();
+        Ok(Front {
+            config,
+            shards,
+            scope: Scope::new("federate", &endpoints),
+            health: HealthState::default(),
+        })
     }
 }
 
-/// Endpoints the front federates. Everything else is a 404 — the front
-/// has no cube of its own, and admin/stats surfaces are per-backend.
-const FEDERATED: &[&str] = &[
-    "/cell",
-    "/rollup",
-    "/drilldown",
-    "/paths/topk",
-    "/exceptions",
+/// Endpoints the front federates, with their metric tags. Everything
+/// else is a 404 — the front has no cube of its own, and admin/stats
+/// surfaces are per-backend.
+const FEDERATED: &[(&str, &str)] = &[
+    ("/cell", "cell"),
+    ("/rollup", "rollup"),
+    ("/drilldown", "drilldown"),
+    ("/paths/topk", "paths_topk"),
+    ("/exceptions", "exceptions"),
 ];
 
-fn endpoint_tag(path: &str) -> &'static str {
-    match path {
-        "/cell" => "cell",
-        "/rollup" => "rollup",
-        "/drilldown" => "drilldown",
-        "/paths/topk" => "paths_topk",
-        "/exceptions" => "exceptions",
-        "/healthz" => "healthz",
-        "/metrics" => "metrics",
-        "/debug/flight" => "debug_flight",
-        _ => "other",
-    }
-}
-
-/// Same bounded accept queue the serving layer uses (std sync types —
-/// the vendored parking_lot has no condvar).
-struct ConnQueue {
-    queue: Mutex<VecDeque<TcpStream>>,
-    ready: Condvar,
-    depth: usize,
-}
-
-impl ConnQueue {
-    fn new(depth: usize) -> Self {
-        ConnQueue {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            depth: depth.max(1),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<TcpStream>> {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        let mut q = self.lock();
-        if q.len() >= self.depth {
-            return Err(stream);
-        }
-        q.push_back(stream);
-        drop(q);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    fn pop(&self, wait: Duration) -> Option<TcpStream> {
-        let mut q = self.lock();
-        if q.is_empty() {
-            let (guard, _) = self
-                .ready
-                .wait_timeout(q, wait)
-                .unwrap_or_else(|e| e.into_inner());
-            q = guard;
-        }
-        q.pop_front()
-    }
-}
-
-/// A running front server; call [`FrontHandle::shutdown`] then
-/// [`FrontHandle::join`] to stop it.
-pub struct FrontHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl FrontHandle {
-    /// The actual bound address (resolves ephemeral ports).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Request a graceful stop; returns immediately.
-    pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-    }
-
-    /// Wait for the acceptor and workers to exit.
-    pub fn join(mut self) {
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-
-    /// Block until `SIGINT`/`SIGTERM`, then stop and join.
-    pub fn wait_for_signals(self) {
-        flowcube_serve::server::install_signal_handlers();
-        while !self.stop.load(Ordering::SeqCst) && !flowcube_serve::server::signal_received() {
-            std::thread::sleep(Duration::from_millis(100));
-        }
-        self.shutdown();
-        self.join();
-    }
-}
+/// A running front server: the serving layer's handle over a [`Front`].
+pub type FrontHandle = ServerHandle<Front>;
 
 /// Validate the shard map and start the front tier. Returns once the
 /// listener is bound and the workers are running.
 pub fn serve_front(config: FrontConfig) -> Result<FrontHandle, FederateError> {
-    let front = Arc::new(Front::new(config)?);
-    let config = &front.config;
-    let listener = TcpListener::bind(&config.addr).map_err(|e| FederateError::Io {
-        detail: format!("bind {}: {e}", config.addr),
-    })?;
-    let addr = listener.local_addr().map_err(|e| FederateError::Io {
-        detail: e.to_string(),
-    })?;
-    flight::enable();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let queue = Arc::new(ConnQueue::new(config.queue_depth));
-    let mut threads = Vec::with_capacity(config.workers + 1);
-
-    {
-        let stop = stop.clone();
-        let queue = queue.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("federate-accept".into())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        if queue.push(stream).is_err() {
-                            flowcube_obs::counter_add("federate.requests.shed", 1);
-                        }
-                    }
-                })
-                .map_err(|e| FederateError::Io {
-                    detail: e.to_string(),
-                })?,
-        );
-    }
-
-    for i in 0..config.workers.max(1) {
-        let stop = stop.clone();
-        let queue = queue.clone();
-        let front = front.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("federate-worker-{i}"))
-                .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        let Some(stream) = queue.pop(Duration::from_millis(100)) else {
-                            continue;
-                        };
-                        serve_connection(stream, &front);
-                    }
-                })
-                .map_err(|e| FederateError::Io {
-                    detail: e.to_string(),
-                })?,
-        );
-    }
-
-    flowcube_obs::counter_add("federate.started", 1);
-    Ok(FrontHandle {
-        addr,
-        stop,
-        threads,
-    })
-}
-
-fn serve_connection(mut stream: TcpStream, front: &Front) {
+    let front = Front::new(config)?;
     // Client-facing socket budget derives from the request deadline —
     // a front configured for a 200ms deadline must not keep sockets
     // alive for a hardcoded 5s. The small grace covers header I/O on a
     // loaded loopback.
     let io_budget = front.config.request_deadline + Duration::from_millis(250);
-    let _ = stream.set_read_timeout(Some(io_budget));
-    let _ = stream.set_write_timeout(Some(io_budget));
-    let req = match read_request(&mut stream) {
-        Ok(req) => req,
-        Err(HttpError::Disconnected) => return,
-        Err(HttpError::TooLarge) => {
-            let _ = write_response_with(
-                &mut stream,
-                431,
-                "application/json",
-                &[],
-                "{\"error\":\"request too large\"}",
-            );
-            return;
-        }
-        Err(HttpError::Malformed(detail)) => {
-            let body = serde_json::to_string(&Value::Object(vec![(
-                "error".into(),
-                Value::String(detail),
-            )]))
-            .unwrap_or_default();
-            let _ = write_response_with(&mut stream, 400, "application/json", &[], &body);
-            return;
-        }
+    let listen = ServerConfig {
+        addr: front.config.addr.clone(),
+        workers: front.config.workers,
+        queue_depth: front.config.queue_depth,
+        read_timeout: io_budget,
+        write_timeout: io_budget,
+        ..ServerConfig::default()
     };
-    let resp = front.handle_request(&req);
-    let _ = write_response_with(
-        &mut stream,
-        resp.status,
-        resp.content_type,
-        &resp.headers,
-        &resp.body,
-    );
+    host(front, &listen).map_err(|e| FederateError::Io {
+        detail: format!("bind {}: {e}", listen.addr),
+    })
 }
 
-impl Front {
-    /// Route and answer one front request, with the serve-style metric
-    /// and flight envelope around it. Public so in-process tests can
-    /// drive the routing table without sockets.
-    pub fn handle_request(&self, req: &Request) -> HttpResponse {
-        let start = Instant::now();
-        let tag = endpoint_tag(&req.path);
-        let (id, trace) = assign_request_id(req);
-        flowcube_obs::counter_add("federate.requests.total", 1);
-
-        let mut resp = route(req, self, trace);
-
-        let us = start.elapsed().as_micros() as f64;
-        flowcube_obs::histogram_record("federate.latency_us", us);
-        flowcube_obs::histogram_record(
-            &flowcube_obs::labeled(
-                "federate.request.latency_us",
-                &[("endpoint", tag), ("status", status_class(resp.status))],
-            ),
-            us,
-        );
-        flowcube_obs::counter_add(&format!("federate.responses.{}xx", resp.status / 100), 1);
-        resp.headers.push(("X-Request-Id".to_string(), id));
-        resp
+impl Service for Front {
+    fn scope(&self) -> &Scope {
+        &self.scope
     }
-}
 
-fn error_body(detail: &str) -> String {
-    serde_json::to_string(&Value::Object(vec![(
-        "error".into(),
-        Value::String(detail.to_string()),
-    )]))
-    .unwrap_or_default()
-}
-
-fn api_error(e: FederateError) -> HttpResponse {
-    let api: ApiError = e.into();
-    let mut resp = HttpResponse::json(api.status(), error_body(&api.to_string()));
-    if let Some(secs) = api.retry_after_secs() {
-        resp.headers
-            .push(("Retry-After".to_string(), secs.to_string()));
-    }
-    resp
-}
-
-fn route(req: &Request, front: &Front, trace: u64) -> HttpResponse {
-    let config = &front.config;
-    if req.method != "GET" {
-        return HttpResponse::json(
-            405,
-            error_body(&format!("method {} not allowed", req.method)),
-        );
-    }
-    match req.path.as_str() {
-        "/healthz" => {
-            let replica_sets: Vec<Value> = front
-                .shards
-                .iter()
-                .map(|rt| {
-                    let replicas: Vec<Value> = rt
-                        .states()
-                        .into_iter()
-                        .map(|(addr, state, failures)| {
-                            Value::Object(vec![
-                                ("addr".into(), Value::String(addr)),
-                                ("state".into(), Value::String(state.name().into())),
-                                (
-                                    "consecutive_failures".into(),
-                                    Value::Number(serde_json::Number::U(failures as u64)),
-                                ),
-                            ])
-                        })
-                        .collect();
-                    Value::Object(vec![
-                        (
-                            "shard".into(),
-                            Value::Number(serde_json::Number::U(rt.shard as u64)),
-                        ),
-                        ("replicas".into(), Value::Array(replicas)),
-                    ])
-                })
-                .collect();
-            let body = serde_json::to_string(&Value::Object(vec![
-                ("ok".into(), Value::Bool(true)),
-                ("status".into(), Value::String("ok".into())),
-                (
-                    "shards".into(),
-                    Value::Number(serde_json::Number::U(config.shards as u64)),
-                ),
-                ("replica_sets".into(), Value::Array(replica_sets)),
-            ]))
-            .unwrap_or_default();
-            HttpResponse::json(200, body)
+    fn route(&self, req: &Request, _ctx: &RequestCtx, trace: u64) -> HttpResponse {
+        if req.method != "GET" {
+            return error_response(&ApiError::MethodNotAllowed(req.method.clone()));
         }
-        "/metrics" => {
-            let snapshot = flowcube_obs::snapshot();
-            let prometheus = match req.param("format") {
-                Some(fmt) => fmt == "prometheus",
-                None => req.header("accept").unwrap_or("").contains("text/plain"),
-            };
-            if prometheus {
-                HttpResponse {
-                    status: 200,
-                    body: flowcube_obs::export::prometheus_text(&snapshot),
-                    content_type: "text/plain; version=0.0.4",
-                    headers: Vec::new(),
-                }
-            } else {
-                HttpResponse::json(200, flowcube_obs::export::metrics_json(&snapshot))
+        match req.path.as_str() {
+            "/healthz" => {
+                let replica_sets: Vec<Value> = self
+                    .shards
+                    .iter()
+                    .map(|rt| {
+                        let replicas: Vec<Value> = rt
+                            .states()
+                            .into_iter()
+                            .map(|(addr, state, failures)| {
+                                Value::Object(vec![
+                                    ("addr".into(), Value::String(addr)),
+                                    ("state".into(), Value::String(state.name().into())),
+                                    (
+                                        "consecutive_failures".into(),
+                                        Value::Number(serde_json::Number::U(failures as u64)),
+                                    ),
+                                ])
+                            })
+                            .collect();
+                        Value::Object(vec![
+                            (
+                                "shard".into(),
+                                Value::Number(serde_json::Number::U(rt.shard as u64)),
+                            ),
+                            ("replicas".into(), Value::Array(replicas)),
+                        ])
+                    })
+                    .collect();
+                let body = serde_json::to_string(&Value::Object(vec![
+                    ("ok".into(), Value::Bool(true)),
+                    ("status".into(), Value::String("ok".into())),
+                    (
+                        "worker_crashes".into(),
+                        Value::Number(serde_json::Number::U(self.health.worker_crashes())),
+                    ),
+                    (
+                        "shards".into(),
+                        Value::Number(serde_json::Number::U(self.config.shards as u64)),
+                    ),
+                    ("replica_sets".into(), Value::Array(replica_sets)),
+                ]))
+                .unwrap_or_default();
+                HttpResponse::json(200, body)
             }
+            path if FEDERATED.iter().any(|&(p, _)| p == path) => scatter_gather(req, self, trace),
+            other => error_response(&ApiError::NotFound(format!(
+                "{other} is not a federated endpoint"
+            ))),
         }
-        "/debug/flight" => {
-            let events = flight::snapshot();
-            HttpResponse::json(200, serde_json::to_string(&events).unwrap_or_default())
-        }
-        path if FEDERATED.contains(&path) => scatter_gather(req, front, trace),
-        other => HttpResponse::json(
-            404,
-            error_body(&format!("{other} is not a federated endpoint")),
-        ),
+    }
+
+    fn worker_crashed(&self) {
+        self.health.record_worker_crash();
     }
 }
 
@@ -614,14 +383,10 @@ fn gather(req: &Request, config: &FrontConfig, replies: &[ShardReply]) -> HttpRe
                         ShardReply::Answered { .. } => None,
                     })
                     .unwrap_or("no shard answered");
-                let mut resp = api_error(FederateError::AllShardsFailed {
+                let all_failed = FederateError::AllShardsFailed {
                     shards: config.shards,
-                });
-                resp.body = error_body(&format!(
-                    "all {} shards failed or timed out: {detail}",
-                    config.shards
-                ));
-                resp
+                };
+                error_response(&ApiError::Unavailable(format!("{all_failed}: {detail}")))
             }
         };
     }
@@ -651,7 +416,7 @@ fn gather(req: &Request, config: &FrontConfig, replies: &[ShardReply]) -> HttpRe
             }
             resp
         }
-        Err(e) => api_error(e),
+        Err(e) => error_response(&e.into()),
     }
 }
 
@@ -687,6 +452,7 @@ fn encode_component(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowcube_serve::handle_request;
 
     fn get(path: &str, query: &[(&str, &str)]) -> Request {
         Request {
@@ -746,12 +512,13 @@ mod tests {
             ..FrontConfig::default()
         };
         let front = Front::new(config).expect("valid map");
-        let resp = front.handle_request(&get("/healthz", &[]));
+        let resp = handle_request(&front, &get("/healthz", &[]), &RequestCtx::default());
         assert_eq!(resp.status, 200);
         let body = resp.body;
         assert!(body.contains("\"replica_sets\""), "{body}");
         assert!(body.contains("127.0.0.1:2"), "{body}");
         assert!(body.contains("\"state\":\"closed\""), "{body}");
+        assert!(body.contains("\"worker_crashes\":0"), "{body}");
     }
 
     #[test]
@@ -768,7 +535,7 @@ mod tests {
             ..FrontConfig::default()
         };
         let front = Front::new(config).expect("valid map");
-        let resp = front.handle_request(&get("/stats", &[]));
+        let resp = handle_request(&front, &get("/stats", &[]), &RequestCtx::default());
         assert_eq!(resp.status, 404);
         assert!(
             resp.body.contains("not a federated endpoint"),

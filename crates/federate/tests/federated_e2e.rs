@@ -9,50 +9,23 @@
 //! larger than any one of them) — so they are asserted as bounds, not
 //! equality.
 
-use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, DimShape, GeneratorConfig};
-use flowcube_federate::{serve_front, shard_db, FrontConfig, FrontHandle, ReplicaSet};
-use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
-use flowcube_pathdb::PathDatabase;
-use flowcube_serve::{serve_cube, ServedCube, ServerConfig, ServerHandle};
-use serde_json::Value;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+mod common;
 
-fn gen_db(paths: usize, seed: u64) -> (PathDatabase, PathLatticeSpec) {
-    let config = GeneratorConfig {
-        num_paths: paths,
-        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
-        num_sequences: 5,
-        seed,
-        ..Default::default()
-    };
-    let db = generate(&config).db;
-    let loc = db.schema().locations();
-    let spec = PathLatticeSpec::new(vec![PathLevel::new(
-        "fine",
-        LocationCut::uniform_level(loc, loc.max_level()),
-        DurationLevel::Raw,
-    )]);
-    (db, spec)
-}
+use common::{gen_db, parse, start_backend};
+use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
+use flowcube_federate::{serve_front, shard_db, FrontConfig, FrontHandle, ReplicaSet};
+use flowcube_hier::PathLatticeSpec;
+use flowcube_pathdb::PathDatabase;
+use flowcube_serve::ServerHandle;
+use flowcube_testkit::http::{
+    get, header, hostile_requests, parse_response, raw_roundtrip, third_connection,
+};
+use serde_json::Value;
 
 /// Shard-local serving params: δ = 1 so no shard loses counts the
 /// federation would need (Lemma 4.2 merges by addition).
 fn params() -> FlowCubeParams {
     FlowCubeParams::new(1)
-}
-
-fn start_backend(cube: FlowCube) -> ServerHandle {
-    serve_cube(
-        ServedCube::from_cube(&cube).expect("encode image"),
-        ServerConfig {
-            workers: 2,
-            ..Default::default()
-        },
-    )
-    .expect("backend starts")
 }
 
 /// Boot `shards` backends over an EPC-hash partition of `db`, plus a
@@ -86,32 +59,8 @@ fn boot_federation(
     (backends, front)
 }
 
-/// GET over a raw socket, returning status, raw header block, and body —
-/// the front's `Retry-After` and `partial` degradation live in both.
-fn raw_get(addr: std::net::SocketAddr, target: &str) -> (u16, String, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(
-        format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
-    )
-    .expect("write");
-    let mut out = String::new();
-    let _ = s.read_to_string(&mut out);
-    let status: u16 = out
-        .split_whitespace()
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let (head, body) = out.split_once("\r\n\r\n").unwrap_or(("", ""));
-    (status, head.to_string(), body.to_string())
-}
-
 fn field_u64(v: &Value, key: &str) -> Option<u64> {
     v.get(key).and_then(Value::as_u64)
-}
-
-fn parse(body: &str) -> Value {
-    serde_json::parse_value_str(body).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e:?}"))
 }
 
 /// The tentpole e2e: federated answers over 2 shards equal the
@@ -123,9 +72,9 @@ fn federated_answers_match_single_node() {
     let (backends, front) = boot_federation(&db, &spec, 2);
 
     // Apex cell: supports partition across shards and sum back exactly.
-    let (status, _, fed_body) = raw_get(front.addr(), "/cell?cell=*,*&level=fine");
+    let (status, _, fed_body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200, "got {fed_body:?}");
-    let (status, _, single_body) = raw_get(single.addr(), "/cell?cell=*,*&level=fine");
+    let (status, _, single_body) = get(single.addr(), "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200);
     let (fed, one) = (parse(&fed_body), parse(&single_body));
     assert_eq!(field_u64(&fed, "support"), Some(db.len() as u64));
@@ -142,7 +91,7 @@ fn federated_answers_match_single_node() {
     // Drill the apex down dim 0, then roll one child back up: the
     // federated rollup support equals the in-process roll_up the single
     // node answers (both are the apex support).
-    let (status, _, drill) = raw_get(front.addr(), "/drilldown?cell=*,*&dim=0&level=fine");
+    let (status, _, drill) = get(front.addr(), "/drilldown?cell=*,*&dim=0&level=fine", &[]);
     assert_eq!(status, 200, "got {drill:?}");
     let drill = parse(&drill);
     let children = drill
@@ -150,7 +99,7 @@ fn federated_answers_match_single_node() {
         .and_then(Value::as_array)
         .expect("children");
     assert!(!children.is_empty(), "apex must have dim-0 children");
-    let (status, _, single_drill) = raw_get(single.addr(), "/drilldown?cell=*,*&dim=0&level=fine");
+    let (status, _, single_drill) = get(single.addr(), "/drilldown?cell=*,*&dim=0&level=fine", &[]);
     assert_eq!(status, 200);
     let single_drill = parse(&single_drill);
     // Same children, same supports (order-independent).
@@ -182,9 +131,9 @@ fn federated_answers_match_single_node() {
         .trim_end_matches(')')
         .replace(", ", ",");
     let target = format!("/rollup?cell={child_query}&dim=0&level=fine");
-    let (status, _, fed_roll) = raw_get(front.addr(), &target);
+    let (status, _, fed_roll) = get(front.addr(), &target, &[]);
     assert_eq!(status, 200, "got {fed_roll:?}");
-    let (status, _, single_roll) = raw_get(single.addr(), &target);
+    let (status, _, single_roll) = get(single.addr(), &target, &[]);
     assert_eq!(status, 200);
     let (fed_roll, single_roll) = (parse(&fed_roll), parse(&single_roll));
     assert_eq!(
@@ -197,9 +146,9 @@ fn federated_answers_match_single_node() {
     // Top-k with k large enough that no shard truncates: the federated
     // probability distribution equals the single node's, because the
     // support-weighted shard probabilities are exactly path counts.
-    let (status, _, fed_topk) = raw_get(front.addr(), "/paths/topk?cell=*,*&level=fine&k=500");
+    let (status, _, fed_topk) = get(front.addr(), "/paths/topk?cell=*,*&level=fine&k=500", &[]);
     assert_eq!(status, 200, "got {fed_topk:?}");
-    let (status, _, single_topk) = raw_get(single.addr(), "/paths/topk?cell=*,*&level=fine&k=500");
+    let (status, _, single_topk) = get(single.addr(), "/paths/topk?cell=*,*&level=fine&k=500", &[]);
     assert_eq!(status, 200);
     let paths = |v: &Value| -> Vec<(String, i64)> {
         let mut out: Vec<(String, i64)> = v
@@ -226,7 +175,7 @@ fn federated_answers_match_single_node() {
 
     // Exceptions federate as a union; the endpoint answers and carries
     // a consistent count.
-    let (status, _, exc) = raw_get(front.addr(), "/exceptions?cell=*,*&level=fine");
+    let (status, _, exc) = get(front.addr(), "/exceptions?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200, "got {exc:?}");
     let exc = parse(&exc);
     let listed = exc
@@ -258,8 +207,8 @@ fn single_shard_federation_is_byte_transparent() {
         "/paths/topk?cell=*,*&level=fine&k=3",
         "/exceptions?cell=*,*&level=fine",
     ] {
-        let (f_status, _, f_body) = raw_get(front.addr(), target);
-        let (b_status, _, b_body) = raw_get(backends[0].addr(), target);
+        let (f_status, _, f_body) = get(front.addr(), target, &[]);
+        let (b_status, _, b_body) = get(backends[0].addr(), target, &[]);
         assert_eq!(f_status, b_status, "{target}");
         assert_eq!(
             f_body, b_body,
@@ -284,7 +233,7 @@ fn dead_shard_degrades_to_partial() {
     let (mut backends, front) = boot_federation(&db, &spec, 2);
 
     // Healthy first.
-    let (status, _, healthy) = raw_get(front.addr(), "/cell?cell=*,*&level=fine");
+    let (status, _, healthy) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200);
     let healthy_support = field_u64(&parse(&healthy), "support").unwrap();
     assert_eq!(healthy_support, db.len() as u64);
@@ -294,11 +243,11 @@ fn dead_shard_degrades_to_partial() {
     dead.shutdown();
     dead.join();
 
-    let (status, head, body) = raw_get(front.addr(), "/cell?cell=*,*&level=fine");
+    let (status, headers, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200, "degradation must not be an error: {body:?}");
     let partial = parse(&body);
     assert_eq!(partial.get("partial").and_then(Value::as_bool), Some(true));
-    assert!(head.contains("Retry-After"), "got headers {head:?}");
+    assert_eq!(header(&headers, "retry-after"), Some("1"));
     let partial_support = field_u64(&partial, "support").unwrap();
     assert!(
         partial_support < healthy_support,
@@ -309,11 +258,117 @@ fn dead_shard_degrades_to_partial() {
     let dead = backends.remove(0);
     dead.shutdown();
     dead.join();
-    let (status, head, body) = raw_get(front.addr(), "/cell?cell=*,*&level=fine");
+    let (status, headers, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 503, "got {body:?}");
-    assert!(head.contains("Retry-After"), "got headers {head:?}");
+    assert_eq!(header(&headers, "retry-after"), Some("1"));
     assert!(body.contains("error"), "got {body:?}");
 
     front.shutdown();
     front.join();
+}
+
+/// The front runs on serve's runtime, so hostile bytes draw the same
+/// JSON error bodies there — and leave it answering.
+#[test]
+fn front_survives_malformed_and_hostile_input() {
+    let (db, spec) = gen_db(40, 52);
+    let (backends, front) = boot_federation(&db, &spec, 2);
+    let addr = front.addr();
+
+    for (raw, want) in hostile_requests() {
+        let (status, _, body) = parse_response(&raw_roundtrip(addr, &raw));
+        let shown = String::from_utf8_lossy(&raw[..raw.len().min(60)]).into_owned();
+        assert_eq!(status, want, "{shown:?} got {body:?}");
+        let error = parse(&body);
+        assert!(
+            error.get("error").and_then(Value::as_str).is_some(),
+            "{shown:?} got {body:?}"
+        );
+    }
+    // Half-open connection: connect, write a fragment, hang up.
+    let _ = raw_roundtrip(addr, b"GET /cel");
+
+    let (status, _, body) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+    assert_eq!(status, 200, "got {body:?}");
+    assert_eq!(field_u64(&parse(&body), "support"), Some(db.len() as u64));
+
+    front.shutdown();
+    front.join();
+    for b in backends {
+        b.shutdown();
+        b.join();
+    }
+}
+
+/// A full accept queue sheds with `429` + `Retry-After` at the front as
+/// at a shard, counted under the front's own scope.
+#[test]
+fn front_sheds_with_429_and_retry_after() {
+    flowcube_obs::enable();
+    // Nothing is scattered, so the backend need not exist.
+    let front = serve_front(FrontConfig {
+        backends: vec![ReplicaSet::single("127.0.0.1:1")],
+        shards: 1,
+        workers: 1,
+        queue_depth: 1,
+        ..Default::default()
+    })
+    .expect("front starts");
+    let shed_count = || {
+        let counters = flowcube_obs::snapshot().counters;
+        counters.get("federate.shed").copied().unwrap_or(0)
+    };
+
+    let shed_before = shed_count();
+    let (status, headers, body) = third_connection(front.addr());
+    assert_eq!(status, 429, "got {body:?}");
+    assert_eq!(header(&headers, "retry-after"), Some("1"));
+    assert_eq!(shed_count(), shed_before + 1);
+
+    front.shutdown();
+    front.join();
+}
+
+/// One request id, both flight views: the id a client sends names the
+/// request in the front's own flight ring, served in serve's shape.
+#[test]
+fn request_id_is_in_the_fronts_flight_ring() {
+    let (db, spec) = gen_db(40, 53);
+    let (backends, front) = boot_federation(&db, &spec, 2);
+
+    let target = "/cell?cell=*,*&level=fine";
+    let (status, headers, _) = get(front.addr(), target, &[("X-Request-Id", "abc-1")]);
+    assert_eq!(status, 200);
+    assert_eq!(header(&headers, "x-request-id"), Some("abc-1"));
+
+    let (status, _, body) = get(front.addr(), "/debug/flight", &[]);
+    assert_eq!(status, 200);
+    let ring = parse(&body);
+    assert_eq!(ring.get("enabled").and_then(Value::as_bool), Some(true));
+    assert!(field_u64(&ring, "capacity").is_some(), "got {body:?}");
+    assert!(field_u64(&ring, "recorded_total").is_some(), "got {body:?}");
+    // FNV-1a of the inbound id: the trace id its flight events carry.
+    let trace = "abc-1".bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let events = ring
+        .get("events")
+        .and_then(Value::as_array)
+        .expect("events");
+    for kind in ["RequestStart", "RequestEnd"] {
+        assert!(
+            events.iter().any(|e| {
+                e.get("kind").and_then(Value::as_str) == Some(kind)
+                    && field_u64(e, "trace_id") == Some(trace)
+            }),
+            "no {kind} for abc-1 in {body}"
+        );
+    }
+
+    front.shutdown();
+    front.join();
+    for b in backends {
+        b.shutdown();
+        b.join();
+    }
 }

@@ -10,19 +10,20 @@
 //! process-global; these tests serialize on one mutex and reset all
 //! three at entry.
 
+mod common;
+
+use common::{gen_db, parse, start_backend};
 use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, DimShape, GeneratorConfig};
 use flowcube_federate::{
     serve_front, shard_db, BreakerConfig, FrontConfig, FrontHandle, HedgePolicy, ReplicaSet,
 };
-use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube_hier::PathLatticeSpec;
 use flowcube_obs::flight::{self, FlightKind};
 use flowcube_pathdb::PathDatabase;
-use flowcube_serve::{serve_cube, ServedCube, ServerConfig, ServerHandle};
+use flowcube_serve::ServerHandle;
+use flowcube_testkit::http::{get, raw_roundtrip};
 use flowcube_testkit::FailAction;
 use serde_json::Value;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -36,35 +37,6 @@ fn lock_globals() -> MutexGuard<'static, ()> {
     flight::enable();
     flight::clear();
     guard
-}
-
-fn gen_db(paths: usize, seed: u64) -> (PathDatabase, PathLatticeSpec) {
-    let config = GeneratorConfig {
-        num_paths: paths,
-        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
-        num_sequences: 5,
-        seed,
-        ..Default::default()
-    };
-    let db = generate(&config).db;
-    let loc = db.schema().locations();
-    let spec = PathLatticeSpec::new(vec![PathLevel::new(
-        "fine",
-        LocationCut::uniform_level(loc, loc.max_level()),
-        DurationLevel::Raw,
-    )]);
-    (db, spec)
-}
-
-fn start_backend(cube: FlowCube) -> ServerHandle {
-    serve_cube(
-        ServedCube::from_cube(&cube).expect("encode image"),
-        ServerConfig {
-            workers: 2,
-            ..Default::default()
-        },
-    )
-    .expect("backend starts")
 }
 
 /// Boot `shards` shard cubes, each served by `replicas` identical
@@ -113,31 +85,6 @@ fn shutdown_all(groups: Vec<Vec<ServerHandle>>, front: FrontHandle) {
     }
 }
 
-fn raw_get(addr: std::net::SocketAddr, target: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(
-        format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
-    )
-    .expect("write");
-    let mut out = String::new();
-    let _ = s.read_to_string(&mut out);
-    let status: u16 = out
-        .split_whitespace()
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let body = out
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn parse(body: &str) -> Value {
-    serde_json::parse_value_str(body).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e:?}"))
-}
-
 fn counter(name: &str, labels: &[(&str, &str)]) -> u64 {
     let key = flowcube_obs::labeled(name, labels);
     flowcube_obs::snapshot()
@@ -169,7 +116,7 @@ fn hedge_first_reply_wins_and_abandons_the_slow_replica() {
         FailAction::Delay(Duration::from_millis(400)),
     );
     let start = Instant::now();
-    let (status, body) = raw_get(front.addr(), "/cell?cell=*,*&level=fine");
+    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
     let elapsed = start.elapsed();
     assert_eq!(status, 200, "got {body:?}");
     let v = parse(&body);
@@ -234,7 +181,7 @@ fn hedge_pair_is_never_gathered_twice() {
         );
     }
     for _ in 0..3 {
-        let (status, body) = raw_get(front.addr(), "/cell?cell=*,*&level=fine");
+        let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
         assert_eq!(status, 200, "got {body:?}");
         let v = parse(&body);
         assert_eq!(
@@ -277,7 +224,7 @@ fn exhausted_budget_suppresses_the_hedge() {
         FailAction::Delay(Duration::from_millis(150)),
     );
     let start = Instant::now();
-    let (status, body) = raw_get(front.addr(), "/cell?cell=*,*&level=fine");
+    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
     let elapsed = start.elapsed();
     assert_eq!(status, 200, "got {body:?}");
     assert!(
@@ -329,7 +276,7 @@ fn breaker_opens_on_failures_and_probe_closes_it() {
         1,
         FailAction::ReturnErr(Some("injected transport failure".into())),
     );
-    let (status, body) = raw_get(front.addr(), "/cell?cell=*,*&level=fine");
+    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200, "retry hides the failure: {body:?}");
     assert!(parse(&body).get("partial").is_none(), "full answer: {body}");
     assert_eq!(
@@ -346,7 +293,7 @@ fn breaker_opens_on_failures_and_probe_closes_it() {
         ),
         1
     );
-    let (status, health) = raw_get(front.addr(), "/healthz");
+    let (status, _, health) = get(front.addr(), "/healthz", &[]);
     assert_eq!(status, 200);
     assert!(
         health.contains("\"open\""),
@@ -359,9 +306,9 @@ fn breaker_opens_on_failures_and_probe_closes_it() {
     std::thread::sleep(Duration::from_millis(80));
     let deadline = Instant::now() + Duration::from_secs(3);
     loop {
-        let (status, body) = raw_get(front.addr(), "/cell?cell=*,*&level=fine");
+        let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
         assert_eq!(status, 200, "got {body:?}");
-        let (_, health) = raw_get(front.addr(), "/healthz");
+        let (_, _, health) = get(front.addr(), "/healthz", &[]);
         if !health.contains("\"open\"") && !health.contains("\"half_open\"") {
             break;
         }
@@ -395,7 +342,7 @@ fn one_dead_replica_per_shard_keeps_every_answer_full() {
     let (mut groups, front) = boot_replicated(&db, &spec, 2, 2, |_| {});
 
     let assert_full = |tag: &str| {
-        let (status, body) = raw_get(front.addr(), "/cell?cell=*,*&level=fine");
+        let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
         assert_eq!(status, 200, "{tag}: got {body:?}");
         let v = parse(&body);
         assert_eq!(
@@ -421,7 +368,7 @@ fn one_dead_replica_per_shard_keeps_every_answer_full() {
 
     // The dead replicas were discovered: they carry failure streaks (or
     // open breakers) in /healthz, yet no answer was partial.
-    let (_, health) = raw_get(front.addr(), "/healthz");
+    let (_, _, health) = get(front.addr(), "/healthz", &[]);
     let v = parse(&health);
     let sets = v
         .get("replica_sets")
@@ -429,5 +376,50 @@ fn one_dead_replica_per_shard_keeps_every_answer_full() {
         .expect("replica_sets in healthz");
     assert_eq!(sets.len(), 2);
 
+    shutdown_all(groups, front);
+}
+
+/// A front worker that panics mid-request is joined by the supervisor,
+/// counted in the front's `/healthz` and under `federate.worker.crashes`,
+/// and replaced — and the failpoint carries the front's scope, so no
+/// shard worker in the same process dies with it.
+#[test]
+fn front_worker_panic_is_counted_and_respawned() {
+    let _guard = lock_globals();
+    let (db, spec) = gen_db(40, 76);
+    let (groups, front) = boot_replicated(&db, &spec, 2, 1, |_| {});
+
+    // Exactly one request panics its worker; the client sees a hangup.
+    flowcube_testkit::arm_times("federate.worker.request", 1, FailAction::Panic(None));
+    let raw = raw_roundtrip(front.addr(), b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert!(raw.is_empty(), "panicked worker must not answer: {raw:?}");
+
+    // The supervisor notices within its poll interval and respawns.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (status, _, health) = get(front.addr(), "/healthz", &[]);
+        assert_eq!(status, 200);
+        if health.contains("\"worker_crashes\":1") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "crash never recorded: {health}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(counter("federate.worker.crashes", &[]), 1);
+    assert_eq!(counter("serve.worker.crashes", &[]), 0);
+    for backend in groups.iter().flatten() {
+        assert_eq!(backend.state().health.worker_crashes(), 0);
+    }
+
+    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
+    assert_eq!(status, 200, "got {body:?}");
+    let v = parse(&body);
+    assert_eq!(
+        v.get("support").and_then(Value::as_u64),
+        Some(db.len() as u64)
+    );
+    assert!(v.get("partial").is_none(), "full answer: {body}");
+
+    flowcube_testkit::reset();
     shutdown_all(groups, front);
 }

@@ -15,9 +15,11 @@
 //! | `/paths/probability`  | `cell`, `level`, `path`                     | `flowgraph::path_probability` |
 //! | `/exceptions`         | `cell`, `level`                             | cell exception list |
 //! | `/stats`              | —                                           | build stats + cube shape |
-//! | `/metrics`            | `format` (`prometheus` or JSON default)     | `flowcube-obs` registry export |
 //! | `/healthz`            | —                                           | liveness + worker-crash health |
-//! | `/debug/flight`       | —                                           | flight-recorder ring dump |
+//!
+//! plus the two routes [`handle_request`] answers for every service:
+//! `/metrics` (`format=prometheus` or JSON default; the `flowcube-obs`
+//! registry export) and `/debug/flight` (the flight-recorder ring).
 //!
 //! Two non-`GET` admin routes: `POST /admin/reload` revalidates and
 //! atomically swaps the backing snapshot ([`AppState::reload`]), and
@@ -31,6 +33,7 @@ use crate::columnar::{encode_cuboid, ColumnarSection, StringTable, StringsCtx};
 use crate::deltalog;
 use crate::error::{ApiError, SnapshotError};
 use crate::http::Request;
+use crate::server::{Scope, Service};
 use crate::snapshot::Snapshot;
 use flowcube_core::{
     display_key, view, CellKey, CubeDelta, Cuboid, CuboidKey, CuboidRead, FlowCube, Route,
@@ -263,29 +266,20 @@ impl ServedCube {
 /// Worker-pool health: crash counting and the degradation threshold.
 ///
 /// A worker thread that panics is respawned by the server's supervisor,
-/// which records the crash here. `/healthz` reports `degraded` (with
-/// `ok: false`) once `degraded_after` crashes have accumulated — the
-/// server still answers, but an orchestrator watching health should
-/// recycle it.
+/// which has the service record the crash here. The query API's
+/// `/healthz` reports `degraded` (with `ok: false`) once
+/// `degraded_after` crashes have accumulated — the server still
+/// answers, but an orchestrator watching health should recycle it.
+#[derive(Default)]
 pub struct HealthState {
     worker_crashes: AtomicU64,
     /// Crash count at which health turns degraded; `0` disables.
     degraded_after: AtomicU64,
 }
 
-impl Default for HealthState {
-    fn default() -> Self {
-        HealthState {
-            worker_crashes: AtomicU64::new(0),
-            degraded_after: AtomicU64::new(0),
-        }
-    }
-}
-
 impl HealthState {
     /// Record one worker panic; returns the new total.
     pub fn record_worker_crash(&self) -> u64 {
-        flowcube_obs::counter_add("serve.worker.crashes", 1);
         flight::record(FlightKind::WorkerCrash, 0, 0, 0, 0);
         self.worker_crashes.fetch_add(1, Ordering::SeqCst) + 1
     }
@@ -343,6 +337,7 @@ impl RequestCtx {
 /// freshly validated snapshot while in-flight requests keep the cube
 /// they started with.
 pub struct AppState {
+    scope: Scope,
     cube: RwLock<Arc<ServedCube>>,
     pub cache: ResponseCache,
     pub health: HealthState,
@@ -364,6 +359,7 @@ pub struct AppState {
 impl AppState {
     pub fn new(cube: ServedCube, cache: ResponseCache) -> Self {
         AppState {
+            scope: Scope::new("serve", ENDPOINTS),
             cube: RwLock::new(Arc::new(cube)),
             cache,
             health: HealthState::default(),
@@ -403,6 +399,7 @@ impl AppState {
     pub fn install_cube(&self, cube: ServedCube) {
         *self.cube.write() = Arc::new(cube);
         self.cache.clear();
+        flowcube_obs::gauge_set("serve.cache.entries", 0.0);
     }
 
     /// Hot-reload the snapshot backing this server.
@@ -1025,9 +1022,7 @@ fn handle_stats(served: &ServedCube) -> Result<String, ApiError> {
 /// the client asks for it (`?format=prometheus`, or an `Accept` header
 /// naming `text/plain`), the original JSON export otherwise — existing
 /// scrapers keep working unchanged.
-fn metrics_response(state: &AppState, req: &Request) -> HttpResponse {
-    flowcube_obs::gauge_set("serve.cache.hit_rate", state.cache.hit_rate());
-    flowcube_obs::gauge_set("serve.cache.entries", state.cache.len() as f64);
+fn metrics_response(req: &Request) -> HttpResponse {
     let snapshot = flowcube_obs::snapshot();
     let accept = req.header("accept").unwrap_or("");
     let prometheus = match req.param("format") {
@@ -1054,13 +1049,29 @@ struct FlightResponse {
     events: Vec<flight::FlightEvent>,
 }
 
-fn handle_flight() -> Result<String, ApiError> {
-    Ok(json(&FlightResponse {
-        enabled: flight::is_enabled(),
-        capacity: flight::CAPACITY,
-        recorded_total: flight::recorded_total(),
-        events: flight::snapshot(),
-    }))
+/// Paths and metric tags of the built-in routes.
+pub(crate) const BUILTIN_ENDPOINTS: &[(&str, &str)] =
+    &[("/metrics", "metrics"), ("/debug/flight", "debug_flight")];
+
+/// The routes every service answers the same way, from process-global
+/// state: the metrics registry and the flight ring.
+fn builtin(req: &Request) -> Option<HttpResponse> {
+    if req.method != "GET" {
+        return None;
+    }
+    match req.path.as_str() {
+        "/metrics" => Some(metrics_response(req)),
+        "/debug/flight" => Some(HttpResponse::json(
+            200,
+            json(&FlightResponse {
+                enabled: flight::is_enabled(),
+                capacity: flight::CAPACITY,
+                recorded_total: flight::recorded_total(),
+                events: flight::snapshot(),
+            }),
+        )),
+        _ => None,
+    }
 }
 
 // ---- dispatch -----------------------------------------------------------
@@ -1074,27 +1085,22 @@ fn cacheable(path: &str) -> bool {
     )
 }
 
-/// Metric tag for an endpoint path.
-fn endpoint_tag(path: &str) -> &'static str {
-    match path {
-        "/cell" => "cell",
-        "/rollup" => "rollup",
-        "/drilldown" => "drilldown",
-        "/slice" => "slice",
-        "/dice" => "dice",
-        "/paths/topk" => "paths_topk",
-        "/paths/probability" => "paths_probability",
-        "/exceptions" => "exceptions",
-        "/stats" => "stats",
-        "/metrics" => "metrics",
-        "/healthz" => "healthz",
-        "/debug/flight" => "debug_flight",
-        "/admin/reload" => "admin_reload",
-        "/admin/ingest" => "admin_ingest",
-        "/admin/compact" => "admin_compact",
-        _ => "other",
-    }
-}
+/// The query API's paths and their metric tags.
+const ENDPOINTS: &[(&str, &str)] = &[
+    ("/cell", "cell"),
+    ("/rollup", "rollup"),
+    ("/drilldown", "drilldown"),
+    ("/slice", "slice"),
+    ("/dice", "dice"),
+    ("/paths/topk", "paths_topk"),
+    ("/paths/probability", "paths_probability"),
+    ("/exceptions", "exceptions"),
+    ("/stats", "stats"),
+    ("/healthz", "healthz"),
+    ("/admin/reload", "admin_reload"),
+    ("/admin/ingest", "admin_ingest"),
+    ("/admin/compact", "admin_compact"),
+];
 
 /// Every routable `GET` endpoint tag. A scrape conformance check walks
 /// this list and fails if any of them is missing a per-endpoint latency
@@ -1117,37 +1123,14 @@ pub fn registered_endpoints() -> &'static [&'static str] {
     ]
 }
 
-/// The flight-recorder label id for an endpoint tag. Interning happens
-/// once per process (first request); after that the lookup is a scan of
-/// a ~14-entry table with no locks on the record path.
-fn flight_label(tag: &'static str) -> u16 {
-    static TABLE: OnceLock<Vec<(&'static str, u16)>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t: Vec<(&'static str, u16)> = registered_endpoints()
-            .iter()
-            .map(|&tag| (tag, flight::intern(tag)))
-            .collect();
-        for tag in ["admin_reload", "admin_ingest", "admin_compact", "other"] {
-            t.push((tag, flight::intern(tag)));
-        }
-        t
-    });
-    table
-        .iter()
-        .find(|(t, _)| *t == tag)
-        .map(|&(_, id)| id)
-        .unwrap_or(0)
-}
+/// The `status` label values of the per-endpoint latency histograms,
+/// and the suffixes of the `{scope}.responses.*` counters.
+pub(crate) const STATUS_CLASSES: [&str; 6] = ["1xx", "2xx", "3xx", "4xx", "5xx", "other"];
 
-/// The `status` label of the per-endpoint latency histograms.
-pub fn status_class(status: u16) -> &'static str {
+fn status_class(status: u16) -> usize {
     match status / 100 {
-        1 => "1xx",
-        2 => "2xx",
-        3 => "3xx",
-        4 => "4xx",
-        5 => "5xx",
-        _ => "other",
+        n @ 1..=5 => n as usize - 1,
+        _ => 5,
     }
 }
 
@@ -1199,7 +1182,7 @@ static NEXT_REQUEST: AtomicU64 = AtomicU64::new(1);
 /// The request's identity: honor a well-formed inbound `X-Request-Id`,
 /// mint one otherwise. Returns the string id (echoed to the client on
 /// every response) and the numeric trace id recorded on flight events.
-pub fn assign_request_id(req: &Request) -> (String, u64) {
+fn assign_request_id(req: &Request) -> (String, u64) {
     if let Some(id) = req.header("x-request-id") {
         if valid_request_id(id) {
             return (id.to_string(), fnv1a(id));
@@ -1240,44 +1223,46 @@ impl HttpResponse {
     }
 }
 
-/// Route and answer one request under `ctx`'s limits, with the full
-/// observability pipeline around the handler:
+/// Answer one request on behalf of `service`, under `ctx`'s limits. This
+/// is the request envelope every tier shares — the observability
+/// pipeline around [`Service::route`]:
 ///
 /// - assigns the request id (honoring inbound `X-Request-Id`) and
 ///   echoes it back on the response,
 /// - records flight `RequestStart`/`RequestEnd` events keyed by the
 ///   numeric trace id,
 /// - records latency into the flat histograms and into the labeled
-///   `serve.request.latency_us{endpoint=..,status=..}` family,
-/// - records queue-wait and attaches `Retry-After` to retryable errors,
+///   `{scope}.request.latency_us{endpoint=..,status=..}` family, and
+///   the queue wait,
+/// - answers the built-in `/metrics` and `/debug/flight` itself,
 /// - appends a structured access-log entry, embedding the flight
 ///   recorder window when the response is 5xx or past the slow
 ///   threshold.
-pub fn handle_request(state: &AppState, req: &Request, ctx: &RequestCtx) -> HttpResponse {
+pub fn handle_request<S: Service>(service: &S, req: &Request, ctx: &RequestCtx) -> HttpResponse {
     let start = Instant::now();
-    let tag = endpoint_tag(&req.path);
-    let label = flight_label(tag);
+    let scope = service.scope();
+    let (tag, label) = scope.endpoint(&req.path);
     let (id, trace) = assign_request_id(req);
     flight::record(FlightKind::RequestStart, trace, label, 0, ctx.queue_wait_us);
-    flowcube_obs::counter_add("serve.requests.total", 1);
-    flowcube_obs::counter_add(&format!("serve.requests.{tag}"), 1);
-    flowcube_obs::histogram_record("serve.queue.wait_us", ctx.queue_wait_us as f64);
+    flowcube_obs::counter_add(&scope.requests_total, 1);
+    flowcube_obs::counter_add(&format!("{}.requests.{tag}", scope.name), 1);
+    flowcube_obs::histogram_record(&scope.queue_wait_us, ctx.queue_wait_us as f64);
 
-    let mut resp = respond(state, req, ctx, trace);
+    let mut resp = builtin(req).unwrap_or_else(|| service.route(req, ctx, trace));
 
     let latency_us = start.elapsed().as_micros() as u64;
     let us = latency_us as f64;
-    flowcube_obs::histogram_record("serve.latency_us", us);
-    flowcube_obs::histogram_record(&format!("serve.latency_us.{tag}"), us);
+    let class = status_class(resp.status);
+    flowcube_obs::histogram_record(&scope.latency_us, us);
+    flowcube_obs::histogram_record(&format!("{}.latency_us.{tag}", scope.name), us);
     flowcube_obs::histogram_record(
         &flowcube_obs::labeled(
-            "serve.request.latency_us",
-            &[("endpoint", tag), ("status", status_class(resp.status))],
+            &scope.request_latency_us,
+            &[("endpoint", tag), ("status", STATUS_CLASSES[class])],
         ),
         us,
     );
-    flowcube_obs::counter_add(&format!("serve.responses.{}xx", resp.status / 100), 1);
-    flowcube_obs::gauge_set("serve.cache.hit_rate", state.cache.hit_rate());
+    flowcube_obs::counter_add(&scope.responses[class], 1);
     flight::record(
         FlightKind::RequestEnd,
         trace,
@@ -1287,7 +1272,7 @@ pub fn handle_request(state: &AppState, req: &Request, ctx: &RequestCtx) -> Http
     );
     resp.headers.push(("X-Request-Id".to_string(), id.clone()));
 
-    if let Some(log) = &state.access {
+    if let Some(log) = service.access_log() {
         let dump_reason = if resp.status >= 500 {
             "5xx"
         } else if log.is_slow(latency_us) {
@@ -1311,7 +1296,10 @@ pub fn handle_request(state: &AppState, req: &Request, ctx: &RequestCtx) -> Http
     resp
 }
 
-fn error_response(e: &ApiError) -> HttpResponse {
+/// The one error body — `{"error": "<e>"}`, built by `serde` so any
+/// byte a hostile request line smuggles into `e` is escaped — with
+/// `Retry-After` on the overload-shaped statuses.
+pub fn error_response(e: &ApiError) -> HttpResponse {
     let mut resp = HttpResponse::json(
         e.status(),
         json(&ErrorResponse {
@@ -1323,6 +1311,32 @@ fn error_response(e: &ApiError) -> HttpResponse {
             .push(("Retry-After".to_string(), secs.to_string()));
     }
     resp
+}
+
+impl Service for AppState {
+    fn scope(&self) -> &Scope {
+        &self.scope
+    }
+
+    fn route(&self, req: &Request, ctx: &RequestCtx, trace: u64) -> HttpResponse {
+        let resp = respond(self, req, ctx, trace);
+        flowcube_obs::gauge_set("serve.cache.hit_rate", self.cache.hit_rate());
+        resp
+    }
+
+    fn worker_crashed(&self) {
+        self.health.record_worker_crash();
+    }
+
+    fn access_log(&self) -> Option<&AccessLog> {
+        self.access.as_ref()
+    }
+
+    fn on_sighup(&self) {
+        // Failures keep the old cube; the outcome lands in the
+        // serve.reload.{ok,failed} counters either way.
+        let _ = self.reload();
+    }
 }
 
 fn respond(state: &AppState, req: &Request, ctx: &RequestCtx, trace: u64) -> HttpResponse {
@@ -1345,42 +1359,25 @@ fn respond(state: &AppState, req: &Request, ctx: &RequestCtx, trace: u64) -> Htt
         };
     }
     if req.method != "GET" {
-        return HttpResponse::json(
-            405,
-            json(&ErrorResponse {
-                error: format!("method {} not allowed", req.method),
-            }),
-        );
+        return error_response(&ApiError::MethodNotAllowed(req.method.clone()));
     }
 
-    let tag = endpoint_tag(&req.path);
+    let (_, label) = state.scope.endpoint(&req.path);
     let use_cache = cacheable(&req.path);
     let cache_key = req.cache_key();
     if use_cache {
         if let Some(hit) = state.cache.get(&cache_key) {
-            flight::record(
-                FlightKind::CacheHit,
-                trace,
-                flight_label(tag),
-                hit.status,
-                0,
-            );
+            flight::record(FlightKind::CacheHit, trace, label, hit.status, 0);
             return HttpResponse::json(hit.status, hit.body.clone());
         }
-        flight::record(FlightKind::CacheMiss, trace, flight_label(tag), 0, 0);
+        flight::record(FlightKind::CacheMiss, trace, label, 0, 0);
     }
 
     // Fault injection: stall the request here (as a slow disk or a
     // pathological query would) so the deadline checks are testable.
     flowcube_testkit::fail_point_unit("serve.request");
     if let Err(e) = ctx.check_deadline() {
-        flight::record(
-            FlightKind::Deadline,
-            trace,
-            flight_label(tag),
-            e.status(),
-            0,
-        );
+        flight::record(FlightKind::Deadline, trace, label, e.status(), 0);
         return error_response(&e);
     }
 
@@ -1395,8 +1392,6 @@ fn respond(state: &AppState, req: &Request, ctx: &RequestCtx, trace: u64) -> Htt
         "/paths/probability" => handle_probability(&served, req),
         "/exceptions" => handle_exceptions(&served, req),
         "/stats" => handle_stats(&served),
-        "/metrics" => return metrics_response(state, req),
-        "/debug/flight" => handle_flight(),
         "/healthz" => {
             let degraded = state.health.degraded();
             Ok(json(&HealthResponse {
@@ -1422,18 +1417,13 @@ fn respond(state: &AppState, req: &Request, ctx: &RequestCtx, trace: u64) -> Htt
                         body: body.clone(),
                     },
                 );
+                flowcube_obs::gauge_set("serve.cache.entries", state.cache.len() as f64);
             }
             HttpResponse::json(200, body)
         }
         Err(e) => {
             if matches!(e, ApiError::Deadline) {
-                flight::record(
-                    FlightKind::Deadline,
-                    trace,
-                    flight_label(tag),
-                    e.status(),
-                    0,
-                );
+                flight::record(FlightKind::Deadline, trace, label, e.status(), 0);
             }
             error_response(&e)
         }

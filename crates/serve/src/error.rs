@@ -99,6 +99,17 @@ pub enum ApiError {
     Snapshot(SnapshotError),
     /// The request's deadline elapsed before an answer was produced.
     Deadline,
+    /// Nothing behind this server could answer right now (the front
+    /// tier, when every shard of a fan-out failed).
+    Unavailable(String),
+    /// The bytes on the socket were not a request (the parser's detail).
+    Malformed(String),
+    /// The request head or body exceeded its bound.
+    TooLarge,
+    /// The route does not take this method.
+    MethodNotAllowed(String),
+    /// The accept queue was full: the connection is shed at the door.
+    Overloaded,
 }
 
 impl ApiError {
@@ -107,7 +118,7 @@ impl ApiError {
     /// variants rather than string matching.
     pub fn status(&self) -> u16 {
         match self {
-            ApiError::BadRequest(_) => 400,
+            ApiError::BadRequest(_) | ApiError::Malformed(_) => 400,
             ApiError::NotFound(_) => 404,
             ApiError::Core(e) => match e {
                 CoreError::UnknownPathLevel { .. } | CoreError::UnresolvedCell { .. } => 404,
@@ -118,7 +129,10 @@ impl ApiError {
                 CoreError::Ingest { .. } => 400,
             },
             ApiError::Snapshot(_) => 500,
-            ApiError::Deadline => 503,
+            ApiError::Deadline | ApiError::Unavailable(_) => 503,
+            ApiError::TooLarge => 431,
+            ApiError::MethodNotAllowed(_) => 405,
+            ApiError::Overloaded => 429,
         }
     }
 
@@ -129,7 +143,7 @@ impl ApiError {
     /// where retrying as-is only adds load.
     pub fn retry_after_secs(&self) -> Option<u64> {
         match self {
-            ApiError::Deadline => Some(1),
+            ApiError::Deadline | ApiError::Unavailable(_) | ApiError::Overloaded => Some(1),
             _ => None,
         }
     }
@@ -143,6 +157,11 @@ impl fmt::Display for ApiError {
             ApiError::Core(e) => write!(f, "{e}"),
             ApiError::Snapshot(e) => write!(f, "{e}"),
             ApiError::Deadline => write!(f, "deadline exceeded"),
+            ApiError::Unavailable(m) => write!(f, "{m}"),
+            ApiError::Malformed(detail) => write!(f, "malformed request: {detail}"),
+            ApiError::TooLarge => write!(f, "request too large"),
+            ApiError::MethodNotAllowed(method) => write!(f, "method {method} not allowed"),
+            ApiError::Overloaded => write!(f, "server overloaded"),
         }
     }
 }

@@ -1,9 +1,14 @@
 //! Minimal HTTP/1.1 request parsing and response writing over
-//! `std::net::TcpStream` — just enough surface for the query API: GET
-//! requests with query strings, bounded header sizes, per-connection
-//! read/write timeouts, `Connection: close` semantics (one request per
-//! connection keeps the worker pool and the shutdown path simple).
+//! `std::net::TcpStream` — the wire code of the server runtime
+//! ([`crate::server`]), so of the query API and of the federation front
+//! alike: `GET` requests with query strings and `POST` requests with a
+//! `Content-Length` body, head and body sizes bounded
+//! ([`MAX_HEAD_BYTES`], [`MAX_BODY_BYTES`]), `Connection: close`
+//! semantics (one request per connection keeps the worker pool and the
+//! shutdown path simple). Socket timeouts are the caller's: the parser
+//! honors whatever the stream carries.
 
+use crate::api::HttpResponse;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -214,30 +219,20 @@ pub fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Write a complete response and flush. `Connection: close` is always
-/// sent — the server serves one request per connection.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    write_response_with(stream, status, "application/json", &[], body)
-}
-
-/// [`write_response`] with an explicit content type and extra headers
-/// (`X-Request-Id`, `Retry-After`, …). Header values must not contain
-/// CR/LF — anything after one is dropped rather than injected.
-pub fn write_response_with(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    headers: &[(String, String)],
-    body: &str,
-) -> std::io::Result<()> {
+/// Write a complete response — status, content type, extra headers
+/// (`X-Request-Id`, `Retry-After`, …), body — and flush. `Connection:
+/// close` is always sent: the server serves one request per connection.
+/// Header values must not contain CR/LF — anything after one is dropped
+/// rather than injected.
+pub fn write_response(stream: &mut TcpStream, resp: &HttpResponse) -> std::io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        status,
-        status_text(status),
-        content_type,
-        body.len()
+        resp.status,
+        status_text(resp.status),
+        resp.content_type,
+        resp.body.len()
     );
-    for (name, value) in headers {
+    for (name, value) in &resp.headers {
         let name = name.split(['\r', '\n']).next().unwrap_or_default();
         let value = value.split(['\r', '\n']).next().unwrap_or_default();
         head.push_str(name);
@@ -247,7 +242,7 @@ pub fn write_response_with(
     }
     head.push_str("\r\n");
     stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(resp.body.as_bytes())?;
     stream.flush()
 }
 

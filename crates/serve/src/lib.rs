@@ -19,7 +19,10 @@
 //!    queue that sheds load with `429` instead of buffering without
 //!    bound, per-connection socket timeouts, a sharded LRU response
 //!    cache ([`cache::ResponseCache`]) fronting the flowgraph-heavy
-//!    endpoints, and graceful shutdown on `SIGINT`/`SIGTERM`.
+//!    endpoints, and graceful shutdown on `SIGINT`/`SIGTERM`. The
+//!    listener runtime and the request envelope are generic over a
+//!    [`server::Service`]: [`server::host`] runs the federation front
+//!    (`flowcube-federate`) on the same code.
 //!
 //! Every request is traced through `flowcube-obs` (`serve.requests.*`,
 //! `serve.latency_us*`, `serve.cache.*`, per-endpoint × status-class
@@ -52,14 +55,13 @@ pub mod snapshot;
 
 pub use access::{AccessEntry, AccessLog};
 pub use api::{
-    assign_request_id, handle_request, registered_endpoints, status_class, AppState,
-    CompactResponse, HealthState, HttpResponse, IngestResponse, ReloadResponse, RequestCtx,
-    ServedCube,
+    error_response, handle_request, registered_endpoints, AppState, CompactResponse, HealthState,
+    HttpResponse, IngestResponse, ReloadResponse, RequestCtx, ServedCube,
 };
 pub use cache::{CachedResponse, ResponseCache};
 pub use columnar::{ColumnarSection, GraphView, StringTable, StringsCtx};
 pub use compact::{compact, recover, CompactReport, Recovery};
 pub use deltalog::{append_delta, deltalog_path, read_deltas, read_deltas_up_to};
 pub use error::{ApiError, SnapshotError};
-pub use server::{serve, serve_cube, take_reload_request, ServerConfig, ServerHandle};
+pub use server::{host, serve, serve_cube, Scope, ServerConfig, ServerHandle, Service};
 pub use snapshot::{load_v1_cube, write_snapshot, Snapshot, SnapshotInfo, FORMAT_VERSION};

@@ -1,5 +1,12 @@
-//! The concurrent query server: a hand-rolled HTTP/1.1 front end over
-//! `std::net::TcpListener`.
+//! The server runtime: a hand-rolled HTTP/1.1 listener over
+//! `std::net::TcpListener` that hosts a [`Service`] — the query API
+//! ([`AppState`]) or the federation front.
+//!
+//! A service is what differs between the tiers and nothing else: its
+//! [`Scope`] (the name that prefixes the runtime's metric series, and
+//! the path → endpoint-tag table), its route function, a crash hook, an
+//! optional access log and an optional `SIGHUP` hook. Everything below
+//! is the runtime's and is the same for every service.
 //!
 //! Threading model:
 //!
@@ -7,33 +14,36 @@
 //!   pushes them onto a bounded queue;
 //! * `workers` **worker** threads pop connections, apply socket
 //!   read/write timeouts, parse one request, answer it through
-//!   [`crate::api::handle_request`], and close;
+//!   [`crate::api::handle_request`] (the request envelope around the
+//!   service's route), and close;
 //! * when the queue is full the acceptor answers `429 Too Many
 //!   Requests` inline and drops the connection — load shedding at the
 //!   door instead of unbounded buffering.
 //!
 //! Shutdown is cooperative: [`ServerHandle::shutdown`] (or `SIGINT`/
 //! `SIGTERM` via [`ServerHandle::wait_for_signals`]) flips a flag; the
-//! acceptor (polling with a short accept timeout) and the workers
+//! acceptor (unblocked by a wake-up connection) and the workers
 //! (polling the queue with a short wait timeout) notice it and drain.
 //!
 //! Fault tolerance:
 //!
 //! * workers run under a **supervisor** thread: a worker that panics is
-//!   joined, counted (`serve.worker.crashes`, surfaced on `/healthz`),
+//!   joined, counted (`{scope}.worker.crashes`, surfaced on `/healthz`),
 //!   and respawned, so one poisonous request cannot shrink the pool;
-//!   past [`ServerConfig::degraded_after`] crashes `/healthz` reports
-//!   `degraded`;
+//!   past [`ServerConfig::degraded_after`] crashes the query API's
+//!   `/healthz` reports `degraded`;
 //! * [`ServerConfig::request_deadline`] bounds each request
 //!   cooperatively — blown deadlines answer `503`;
-//! * `SIGHUP` (or `POST /admin/reload`) hot-reloads the backing
-//!   snapshot: the replacement is fully validated before the cube is
-//!   swapped, and any validation failure leaves the old cube serving.
+//! * `SIGHUP` (or `POST /admin/reload`) hot-reloads the query API's
+//!   backing snapshot: the replacement is fully validated before the
+//!   cube is swapped, and any validation failure leaves the old cube
+//!   serving.
 
 use crate::access::AccessLog;
-use crate::api::{handle_request, AppState, RequestCtx};
+use crate::api::{error_response, handle_request, AppState, HttpResponse, RequestCtx};
 use crate::cache::ResponseCache;
-use crate::http::{read_request, write_response, write_response_with, HttpError};
+use crate::error::ApiError;
+use crate::http::{read_request, write_response, HttpError, Request};
 use flowcube_obs::flight::{self, FlightKind};
 use std::collections::VecDeque;
 use std::io;
@@ -43,7 +53,100 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// One HTTP tier hosted on the runtime.
+pub trait Service: Send + Sync + 'static {
+    /// The tier's name, series names and endpoint tags.
+    fn scope(&self) -> &Scope;
+
+    /// Answer one parsed request. Runs inside the request envelope
+    /// ([`crate::api::handle_request`]), which has already answered the
+    /// built-in `/metrics` and `/debug/flight`; `trace` is the numeric
+    /// request id flight events carry.
+    fn route(&self, req: &Request, ctx: &RequestCtx, trace: u64) -> HttpResponse;
+
+    /// The supervisor joined a worker that had panicked.
+    fn worker_crashed(&self);
+
+    /// Where the envelope logs each request, if anywhere.
+    fn access_log(&self) -> Option<&AccessLog> {
+        None
+    }
+
+    /// `SIGHUP` arrived while [`ServerHandle::wait_for_signals`] waited.
+    fn on_sighup(&self) {}
+}
+
+/// A service's name and everything derived from it, built once so that
+/// neither the runtime nor the envelope formats a series name per
+/// request.
+pub struct Scope {
+    /// `"serve"` / `"federate"`: prefixes every series below, the
+    /// runtime's thread names and the worker failpoint, so two tiers in
+    /// one process (a front and its shards, in tests and benchmarks)
+    /// never write each other's series.
+    pub name: &'static str,
+    /// `(path, endpoint tag, flight label)` per routable path.
+    endpoints: Vec<(&'static str, &'static str, u16)>,
+    /// Flight label of the `"other"` tag every unlisted path gets.
+    other: u16,
+    pub(crate) requests_total: String,
+    pub(crate) latency_us: String,
+    pub(crate) request_latency_us: String,
+    pub(crate) queue_wait_us: String,
+    /// `{name}.responses.Nxx`, indexed like [`crate::api::STATUS_CLASSES`].
+    pub(crate) responses: [String; 6],
+    queue_depth: String,
+    shed: String,
+    worker_crashes: String,
+    malformed: String,
+    disconnected: String,
+    started: String,
+    /// Failpoint evaluated by a worker that has claimed a connection.
+    worker_request: String,
+}
+
+impl Scope {
+    /// `endpoints` maps each path the service routes to its metric tag;
+    /// the built-in routes bring their own.
+    pub fn new(name: &'static str, endpoints: &[(&'static str, &'static str)]) -> Scope {
+        let series = |suffix: &str| format!("{name}.{suffix}");
+        Scope {
+            name,
+            endpoints: endpoints
+                .iter()
+                .chain(crate::api::BUILTIN_ENDPOINTS)
+                .map(|&(path, tag)| (path, tag, flight::intern(tag)))
+                .collect(),
+            other: flight::intern("other"),
+            requests_total: series("requests.total"),
+            latency_us: series("latency_us"),
+            request_latency_us: series("request.latency_us"),
+            queue_wait_us: series("queue.wait_us"),
+            responses: crate::api::STATUS_CLASSES
+                .map(|class| series(&format!("responses.{class}"))),
+            queue_depth: series("queue.depth"),
+            shed: series("shed"),
+            worker_crashes: series("worker.crashes"),
+            malformed: series("malformed"),
+            disconnected: series("disconnected"),
+            started: series("started"),
+            worker_request: series("worker.request"),
+        }
+    }
+
+    /// The metric tag and flight label of a request path.
+    pub fn endpoint(&self, path: &str) -> (&'static str, u16) {
+        self.endpoints
+            .iter()
+            .find(|(p, _, _)| *p == path)
+            .map_or(("other", self.other), |&(_, tag, label)| (tag, label))
+    }
+}
+
 /// Server tunables; `Default` is sized for tests and small deployments.
+/// The runtime ([`host`]) reads `addr`, `workers`, `queue_depth`, the two
+/// socket timeouts and `request_deadline`; the rest configure the query
+/// API ([`serve`]).
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
@@ -107,14 +210,17 @@ struct ConnQueue {
     queue: std::sync::Mutex<VecDeque<(TcpStream, Instant)>>,
     ready: std::sync::Condvar,
     depth: usize,
+    /// The `{scope}.queue.depth` gauge.
+    gauge: String,
 }
 
 impl ConnQueue {
-    fn new(depth: usize) -> Self {
+    fn new(depth: usize, gauge: String) -> Self {
         ConnQueue {
             queue: std::sync::Mutex::new(VecDeque::new()),
             ready: std::sync::Condvar::new(),
             depth: depth.max(1),
+            gauge,
         }
     }
 
@@ -130,7 +236,7 @@ impl ConnQueue {
             return Err(stream);
         }
         q.push_back((stream, Instant::now()));
-        flowcube_obs::gauge_set("serve.queue.depth", q.len() as f64);
+        flowcube_obs::gauge_set(&self.gauge, q.len() as f64);
         drop(q);
         self.ready.notify_one();
         Ok(())
@@ -149,7 +255,7 @@ impl ConnQueue {
         }
         let item = q.pop_front();
         if item.is_some() {
-            flowcube_obs::gauge_set("serve.queue.depth", q.len() as f64);
+            flowcube_obs::gauge_set(&self.gauge, q.len() as f64);
         }
         drop(q);
         item.map(|(stream, enqueued)| (stream, enqueued.elapsed().as_micros() as u64))
@@ -158,21 +264,21 @@ impl ConnQueue {
 
 /// A running server; dropping the handle does **not** stop it — call
 /// [`ServerHandle::shutdown`] then [`ServerHandle::join`].
-pub struct ServerHandle {
+pub struct ServerHandle<S = AppState> {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    state: Arc<AppState>,
+    state: Arc<S>,
     threads: Vec<JoinHandle<()>>,
 }
 
-impl ServerHandle {
+impl<S: Service> ServerHandle<S> {
     /// The actual bound address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// The shared application state (health, cache, live cube).
-    pub fn state(&self) -> Arc<AppState> {
+    /// The hosted service (for the query API: health, cache, live cube).
+    pub fn state(&self) -> Arc<S> {
         self.state.clone()
     }
 
@@ -193,17 +299,17 @@ impl ServerHandle {
 
     /// Block until `SIGINT`/`SIGTERM` (or a prior [`shutdown`] call),
     /// then stop the server and join its threads. A `SIGHUP` received
-    /// while waiting triggers a snapshot hot-reload
-    /// ([`AppState::reload`]) instead of stopping.
+    /// while waiting goes to [`Service::on_sighup`] — the query API
+    /// hot-reloads its snapshot ([`AppState::reload`]) — instead of
+    /// stopping.
     ///
     /// [`shutdown`]: ServerHandle::shutdown
     pub fn wait_for_signals(self) {
-        install_signal_handlers();
-        while !self.stop.load(Ordering::SeqCst) && !signal_received() {
-            if take_reload_request() {
-                // Failures keep the old cube; the outcome lands in the
-                // serve.reload.{ok,failed} counters either way.
-                let _ = self.state.reload();
+        #[cfg(unix)]
+        sig::install();
+        while !self.stop.load(Ordering::SeqCst) && !SIGNAL_RECEIVED.load(Ordering::SeqCst) {
+            if RELOAD_REQUESTED.swap(false, Ordering::SeqCst) {
+                self.state.on_sighup();
             }
             std::thread::sleep(Duration::from_millis(100));
         }
@@ -212,9 +318,22 @@ impl ServerHandle {
     }
 }
 
-/// Start serving `state` per `config`. Returns once the listener is
-/// bound and the worker pool is running.
+/// Start the query API over `state` per `config`. Returns once the
+/// listener is bound and the worker pool is running.
 pub fn serve(mut state: AppState, config: ServerConfig) -> io::Result<ServerHandle> {
+    if state.access.is_none() {
+        if let Some(spec) = &config.access_log {
+            state.access = Some(AccessLog::open(spec, config.slow_request_ms)?);
+        }
+    }
+    state.health.set_degraded_after(config.degraded_after);
+    state.set_compact_policy(config.compact_after_bytes, config.compact_after_secs);
+    host(state, &config)
+}
+
+/// Host `service` on a listener per `config`'s runtime fields. Returns
+/// once the listener is bound and the worker pool is running.
+pub fn host<S: Service>(service: S, config: &ServerConfig) -> io::Result<ServerHandle<S>> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
 
@@ -222,45 +341,37 @@ pub fn serve(mut state: AppState, config: ServerConfig) -> io::Result<ServerHand
     // always-on black box that slow-request and 5xx access-log entries
     // dump, and `/debug/flight` exposes.
     flight::enable();
-    if state.access.is_none() {
-        if let Some(spec) = &config.access_log {
-            state.access = Some(AccessLog::open(spec, config.slow_request_ms)?);
-        }
-    }
 
     let stop = Arc::new(AtomicBool::new(false));
-    let queue = Arc::new(ConnQueue::new(config.queue_depth));
-    state.health.set_degraded_after(config.degraded_after);
-    state.set_compact_policy(config.compact_after_bytes, config.compact_after_secs);
-    let state = Arc::new(state);
-
+    let state = Arc::new(service);
+    let scope = state.scope();
+    let queue = Arc::new(ConnQueue::new(
+        config.queue_depth,
+        scope.queue_depth.clone(),
+    ));
     let mut threads = Vec::with_capacity(2);
 
     // Acceptor.
     {
-        let stop = stop.clone();
-        let queue = queue.clone();
+        let (state, queue, stop) = (state.clone(), queue.clone(), stop.clone());
         threads.push(
             std::thread::Builder::new()
-                .name("serve-accept".into())
-                .spawn(move || acceptor_loop(listener, queue, stop))?,
+                .name(format!("{}-accept", scope.name))
+                .spawn(move || acceptor_loop(listener, state, queue, stop))?,
         );
     }
 
     // Supervisor — spawns the workers and respawns any that panic.
     {
-        let stop = stop.clone();
-        let queue = queue.clone();
-        let state = state.clone();
-        let config = config.clone();
+        let (state, stop, config) = (state.clone(), stop.clone(), config.clone());
         threads.push(
             std::thread::Builder::new()
-                .name("serve-supervisor".into())
+                .name(format!("{}-supervisor", scope.name))
                 .spawn(move || supervisor_loop(state, queue, stop, config))?,
         );
     }
 
-    flowcube_obs::counter_add("serve.started", 1);
+    flowcube_obs::counter_add(&scope.started, 1);
     Ok(ServerHandle {
         addr,
         stop,
@@ -275,7 +386,12 @@ pub fn serve_cube(cube: crate::api::ServedCube, config: ServerConfig) -> io::Res
     serve(AppState::new(cube, cache), config)
 }
 
-fn acceptor_loop(listener: TcpListener, queue: Arc<ConnQueue>, stop: Arc<AtomicBool>) {
+fn acceptor_loop<S: Service>(
+    listener: TcpListener,
+    service: Arc<S>,
+    queue: Arc<ConnQueue>,
+    stop: Arc<AtomicBool>,
+) {
     // Blocking accept: zero added latency on the hot path. `shutdown`
     // unblocks it with a wake-up connection.
     loop {
@@ -287,16 +403,10 @@ fn acceptor_loop(listener: TcpListener, queue: Arc<ConnQueue>, stop: Arc<AtomicB
                 if let Err(mut shed) = queue.push(stream) {
                     // Queue full: shed at the door, telling the client
                     // when to come back.
-                    flowcube_obs::counter_add("serve.shed", 1);
+                    flowcube_obs::counter_add(&service.scope().shed, 1);
                     flight::record(FlightKind::Shed, 0, 0, 429, 0);
                     let _ = shed.set_write_timeout(Some(Duration::from_millis(500)));
-                    let _ = write_response_with(
-                        &mut shed,
-                        429,
-                        "application/json",
-                        &[("Retry-After".to_string(), "1".to_string())],
-                        "{\"error\":\"server overloaded\"}",
-                    );
+                    let _ = write_response(&mut shed, &error_response(&ApiError::Overloaded));
                 }
             }
             Err(_) => {
@@ -310,24 +420,25 @@ fn acceptor_loop(listener: TcpListener, queue: Arc<ConnQueue>, stop: Arc<AtomicB
 }
 
 /// Keep the worker pool at full strength: spawn the workers, poll for
-/// finished handles, and respawn any that exited by panic. Worker
-/// crashes are recorded in [`AppState`]'s health state (`/healthz`
-/// surfaces them) and in the `serve.worker.crashes` counter. Workers
-/// that return normally (shutdown) are simply reaped.
-fn supervisor_loop(
-    state: Arc<AppState>,
+/// finished handles, and respawn any that exited by panic. A crash is
+/// counted in `{scope}.worker.crashes` and handed to
+/// [`Service::worker_crashed`] (each tier's `/healthz` surfaces the
+/// total). Workers that return normally (shutdown) are simply reaped.
+fn supervisor_loop<S: Service>(
+    service: Arc<S>,
     queue: Arc<ConnQueue>,
     stop: Arc<AtomicBool>,
     config: ServerConfig,
 ) {
+    let scope = service.scope();
     let spawn_worker = |slot: usize, generation: u64| -> Option<JoinHandle<()>> {
-        let state = state.clone();
+        let service = service.clone();
         let queue = queue.clone();
         let stop = stop.clone();
         let config = config.clone();
         std::thread::Builder::new()
-            .name(format!("serve-worker-{slot}.{generation}"))
-            .spawn(move || worker_loop(state, queue, stop, config))
+            .name(format!("{}-worker-{slot}.{generation}", scope.name))
+            .spawn(move || worker_loop(service, queue, stop, config))
             .ok()
     };
     let workers = config.workers.max(1);
@@ -346,7 +457,8 @@ fn supervisor_loop(
             if let Some(handle) = entry.take() {
                 let crashed = handle.join().is_err();
                 if crashed {
-                    state.health.record_worker_crash();
+                    flowcube_obs::counter_add(&scope.worker_crashes, 1);
+                    service.worker_crashed();
                     if !stopping {
                         generation += 1;
                         *entry = spawn_worker(slot, generation);
@@ -364,12 +476,17 @@ fn supervisor_loop(
     }
 }
 
-fn worker_loop(
-    state: Arc<AppState>,
+fn worker_loop<S: Service>(
+    service: Arc<S>,
     queue: Arc<ConnQueue>,
     stop: Arc<AtomicBool>,
     config: ServerConfig,
 ) {
+    let scope = service.scope();
+    let rejected = |e: ApiError| {
+        flowcube_obs::counter_add(&scope.malformed, 1);
+        error_response(&e)
+    };
     loop {
         let Some((mut stream, queue_wait_us)) = queue.pop(Duration::from_millis(100)) else {
             if stop.load(Ordering::SeqCst) {
@@ -379,47 +496,36 @@ fn worker_loop(
         };
         // Fault injection: kill this worker after it claimed a
         // connection — the harshest spot, since the stream dies with it.
-        // The supervisor respawns the pool slot.
-        flowcube_testkit::fail_point_unit("serve.worker.request");
+        // The supervisor respawns the pool slot. The site carries the
+        // scope's name, so arming one tier's never kills another's
+        // workers in the same process.
+        flowcube_testkit::fail_point_unit(&scope.worker_request);
         let _ = stream.set_read_timeout(Some(config.read_timeout));
         let _ = stream.set_write_timeout(Some(config.write_timeout));
-        match read_request(&mut stream) {
+        let resp = match read_request(&mut stream) {
             Ok(req) => {
                 let mut ctx = match config.request_deadline {
                     Some(timeout) => RequestCtx::with_timeout(timeout),
                     None => RequestCtx::default(),
                 };
                 ctx.queue_wait_us = queue_wait_us;
-                let resp = handle_request(&state, &req, &ctx);
-                let _ = write_response_with(
-                    &mut stream,
-                    resp.status,
-                    resp.content_type,
-                    &resp.headers,
-                    &resp.body,
-                );
-            }
-            Err(HttpError::Malformed(detail)) => {
-                flowcube_obs::counter_add("serve.malformed", 1);
-                let body = format!(
-                    "{{\"error\":\"malformed request: {}\"}}",
-                    detail.replace('"', "'")
-                );
-                let _ = write_response(&mut stream, 400, &body);
-            }
-            Err(HttpError::TooLarge) => {
-                flowcube_obs::counter_add("serve.malformed", 1);
-                let _ = write_response(&mut stream, 431, "{\"error\":\"request too large\"}");
+                handle_request(&*service, &req, &ctx)
             }
             Err(HttpError::Disconnected) => {
-                flowcube_obs::counter_add("serve.disconnected", 1);
+                flowcube_obs::counter_add(&scope.disconnected, 1);
+                continue;
             }
-        }
+            Err(HttpError::Malformed(detail)) => rejected(ApiError::Malformed(detail)),
+            Err(HttpError::TooLarge) => rejected(ApiError::TooLarge),
+        };
+        let _ = write_response(&mut stream, &resp);
         // Connection: close — drop the stream.
     }
 }
 
 // ---- signals ------------------------------------------------------------
+// `SIGINT`/`SIGTERM` (stop) and `SIGHUP` (reload) handlers flip these
+// process-wide flags; `ServerHandle::wait_for_signals` polls them.
 
 static SIGNAL_RECEIVED: AtomicBool = AtomicBool::new(false);
 static RELOAD_REQUESTED: AtomicBool = AtomicBool::new(false);
@@ -454,21 +560,4 @@ mod sig {
             signal(SIGHUP, on_reload as *const () as usize);
         }
     }
-}
-
-/// Install `SIGINT`/`SIGTERM` (stop) and `SIGHUP` (reload) handlers
-/// that flip process-wide flags.
-pub fn install_signal_handlers() {
-    #[cfg(unix)]
-    sig::install();
-}
-
-/// Whether a termination signal has been observed.
-pub fn signal_received() -> bool {
-    SIGNAL_RECEIVED.load(Ordering::SeqCst)
-}
-
-/// Consume a pending `SIGHUP` reload request, if one arrived.
-pub fn take_reload_request() -> bool {
-    RELOAD_REQUESTED.swap(false, Ordering::SeqCst)
 }

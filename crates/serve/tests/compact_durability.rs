@@ -19,12 +19,10 @@ use flowcube_serve::{
     append_delta, compact, deltalog_path, read_deltas, serve_cube, write_snapshot, Recovery,
     ServedCube, ServerConfig, ServerHandle, Snapshot,
 };
+use flowcube_testkit::http::request;
 use flowcube_testkit::FailAction;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
 
 /// Serializes every test that compacts: the failpoint registry is shared
 /// across the threads of this test binary, so a crash armed by one test
@@ -105,32 +103,6 @@ fn reconstruct(path: &Path) -> FlowCube {
     cube
 }
 
-fn request(addr: std::net::SocketAddr, method: &str, target: &str, body: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(
-        format!(
-            "{method} {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\
-             Connection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .as_bytes(),
-    )
-    .expect("write");
-    let mut out = String::new();
-    let _ = s.read_to_string(&mut out);
-    let status: u16 = out
-        .split_whitespace()
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let payload = out
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, payload)
-}
-
 fn start(served: ServedCube, config: ServerConfig) -> ServerHandle {
     serve_cube(served, config).expect("server starts")
 }
@@ -156,19 +128,20 @@ fn admin_compact_folds_sidecar_over_http() {
 
     for batch in &batches {
         let delta = CubeDelta::compute(batch, &spec, &params(), &ItemPlan::All);
-        let (status, resp) = request(
+        let (status, _, resp) = request(
             addr,
             "POST",
             "/admin/ingest",
+            &[],
             &serde_json::to_string(&delta).unwrap(),
         );
         assert_eq!(status, 200, "got {resp:?}");
     }
-    let (status, cell_before) = request(addr, "GET", "/cell?cell=*,*&level=fine", "");
+    let (status, _, cell_before) = request(addr, "GET", "/cell?cell=*,*&level=fine", &[], "");
     assert_eq!(status, 200);
     assert_eq!(read_deltas(&deltalog_path(&path)).unwrap().len(), 2);
 
-    let (status, resp) = request(addr, "POST", "/admin/compact", "");
+    let (status, _, resp) = request(addr, "POST", "/admin/compact", &[], "");
     assert_eq!(status, 200, "got {resp:?}");
     assert!(resp.contains("\"compacted\":true"), "got {resp:?}");
     assert!(resp.contains("\"folded_deltas\":2"), "got {resp:?}");
@@ -176,17 +149,17 @@ fn admin_compact_folds_sidecar_over_http() {
 
     // The sidecar is now empty, and answers did not change.
     assert_eq!(read_deltas(&deltalog_path(&path)).unwrap().len(), 0);
-    let (status, cell_after) = request(addr, "GET", "/cell?cell=*,*&level=fine", "");
+    let (status, _, cell_after) = request(addr, "GET", "/cell?cell=*,*&level=fine", &[], "");
     assert_eq!(status, 200);
     assert_eq!(
         cell_before, cell_after,
         "compaction must not change answers"
     );
-    let (_, stats) = request(addr, "GET", "/stats", "");
+    let (_, _, stats) = request(addr, "GET", "/stats", &[], "");
     assert!(stats.contains("\"pending_deltas\":0"), "got {stats:?}");
 
     // A second compact is a no-op, not an error.
-    let (status, resp) = request(addr, "POST", "/admin/compact", "");
+    let (status, _, resp) = request(addr, "POST", "/admin/compact", &[], "");
     assert_eq!(status, 200);
     assert!(resp.contains("\"compacted\":false"), "got {resp:?}");
 
@@ -228,10 +201,11 @@ fn auto_compaction_triggers_on_sidecar_size() {
     let addr = handle.addr();
 
     let delta = CubeDelta::compute(&batches[0], &spec, &params(), &ItemPlan::All);
-    let (status, resp) = request(
+    let (status, _, resp) = request(
         addr,
         "POST",
         "/admin/ingest",
+        &[],
         &serde_json::to_string(&delta).unwrap(),
     );
     assert_eq!(status, 200, "got {resp:?}");
@@ -243,9 +217,9 @@ fn auto_compaction_triggers_on_sidecar_size() {
         0,
         "size-triggered auto-compaction must fold the sidecar"
     );
-    let (_, stats) = request(addr, "GET", "/stats", "");
+    let (_, _, stats) = request(addr, "GET", "/stats", &[], "");
     assert!(stats.contains("\"pending_deltas\":0"), "got {stats:?}");
-    let (status, _) = request(addr, "GET", "/cell?cell=*,*&level=fine", "");
+    let (status, _, _) = request(addr, "GET", "/cell?cell=*,*&level=fine", &[], "");
     assert_eq!(status, 200);
 
     handle.shutdown();

@@ -12,9 +12,8 @@ use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
 use flowcube_serve::{
     serve_cube, write_snapshot, ServedCube, ServerConfig, ServerHandle, Snapshot,
 };
+use flowcube_testkit::http::{get, raw_roundtrip, request};
 use flowcube_testkit::FailAction;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -58,44 +57,11 @@ fn start(served: ServedCube, config: ServerConfig) -> ServerHandle {
     serve_cube(served, config).expect("server starts")
 }
 
-/// Send raw bytes, return the raw response (empty on hangup).
-fn raw_roundtrip(addr: std::net::SocketAddr, bytes: &[u8]) -> Vec<u8> {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    s.write_all(bytes).expect("write");
-    s.shutdown(std::net::Shutdown::Write).ok();
-    let mut out = Vec::new();
-    let _ = s.read_to_end(&mut out);
-    out
-}
-
-fn request(addr: std::net::SocketAddr, method: &str, target: &str) -> (u16, String) {
-    let raw = raw_roundtrip(
-        addr,
-        format!("{method} {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
-    );
-    let text = String::from_utf8_lossy(&raw).into_owned();
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn get(addr: std::net::SocketAddr, target: &str) -> (u16, String) {
-    request(addr, "GET", target)
-}
-
 /// The `summary` field of a `/stats` body: identifies *which* cube is
 /// serving without the resident-cuboid counts that legitimately change
 /// as lazy hydration proceeds.
 fn stats_summary(addr: std::net::SocketAddr) -> String {
-    let (status, body) = get(addr, "/stats");
+    let (status, _, body) = get(addr, "/stats", &[]);
     assert_eq!(status, 200, "got {body:?}");
     let start = body.find("\"summary\":").expect("stats has summary");
     body[start..]
@@ -122,7 +88,7 @@ fn worker_panic_is_counted_and_respawned() {
         },
     );
     let addr = handle.addr();
-    let (status, _) = get(addr, "/healthz");
+    let (status, _, _) = get(addr, "/healthz", &[]);
     assert_eq!(status, 200);
 
     // Exactly one request panics its worker; the client sees a hangup.
@@ -140,20 +106,20 @@ fn worker_panic_is_counted_and_respawned() {
         assert!(Instant::now() < deadline, "crash never recorded");
         std::thread::sleep(Duration::from_millis(10));
     }
-    let (status, body) = get(addr, "/healthz");
+    let (status, _, body) = get(addr, "/healthz", &[]);
     assert_eq!(status, 200);
     assert!(body.contains("\"worker_crashes\":1"), "got {body:?}");
     assert!(body.contains("\"ok\":true"), "got {body:?}");
 
     // With a threshold of 1 the same count reads as degraded.
     handle.state().health.set_degraded_after(1);
-    let (status, body) = get(addr, "/healthz");
+    let (status, _, body) = get(addr, "/healthz", &[]);
     assert_eq!(status, 200);
     assert!(body.contains("\"status\":\"degraded\""), "got {body:?}");
     assert!(body.contains("\"ok\":false"), "got {body:?}");
 
     // And the pool still has live workers serving real queries.
-    let (status, body) = get(addr, "/cell?cell=*,*&level=fine");
+    let (status, _, body) = get(addr, "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200, "got {body:?}");
 
     flowcube_testkit::reset();
@@ -184,11 +150,11 @@ fn deadline_exceeded_returns_503() {
         1,
         FailAction::Delay(Duration::from_millis(120)),
     );
-    let (status, body) = get(addr, "/cell?cell=*,*&level=fine");
+    let (status, _, body) = get(addr, "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 503, "got {body:?}");
     assert!(body.contains("deadline"), "got {body:?}");
 
-    let (status, _) = get(addr, "/cell?cell=*,*&level=fine");
+    let (status, _, _) = get(addr, "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200);
 
     flowcube_testkit::reset();
@@ -219,7 +185,7 @@ fn reload_swaps_and_corruption_rolls_back() {
 
     // Replace the file with a different cube and reload: stats change.
     write_snapshot(&small_cube(22, 4), &path).expect("write v2");
-    let (status, body) = request(addr, "POST", "/admin/reload");
+    let (status, _, body) = request(addr, "POST", "/admin/reload", &[], "");
     assert_eq!(status, 200, "got {body:?}");
     assert!(body.contains("\"reloaded\":true"), "got {body:?}");
     let stats_v2 = stats_summary(addr);
@@ -233,14 +199,14 @@ fn reload_swaps_and_corruption_rolls_back() {
     let staged = tmp("reload-staged.snap");
     std::fs::write(&staged, &bytes[..bytes.len() / 2]).expect("truncate");
     std::fs::rename(&staged, &path).expect("rename corrupt over live");
-    let (status, body) = request(addr, "POST", "/admin/reload");
+    let (status, _, body) = request(addr, "POST", "/admin/reload", &[], "");
     assert!((400..=599).contains(&status), "got {status} {body:?}");
     assert_eq!(
         stats_v2,
         stats_summary(addr),
         "failed reload must not change state"
     );
-    let (status, _) = get(addr, "/cell?cell=*,*&level=fine");
+    let (status, _, _) = get(addr, "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200);
 
     // Same rollback when the *open* itself fails via failpoint (the file
@@ -253,12 +219,12 @@ fn reload_swaps_and_corruption_rolls_back() {
         1,
         FailAction::ReturnErr(Some("injected open failure".into())),
     );
-    let (status, body) = request(addr, "POST", "/admin/reload");
+    let (status, _, body) = request(addr, "POST", "/admin/reload", &[], "");
     assert!((400..=599).contains(&status), "got {status} {body:?}");
     assert_eq!(stats_v2, stats_summary(addr));
 
     // With the failpoint drained, the very same request now succeeds.
-    let (status, body) = request(addr, "POST", "/admin/reload");
+    let (status, _, body) = request(addr, "POST", "/admin/reload", &[], "");
     assert_eq!(status, 200, "got {body:?}");
 
     flowcube_testkit::reset();
@@ -289,11 +255,11 @@ fn section_short_read_does_not_poison_server() {
     let addr = handle.addr();
 
     flowcube_testkit::arm_times("serve.snapshot.section", 1, FailAction::ShortRead(4));
-    let (status, body) = get(addr, "/cell?cell=*,*&level=fine");
+    let (status, _, body) = get(addr, "/cell?cell=*,*&level=fine", &[]);
     assert!((400..=599).contains(&status), "got {status} {body:?}");
 
     // The failpoint is drained; the identical request succeeds now.
-    let (status, body) = get(addr, "/cell?cell=*,*&level=fine");
+    let (status, _, body) = get(addr, "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200, "got {body:?}");
 
     flowcube_testkit::reset();

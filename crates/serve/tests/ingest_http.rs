@@ -14,8 +14,7 @@ use flowcube_serve::{
     deltalog_path, read_deltas, serve_cube, write_snapshot, ServedCube, ServerConfig, ServerHandle,
     Snapshot,
 };
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use flowcube_testkit::http::{get, request};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -65,36 +64,6 @@ fn start(served: ServedCube) -> ServerHandle {
     .expect("server starts")
 }
 
-fn request(addr: std::net::SocketAddr, method: &str, target: &str, body: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(
-        format!(
-            "{method} {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\
-             Connection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .as_bytes(),
-    )
-    .expect("write");
-    let mut out = String::new();
-    let _ = s.read_to_string(&mut out);
-    let status: u16 = out
-        .split_whitespace()
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let payload = out
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, payload)
-}
-
-fn get(addr: std::net::SocketAddr, target: &str) -> (u16, String) {
-    request(addr, "GET", target, "")
-}
-
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
         "flowcube-ingest-http-{}-{name}",
@@ -114,13 +83,13 @@ fn in_memory_ingest_applies_and_rejects_bad_deltas() {
     let handle = start(ServedCube::from_cube(&cube).expect("encode image"));
     let addr = handle.addr();
 
-    let (status, stats_before) = get(addr, "/stats");
+    let (status, _, stats_before) = get(addr, "/stats", &[]);
     assert_eq!(status, 200);
     assert!(stats_before.contains("\"pending_deltas\":0"));
 
     let delta = CubeDelta::compute(&batches[0], &spec, &params(), &ItemPlan::All);
     let body = serde_json::to_string(&delta).unwrap();
-    let (status, resp) = request(addr, "POST", "/admin/ingest", &body);
+    let (status, _, resp) = request(addr, "POST", "/admin/ingest", &[], &body);
     assert_eq!(status, 200, "got {resp:?}");
     assert!(resp.contains("\"ingested\":true"), "got {resp:?}");
     assert!(resp.contains("\"mode\":\"in-memory\""), "got {resp:?}");
@@ -128,13 +97,13 @@ fn in_memory_ingest_applies_and_rejects_bad_deltas() {
     assert!(resp.contains("\"pending_deltas\":1"), "got {resp:?}");
 
     // Queries still answer, with the merged counts.
-    let (status, apex) = get(addr, "/cell?cell=*,*&level=fine");
+    let (status, _, apex) = get(addr, "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200);
     assert!(apex.contains("\"support\":110"), "got {apex:?}");
 
     // The delta is pending in the overlay, like a sidecar delta — the
     // only difference from a file-backed cube is that it is not durable.
-    let (status, stats_after) = get(addr, "/stats");
+    let (status, _, stats_after) = get(addr, "/stats", &[]);
     assert_eq!(status, 200);
     assert!(
         stats_after.contains("\"snapshot_backed\":false"),
@@ -150,16 +119,16 @@ fn in_memory_ingest_applies_and_rejects_bad_deltas() {
     );
 
     // Malformed JSON → 400; a delta with a foreign fingerprint → 409.
-    let (status, _) = request(addr, "POST", "/admin/ingest", "{not json");
+    let (status, _, _) = request(addr, "POST", "/admin/ingest", &[], "{not json");
     assert_eq!(status, 400);
     let mut foreign = CubeDelta::compute(&batches[1], &spec, &params(), &ItemPlan::All);
     foreign.path_levels = vec!["coarse".into()];
     let body = serde_json::to_string(&foreign).unwrap();
-    let (status, resp) = request(addr, "POST", "/admin/ingest", &body);
+    let (status, _, resp) = request(addr, "POST", "/admin/ingest", &[], &body);
     assert_eq!(status, 409, "got {resp:?}");
 
     // Neither rejection changed the served cube.
-    let (status, stats_final) = get(addr, "/stats");
+    let (status, _, stats_final) = get(addr, "/stats", &[]);
     assert_eq!(status, 200);
     assert_eq!(stats_after, stats_final);
 
@@ -185,12 +154,12 @@ fn snapshot_ingest_is_durable_across_reload_and_restart() {
     let addr = handle.addr();
 
     // Hydrate a cell from the snapshot, then ingest two deltas.
-    let (status, cell_before) = get(addr, "/cell?cell=*,*&level=fine");
+    let (status, _, cell_before) = get(addr, "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200);
     for (i, batch) in batches[..2].iter().enumerate() {
         let delta = CubeDelta::compute(batch, &spec, &params(), &ItemPlan::All);
         let body = serde_json::to_string(&delta).unwrap();
-        let (status, resp) = request(addr, "POST", "/admin/ingest", &body);
+        let (status, _, resp) = request(addr, "POST", "/admin/ingest", &[], &body);
         assert_eq!(status, 200, "delta {i}: got {resp:?}");
         assert!(resp.contains("\"mode\":\"sidecar\""), "got {resp:?}");
         assert!(
@@ -205,10 +174,10 @@ fn snapshot_ingest_is_durable_across_reload_and_restart() {
     );
 
     // The apex cell now includes the deltas' paths: support grew.
-    let (status, cell_after) = get(addr, "/cell?cell=*,*&level=fine");
+    let (status, _, cell_after) = get(addr, "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200);
     assert_ne!(cell_before, cell_after, "overlay must change the apex cell");
-    let (status, stats) = get(addr, "/stats");
+    let (status, _, stats) = get(addr, "/stats", &[]);
     assert_eq!(status, 200);
     assert!(stats.contains("\"pending_deltas\":2"), "got {stats:?}");
     assert!(
@@ -220,15 +189,15 @@ fn snapshot_ingest_is_durable_across_reload_and_restart() {
     let mut foreign = CubeDelta::compute(&batches[2], &spec, &params(), &ItemPlan::All);
     foreign.dims = vec!["bogus".into()];
     let body = serde_json::to_string(&foreign).unwrap();
-    let (status, _) = request(addr, "POST", "/admin/ingest", &body);
+    let (status, _, _) = request(addr, "POST", "/admin/ingest", &[], &body);
     assert_eq!(status, 409);
     assert_eq!(read_deltas(&sidecar).unwrap().len(), 2);
 
     // Hot reload replays the sidecar on top of the re-opened snapshot.
-    let (status, resp) = request(addr, "POST", "/admin/reload", "");
+    let (status, _, resp) = request(addr, "POST", "/admin/reload", &[], "");
     assert_eq!(status, 200, "got {resp:?}");
     assert!(resp.contains("\"deltas\":2"), "got {resp:?}");
-    let (status, cell_reloaded) = get(addr, "/cell?cell=*,*&level=fine");
+    let (status, _, cell_reloaded) = get(addr, "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200);
     assert_eq!(cell_after, cell_reloaded, "reload must not lose deltas");
 
@@ -243,7 +212,7 @@ fn snapshot_ingest_is_durable_across_reload_and_restart() {
     );
     let handle = start(replayed);
     let addr = handle.addr();
-    let (status, cell_restarted) = get(addr, "/cell?cell=*,*&level=fine");
+    let (status, _, cell_restarted) = get(addr, "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200);
     assert_eq!(
         cell_after, cell_restarted,
@@ -277,7 +246,7 @@ fn queries_keep_answering_during_ingest() {
         std::thread::spawn(move || {
             let mut queries = 0u32;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let (status, body) = get(addr, "/cell?cell=*,*&level=fine");
+                let (status, _, body) = get(addr, "/cell?cell=*,*&level=fine", &[]);
                 assert_eq!(status, 200, "mid-ingest query failed: {body:?}");
                 queries += 1;
             }
@@ -288,7 +257,7 @@ fn queries_keep_answering_during_ingest() {
     for batch in &batches {
         let delta = CubeDelta::compute(batch, &spec, &params(), &ItemPlan::All);
         let body = serde_json::to_string(&delta).unwrap();
-        let (status, resp) = request(addr, "POST", "/admin/ingest", &body);
+        let (status, _, resp) = request(addr, "POST", "/admin/ingest", &[], &body);
         assert_eq!(status, 200, "got {resp:?}");
     }
 
@@ -340,7 +309,12 @@ fn delta_with_names_the_snapshot_never_interned_is_served() {
     // The reference: the union, batch-built and served unpatched.
     let full = FlowCube::build(&db, spec, params, ItemPlan::All);
     let reference = start(ServedCube::from_cube(&full).expect("encode image"));
-    let want = targets.each_ref().map(|t| get(reference.addr(), t));
+    // Status and body: the headers carry a per-request id.
+    let answer = |addr, t: &String| {
+        let (status, _, body) = get(addr, t, &[]);
+        (status, body)
+    };
+    let want = targets.each_ref().map(|t| answer(reference.addr(), t));
     assert!(want[0].1.contains("\"exact\":true"), "got {want:?}");
     assert!(want[1].1.contains(v_name), "got {want:?}");
     assert!(want[2].1.contains(l_name), "got {want:?}");
@@ -359,13 +333,13 @@ fn delta_with_names_the_snapshot_never_interned_is_served() {
         let handle = start(served);
         let addr = handle.addr();
         // Before the delta the value has no cell of its own.
-        let (status, cell) = get(addr, &targets[0]);
+        let (status, _, cell) = get(addr, &targets[0], &[]);
         assert_eq!(status, 200);
         assert!(cell.contains("\"exact\":false"), "got {cell:?}");
 
-        let (status, resp) = request(addr, "POST", "/admin/ingest", &body);
+        let (status, _, resp) = request(addr, "POST", "/admin/ingest", &[], &body);
         assert_eq!(status, 200, "got {resp:?}");
-        assert_eq!(targets.each_ref().map(|t| get(addr, t)), want);
+        assert_eq!(targets.each_ref().map(|t| answer(addr, t)), want);
 
         handle.shutdown();
         handle.join();
@@ -391,25 +365,25 @@ fn patched_cuboid_below_min_support_disappears() {
     let delta = CubeDelta::compute(&batches[0], &spec, &params, &ItemPlan::All);
     assert!(delta.cuboids.len() > 1, "the delta patches finer cuboids");
     let body = serde_json::to_string(&delta).unwrap();
-    let (status, resp) = request(addr, "POST", "/admin/ingest", &body);
+    let (status, _, resp) = request(addr, "POST", "/admin/ingest", &[], &body);
     assert_eq!(status, 200, "got {resp:?}");
 
     // Every cell the delta brings to item level (1, 0) has ≤ 10 paths.
-    let (status, dice) = get(addr, "/dice?at=1,0&level=fine");
+    let (status, _, dice) = get(addr, "/dice?at=1,0&level=fine", &[]);
     assert_eq!(status, 200);
     assert_eq!(dice, "{\"count\":0,\"cells\":[]}");
     let value = base
         .schema()
         .dim(0)
         .name_of(batches[0].records()[0].dims[0]);
-    let (status, cell) = get(addr, &format!("/cell?cell={value},*&level=fine"));
+    let (status, _, cell) = get(addr, &format!("/cell?cell={value},*&level=fine"), &[]);
     assert_eq!(status, 200, "got {cell:?}");
     assert!(cell.contains("\"exact\":false"), "got {cell:?}");
     assert!(cell.contains("\"source_cell\":\"(*, *)\""), "got {cell:?}");
     assert!(cell.contains("\"support\":110"), "got {cell:?}");
 
     // The lookup probed every cuboid of the level; only the apex stayed.
-    let (status, stats) = get(addr, "/stats");
+    let (status, _, stats) = get(addr, "/stats", &[]);
     assert_eq!(status, 200);
     assert!(stats.contains("\"resident_cuboids\":1"), "got {stats:?}");
     assert!(stats.contains("\"resident_cells\":1"), "got {stats:?}");

@@ -12,8 +12,7 @@ use flowcube_serve::{
     handle_request, serve_cube, AccessLog, AppState, RequestCtx, ResponseCache, ServedCube,
     ServerConfig, ServerHandle,
 };
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use flowcube_testkit::http::{get, header, third_connection};
 use std::time::Duration;
 
 fn small_cube() -> FlowCube {
@@ -51,46 +50,6 @@ fn default_config() -> ServerConfig {
     }
 }
 
-/// GET with optional extra request headers; returns status, response
-/// headers, and body.
-fn get_full(
-    addr: std::net::SocketAddr,
-    target: &str,
-    extra_headers: &[(&str, &str)],
-) -> (u16, Vec<(String, String)>, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let mut req = format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n");
-    for (k, v) in extra_headers {
-        req.push_str(&format!("{k}: {v}\r\n"));
-    }
-    req.push_str("\r\n");
-    s.write_all(req.as_bytes()).expect("write");
-    let mut out = Vec::new();
-    let _ = s.read_to_end(&mut out);
-    let text = String::from_utf8_lossy(&out).into_owned();
-    let (head, body) = text.split_once("\r\n\r\n").unwrap_or((&text, ""));
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|t| t.parse().ok())
-        .unwrap_or(0);
-    let headers: Vec<(String, String)> = head
-        .lines()
-        .skip(1)
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, body.to_string())
-}
-
-fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.as_str())
-}
-
 fn plain_request(path: &str, query: &[(&str, &str)], headers: &[(&str, &str)]) -> Request {
     Request {
         method: "GET".to_string(),
@@ -113,14 +72,14 @@ fn request_ids_are_honored_generated_and_echoed() {
     let addr = handle.addr();
 
     // A well-formed inbound id is echoed verbatim.
-    let (status, headers, _) = get_full(addr, "/healthz", &[("X-Request-Id", "trace-42.a")]);
+    let (status, headers, _) = get(addr, "/healthz", &[("X-Request-Id", "trace-42.a")]);
     assert_eq!(status, 200);
     assert_eq!(header(&headers, "x-request-id"), Some("trace-42.a"));
 
     // No inbound id: the server mints one (16 hex chars), distinct per
     // request, echoed even on errors.
-    let (_, h1, _) = get_full(addr, "/healthz", &[]);
-    let (s2, h2, _) = get_full(addr, "/no/such/route", &[]);
+    let (_, h1, _) = get(addr, "/healthz", &[]);
+    let (s2, h2, _) = get(addr, "/no/such/route", &[]);
     let id1 = header(&h1, "x-request-id")
         .expect("generated id")
         .to_string();
@@ -135,7 +94,7 @@ fn request_ids_are_honored_generated_and_echoed() {
     }
 
     // A hostile inbound id (header-injection shaped) is replaced.
-    let (_, h3, _) = get_full(addr, "/healthz", &[("X-Request-Id", "a b\tc")]);
+    let (_, h3, _) = get(addr, "/healthz", &[("X-Request-Id", "a b\tc")]);
     let id3 = header(&h3, "x-request-id").expect("replacement id");
     assert_ne!(id3, "a b\tc");
 
@@ -150,22 +109,22 @@ fn prometheus_scrape_is_conformant_with_per_endpoint_histograms() {
     let addr = handle.addr();
 
     // Mixed traffic: successes, a 404, and a repeated cacheable query.
-    let (s, _, _) = get_full(addr, "/cell?cell=*,*&level=fine", &[]);
+    let (s, _, _) = get(addr, "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(s, 200);
-    get_full(addr, "/stats", &[]);
-    get_full(addr, "/healthz", &[]);
-    get_full(addr, "/paths/topk?cell=*,*&level=fine&k=3", &[]);
-    get_full(addr, "/paths/topk?cell=*,*&level=fine&k=3", &[]); // cache hit
-    get_full(addr, "/no/such/route", &[]);
+    get(addr, "/stats", &[]);
+    get(addr, "/healthz", &[]);
+    get(addr, "/paths/topk?cell=*,*&level=fine&k=3", &[]);
+    get(addr, "/paths/topk?cell=*,*&level=fine&k=3", &[]); // cache hit
+    get(addr, "/no/such/route", &[]);
 
     // Default stays JSON — existing scrapers keep working.
-    let (s, headers, body) = get_full(addr, "/metrics", &[]);
+    let (s, headers, body) = get(addr, "/metrics", &[]);
     assert_eq!(s, 200);
     assert!(header(&headers, "content-type").is_some_and(|ct| ct.contains("application/json")));
     assert!(body.trim_start().starts_with('{'), "got {body:?}");
 
     // ?format=prometheus selects the text exposition.
-    let (s, headers, text) = get_full(addr, "/metrics?format=prometheus", &[]);
+    let (s, headers, text) = get(addr, "/metrics?format=prometheus", &[]);
     assert_eq!(s, 200);
     assert!(
         header(&headers, "content-type").is_some_and(|ct| ct.contains("text/plain")),
@@ -193,7 +152,7 @@ fn prometheus_scrape_is_conformant_with_per_endpoint_histograms() {
     assert!(samples.iter().any(|smp| smp.name == "serve_queue_depth"));
 
     // An Accept header naming text/plain also selects the exposition.
-    let (_, _, via_accept) = get_full(addr, "/metrics", &[("Accept", "text/plain")]);
+    let (_, _, via_accept) = get(addr, "/metrics", &[("Accept", "text/plain")]);
     assert!(via_accept.contains("# TYPE"), "got {via_accept:?}");
 
     handle.shutdown();
@@ -244,6 +203,11 @@ fn requests_leave_the_span_trace_alone() {
     assert_eq!(on_lane(), before);
 }
 
+fn shed_count() -> u64 {
+    let counters = flowcube_obs::snapshot().counters;
+    counters.get("serve.shed").copied().unwrap_or(0)
+}
+
 #[test]
 fn shed_429_carries_retry_after() {
     // One worker, queue depth one: occupy the worker with a silent
@@ -258,24 +222,13 @@ fn shed_429_carries_retry_after() {
     });
     let addr = handle.addr();
 
-    let hold_worker = TcpStream::connect(addr).expect("connect");
-    std::thread::sleep(Duration::from_millis(200));
-    let hold_queue = TcpStream::connect(addr).expect("connect");
-    std::thread::sleep(Duration::from_millis(200));
+    flowcube_obs::enable();
+    let shed_before = shed_count();
+    let (status, headers, body) = third_connection(addr);
+    assert_eq!(status, 429, "got {body:?}");
+    assert_eq!(header(&headers, "retry-after"), Some("1"));
+    assert_eq!(shed_count(), shed_before + 1);
 
-    let mut shed = TcpStream::connect(addr).expect("connect");
-    shed.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let mut out = Vec::new();
-    let _ = shed.read_to_end(&mut out);
-    let text = String::from_utf8_lossy(&out).into_owned();
-    assert!(text.starts_with("HTTP/1.1 429"), "got {text:?}");
-    assert!(
-        text.to_ascii_lowercase().contains("retry-after: 1"),
-        "got {text:?}"
-    );
-
-    drop(hold_worker);
-    drop(hold_queue);
     handle.shutdown();
     handle.join();
 }
@@ -285,9 +238,9 @@ fn debug_flight_exposes_recent_events() {
     let handle = start(default_config());
     let addr = handle.addr();
 
-    let (s, _, _) = get_full(addr, "/healthz", &[("X-Request-Id", "flight-probe")]);
+    let (s, _, _) = get(addr, "/healthz", &[("X-Request-Id", "flight-probe")]);
     assert_eq!(s, 200);
-    let (s, _, body) = get_full(addr, "/debug/flight", &[]);
+    let (s, _, body) = get(addr, "/debug/flight", &[]);
     assert_eq!(s, 200);
     assert!(body.contains("\"enabled\":true"), "got {body:?}");
     assert!(body.contains("\"capacity\":4096"), "got {body:?}");

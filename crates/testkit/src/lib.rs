@@ -64,6 +64,11 @@
 //! transitions this way. Instance-addressed sites format their name at
 //! evaluation time, so the host code must guard the lookup with
 //! [`any_armed`] to keep the disabled path allocation-free.
+//!
+//! The crate also carries the integration suites' one raw HTTP client,
+//! [`http`].
+
+pub mod http;
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
