@@ -1,16 +1,25 @@
 //! A minimal HTTP/1.1 client for shard fan-out and delta shipping.
 //!
-//! Speaks exactly the dialect the serving layer's hand-rolled server
-//! speaks: one request per connection, `Connection: close`, JSON
-//! bodies. Two call shapes:
+//! Speaks the dialect the serving layer's hand-rolled server speaks:
+//! persistent connections, every response framed by `Content-Length`,
+//! JSON bodies. Two call shapes:
 //!
-//! * [`http_get`] — one attempt under a hard time budget. Used by the
-//!   scatter-gather front tier, where the remaining request deadline is
-//!   the budget and a retry would only burn it.
+//! * [`http_get`] — one attempt under a hard time budget, on a
+//!   connection drawn from the replica's [`Pool`] when one is idle
+//!   there. Used by the scatter-gather front tier, where the remaining
+//!   request deadline is the budget and a retry would only burn it. The
+//!   socket goes back to the pool only after its whole response was
+//!   read. A server may close an idle connection at any time, so a
+//!   request that dies on a *reused* connection before the first
+//!   response byte is resent once on a fresh one (a `GET` is idempotent,
+//!   RFC 9110 §9.2.2), and only that attempt's outcome is the caller's:
+//!   a stale pooled connection is not a replica failure.
 //! * [`http_post`] — timeout plus **retry-with-backoff on connection
-//!   refused**. Used by the delta shipper (`flowcube ingest --follow
-//!   --post`), where the server restarting mid-stream is routine and a
-//!   refused connect is worth waiting out.
+//!   refused**, always on a fresh connection that is closed afterwards.
+//!   Used by the delta shipper (`flowcube ingest --follow --post`),
+//!   where the server restarting mid-stream is routine and a refused
+//!   connect is worth waiting out — and where nothing may ever be resent
+//!   once bytes have left: an ingest is not idempotent.
 //!
 //! Failpoints `federate.client.connect` and `federate.client.read` let
 //! the fault-injection suite simulate refused connects and torn reads
@@ -20,7 +29,8 @@ use crate::error::FederateError;
 use flowcube_testkit::{fail_point, Fault};
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Timeout and retry policy for [`http_post`].
 #[derive(Clone, Debug)]
@@ -91,10 +101,71 @@ pub fn backoff_schedule(cfg: &ClientConfig, retries: u32) -> Vec<Duration> {
     out
 }
 
-/// How one attempt failed: at connect (nothing was sent — safe to
-/// retry) or later (the request may have been processed — not retried).
+/// Idle connections to one replica, most recently used on top. Owned by
+/// that replica's runtime state — not process-global — because tests and
+/// benchmarks run several fronts and shards in one process.
+#[derive(Default)]
+pub struct Pool {
+    idle: Mutex<Vec<(TcpStream, Instant)>>,
+}
+
+impl Pool {
+    /// Most idle connections kept per replica: a front has at most
+    /// `workers × (1 + hedge)` attempts in flight against one.
+    pub const CAPACITY: usize = 8;
+    /// A connection idle for longer is not reused: just under the 5 s a
+    /// `flowcube serve` shard lets a connection idle (the default
+    /// `ServerConfig::read_timeout`, which the CLI has no flag for). A
+    /// shard with a shorter budget costs a stale resend, no more.
+    pub const MAX_IDLE: Duration = Duration::from_secs(4);
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<(TcpStream, Instant)>> {
+        self.idle.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The most recently used connection, if it is still fresh; anything
+    /// older than it is staler still, and is dropped with it.
+    fn take(&self) -> Option<TcpStream> {
+        let mut idle = self.lock();
+        let (stream, since) = idle.pop()?;
+        if since.elapsed() > Self::MAX_IDLE {
+            idle.clear();
+            return None;
+        }
+        Some(stream)
+    }
+
+    fn put(&self, stream: TcpStream) {
+        let mut idle = self.lock();
+        if idle.len() < Self::CAPACITY {
+            idle.push((stream, Instant::now()));
+        }
+    }
+
+    /// Close every idle connection (the replica's breaker opened).
+    pub fn clear(&self) {
+        self.lock().clear();
+    }
+
+    /// Idle connections held right now.
+    pub fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// How one attempt failed.
 enum AttemptError {
+    /// At connect: nothing was sent — safe to retry.
     Refused(String),
+    /// On a reused connection, before the first byte of a response: the
+    /// server had closed it while it idled, and did not process the
+    /// request (or, for an idempotent request, may as well not have).
+    Stale(String),
+    /// Later: the request may have been processed — not retried.
     Other(String),
 }
 
@@ -107,7 +178,7 @@ fn connect(host: &str, timeout: Duration) -> Result<TcpStream, AttemptError> {
         .map_err(|e| AttemptError::Other(format!("resolve {host}: {e}")))?
         .next()
         .ok_or_else(|| AttemptError::Other(format!("resolve {host}: no address")))?;
-    TcpStream::connect_timeout(&addr, timeout).map_err(|e| {
+    let stream = TcpStream::connect_timeout(&addr, timeout).map_err(|e| {
         let msg = format!("connect {host}: {e}");
         match e.kind() {
             std::io::ErrorKind::ConnectionRefused | std::io::ErrorKind::TimedOut => {
@@ -115,49 +186,180 @@ fn connect(host: &str, timeout: Duration) -> Result<TcpStream, AttemptError> {
             }
             _ => AttemptError::Other(msg),
         }
-    })
+    })?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
 }
 
-/// One request/response exchange over a fresh connection.
-fn exchange(host: &str, request: &str, timeout: Duration) -> Result<(u16, String), AttemptError> {
-    let mut stream = connect(host, timeout)?;
+/// One response off the wire.
+struct Response {
+    status: u16,
+    body: String,
+    /// The whole response was read, framed by `Content-Length`, and the
+    /// server said it keeps the connection: the socket can carry another
+    /// request.
+    reusable: bool,
+}
+
+/// One request/response exchange on `reused`, or on a fresh connection.
+/// Returns the answer and, when the socket can carry another request,
+/// the socket.
+fn exchange(
+    host: &str,
+    request: &str,
+    timeout: Duration,
+    reused: Option<TcpStream>,
+) -> Result<(u16, String, Option<TcpStream>), AttemptError> {
+    let was_reused = reused.is_some();
+    let mut stream = match reused {
+        Some(stream) => stream,
+        None => connect(host, timeout)?,
+    };
     let _ = stream.set_read_timeout(Some(timeout));
     let _ = stream.set_write_timeout(Some(timeout));
+    // Until a response byte arrives, a failure on a reused connection
+    // means the server had already closed it.
+    let early = |msg: String| {
+        if was_reused {
+            AttemptError::Stale(msg)
+        } else {
+            AttemptError::Other(msg)
+        }
+    };
     stream
         .write_all(request.as_bytes())
-        .map_err(|e| AttemptError::Other(format!("send to {host}: {e}")))?;
-    let mut response = String::new();
+        .map_err(|e| early(format!("send to {host}: {e}")))?;
     match fail_point("federate.client.read") {
         Some(Fault::Error(msg)) => {
             return Err(AttemptError::Other(format!("injected: {msg}")));
         }
-        Some(Fault::ShortRead(_)) => { /* fall through with a torn body */ }
-        None => {
-            stream
-                .read_to_string(&mut response)
-                .map_err(|e| AttemptError::Other(format!("read from {host}: {e}")))?;
+        // A torn read: what arrived is no response.
+        Some(Fault::ShortRead(_)) => {
+            return Err(AttemptError::Other(format!(
+                "malformed response from {host}"
+            )));
+        }
+        None => {}
+    }
+    let mut received = false;
+    let response = read_response(&mut stream, &mut received).map_err(|e| {
+        let msg = format!("read from {host}: {e}");
+        if received {
+            AttemptError::Other(msg)
+        } else {
+            early(msg)
+        }
+    })?;
+    Ok((
+        response.status,
+        response.body,
+        response.reusable.then_some(stream),
+    ))
+}
+
+/// Read one response: the head, then `Content-Length` bytes of body — or,
+/// without a `Content-Length`, everything until the peer closes. Sets
+/// `received` once a first byte has arrived.
+fn read_response(stream: &mut TcpStream, received: &mut bool) -> std::io::Result<Response> {
+    let malformed = || std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response");
+    let eof = || std::io::Error::from(std::io::ErrorKind::UnexpectedEof);
+    let mut raw: Vec<u8> = Vec::with_capacity(1024);
+    let mut chunk = [0u8; 4096];
+    let mut more = |raw: &mut Vec<u8>| -> std::io::Result<usize> {
+        let n = stream.read(&mut chunk)?;
+        raw.extend_from_slice(&chunk[..n]);
+        *received |= n > 0;
+        Ok(n)
+    };
+    let head_end = loop {
+        if let Some(pos) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
+            break pos;
+        }
+        if more(&mut raw)? == 0 {
+            return Err(eof());
+        }
+    };
+    let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| malformed())?;
+    let mut lines = head.lines();
+    let status: u16 = lines
+        .next()
+        .and_then(|line| line.split_whitespace().nth(1))
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(malformed)?;
+    let (mut content_length, mut keep_alive) = (None, false);
+    for (name, value) in lines.filter_map(|line| line.split_once(':')) {
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = Some(value.trim().parse::<usize>().map_err(|_| malformed())?);
+        } else if name.eq_ignore_ascii_case("connection") {
+            keep_alive = value.trim().eq_ignore_ascii_case("keep-alive");
         }
     }
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| AttemptError::Other(format!("malformed response from {host}")))?;
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
+    let body_start = head_end + 4;
+    let framed = match content_length {
+        Some(len) => {
+            let total = body_start.checked_add(len).ok_or_else(malformed)?;
+            while raw.len() < total {
+                if more(&mut raw)? == 0 {
+                    return Err(eof());
+                }
+            }
+            // Exactly one response was asked for: bytes past it mean the
+            // stream is not where this client thinks it is.
+            let exact = raw.len() == total;
+            raw.truncate(total);
+            exact
+        }
+        None => {
+            while more(&mut raw)? > 0 {}
+            false
+        }
+    };
+    let body = String::from_utf8(raw.split_off(body_start)).map_err(|_| malformed())?;
+    Ok(Response {
+        status,
+        body,
+        reusable: framed && keep_alive,
+    })
 }
 
 /// `GET http://{host}{target}` with a hard per-attempt budget and no
 /// retries — the front tier's fan-out primitive. `target` is the path
-/// plus query, e.g. `/rollup?cell=*&dim=0`.
-pub fn http_get(host: &str, target: &str, timeout: Duration) -> Result<(u16, String), String> {
-    let request = format!("GET {target} HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\n\r\n");
-    exchange(host, &request, timeout).map_err(|e| match e {
-        AttemptError::Refused(m) | AttemptError::Other(m) => m,
-    })
+/// plus query, e.g. `/rollup?cell=*&dim=0`. With a `pool`, the request
+/// rides an idle connection from it when there is one and the socket
+/// returns there afterwards; without, the connection is fresh and is
+/// dropped — what a health probe wants, whose point is that the replica
+/// accepts connections.
+pub fn http_get(
+    host: &str,
+    target: &str,
+    timeout: Duration,
+    pool: Option<&Pool>,
+) -> Result<(u16, String), String> {
+    let request = format!("GET {target} HTTP/1.1\r\nHost: {host}\r\n\r\n");
+    let reused = pool.and_then(Pool::take);
+    if pool.is_some() {
+        let series = match reused {
+            Some(_) => "federate.client.pool.hit",
+            None => "federate.client.pool.miss",
+        };
+        flowcube_obs::counter_add(series, 1);
+    }
+    let outcome = match exchange(host, &request, timeout, reused) {
+        Err(AttemptError::Stale(_)) => {
+            flowcube_obs::counter_add("federate.client.pool.stale", 1);
+            exchange(host, &request, timeout, None)
+        }
+        outcome => outcome,
+    };
+    match outcome {
+        Ok((status, body, socket)) => {
+            if let (Some(pool), Some(socket)) = (pool, socket) {
+                pool.put(socket);
+            }
+            Ok((status, body))
+        }
+        Err(AttemptError::Refused(m) | AttemptError::Stale(m) | AttemptError::Other(m)) => Err(m),
+    }
 }
 
 /// Split `http://host:port/path` into `(host:port, /path)`.
@@ -173,8 +375,9 @@ pub fn parse_url(url: &str) -> Result<(&str, String), FederateError> {
     })
 }
 
-/// `POST` a JSON body to `url`, honoring `cfg.timeout` on every socket
-/// operation and retrying with full-jitter exponential backoff
+/// `POST` a JSON body to `url` on a fresh connection that is closed
+/// afterwards, honoring `cfg.timeout` on every socket operation and
+/// retrying with full-jitter exponential backoff
 /// ([`backoff_schedule`]) when the connect is **refused** (server
 /// restarting, not yet listening). Failures after bytes were sent are
 /// never retried: the request may have been applied, and deltas must
@@ -193,19 +396,23 @@ pub fn http_post(
     let sleeps = backoff_schedule(cfg, cfg.retries);
     let mut attempt = 0u32;
     loop {
-        match exchange(host, &request, cfg.timeout) {
-            Ok(ok) => {
+        match exchange(host, &request, cfg.timeout, None) {
+            Ok((status, body, _)) => {
                 if attempt > 0 {
                     flowcube_obs::counter_add("federate.client.post_recovered", 1);
                 }
-                return Ok(ok);
+                return Ok((status, body));
             }
             Err(AttemptError::Refused(_)) if attempt < cfg.retries => {
                 flowcube_obs::counter_add("federate.client.post_retries", 1);
                 std::thread::sleep(sleeps[attempt as usize]);
                 attempt += 1;
             }
-            Err(AttemptError::Refused(detail)) | Err(AttemptError::Other(detail)) => {
+            Err(
+                AttemptError::Refused(detail)
+                | AttemptError::Stale(detail)
+                | AttemptError::Other(detail),
+            ) => {
                 return Err(FederateError::Io { detail });
             }
         }

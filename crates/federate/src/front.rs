@@ -137,6 +137,12 @@ impl Front {
             health: HealthState::default(),
         })
     }
+
+    /// The per-shard runtimes: replica breakers, latency windows and
+    /// connection pools, for inspection.
+    pub fn shards(&self) -> &[Arc<ShardRuntime>] {
+        &self.shards
+    }
 }
 
 /// Endpoints the front federates, with their metric tags. Everything

@@ -15,11 +15,19 @@
 //!    streaming window estimator, clamped into sane bounds — a second
 //!    request is fired at the next replica. First *answer* wins; the
 //!    loser is abandoned (its socket timeout reaps the thread) and
-//!    counted under `federate.replica.abandoned`.
+//!    counted under `federate.replica.abandoned`. Its socket re-enters
+//!    the replica's pool only if it went on to read its whole response.
 //! 3. **Retry** transport failures (refused, timeout, torn read) against
 //!    the remaining replicas — but every hedge and every retry first
 //!    draws a token from the request's [`RetryBudget`], so a brownout
 //!    can at worst double the request's backend load, never storm it.
+//!
+//! Attempts ride persistent connections: each replica owns a small pool
+//! of idle ones ([`client::Pool`]), emptied when its breaker opens. A
+//! pooled connection the replica had already closed costs one resend on
+//! a fresh connection inside [`client::http_get`]; only that attempt's
+//! outcome reaches the breaker, the retry budget and the metrics below.
+//! Half-open probes never use the pool.
 //!
 //! Metrics are labeled `shard=K replica=R` (R = replica index within the
 //! set): `federate.replica.{selected,hedged,hedge_won,retried,
@@ -188,10 +196,12 @@ impl Default for LatencyWindow {
     }
 }
 
-/// A replica's shared runtime state: its address plus breaker.
+/// A replica's shared runtime state: its address, its breaker, and the
+/// idle connections to it.
 pub struct ReplicaState {
     pub addr: String,
     pub health: ReplicaHealth,
+    pub pool: client::Pool,
 }
 
 /// One shard's serving-side runtime: the replica set, its breakers, the
@@ -252,6 +262,7 @@ impl ShardRuntime {
                     Arc::new(ReplicaState {
                         addr: addr.clone(),
                         health: ReplicaHealth::default(),
+                        pool: client::Pool::default(),
                     })
                 })
                 .collect(),
@@ -323,8 +334,12 @@ impl ShardRuntime {
                     .flatten();
                 let ok = match injected {
                     Some(_) => false,
-                    None => client::http_get(&replica.addr, "/healthz", rt.breaker.probe_timeout)
-                        .is_ok_and(|(status, _)| status == 200),
+                    // On a fresh connection: what a probe tests is that
+                    // the replica accepts connections.
+                    None => {
+                        client::http_get(&replica.addr, "/healthz", rt.breaker.probe_timeout, None)
+                            .is_ok_and(|(status, _)| status == 200)
+                    }
                 };
                 if ok {
                     if replica.health.probe_succeeded() {
@@ -398,7 +413,7 @@ impl ShardRuntime {
                             format!("injected short read of {n} bytes")
                         }
                     }),
-                    None => client::http_get(&state.addr, &target, budget),
+                    None => client::http_get(&state.addr, &target, budget, Some(&state.pool)),
                 };
                 match &outcome {
                     Ok(_) => {
@@ -408,6 +423,9 @@ impl ShardRuntime {
                     }
                     Err(_) => {
                         if state.health.record_failure(&rt.breaker, Instant::now()) {
+                            // The breaker opened: the replica's idle
+                            // connections are not to be trusted either.
+                            state.pool.clear();
                             flowcube_obs::counter_add(
                                 &replica_metric("federate.replica.breaker_open", rt.shard, replica),
                                 1,

@@ -27,9 +27,15 @@ pub fn gen_db(paths: usize, seed: u64) -> (PathDatabase, PathLatticeSpec) {
 }
 
 pub fn start_backend(cube: FlowCube) -> ServerHandle {
+    start_backend_at(cube, "127.0.0.1:0")
+}
+
+/// A backend on a given address — a replica restarted where it was.
+pub fn start_backend_at(cube: FlowCube, addr: &str) -> ServerHandle {
     serve_cube(
         ServedCube::from_cube(&cube).expect("encode image"),
         ServerConfig {
+            addr: addr.to_string(),
             workers: 2,
             ..Default::default()
         },

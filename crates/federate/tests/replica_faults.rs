@@ -4,7 +4,11 @@
 //! suppresses the hedge), breaker-gated routing (a refused replica opens
 //! its breaker, a half-open `/healthz` probe closes it), and the
 //! acceptance path — one replica per shard killed mid-run yields 100%
-//! full, non-partial 200s.
+//! full, non-partial 200s — and the contract of the per-replica
+//! connection pools: attempts reuse connections, a stale pooled
+//! connection is not a replica failure, a socket whose response was not
+//! read to the end never carries another request, and an open breaker
+//! empties its replica's pool.
 //!
 //! The failpoint registry, metrics registry, and flight ring are all
 //! process-global; these tests serialize on one mutex and reset all
@@ -12,7 +16,7 @@
 
 mod common;
 
-use common::{gen_db, parse, start_backend};
+use common::{gen_db, parse, start_backend, start_backend_at};
 use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
 use flowcube_federate::{
     serve_front, shard_db, BreakerConfig, FrontConfig, FrontHandle, HedgePolicy, ReplicaSet,
@@ -92,6 +96,35 @@ fn counter(name: &str, labels: &[(&str, &str)]) -> u64 {
         .get(&key)
         .copied()
         .unwrap_or(0)
+}
+
+/// Sum of a counter family over all of its label sets.
+fn family(name: &str) -> u64 {
+    let labeled = format!("{name}{{");
+    flowcube_obs::snapshot()
+        .counters
+        .iter()
+        .filter(|(k, _)| *k == name || k.starts_with(&labeled))
+        .map(|(_, v)| *v)
+        .sum()
+}
+
+/// Idle connections the front holds to replica `r` of shard `k`.
+fn pooled(front: &FrontHandle, k: usize, r: usize) -> usize {
+    front.state().shards()[k].replicas[r].pool.len()
+}
+
+/// `/cell` of the apex: the whole database's support, from every shard.
+fn assert_full_answer(front: &FrontHandle, db: &PathDatabase, tag: &str) {
+    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
+    assert_eq!(status, 200, "{tag}: got {body:?}");
+    let v = parse(&body);
+    assert_eq!(
+        v.get("support").and_then(Value::as_u64),
+        Some(db.len() as u64),
+        "{tag}: full support: {body}"
+    );
+    assert!(v.get("partial").is_none(), "{tag}: non-partial: {body}");
 }
 
 fn flight_kinds() -> Vec<FlightKind> {
@@ -341,20 +374,8 @@ fn one_dead_replica_per_shard_keeps_every_answer_full() {
     let (db, spec) = gen_db(80, 75);
     let (mut groups, front) = boot_replicated(&db, &spec, 2, 2, |_| {});
 
-    let assert_full = |tag: &str| {
-        let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
-        assert_eq!(status, 200, "{tag}: got {body:?}");
-        let v = parse(&body);
-        assert_eq!(
-            v.get("support").and_then(Value::as_u64),
-            Some(db.len() as u64),
-            "{tag}: full support: {body}"
-        );
-        assert!(v.get("partial").is_none(), "{tag}: non-partial: {body}");
-    };
-
     for _ in 0..5 {
-        assert_full("healthy");
+        assert_full_answer(&front, &db, "healthy");
     }
     // Kill replica 1 of every shard mid-run.
     for group in &mut groups {
@@ -363,7 +384,7 @@ fn one_dead_replica_per_shard_keeps_every_answer_full() {
         dead.join();
     }
     for _ in 0..30 {
-        assert_full("one replica per shard dead");
+        assert_full_answer(&front, &db, "one replica per shard dead");
     }
 
     // The dead replicas were discovered: they carry failure streaks (or
@@ -419,6 +440,210 @@ fn front_worker_panic_is_counted_and_respawned() {
         Some(db.len() as u64)
     );
     assert!(v.get("partial").is_none(), "full answer: {body}");
+
+    flowcube_testkit::reset();
+    shutdown_all(groups, front);
+}
+
+/// (a) Shard attempts reuse connections: twenty federated requests over
+/// two shards open a connection per shard, not one per attempt.
+#[test]
+fn shard_connections_are_pooled_not_opened_per_attempt() {
+    let _guard = lock_globals();
+    let (db, spec) = gen_db(60, 77);
+    let (groups, front) = boot_replicated(&db, &spec, 2, 1, |_| {});
+
+    let accepted = family("serve.connections.accepted");
+    for i in 0..20 {
+        assert_full_answer(&front, &db, &format!("request {i}"));
+    }
+    let opened = family("serve.connections.accepted") - accepted;
+    assert!(
+        (2..=4).contains(&opened),
+        "40 shard attempts opened {opened} connections: one per shard, plus slack for a hedge"
+    );
+    assert_eq!(family("federate.client.pool.miss"), opened);
+    assert_eq!(family("federate.client.pool.hit"), 40 - opened);
+    assert_eq!(family("serve.connections.reused"), 40 - opened);
+    assert_eq!((pooled(&front, 0, 0), pooled(&front, 1, 0)), (1, 1));
+
+    shutdown_all(groups, front);
+}
+
+/// (b) A replica restarted between two requests leaves the front holding
+/// a dead pooled connection. The next request is resent on a fresh one
+/// and answers in full; health, breaker, retries and the request's budget
+/// never hear of it.
+#[test]
+fn stale_pooled_connection_is_resent_not_reported() {
+    let _guard = lock_globals();
+    let (db, spec) = gen_db(60, 78);
+    let (mut groups, front) = boot_replicated(&db, &spec, 2, 1, |_| {});
+    assert_full_answer(&front, &db, "before the restart");
+    assert_eq!(pooled(&front, 0, 0), 1, "the front holds a connection");
+
+    // Restart shard 0's only replica where it was.
+    let old = groups[0].remove(0);
+    let addr = old.addr().to_string();
+    old.shutdown();
+    old.join();
+    let shard = shard_db(&db, 2, 0).expect("shard splits");
+    let cube = FlowCube::build(&shard, spec.clone(), FlowCubeParams::new(1), ItemPlan::All);
+    groups[0].push(start_backend_at(cube, &addr));
+
+    let selected = family("federate.replica.selected");
+    assert_full_answer(&front, &db, "after the restart");
+    assert_eq!(family("federate.client.pool.stale"), 1, "one resend");
+    assert_eq!(
+        family("federate.replica.selected") - selected,
+        2,
+        "one attempt per shard: the resend is not an attempt"
+    );
+    for untouched in [
+        "federate.replica.retried",
+        "federate.replica.hedged",
+        "federate.replica.breaker_open",
+        "federate.shard.errors",
+    ] {
+        assert_eq!(family(untouched), 0, "{untouched} moved");
+    }
+    let (_, _, health) = get(front.addr(), "/healthz", &[]);
+    assert!(
+        !health.contains("\"consecutive_failures\":1"),
+        "no failure streak: {health}"
+    );
+    assert_eq!(pooled(&front, 0, 0), 1, "the fresh connection is pooled");
+
+    shutdown_all(groups, front);
+}
+
+/// (c) A torn read on a pooled connection fails the attempt as it always
+/// did, and the socket — its response unread — is dropped, not pooled.
+#[test]
+fn torn_read_on_a_pooled_connection_drops_the_socket() {
+    let _guard = lock_globals();
+    let (db, spec) = gen_db(40, 79);
+    let (groups, front) = boot_replicated(&db, &spec, 1, 1, |_| {});
+    assert_full_answer(&front, &db, "warm-up");
+    assert_eq!(pooled(&front, 0, 0), 1);
+
+    flowcube_testkit::arm_times("federate.client.read", 1, FailAction::ShortRead(0));
+    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
+    assert_eq!(status, 503, "the only replica's attempt failed: {body}");
+    assert_eq!(flowcube_testkit::hits("federate.client.read"), 1);
+    assert_eq!(family("federate.client.pool.hit"), 1, "it rode the pool");
+    assert_eq!(
+        family("federate.client.pool.stale"),
+        0,
+        "and was not resent"
+    );
+    assert_eq!(pooled(&front, 0, 0), 0, "a half-read socket is not pooled");
+    let (_, _, health) = get(front.addr(), "/healthz", &[]);
+    assert!(
+        health.contains("\"consecutive_failures\":1"),
+        "reported to health as before: {health}"
+    );
+
+    // The next request connects afresh and reads its own answer, not
+    // the /cell answer left unread on the dropped socket.
+    let misses = family("federate.client.pool.miss");
+    let (status, _, body) = get(front.addr(), "/paths/topk?cell=*,*&level=fine&k=2", &[]);
+    assert_eq!(family("federate.client.pool.miss") - misses, 1);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"paths\""), "a top-k answer: {body}");
+    assert_full_answer(&front, &db, "afterwards");
+
+    flowcube_testkit::reset();
+    shutdown_all(groups, front);
+}
+
+/// (d) A hedge loser's socket re-enters the pool only once its response
+/// was read to the end: requests that later ride it read their own
+/// answers.
+#[test]
+fn hedge_losers_socket_is_pooled_only_after_its_whole_response() {
+    let _guard = lock_globals();
+    let (db, spec) = gen_db(50, 80);
+    let (groups, front) = boot_replicated(&db, &spec, 1, 2, |c| {
+        c.hedge = HedgePolicy::Fixed(Duration::from_millis(20));
+    });
+
+    flowcube_testkit::arm_times(
+        "federate.replica.s0.r0",
+        1,
+        FailAction::Delay(Duration::from_millis(150)),
+    );
+    assert_full_answer(&front, &db, "hedged");
+    assert_eq!(
+        counter(
+            "federate.replica.hedge_won",
+            &[("shard", "0"), ("replica", "1")]
+        ),
+        1,
+        "the hedge won"
+    );
+    assert_eq!(pooled(&front, 0, 0), 0, "the loser is still under way");
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while pooled(&front, 0, 0) == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(
+        (pooled(&front, 0, 0), pooled(&front, 0, 1)),
+        (1, 1),
+        "the loser read its whole response and pooled its socket"
+    );
+
+    // The rotation leads with each replica in turn; both pooled sockets
+    // carry requests, and every answer is the one asked for.
+    let accepted = family("serve.connections.accepted");
+    for i in 0..3 {
+        assert_full_answer(&front, &db, &format!("cell {i}"));
+        let (status, _, body) = get(front.addr(), "/paths/topk?cell=*,*&level=fine&k=2", &[]);
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"paths\""), "a top-k answer: {body}");
+    }
+    assert_eq!(family("serve.connections.accepted"), accepted, "all reused");
+
+    flowcube_testkit::reset();
+    shutdown_all(groups, front);
+}
+
+/// (e) When a replica's breaker opens, the idle connections to it go.
+#[test]
+fn breaker_open_empties_the_replicas_pool() {
+    let _guard = lock_globals();
+    let (db, spec) = gen_db(40, 81);
+    let (groups, front) = boot_replicated(&db, &spec, 1, 2, |c| {
+        c.hedge = HedgePolicy::Off;
+        c.breaker = BreakerConfig {
+            failure_threshold: 1,
+            cooldown: Duration::from_secs(60),
+            probe_timeout: Duration::from_millis(500),
+        };
+    });
+    // The rotation leads with replica 0, then replica 1.
+    assert_full_answer(&front, &db, "warm replica 0");
+    assert_full_answer(&front, &db, "warm replica 1");
+    assert_eq!((pooled(&front, 0, 0), pooled(&front, 0, 1)), (1, 1));
+
+    flowcube_testkit::arm_times(
+        "federate.replica.s0.r0",
+        1,
+        FailAction::ReturnErr(Some("injected transport failure".into())),
+    );
+    assert_full_answer(&front, &db, "the retry hides the failure");
+    assert_eq!(
+        counter(
+            "federate.replica.breaker_open",
+            &[("shard", "0"), ("replica", "0")]
+        ),
+        1
+    );
+    assert_eq!(
+        (pooled(&front, 0, 0), pooled(&front, 0, 1)),
+        (0, 1),
+        "the open replica's pool is empty, its neighbour's untouched"
+    );
 
     flowcube_testkit::reset();
     shutdown_all(groups, front);

@@ -1241,11 +1241,12 @@ impl HttpResponse {
 pub fn handle_request<S: Service>(service: &S, req: &Request, ctx: &RequestCtx) -> HttpResponse {
     let start = Instant::now();
     let scope = service.scope();
-    let (tag, label) = scope.endpoint(&req.path);
+    let endpoint = scope.endpoint(&req.path);
+    let (tag, label) = (endpoint.tag, endpoint.label);
     let (id, trace) = assign_request_id(req);
     flight::record(FlightKind::RequestStart, trace, label, 0, ctx.queue_wait_us);
     flowcube_obs::counter_add(&scope.requests_total, 1);
-    flowcube_obs::counter_add(&format!("{}.requests.{tag}", scope.name), 1);
+    flowcube_obs::counter_add(&endpoint.requests, 1);
     flowcube_obs::histogram_record(&scope.queue_wait_us, ctx.queue_wait_us as f64);
 
     let mut resp = builtin(req).unwrap_or_else(|| service.route(req, ctx, trace));
@@ -1254,14 +1255,8 @@ pub fn handle_request<S: Service>(service: &S, req: &Request, ctx: &RequestCtx) 
     let us = latency_us as f64;
     let class = status_class(resp.status);
     flowcube_obs::histogram_record(&scope.latency_us, us);
-    flowcube_obs::histogram_record(&format!("{}.latency_us.{tag}", scope.name), us);
-    flowcube_obs::histogram_record(
-        &flowcube_obs::labeled(
-            &scope.request_latency_us,
-            &[("endpoint", tag), ("status", STATUS_CLASSES[class])],
-        ),
-        us,
-    );
+    flowcube_obs::histogram_record(&endpoint.latency_us, us);
+    flowcube_obs::histogram_record(&endpoint.request_latency_us[class], us);
     flowcube_obs::counter_add(&scope.responses[class], 1);
     flight::record(
         FlightKind::RequestEnd,
@@ -1362,7 +1357,7 @@ fn respond(state: &AppState, req: &Request, ctx: &RequestCtx, trace: u64) -> Htt
         return error_response(&ApiError::MethodNotAllowed(req.method.clone()));
     }
 
-    let (_, label) = state.scope.endpoint(&req.path);
+    let label = state.scope.endpoint(&req.path).label;
     let use_cache = cacheable(&req.path);
     let cache_key = req.cache_key();
     if use_cache {

@@ -10,20 +10,45 @@
 //!
 //! Threading model:
 //!
-//! * one **acceptor** thread pulls connections off the listener and
-//!   pushes them onto a bounded queue;
-//! * `workers` **worker** threads pop connections, apply socket
-//!   read/write timeouts, parse one request, answer it through
-//!   [`crate::api::handle_request`] (the request envelope around the
-//!   service's route), and close;
+//! * one **acceptor** thread owns the listener and every connection
+//!   that is between requests. It waits in one `poll(2)` on the
+//!   listener, on a wake channel and on all parked connections, and
+//!   pushes what becomes ready — a fresh connection, or a parked one
+//!   whose next request has started to arrive — onto a bounded queue;
+//! * `workers` **worker** threads pop connections, parse one request
+//!   (on a fresh connection after applying the socket timeouts and
+//!   `TCP_NODELAY`), answer it through [`crate::api::handle_request`]
+//!   (the request envelope around the service's route), and then either
+//!   close the connection or hand it back to the acceptor to be parked.
+//!   A request already waiting in the connection's carry buffer
+//!   (pipelining) is answered first. **A connection between requests
+//!   occupies no worker**: a worker never blocks in `read` on an idle
+//!   socket, so two workers serve any number of persistent clients;
 //! * when the queue is full the acceptor answers `429 Too Many
 //!   Requests` inline and drops the connection — load shedding at the
-//!   door instead of unbounded buffering.
+//!   door instead of unbounded buffering — whether the connection was
+//!   fresh or parked.
+//!
+//! Connection life cycle: accepted → queued → served → parked → queued
+//! → served → … → closed. The acceptor owns a socket while it is parked,
+//! the queue while it is queued, one worker while it is served. A
+//! response says `Connection: keep-alive` exactly when the connection is
+//! parked afterwards, and `Connection: close` when it is not: the client
+//! asked for `Connection: close` (or spoke HTTP/1.0 without
+//! `Connection: keep-alive`), the request could not be parsed (the
+//! stream position is unknown), the write failed, the server is
+//! shutting down, or the connection was shed. A parked connection that
+//! stays silent for [`ServerConfig::read_timeout`] is closed, and at
+//! most [`MAX_IDLE_CONNECTIONS`] are parked — one more closes the
+//! longest-idle one. The idle watcher is `poll(2)`: the runtime needs a
+//! unix target.
 //!
 //! Shutdown is cooperative: [`ServerHandle::shutdown`] (or `SIGINT`/
 //! `SIGTERM` via [`ServerHandle::wait_for_signals`]) flips a flag; the
-//! acceptor (unblocked by a wake-up connection) and the workers
-//! (polling the queue with a short wait timeout) notice it and drain.
+//! acceptor (unblocked through its wake channel) drops every parked
+//! connection and exits, the workers (polling the queue with a short
+//! wait timeout) answer what is in flight with `Connection: close` and
+//! drain.
 //!
 //! Fault tolerance:
 //!
@@ -43,11 +68,14 @@ use crate::access::AccessLog;
 use crate::api::{error_response, handle_request, AppState, HttpResponse, RequestCtx};
 use crate::cache::ResponseCache;
 use crate::error::ApiError;
-use crate::http::{read_request, write_response, HttpError, Request};
+use crate::http::{
+    read_request, request_buffered, write_response, HttpError, Request, MAX_IDLE_CONNECTIONS,
+};
 use flowcube_obs::flight::{self, FlightKind};
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -76,6 +104,37 @@ pub trait Service: Send + Sync + 'static {
     fn on_sighup(&self) {}
 }
 
+/// One routable path of a service: its metric tag, its flight label and
+/// the names of its series.
+pub struct Endpoint {
+    path: &'static str,
+    pub tag: &'static str,
+    pub label: u16,
+    /// `{scope}.requests.{tag}`.
+    pub(crate) requests: String,
+    /// `{scope}.latency_us.{tag}`.
+    pub(crate) latency_us: String,
+    /// `{scope}.request.latency_us{endpoint=tag,status=class}`, indexed
+    /// like [`crate::api::STATUS_CLASSES`].
+    pub(crate) request_latency_us: [String; 6],
+}
+
+impl Endpoint {
+    fn new(scope: &str, path: &'static str, tag: &'static str) -> Endpoint {
+        let family = format!("{scope}.request.latency_us");
+        Endpoint {
+            path,
+            tag,
+            label: flight::intern(tag),
+            requests: format!("{scope}.requests.{tag}"),
+            latency_us: format!("{scope}.latency_us.{tag}"),
+            request_latency_us: crate::api::STATUS_CLASSES.map(|class| {
+                flowcube_obs::labeled(&family, &[("endpoint", tag), ("status", class)])
+            }),
+        }
+    }
+}
+
 /// A service's name and everything derived from it, built once so that
 /// neither the runtime nor the envelope formats a series name per
 /// request.
@@ -85,13 +144,11 @@ pub struct Scope {
     /// one process (a front and its shards, in tests and benchmarks)
     /// never write each other's series.
     pub name: &'static str,
-    /// `(path, endpoint tag, flight label)` per routable path.
-    endpoints: Vec<(&'static str, &'static str, u16)>,
-    /// Flight label of the `"other"` tag every unlisted path gets.
-    other: u16,
+    endpoints: Vec<Endpoint>,
+    /// The `"other"` tag every unlisted path gets.
+    other: Endpoint,
     pub(crate) requests_total: String,
     pub(crate) latency_us: String,
-    pub(crate) request_latency_us: String,
     pub(crate) queue_wait_us: String,
     /// `{name}.responses.Nxx`, indexed like [`crate::api::STATUS_CLASSES`].
     pub(crate) responses: [String; 6],
@@ -99,8 +156,17 @@ pub struct Scope {
     shed: String,
     worker_crashes: String,
     malformed: String,
+    /// A peer vanished mid-request — not one that closed an idle
+    /// connection.
     disconnected: String,
     started: String,
+    connections_accepted: String,
+    /// Requests served on a connection that had already served one.
+    connections_reused: String,
+    /// Connections parked between requests right now (gauge).
+    connections_idle: String,
+    /// Parked connections the server closed: idle timeout or cap.
+    connections_idle_closed: String,
     /// Failpoint evaluated by a worker that has claimed a connection.
     worker_request: String,
 }
@@ -115,12 +181,11 @@ impl Scope {
             endpoints: endpoints
                 .iter()
                 .chain(crate::api::BUILTIN_ENDPOINTS)
-                .map(|&(path, tag)| (path, tag, flight::intern(tag)))
+                .map(|&(path, tag)| Endpoint::new(name, path, tag))
                 .collect(),
-            other: flight::intern("other"),
+            other: Endpoint::new(name, "", "other"),
             requests_total: series("requests.total"),
             latency_us: series("latency_us"),
-            request_latency_us: series("request.latency_us"),
             queue_wait_us: series("queue.wait_us"),
             responses: crate::api::STATUS_CLASSES
                 .map(|class| series(&format!("responses.{class}"))),
@@ -130,16 +195,20 @@ impl Scope {
             malformed: series("malformed"),
             disconnected: series("disconnected"),
             started: series("started"),
+            connections_accepted: series("connections.accepted"),
+            connections_reused: series("connections.reused"),
+            connections_idle: series("connections.idle"),
+            connections_idle_closed: series("connections.idle_closed"),
             worker_request: series("worker.request"),
         }
     }
 
-    /// The metric tag and flight label of a request path.
-    pub fn endpoint(&self, path: &str) -> (&'static str, u16) {
+    /// The endpoint a request path belongs to.
+    pub fn endpoint(&self, path: &str) -> &Endpoint {
         self.endpoints
             .iter()
-            .find(|(p, _, _)| *p == path)
-            .map_or(("other", self.other), |&(_, tag, label)| (tag, label))
+            .find(|e| e.path == path)
+            .unwrap_or(&self.other)
     }
 }
 
@@ -157,7 +226,8 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Response cache capacity (entries); 0 disables caching.
     pub cache_capacity: usize,
-    /// Per-connection socket read timeout.
+    /// Per-connection socket read timeout — and how long a connection
+    /// may idle between requests before the server closes it.
     pub read_timeout: Duration,
     /// Per-connection socket write timeout.
     pub write_timeout: Duration,
@@ -200,14 +270,25 @@ impl Default for ServerConfig {
     }
 }
 
+/// A client connection, as it travels between the acceptor, the queue
+/// and the workers.
+struct Conn {
+    stream: TcpStream,
+    /// Bytes read past the last answered request: the start of the next.
+    carry: Vec<u8>,
+    /// Requests answered on this connection so far.
+    served: u64,
+}
+
 /// The bounded hand-off between the acceptor and the workers.
 /// (std `Mutex`/`Condvar` — the vendored `parking_lot` has no condvar;
 /// poisoning is recovered because a panicking worker must not wedge the
 /// accept path.)
 struct ConnQueue {
-    /// Each connection carries its enqueue instant so the worker that
-    /// picks it up can report how long it waited.
-    queue: std::sync::Mutex<VecDeque<(TcpStream, Instant)>>,
+    /// Each connection carries the instant a worker could first have
+    /// taken it — accepted, or seen readable while parked — so the worker
+    /// that picks it up can report how long it waited.
+    queue: std::sync::Mutex<VecDeque<(Conn, Instant)>>,
     ready: std::sync::Condvar,
     depth: usize,
     /// The `{scope}.queue.depth` gauge.
@@ -224,18 +305,18 @@ impl ConnQueue {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(TcpStream, Instant)>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(Conn, Instant)>> {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Enqueue if there is room; a full queue hands the stream back so
-    /// the caller can shed it.
-    fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
+    /// Enqueue if there is room; a full queue hands the connection back
+    /// so the caller can shed it.
+    fn push(&self, conn: Conn, ready_at: Instant) -> Result<(), Conn> {
         let mut q = self.lock();
         if q.len() >= self.depth {
-            return Err(stream);
+            return Err(conn);
         }
-        q.push_back((stream, Instant::now()));
+        q.push_back((conn, ready_at));
         flowcube_obs::gauge_set(&self.gauge, q.len() as f64);
         drop(q);
         self.ready.notify_one();
@@ -243,8 +324,8 @@ impl ConnQueue {
     }
 
     /// Pop with a bounded wait so workers can observe shutdown. Returns
-    /// the stream and the microseconds it sat queued.
-    fn pop(&self, wait: Duration) -> Option<(TcpStream, u64)> {
+    /// the connection and the microseconds it sat queued.
+    fn pop(&self, wait: Duration) -> Option<(Conn, u64)> {
         let mut q = self.lock();
         if q.is_empty() {
             let (guard, _timeout) = self
@@ -258,7 +339,34 @@ impl ConnQueue {
             flowcube_obs::gauge_set(&self.gauge, q.len() as f64);
         }
         drop(q);
-        item.map(|(stream, enqueued)| (stream, enqueued.elapsed().as_micros() as u64))
+        item.map(|(conn, ready_at)| (conn, ready_at.elapsed().as_micros() as u64))
+    }
+}
+
+/// The way back to the acceptor: answered connections for it to park,
+/// and the wake channel that interrupts its `poll`.
+struct Handback {
+    returned: std::sync::Mutex<Vec<Conn>>,
+    /// Write end of the wake channel; the acceptor polls the other end.
+    wake: UnixStream,
+}
+
+impl Handback {
+    fn park(&self, conn: Conn) {
+        self.returned
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(conn);
+        self.wake();
+    }
+
+    /// Non-blocking: a full channel already holds a wake-up.
+    fn wake(&self) {
+        let _ = (&self.wake).write(&[1]);
+    }
+
+    fn take(&self) -> Vec<Conn> {
+        std::mem::take(&mut *self.returned.lock().unwrap_or_else(|e| e.into_inner()))
     }
 }
 
@@ -268,6 +376,7 @@ pub struct ServerHandle<S = AppState> {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     state: Arc<S>,
+    handback: Arc<Handback>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -282,12 +391,12 @@ impl<S: Service> ServerHandle<S> {
         self.state.clone()
     }
 
-    /// Request a graceful stop; returns immediately. A wake-up
-    /// connection unblocks the acceptor so it observes the flag without
-    /// waiting for real traffic.
+    /// Request a graceful stop; returns immediately. The wake channel
+    /// unblocks the acceptor so it observes the flag without waiting for
+    /// real traffic.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
+        self.handback.wake();
     }
 
     /// Wait for the acceptor, supervisor, and all workers to exit.
@@ -334,8 +443,24 @@ pub fn serve(mut state: AppState, config: ServerConfig) -> io::Result<ServerHand
 /// Host `service` on a listener per `config`'s runtime fields. Returns
 /// once the listener is bound and the worker pool is running.
 pub fn host<S: Service>(service: S, config: &ServerConfig) -> io::Result<ServerHandle<S>> {
+    host_capped(service, config, MAX_IDLE_CONNECTIONS)
+}
+
+/// [`host`], parking at most `idle_cap` connections.
+fn host_capped<S: Service>(
+    service: S,
+    config: &ServerConfig,
+    idle_cap: usize,
+) -> io::Result<ServerHandle<S>> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
+    // `poll` says when `accept` will not block; should the peer have
+    // reset by then, a blocking accept would stall every parked
+    // connection behind it.
+    listener.set_nonblocking(true)?;
+    let (wake_tx, wake_rx) = UnixStream::pair()?;
+    wake_tx.set_nonblocking(true)?;
+    wake_rx.set_nonblocking(true)?;
 
     // The flight recorder runs for the life of the server: it is the
     // always-on black box that slow-request and 5xx access-log entries
@@ -349,25 +474,44 @@ pub fn host<S: Service>(service: S, config: &ServerConfig) -> io::Result<ServerH
         config.queue_depth,
         scope.queue_depth.clone(),
     ));
+    let handback = Arc::new(Handback {
+        returned: std::sync::Mutex::new(Vec::new()),
+        wake: wake_tx,
+    });
     let mut threads = Vec::with_capacity(2);
 
     // Acceptor.
     {
-        let (state, queue, stop) = (state.clone(), queue.clone(), stop.clone());
+        let acceptor = Acceptor {
+            listener,
+            wake: wake_rx,
+            service: state.clone(),
+            queue: queue.clone(),
+            handback: handback.clone(),
+            stop: stop.clone(),
+            idle_timeout: config.read_timeout,
+            idle_cap,
+        };
         threads.push(
             std::thread::Builder::new()
                 .name(format!("{}-accept", scope.name))
-                .spawn(move || acceptor_loop(listener, state, queue, stop))?,
+                .spawn(move || acceptor.run())?,
         );
     }
 
     // Supervisor — spawns the workers and respawns any that panic.
     {
-        let (state, stop, config) = (state.clone(), stop.clone(), config.clone());
+        let pool = WorkerPool {
+            service: state.clone(),
+            queue,
+            handback: handback.clone(),
+            stop: stop.clone(),
+            config: config.clone(),
+        };
         threads.push(
             std::thread::Builder::new()
                 .name(format!("{}-supervisor", scope.name))
-                .spawn(move || supervisor_loop(state, queue, stop, config))?,
+                .spawn(move || supervisor_loop(pool))?,
         );
     }
 
@@ -376,6 +520,7 @@ pub fn host<S: Service>(service: S, config: &ServerConfig) -> io::Result<ServerH
         addr,
         stop,
         state,
+        handback,
         threads,
     })
 }
@@ -386,37 +531,127 @@ pub fn serve_cube(cube: crate::api::ServedCube, config: ServerConfig) -> io::Res
     serve(AppState::new(cube, cache), config)
 }
 
-fn acceptor_loop<S: Service>(
+/// The acceptor thread's state: the listener, the wake channel, and the
+/// parked connections it alone owns.
+struct Acceptor<S> {
     listener: TcpListener,
+    /// Read end of the wake channel.
+    wake: UnixStream,
     service: Arc<S>,
     queue: Arc<ConnQueue>,
+    handback: Arc<Handback>,
     stop: Arc<AtomicBool>,
-) {
-    // Blocking accept: zero added latency on the hot path. `shutdown`
-    // unblocks it with a wake-up connection.
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if stop.load(Ordering::SeqCst) {
-                    return; // the wake-up connection (or late traffic)
-                }
-                if let Err(mut shed) = queue.push(stream) {
-                    // Queue full: shed at the door, telling the client
-                    // when to come back.
-                    flowcube_obs::counter_add(&service.scope().shed, 1);
-                    flight::record(FlightKind::Shed, 0, 0, 429, 0);
-                    let _ = shed.set_write_timeout(Some(Duration::from_millis(500)));
-                    let _ = write_response(&mut shed, &error_response(&ApiError::Overloaded));
+    /// How long a parked connection may stay silent.
+    idle_timeout: Duration,
+    /// Most connections parked at once.
+    idle_cap: usize,
+}
+
+impl<S: Service> Acceptor<S> {
+    fn run(self) {
+        let scope = self.service.scope();
+        // Each parked connection with the instant it was parked.
+        let mut parked: Vec<(Conn, Instant)> = Vec::new();
+        let mut fds: Vec<sys::PollFd> = Vec::new();
+        let mut idle_reported = 0;
+        loop {
+            fds.clear();
+            fds.push(sys::PollFd::readable(&self.listener));
+            fds.push(sys::PollFd::readable(&self.wake));
+            fds.extend(parked.iter().map(|(c, _)| sys::PollFd::readable(&c.stream)));
+            let next_expiry = parked.iter().map(|&(_, since)| since).min();
+            let timeout = next_expiry
+                .map(|since| (since + self.idle_timeout).saturating_duration_since(Instant::now()));
+            if !sys::wait(&mut fds, timeout) {
+                // Interrupted by a signal, as a rule. Nothing is known to
+                // be ready; do not spin should the error persist.
+                std::thread::sleep(Duration::from_millis(1));
+                fds.iter_mut().for_each(|fd| fd.revents = 0);
+            }
+            if self.stop.load(Ordering::SeqCst) {
+                return; // closes the listener and every parked connection
+            }
+            let now = Instant::now();
+
+            // Parked connections with something to read go back to the
+            // workers (downwards, so `swap_remove` keeps `fds` aligned);
+            // silent ones past the idle budget are closed.
+            for i in (0..parked.len()).rev() {
+                if fds[2 + i].revents != 0 {
+                    let (conn, _) = parked.swap_remove(i);
+                    self.enqueue(conn, now);
+                } else if now.saturating_duration_since(parked[i].1) >= self.idle_timeout {
+                    parked.swap_remove(i);
+                    flowcube_obs::counter_add(&scope.connections_idle_closed, 1);
                 }
             }
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
+
+            if fds[1].revents != 0 {
+                let mut drain = [0u8; 64];
+                let _ = (&self.wake).read(&mut drain);
+                for conn in self.handback.take() {
+                    if parked.len() >= self.idle_cap {
+                        let longest_idle = (0..parked.len()).min_by_key(|&i| parked[i].1);
+                        if let Some(i) = longest_idle {
+                            parked.swap_remove(i);
+                            flowcube_obs::counter_add(&scope.connections_idle_closed, 1);
+                        }
+                    }
+                    parked.push((conn, now));
                 }
-                std::thread::sleep(Duration::from_millis(20));
+            }
+
+            if fds[0].revents != 0 {
+                match self.listener.accept() {
+                    Ok((stream, _peer)) => {
+                        flowcube_obs::counter_add(&scope.connections_accepted, 1);
+                        let conn = Conn {
+                            stream,
+                            carry: Vec::new(),
+                            served: 0,
+                        };
+                        self.enqueue(conn, now);
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    // Out of descriptors, most likely: the listener stays
+                    // readable, so back off instead of spinning.
+                    Err(_) => std::thread::sleep(Duration::from_millis(20)),
+                }
+            }
+
+            if parked.len() != idle_reported {
+                idle_reported = parked.len();
+                flowcube_obs::gauge_set(&scope.connections_idle, idle_reported as f64);
             }
         }
     }
+
+    /// Queue a connection a worker can serve now; shed it when the queue
+    /// is full, telling the client when to come back.
+    fn enqueue(&self, conn: Conn, ready_at: Instant) {
+        if let Err(mut shed) = self.queue.push(conn, ready_at) {
+            flowcube_obs::counter_add(&self.service.scope().shed, 1);
+            flight::record(FlightKind::Shed, 0, 0, 429, 0);
+            let _ = shed.stream.set_nonblocking(false);
+            let _ = shed
+                .stream
+                .set_write_timeout(Some(Duration::from_millis(500)));
+            let _ = write_response(
+                &mut shed.stream,
+                &error_response(&ApiError::Overloaded),
+                false,
+            );
+        }
+    }
+}
+
+/// What every worker of one server shares.
+struct WorkerPool<S> {
+    service: Arc<S>,
+    queue: Arc<ConnQueue>,
+    handback: Arc<Handback>,
+    stop: Arc<AtomicBool>,
+    config: ServerConfig,
 }
 
 /// Keep the worker pool at full strength: spawn the workers, poll for
@@ -424,31 +659,24 @@ fn acceptor_loop<S: Service>(
 /// counted in `{scope}.worker.crashes` and handed to
 /// [`Service::worker_crashed`] (each tier's `/healthz` surfaces the
 /// total). Workers that return normally (shutdown) are simply reaped.
-fn supervisor_loop<S: Service>(
-    service: Arc<S>,
-    queue: Arc<ConnQueue>,
-    stop: Arc<AtomicBool>,
-    config: ServerConfig,
-) {
-    let scope = service.scope();
+fn supervisor_loop<S: Service>(pool: WorkerPool<S>) {
+    let pool = Arc::new(pool);
+    let scope = pool.service.scope();
     let spawn_worker = |slot: usize, generation: u64| -> Option<JoinHandle<()>> {
-        let service = service.clone();
-        let queue = queue.clone();
-        let stop = stop.clone();
-        let config = config.clone();
+        let pool = pool.clone();
         std::thread::Builder::new()
             .name(format!("{}-worker-{slot}.{generation}", scope.name))
-            .spawn(move || worker_loop(service, queue, stop, config))
+            .spawn(move || worker_loop(&pool))
             .ok()
     };
-    let workers = config.workers.max(1);
+    let workers = pool.config.workers.max(1);
     let mut generation = 0u64;
-    let mut pool: Vec<Option<JoinHandle<()>>> =
+    let mut handles: Vec<Option<JoinHandle<()>>> =
         (0..workers).map(|slot| spawn_worker(slot, 0)).collect();
     loop {
         std::thread::sleep(Duration::from_millis(20));
-        let stopping = stop.load(Ordering::SeqCst);
-        for (slot, entry) in pool.iter_mut().enumerate() {
+        let stopping = pool.stop.load(Ordering::SeqCst);
+        for (slot, entry) in handles.iter_mut().enumerate() {
             // Only reap handles that actually finished — `take` on a
             // live worker would detach it from supervision.
             if !matches!(entry, Some(h) if h.is_finished()) {
@@ -458,7 +686,7 @@ fn supervisor_loop<S: Service>(
                 let crashed = handle.join().is_err();
                 if crashed {
                     flowcube_obs::counter_add(&scope.worker_crashes, 1);
-                    service.worker_crashed();
+                    pool.service.worker_crashed();
                     if !stopping {
                         generation += 1;
                         *entry = spawn_worker(slot, generation);
@@ -468,7 +696,7 @@ fn supervisor_loop<S: Service>(
             }
         }
         if stopping {
-            for handle in pool.iter_mut().filter_map(Option::take) {
+            for handle in handles.iter_mut().filter_map(Option::take) {
                 let _ = handle.join();
             }
             return;
@@ -476,20 +704,16 @@ fn supervisor_loop<S: Service>(
     }
 }
 
-fn worker_loop<S: Service>(
-    service: Arc<S>,
-    queue: Arc<ConnQueue>,
-    stop: Arc<AtomicBool>,
-    config: ServerConfig,
-) {
+fn worker_loop<S: Service>(pool: &WorkerPool<S>) {
+    let (service, config) = (&*pool.service, &pool.config);
     let scope = service.scope();
     let rejected = |e: ApiError| {
         flowcube_obs::counter_add(&scope.malformed, 1);
         error_response(&e)
     };
     loop {
-        let Some((mut stream, queue_wait_us)) = queue.pop(Duration::from_millis(100)) else {
-            if stop.load(Ordering::SeqCst) {
+        let Some((mut conn, mut queue_wait_us)) = pool.queue.pop(Duration::from_millis(100)) else {
+            if pool.stop.load(Ordering::SeqCst) {
                 return;
             }
             continue;
@@ -500,26 +724,52 @@ fn worker_loop<S: Service>(
         // scope's name, so arming one tier's never kills another's
         // workers in the same process.
         flowcube_testkit::fail_point_unit(&scope.worker_request);
-        let _ = stream.set_read_timeout(Some(config.read_timeout));
-        let _ = stream.set_write_timeout(Some(config.write_timeout));
-        let resp = match read_request(&mut stream) {
-            Ok(req) => {
-                let mut ctx = match config.request_deadline {
-                    Some(timeout) => RequestCtx::with_timeout(timeout),
-                    None => RequestCtx::default(),
-                };
-                ctx.queue_wait_us = queue_wait_us;
-                handle_request(&*service, &req, &ctx)
+        if conn.served == 0 {
+            // Some platforms hand the listener's non-blocking mode down.
+            let _ = conn.stream.set_nonblocking(false);
+            let _ = conn.stream.set_read_timeout(Some(config.read_timeout));
+            let _ = conn.stream.set_write_timeout(Some(config.write_timeout));
+            let _ = conn.stream.set_nodelay(true);
+        }
+        // Answer the request that made the connection ready, and any
+        // pipelined behind it; then park the connection or drop it.
+        loop {
+            let (resp, keep_alive) = match read_request(&mut conn.stream, &mut conn.carry) {
+                Ok((req, client_keeps_alive)) => {
+                    let mut ctx = match config.request_deadline {
+                        Some(timeout) => RequestCtx::with_timeout(timeout),
+                        None => RequestCtx::default(),
+                    };
+                    ctx.queue_wait_us = queue_wait_us;
+                    if conn.served > 0 {
+                        flowcube_obs::counter_add(&scope.connections_reused, 1);
+                    }
+                    let resp = handle_request(service, &req, &ctx);
+                    let stopping = pool.stop.load(Ordering::SeqCst);
+                    (resp, client_keeps_alive && !stopping)
+                }
+                Err(HttpError::Disconnected) => {
+                    // A peer that closes a connection it was not using
+                    // has not vanished mid-request.
+                    let was_idle = conn.served > 0 && conn.carry.is_empty();
+                    if !was_idle {
+                        flowcube_obs::counter_add(&scope.disconnected, 1);
+                    }
+                    break;
+                }
+                Err(HttpError::Malformed(detail)) => (rejected(ApiError::Malformed(detail)), false),
+                Err(HttpError::TooLarge) => (rejected(ApiError::TooLarge), false),
+            };
+            if write_response(&mut conn.stream, &resp, keep_alive).is_err() || !keep_alive {
+                break;
             }
-            Err(HttpError::Disconnected) => {
-                flowcube_obs::counter_add(&scope.disconnected, 1);
-                continue;
+            conn.served += 1;
+            if !request_buffered(&conn.carry) {
+                pool.handback.park(conn);
+                break;
             }
-            Err(HttpError::Malformed(detail)) => rejected(ApiError::Malformed(detail)),
-            Err(HttpError::TooLarge) => rejected(ApiError::TooLarge),
-        };
-        let _ = write_response(&mut stream, &resp);
-        // Connection: close — drop the stream.
+            queue_wait_us = 0;
+        }
     }
 }
 
@@ -559,5 +809,110 @@ mod sig {
             signal(SIGTERM, on_signal as *const () as usize);
             signal(SIGHUP, on_reload as *const () as usize);
         }
+    }
+}
+
+// ---- poll(2) ------------------------------------------------------------
+// The acceptor's one blocking call: wait until the listener, the wake
+// channel or a parked connection has something to read.
+
+mod sys {
+    use std::os::fd::AsRawFd;
+    use std::time::Duration;
+
+    const POLLIN: i16 = 0x001;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub struct PollFd {
+        fd: i32,
+        events: i16,
+        /// What `poll` found: non-zero when the descriptor is readable,
+        /// at end of stream, or in error.
+        pub revents: i16,
+    }
+
+    impl PollFd {
+        pub fn readable(source: &impl AsRawFd) -> PollFd {
+            PollFd {
+                fd: source.as_raw_fd(),
+                events: POLLIN,
+                revents: 0,
+            }
+        }
+    }
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::ffi::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
+    }
+
+    /// Block until a descriptor is ready or `timeout` passes (`None`: no
+    /// limit). `false` when the call failed — `EINTR`, as a rule — and
+    /// `revents` holds nothing.
+    pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> bool {
+        // Rounded up, so that a wait for an expiry does not return just
+        // short of it and spin.
+        let millis = timeout.map_or(-1, |t| {
+            i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
+        });
+        // SAFETY: pointer and length describe one live, exclusively
+        // borrowed slice of `#[repr(C)]` structs laid out as `struct
+        // pollfd`; `poll` writes only their `revents` and keeps no
+        // pointer past its return. std already links libc on unix.
+        unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, millis) >= 0 }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flowcube_testkit::http::Persistent;
+
+    /// A service that answers everything with `{}`.
+    struct Null(Scope);
+
+    impl Service for Null {
+        fn scope(&self) -> &Scope {
+            &self.0
+        }
+
+        fn route(&self, _req: &Request, _ctx: &RequestCtx, _trace: u64) -> HttpResponse {
+            HttpResponse::json(200, "{}".into())
+        }
+
+        fn worker_crashed(&self) {}
+    }
+
+    /// With room to park two connections, parking a third closes the one
+    /// that has idled longest and no other.
+    #[test]
+    fn at_the_idle_cap_the_longest_idle_connection_is_closed() {
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = host_capped(Null(Scope::new("idlecap", &[])), &config, 2).unwrap();
+        let mut clients: Vec<Persistent> = (0..3).map(|_| Persistent::new(server.addr())).collect();
+        // Served in order, a pause apart: client 0 idles longest.
+        for client in &mut clients {
+            assert_eq!(client.get("/x").expect("answered").0, 200);
+            std::thread::sleep(Duration::from_millis(30));
+        }
+        assert!(
+            clients[0].closed_by_server(Duration::from_secs(2)),
+            "the longest-idle connection makes room"
+        );
+        for client in &mut clients[1..] {
+            assert!(!client.closed_by_server(Duration::from_millis(50)));
+            assert_eq!(client.get("/x").expect("answered").0, 200);
+            assert_eq!(client.connects, 1, "the younger two are kept");
+        }
+        server.shutdown();
+        server.join();
     }
 }

@@ -59,6 +59,10 @@ fn survives_malformed_and_hostile_input() {
             error.get("error").and_then(Value::as_str).is_some(),
             "{shown:?} got {body:?}"
         );
+        // The rejected bytes left nothing behind: a new connection is
+        // answered as if they had never arrived.
+        let (status, _, _) = get(addr, "/healthz", &[]);
+        assert_eq!(status, 200, "after {shown:?}");
     }
 
     // Half-open connection: connect, write a fragment, hang up.

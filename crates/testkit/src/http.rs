@@ -1,8 +1,12 @@
-//! The raw HTTP/1.1 client of the integration suites: one request per
-//! connection over a plain `TcpStream`, so a test sees exactly the
-//! bytes a server wrote — status line, headers, body — or the hangup.
-//! Std only: the servers under test depend on this crate, not the other
-//! way round.
+//! The raw HTTP/1.1 clients of the integration suites, over a plain
+//! `TcpStream`, so a test sees exactly the bytes a server wrote — status
+//! line, headers, body — or the hangup. The one-shot helpers ([`get`],
+//! [`request`]) send `Connection: close` and read to the end of the
+//! stream: one request per connection, whatever the server would have
+//! allowed. [`Persistent`] is the other kind of client: it keeps its
+//! connection, frames every response by `Content-Length`, and counts
+//! how often it had to connect. Std only: the servers under test depend
+//! on this crate, not the other way round.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -64,10 +68,116 @@ pub fn request(
     parse_response(&raw_roundtrip(addr, req.as_bytes()))
 }
 
+/// A client that keeps its connection between requests.
+pub struct Persistent {
+    addr: SocketAddr,
+    stream: Option<TcpStream>,
+    /// Bytes read past the last response.
+    carry: Vec<u8>,
+    /// Connections opened so far.
+    pub connects: u64,
+}
+
+impl Persistent {
+    pub fn new(addr: SocketAddr) -> Persistent {
+        Persistent {
+            addr,
+            stream: None,
+            carry: Vec::new(),
+            connects: 0,
+        }
+    }
+
+    /// Write raw bytes — one request, several pipelined, or a fragment —
+    /// connecting first if there is no connection.
+    pub fn send(&mut self, bytes: &[u8]) {
+        if self.stream.is_none() {
+            let stream = TcpStream::connect(self.addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("set read timeout");
+            stream.set_nodelay(true).expect("set nodelay");
+            self.connects += 1;
+            self.carry.clear();
+            self.stream = Some(stream);
+        }
+        let stream = self.stream.as_mut().expect("connected above");
+        stream.write_all(bytes).expect("write");
+    }
+
+    /// Read one response, framed by its `Content-Length`. `None` when
+    /// the server closed (or reset) the connection before a whole
+    /// response arrived; the next [`Self::send`] reconnects.
+    pub fn recv(&mut self) -> Option<Response> {
+        let stream = self.stream.as_mut()?;
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Some(head_end) = self.carry.windows(4).position(|w| w == b"\r\n\r\n") {
+                let (_, headers, _) = parse_response(&self.carry[..head_end + 4]);
+                let len: usize = header(&headers, "content-length")
+                    .expect("every response carries Content-Length")
+                    .parse()
+                    .expect("Content-Length is a number");
+                let total = head_end + 4 + len;
+                if self.carry.len() >= total {
+                    let response = parse_response(&self.carry[..total]);
+                    self.carry.drain(..total);
+                    return Some(response);
+                }
+            }
+            match stream.read(&mut chunk) {
+                Ok(n) if n > 0 => self.carry.extend_from_slice(&chunk[..n]),
+                _ => {
+                    self.stream = None;
+                    return None;
+                }
+            }
+        }
+    }
+
+    /// `GET target` on the kept connection, with no `Connection` header.
+    pub fn get(&mut self, target: &str) -> Option<Response> {
+        self.send(format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes());
+        self.recv()
+    }
+
+    /// Has the server closed the connection? Waits up to `within` for
+    /// the end of the stream; bytes that arrive instead are kept.
+    pub fn closed_by_server(&mut self, within: Duration) -> bool {
+        let Some(stream) = self.stream.as_mut() else {
+            return true;
+        };
+        stream.set_read_timeout(Some(within)).expect("set timeout");
+        let mut chunk = [0u8; 4096];
+        let closed = loop {
+            match stream.read(&mut chunk) {
+                Ok(0) => break true,
+                Ok(n) => self.carry.extend_from_slice(&chunk[..n]),
+                Err(e) => {
+                    break !matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    )
+                }
+            }
+        };
+        if closed {
+            self.stream = None;
+        } else {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("set timeout");
+        }
+        closed
+    }
+}
+
 /// Requests no server may answer with anything but a JSON error body:
 /// raw bytes and the status they must draw. Quotes, backslashes and a
 /// control byte ride in the request line and in a header line, where a
-/// hand-escaped error body would break.
+/// hand-escaped error body would break. The last rows are requests whose
+/// body length cannot be known for certain; a server that guessed would
+/// read the rest of a persistent connection out of step.
 pub fn hostile_requests() -> Vec<(Vec<u8>, u16)> {
     let mut oversized = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
     oversized.resize(oversized.len() + 20 * 1024, b'a');
@@ -83,13 +193,34 @@ pub fn hostile_requests() -> Vec<(Vec<u8>, u16)> {
             400,
         ),
         (oversized, 431),
+        (
+            b"POST /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n".to_vec(),
+            400,
+        ),
+        (
+            b"POST /healthz HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi".to_vec(),
+            400,
+        ),
+        (
+            b"POST /healthz HTTP/1.1\r\nContent-Length: +2\r\n\r\nhi".to_vec(),
+            400,
+        ),
+        (
+            b"POST /healthz HTTP/1.1\r\nContent-Length: 2, 2\r\n\r\nhi".to_vec(),
+            400,
+        ),
+        (
+            b"POST /healthz HTTP/1.1\r\nContent-Length: 2x\r\n\r\nhi".to_vec(),
+            400,
+        ),
     ]
 }
 
 /// Fill a server running one worker over a queue of one — a silent
-/// connection occupies the worker (it blocks in read until the socket
-/// timeout), a second fills the queue — and return what the third
-/// connection, shed at the door, reads.
+/// fresh connection occupies the worker (it blocks in read until the
+/// socket timeout: only a connection that has been answered is parked
+/// off the workers), a second fills the queue — and return what the
+/// third connection, shed at the door, reads.
 pub fn third_connection(addr: SocketAddr) -> Response {
     let hold_worker = TcpStream::connect(addr).expect("connect");
     std::thread::sleep(Duration::from_millis(200));
