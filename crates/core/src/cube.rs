@@ -414,7 +414,13 @@ impl FlowCube {
     pub fn prune_redundant(&mut self, tau: f64) -> usize {
         // `cells_materialized` deliberately stays at its pre-prune value,
         // matching the batch pipeline (phase 6 counts, phase 7 prunes).
-        build::prune_redundant(&mut self.cuboids, &self.schema, tau, &mut self.stats);
+        build::prune_redundant(
+            &mut self.cuboids,
+            &self.schema,
+            tau,
+            &self.params,
+            &mut self.stats,
+        );
         self.stats.cells_pruned_redundant
     }
 

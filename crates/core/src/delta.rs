@@ -242,15 +242,15 @@ impl FlowCube {
 
         // One pass per dirty cuboid: route each record's paths to the
         // dirty cells its dims aggregate into.
-        let mut work: Vec<(CuboidKey, CellKey, Vec<Vec<AggStage>>)> = Vec::new();
+        let mut work: Vec<(CuboidKey, CellKey, Vec<&[AggStage]>)> = Vec::new();
         for (ck, keys) in dirty {
             let agg = &agg_by_level[&ck.path_level];
-            let mut per_cell: FxHashMap<&CellKey, Vec<Vec<AggStage>>> = FxHashMap::default();
+            let mut per_cell: FxHashMap<&CellKey, Vec<&[AggStage]>> = FxHashMap::default();
             let wanted: FxHashMap<&CellKey, ()> = keys.iter().map(|k| (k, ())).collect();
             for (i, r) in db.records().iter().enumerate() {
                 let cell = aggregate_key(&r.dims, &ck.item_level, self.schema());
                 if let Some((&k, _)) = wanted.get_key_value(&cell) {
-                    per_cell.entry(k).or_default().push(agg[i].clone());
+                    per_cell.entry(k).or_default().push(&agg[i]);
                 }
             }
             // Keep the caller's key order (deterministic, matches the
@@ -273,7 +273,7 @@ impl FlowCube {
         };
         let threads = self.params().threads_for(work.len());
         let results: Vec<Vec<flowcube_flowgraph::Exception>> = {
-            let cells: Vec<flowcube_mining::RemineCell<'_>> = work
+            let cells: Vec<flowcube_mining::RemineCell<'_, &[AggStage]>> = work
                 .iter()
                 .map(|(ck, key, paths)| flowcube_mining::RemineCell {
                     graph: &self.cuboids_map()[ck].cells[key].graph,

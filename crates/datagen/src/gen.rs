@@ -283,7 +283,11 @@ pub fn generate(config: &GeneratorConfig) -> Generated {
 /// readings (entry and exit); stages are separated by one time unit of
 /// transit.
 pub fn to_readings(db: &PathDatabase) -> Vec<RawReading> {
-    let mut out = Vec::new();
+    // Sized once: a doubling buffer ends at up to twice the stream (50 MB
+    // for 100k paths), a request the allocator serves with fresh pages
+    // every time unless the heap happens to hold a free chunk that large.
+    let stages: usize = db.records().iter().map(|r| r.stages.len()).sum();
+    let mut out = Vec::with_capacity(2 * stages);
     for r in db.records() {
         let mut t = 0u64;
         for s in &r.stages {

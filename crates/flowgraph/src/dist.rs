@@ -86,6 +86,26 @@ impl<K: Ord + Copy + Hash + Debug> CountDist<K> {
         self.counts.iter().map(move |&(k, c)| (k, c as f64 / total))
     }
 
+    /// The distribution of `f(key)`: keys with equal images add their
+    /// counts (Lemma 4.2 again — a roll-up of the key space partitions
+    /// the observations). Allocates exactly the image's support.
+    pub fn map_keys(&self, f: impl Fn(K) -> K) -> CountDist<K> {
+        let mut counts: Vec<(K, u64)> = self.counts.iter().map(|&(k, c)| (f(k), c)).collect();
+        counts.sort_by_key(|&(k, _)| k);
+        counts.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        counts.shrink_to_fit();
+        CountDist {
+            counts,
+            total: self.total,
+        }
+    }
+
     /// Merge another distribution into this one (Lemma 4.2: distributions
     /// are algebraic — partition counts just add).
     pub fn merge(&mut self, other: &CountDist<K>) {
@@ -167,6 +187,27 @@ mod tests {
         assert_eq!(a.count(1), 5);
         assert_eq!(a.count(2), 1);
         assert_eq!(a.total(), 6);
+    }
+
+    #[test]
+    fn map_keys_adds_equal_images() {
+        let mut d = CountDist::new();
+        for (k, n) in [(1u32, 2), (2, 3), (5, 1), (9, 4)] {
+            d.add_n(k, n);
+        }
+        let bucketed = d.map_keys(|k| k / 4 * 4);
+        assert_eq!(
+            bucketed.iter().collect::<Vec<_>>(),
+            [(0, 5), (4, 1), (8, 4)]
+        );
+        assert_eq!(bucketed.total(), d.total());
+        // Not order-preserving: the image is re-sorted.
+        let flipped = d.map_keys(|k| 10 - k);
+        assert_eq!(
+            flipped.iter().map(|(k, _)| k).collect::<Vec<_>>(),
+            [1, 5, 8, 9]
+        );
+        assert_eq!(d.map_keys(|k| k), d);
     }
 
     #[test]

@@ -67,38 +67,40 @@ pub struct Exception {
     pub detail: ExceptionDetail,
 }
 
-/// Depth of a node used for ordering constraints along a branch.
-fn depth_of(graph: &FlowGraph, n: NodeId) -> usize {
-    graph.branch_of(n).len()
-}
-
-/// Map an aggregated path onto the node chain it traverses in `graph`.
-/// Returns `None` when the path was not part of the graph's build set.
-fn node_chain(graph: &FlowGraph, path: &[AggStage]) -> Option<Vec<NodeId>> {
+/// Map an aggregated path onto the node chain it traverses in `graph`,
+/// reusing `chain`. Returns `false` when the path was not part of the
+/// graph's build set.
+fn node_chain(graph: &FlowGraph, path: &[AggStage], chain: &mut Vec<NodeId>) -> bool {
+    chain.clear();
     let mut cur = NodeId::ROOT;
-    let mut chain = Vec::with_capacity(path.len());
     for s in path {
-        cur = graph.child_at(cur, s.loc)?;
+        match graph.child_at(cur, s.loc) {
+            Some(child) => cur = child,
+            None => return false,
+        }
         chain.push(cur);
     }
-    Some(chain)
+    true
 }
 
 /// Mine all frequent segments (Apriori over concrete-duration stage items;
 /// every transaction's items already lie on one branch, so the paper's
 /// "unrelated stages" pruning is implicit here).
-pub fn mine_frequent_segments(
+pub fn mine_frequent_segments<P: AsRef<[AggStage]>>(
     graph: &FlowGraph,
-    paths: &[Vec<AggStage>],
+    paths: &[P],
     min_support: u64,
 ) -> Vec<Segment> {
+    let depth = graph.depths();
     // Build transactions: per path, its (node, concrete duration) items in
     // branch order.
     let mut transactions: Vec<Vec<Constraint>> = Vec::with_capacity(paths.len());
+    let mut chain = Vec::new();
     for p in paths {
-        let Some(chain) = node_chain(graph, p) else {
+        let p = p.as_ref();
+        if !node_chain(graph, p, &mut chain) {
             continue;
-        };
+        }
         let items: Vec<Constraint> = chain
             .iter()
             .zip(p.iter())
@@ -139,7 +141,7 @@ pub fn mine_frequent_segments(
                 }
                 let mut cand = a.clone();
                 cand.push(y);
-                cand.sort_by_key(|&(n, d)| (depth_of(graph, n), n, d));
+                cand.sort_by_key(|&(n, d)| (depth[n.index()], n, d));
                 // Prune: all (k-1)-subsets frequent.
                 let mut ok = true;
                 for skip in 0..cand.len() {
@@ -217,43 +219,55 @@ fn combinations(items: &[Constraint], k: usize) -> Vec<Vec<Constraint>> {
 /// Check the exceptions induced by the given segments: for every segment,
 /// compare the conditional distributions of every node at-or-below its
 /// deepest constrained node against the unconditional ones.
-pub fn exceptions_from_segments(
+///
+/// One pass over `paths` serves all segments: each path is mapped onto
+/// its node chain once and inserted into the conditional flowgraph of
+/// every segment it satisfies. A constraint `(n, d)` can only be met by
+/// the path's stage at `n`'s depth, so the test is one lookup. A cell
+/// without segments costs nothing.
+pub fn exceptions_from_segments<P: AsRef<[AggStage]>>(
     graph: &FlowGraph,
-    paths: &[Vec<AggStage>],
+    paths: &[P],
     segments: &[Segment],
     params: &ExceptionParams,
 ) -> Vec<Exception> {
-    let mut out = Vec::new();
-    // Precompute node chains once.
-    let chains: Vec<Option<Vec<NodeId>>> = paths.iter().map(|p| node_chain(graph, p)).collect();
-    for segment in segments {
-        if segment.is_empty() {
+    let segments: Vec<&Segment> = segments.iter().filter(|s| !s.is_empty()).collect();
+    if segments.is_empty() {
+        return Vec::new();
+    }
+    let depth = graph.depths();
+    // Supporting paths per segment: those satisfying every constraint.
+    let mut conditionals: Vec<FlowGraph> = segments.iter().map(|_| FlowGraph::new()).collect();
+    let mut chain = Vec::new();
+    for p in paths {
+        let p = p.as_ref();
+        if !node_chain(graph, p, &mut chain) {
             continue;
         }
-        // Supporting paths: satisfy every constraint.
-        let mut conditional = FlowGraph::new();
-        let mut support = 0u64;
-        for (p, chain) in paths.iter().zip(&chains) {
-            let Some(chain) = chain else { continue };
+        for (segment, conditional) in segments.iter().zip(&mut conditionals) {
             let satisfied = segment.iter().all(|&(n, d)| {
-                chain
-                    .iter()
-                    .position(|&x| x == n)
-                    .is_some_and(|i| p[i].dur == Some(d))
+                // Stage `i` of the path sits on a depth-`i + 1` node
+                // (none for the root or a node foreign to `graph`).
+                let i = depth
+                    .get(n.index())
+                    .map_or(usize::MAX, |&k| (k as usize).wrapping_sub(1));
+                chain.get(i) == Some(&n) && p[i].dur == Some(d)
             });
             if satisfied {
                 conditional.insert_path(p);
-                support += 1;
             }
         }
-        if support < params.min_support {
+    }
+    let mut out = Vec::new();
+    for (&segment, conditional) in segments.iter().zip(&conditionals) {
+        if conditional.total_paths() < params.min_support {
             continue;
         }
         // Deepest constrained node delimits the comparison region.
         let deepest = segment
             .iter()
             .map(|&(n, _)| n)
-            .max_by_key(|&n| depth_of(graph, n))
+            .max_by_key(|&n| depth[n.index()])
             .expect("non-empty segment");
         // Walk the conditional graph; compare nodes at or below `deepest`.
         for cn in conditional.node_ids() {
@@ -322,9 +336,9 @@ pub fn exceptions_from_segments(
 
 /// Full exception mining for one cell: steps (3) of the paper's flowgraph
 /// computation — mine frequent segments, then test each for deviations.
-pub fn mine_exceptions(
+pub fn mine_exceptions<P: AsRef<[AggStage]>>(
     graph: &FlowGraph,
-    paths: &[Vec<AggStage>],
+    paths: &[P],
     params: &ExceptionParams,
 ) -> Vec<Exception> {
     let segments = mine_frequent_segments(graph, paths, params.min_support);

@@ -6,7 +6,7 @@
 //! component of Definition 3.1) live in [`crate::exception`].
 
 use crate::dist::CountDist;
-use flowcube_hier::{ConceptHierarchy, ConceptId, DurValue};
+use flowcube_hier::{ConceptHierarchy, ConceptId, DurValue, DurationLevel};
 use flowcube_pathdb::AggStage;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -377,10 +377,54 @@ impl FlowGraph {
         out
     }
 
+    /// Depth of every node, indexed by node id: 0 for the root, `k` for
+    /// the node of a `k`-stage prefix (`branch_of(n).len()` for all `n`
+    /// at once). A path's `k`-th stage can only ever sit on a depth-`k`
+    /// node, which turns "is `n` on this path's chain" into one lookup.
+    pub fn depths(&self) -> Vec<u32> {
+        let mut depth = vec![0u32; self.nodes.len()];
+        let mut stack = vec![NodeId::ROOT];
+        while let Some(n) = stack.pop() {
+            for &c in &self.nodes[n.index()].children {
+                depth[c.index()] = depth[n.index()] + 1;
+                stack.push(c);
+            }
+        }
+        depth
+    }
+
     /// All node ids, root first, in creation order (parents precede
     /// children).
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.nodes.len() as u32).map(NodeId)
+    }
+
+    /// This graph rolled up along the duration axis of the path lattice:
+    /// the flowgraph of the same paths aggregated to the same location
+    /// cut (and merge policy) but to the coarser duration `level`.
+    ///
+    /// Only duration keys move — `level.aggregate` is applied to each and
+    /// equal images add (Lemma 4.2) — while nodes, counts and
+    /// terminations are a function of the location sequences alone. The
+    /// node table keeps its order, so the roll-up of a canonical graph is
+    /// canonical, byte-identical to walking the re-aggregated paths.
+    /// Requires `level` to be coarser than or equal to the level `self`
+    /// was built at (`DurationLevel::is_coarser_or_equal`): bucketing is
+    /// then a function of the finer bucket, and `*` stays `*`.
+    pub fn with_durations_at(&self, level: DurationLevel) -> FlowGraph {
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|n| Node {
+                durations: (n.durations).map_keys(|dur| dur.and_then(|d| level.aggregate(d))),
+                children: n.children.clone(),
+                ..*n
+            })
+            .collect();
+        FlowGraph {
+            nodes,
+            total_paths: self.total_paths,
+        }
     }
 
     /// Merge `other` into `self` by summing counts on matching prefixes

@@ -7,36 +7,44 @@
 //! the whole construction — the cost is proportional to the affected
 //! cells' path volume, not the database.
 
-use crate::parallel::run_chunks_counted;
+use crate::parallel::{balanced_chunks, run_chunks_counted};
 use flowcube_flowgraph::{mine_exceptions, Exception, ExceptionParams, FlowGraph};
 use flowcube_pathdb::AggStage;
 
 /// One dirty cell: its merged flowgraph plus the full set of aggregated
 /// paths that flow into it (base + all deltas — exceptions are holistic,
-/// so the partial path set of the delta alone is not enough).
-pub struct RemineCell<'a> {
+/// so the partial path set of the delta alone is not enough). Paths are
+/// borrowed: owned `Vec<AggStage>`s or `&[AggStage]` slices into a shared
+/// per-level aggregation.
+pub struct RemineCell<'a, P = Vec<AggStage>> {
     pub graph: &'a FlowGraph,
-    pub paths: &'a [Vec<AggStage>],
+    pub paths: &'a [P],
 }
 
 /// Re-mine exceptions for each cell, returning one exception list per
 /// input cell in order. Runs on `threads` workers with the same
 /// chunking/self-healing machinery as the build's materialization phase,
 /// so the output is bit-identical at any thread count.
-pub fn remine_cells(
-    cells: &[RemineCell<'_>],
+pub fn remine_cells<P: AsRef<[AggStage]> + Sync>(
+    cells: &[RemineCell<'_, P>],
     params: &ExceptionParams,
     threads: usize,
 ) -> Vec<Vec<Exception>> {
     if cells.is_empty() {
         return Vec::new();
     }
-    let report = run_chunks_counted("mining.remine.chunk", cells.len(), threads, |range| {
-        cells[range]
-            .iter()
-            .map(|c| mine_exceptions(c.graph, c.paths, params))
-            .collect::<Vec<_>>()
-    });
+    let report = run_chunks_counted(
+        "mining.remine.chunk",
+        cells.len(),
+        balanced_chunks(cells.len()),
+        threads,
+        |range| {
+            cells[range]
+                .iter()
+                .map(|c| mine_exceptions(c.graph, c.paths, params))
+                .collect::<Vec<_>>()
+        },
+    );
     flowcube_obs::counter_add("mining.remine.cells", cells.len() as u64);
     flowcube_obs::counter_add("mining.remine.chunk_retries", report.retried_chunks as u64);
     report.results.into_iter().flatten().collect()
@@ -85,6 +93,6 @@ mod tests {
                 assert_eq!(m, &direct);
             }
         }
-        assert!(remine_cells(&[], &params, 4).is_empty());
+        assert!(remine_cells::<Vec<AggStage>>(&[], &params, 4).is_empty());
     }
 }

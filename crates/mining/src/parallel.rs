@@ -1,15 +1,16 @@
 //! Deterministic fork/join helpers shared by the mining scans and by
 //! flowgraph materialization in `flowcube-core`.
 //!
-//! The design rule for every parallel phase in this workspace: workers
-//! own disjoint, *contiguous* chunks of the input, produce private
-//! results, and the main thread merges those results **in chunk order**
-//! with order-insensitive operations (`u64` sums, map-value sums) or
-//! order-preserving concatenation. Output is therefore bit-identical to
-//! the serial run at any thread count — the differential suite in
-//! `tests/mining_differential.rs` holds us to that.
+//! The design rule for every parallel phase in this workspace: the input
+//! is cut into disjoint, *contiguous* chunks, workers produce a private
+//! result per chunk, and the main thread merges those results **in chunk
+//! order** with order-insensitive operations (`u64` sums, map-value sums)
+//! or order-preserving concatenation. Output is therefore bit-identical
+//! to the serial run at any thread count and any chunk count — the
+//! differential suite in `tests/mining_differential.rs` holds us to that.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable consulted when a threads knob is `0` (auto).
 pub const THREADS_ENV: &str = "FLOWCUBE_THREADS";
@@ -53,13 +54,13 @@ pub fn plan_threads(requested: usize, work_items: usize, cutoff: usize) -> usize
     resolve_threads(requested).clamp(1, work_items)
 }
 
-/// Split `0..n` into exactly `threads` contiguous ranges in index order.
-/// All but the last are `ceil(n / threads)` long; trailing ranges may be
-/// empty when `threads` exceeds `n` (workers for them are no-ops).
-pub fn chunk_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
-    let threads = threads.max(1);
-    let size = n.div_ceil(threads).max(1);
-    (0..threads)
+/// Split `0..n` into exactly `chunks` contiguous ranges in index order.
+/// All but the last are `ceil(n / chunks)` long; trailing ranges may be
+/// empty when `chunks` exceeds `n` (running them is a no-op).
+pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
+    let chunks = chunks.max(1);
+    let size = n.div_ceil(chunks).max(1);
+    (0..chunks)
         .map(|i| (i * size).min(n)..((i + 1) * size).min(n))
         .collect()
 }
@@ -86,35 +87,53 @@ pub struct ChunkReport<R> {
     pub retried_chunks: usize,
 }
 
-/// Run `f` over the chunks of `0..n`, returning per-chunk results **in
-/// chunk order**. `threads <= 1` calls `f(0..n)` inline on the current
-/// thread — the serial and parallel paths share all counting code, they
-/// differ only in who runs it. Each worker opens a `name` span so the
-/// chunks render as concurrent lanes in a Chrome trace.
-///
-/// A worker that panics does not abort the phase: the panic is caught,
-/// and the chunk is recomputed serially on the calling thread (see
-/// [`run_chunks_counted`]). Use the counted variant when the caller
-/// wants to surface the retry count.
+/// Items per chunk when a phase hands out *many small* chunks
+/// ([`balanced_chunks`]): small enough that the heaviest chunk is a
+/// sliver of the phase, large enough that claiming one (an atomic add
+/// and a `Vec`) is noise beside the work in it.
+const BALANCED_CHUNK_ITEMS: usize = 16;
+
+/// Chunk count for a phase whose items differ in cost by orders of
+/// magnitude (a cell's materialization costs its path count, and cells
+/// arrive roughly largest first): equal contiguous shares would leave one
+/// worker with most of the work, so such phases cut `0..n` into chunks of
+/// [`BALANCED_CHUNK_ITEMS`] and let workers claim them as they go.
+pub fn balanced_chunks(n: usize) -> usize {
+    n.div_ceil(BALANCED_CHUNK_ITEMS).max(1)
+}
+
+/// [`run_chunks_counted`] with one chunk per thread, results only — the
+/// mining scans, whose transactions cost about the same each.
 pub fn run_chunks<R, F>(name: &'static str, n: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,
 {
-    run_chunks_counted(name, n, threads, f).results
+    run_chunks_counted(name, n, threads, threads, f).results
 }
 
-/// [`run_chunks`], but reporting how many chunks were retried.
+/// Run `f` over `chunks` contiguous chunks of `0..n` on `threads`
+/// workers, returning per-chunk results **in chunk order** plus how many
+/// chunks were retried.
 ///
-/// Each worker runs its chunk under `catch_unwind`; a panicking chunk's
-/// partial state is wholly private to the worker and is discarded, so
-/// after the scope joins, every failed range is recomputed serially on
-/// the calling thread — once. Because chunks are pure functions of their
-/// input range, the recomputed result is bit-identical to what the
-/// worker would have produced, and merge order is unchanged. A chunk
-/// that panics again on the serial retry propagates (a deterministic
-/// bug, not a transient fault). Retries increment the
-/// `mining.chunk.retries` obs counter.
+/// Workers claim the next unclaimed chunk from an atomic cursor, so which
+/// worker runs which chunk depends on timing — but a chunk's result is a
+/// pure function of its range and results are placed by chunk index, so
+/// the output is the serial one at any thread and chunk count.
+/// `threads <= 1` runs the chunks inline on the current thread — the
+/// serial and parallel paths share all counting code, they differ only
+/// in who runs it. Each worker opens one `name` span around everything
+/// it claims, so the workers render as concurrent lanes in a Chrome
+/// trace and their ends show how evenly the phase was shared.
+///
+/// Each chunk runs under `catch_unwind`; a panicking chunk's partial
+/// state is wholly private to the worker and is discarded (the worker
+/// carries on with the next chunk), so after the scope joins, every
+/// failed range is recomputed serially on the calling thread — once.
+/// The recomputed result is bit-identical to what the worker would have
+/// produced, and merge order is unchanged. A chunk that panics again on
+/// the serial retry propagates (a deterministic bug, not a transient
+/// fault). Retries increment the `mining.chunk.retries` obs counter.
 ///
 /// The `mining.chunk` failpoint (`flowcube-testkit`) fires at the top
 /// of every chunk execution, including serial runs and retries — arming
@@ -122,6 +141,7 @@ where
 pub fn run_chunks_counted<R, F>(
     name: &'static str,
     n: usize,
+    chunks: usize,
     threads: usize,
     f: F,
 ) -> ChunkReport<R>
@@ -133,50 +153,65 @@ where
         flowcube_testkit::fail_point_unit("mining.chunk");
         f(r)
     };
-    let ranges = chunk_ranges(n, threads);
+    let ranges = chunk_ranges(n, chunks);
     if threads <= 1 {
         return ChunkReport {
             results: ranges.into_iter().map(run_one).collect(),
             retried_chunks: 0,
         };
     }
-    let run_one = &run_one;
-    let attempts: Vec<std::thread::Result<R>> = crossbeam::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, r)| {
+    // Relaxed: the cursor publishes nothing but itself; results reach the
+    // caller through `join`.
+    let (run_one, ranges, cursor) = (&run_one, &ranges, &AtomicUsize::new(0));
+    let mut attempts: Vec<Option<std::thread::Result<R>>> = ranges.iter().map(|_| None).collect();
+    crossbeam::scope(|s| {
+        let handles: Vec<_> = (0..threads.min(ranges.len()))
+            .map(|worker| {
                 s.spawn(move |_| {
-                    let _span = flowcube_obs::span!(name, chunk = i, items = r.len());
-                    // AssertUnwindSafe: the closure only borrows `f` (Sync,
-                    // shared immutably) and owns `r`; a panicked chunk's
-                    // partial result is dropped and the range recomputed
-                    // from scratch, so no broken invariant can leak out.
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_one(r)))
+                    let _span = flowcube_obs::span!(name, worker = worker);
+                    let mut claimed = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(r) = ranges.get(i) else {
+                            return claimed;
+                        };
+                        // AssertUnwindSafe: the closure only borrows `f`
+                        // (Sync, shared immutably) and a range; a panicked
+                        // chunk's partial result is dropped and the range
+                        // recomputed from scratch, so no broken invariant
+                        // can leak out.
+                        let attempt =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                run_one(r.clone())
+                            }));
+                        claimed.push((i, attempt));
+                    }
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .expect("mining worker panicked outside catch_unwind")
-            })
-            .collect()
+        for h in handles {
+            let claimed = h
+                .join()
+                .expect("mining worker panicked outside catch_unwind");
+            for (i, attempt) in claimed {
+                attempts[i] = Some(attempt);
+            }
+        }
     })
     .expect("crossbeam scope");
     let mut retried_chunks = 0usize;
     let results = attempts
         .into_iter()
         .zip(ranges)
-        .map(|(attempt, r)| match attempt {
-            Ok(v) => v,
-            Err(_) => {
-                retried_chunks += 1;
-                flowcube_obs::counter_add("mining.chunk.retries", 1);
-                let _span = flowcube_obs::span!(name, retry_items = r.len());
-                run_one(r)
+        .map(|(attempt, r)| {
+            match attempt.expect("every chunk is claimed before the cursor runs out") {
+                Ok(v) => v,
+                Err(_) => {
+                    retried_chunks += 1;
+                    flowcube_obs::counter_add("mining.chunk.retries", 1);
+                    let _span = flowcube_obs::span!(name, retry_items = r.len());
+                    run_one(r.clone())
+                }
             }
         })
         .collect();
@@ -255,6 +290,35 @@ mod tests {
         assert_eq!(flat, (0..20).collect::<Vec<_>>());
     }
 
+    /// Many small chunks on few workers: whoever claims a chunk, the
+    /// results come back in chunk order, and a worker survives a panicking
+    /// chunk to claim the next ones.
+    #[test]
+    fn cursor_chunks_concatenate_in_order_at_any_thread_count() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let n = 1_003;
+        assert_eq!(balanced_chunks(n), 63);
+        assert_eq!(balanced_chunks(0), 1);
+        for threads in [1, 2, 3, 7] {
+            let report = run_chunks_counted("test.chunk", n, balanced_chunks(n), threads, |r| {
+                r.collect::<Vec<usize>>()
+            });
+            assert_eq!(report.results.len(), 63);
+            let flat: Vec<usize> = report.results.into_iter().flatten().collect();
+            assert_eq!(flat, (0..n).collect::<Vec<_>>(), "threads={threads}");
+        }
+        let boom = AtomicUsize::new(0);
+        let report = run_chunks_counted("test.chunk", n, 63, 2, |r| {
+            if r.start == 160 && boom.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("injected worker fault");
+            }
+            r.collect::<Vec<usize>>()
+        });
+        assert_eq!(report.retried_chunks, 1);
+        let flat: Vec<usize> = report.results.into_iter().flatten().collect();
+        assert_eq!(flat, (0..n).collect::<Vec<_>>());
+    }
+
     /// A chunk that panics mid-flight (injected, or via the `mining.chunk`
     /// failpoint in the env-gated fault suite) is recomputed serially and
     /// the merged output stays bit-identical to the clean run.
@@ -262,13 +326,14 @@ mod tests {
     fn panicking_chunk_is_retried_serially_with_identical_results() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let data: Vec<u64> = (0..103).collect();
-        let clean =
-            run_chunks_counted("test.chunk", data.len(), 4, |r| data[r].iter().sum::<u64>());
+        let clean = run_chunks_counted("test.chunk", data.len(), 4, 4, |r| {
+            data[r].iter().sum::<u64>()
+        });
         assert_eq!(clean.retried_chunks, 0);
 
         // First execution of chunk 2 panics; the serial retry succeeds.
         let boom = AtomicUsize::new(0);
-        let faulty = run_chunks_counted("test.chunk", data.len(), 4, |r| {
+        let faulty = run_chunks_counted("test.chunk", data.len(), 4, 4, |r| {
             if r.start == 52 && boom.fetch_add(1, Ordering::SeqCst) == 0 {
                 panic!("injected worker fault");
             }
@@ -283,7 +348,7 @@ mod tests {
     #[test]
     fn chunk_that_panics_twice_propagates() {
         let outcome = std::panic::catch_unwind(|| {
-            run_chunks_counted("test.chunk", 40, 4, |r| {
+            run_chunks_counted("test.chunk", 40, 4, 4, |r| {
                 if r.start == 0 {
                     panic!("deterministic bug");
                 }

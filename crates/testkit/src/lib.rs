@@ -66,9 +66,12 @@
 //! [`any_armed`] to keep the disabled path allocation-free.
 //!
 //! The crate also carries the integration suites' one raw HTTP client,
-//! [`http`].
+//! [`http`], and the digest golden-file tests pin bytes with,
+//! [`sha256_hex`].
 
 pub mod http;
+mod sha256;
+pub use sha256::sha256_hex;
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;

@@ -1,0 +1,105 @@
+//! Whatever order a spec lists its duration levels in, and whether a
+//! level's flowgraphs were walked or rolled up from a finer level on the
+//! same location cut, every materialized cell holds the graph of
+//! Definition 3.1: its own paths, aggregated at its own path level,
+//! walked and canonicalized — and the exceptions mined from exactly
+//! those paths.
+
+use flowcube::core::aggregate_key;
+use flowcube::datagen::{generate, DimShape, GeneratorConfig};
+use flowcube::flowgraph::{mine_exceptions, ExceptionParams};
+use flowcube::hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube::pathdb::{aggregate_stages, AggStage, MergePolicy};
+use flowcube::{FlowCube, FlowCubeParams, FlowGraph, ItemPlan};
+use proptest::prelude::*;
+
+/// `Bucket(3)` refines neither `Bucket(2)` nor `Bucket(4)`, so a spec
+/// holding it next to them has levels on one cut that must each be
+/// walked; `Raw` refines all, `Any` none.
+const DURATIONS: [DurationLevel; 5] = [
+    DurationLevel::Raw,
+    DurationLevel::Bucket(2),
+    DurationLevel::Bucket(3),
+    DurationLevel::Bucket(4),
+    DurationLevel::Any,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn every_cell_holds_its_walked_graph(
+        seed in 0u64..10_000,
+        // (duration level, coarse cut?) per path level, in spec order.
+        picks in prop::collection::vec((0usize..DURATIONS.len(), 0u8..2), 2..=5),
+        merge in 0usize..3,
+        exceptions in 0u8..2,
+    ) {
+        let config = GeneratorConfig {
+            num_paths: 200,
+            dims: vec![DimShape::new(vec![2, 2], 0.7); 2],
+            num_sequences: 4,
+            path_len: (2, 5),
+            max_duration: 9,
+            seed,
+            ..Default::default()
+        };
+        let db = generate(&config).db;
+        let loc = db.schema().locations();
+        // A spec lists a path level once (mining's ancestor relation
+        // between stage items assumes it).
+        let mut distinct = Vec::new();
+        for pick in picks {
+            if !distinct.contains(&pick) {
+                distinct.push(pick);
+            }
+        }
+        let levels: Vec<PathLevel> = distinct
+            .iter()
+            .enumerate()
+            .map(|(i, &(d, coarse))| {
+                let cut = LocationCut::uniform_level(loc, loc.max_level() - coarse);
+                PathLevel::new(format!("l{i}"), cut, DURATIONS[d])
+            })
+            .collect();
+        let spec = PathLatticeSpec::new(levels);
+        let mut params = FlowCubeParams::new(4)
+            .with_exceptions(exceptions == 1)
+            .with_threads(2)
+            .with_parallel_cutoff(2);
+        params.merge = [MergePolicy::Sum, MergePolicy::Max, MergePolicy::First][merge];
+        let cube = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
+        prop_assert!(cube.total_cells() > 0);
+
+        let exc_params = ExceptionParams {
+            min_support: params.min_support,
+            min_deviation: params.exception_deviation,
+        };
+        for (ck, cuboid) in cube.cuboids() {
+            let level = spec.level(ck.path_level);
+            for (key, entry) in cuboid.iter() {
+                let paths: Vec<Vec<AggStage>> = db
+                    .records()
+                    .iter()
+                    .filter(|r| &aggregate_key(&r.dims, &ck.item_level, db.schema()) == key)
+                    .map(|r| aggregate_stages(&r.stages, level, params.merge).unwrap())
+                    .collect();
+                prop_assert_eq!(entry.support, paths.len() as u64);
+                let mut walked = FlowGraph::build(paths.iter().map(Vec::as_slice));
+                walked.canonicalize();
+                prop_assert_eq!(
+                    serde_json::to_string(&entry.graph).unwrap(),
+                    serde_json::to_string(&walked).unwrap(),
+                    "{:?} {:?} at {}", ck, key, level
+                );
+                if params.mine_exceptions {
+                    prop_assert_eq!(
+                        &entry.exceptions,
+                        &mine_exceptions(&walked, &paths, &exc_params),
+                        "{:?} {:?} at {}", ck, key, level
+                    );
+                }
+            }
+        }
+    }
+}

@@ -1,0 +1,157 @@
+//! The build is a pure function of (database, spec, params, plan): the
+//! snapshot of a fixed-seed cube is pinned by digest, and the thread
+//! count, a retried chunk and the materialization plan change nothing.
+//!
+//! The `mining.chunk` failpoint is process-global, so every test in this
+//! binary takes [`serial`] first.
+
+use flowcube::datagen::{generate, DimShape, GeneratorConfig};
+use flowcube::hier::{DurationLevel, ItemLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube::serve::write_snapshot;
+use flowcube::testkit::{self, sha256_hex, FailAction};
+use flowcube::{FlowCube, FlowCubeParams, ItemPlan, PathDatabase};
+use std::sync::{Mutex, MutexGuard};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The paper's four path levels over a small generated database: two
+/// location cuts, durations as recorded and `*`.
+fn fixture() -> (PathDatabase, PathLatticeSpec) {
+    let config = GeneratorConfig {
+        num_paths: 1_500,
+        dims: vec![DimShape::new(vec![2, 3], 0.7); 3],
+        num_sequences: 8,
+        path_len: (3, 6),
+        max_duration: 5,
+        seed: 16,
+        ..Default::default()
+    };
+    let db = generate(&config).db;
+    let loc = db.schema().locations();
+    let fine = LocationCut::uniform_level(loc, loc.max_level());
+    let coarse = LocationCut::uniform_level(loc, loc.max_level() - 1);
+    let spec = PathLatticeSpec::new(vec![
+        PathLevel::new("loc0/dur0", fine.clone(), DurationLevel::Raw),
+        PathLevel::new("loc0/dur*", fine, DurationLevel::Any),
+        PathLevel::new("loc1/dur0", coarse.clone(), DurationLevel::Raw),
+        PathLevel::new("loc1/dur*", coarse, DurationLevel::Any),
+    ]);
+    (db, spec)
+}
+
+fn params(threads: usize) -> FlowCubeParams {
+    FlowCubeParams::new(30)
+        .with_redundancy(0.05)
+        .with_threads(threads)
+        .with_parallel_cutoff(2)
+}
+
+fn snapshot_bytes(cube: &FlowCube, tag: &str) -> Vec<u8> {
+    let path = std::env::temp_dir().join(format!(
+        "flowcube-build-det-{}-{tag}.snap",
+        std::process::id()
+    ));
+    write_snapshot(cube, &path).expect("snapshot writes");
+    let bytes = std::fs::read(&path).expect("snapshot reads back");
+    let _ = std::fs::remove_file(&path);
+    bytes
+}
+
+/// Digest of the fixture's snapshot, taken at commit 422c79e (the parent
+/// of the borrowed top-down materialization) before any build code
+/// changed. A change that moves it changed *what* the build computes.
+const GOLDEN_SHA256: &str = "6bc25b3e837538442553a417d04b7a1a81ae09021bd2e92b2f00b5e16dda5a67";
+
+#[test]
+fn golden_snapshot_digest() {
+    let _guard = serial();
+    let (db, spec) = fixture();
+    let cube = FlowCube::build(&db, spec, params(1), ItemPlan::All);
+    assert!(cube.total_cells() > 100, "fixture must not be trivial");
+    assert!(cube.stats().cells_pruned_redundant > 0);
+    assert!(cube
+        .cuboids()
+        .any(|(_, c)| c.iter().any(|(_, e)| !e.exceptions.is_empty())));
+    assert_eq!(sha256_hex(&snapshot_bytes(&cube, "golden")), GOLDEN_SHA256);
+}
+
+#[test]
+fn thread_count_and_chunk_retry_leave_the_bytes_alone() {
+    let _guard = serial();
+    let (db, spec) = fixture();
+    let build = |threads| FlowCube::build(&db, spec.clone(), params(threads), ItemPlan::All);
+    let serial_bytes = snapshot_bytes(&build(1), "t1");
+    for threads in [2, 3, 7] {
+        let cube = build(threads);
+        assert_eq!(cube.stats().chunk_retries, 0);
+        assert!(
+            snapshot_bytes(&cube, "tn") == serial_bytes,
+            "threads={threads} changed the snapshot"
+        );
+    }
+    // One worker panics once, somewhere in the build: the chunk is
+    // recomputed serially and the cube is the same cube. Exceptions are
+    // off so the only chunked phases are the build's own.
+    let quiet = |threads| {
+        FlowCube::build(
+            &db,
+            spec.clone(),
+            params(threads).with_exceptions(false),
+            ItemPlan::All,
+        )
+    };
+    let clean = snapshot_bytes(&quiet(2), "clean");
+    testkit::arm_times("mining.chunk", 1, FailAction::Panic(None));
+    let healed = quiet(2);
+    testkit::reset();
+    assert_eq!(healed.stats().chunk_retries, 1);
+    assert!(snapshot_bytes(&healed, "healed") == clean);
+}
+
+/// A plan that leaves a level's item-lattice parents out (so its tid
+/// lists cannot be filtered from a parent's and fall back to the scan)
+/// materializes exactly the cells the full plan does at that level.
+#[test]
+fn plans_without_parents_match_the_full_plan() {
+    let _guard = serial();
+    let (db, spec) = fixture();
+    let unpruned = |plan| {
+        let mut p = params(2);
+        p.redundancy_tau = None;
+        FlowCube::build(&db, spec.clone(), p, plan)
+    };
+    let full = unpruned(ItemPlan::All);
+    let plans = [
+        ItemPlan::Selected(vec![ItemLevel(vec![2, 1, 0]), ItemLevel(vec![1, 1, 1])]),
+        ItemPlan::Selected(vec![ItemLevel(vec![1, 0, 0]), ItemLevel(vec![2, 0, 0])]),
+        ItemPlan::Layers {
+            minimum: ItemLevel(vec![1, 0, 0]),
+            observation: ItemLevel(vec![2, 2, 1]),
+            popular: vec![ItemLevel(vec![2, 1, 0])],
+        },
+    ];
+    for plan in plans {
+        let partial = unpruned(plan.clone());
+        assert!(partial.num_cuboids() > 0);
+        for (ck, cuboid) in partial.cuboids() {
+            assert!(plan.includes(&ck.item_level));
+            let reference = full
+                .cuboid(&ck.item_level, ck.path_level)
+                .expect("the full plan has every cuboid");
+            assert_eq!(cuboid.len(), reference.len(), "{ck:?}");
+            for (key, entry) in cuboid.iter() {
+                let want = reference.get(key).expect("same cells");
+                assert_eq!(entry.support, want.support);
+                assert_eq!(
+                    serde_json::to_string(&entry.graph).unwrap(),
+                    serde_json::to_string(&want.graph).unwrap()
+                );
+                assert_eq!(entry.exceptions, want.exceptions);
+            }
+        }
+    }
+}
