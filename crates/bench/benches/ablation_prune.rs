@@ -1,6 +1,7 @@
 //! Ablation: each Shared pruning rule toggled independently (DESIGN.md
-//! §6), plus Cubing's modernized in-memory variant — quantifies how much
-//! each §5 optimization contributes.
+//! §6), the build's fifth (family) rule on top of the paper's four, plus
+//! Cubing's modernized in-memory variant — quantifies how much each §5
+//! optimization contributes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flowcube_bench::experiments::{base_config, paper_path_spec};
@@ -19,6 +20,7 @@ fn bench(c: &mut Criterion) {
 
     let variants: Vec<(&str, SharedConfig)> = vec![
         ("all-prunes", SharedConfig::shared(delta)),
+        ("family(rule 5)", SharedConfig::cube_family(delta)),
         ("no-precount", {
             let mut cfg = SharedConfig::shared(delta);
             cfg.precount = false;

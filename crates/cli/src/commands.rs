@@ -195,17 +195,19 @@ fn read_db(path: &str) -> Result<PathDatabase, String> {
 }
 
 /// The default 4-level path lattice of the paper's experiments: leaf and
-/// one-up location cuts × raw and `*` durations.
-fn default_spec(schema: &Schema) -> PathLatticeSpec {
+/// one-up location cuts × raw and `*` durations. A database whose
+/// location hierarchy is flat has no one-up cut — the four would be two
+/// levels listed twice — and is refused as a usage error.
+fn default_spec(schema: &Schema) -> Result<PathLatticeSpec, CliError> {
     let loc = schema.locations();
     let fine = LocationCut::uniform_level(loc, loc.max_level());
     let coarse = LocationCut::uniform_level(loc, loc.max_level().saturating_sub(1).max(1));
-    PathLatticeSpec::new(vec![
+    Ok(PathLatticeSpec::try_new(vec![
         PathLevel::new("loc0/dur0", fine.clone(), DurationLevel::Raw),
         PathLevel::new("loc0/dur*", fine, DurationLevel::Any),
         PathLevel::new("loc1/dur0", coarse.clone(), DurationLevel::Raw),
         PathLevel::new("loc1/dur*", coarse, DurationLevel::Any),
-    ])
+    ])?)
 }
 
 pub fn generate(args: &Args) -> Result<(), CliError> {
@@ -252,10 +254,10 @@ fn build_params(args: &Args) -> Result<FlowCubeParams, String> {
 }
 
 /// Build a cube from `--db` plus the shared build flags.
-fn build_cube(args: &Args) -> Result<FlowCube, String> {
+fn build_cube(args: &Args) -> Result<FlowCube, CliError> {
     let db = read_db(args.require("db")?)?;
     let params = build_params(args)?;
-    let spec = default_spec(db.schema());
+    let spec = default_spec(db.schema())?;
     let cube = FlowCube::build(&db, spec, params, ItemPlan::All);
     println!(
         "built cube: {} cuboids, {} cells [{}]",
@@ -292,7 +294,7 @@ fn build_shard(args: &Args, out: &str) -> Result<(), CliError> {
     };
     let db = read_db(args.require("db")?)?;
     let params = build_params(args)?;
-    let spec = default_spec(db.schema());
+    let spec = default_spec(db.schema())?;
     let part = flowcube_federate::build_shard_part(&db, spec, &params, shards, shard_id)?;
     let json = serde_json::to_string(&part).map_err(|e| e.to_string())?;
     std::fs::write(out, json).map_err(|e| e.to_string())?;
@@ -483,7 +485,7 @@ pub fn mine(args: &Args) -> Result<(), CliError> {
     obs_setup(args);
     let db = read_db(args.require("db")?)?;
     let delta = args.num("min-support", 100u64)?;
-    let spec = default_spec(db.schema());
+    let spec = default_spec(db.schema())?;
     let timer = flowcube_obs::Timer::start("mine.encode");
     let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
     let encode = timer.stop();
@@ -577,11 +579,11 @@ pub fn predict(args: &Args) -> Result<(), CliError> {
 
 /// Load the cube named by `--cube` (JSON) or `--snapshot` (a format-1
 /// snapshot to upgrade), or build one from `--db`.
-fn cube_for_snapshot(args: &Args) -> Result<FlowCube, String> {
+fn cube_for_snapshot(args: &Args) -> Result<FlowCube, CliError> {
     if let Some(path) = args.get("cube") {
-        read_cube(path)
+        Ok(read_cube(path)?)
     } else if let Some(path) = args.get("snapshot") {
-        flowcube_serve::load_v1_cube(path).map_err(|e| e.to_string())
+        Ok(flowcube_serve::load_v1_cube(path).map_err(|e| e.to_string())?)
     } else if args.get("db").is_some() {
         build_cube(args)
     } else {
@@ -755,7 +757,7 @@ fn ingest_follow(args: &Args) -> Result<(), CliError> {
         );
     }
     params.threads = args.num("threads", 0usize)?;
-    let spec = default_spec(&schema);
+    let spec = default_spec(&schema)?;
 
     let config = flowcube_pathdb::CleanerConfig {
         max_same_location_gap: args.num("gap", u64::MAX)?,

@@ -100,6 +100,14 @@ impl From<flowcube_federate::FederateError> for CliError {
     }
 }
 
+impl From<flowcube_hier::DuplicatePathLevel> for CliError {
+    fn from(e: flowcube_hier::DuplicatePathLevel) -> Self {
+        // The level list comes from the invocation (today: the default
+        // lattice over `--db`'s location hierarchy), not from a data row.
+        CliError::usage(e.to_string())
+    }
+}
+
 impl From<flowcube_pathdb::ParseError> for CliError {
     fn from(e: flowcube_pathdb::ParseError) -> Self {
         // Route through CoreError so both layers classify identically.
@@ -130,5 +138,28 @@ mod tests {
         }
         .into();
         assert_eq!(e.code, EXIT_DATAERR);
+    }
+
+    /// A level list that names one path level twice is the invocation's
+    /// fault: exit 2, with the typed error's message.
+    #[test]
+    fn repeated_path_level_is_a_usage_error() {
+        use flowcube_hier::{
+            ConceptHierarchy, DurationLevel, LocationCut, PathLatticeSpec, PathLevel,
+        };
+        let mut flat = ConceptHierarchy::new("location");
+        flat.add_path(["dock"]).unwrap();
+        flat.add_path(["shelf"]).unwrap();
+        // What the default lattice degenerates to on a flat hierarchy:
+        // "one level up" is the leaf cut again.
+        let cut = LocationCut::uniform_level(&flat, 1);
+        let rejected = PathLatticeSpec::try_new(vec![
+            PathLevel::new("loc0/dur0", cut.clone(), DurationLevel::Raw),
+            PathLevel::new("loc1/dur0", cut, DurationLevel::Raw),
+        ])
+        .unwrap_err();
+        let e: CliError = rejected.into();
+        assert_eq!(e.code, EXIT_USAGE);
+        assert!(e.message.contains("loc0/dur0") && e.message.contains("loc1/dur0"));
     }
 }

@@ -146,10 +146,23 @@ fn build_with_trace_and_metrics_out() {
         other => panic!("trace must be a JSON array, got {other:?}"),
     }
     assert!(trace_text.contains("\"build\""), "root build span missing");
+    // Every phase `BuildStats` times is a span of its own, the exceptions
+    // pass (folded into `materialize_time`) included.
+    for phase in [
+        "build.encode",
+        "build.mine",
+        "build.prepare",
+        "build.materialize",
+        "build.redundancy",
+        "build.exceptions",
+    ] {
+        assert!(trace_text.contains(&format!("\"{phase}\"")), "{phase}");
+    }
 
     let metrics_text = std::fs::read_to_string(&metrics).expect("metrics file written");
     serde_json::parse_value_str(&metrics_text).expect("metrics is valid JSON");
     assert!(metrics_text.contains("candidates.len1"));
+    assert!(metrics_text.contains("mining.shared.pruned.family"));
     assert!(metrics_text.contains("build.cell_materialize_us"));
 
     for f in [&db, &cube, &trace, &metrics] {

@@ -1,27 +1,28 @@
-//! Flowcube construction pipeline (paper §5): mine frequent cells and
-//! path segments, materialize a flowgraph per frequent cell and path
-//! level, attach exceptions, then prune redundant cells.
+//! Flowcube construction pipeline (paper §5): mine the frequent path
+//! segments, take the iceberg cells and their tid lists from one BUC
+//! pass, materialize a flowgraph per frequent cell and path level, prune
+//! redundant cells, then attach exceptions to the cells that are stored.
 //!
 //! Materialization costs one borrowed walk of a cell's paths per
-//! location cut: tid lists are filtered top-down from the smallest
-//! parent's, work items borrow them, the finest duration level on each
-//! cut is walked and the coarser ones are rolled up from its graph.
+//! location cut: work items borrow BUC's tid lists, the finest duration
+//! level on each cut is walked and the coarser ones are rolled up from
+//! its graph.
 
 use crate::cell::{aggregate_key, level_of_key, CellEntry, CellKey, Cuboid, CuboidKey};
 use crate::params::{Algorithm, FlowCubeParams, ItemPlan};
 use crate::stats::BuildStats;
 use flowcube_flowgraph::{
-    exceptions_from_segments, is_redundant, ExceptionParams, FlowGraph, KlSimilarity, Segment,
+    exceptions_from_segments, is_redundant, Exception, ExceptionParams, FlowGraph, KlSimilarity,
+    Segment,
 };
 use flowcube_hier::{ConceptId, FxHashMap, ItemLevel, PathLatticeSpec, PathLevelId, Schema};
 use flowcube_mining::parallel::{balanced_chunks, run_chunks_counted};
 use flowcube_mining::{
-    mine, mine_cubing, CubingConfig, FrequentItemsets, ItemId, ItemKind, SharedConfig,
+    buc_iceberg, mine, mine_cubing, CubingConfig, FrequentItemsets, ItemKind, SharedConfig,
     TransactionDb,
 };
 use flowcube_obs::Timer;
 use flowcube_pathdb::{aggregate_stages, AggStage, PathDatabase};
-use std::collections::BTreeMap;
 
 /// Everything produced by the build, consumed by [`crate::FlowCube`].
 pub(crate) struct BuildOutput {
@@ -41,8 +42,9 @@ struct WorkItem<'a> {
 /// concrete duration)` per constrained stage, not yet on any graph.
 type MinedSegment = Vec<(Vec<ConceptId>, u32)>;
 
-/// The frequent segments of each `(cell index, path level)`.
-type CellSegments = FxHashMap<(usize, PathLevelId), Vec<MinedSegment>>;
+/// The frequent segments of each cell, one map per path level (indexed
+/// by [`PathLevelId`]) — all the build reads from the mining output.
+type CellSegments = Vec<FxHashMap<CellKey, Vec<MinedSegment>>>;
 
 pub(crate) fn build(
     db: &PathDatabase,
@@ -59,54 +61,53 @@ pub(crate) fn build(
     let mut stats = BuildStats::default();
     let schema = db.schema();
 
-    // ---- Phase 1: find frequent cells (and, when exceptions are on,
-    // frequent path segments).
+    // ---- Phase 1: frequent path segments.
     //
     // Exceptions are the only part of the measure that needs frequent
-    // *path segments* (Lemma 4.3); the duration/transition distributions
-    // are algebraic. So with `mine_exceptions == false` we skip
-    // frequent-pattern mining entirely and compute the iceberg cells with
-    // a plain BUC pass — this also makes `min_support = 1` builds (full,
-    // no iceberg) tractable, where itemset mining would enumerate every
+    // *path segments* (Lemma 4.3, holistic); the iceberg cells and the
+    // duration/transition distributions are algebraic. So with
+    // `mine_exceptions == false` frequent-pattern mining is skipped
+    // entirely — which also keeps `min_support = 1` builds (full, no
+    // iceberg) tractable, where itemset mining would enumerate every
     // subset of every transaction.
     let mined = params
         .mine_exceptions
         .then(|| run_mining(db, &spec, params, &mut stats));
 
     let prepare_timer = Timer::start("build.prepare");
-    let (cells, tids, segments) = match mined {
-        Some((tx, mined)) => {
-            let (cells, segments) = cells_and_segments(&tx, &mined, db, params, plan);
-            // Only those two are used from here on; the transactions and
-            // the itemsets are the build's largest allocations.
-            drop((tx, mined));
-            let tids = derive_tids(db, &cells);
-            (cells, tids, segments)
-        }
-        None => {
-            // BUC directly yields cells with their tid lists.
-            let (buc_cells, _) = flowcube_mining::buc_iceberg(db, params.min_support);
-            let listed = buc_cells.into_iter().filter_map(|cell| {
-                let key: CellKey = (cell.values.iter())
-                    .map(|v| v.unwrap_or(ConceptId::ROOT))
-                    .collect();
-                let level = level_of_key(&key, schema);
-                plan.includes(&level).then_some(((level, key), cell.tids))
-            });
-            let (cells, tids) = listed.unzip();
-            (cells, tids, CellSegments::default())
-        }
+    let segments: CellSegments = match mined {
+        // The transactions and the itemsets are the build's largest
+        // allocations and nothing later needs them (or the dictionary):
+        // both die with this arm, before BUC allocates its tid lists.
+        Some((tx, mined)) => segments_by_cell(&tx, &mined, plan),
+        None => vec![FxHashMap::default(); spec.len()],
     };
+
+    // ---- Phase 2: the iceberg cells with their tid lists, from one BUC
+    // pass — the group-by is algebraic (Gray et al.), BUC partitions each
+    // cell's tid list out of its parent's as it descends, and the delta
+    // and merge pipelines take their cells from the same pass.
+    let (buc_cells, _) = buc_iceberg(db, params.min_support);
+    let (cells, tids): (Vec<(ItemLevel, CellKey)>, Vec<Vec<u32>>) = buc_cells
+        .into_iter()
+        .filter_map(|cell| {
+            let key: CellKey = (cell.values.iter())
+                .map(|v| v.unwrap_or(ConceptId::ROOT))
+                .collect();
+            let level = level_of_key(&key, schema);
+            plan.includes(&level).then_some(((level, key), cell.tids))
+        })
+        .unzip();
     stats.frequent_cells = cells.len();
 
-    // ---- Phase 5: aggregate every path once per path level that is
+    // ---- Phase 3: aggregate every path once per path level that is
     // walked or has segments to check (exceptions are path-driven,
     // Lemma 4.3); a rolled-up level without segments needs no paths.
     let sources = walk_sources(&spec);
     let agg_paths: Vec<Vec<Vec<AggStage>>> = spec
         .ids()
         .map(|lvl| {
-            if sources[lvl as usize] != lvl && !segments.keys().any(|&(_, l)| l == lvl) {
+            if sources[lvl as usize] != lvl && segments[lvl as usize].is_empty() {
                 return Vec::new();
             }
             let level = spec.level(lvl);
@@ -121,30 +122,19 @@ pub(crate) fn build(
         .collect();
     stats.prepare_time = prepare_timer.stop();
 
-    // ---- Phase 6: materialize one flowgraph per (cell, path level).
+    // ---- Phase 4: materialize one flowgraph per (cell, path level).
     let materialize_timer = Timer::start("build.materialize");
-    let apex_included = plan.includes(&ItemLevel::top(schema.num_dims()));
     let mut work: Vec<WorkItem<'_>> = Vec::new();
-    for (i, (_, key)) in cells.iter().enumerate() {
-        if key.iter().all(|&c| c == ConceptId::ROOT) && !apex_included {
-            continue;
-        }
-        if (tids[i].len() as u64) < params.min_support {
-            continue; // plan-filtered parents may fall below δ — skip
-        }
+    for (i, cell_tids) in tids.iter().enumerate() {
         for walked in spec.ids().filter(|&l| sources[l as usize] == l) {
             work.push(WorkItem {
                 cell_idx: i,
                 walked,
-                tids: &tids[i],
+                tids: cell_tids,
             });
         }
     }
 
-    let exc_params = ExceptionParams {
-        min_support: params.min_support,
-        min_deviation: params.exception_deviation,
-    };
     let materialize = |w: &WorkItem<'_>| -> Vec<(usize, PathLevelId, CellEntry)> {
         // The walked level first, then the levels rolled up from it.
         let levels = std::iter::once(w.walked).chain(
@@ -154,11 +144,11 @@ pub(crate) fn build(
         let mut out: Vec<(usize, PathLevelId, CellEntry)> = Vec::new();
         for lvl in levels {
             let cell_timer = Timer::start("build.cell");
-            let agg = &agg_paths[lvl as usize];
-            let paths = || w.tids.iter().map(|&t| agg[t as usize].as_slice());
             let graph = match out.first() {
                 None => {
-                    let mut graph = FlowGraph::build(paths());
+                    let agg = &agg_paths[lvl as usize];
+                    let mut graph =
+                        FlowGraph::build(w.tids.iter().map(|&t| agg[t as usize].as_slice()));
                     // Canonical node order (pre-order DFS, children by
                     // location): the same cell content yields the same
                     // node table whether it was batch-built here or
@@ -170,32 +160,13 @@ pub(crate) fn build(
                 }
                 Some((_, _, walked)) => walked.graph.with_durations_at(spec.level(lvl).duration),
             };
-            // Reuse the shared mining output: the cell's frequent segments
-            // at this path level, translated onto the graph's nodes.
-            let exceptions = match segments.get(&(w.cell_idx, lvl)) {
-                None => Vec::new(),
-                Some(mined) => {
-                    let segs: Vec<Segment> = mined
-                        .iter()
-                        .filter_map(|constraints| {
-                            // `constraints` is sorted root-to-leaf.
-                            constraints
-                                .iter()
-                                .map(|(prefix, dur)| Some((graph.node_by_prefix(prefix)?, *dur)))
-                                .collect()
-                        })
-                        .collect();
-                    let paths: Vec<&[AggStage]> = paths().collect();
-                    exceptions_from_segments(&graph, &paths, &segs, &exc_params)
-                }
-            };
             out.push((
                 w.cell_idx,
                 lvl,
                 CellEntry {
                     support: w.tids.len() as u64,
                     graph,
-                    exceptions,
+                    exceptions: Vec::new(),
                     redundant: false,
                 },
             ));
@@ -227,14 +198,9 @@ pub(crate) fn build(
         },
     );
     stats.chunk_retries = report.retried_chunks;
-    let mut results: Vec<(usize, PathLevelId, CellEntry)> =
-        report.results.into_iter().flatten().collect();
-    // Cells insert into the cuboid maps in (cell, path level) order
-    // whichever level of a cut was the walked one.
-    results.sort_by_key(|&(cell_idx, lvl, _)| (cell_idx, lvl));
 
     let mut cuboids: FxHashMap<CuboidKey, Cuboid> = FxHashMap::default();
-    for (cell_idx, path_level, entry) in results {
+    for (cell_idx, path_level, entry) in report.results.into_iter().flatten() {
         let (item_level, key) = &cells[cell_idx];
         let ck = CuboidKey {
             item_level: item_level.clone(),
@@ -249,12 +215,27 @@ pub(crate) fn build(
     stats.cells_materialized = cuboids.values().map(|c| c.len()).sum();
     stats.materialize_time = materialize_timer.stop();
 
-    // ---- Phase 7: non-redundancy pruning (Definition 4.4).
+    // ---- Phase 5: non-redundancy pruning (Definition 4.4), which
+    // compares flowgraphs only.
     let redundancy_timer = Timer::start("build.redundancy");
     if let Some(tau) = params.redundancy_tau {
         prune_redundant(&mut cuboids, schema, tau, params, &mut stats);
     }
     stats.redundancy_time = redundancy_timer.stop();
+
+    // ---- Phase 6: exceptions — the holistic part of the measure — for
+    // the cells that survived, counted as materialization time.
+    let exceptions_timer = Timer::start("build.exceptions");
+    attach_exceptions(
+        &mut cuboids,
+        &cells,
+        &tids,
+        &segments,
+        &agg_paths,
+        params,
+        &mut stats,
+    );
+    stats.materialize_time += exceptions_timer.stop();
 
     if flowcube_obs::is_enabled() {
         flowcube_obs::gauge_set("build.frequent_cells", stats.frequent_cells as f64);
@@ -281,8 +262,10 @@ fn run_mining(
     let timer = Timer::start("build.mine");
     let shared = |config: SharedConfig| mine(&tx, &config.with_threads(params.threads));
     let (mined, algo_prefix): (FrequentItemsets, &str) = match params.algorithm {
+        // Shared mines only the family `segments_by_cell` reads; what the
+        // paper's four rules find beyond it was never used here.
         Algorithm::Shared => (
-            shared(SharedConfig::shared(params.min_support)),
+            shared(SharedConfig::cube_family(params.min_support)),
             "mining.shared",
         ),
         Algorithm::Basic => (
@@ -304,54 +287,27 @@ fn run_mining(
     (tx, mined)
 }
 
-/// Split the frequent itemsets into the plan's frequent cells and, per
-/// `(cell, path level)`, the concrete-duration stage segments.
-fn cells_and_segments(
-    tx: &TransactionDb,
-    mined: &FrequentItemsets,
-    db: &PathDatabase,
-    params: &FlowCubeParams,
-    plan: &ItemPlan,
-) -> (Vec<(ItemLevel, CellKey)>, CellSegments) {
-    let schema = db.schema();
-    let dict = tx.dict();
-    let mut cells: Vec<(ItemLevel, CellKey)> = Vec::new();
-    let mut cell_of_items: FxHashMap<Vec<ItemId>, usize> = FxHashMap::default();
-    // The apex cell (all *) is implicit in the mining output.
-    if db.len() as u64 >= params.min_support {
-        cell_of_items.insert(Vec::new(), cells.len());
-        cells.push((
-            ItemLevel::top(schema.num_dims()),
-            vec![ConceptId::ROOT; schema.num_dims()],
-        ));
-    }
-    for (items, _support) in mined.frequent_cells(tx) {
-        let mut key = vec![ConceptId::ROOT; schema.num_dims()];
-        for &it in &items {
-            let ItemKind::Dim { dim, concept } = dict.kind(it) else {
-                unreachable!("frequent_cells returns dim items only");
-            };
-            key[dim as usize] = concept;
-        }
-        let level = level_of_key(&key, schema);
-        if plan.includes(&level) {
-            cell_of_items.insert(items, cells.len());
-            cells.push((level, key));
-        }
-    }
-
-    // ---- Phase 2: segments per (cell, path level) for exception mining.
-    // One pass over all frequent itemsets: split into (dim part, per-level
-    // concrete-duration stage segment).
-    let mut segments = CellSegments::default();
-    for (itemset, _support) in &mined.itemsets {
-        let mut dims: Vec<ItemId> = Vec::new();
+/// The frequent segments of the plan's cells: every frequent itemset
+/// that is a cell's dimension items plus concrete-duration stage items of
+/// one path level, decoded to `(location prefix, duration)` constraints
+/// and filed under that level and the cell's key. Itemsets of any other
+/// shape — which only `Basic` and `Cubing` still report — are skipped.
+fn segments_by_cell(tx: &TransactionDb, mined: &FrequentItemsets, plan: &ItemPlan) -> CellSegments {
+    let (dict, schema) = (tx.dict(), tx.schema());
+    let mut segments: CellSegments = vec![FxHashMap::default(); tx.spec().len()];
+    'itemsets: for (itemset, _support) in &mined.itemsets {
+        let mut key: CellKey = vec![ConceptId::ROOT; schema.num_dims()];
         let mut stages: MinedSegment = Vec::new();
         let mut level: Option<PathLevelId> = None;
-        let mut uniform = true;
         for &it in itemset.iter() {
             match dict.kind(it) {
-                ItemKind::Dim { .. } => dims.push(it),
+                ItemKind::Dim { dim, concept } => {
+                    // An item next to its ancestor names no cell.
+                    if key[dim as usize] != ConceptId::ROOT {
+                        continue 'itemsets;
+                    }
+                    key[dim as usize] = concept;
+                }
                 ItemKind::Stage {
                     level: l,
                     prefix,
@@ -360,87 +316,96 @@ fn cells_and_segments(
                     // Passage-only items add nothing; mixed-level
                     // segments apply at neither level exactly.
                     let Some(dur) = dur.filter(|_| level.is_none_or(|prev| prev == l)) else {
-                        uniform = false;
-                        break;
+                        continue 'itemsets;
                     };
                     level = Some(l);
                     stages.push((dict.prefixes().sequence(prefix), dur));
                 }
             }
         }
-        if let (true, Some(l), Some(&cell)) = (uniform, level, cell_of_items.get(&dims)) {
+        let Some(l) = level else {
+            continue; // a frequent cell: BUC finds those
+        };
+        if plan.includes(&level_of_key(&key, schema)) {
             // Root-to-leaf: a constraint's depth is its prefix length.
             stages.sort_by_key(|(prefix, _)| prefix.len());
-            segments.entry((cell, l)).or_default().push(stages);
+            segments[l as usize].entry(key).or_default().push(stages);
         }
     }
-    (cells, segments)
+    segments
 }
 
-/// Tid lists of the mined cells, top-down: item level by item level in
-/// depth order, a cell's paths are those of its smallest listed parent
-/// that also match the cell on the one dimension the parent leaves
-/// coarser (Gray et al.'s smallest-parent rule; Apriori makes every
-/// parent of a frequent cell frequent). Cells the [`ItemPlan`] left
-/// without a listed parent — and the apex — are filled by one database
-/// scan per such item level.
-fn derive_tids(db: &PathDatabase, cells: &[(ItemLevel, CellKey)]) -> Vec<Vec<u32>> {
-    let schema = db.schema();
-    let records = db.records();
-    let index: FxHashMap<&[ConceptId], usize> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, (_, key))| (key.as_slice(), i))
-        .collect();
-    let mut by_level: BTreeMap<(usize, &ItemLevel), Vec<usize>> = BTreeMap::new();
-    for (i, (level, _)) in cells.iter().enumerate() {
-        let depth = level.0.iter().map(|&l| l as usize).sum();
-        by_level.entry((depth, level)).or_default().push(i);
-    }
-
-    let mut tids: Vec<Vec<u32>> = vec![Vec::new(); cells.len()];
-    let mut probe: CellKey = Vec::new();
-    for ((_, level), members) in by_level {
-        let mut orphans: FxHashMap<&[ConceptId], usize> = FxHashMap::default();
-        for i in members {
-            let key = &cells[i].1;
-            // (parent cell, refined dimension) with the shortest tid list.
-            let mut parent: Option<(usize, usize)> = None;
-            for d in (0..key.len()).filter(|&d| level.0[d] > 0) {
-                probe.clone_from(key);
-                probe[d] = schema.dim(d as u8).parent_of(key[d]);
-                if let Some(&p) = index.get(probe.as_slice()) {
-                    if parent.is_none_or(|(best, _)| tids[p].len() < tids[best].len()) {
-                        parent = Some((p, d));
-                    }
-                }
-            }
-            let Some((p, d)) = parent else {
-                orphans.insert(key, i);
-                continue;
-            };
-            let hierarchy = schema.dim(d as u8);
-            tids[i] = (tids[p].iter().copied())
-                .filter(|&t| {
-                    hierarchy.ancestor_at_level(records[t as usize].dims[d], level.0[d]) == key[d]
-                })
-                .collect();
-        }
-        if orphans.is_empty() {
+/// Mine the exceptions of every stored (cell, path level) that has
+/// frequent segments, from the cell's own paths at that level
+/// (Lemma 4.3), and attach them.
+fn attach_exceptions(
+    cuboids: &mut FxHashMap<CuboidKey, Cuboid>,
+    cells: &[(ItemLevel, CellKey)],
+    tids: &[Vec<u32>],
+    segments: &CellSegments,
+    agg_paths: &[Vec<Vec<AggStage>>],
+    params: &FlowCubeParams,
+    stats: &mut BuildStats,
+) {
+    let mut pending: Vec<(usize, CuboidKey, &[MinedSegment])> = Vec::new();
+    for (lvl, by_cell) in segments.iter().enumerate() {
+        if by_cell.is_empty() {
             continue;
         }
-        for (t, record) in records.iter().enumerate() {
-            probe.clear();
-            probe.extend(
-                (record.dims.iter().zip(&level.0).enumerate())
-                    .map(|(d, (&c, &l))| schema.dim(d as u8).ancestor_at_level(c, l)),
-            );
-            if let Some(&i) = orphans.get(probe.as_slice()) {
-                tids[i].push(t as u32);
+        for (i, (item_level, key)) in cells.iter().enumerate() {
+            let Some(mined) = by_cell.get(key) else {
+                continue;
+            };
+            let ck = CuboidKey {
+                item_level: item_level.clone(),
+                path_level: lvl as PathLevelId,
+            };
+            if cuboids.get(&ck).is_some_and(|c| c.get(key).is_some()) {
+                pending.push((i, ck, mined));
             }
         }
     }
-    tids
+
+    let exc_params = ExceptionParams {
+        min_support: params.min_support,
+        min_deviation: params.exception_deviation,
+    };
+    let mine_cell = |(i, ck, mined): &(usize, CuboidKey, &[MinedSegment])| -> Vec<Exception> {
+        let graph = &cuboids[ck].cells[&cells[*i].1].graph;
+        // The cell's frequent segments, translated onto the graph's nodes.
+        let segs: Vec<Segment> = mined
+            .iter()
+            .filter_map(|constraints| {
+                // `constraints` is sorted root-to-leaf.
+                constraints
+                    .iter()
+                    .map(|(prefix, dur)| Some((graph.node_by_prefix(prefix)?, *dur)))
+                    .collect()
+            })
+            .collect();
+        let agg = &agg_paths[ck.path_level as usize];
+        let paths: Vec<&[AggStage]> = (tids[*i].iter())
+            .map(|&t| agg[t as usize].as_slice())
+            .collect();
+        exceptions_from_segments(graph, &paths, &segs, &exc_params)
+    };
+    // Few items, each a cell large enough to have frequent segments:
+    // workers claim them one at a time.
+    let report = run_chunks_counted(
+        "build.exceptions.chunk",
+        pending.len(),
+        pending.len(),
+        params.threads_for(pending.len()),
+        |range| pending[range].iter().map(&mine_cell).collect::<Vec<_>>(),
+    );
+    stats.chunk_retries += report.retried_chunks;
+    let found: Vec<Vec<Exception>> = report.results.into_iter().flatten().collect();
+    for ((i, ck, _), exceptions) in pending.into_iter().zip(found) {
+        let entry = (cuboids.get_mut(&ck))
+            .and_then(|cuboid| cuboid.cells.get_mut(&cells[i].1))
+            .expect("pending lists stored cells only");
+        entry.exceptions = exceptions;
+    }
 }
 
 /// For every path level, the level its flowgraphs come from: itself when

@@ -14,14 +14,15 @@ pub struct BuildStats {
     pub encode_time: Duration,
     /// Frequent-pattern mining proper.
     pub mining_time: Duration,
-    /// Cell/tid-list/segment preparation.
+    /// Segment decoding, the BUC pass (iceberg cells with their tid
+    /// lists) and path aggregation.
     pub prepare_time: Duration,
-    /// Flowgraph + exception materialization.
+    /// Flowgraph materialization, plus the exceptions pass that runs
+    /// after redundancy pruning (`build.exceptions` in a trace).
     pub materialize_time: Duration,
     /// Non-redundancy pruning.
     pub redundancy_time: Duration,
-    /// Frequent cells found by mining (before plan filtering drops and
-    /// the apex is added).
+    /// Iceberg cells at the item levels the plan keeps, apex included.
     pub frequent_cells: usize,
     /// Cells materialized across all cuboids (before redundancy pruning).
     pub cells_materialized: usize,
@@ -94,7 +95,7 @@ impl BuildStats {
         format!(
             "cells={} (pruned {} redundant), frequent patterns={}, \
              candidates counted={} in {} scans, candidates pruned \
-             [subset={} ancestor={} unlinkable={} precount={}], threads={}, \
+             [subset={} ancestor={} unlinkable={} precount={} family={}], threads={}, \
              chunk retries={}{deltas}, total {:?}",
             self.cells_materialized,
             self.cells_pruned_redundant,
@@ -105,6 +106,7 @@ impl BuildStats {
             self.mining.pruned_ancestor,
             self.mining.pruned_unlinkable,
             self.mining.pruned_precount,
+            self.mining.pruned_family,
             self.threads_used,
             self.chunk_retries,
             self.total_time(),
@@ -129,6 +131,7 @@ mod tests {
         s.mining.pruned_ancestor = 7;
         s.mining.pruned_unlinkable = 1;
         s.mining.pruned_precount = 9;
+        s.mining.pruned_family = 6;
         s.threads_used = 2;
         s.chunk_retries = 1;
         assert_eq!(s.total_time(), Duration::from_millis(15));
@@ -140,6 +143,7 @@ mod tests {
         assert!(summary.contains("ancestor=7"));
         assert!(summary.contains("unlinkable=1"));
         assert!(summary.contains("precount=9"));
+        assert!(summary.contains("family=6"));
         assert!(summary.contains("threads=2"));
         assert!(!summary.contains("deltas="));
         s.deltas_applied = 3;

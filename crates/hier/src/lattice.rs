@@ -13,6 +13,7 @@
 use crate::cut::PathLevel;
 use crate::level::ItemLevel;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// The full item lattice for a schema with the given per-dimension maximum
 /// levels.
@@ -101,13 +102,66 @@ pub struct PathLatticeSpec {
 /// Index of a [`PathLevel`] within a [`PathLatticeSpec`].
 pub type PathLevelId = u16;
 
+/// A spec listed one level of the path lattice twice: two entries with
+/// the same location cut and equivalent duration levels (`Raw` and
+/// `Bucket(1)` are one level), whatever their names.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DuplicatePathLevel {
+    /// Positions of the two entries in the rejected list.
+    pub first: usize,
+    pub second: usize,
+    /// Their names.
+    pub first_name: String,
+    pub second_name: String,
+}
+
+impl fmt::Display for DuplicatePathLevel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "path levels {} ({:?}) and {} ({:?}) are the same level — same location cut, \
+             equivalent durations; a spec lists each level once",
+            self.first, self.first_name, self.second, self.second_name
+        )
+    }
+}
+
+impl std::error::Error for DuplicatePathLevel {}
+
 impl PathLatticeSpec {
     /// Build a spec from the levels of interest. Order is preserved; the
     /// conventional layout puts the most detailed level first.
+    ///
+    /// # Panics
+    /// When a level is listed twice — see [`Self::try_new`].
     pub fn new(levels: Vec<PathLevel>) -> Self {
+        Self::try_new(levels).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::new`] for level lists that come from outside the program.
+    ///
+    /// Two entries that are each coarser-or-equal to the other are one
+    /// level of the lattice. Each would be the other's strict ancestor in
+    /// [`Self::coarser_than`], and mining, which interns a stage item's
+    /// coarser-level ancestors before the item itself, would recurse
+    /// between them until the stack overflows — so the pair is rejected
+    /// here.
+    pub fn try_new(levels: Vec<PathLevel>) -> Result<Self, DuplicatePathLevel> {
         assert!(!levels.is_empty(), "at least one path level is required");
         assert!(levels.len() <= PathLevelId::MAX as usize);
-        PathLatticeSpec { levels }
+        for (second, b) in levels.iter().enumerate() {
+            for (first, a) in levels[..second].iter().enumerate() {
+                if a.is_coarser_or_equal(b) && b.is_coarser_or_equal(a) {
+                    return Err(DuplicatePathLevel {
+                        first,
+                        second,
+                        first_name: a.name.clone(),
+                        second_name: b.name.clone(),
+                    });
+                }
+            }
+        }
+        Ok(PathLatticeSpec { levels })
     }
 
     pub fn len(&self) -> usize {
@@ -207,5 +261,36 @@ mod tests {
         // fine/* and coarse/raw are incomparable
         assert_eq!(spec.coarser_than(1), vec![3]);
         assert_eq!(spec.coarser_than(2), vec![3]);
+    }
+
+    #[test]
+    fn a_level_listed_twice_is_rejected() {
+        let mut h = ConceptHierarchy::new("location");
+        h.add_path(["transportation", "truck"]).unwrap();
+        h.add_path(["store", "shelf"]).unwrap();
+        let level = |name: &str, depth, duration| {
+            PathLevel::new(name, LocationCut::uniform_level(&h, depth), duration)
+        };
+        // Names do not tell levels apart; cut and duration do.
+        let err = PathLatticeSpec::try_new(vec![
+            level("a", 2, DurationLevel::Raw),
+            level("b", 1, DurationLevel::Raw),
+            level("c", 2, DurationLevel::Raw),
+        ])
+        .unwrap_err();
+        assert_eq!((err.first, err.second), (0, 2));
+        assert!(err.to_string().contains("\"a\"") && err.to_string().contains("\"c\""));
+        // `Raw` and `Bucket(1)` aggregate durations identically.
+        assert!(PathLatticeSpec::try_new(vec![
+            level("raw", 2, DurationLevel::Raw),
+            level("unit", 2, DurationLevel::Bucket(1)),
+        ])
+        .is_err());
+        // Same cut, different durations: two levels.
+        assert!(PathLatticeSpec::try_new(vec![
+            level("raw", 2, DurationLevel::Raw),
+            level("any", 2, DurationLevel::Any),
+        ])
+        .is_ok());
     }
 }

@@ -24,6 +24,6 @@ pub mod schema;
 pub use concept::{ConceptHierarchy, ConceptId, HierarchyError};
 pub use cut::{CutError, LocationCut, PathLevel};
 pub use fx::{FxHashMap, FxHashSet};
-pub use lattice::{ItemLattice, PathLatticeSpec, PathLevelId};
+pub use lattice::{DuplicatePathLevel, ItemLattice, PathLatticeSpec, PathLevelId};
 pub use level::{DurValue, DurationLevel, ItemLevel};
 pub use schema::{DimId, Schema};

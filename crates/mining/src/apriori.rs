@@ -42,6 +42,14 @@ pub struct MiningStats {
     pub io_bytes_read: u64,
     /// High-level look-ahead patterns counted (generalized pre-counting).
     pub precounted_patterns: u64,
+    /// Candidates discarded by the build's family rule
+    /// ([`crate::SharedConfig::cube_family`]): frequent `*`-duration
+    /// stage items kept out of the level-wise loop, and joins of two
+    /// stage items from different path levels. Never serialized — the
+    /// snapshot writes these stats with field names, so a sixth counter
+    /// on the wire would change every snapshot's bytes.
+    #[serde(skip)]
+    pub pruned_family: u64,
 }
 
 impl MiningStats {
@@ -89,6 +97,7 @@ impl MiningStats {
             self.pruned_unlinkable,
         );
         flowcube_obs::counter_add(&format!("{prefix}.pruned.precount"), self.pruned_precount);
+        flowcube_obs::counter_add(&format!("{prefix}.pruned.family"), self.pruned_family);
         flowcube_obs::counter_add(&format!("{prefix}.scans"), self.scans);
         flowcube_obs::counter_add(&format!("{prefix}.cells_mined"), self.cells_mined);
         flowcube_obs::counter_add(&format!("{prefix}.tidlist_items"), self.tidlist_items);
@@ -111,6 +120,7 @@ impl MiningStats {
         self.pruned_ancestor += other.pruned_ancestor;
         self.pruned_unlinkable += other.pruned_unlinkable;
         self.pruned_precount += other.pruned_precount;
+        self.pruned_family += other.pruned_family;
         self.scans += other.scans;
         self.cells_mined += other.cells_mined;
         self.tidlist_items += other.tidlist_items;
@@ -218,6 +228,7 @@ pub enum PruneReason {
     Ancestor,
     Unlinkable,
     Precount,
+    Family,
 }
 
 impl Default for PruneHooks<'_> {
@@ -240,6 +251,7 @@ fn charge_prune(stats: &mut MiningStats, reason: PruneReason) {
         PruneReason::Ancestor => stats.pruned_ancestor += 1,
         PruneReason::Unlinkable => stats.pruned_unlinkable += 1,
         PruneReason::Precount => stats.pruned_precount += 1,
+        PruneReason::Family => stats.pruned_family += 1,
         PruneReason::None => {}
     }
 }
@@ -532,9 +544,11 @@ mod tests {
         MiningStats::bump(&mut b.counted_by_length, 1, 2);
         MiningStats::bump(&mut b.counted_by_length, 2, 1);
         b.pruned_subset = 3;
+        b.pruned_family = 4;
         a.absorb(&b);
         assert_eq!(a.counted_by_length, vec![2, 6]);
         assert_eq!(a.pruned_subset, 3);
+        assert_eq!(a.pruned_family, 4);
         assert_eq!(a.total_counted(), 8);
         assert_eq!(a.max_length(), 2);
     }

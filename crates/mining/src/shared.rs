@@ -40,6 +40,15 @@ pub struct SharedConfig {
     /// without counting. Off by default (the paper's experiments only
     /// pre-counted pairs in the first scan).
     pub precount_ahead: bool,
+    /// Mine only the family the flowcube reads (a fifth rule, not in the
+    /// paper): itemsets whose stage items all carry a concrete duration
+    /// and belong to one path level, with any dimension items. The family
+    /// is downward closed, so Apriori restricted to it finds every
+    /// frequent member — the same argument as rules 2 and 4.
+    /// `*`-duration stage items are still counted in scan 1 (rule 1
+    /// pre-counts through them) but never join.
+    #[serde(default)]
+    pub prune_outside_family: bool,
     /// Optional hard cap on pattern length (a safety valve for the Basic
     /// baseline, whose candidate set can exhaust memory — as in the
     /// paper's experiments).
@@ -63,8 +72,21 @@ impl SharedConfig {
             prune_unlinkable: true,
             prune_ancestor_pairs: true,
             precount_ahead: false,
+            prune_outside_family: false,
             max_len: None,
             threads: 0,
+        }
+    }
+
+    /// What the batch build runs: the paper's four rules plus the family
+    /// rule ([`Self::prune_outside_family`]). Its output is
+    /// [`Self::shared`]'s restricted to the itemsets a flowcube stores —
+    /// frequent cells, and per cell the concrete-duration segments of one
+    /// path level.
+    pub fn cube_family(min_support: u64) -> Self {
+        SharedConfig {
+            prune_outside_family: true,
+            ..SharedConfig::shared(min_support)
         }
     }
 
@@ -86,6 +108,7 @@ impl SharedConfig {
             prune_unlinkable: false,
             prune_ancestor_pairs: false,
             precount_ahead: false,
+            prune_outside_family: false,
             max_len: None,
             threads: 0,
         }
@@ -353,11 +376,21 @@ pub fn mine(tx: &TransactionDb, config: &SharedConfig) -> FrequentItemsets {
     }
 
     let mut frequent: Vec<(Itemset, u64)> = Vec::new();
-    let mut prev: Vec<Itemset> = (0..dict.len() as u32)
+    let frequent_items: Vec<ItemId> = (0..dict.len() as u32)
         .map(ItemId)
         .filter(|i| item_counts[i.index()] >= delta)
-        .map(|i| vec![i].into_boxed_slice())
         .collect();
+    // Rule 5: a `*`-duration stage item was counted for rule 1's sake
+    // only; no itemset holding it is in the family.
+    let outside_family = |i: ItemId| {
+        config.prune_outside_family && matches!(dict.kind(i), ItemKind::Stage { dur: None, .. })
+    };
+    let mut prev: Vec<Itemset> = frequent_items
+        .iter()
+        .filter(|&&i| !outside_family(i))
+        .map(|&i| vec![i].into_boxed_slice())
+        .collect();
+    stats.pruned_family += (frequent_items.len() - prev.len()) as u64;
     prev.sort();
     for s in &prev {
         frequent.push((s.clone(), item_counts[s[0].index()]));
@@ -368,6 +401,19 @@ pub fn mine(tx: &TransactionDb, config: &SharedConfig) -> FrequentItemsets {
     let mut k = 2;
     while !prev.is_empty() && config.max_len.is_none_or(|m| k <= m) {
         let pair_ok = |a: ItemId, b: ItemId| -> (bool, PruneReason) {
+            // Rule 5 first, it is the cheapest. The pair check suffices:
+            // both join parents are in the family, so two stage items
+            // that a shared prefix does not already tie to one level can
+            // only be the two the parents differ in.
+            if config.prune_outside_family {
+                if let (ItemKind::Stage { level: la, .. }, ItemKind::Stage { level: lb, .. }) =
+                    (dict.kind(a), dict.kind(b))
+                {
+                    if la != lb {
+                        return (false, PruneReason::Family);
+                    }
+                }
+            }
             if config.prune_ancestor_pairs && dict.is_ancestor_pair(a, b) {
                 return (false, PruneReason::Ancestor);
             }

@@ -3,7 +3,8 @@
 //! same location cut, every materialized cell holds the graph of
 //! Definition 3.1: its own paths, aggregated at its own path level,
 //! walked and canonicalized — and the exceptions mined from exactly
-//! those paths.
+//! those paths, whether they were mined before redundancy pruning or,
+//! as the build does, only for the cells that survive it.
 
 use flowcube::core::aggregate_key;
 use flowcube::datagen::{generate, DimShape, GeneratorConfig};
@@ -34,6 +35,7 @@ proptest! {
         picks in prop::collection::vec((0usize..DURATIONS.len(), 0u8..2), 2..=5),
         merge in 0usize..3,
         exceptions in 0u8..2,
+        prune in 0u8..2,
     ) {
         let config = GeneratorConfig {
             num_paths: 200,
@@ -46,8 +48,8 @@ proptest! {
         };
         let db = generate(&config).db;
         let loc = db.schema().locations();
-        // A spec lists a path level once (mining's ancestor relation
-        // between stage items assumes it).
+        // A spec lists a path level once; `a_repeated_level_is_rejected`
+        // below holds the other case.
         let mut distinct = Vec::new();
         for pick in picks {
             if !distinct.contains(&pick) {
@@ -68,8 +70,31 @@ proptest! {
             .with_threads(2)
             .with_parallel_cutoff(2);
         params.merge = [MergePolicy::Sum, MergePolicy::Max, MergePolicy::First][merge];
+        if prune == 1 {
+            params.redundancy_tau = Some(0.05);
+        }
         let cube = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
         prop_assert!(cube.total_cells() > 0);
+
+        // Definition 4.4 reads flowgraphs only, so attaching exceptions
+        // to every cell and pruning afterwards stores the same cells with
+        // the same exceptions.
+        if let Some(tau) = params.redundancy_tau {
+            let mut unpruned = params.clone();
+            unpruned.redundancy_tau = None;
+            let mut exceptions_first = FlowCube::build(&db, spec.clone(), unpruned, ItemPlan::All);
+            let dropped = exceptions_first.prune_redundant(tau);
+            prop_assert_eq!(dropped, cube.stats().cells_pruned_redundant);
+            prop_assert_eq!(exceptions_first.all_cells(), cube.all_cells());
+            for (ck, cuboid) in cube.cuboids() {
+                let reference = exceptions_first
+                    .cuboid(&ck.item_level, ck.path_level)
+                    .expect("same cuboids");
+                for (key, entry) in cuboid.iter() {
+                    prop_assert_eq!(&entry.exceptions, &reference.get(key).unwrap().exceptions);
+                }
+            }
+        }
 
         let exc_params = ExceptionParams {
             min_support: params.min_support,
@@ -102,4 +127,37 @@ proptest! {
             }
         }
     }
+}
+
+/// Two entries with one cut and one duration level are one path level,
+/// whatever they are called: the spec is refused where it is built, not
+/// deep inside mining (where it used to overflow the stack).
+#[test]
+fn a_repeated_level_is_rejected() {
+    let db = generate(&GeneratorConfig {
+        num_paths: 20,
+        ..Default::default()
+    })
+    .db;
+    let loc = db.schema().locations();
+    let level = |name: &str, duration| {
+        let cut = LocationCut::uniform_level(loc, loc.max_level());
+        PathLevel::new(name, cut, duration)
+    };
+    let repeated = || {
+        vec![
+            level("l0", DurationLevel::Raw),
+            level("l1", DurationLevel::Any),
+            level("l2", DurationLevel::Raw),
+        ]
+    };
+    let err = PathLatticeSpec::try_new(repeated()).unwrap_err();
+    assert_eq!((err.first, err.second), (0, 2));
+    assert_eq!(
+        (err.first_name.as_str(), err.second_name.as_str()),
+        ("l0", "l2")
+    );
+    // `new` keeps its signature and panics with the same message.
+    let panic = std::panic::catch_unwind(|| PathLatticeSpec::new(repeated())).unwrap_err();
+    assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
 }

@@ -112,9 +112,9 @@ fn thread_count_and_chunk_retry_leave_the_bytes_alone() {
     assert!(snapshot_bytes(&healed, "healed") == clean);
 }
 
-/// A plan that leaves a level's item-lattice parents out (so its tid
-/// lists cannot be filtered from a parent's and fall back to the scan)
-/// materializes exactly the cells the full plan does at that level.
+/// A plan that leaves a level's item-lattice parents out materializes
+/// exactly the cells the full plan does at that level: BUC descends
+/// through the levels a plan drops, the plan only filters what it emits.
 #[test]
 fn plans_without_parents_match_the_full_plan() {
     let _guard = serial();

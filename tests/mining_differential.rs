@@ -7,10 +7,14 @@
 //! the algorithms are cross-checked against each other and against a
 //! brute-force support oracle on proptest-generated path databases.
 
+use flowcube::core::{level_of_key, CellKey, ItemPlan};
 use flowcube::datagen::{generate, DimShape, GeneratorConfig};
-use flowcube::hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube::hier::{
+    ConceptId, DurationLevel, ItemLevel, LocationCut, PathLatticeSpec, PathLevel,
+};
 use flowcube::mining::{
-    mine, mine_cubing, CubingConfig, FrequentItemsets, ItemId, SharedConfig, TransactionDb,
+    buc_iceberg, mine, mine_cubing, CubingConfig, FrequentItemsets, ItemId, ItemKind, SharedConfig,
+    TransactionDb,
 };
 use flowcube::pathdb::{MergePolicy, PathDatabase};
 use proptest::prelude::*;
@@ -18,6 +22,12 @@ use proptest::prelude::*;
 /// A generated path database plus its transaction encoding, sized so the
 /// parallel cutoff (8 transactions) is always cleared.
 fn encode_db(paths: usize, seed: u64) -> (PathDatabase, TransactionDb) {
+    encode_levels(paths, seed, false)
+}
+
+/// [`encode_db`], optionally with the coarser location cut as well: two
+/// concrete-duration path levels, so itemsets can mix levels.
+fn encode_levels(paths: usize, seed: u64, two_cuts: bool) -> (PathDatabase, TransactionDb) {
     let config = GeneratorConfig {
         num_paths: paths,
         dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
@@ -30,12 +40,57 @@ fn encode_db(paths: usize, seed: u64) -> (PathDatabase, TransactionDb) {
     let db = generate(&config).db;
     let loc = db.schema().locations();
     let fine = LocationCut::uniform_level(loc, loc.max_level());
-    let spec = PathLatticeSpec::new(vec![
+    let mut levels = vec![
         PathLevel::new("fine", fine.clone(), DurationLevel::Raw),
         PathLevel::new("fine/any", fine, DurationLevel::Any),
-    ]);
-    let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
+    ];
+    if two_cuts {
+        let coarse = LocationCut::uniform_level(loc, loc.max_level() - 1);
+        levels.push(PathLevel::new("coarse", coarse.clone(), DurationLevel::Raw));
+        levels.push(PathLevel::new("coarse/any", coarse, DurationLevel::Any));
+    }
+    let tx = TransactionDb::encode(&db, PathLatticeSpec::new(levels), MergePolicy::Sum);
     (db, tx)
+}
+
+/// Is `itemset` in the family a flowcube stores — every stage item with
+/// a concrete duration, all of one path level (any dimension items)?
+fn in_cube_family(tx: &TransactionDb, itemset: &[ItemId]) -> bool {
+    let mut level = None;
+    itemset.iter().all(|&i| match tx.dict().kind(i) {
+        ItemKind::Dim { .. } => true,
+        ItemKind::Stage { level: l, dur, .. } => dur.is_some() && *level.get_or_insert(l) == l,
+    })
+}
+
+/// `(cell key, support)` of the pure-dimension itemsets of a mining
+/// output, the implicit apex included, sorted.
+fn mined_cells(
+    db: &PathDatabase,
+    tx: &TransactionDb,
+    out: &FrequentItemsets,
+    delta: u64,
+) -> Vec<(CellKey, u64)> {
+    let dims = db.schema().num_dims();
+    let mut cells: Vec<(CellKey, u64)> = out
+        .frequent_cells(tx)
+        .into_iter()
+        .map(|(items, support)| {
+            let mut key = vec![ConceptId::ROOT; dims];
+            for item in items {
+                let ItemKind::Dim { dim, concept } = tx.dict().kind(item) else {
+                    unreachable!("frequent_cells returns dimension items only");
+                };
+                key[dim as usize] = concept;
+            }
+            (key, support)
+        })
+        .collect();
+    if db.len() as u64 >= delta {
+        cells.push((vec![ConceptId::ROOT; dims], db.len() as u64));
+    }
+    cells.sort();
+    cells
 }
 
 /// Brute-force support oracle: count the transactions containing every
@@ -121,6 +176,79 @@ proptest! {
         }
         prop_assert!(basic.itemsets.len() >= shared.itemsets.len());
     }
+
+    /// The build's fifth rule loses nothing the cube reads: at every
+    /// thread count the five-rule output is the four-rule output
+    /// restricted to the family — same itemsets, same supports, same
+    /// order — and it never counts more candidates.
+    #[test]
+    fn family_rule_is_shared_restricted_to_the_family(paths in 30usize..120, seed in 0u64..1000) {
+        // One location cut (only `*`-duration items fall outside the
+        // family), then two (itemsets can also mix path levels).
+        for two_cuts in [false, true] {
+            let (_db, tx) = encode_levels(paths, seed, two_cuts);
+            let delta = (paths / 8).max(4) as u64;
+            let four = mine(&tx, &SharedConfig::shared(delta).with_threads(1));
+            let expected: Vec<_> = four
+                .itemsets
+                .iter()
+                .filter(|(s, _)| in_cube_family(&tx, s))
+                .cloned()
+                .collect();
+            prop_assert!(expected.len() < four.itemsets.len());
+            let serial = mine(&tx, &SharedConfig::cube_family(delta).with_threads(1));
+            prop_assert_eq!(&serial.itemsets, &expected);
+            prop_assert!(serial.stats.total_counted() <= four.stats.total_counted());
+            prop_assert!(serial.stats.pruned_family > 0);
+            prop_assert_eq!(four.stats.pruned_family, 0);
+            for threads in [2usize, 4] {
+                let parallel = mine(&tx, &SharedConfig::cube_family(delta).with_threads(threads));
+                prop_assert_eq!(&serial, &parallel, "threads={}", threads);
+            }
+        }
+    }
+
+    /// The build takes its cells from BUC and only its segments from
+    /// mining: BUC's iceberg cells are exactly the pure-dimension
+    /// frequent itemsets (plus the apex), with equal supports, whichever
+    /// item levels a plan keeps.
+    #[test]
+    fn buc_cell_supports_match_shared(paths in 30usize..120, seed in 0u64..1000) {
+        let (db, tx) = encode_db(paths, seed);
+        let delta = (paths / 8).max(4) as u64;
+        let (buc_cells, _) = buc_iceberg(&db, delta);
+        let mut buc: Vec<(CellKey, u64)> = buc_cells
+            .iter()
+            .map(|c| {
+                let key = c.values.iter().map(|v| v.unwrap_or(ConceptId::ROOT)).collect();
+                (key, c.count())
+            })
+            .collect();
+        buc.sort();
+        prop_assert!(buc.len() > 1);
+        let plans = [
+            ItemPlan::All,
+            ItemPlan::Selected(vec![ItemLevel(vec![1, 0]), ItemLevel(vec![2, 1])]),
+            ItemPlan::Layers {
+                minimum: ItemLevel(vec![1, 0]),
+                observation: ItemLevel(vec![2, 2]),
+                popular: vec![ItemLevel(vec![0, 1])],
+            },
+        ];
+        for config in [SharedConfig::shared(delta), SharedConfig::cube_family(delta)] {
+            let mined = mined_cells(&db, &tx, &mine(&tx, &config.with_threads(2)), delta);
+            for plan in &plans {
+                let kept = |cells: &[(CellKey, u64)]| -> Vec<(CellKey, u64)> {
+                    cells
+                        .iter()
+                        .filter(|(key, _)| plan.includes(&level_of_key(key, db.schema())))
+                        .cloned()
+                        .collect()
+                };
+                prop_assert_eq!(kept(&buc), kept(&mined), "{:?}", plan);
+            }
+        }
+    }
 }
 
 /// Shared and Cubing (modernized, duplicate-free config) find exactly the
@@ -141,30 +269,6 @@ fn shared_and_cubing_agree_across_thread_counts() {
             canonical(&shared),
             canonical(&cubing),
             "paths={paths} seed={seed}"
-        );
-    }
-}
-
-/// BUC's iceberg cells carry the same supports that Shared reports for
-/// its pure-dimension itemsets.
-#[test]
-fn buc_cell_supports_match_shared() {
-    let (db, tx) = encode_db(60, 33);
-    let delta = 8u64;
-    let shared = mine(&tx, &SharedConfig::shared(delta).with_threads(4));
-    let cells = shared.frequent_cells(&tx);
-    assert!(!cells.is_empty());
-    let (buc_cells, _) = flowcube::mining::buc_iceberg(&db, delta);
-    for (items, support) in &cells {
-        assert_eq!(oracle_support(&tx, items), *support);
-    }
-    // Every mined cell's tid-list length appears among BUC's cells.
-    let buc_supports: std::collections::HashSet<u64> =
-        buc_cells.iter().map(|c| c.tids.len() as u64).collect();
-    for (_, support) in &cells {
-        assert!(
-            buc_supports.contains(support),
-            "support {support} missing from BUC"
         );
     }
 }

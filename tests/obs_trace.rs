@@ -122,6 +122,8 @@ fn parallel_build_chrome_trace_wellformed() {
         "build.prepare",
         "build.materialize",
         "build.cell",
+        "build.redundancy",
+        "build.exceptions",
     ] {
         assert!(
             names.contains(expected),
@@ -145,6 +147,14 @@ fn parallel_build_chrome_trace_wellformed() {
             .any(|k| k.starts_with("mining.shared.candidates.len")),
         "per-length candidate counters missing: {:?}",
         snapshot.counters.keys().collect::<Vec<_>>()
+    );
+    // The build mines with the family rule on, and says how much it cut.
+    assert!(
+        snapshot
+            .counters
+            .get("mining.shared.pruned.family")
+            .is_some_and(|&n| n > 0),
+        "family-rule prune counter missing or zero"
     );
     let cell_hist = snapshot
         .histograms
