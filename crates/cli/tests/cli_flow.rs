@@ -165,7 +165,25 @@ fn build_with_trace_and_metrics_out() {
     assert!(metrics_text.contains("mining.shared.pruned.family"));
     assert!(metrics_text.contains("build.cell_materialize_us"));
 
-    for f in [&db, &cube, &trace, &metrics] {
+    // A traced `flowcube snapshot` attributes the write to its stages.
+    // (Same test: the recorder is global and each traced command resets it.)
+    let snap = tmp("cube5.snap");
+    commands::snapshot(&args(&format!(
+        "snapshot --db {db} --min-support 30 --trace-out {trace} --out {snap}"
+    )))
+    .expect("snapshot with tracing");
+    let trace_text = std::fs::read_to_string(&trace).expect("trace file rewritten");
+    for stage in [
+        "serve.snapshot.write",
+        "serve.snapshot.intern",
+        "serve.snapshot.plan",
+        "serve.snapshot.encode",
+        "serve.snapshot.file_write",
+    ] {
+        assert!(trace_text.contains(&format!("\"{stage}\"")), "{stage}");
+    }
+
+    for f in [&db, &cube, &trace, &metrics, &snap] {
         let _ = std::fs::remove_file(f);
     }
 }

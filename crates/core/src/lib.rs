@@ -40,6 +40,10 @@ pub use cell::{aggregate_key, display_key, level_of_key, CellEntry, CellKey, Cub
 pub use cube::{FlowCube, Lookup};
 pub use delta::{CubeDelta, DeltaReport};
 pub use error::CoreError;
+/// The chunk runner every parallel phase of a cube's life shares — the
+/// one [`FlowCubeParams::threads_for`] plans threads for — re-exported
+/// for the crates that persist and serve a cube.
+pub use flowcube_mining::parallel;
 pub use params::{Algorithm, FlowCubeParams, ItemPlan};
 pub use stats::BuildStats;
 pub use view::{CellStats, CuboidRead, Route};

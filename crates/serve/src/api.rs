@@ -34,7 +34,7 @@ use crate::deltalog;
 use crate::error::{ApiError, SnapshotError};
 use crate::http::Request;
 use crate::server::{Scope, Service};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{run_sections, Snapshot};
 use flowcube_core::{
     display_key, view, CellKey, CubeDelta, Cuboid, CuboidKey, CuboidRead, FlowCube, Route,
 };
@@ -146,18 +146,20 @@ impl ServedCube {
         }
         let schema = self.shell().schema();
         let table = StringTable::from_cuboids(schema, [&cuboid]);
-        let bytes = encode_cuboid(&cuboid, schema, &table)?;
         let ctx = Arc::new(StringsCtx::new(table, schema));
+        let bytes = encode_cuboid(&cuboid, &ctx)?;
         let label = format!("patched cuboid {:?}@{}", key.item_level, key.path_level);
         ColumnarSection::validate(bytes, &ctx, schema, &label).map(Some)
     }
 
-    /// Hydrate the given cuboids if not yet resident.
+    /// Hydrate the given cuboids if not yet resident — the missing
+    /// sections side by side when a request needs many (the first
+    /// point lookup at a path level needs every item level).
     fn ensure<'a>(
         &self,
         keys: impl IntoIterator<Item = &'a CuboidKey>,
     ) -> Result<(), SnapshotError> {
-        let missing: Vec<&CuboidKey> = {
+        let mut missing: Vec<&CuboidKey> = {
             let resident = self.resident.read();
             keys.into_iter()
                 .filter(|k| !resident.contains_key(k))
@@ -169,11 +171,19 @@ impl ServedCube {
         // Held across the loads, so racing workers do not each read (and
         // re-encode) the same section.
         let mut resident = self.resident.write();
-        for key in missing {
-            if !resident.contains_key(key) {
-                let section = self.load(key)?.map(Arc::new);
-                resident.insert(key.clone(), section);
-            }
+        missing.retain(|k| !resident.contains_key(*k));
+        missing.sort_unstable();
+        missing.dedup();
+        let loaded = run_sections(
+            "serve.snapshot.hydrate",
+            self.shell().params(),
+            missing.len(),
+            |i| self.load(missing[i]),
+        );
+        // Sections before the first failure stay; the failure is not
+        // memoized, so a transient fault costs one request.
+        for (key, section) in missing.into_iter().zip(loaded) {
+            resident.insert(key.clone(), section?.map(Arc::new));
         }
         Ok(())
     }

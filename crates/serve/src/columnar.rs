@@ -82,7 +82,7 @@ use flowcube_core::{CellEntry, CellKey, CellStats, Cuboid, CuboidRead};
 use flowcube_flowgraph::{
     CountDist, Exception, ExceptionDetail, FlowGraph, GraphRead, NodeId, NodeSpec,
 };
-use flowcube_hier::{ConceptId, DurValue, FxHashMap, Schema};
+use flowcube_hier::{ConceptHierarchy, ConceptId, DurValue, Schema};
 use std::sync::Arc;
 
 /// First 4 bytes of every v2 cuboid section.
@@ -129,10 +129,6 @@ fn put_u32(b: &mut Vec<u8>, v: u32) {
     b.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
 fn corrupt(section: &str, detail: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt {
         detail: format!("{section}: {}", detail.into()),
@@ -154,30 +150,43 @@ pub struct StringTable {
 
 impl StringTable {
     /// Intern every name the sections encoding `cuboids` will reference.
+    ///
+    /// One pass marks the concepts in use, per hierarchy; each distinct
+    /// name is then materialized once. The sort + dedup folds a name
+    /// that several hierarchies share into one id.
     pub fn from_cuboids<'a>(
         schema: &Schema,
         cuboids: impl IntoIterator<Item = &'a Cuboid>,
     ) -> StringTable {
-        let loc = schema.locations();
-        let mut names: Vec<String> = Vec::new();
+        let dims = schema.num_dims();
+        let hierarchies: Vec<&ConceptHierarchy> =
+            schema.dims().iter().chain([schema.locations()]).collect();
+        // One mark per concept; the locations' marks are `used[dims]`.
+        let mut used: Vec<Vec<bool>> = hierarchies.iter().map(|h| vec![false; h.len()]).collect();
         for cuboid in cuboids {
             for (key, entry) in cuboid.iter() {
                 for (d, &c) in key.iter().enumerate() {
-                    names.push(schema.dim(d as u8).name_of(c).to_string());
+                    used[d][c.index()] = true;
                 }
                 let g = &entry.graph;
                 for n in g.node_ids() {
-                    names.push(loc.name_of(g.location(n)).to_string());
+                    used[dims][g.location(n).index()] = true;
                 }
                 for e in &entry.exceptions {
                     if let ExceptionDetail::Transition { observed } = &e.detail {
                         for (k, _) in observed.iter() {
                             if let Some(c) = k {
-                                names.push(loc.name_of(c).to_string());
+                                used[dims][c.index()] = true;
                             }
                         }
                     }
                 }
+            }
+        }
+        let mut names: Vec<String> = Vec::new();
+        for (hierarchy, used) in hierarchies.iter().zip(&used) {
+            for (i, _) in used.iter().enumerate().filter(|(_, &used)| used) {
+                names.push(hierarchy.name_of(ConceptId(i as u32)).to_string());
             }
         }
         names.sort_unstable();
@@ -191,14 +200,6 @@ impl StringTable {
 
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
-    }
-
-    /// Id of a name (binary search; the table is sorted).
-    pub fn id_of(&self, name: &str) -> Option<u32> {
-        self.names
-            .binary_search_by(|n| n.as_str().cmp(name))
-            .ok()
-            .map(|i| i as u32)
     }
 
     /// Name of an id.
@@ -275,38 +276,48 @@ impl StringTable {
 
 /// The string table plus its resolution against a concrete schema:
 /// `ConceptId ↔ string id` translation per dimension hierarchy and for
-/// the location hierarchy. Built once at snapshot open — O(distinct
-/// names), never O(cells) — so the query path translates ids with hash
-/// lookups and array indexing only.
+/// the location hierarchy. Built once per table — O(distinct names +
+/// concepts), never O(cells) — so the encoder and the query path both
+/// translate ids by array indexing only.
 #[derive(Debug)]
 pub struct StringsCtx {
     pub table: StringTable,
-    /// Per dimension: concept → string id (only names present in the table).
-    dim_to_sid: Vec<FxHashMap<ConceptId, u32>>,
+    /// Per dimension: concept → string id, [`NO_SID`] when the concept's
+    /// name is not in the table.
+    dim_to_sid: Vec<Vec<u32>>,
     /// Per dimension: string id → concept, `None` when the name is not a
     /// concept of that hierarchy.
     sid_to_dim: Vec<Vec<Option<ConceptId>>>,
-    loc_to_sid: FxHashMap<ConceptId, u32>,
+    loc_to_sid: Vec<u32>,
     sid_to_loc: Vec<Option<ConceptId>>,
+}
+
+/// "This concept's name was never interned", in the `*_to_sid` arrays.
+const NO_SID: u32 = u32::MAX;
+
+fn sid_in(to_sid: &[u32], c: ConceptId) -> Option<u32> {
+    to_sid.get(c.index()).copied().filter(|&sid| sid != NO_SID)
 }
 
 impl StringsCtx {
     pub fn new(table: StringTable, schema: &Schema) -> StringsCtx {
         let dims = schema.num_dims();
         let n = table.len();
-        let mut dim_to_sid = vec![FxHashMap::default(); dims];
+        let mut dim_to_sid: Vec<Vec<u32>> = (0..dims)
+            .map(|d| vec![NO_SID; schema.dim(d as u8).len()])
+            .collect();
         let mut sid_to_dim = vec![vec![None; n]; dims];
-        let mut loc_to_sid = FxHashMap::default();
+        let mut loc_to_sid = vec![NO_SID; schema.locations().len()];
         let mut sid_to_loc = vec![None; n];
         for (sid, name) in table.names.iter().enumerate() {
             for d in 0..dims {
                 if let Ok(c) = schema.dim(d as u8).id_of(name) {
-                    dim_to_sid[d].insert(c, sid as u32);
+                    dim_to_sid[d][c.index()] = sid as u32;
                     sid_to_dim[d][sid] = Some(c);
                 }
             }
             if let Ok(c) = schema.locations().id_of(name) {
-                loc_to_sid.insert(c, sid as u32);
+                loc_to_sid[c.index()] = sid as u32;
                 sid_to_loc[sid] = Some(c);
             }
         }
@@ -325,7 +336,7 @@ impl StringsCtx {
     pub fn sids_of_key(&self, key: &[ConceptId]) -> Option<Vec<u32>> {
         key.iter()
             .enumerate()
-            .map(|(d, c)| self.dim_to_sid.get(d)?.get(c).copied())
+            .map(|(d, &c)| sid_in(self.dim_to_sid.get(d)?, c))
             .collect()
     }
 
@@ -338,7 +349,7 @@ impl StringsCtx {
     }
 
     fn loc_sid(&self, c: ConceptId) -> Option<u32> {
-        self.loc_to_sid.get(&c).copied()
+        sid_in(&self.loc_to_sid, c)
     }
 }
 
@@ -346,209 +357,280 @@ impl StringsCtx {
 // Encoder
 // ---------------------------------------------------------------------------
 
-/// Serialize one cuboid into a v2 section payload. Cells are written in
-/// ascending string-id key order and graphs in their stored (canonical)
-/// node order, so the encoding is a pure function of the cuboid's
-/// content — the determinism the differential suite pins down.
-pub fn encode_cuboid(
-    cuboid: &Cuboid,
-    schema: &Schema,
-    strings: &StringTable,
-) -> Result<Vec<u8>, SnapshotError> {
-    const SEC: &str = "cuboid section";
-    let dims = schema.num_dims();
-    let loc = schema.locations();
-    let sid_of = |name: &str| {
-        strings
-            .id_of(name)
-            .ok_or_else(|| corrupt(SEC, format!("name {name:?} missing from string table")))
-    };
+/// A write position inside the section buffer: one per region, each
+/// starting at its region's offset, so rows land where they will be read
+/// from with no staging buffer in between.
+struct Cursor(usize);
 
-    let mut rows: Vec<(Vec<u32>, &CellKey, &CellEntry)> = Vec::with_capacity(cuboid.len());
-    for (key, entry) in cuboid.iter() {
-        let mut sids = Vec::with_capacity(dims);
-        for (d, &c) in key.iter().enumerate() {
-            sids.push(sid_of(schema.dim(d as u8).name_of(c))?);
-        }
-        rows.push((sids, key, entry));
-    }
-    rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-
-    // Count everything up front so region offsets are known.
-    let cell_count = rows.len();
-    let mut node_count = 0usize;
-    let mut child_count = 0usize;
-    let mut dur_count = 0usize;
-    let mut exc_count = 0usize;
-    let mut cond_count = 0usize;
-    let mut obs_count = 0usize;
-    for (_, _, entry) in &rows {
-        let g = &entry.graph;
-        node_count += g.len();
-        for n in g.node_ids() {
-            child_count += g.children(n).len();
-            dur_count += g.durations(n).support_size();
-        }
-        exc_count += entry.exceptions.len();
-        for e in &entry.exceptions {
-            cond_count += e.condition.len();
-            obs_count += match &e.detail {
-                ExceptionDetail::Duration { observed } => observed.support_size(),
-                ExceptionDetail::Transition { observed } => observed.support_size(),
-            };
-        }
+impl Cursor {
+    fn put_u32(&mut self, out: &mut [u8], v: u32) {
+        out[self.0..self.0 + 4].copy_from_slice(&v.to_le_bytes());
+        self.0 += 4;
     }
 
-    let keys_off = CUBOID_HEADER_LEN;
-    let cells_off = align8(keys_off + cell_count * dims * 4);
-    let nodes_off = align8(cells_off + cell_count * CELL_ROW);
-    let children_off = align8(nodes_off + node_count * NODE_ROW);
-    let durs_off = align8(children_off + child_count * CHILD_ROW);
-    let exc_off = align8(durs_off + dur_count * DUR_ROW);
-    let cond_off = align8(exc_off + exc_count * EXC_ROW);
-    let obs_off = align8(cond_off + cond_count * COND_ROW);
-    let total = align8(obs_off + obs_count * OBS_ROW);
-
-    let mut hdr = Vec::with_capacity(CUBOID_HEADER_LEN);
-    hdr.extend_from_slice(&CUBOID_MAGIC);
-    put_u32(&mut hdr, dims as u32);
-    put_u64(&mut hdr, cell_count as u64);
-    for v in [
-        keys_off as u64,
-        cells_off as u64,
-        nodes_off as u64,
-        node_count as u64,
-        children_off as u64,
-        child_count as u64,
-        durs_off as u64,
-        dur_count as u64,
-        exc_off as u64,
-        exc_count as u64,
-        cond_off as u64,
-        cond_count as u64,
-        obs_off as u64,
-        obs_count as u64,
-    ] {
-        put_u64(&mut hdr, v);
+    fn put_u64(&mut self, out: &mut [u8], v: u64) {
+        out[self.0..self.0 + 8].copy_from_slice(&v.to_le_bytes());
+        self.0 += 8;
     }
+}
 
-    let mut keys = Vec::with_capacity(cell_count * dims * 4);
-    let mut cells = Vec::with_capacity(cell_count * CELL_ROW);
-    let mut nodes = Vec::with_capacity(node_count * NODE_ROW);
-    let mut children = Vec::with_capacity(child_count * CHILD_ROW);
-    let mut durs = Vec::with_capacity(dur_count * DUR_ROW);
-    let mut excs = Vec::with_capacity(exc_count * EXC_ROW);
-    let mut conds = Vec::with_capacity(cond_count * COND_ROW);
-    let mut obs = Vec::with_capacity(obs_count * OBS_ROW);
+fn observation_count(detail: &ExceptionDetail) -> usize {
+    match detail {
+        ExceptionDetail::Duration { observed } => observed.support_size(),
+        ExceptionDetail::Transition { observed } => observed.support_size(),
+    }
+}
 
-    let encode_dur_key = |d: DurValue| -> Result<u32, SnapshotError> {
-        match d {
-            None => Ok(NONE_SENTINEL),
-            Some(v) if v == NONE_SENTINEL => Err(corrupt(
-                SEC,
-                "duration value 0xFFFFFFFF is reserved as the None sentinel",
-            )),
-            Some(v) => Ok(v),
-        }
-    };
+/// One cuboid laid out but not yet written: its cells in ascending
+/// string-id key order, every region's row count and offset, and the
+/// section's length. Planning and writing are separate so that whoever
+/// owns the output buffer can allocate it — the snapshot writer plans on
+/// its own thread, allocates there, and lets workers fill.
+pub struct SectionPlan<'a> {
+    rows: Vec<(Vec<u32>, &'a CellEntry)>,
+    hdr: Header,
+    len: usize,
+}
 
-    let (mut gcursor, mut ccursor, mut dcursor) = (0u64, 0u64, 0u64);
-    let (mut ecursor, mut condcursor, mut obscursor) = (0u64, 0u64, 0u64);
-    for (sids, _, entry) in &rows {
-        for &sid in sids {
-            put_u32(&mut keys, sid);
-        }
-        let g = &entry.graph;
-        // Cell row.
-        put_u64(&mut cells, entry.support);
-        put_u64(&mut cells, g.total_paths());
-        put_u64(&mut cells, gcursor);
-        put_u32(&mut cells, g.len() as u32);
-        put_u32(&mut cells, ecursor as u32);
-        put_u32(&mut cells, entry.exceptions.len() as u32);
-        put_u32(&mut cells, u32::from(entry.redundant));
-        // Node rows (stored order — canonical pre-order).
-        for n in g.node_ids() {
-            put_u32(&mut nodes, sid_of(loc.name_of(g.location(n)))?);
-            put_u32(&mut nodes, g.parent(n).0);
-            put_u64(&mut nodes, g.count(n));
-            put_u64(&mut nodes, g.terminate_count(n));
-            put_u64(&mut nodes, ccursor);
-            put_u64(&mut nodes, dcursor);
-            put_u32(&mut nodes, g.children(n).len() as u32);
-            put_u32(&mut nodes, g.durations(n).support_size() as u32);
-            for &c in g.children(n) {
-                put_u32(&mut children, c.0);
-                ccursor += 1;
+const SEC: &str = "cuboid section";
+
+impl<'a> SectionPlan<'a> {
+    /// Sort `cuboid`'s cells and count what they hold. `strings` is a
+    /// context over a table that interned this cuboid
+    /// ([`StringTable::from_cuboids`]).
+    pub fn new(cuboid: &'a Cuboid, strings: &StringsCtx) -> Result<Self, SnapshotError> {
+        let dims = strings.dim_to_sid.len();
+        let mut rows: Vec<(Vec<u32>, &CellEntry)> = Vec::with_capacity(cuboid.len());
+        for (key, entry) in cuboid.iter() {
+            if key.len() != dims {
+                return Err(corrupt(
+                    SEC,
+                    format!(
+                        "{}-coordinate cell key in a {dims}-dimension cube",
+                        key.len()
+                    ),
+                ));
             }
-            for (d, c) in g.durations(n).iter() {
-                put_u32(&mut durs, encode_dur_key(d)?);
-                put_u32(&mut durs, 0);
-                put_u64(&mut durs, c);
-                dcursor += 1;
+            let sids = strings.sids_of_key(key).ok_or_else(|| {
+                corrupt(SEC, format!("cell key {key:?} missing from string table"))
+            })?;
+            rows.push((sids, entry));
+        }
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+
+        // Count everything up front so region offsets are known.
+        let cell_count = rows.len();
+        let mut node_count = 0usize;
+        let mut child_count = 0usize;
+        let mut dur_count = 0usize;
+        let mut exc_count = 0usize;
+        let mut cond_count = 0usize;
+        let mut obs_count = 0usize;
+        for (_, entry) in &rows {
+            let g = &entry.graph;
+            node_count += g.len();
+            for n in g.node_ids() {
+                child_count += g.children(n).len();
+                dur_count += g.durations(n).support_size();
+            }
+            exc_count += entry.exceptions.len();
+            for e in &entry.exceptions {
+                cond_count += e.condition.len();
+                obs_count += observation_count(&e.detail);
             }
         }
-        gcursor += g.len() as u64;
-        // Exception rows.
-        for e in &entry.exceptions {
-            let (kind, observed): (u32, Vec<(u32, u64)>) = match &e.detail {
-                ExceptionDetail::Duration { observed } => {
-                    let mut rows = Vec::with_capacity(observed.support_size());
-                    for (k, c) in observed.iter() {
-                        rows.push((encode_dur_key(k)?, c));
-                    }
-                    (KIND_DURATION, rows)
+
+        let keys_off = CUBOID_HEADER_LEN;
+        let cells_off = align8(keys_off + cell_count * dims * 4);
+        let nodes_off = align8(cells_off + cell_count * CELL_ROW);
+        let children_off = align8(nodes_off + node_count * NODE_ROW);
+        let durs_off = align8(children_off + child_count * CHILD_ROW);
+        let exc_off = align8(durs_off + dur_count * DUR_ROW);
+        let cond_off = align8(exc_off + exc_count * EXC_ROW);
+        let obs_off = align8(cond_off + cond_count * COND_ROW);
+        Ok(SectionPlan {
+            rows,
+            hdr: Header {
+                dims,
+                cell_count,
+                keys_off,
+                cells_off,
+                nodes_off,
+                node_count,
+                children_off,
+                child_count,
+                durs_off,
+                dur_count,
+                exc_off,
+                exc_count,
+                cond_off,
+                cond_count,
+                obs_off,
+                obs_count,
+            },
+            len: align8(obs_off + obs_count * OBS_ROW),
+        })
+    }
+
+    /// Length of the section in bytes.
+    pub fn byte_len(&self) -> usize {
+        self.len
+    }
+
+    /// Write the section into `out` — exactly [`Self::byte_len`] **zeroed**
+    /// bytes: the alignment gaps and the pad words are never written.
+    /// Cells go out in key order and graphs in their stored (canonical)
+    /// node order, so the bytes are a pure function of the cuboid's
+    /// content — the determinism the differential suite pins down.
+    pub fn write(&self, strings: &StringsCtx, out: &mut [u8]) -> Result<(), SnapshotError> {
+        assert_eq!(out.len(), self.len, "section buffer sized by the plan");
+        let h = &self.hdr;
+        let loc_sid = |c: ConceptId| {
+            strings
+                .loc_sid(c)
+                .ok_or_else(|| corrupt(SEC, format!("location {c} missing from string table")))
+        };
+        out[..4].copy_from_slice(&CUBOID_MAGIC);
+        let mut hdr = Cursor(4);
+        hdr.put_u32(out, h.dims as u32);
+        for v in [
+            h.cell_count,
+            h.keys_off,
+            h.cells_off,
+            h.nodes_off,
+            h.node_count,
+            h.children_off,
+            h.child_count,
+            h.durs_off,
+            h.dur_count,
+            h.exc_off,
+            h.exc_count,
+            h.cond_off,
+            h.cond_count,
+            h.obs_off,
+            h.obs_count,
+        ] {
+            hdr.put_u64(out, v as u64);
+        }
+
+        let encode_dur_key = |d: DurValue| -> Result<u32, SnapshotError> {
+            match d {
+                None => Ok(NONE_SENTINEL),
+                Some(v) if v == NONE_SENTINEL => Err(corrupt(
+                    SEC,
+                    "duration value 0xFFFFFFFF is reserved as the None sentinel",
+                )),
+                Some(v) => Ok(v),
+            }
+        };
+
+        let (mut keys, mut cells) = (Cursor(h.keys_off), Cursor(h.cells_off));
+        let (mut nodes, mut children) = (Cursor(h.nodes_off), Cursor(h.children_off));
+        let (mut durs, mut excs) = (Cursor(h.durs_off), Cursor(h.exc_off));
+        let (mut conds, mut obs) = (Cursor(h.cond_off), Cursor(h.obs_off));
+        // Row numbers (not byte offsets) of the next free row per region.
+        let (mut gcursor, mut ccursor, mut dcursor) = (0u64, 0u64, 0u64);
+        let (mut ecursor, mut condcursor, mut obscursor) = (0u64, 0u64, 0u64);
+        for (sids, entry) in &self.rows {
+            for &sid in sids {
+                keys.put_u32(out, sid);
+            }
+            let g = &entry.graph;
+            // Cell row.
+            cells.put_u64(out, entry.support);
+            cells.put_u64(out, g.total_paths());
+            cells.put_u64(out, gcursor);
+            cells.put_u32(out, g.len() as u32);
+            cells.put_u32(out, ecursor as u32);
+            cells.put_u32(out, entry.exceptions.len() as u32);
+            cells.put_u32(out, u32::from(entry.redundant));
+            // Node rows (stored order — canonical pre-order).
+            for n in g.node_ids() {
+                nodes.put_u32(out, loc_sid(g.location(n))?);
+                nodes.put_u32(out, g.parent(n).0);
+                nodes.put_u64(out, g.count(n));
+                nodes.put_u64(out, g.terminate_count(n));
+                nodes.put_u64(out, ccursor);
+                nodes.put_u64(out, dcursor);
+                nodes.put_u32(out, g.children(n).len() as u32);
+                nodes.put_u32(out, g.durations(n).support_size() as u32);
+                for &c in g.children(n) {
+                    children.put_u32(out, c.0);
+                    ccursor += 1;
                 }
-                ExceptionDetail::Transition { observed } => {
-                    let mut rows = Vec::with_capacity(observed.support_size());
-                    for (k, c) in observed.iter() {
-                        let sid = match k {
-                            None => NONE_SENTINEL,
-                            Some(c) => sid_of(loc.name_of(c))?,
-                        };
-                        rows.push((sid, c));
-                    }
-                    (KIND_TRANSITION, rows)
+                for (d, c) in g.durations(n).iter() {
+                    durs.put_u32(out, encode_dur_key(d)?);
+                    durs.0 += 4; // pad
+                    durs.put_u64(out, c);
+                    dcursor += 1;
                 }
-            };
-            put_u32(&mut excs, e.node.0);
-            put_u32(&mut excs, kind);
-            put_u64(&mut excs, e.support);
-            put_u64(&mut excs, e.deviation.to_bits());
-            put_u64(&mut excs, condcursor);
-            put_u64(&mut excs, obscursor);
-            put_u32(&mut excs, e.condition.len() as u32);
-            put_u32(&mut excs, observed.len() as u32);
-            for &(n, d) in &e.condition {
-                put_u32(&mut conds, n.0);
-                put_u32(&mut conds, d);
-                condcursor += 1;
             }
-            for (k, c) in observed {
-                put_u32(&mut obs, k);
-                put_u32(&mut obs, 0);
-                put_u64(&mut obs, c);
-                obscursor += 1;
+            gcursor += g.len() as u64;
+            // Exception rows.
+            for e in &entry.exceptions {
+                let kind = match &e.detail {
+                    ExceptionDetail::Duration { .. } => KIND_DURATION,
+                    ExceptionDetail::Transition { .. } => KIND_TRANSITION,
+                };
+                let nobs = observation_count(&e.detail);
+                excs.put_u32(out, e.node.0);
+                excs.put_u32(out, kind);
+                excs.put_u64(out, e.support);
+                excs.put_u64(out, e.deviation.to_bits());
+                excs.put_u64(out, condcursor);
+                excs.put_u64(out, obscursor);
+                excs.put_u32(out, e.condition.len() as u32);
+                excs.put_u32(out, nobs as u32);
+                for &(n, d) in &e.condition {
+                    conds.put_u32(out, n.0);
+                    conds.put_u32(out, d);
+                }
+                condcursor += e.condition.len() as u64;
+                let mut put_obs = |key: u32, count: u64| {
+                    obs.put_u32(out, key);
+                    obs.0 += 4; // pad
+                    obs.put_u64(out, count);
+                };
+                match &e.detail {
+                    ExceptionDetail::Duration { observed } => {
+                        for (k, c) in observed.iter() {
+                            put_obs(encode_dur_key(k)?, c);
+                        }
+                    }
+                    ExceptionDetail::Transition { observed } => {
+                        for (k, c) in observed.iter() {
+                            put_obs(k.map_or(Ok(NONE_SENTINEL), loc_sid)?, c);
+                        }
+                    }
+                }
+                obscursor += nobs as u64;
+                ecursor += 1;
             }
-            ecursor += 1;
         }
+        // The counting pass and the writing pass walk the same structures.
+        debug_assert_eq!(
+            (keys.0, cells.0, nodes.0, children.0, durs.0, excs.0, conds.0, obs.0),
+            (
+                h.keys_off + h.cell_count * h.dims * 4,
+                h.cells_off + h.cell_count * CELL_ROW,
+                h.nodes_off + h.node_count * NODE_ROW,
+                h.children_off + h.child_count * CHILD_ROW,
+                h.durs_off + h.dur_count * DUR_ROW,
+                h.exc_off + h.exc_count * EXC_ROW,
+                h.cond_off + h.cond_count * COND_ROW,
+                h.obs_off + h.obs_count * OBS_ROW,
+            )
+        );
+        Ok(())
     }
+}
 
-    let mut out = vec![0u8; total];
-    out[..CUBOID_HEADER_LEN].copy_from_slice(&hdr);
-    for (off, bytes) in [
-        (keys_off, &keys),
-        (cells_off, &cells),
-        (nodes_off, &nodes),
-        (children_off, &children),
-        (durs_off, &durs),
-        (exc_off, &excs),
-        (cond_off, &conds),
-        (obs_off, &obs),
-    ] {
-        out[off..off + bytes.len()].copy_from_slice(bytes);
-    }
-    Ok(out)
+/// Serialize one cuboid into a v2 section payload: plan, allocate, write.
+pub fn encode_cuboid(cuboid: &Cuboid, strings: &StringsCtx) -> Result<Vec<u8>, SnapshotError> {
+    let plan = SectionPlan::new(cuboid, strings)?;
+    let mut section = vec![0u8; plan.byte_len()];
+    plan.write(strings, &mut section)?;
+    Ok(section)
 }
 
 // ---------------------------------------------------------------------------
@@ -1272,6 +1354,184 @@ impl GraphRead for GraphView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Two dimensions and the locations, all three holding a concept
+    /// named "shared"; `ghost*` are locations no graph node ever carries.
+    fn shared_name_schema() -> Schema {
+        let hierarchy = |name: &str, chains: &[&[&str]]| {
+            let mut h = ConceptHierarchy::new(name);
+            for chain in chains {
+                h.add_path(chain.iter().copied()).expect("distinct names");
+            }
+            h
+        };
+        Schema::new(
+            vec![
+                hierarchy("product", &[&["a", "a1"], &["a", "shared"], &["b", "b1"]]),
+                hierarchy("brand", &[&["shared", "s1"], &["t", "t1"], &["t", "t2"]]),
+            ],
+            hierarchy(
+                "location",
+                &[
+                    &["x", "x1"],
+                    &["x", "shared"],
+                    &["y", "y1"],
+                    &["ghost1"],
+                    &["z", "ghost2"],
+                ],
+            ),
+        )
+    }
+
+    /// A random cuboid over [`shared_name_schema`]. Its first cell is
+    /// keyed ("shared", "shared"), passes through location "shared", and
+    /// carries a transition exception that observed a ghost location.
+    fn random_cuboid(schema: &Schema, rng: &mut StdRng) -> Cuboid {
+        let loc = schema.locations();
+        let ghosts = [loc.id_of("ghost1").unwrap(), loc.id_of("ghost2").unwrap()];
+        let walked: Vec<ConceptId> = loc.iter().filter(|c| !ghosts.contains(c)).collect();
+        let mut cuboid = Cuboid::default();
+        for cell in 0..rng.gen_range(1..6usize) {
+            let forced = cell == 0;
+            let key: CellKey = (0..schema.num_dims())
+                .map(|d| {
+                    let h = schema.dim(d as u8);
+                    if forced {
+                        h.id_of("shared").unwrap()
+                    } else {
+                        ConceptId(rng.gen_range(0..h.len() as u32))
+                    }
+                })
+                .collect();
+            let n = rng.gen_range(2..7usize);
+            let mut specs: Vec<NodeSpec> = (0..n)
+                .map(|i| NodeSpec {
+                    loc: match i {
+                        0 => ConceptId::ROOT,
+                        1 if forced => loc.id_of("shared").unwrap(),
+                        _ => walked[rng.gen_range(0..walked.len())],
+                    },
+                    parent: NodeId(if i == 0 {
+                        0
+                    } else {
+                        rng.gen_range(0..i as u32)
+                    }),
+                    children: Vec::new(),
+                    count: rng.gen_range(1..50u64),
+                    terminate: rng.gen_range(0..5u64),
+                    durations: (0..rng.gen_range(0..3u32))
+                        .map(|d| (Some(d), rng.gen_range(1..9u64)))
+                        .collect(),
+                })
+                .collect();
+            for i in 1..n {
+                let parent = specs[i].parent.index();
+                specs[parent].children.push(NodeId(i as u32));
+            }
+            let mut exceptions = Vec::new();
+            for e in 0..rng.gen_range(0..3usize) + usize::from(forced) {
+                let detail = if forced && e == 0 || rng.gen_bool(0.5) {
+                    let mut observed = CountDist::new();
+                    observed.add_n(None, rng.gen_range(1..4u64));
+                    observed.add_n(Some(ghosts[rng.gen_range(0..2usize)]), 2);
+                    observed.add_n(Some(walked[rng.gen_range(0..walked.len())]), 1);
+                    ExceptionDetail::Transition { observed }
+                } else {
+                    let mut observed = CountDist::new();
+                    observed.add_n(Some(rng.gen_range(0..4u32)), 3);
+                    ExceptionDetail::Duration { observed }
+                };
+                exceptions.push(Exception {
+                    condition: vec![(NodeId(rng.gen_range(0..n as u32)), rng.gen_range(0..4u32))],
+                    node: NodeId(rng.gen_range(0..n as u32)),
+                    support: rng.gen_range(1..20u64),
+                    deviation: rng.gen_range(0.0..1.0),
+                    detail,
+                });
+            }
+            // A later cell that draws the first one's key does not replace it.
+            cuboid.cells.entry(key).or_insert(CellEntry {
+                support: rng.gen_range(1..100u64),
+                graph: FlowGraph::from_nodes(specs, 100).expect("ids in range"),
+                exceptions,
+                redundant: rng.gen_bool(0.2),
+            });
+        }
+        cuboid
+    }
+
+    /// What [`StringTable::from_cuboids`] is defined to equal: every
+    /// referenced name, one `String` per reference, sorted and deduped.
+    fn names_by_definition(schema: &Schema, cuboids: &[Cuboid]) -> Vec<String> {
+        let loc = schema.locations();
+        let mut names: Vec<String> = Vec::new();
+        for cuboid in cuboids {
+            for (key, entry) in cuboid.iter() {
+                for (d, &c) in key.iter().enumerate() {
+                    names.push(schema.dim(d as u8).name_of(c).to_string());
+                }
+                let g = &entry.graph;
+                for n in g.node_ids() {
+                    names.push(loc.name_of(g.location(n)).to_string());
+                }
+                for e in &entry.exceptions {
+                    if let ExceptionDetail::Transition { observed } = &e.detail {
+                        for (k, _) in observed.iter() {
+                            if let Some(c) = k {
+                                names.push(loc.name_of(c).to_string());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        names.sort_unstable();
+        names.dedup();
+        names
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Interning by concept id yields the table the per-reference
+        /// definition yields — one id for a name three hierarchies share,
+        /// ids for locations only an exception saw — and sections encoded
+        /// through it decode to the cuboids they came from.
+        #[test]
+        fn interning_by_concept_id_matches_the_definition(seed in 0u64..1_000_000) {
+            let schema = shared_name_schema();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cuboids: Vec<Cuboid> = (0..rng.gen_range(1..4usize))
+                .map(|_| random_cuboid(&schema, &mut rng))
+                .collect();
+            let table = StringTable::from_cuboids(&schema, &cuboids);
+            prop_assert_eq!(&table.names, &names_by_definition(&schema, &cuboids));
+            prop_assert_eq!(table.names.iter().filter(|n| *n == "shared").count(), 1);
+            prop_assert!(table.names.iter().any(|n| n.starts_with("ghost")));
+
+            let ctx = Arc::new(StringsCtx::new(table, &schema));
+            for cuboid in &cuboids {
+                let bytes = encode_cuboid(cuboid, &ctx).expect("every name is interned");
+                let section = ColumnarSection::validate(bytes, &ctx, &schema, "test")
+                    .expect("the encoder's own bytes validate");
+                let back = section.decode_cuboid().expect("decodes");
+                prop_assert_eq!(back.len(), cuboid.len());
+                for (key, entry) in cuboid.iter() {
+                    let got = back.get(key).expect("same cells");
+                    prop_assert_eq!(got.support, entry.support);
+                    prop_assert_eq!(got.redundant, entry.redundant);
+                    prop_assert_eq!(&got.exceptions, &entry.exceptions);
+                    prop_assert_eq!(
+                        serde_json::to_string(&got.graph).unwrap(),
+                        serde_json::to_string(&entry.graph).unwrap()
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn string_table_roundtrip_and_lookup() {
@@ -1281,9 +1541,8 @@ mod tests {
         let bytes = table.encode();
         let back = StringTable::decode(&bytes).unwrap();
         assert_eq!(back, table);
-        assert_eq!(back.id_of("factory"), Some(1));
-        assert_eq!(back.id_of("missing"), None);
-        assert_eq!(back.get(2), Some("shelf"));
+        assert_eq!(back.get(1), Some("factory"));
+        assert_eq!(back.get(3), None);
     }
 
     #[test]

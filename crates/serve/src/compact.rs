@@ -39,8 +39,7 @@
 use crate::crc::crc32;
 use crate::deltalog;
 use crate::error::{ApiError, SnapshotError};
-use crate::snapshot::{write_snapshot, Snapshot};
-use flowcube_testkit::{fail_point, Fault};
+use crate::snapshot::{check_failpoint, io_err, sibling, write_snapshot, Snapshot};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -89,34 +88,11 @@ fn tmp_snapshot_path(snapshot: &Path) -> PathBuf {
     sibling(snapshot, ".compact-tmp")
 }
 
-fn sibling(snapshot: &Path, suffix: &str) -> PathBuf {
-    let mut name = snapshot.file_name().unwrap_or_default().to_os_string();
-    name.push(suffix);
-    snapshot.with_file_name(name)
-}
-
-fn io_err(path: &Path, e: std::io::Error) -> SnapshotError {
-    SnapshotError::Io {
-        path: path.display().to_string(),
-        detail: e.to_string(),
-    }
-}
-
 /// Write `bytes` to `path` atomically (temp file + rename).
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     let tmp = sibling(path, ".tmp");
     std::fs::write(&tmp, bytes).map_err(|e| io_err(&tmp, e))?;
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
-}
-
-fn check_failpoint(name: &str) -> Result<(), SnapshotError> {
-    match fail_point(name) {
-        Some(Fault::Error(msg)) => Err(SnapshotError::Io {
-            path: name.to_string(),
-            detail: format!("injected: {msg}"),
-        }),
-        _ => Ok(()),
-    }
 }
 
 /// Trim the folded prefix off the sidecar, leaving only the tail that
@@ -197,10 +173,9 @@ fn compact_inner(path: &Path) -> Result<CompactReport, ApiError> {
         let bytes = std::fs::read(&log).map_err(|e| io_err(&log, e))?;
         crc32(&bytes[..folded_bytes as usize])
     };
-    let new_snapshot_bytes = std::fs::read(&tmp).map_err(|e| io_err(&tmp, e))?;
     let marker = Marker {
         folded_bytes,
-        snapshot_crc: crc32(&new_snapshot_bytes),
+        snapshot_crc: info.crc,
         folded_prefix_crc,
     };
     let marker_json = serde_json::to_string(&marker).map_err(|e| SnapshotError::Corrupt {

@@ -581,8 +581,9 @@ impl<S: Service> Acceptor<S> {
                     let (conn, _) = parked.swap_remove(i);
                     self.enqueue(conn, now);
                 } else if now.saturating_duration_since(parked[i].1) >= self.idle_timeout {
-                    parked.swap_remove(i);
+                    // Counted before the close, which the peer can see.
                     flowcube_obs::counter_add(&scope.connections_idle_closed, 1);
+                    parked.swap_remove(i);
                 }
             }
 

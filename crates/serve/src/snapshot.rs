@@ -38,15 +38,27 @@
 //! The same container also exists as an owned in-memory image — how an
 //! in-process [`FlowCube`] is served. File and image differ in one
 //! function, `Source::read_at`.
+//!
+//! ## Writing and verifying in parallel
+//!
+//! Cuboid sections are independent: each is a pure function of its
+//! cuboid and the string table, and each is checked against its own CRC.
+//! The writer encodes + checksums them, and [`Snapshot::verify_all`] /
+//! first-query hydration read + checksum + validate them, as one chunk
+//! per section on the workspace's chunk runner (`run_sections`).
+//! Results come back in section order, so neither the bytes written nor
+//! the error reported can depend on the thread count.
 
-use crate::columnar::{encode_cuboid, ColumnarSection, StringTable, StringsCtx};
-use crate::crc::crc32;
+use crate::columnar::{ColumnarSection, SectionPlan, StringTable, StringsCtx};
+use crate::crc::{crc32, Crc32};
 use crate::error::SnapshotError;
-use flowcube_core::{Cuboid, CuboidKey, FlowCube};
+use flowcube_core::parallel::run_chunks_counted;
+use flowcube_core::{Cuboid, CuboidKey, FlowCube, FlowCubeParams};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -87,13 +99,58 @@ pub struct SnapshotInfo {
     pub sections: usize,
     pub cuboids: usize,
     pub bytes: u64,
+    /// CRC-32 of the whole file, folded over the bytes as they were
+    /// written.
+    pub crc: u32,
 }
 
-fn io_err(path: &Path, e: std::io::Error) -> SnapshotError {
+pub(crate) fn io_err(path: &Path, e: std::io::Error) -> SnapshotError {
     SnapshotError::Io {
         path: path.display().to_string(),
         detail: e.to_string(),
     }
+}
+
+/// `path` with `suffix` appended to its file name: where the temp files
+/// and sidecars of a snapshot live, so a rename onto it never crosses a
+/// file system.
+pub(crate) fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(suffix);
+    path.with_file_name(name)
+}
+
+/// Surface an armed `return(..)` failpoint as an IO error at `name`.
+pub(crate) fn check_failpoint(name: &str) -> Result<(), SnapshotError> {
+    match flowcube_testkit::fail_point(name) {
+        Some(flowcube_testkit::Fault::Error(msg)) => Err(SnapshotError::Io {
+            path: name.to_string(),
+            detail: format!("injected: {msg}"),
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// Run `f` on every index of `0..n` — one chunk per section, claimed by
+/// workers as they go, since sections differ in size by orders of
+/// magnitude — under the cube's own thread policy. Results are in index
+/// order at any thread count.
+pub(crate) fn run_sections<R: Send>(
+    name: &'static str,
+    params: &FlowCubeParams,
+    n: usize,
+    f: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    let threads = params.threads_for(n);
+    // The runner opens `name` once per worker; a serial run is one lane.
+    let _lane = (threads <= 1).then(|| flowcube_obs::span!(name, worker = 0usize));
+    run_chunks_counted(name, n, n, threads, |range| {
+        range.map(&f).collect::<Vec<R>>()
+    })
+    .results
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 fn encode<T: Serialize>(what: &'static str, value: &T) -> Result<Vec<u8>, SnapshotError> {
@@ -150,44 +207,74 @@ fn canonical_stats(stats: &flowcube_core::BuildStats) -> flowcube_core::BuildSta
 /// header, index, then one payload per section. The file writer and the
 /// in-memory image ([`Snapshot::from_cube`]) are both exactly these
 /// bytes.
-fn encode_container(cube: &FlowCube) -> Result<(Vec<Vec<u8>>, SnapshotInfo), SnapshotError> {
-    let _span = flowcube_obs::span!("serve.snapshot.write");
-
+///
+/// The pipeline is intern → count → (encode in place → CRC, per cuboid,
+/// in parallel) → index. Nothing a worker computes depends on which
+/// worker computed it or when, and every section has its own buffer at
+/// its sorted position, so the bytes are the serial bytes at any thread
+/// count.
+fn encode_container(cube: &FlowCube) -> Result<Vec<Vec<u8>>, SnapshotError> {
     // Metadata sections first, then cuboids in deterministic order.
     let mut cuboids: Vec<(&CuboidKey, &Cuboid)> = cube.cuboids().collect();
     cuboids.sort_by(|a, b| a.0.cmp(b.0));
-    let strings = StringTable::from_cuboids(cube.schema(), cuboids.iter().map(|&(_, c)| c));
-    let mut payloads: Vec<(String, Option<CuboidKey>, Vec<u8>)> = vec![
-        (KIND_SCHEMA.into(), None, encode("schema", cube.schema())?),
-        (KIND_SPEC.into(), None, encode("spec", cube.spec())?),
+    let strings = {
+        let _span = flowcube_obs::span!("serve.snapshot.intern");
+        let table = StringTable::from_cuboids(cube.schema(), cuboids.iter().map(|&(_, c)| c));
+        StringsCtx::new(table, cube.schema())
+    };
+    let meta = [
+        (KIND_SCHEMA, encode("schema", cube.schema())?),
+        (KIND_SPEC, encode("spec", cube.spec())?),
         (
-            KIND_PARAMS.into(),
-            None,
+            KIND_PARAMS,
             encode("params", &canonical_params(cube.params()))?,
         ),
-        (
-            KIND_STATS.into(),
-            None,
-            encode("stats", &canonical_stats(cube.stats()))?,
-        ),
-        (KIND_STRINGS.into(), None, strings.encode()),
+        (KIND_STATS, encode("stats", &canonical_stats(cube.stats()))?),
+        (KIND_STRINGS, strings.table.encode()),
     ];
-    for (key, cuboid) in cuboids {
-        let bytes = encode_cuboid(cuboid, cube.schema(), &strings)?;
-        payloads.push((KIND_CUBOID.into(), Some(key.clone()), bytes));
-    }
+    // Workers count and workers fill, but the section buffers are
+    // allocated here in between: one a worker thread allocated could not
+    // reuse the memory the build just freed on this thread, and the
+    // process's high-water mark would pay for it.
+    let plans = run_sections("serve.snapshot.plan", cube.params(), cuboids.len(), |i| {
+        SectionPlan::new(cuboids[i].1, &strings)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
+    let sections: Vec<Mutex<Vec<u8>>> = plans
+        .iter()
+        .map(|plan| Mutex::new(vec![0u8; plan.byte_len()]))
+        .collect();
+    let crcs = run_sections("serve.snapshot.encode", cube.params(), plans.len(), |i| {
+        let mut section = sections[i].lock();
+        plans[i].write(&strings, &mut section)?;
+        Ok(crc32(&section))
+    })
+    .into_iter()
+    .collect::<Result<Vec<u32>, SnapshotError>>()?;
+    let encoded = sections.into_iter().map(Mutex::into_inner).zip(crcs);
 
-    let mut index: Vec<SectionDesc> = Vec::with_capacity(payloads.len());
+    let mut index: Vec<SectionDesc> = Vec::with_capacity(meta.len() + cuboids.len());
+    // Header and index lead the file but are known last.
+    let mut chunks: Vec<Vec<u8>> = vec![Vec::new(); 2];
     let mut offset = 0u64;
-    for (kind, cuboid, bytes) in &payloads {
+    let meta = meta
+        .into_iter()
+        .map(|(kind, bytes)| (kind, None, crc32(&bytes), bytes));
+    let cuboids = cuboids
+        .iter()
+        .zip(encoded)
+        .map(|(&(key, _), (bytes, crc))| (KIND_CUBOID, Some(key.clone()), crc, bytes));
+    for (kind, cuboid, crc, bytes) in meta.chain(cuboids) {
         index.push(SectionDesc {
-            kind: kind.clone(),
-            cuboid: cuboid.clone(),
+            kind: kind.into(),
+            cuboid,
             offset,
             len: bytes.len() as u64,
-            crc: crc32(bytes),
+            crc,
         });
         offset += bytes.len() as u64;
+        chunks.push(bytes);
     }
     let index_bytes = encode("index", &index)?;
 
@@ -196,15 +283,9 @@ fn encode_container(cube: &FlowCube) -> Result<(Vec<Vec<u8>>, SnapshotInfo), Sna
     header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     header.extend_from_slice(&(index_bytes.len() as u64).to_le_bytes());
     header.extend_from_slice(&crc32(&index_bytes).to_le_bytes());
-
-    let info = SnapshotInfo {
-        sections: index.len(),
-        cuboids: index.iter().filter(|s| s.kind == KIND_CUBOID).count(),
-        bytes: HEADER_LEN + index_bytes.len() as u64 + offset,
-    };
-    let mut chunks = vec![header, index_bytes];
-    chunks.extend(payloads.into_iter().map(|(_, _, bytes)| bytes));
-    Ok((chunks, info))
+    chunks[0] = header;
+    chunks[1] = index_bytes;
+    Ok(chunks)
 }
 
 /// Serialize `cube` into a snapshot file at `path` (format
@@ -214,33 +295,74 @@ fn encode_container(cube: &FlowCube) -> Result<(Vec<Vec<u8>>, SnapshotInfo), Sna
 /// stats are canonicalized (no timings, no thread knobs), so the same cube
 /// always produces byte-identical snapshots — even when built with
 /// different thread counts.
+///
+/// The bytes go to a sibling temp file that is renamed over `path` once
+/// complete: a process that holds the old file open (a running `serve`)
+/// keeps reading the old, whole inode, and a writer that dies leaves
+/// `path` as it was. No fsync — a crash-durable replacement is
+/// compaction's marker protocol ([`crate::compact`]), not this function.
 pub fn write_snapshot(
     cube: &FlowCube,
     path: impl AsRef<Path>,
 ) -> Result<SnapshotInfo, SnapshotError> {
     let path = path.as_ref();
-    let (chunks, info) = encode_container(cube)?;
-    let mut file = File::create(path).map_err(|e| io_err(path, e))?;
-    for chunk in &chunks {
-        file.write_all(chunk).map_err(|e| io_err(path, e))?;
+    let _span = flowcube_obs::span!("serve.snapshot.write");
+    let chunks = encode_container(cube)?;
+    let tmp = sibling(path, &format!(".write-tmp.{}", std::process::id()));
+    let written = write_chunks(&tmp, &chunks).and_then(|crc| {
+        std::fs::rename(&tmp, path)
+            .map_err(|e| io_err(path, e))
+            .map(|()| crc)
+    });
+    match written {
+        Ok(crc) => {
+            let bytes = chunks.iter().map(|c| c.len() as u64).sum();
+            flowcube_obs::counter_add("serve.snapshot.bytes_written", bytes);
+            Ok(SnapshotInfo {
+                // Everything after the header and the index.
+                sections: chunks.len() - 2,
+                cuboids: cube.num_cuboids(),
+                bytes,
+                crc,
+            })
+        }
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
+        }
     }
-    file.flush().map_err(|e| io_err(path, e))?;
-    Ok(info)
+}
+
+/// Write `chunks` to a new file at `tmp`; the CRC of everything written.
+fn write_chunks(tmp: &Path, chunks: &[Vec<u8>]) -> Result<u32, SnapshotError> {
+    let _span = flowcube_obs::span!("serve.snapshot.file_write");
+    let mut file = File::create(tmp).map_err(|e| io_err(tmp, e))?;
+    let mut crc = Crc32::new();
+    for chunk in chunks {
+        file.write_all(chunk).map_err(|e| io_err(tmp, e))?;
+        crc.update(chunk);
+    }
+    // Fault injection: the writer dies with the temp file on disk.
+    check_failpoint("serve.snapshot.write")?;
+    Ok(crc.finish())
 }
 
 /// Where a container's bytes live. Everything above `Source::read_at`
 /// — header and index parsing, section CRCs, columnar validation — is
 /// the same code for both.
 enum Source {
-    File(Mutex<File>),
-    Image(Vec<u8>),
+    File(File),
+    /// The container's chunks as [`encode_container`] produced them, in
+    /// file order — never concatenated, so an in-process cube is held
+    /// once.
+    Image(Vec<Vec<u8>>),
 }
 
 impl Source {
     fn len(&self) -> std::io::Result<u64> {
         match self {
-            Source::File(file) => Ok(file.lock().metadata()?.len()),
-            Source::Image(bytes) => Ok(bytes.len() as u64),
+            Source::File(file) => Ok(file.metadata()?.len()),
+            Source::Image(chunks) => Ok(chunks.iter().map(|c| c.len() as u64).sum()),
         }
     }
 
@@ -250,16 +372,35 @@ impl Source {
     fn read_at(&self, offset: u64, len: u64) -> std::io::Result<Vec<u8>> {
         match self {
             Source::File(file) => {
+                // Positional reads share no cursor, so readers need no
+                // lock. `vec![0; n]` is `calloc`: a section-sized buffer
+                // arrives as fresh zero pages, not as a second pass.
                 let mut bytes = vec![0u8; len as usize];
-                let mut file = file.lock();
-                file.seek(SeekFrom::Start(offset))?;
-                file.read_exact(&mut bytes)?;
+                file.read_exact_at(&mut bytes, offset)?;
                 Ok(bytes)
             }
-            Source::Image(image) => image
-                .get(offset as usize..(offset + len) as usize)
-                .map(<[u8]>::to_vec)
-                .ok_or_else(|| std::io::ErrorKind::UnexpectedEof.into()),
+            Source::Image(chunks) => {
+                let want = len as usize;
+                let mut bytes = Vec::with_capacity(want);
+                let mut skip = offset as usize;
+                for chunk in chunks {
+                    if bytes.len() == want {
+                        break;
+                    }
+                    if skip >= chunk.len() {
+                        skip -= chunk.len();
+                        continue;
+                    }
+                    let take = (want - bytes.len()).min(chunk.len() - skip);
+                    bytes.extend_from_slice(&chunk[skip..skip + take]);
+                    skip = 0;
+                }
+                if bytes.len() == want {
+                    Ok(bytes)
+                } else {
+                    Err(std::io::ErrorKind::UnexpectedEof.into())
+                }
+            }
         }
     }
 }
@@ -347,7 +488,7 @@ impl Container {
 
     fn open(path: &Path) -> Result<Container, SnapshotError> {
         let file = File::open(path).map_err(|e| io_err(path, e))?;
-        Container::parse(Source::File(Mutex::new(file)), path)
+        Container::parse(Source::File(file), path)
     }
 
     fn meta(&self, kind: &'static str) -> Result<&SectionDesc, SnapshotError> {
@@ -459,8 +600,8 @@ impl Snapshot {
     /// Encode `cube` into an in-memory image and open it through the
     /// same validation as a file.
     pub(crate) fn from_cube(cube: &FlowCube) -> Result<Snapshot, SnapshotError> {
-        let (chunks, _) = encode_container(cube)?;
-        let container = Container::parse(Source::Image(chunks.concat()), Path::new("<image>"))?;
+        let chunks = encode_container(cube)?;
+        let container = Container::parse(Source::Image(chunks), Path::new("<image>"))?;
         Snapshot::new(container, None)
     }
 
@@ -506,14 +647,24 @@ impl Snapshot {
     /// swapped out.
     pub fn verify_all(&self) -> Result<(), SnapshotError> {
         let _span = flowcube_obs::span!("serve.snapshot.verify_all");
-        for desc in &self.container.sections {
-            if desc.kind == KIND_CUBOID {
-                self.load_section(desc)?;
-            } else {
-                self.container.section_bytes(desc)?;
-            }
-        }
-        Ok(())
+        let sections = &self.container.sections;
+        run_sections(
+            "serve.snapshot.verify",
+            self.shell.params(),
+            sections.len(),
+            |i| {
+                let desc = &sections[i];
+                if desc.kind == KIND_CUBOID {
+                    self.load_section(desc).map(drop)
+                } else {
+                    self.container.section_bytes(desc).map(drop)
+                }
+            },
+        )
+        .into_iter()
+        // The first failing section in index order, as a serial pass
+        // would have met it.
+        .collect()
     }
 
     /// Addresses of every cuboid stored in the snapshot.

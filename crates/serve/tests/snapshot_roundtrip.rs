@@ -10,7 +10,9 @@
 //!   id, overlapping cell ranges, bit-flip under CRC) surfaces its own
 //!   typed error. The patch harness below repairs every checksum around
 //!   a mutation, so the structural validator — not the CRC — must be the
-//!   thing that catches it;
+//!   thing that catches it — and catches it identically at
+//!   `FLOWCUBE_THREADS=1` and `=4`, as does a file that shrank under an
+//!   open snapshot;
 //! * golden v1 fixture: a checked-in format-1 file is refused by
 //!   `Snapshot::open`, decodes through the upgrade reader to the cube it
 //!   was written from, and answers queries identically once re-encoded.
@@ -23,6 +25,7 @@ use flowcube_serve::snapshot::{SectionDesc, KIND_CUBOID};
 use flowcube_serve::{load_v1_cube, write_snapshot, Snapshot, SnapshotError, FORMAT_VERSION};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("flowcube-snap-test-{}-{name}", std::process::id()))
@@ -328,13 +331,34 @@ fn rebuild_with_patched_section(
     out
 }
 
+/// Run `check` with the reader's thread count (an opened snapshot's is
+/// auto, so `FLOWCUBE_THREADS`) at 1 and at 4: sections are verified one
+/// after another, then four at a time, and the outcome — which error,
+/// naming which section — must not know the difference.
+fn at_1_and_4_threads<R: PartialEq + std::fmt::Debug>(check: impl Fn() -> R) -> R {
+    const VAR: &str = "FLOWCUBE_THREADS";
+    static ENV: Mutex<()> = Mutex::new(());
+    let _guard = ENV.lock().unwrap_or_else(|e| e.into_inner());
+    let before = std::env::var_os(VAR);
+    std::env::set_var(VAR, "1");
+    let serial = check();
+    std::env::set_var(VAR, "4");
+    let parallel = check();
+    match before {
+        Some(value) => std::env::set_var(VAR, value),
+        None => std::env::remove_var(VAR),
+    }
+    assert_eq!(serial, parallel, "the thread count reached the result");
+    serial
+}
+
 /// Write `bytes` to a temp file, open it, and exhaustively verify it —
 /// the hot-reload admission path, and the one that must reject every
 /// corruption class below with a typed error instead of a panic.
 fn open_and_verify(bytes: &[u8], name: &str) -> Result<(), SnapshotError> {
     let p = tmp(name);
     std::fs::write(&p, bytes).unwrap();
-    let r = Snapshot::open(&p).and_then(|s| s.verify_all());
+    let r = at_1_and_4_threads(|| Snapshot::open(&p).and_then(|s| s.verify_all()));
     let _ = std::fs::remove_file(&p);
     r
 }
@@ -462,6 +486,31 @@ fn v2_bit_flip_under_crc_is_typed() {
         }
         other => panic!("expected ChecksumMismatch, got {other:?}"),
     }
+}
+
+/// A file cut short *after* `open` admitted its index: every section
+/// past the cut is a short read for whichever worker hydrates it. Typed
+/// error, the same one at any thread count, never a panic.
+#[test]
+fn file_truncated_under_an_open_snapshot_is_typed() {
+    let cube = small_cube(120, 11, 4);
+    let p = tmp("shrunk.snap");
+    write_snapshot(&cube, &p).expect("write");
+    let snapshot = Snapshot::open(&p).expect("open");
+    assert!(snapshot.num_cuboids() > 8, "enough sections to fan out");
+    let len = std::fs::metadata(&p).unwrap().len();
+    let file = std::fs::OpenOptions::new().write(true).open(&p).unwrap();
+    file.set_len(len * 2 / 3).expect("truncate in place");
+    for result in [
+        at_1_and_4_threads(|| snapshot.verify_all()),
+        at_1_and_4_threads(|| snapshot.load_cube().map(drop)),
+    ] {
+        match result {
+            Err(SnapshotError::Io { .. }) | Err(SnapshotError::Truncated { .. }) => {}
+            other => panic!("expected Io or Truncated, got {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_file(&p);
 }
 
 // ---------------------------------------------------------------------------

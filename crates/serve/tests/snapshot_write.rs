@@ -1,0 +1,88 @@
+//! `write_snapshot` replaces the file at `path`, it does not rewrite it:
+//! a process holding the old file open keeps a whole snapshot, and a
+//! writer that fails leaves `path` and its directory as they were.
+//!
+//! One test, so the process-global `serve.snapshot.write` failpoint has
+//! no concurrent writer to land in.
+
+use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
+use flowcube_datagen::{generate, DimShape, GeneratorConfig};
+use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube_serve::{write_snapshot, Snapshot, SnapshotError};
+use flowcube_testkit::FailAction;
+
+fn cube(seed: u64, min_support: u64) -> FlowCube {
+    let db = generate(&GeneratorConfig {
+        num_paths: 120,
+        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
+        num_sequences: 5,
+        seed,
+        ..Default::default()
+    })
+    .db;
+    let loc = db.schema().locations();
+    let spec = PathLatticeSpec::new(vec![PathLevel::new(
+        "fine",
+        LocationCut::uniform_level(loc, loc.max_level()),
+        DurationLevel::Raw,
+    )]);
+    FlowCube::build(&db, spec, FlowCubeParams::new(min_support), ItemPlan::All)
+}
+
+#[test]
+fn a_write_onto_a_served_path_replaces_the_file_atomically() {
+    let dir = std::env::temp_dir().join(format!("flowcube-snap-write-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cube.snap");
+    let listing = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+
+    let (old, new) = (cube(31, 4), cube(32, 8));
+    assert_ne!(old.total_cells(), new.total_cells());
+    write_snapshot(&old, &path).expect("write old");
+    let held = Snapshot::open(&path).expect("open old");
+
+    // A different cube lands on the same path while `held` has hydrated
+    // nothing yet: the handle still reads the old file, all of it.
+    let info = write_snapshot(&new, &path).expect("write new");
+    held.verify_all()
+        .expect("the open handle keeps a whole file");
+    assert_eq!(
+        held.load_cube().expect("old cube").total_cells(),
+        old.total_cells()
+    );
+    let fresh = Snapshot::open(&path).expect("open new");
+    assert_eq!(
+        fresh.load_cube().expect("new cube").total_cells(),
+        new.total_cells()
+    );
+    let on_disk = std::fs::read(&path).unwrap();
+    assert_eq!(info.bytes, on_disk.len() as u64);
+    assert_eq!(info.crc, flowcube_serve::crc::crc32(&on_disk));
+    assert_eq!(listing(), ["cube.snap"], "no temp file after a success");
+
+    // The writer fails with its temp file on disk: the error surfaces,
+    // the temp file goes, and `path` still holds the last good snapshot.
+    flowcube_testkit::arm_times(
+        "serve.snapshot.write",
+        1,
+        FailAction::ReturnErr(Some("disk full".into())),
+    );
+    let failed = write_snapshot(&old, &path);
+    flowcube_testkit::reset();
+    match failed {
+        Err(SnapshotError::Io { detail, .. }) => assert!(detail.contains("disk full")),
+        other => panic!("expected the injected Io error, got {other:?}"),
+    }
+    assert_eq!(listing(), ["cube.snap"], "no temp file after a failure");
+    assert_eq!(std::fs::read(&path).unwrap(), on_disk);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

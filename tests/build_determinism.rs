@@ -61,6 +61,22 @@ fn snapshot_bytes(cube: &FlowCube, tag: &str) -> Vec<u8> {
     bytes
 }
 
+/// `cube` under params that send the snapshot writer to `threads`
+/// workers: the same cuboids, as a build at that thread count leaves
+/// them.
+fn with_writer_threads(cube: &FlowCube, threads: usize) -> FlowCube {
+    let mut out = FlowCube::from_parts(
+        cube.schema().clone(),
+        cube.spec().clone(),
+        cube.params().clone().with_threads(threads),
+        cube.stats().clone(),
+    );
+    for (key, cuboid) in cube.cuboids() {
+        out.insert_cuboid(key.clone(), cuboid.clone());
+    }
+    out
+}
+
 /// Digest of the fixture's snapshot, taken at commit 422c79e (the parent
 /// of the borrowed top-down materialization) before any build code
 /// changed. A change that moves it changed *what* the build computes.
@@ -77,6 +93,23 @@ fn golden_snapshot_digest() {
         .cuboids()
         .any(|(_, c)| c.iter().any(|(_, e)| !e.exceptions.is_empty())));
     assert_eq!(sha256_hex(&snapshot_bytes(&cube, "golden")), GOLDEN_SHA256);
+    // The writer encodes and checksums sections on the cube's own thread
+    // policy; none of that reaches the file.
+    for threads in [2, 3, 7] {
+        let bytes = snapshot_bytes(&with_writer_threads(&cube, threads), "golden-tn");
+        assert_eq!(
+            sha256_hex(&bytes),
+            GOLDEN_SHA256,
+            "writer threads={threads}"
+        );
+    }
+    // One writer chunk panics once: it is re-encoded serially, in place.
+    testkit::arm_times("mining.chunk", 1, FailAction::Panic(None));
+    let healed = snapshot_bytes(&with_writer_threads(&cube, 2), "golden-healed");
+    let fired = testkit::hits("mining.chunk");
+    testkit::reset();
+    assert_eq!(fired, 1, "the fault must land in the writer");
+    assert_eq!(sha256_hex(&healed), GOLDEN_SHA256);
 }
 
 #[test]

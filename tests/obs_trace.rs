@@ -59,7 +59,10 @@ fn parallel_build_chrome_trace_wellformed() {
     let spec = two_level_spec(&db);
     let mut params = FlowCubeParams::new(20);
     params.threads = 2;
-    let _cube = FlowCube::build(&db, spec, params, ItemPlan::All);
+    let cube = FlowCube::build(&db, spec, params, ItemPlan::All);
+    let snap = std::env::temp_dir().join(format!("flowcube-obs-trace-{}.snap", std::process::id()));
+    let written = flowcube::serve::write_snapshot(&cube, &snap).expect("snapshot writes");
+    let _ = std::fs::remove_file(&snap);
     let json = obs::export::chrome_trace_json();
     let snapshot = obs::snapshot();
     obs::disable();
@@ -112,7 +115,8 @@ fn parallel_build_chrome_trace_wellformed() {
     }
 
     // The whole pipeline shows up: root build span, phase spans, per-scan
-    // mining spans, and per-cell materialization spans.
+    // mining spans, per-cell materialization spans, and the snapshot
+    // writer's stages.
     for expected in [
         "build",
         "build.encode",
@@ -124,6 +128,11 @@ fn parallel_build_chrome_trace_wellformed() {
         "build.cell",
         "build.redundancy",
         "build.exceptions",
+        "serve.snapshot.write",
+        "serve.snapshot.intern",
+        "serve.snapshot.plan",
+        "serve.snapshot.encode",
+        "serve.snapshot.file_write",
     ] {
         assert!(
             names.contains(expected),
@@ -155,6 +164,10 @@ fn parallel_build_chrome_trace_wellformed() {
             .get("mining.shared.pruned.family")
             .is_some_and(|&n| n > 0),
         "family-rule prune counter missing or zero"
+    );
+    assert_eq!(
+        snapshot.counters.get("serve.snapshot.bytes_written"),
+        Some(&written.bytes)
     );
     let cell_hist = snapshot
         .histograms
