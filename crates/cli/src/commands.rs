@@ -323,8 +323,10 @@ pub fn merge(args: &Args) -> Result<(), CliError> {
     let mut parts = Vec::with_capacity(args.positional.len());
     for path in &args.positional {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        // A part that does not decode — its spec repeats a path level,
+        // say — is bad input data.
         let mut part: flowcube_federate::ShardPart =
-            serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
+            serde_json::from_str(&text).map_err(|e| CliError::data(format!("{path}: {e}")))?;
         part.rebuild_indexes();
         parts.push(part);
     }

@@ -2,6 +2,7 @@
 //! temp files, driving the command functions directly.
 
 use flowcube_cli::{commands, Args};
+use serde_json::Value;
 
 fn args(line: &str) -> Args {
     Args::parse(line.split_whitespace().map(String::from)).expect("parse")
@@ -128,7 +129,7 @@ fn build_with_trace_and_metrics_out() {
     )))
     .expect("generate");
     commands::build(&args(&format!(
-        "build --db {db} --min-support 30 --threads 2 --trace-out {trace} --metrics-out {metrics} --out {cube}"
+        "build --db {db} --min-support 30 --tau 0.05 --threads 2 --trace-out {trace} --metrics-out {metrics} --out {cube}"
     )))
     .expect("build with tracing");
 
@@ -152,8 +153,10 @@ fn build_with_trace_and_metrics_out() {
         "build.encode",
         "build.mine",
         "build.prepare",
+        "build.dictionary",
         "build.materialize",
         "build.redundancy",
+        "build.graphs",
         "build.exceptions",
     ] {
         assert!(trace_text.contains(&format!("\"{phase}\"")), "{phase}");
@@ -163,7 +166,13 @@ fn build_with_trace_and_metrics_out() {
     serde_json::parse_value_str(&metrics_text).expect("metrics is valid JSON");
     assert!(metrics_text.contains("candidates.len1"));
     assert!(metrics_text.contains("mining.shared.pruned.family"));
-    assert!(metrics_text.contains("build.cell_materialize_us"));
+    for series in [
+        "build.cell_materialize_us",
+        "build.redundancy.comparisons",
+        "build.graphs_built",
+    ] {
+        assert!(metrics_text.contains(series), "{series}");
+    }
 
     // A traced `flowcube snapshot` attributes the write to its stages.
     // (Same test: the recorder is global and each traced command resets it.)
@@ -184,6 +193,45 @@ fn build_with_trace_and_metrics_out() {
     }
 
     for f in [&db, &cube, &trace, &metrics, &snap] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+/// A shard part whose spec lists one path level twice is bad input
+/// data: `merge` exits 65 where it used to recurse in mining until the
+/// stack overflowed.
+#[test]
+fn merge_rejects_a_part_that_repeats_a_path_level() {
+    let db = tmp("db6.json");
+    let part = tmp("part6.json");
+    let out = tmp("merged6.json");
+    commands::generate(&args(&format!(
+        "generate --paths 200 --dims 2 --seed 4 --out {db}"
+    )))
+    .expect("generate");
+    commands::build(&args(&format!(
+        "build --db {db} --min-support 10 --shards 1 --shard-id 0 --out {part}"
+    )))
+    .expect("build a part");
+    let mut value = serde_json::parse_value_str(&std::fs::read_to_string(&part).unwrap()).unwrap();
+    let mut spec = &mut value;
+    for key in ["cube", "spec", "levels"] {
+        let Value::Object(fields) = spec else {
+            panic!("{key} is in an object")
+        };
+        spec = &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1;
+    }
+    let Value::Array(levels) = spec else {
+        panic!("levels is a list")
+    };
+    levels.push(levels[0].clone());
+    std::fs::write(&part, serde_json::to_string(&value).unwrap()).unwrap();
+
+    let err = commands::merge(&args(&format!("merge {part} --no-exceptions --out {out}")))
+        .expect_err("a repeated level is refused");
+    assert_eq!(err.code, 65, "{}", err.message);
+    assert!(err.message.contains("same level"), "{}", err.message);
+    for f in [&db, &part, &out] {
         let _ = std::fs::remove_file(f);
     }
 }

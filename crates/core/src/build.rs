@@ -1,28 +1,29 @@
 //! Flowcube construction pipeline (paper §5): mine the frequent path
 //! segments, take the iceberg cells and their tid lists from one BUC
-//! pass, materialize a flowgraph per frequent cell and path level, prune
-//! redundant cells, then attach exceptions to the cells that are stored.
+//! pass, count every cell over its path levels' apex node tables, decide
+//! redundancy on the counts, write a flowgraph for each cell that is
+//! stored, then attach exceptions to those.
 //!
-//! Materialization costs one borrowed walk of a cell's paths per
-//! location cut: work items borrow BUC's tid lists, the finest duration
-//! level on each cut is walked and the coarser ones are rolled up from
-//! its graph.
+//! Counting costs one borrowed pass over a cell's paths per location cut:
+//! work items borrow BUC's tid lists, the finest duration level on each
+//! cut is counted from the path dictionary and the coarser ones are
+//! rolled up from its counts (`crate::counts`).
 
 use crate::cell::{aggregate_key, level_of_key, CellEntry, CellKey, Cuboid, CuboidKey};
+use crate::counts::{self, CodeTable, Counts, PathDictionary, Scratch};
 use crate::params::{Algorithm, FlowCubeParams, ItemPlan};
 use crate::stats::BuildStats;
 use flowcube_flowgraph::{
-    exceptions_from_segments, is_redundant, Exception, ExceptionParams, FlowGraph, KlSimilarity,
-    Segment,
+    exceptions_from_segments, Exception, ExceptionParams, FlowGraph, Segment,
 };
-use flowcube_hier::{ConceptId, FxHashMap, ItemLevel, PathLatticeSpec, PathLevelId, Schema};
+use flowcube_hier::{ConceptId, DurationLevel, FxHashMap, ItemLevel, PathLatticeSpec, PathLevelId};
 use flowcube_mining::parallel::{balanced_chunks, run_chunks_counted};
 use flowcube_mining::{
     buc_iceberg, mine, mine_cubing, CubingConfig, FrequentItemsets, ItemKind, SharedConfig,
     TransactionDb,
 };
 use flowcube_obs::Timer;
-use flowcube_pathdb::{aggregate_stages, AggStage, PathDatabase};
+use flowcube_pathdb::{AggStage, MergePolicy, PathDatabase};
 
 /// Everything produced by the build, consumed by [`crate::FlowCube`].
 pub(crate) struct BuildOutput {
@@ -30,12 +31,84 @@ pub(crate) struct BuildOutput {
     pub stats: BuildStats,
 }
 
-/// A unit of materialization work: one frequent cell on one location
-/// cut — the walked path level plus every level rolled up from it.
+/// A unit of counting work: one frequent cell on one location cut — the
+/// walked path level plus every level rolled up from it.
 struct WorkItem<'a> {
     cell_idx: usize,
     walked: PathLevelId,
     tids: &'a [u32],
+}
+
+/// What counting a (cell, path level) leaves behind: its counts while
+/// Definition 4.4 may still drop it, its flowgraph at once when it
+/// cannot (τ unset).
+enum Measure {
+    Counts(Counts),
+    Graph(FlowGraph),
+}
+
+/// Each path level's codes: a walked level's dictionary, or for a level
+/// rolled up from one ([`walk_sources`]) its table and the map onto it.
+struct Levels {
+    sources: Vec<PathLevelId>,
+    durations: Vec<DurationLevel>,
+    dicts: Vec<Option<PathDictionary>>,
+    rolled: Vec<Option<(CodeTable, Vec<u32>)>>,
+}
+
+impl Levels {
+    fn new(db: &PathDatabase, spec: &PathLatticeSpec, merge: MergePolicy) -> Self {
+        let sources = walk_sources(spec);
+        let dicts: Vec<Option<PathDictionary>> = spec
+            .ids()
+            .map(|l| {
+                (sources[l as usize] == l).then(|| PathDictionary::walk(db, spec.level(l), merge))
+            })
+            .collect();
+        let rolled = spec
+            .ids()
+            .map(|l| {
+                let source = dicts[sources[l as usize] as usize].as_ref();
+                (sources[l as usize] != l).then(|| {
+                    (source.expect("a level rolls up from a walked one").table())
+                        .rolled_up(spec.level(l).duration)
+                })
+            })
+            .collect();
+        Levels {
+            sources,
+            durations: spec.levels().iter().map(|level| level.duration).collect(),
+            dicts,
+            rolled,
+        }
+    }
+
+    /// The dictionary level `l` is counted from.
+    fn dict(&self, l: PathLevelId) -> &PathDictionary {
+        let source = self.sources[l as usize] as usize;
+        self.dicts[source].as_ref().expect("sources are walked")
+    }
+
+    fn table(&self, l: PathLevelId) -> &CodeTable {
+        match &self.rolled[l as usize] {
+            Some((table, _)) => table,
+            None => self.dict(l).table(),
+        }
+    }
+
+    /// The levels rolled up from walked level `w`, with their code maps.
+    fn rolled_from(&self, w: PathLevelId) -> impl Iterator<Item = (PathLevelId, &[u32])> {
+        (self.rolled.iter().enumerate()).filter_map(move |(l, rolled)| {
+            let (_, map) = rolled.as_ref()?;
+            (self.sources[l] == w).then_some((l as PathLevelId, map.as_slice()))
+        })
+    }
+
+    /// The duration level a dictionary path is rolled to for level `l`
+    /// (`None` at a walked level).
+    fn roll(&self, l: PathLevelId) -> Option<DurationLevel> {
+        (self.sources[l as usize] != l).then_some(self.durations[l as usize])
+    }
 }
 
 /// A frequent path segment as mining found it: `(location prefix,
@@ -100,33 +173,18 @@ pub(crate) fn build(
         .unzip();
     stats.frequent_cells = cells.len();
 
-    // ---- Phase 3: aggregate every path once per path level that is
-    // walked or has segments to check (exceptions are path-driven,
-    // Lemma 4.3); a rolled-up level without segments needs no paths.
-    let sources = walk_sources(&spec);
-    let agg_paths: Vec<Vec<Vec<AggStage>>> = spec
-        .ids()
-        .map(|lvl| {
-            if sources[lvl as usize] != lvl && segments[lvl as usize].is_empty() {
-                return Vec::new();
-            }
-            let level = spec.level(lvl);
-            db.records()
-                .iter()
-                .map(|r| {
-                    aggregate_stages(&r.stages, level, params.merge)
-                        .expect("db locations are covered by every cut")
-                })
-                .collect()
-        })
-        .collect();
+    // ---- Phase 3: the path dictionary — one walk of the records per
+    // walked path level numbers the apex node table of its cut and gives
+    // each tid its code list; a level rolled up from it maps the codes.
+    let levels = Levels::new(db, &spec, params.merge);
     stats.prepare_time = prepare_timer.stop();
 
-    // ---- Phase 4: materialize one flowgraph per (cell, path level).
+    // ---- Phase 4: count every cell at every path level, one work item
+    // per (cell, location cut).
     let materialize_timer = Timer::start("build.materialize");
     let mut work: Vec<WorkItem<'_>> = Vec::new();
     for (i, cell_tids) in tids.iter().enumerate() {
-        for walked in spec.ids().filter(|&l| sources[l as usize] == l) {
+        for walked in spec.ids().filter(|&l| levels.roll(l).is_none()) {
             work.push(WorkItem {
                 cell_idx: i,
                 walked,
@@ -134,49 +192,20 @@ pub(crate) fn build(
             });
         }
     }
-
-    let materialize = |w: &WorkItem<'_>| -> Vec<(usize, PathLevelId, CellEntry)> {
-        // The walked level first, then the levels rolled up from it.
-        let levels = std::iter::once(w.walked).chain(
-            spec.ids()
-                .filter(|&l| l != w.walked && sources[l as usize] == w.walked),
-        );
-        let mut out: Vec<(usize, PathLevelId, CellEntry)> = Vec::new();
-        for lvl in levels {
-            let cell_timer = Timer::start("build.cell");
-            let graph = match out.first() {
-                None => {
-                    let agg = &agg_paths[lvl as usize];
-                    let mut graph =
-                        FlowGraph::build(w.tids.iter().map(|&t| agg[t as usize].as_slice()));
-                    // Canonical node order (pre-order DFS, children by
-                    // location): the same cell content yields the same
-                    // node table whether it was batch-built here or
-                    // assembled by delta merges, making the two
-                    // byte-comparable. Must happen *before* segments are
-                    // translated onto node ids.
-                    graph.canonicalize();
-                    graph
-                }
-                Some((_, _, walked)) => walked.graph.with_durations_at(spec.level(lvl).duration),
-            };
-            out.push((
-                w.cell_idx,
-                lvl,
-                CellEntry {
-                    support: w.tids.len() as u64,
-                    graph,
-                    exceptions: Vec::new(),
-                    redundant: false,
-                },
-            ));
-            let elapsed = cell_timer.stop();
-            flowcube_obs::histogram_record(
-                "build.cell_materialize_us",
-                elapsed.as_secs_f64() * 1e6,
-            );
-        }
-        out
+    let tau = params.redundancy_tau;
+    let scratch_len = (spec.ids())
+        .map(|l| levels.table(l).len())
+        .max()
+        .unwrap_or(0);
+    let count = |w: &WorkItem<'_>, scratch: &mut Scratch| -> Vec<(PathLevelId, Counts)> {
+        let cell_timer = Timer::start("build.cell");
+        let walked = levels.dict(w.walked).count(w.tids, scratch);
+        let rolled: Vec<(PathLevelId, Counts)> = (levels.rolled_from(w.walked))
+            .map(|(l, map)| (l, walked.rolled_up(map)))
+            .collect();
+        let elapsed = cell_timer.stop();
+        flowcube_obs::histogram_record("build.cell_materialize_us", elapsed.as_secs_f64() * 1e6);
+        std::iter::once((w.walked, walked)).chain(rolled).collect()
     };
 
     // One threads policy with mining (`FlowCubeParams::threads_for`).
@@ -191,20 +220,121 @@ pub(crate) fn build(
         balanced_chunks(work.len()),
         threads,
         |range| {
-            work[range]
-                .iter()
-                .flat_map(&materialize)
-                .collect::<Vec<_>>()
+            let mut scratch = Scratch::new(scratch_len);
+            let mut out: Vec<(usize, PathLevelId, Measure)> = Vec::new();
+            for w in &work[range] {
+                for (l, counts) in count(w, &mut scratch) {
+                    let measure = match tau {
+                        Some(_) => Measure::Counts(counts),
+                        None => Measure::Graph(levels.table(l).graph(&counts)),
+                    };
+                    out.push((w.cell_idx, l, measure));
+                }
+            }
+            out
         },
     );
     stats.chunk_retries = report.retried_chunks;
+    let num_levels = spec.len();
+    stats.cells_materialized = cells.len() * num_levels;
+    // Indexed by `cell * num_levels + level`.
+    let mut vectors: Vec<Option<Counts>> = Vec::new();
+    let mut stored: Vec<(usize, PathLevelId, FlowGraph)> = Vec::new();
+    if tau.is_some() {
+        vectors.resize_with(stats.cells_materialized, || None);
+    }
+    for (cell, l, measure) in report.results.into_iter().flatten() {
+        match measure {
+            Measure::Counts(c) => vectors[cell * num_levels + l as usize] = Some(c),
+            Measure::Graph(g) => stored.push((cell, l, g)),
+        }
+    }
+    let mut materialize_time = materialize_timer.stop();
 
+    // ---- Phase 5: non-redundancy (Definition 4.4), decided on the
+    // counts against every parent's counts at the same path level.
+    let redundancy_timer = Timer::start("build.redundancy");
+    if let Some(tau) = tau {
+        let vector = |item: usize| {
+            vectors[item]
+                .as_ref()
+                .expect("every (cell, level) is counted")
+        };
+        let index: FxHashMap<&[ConceptId], usize> = (cells.iter().enumerate())
+            .map(|(i, (_, key))| (key.as_slice(), i))
+            .collect();
+        let parents: Vec<Vec<usize>> = (cells.iter())
+            .map(|(level, key)| {
+                (level.parents().into_iter())
+                    .filter_map(|parent| index.get(aggregate_key(key, &parent, schema).as_slice()))
+                    .copied()
+                    .collect()
+            })
+            .collect();
+        let (redundant, retries) = counts::decide(vectors.len(), params, |item, tally| {
+            let (i, l) = (item / num_levels, item % num_levels);
+            let parent_counts = parents[i].iter().map(|&p| vector(p * num_levels + l));
+            counts::is_redundant(
+                levels.table(l as PathLevelId),
+                vector(item),
+                parent_counts,
+                tau,
+                tally,
+            )
+        });
+        stats.chunk_retries += retries;
+        // A cell's counts live until its fate is known.
+        for (counts, redundant) in vectors.iter_mut().zip(&redundant) {
+            if *redundant {
+                stats.cells_pruned_redundant += 1;
+                *counts = None;
+            }
+        }
+    }
+    stats.redundancy_time = redundancy_timer.stop();
+
+    // ---- Phase 6: a flowgraph for each stored (cell, level) — already
+    // written when τ is unset.
+    if tau.is_some() {
+        let graphs_timer = Timer::start("build.graphs");
+        let keep: Vec<usize> = (0..vectors.len())
+            .filter(|&i| vectors[i].is_some())
+            .collect();
+        let report = run_chunks_counted(
+            "build.graphs",
+            keep.len(),
+            balanced_chunks(keep.len()),
+            params.threads_for(keep.len()),
+            |range| {
+                (keep[range].iter())
+                    .map(|&item| {
+                        let l = (item % num_levels) as PathLevelId;
+                        levels.table(l).graph(vectors[item].as_ref().expect("kept"))
+                    })
+                    .collect::<Vec<_>>()
+            },
+        );
+        stats.chunk_retries += report.retried_chunks;
+        drop(vectors);
+        let graphs = report.results.into_iter().flatten();
+        stored = (keep.iter().zip(graphs))
+            .map(|(&item, g)| (item / num_levels, (item % num_levels) as PathLevelId, g))
+            .collect();
+        materialize_time += graphs_timer.stop();
+    }
+    let graphs_built = stored.len();
     let mut cuboids: FxHashMap<CuboidKey, Cuboid> = FxHashMap::default();
-    for (cell_idx, path_level, entry) in report.results.into_iter().flatten() {
+    for (cell_idx, path_level, graph) in stored {
         let (item_level, key) = &cells[cell_idx];
         let ck = CuboidKey {
             item_level: item_level.clone(),
             path_level,
+        };
+        let entry = CellEntry {
+            support: tids[cell_idx].len() as u64,
+            graph,
+            exceptions: Vec::new(),
+            redundant: false,
         };
         cuboids
             .entry(ck)
@@ -212,30 +342,20 @@ pub(crate) fn build(
             .cells
             .insert(key.clone(), entry);
     }
-    stats.cells_materialized = cuboids.values().map(|c| c.len()).sum();
-    stats.materialize_time = materialize_timer.stop();
 
-    // ---- Phase 5: non-redundancy pruning (Definition 4.4), which
-    // compares flowgraphs only.
-    let redundancy_timer = Timer::start("build.redundancy");
-    if let Some(tau) = params.redundancy_tau {
-        prune_redundant(&mut cuboids, schema, tau, params, &mut stats);
-    }
-    stats.redundancy_time = redundancy_timer.stop();
-
-    // ---- Phase 6: exceptions — the holistic part of the measure — for
-    // the cells that survived, counted as materialization time.
+    // ---- Phase 7: exceptions — the holistic part of the measure — for
+    // the cells that are stored, counted as materialization time.
     let exceptions_timer = Timer::start("build.exceptions");
     attach_exceptions(
         &mut cuboids,
         &cells,
         &tids,
         &segments,
-        &agg_paths,
+        &levels,
         params,
         &mut stats,
     );
-    stats.materialize_time += exceptions_timer.stop();
+    stats.materialize_time = materialize_time + exceptions_timer.stop();
 
     if flowcube_obs::is_enabled() {
         flowcube_obs::gauge_set("build.frequent_cells", stats.frequent_cells as f64);
@@ -244,6 +364,7 @@ pub(crate) fn build(
             "build.cells_pruned_redundant",
             stats.cells_pruned_redundant as f64,
         );
+        flowcube_obs::gauge_set("build.graphs_built", graphs_built as f64);
     }
 
     BuildOutput { cuboids, stats }
@@ -343,7 +464,7 @@ fn attach_exceptions(
     cells: &[(ItemLevel, CellKey)],
     tids: &[Vec<u32>],
     segments: &CellSegments,
-    agg_paths: &[Vec<Vec<AggStage>>],
+    levels: &Levels,
     params: &FlowCubeParams,
     stats: &mut BuildStats,
 ) {
@@ -383,9 +504,21 @@ fn attach_exceptions(
                     .collect()
             })
             .collect();
-        let agg = &agg_paths[ck.path_level as usize];
-        let paths: Vec<&[AggStage]> = (tids[*i].iter())
-            .map(|&t| agg[t as usize].as_slice())
+        // The cell's paths at this level, from the dictionary.
+        let (dict, roll) = (levels.dict(ck.path_level), levels.roll(ck.path_level));
+        let mut stages: Vec<AggStage> = Vec::new();
+        let mut ends: Vec<usize> = Vec::with_capacity(tids[*i].len());
+        for &t in &tids[*i] {
+            dict.stages(t, roll, &mut stages);
+            ends.push(stages.len());
+        }
+        let mut start = 0;
+        let paths: Vec<&[AggStage]> = (ends.iter())
+            .map(|&end| {
+                let path = &stages[start..end];
+                start = end;
+                path
+            })
             .collect();
         exceptions_from_segments(graph, &paths, &segs, &exc_params)
     };
@@ -408,12 +541,13 @@ fn attach_exceptions(
     }
 }
 
-/// For every path level, the level its flowgraphs come from: itself when
-/// it is walked, else the finest duration level on the same location cut
+/// For every path level, the level its counts come from: itself when it
+/// is walked, else the finest duration level on the same location cut
 /// (first in spec order among equals), of which it is a duration roll-up
-/// ([`FlowGraph::with_durations_at`]; the merge policy is the build's,
-/// hence the same). Levels on one cut whose durations do not refine one
-/// another — `Bucket(2)` and `Bucket(3)` — are each walked.
+/// (`CodeTable::rolled_up`, `FlowGraph::with_durations_at` on counts; the
+/// merge policy is the build's, hence the same). Levels on one cut whose
+/// durations do not refine one another — `Bucket(2)` and `Bucket(3)` —
+/// are each walked.
 fn walk_sources(spec: &PathLatticeSpec) -> Vec<PathLevelId> {
     spec.ids()
         .map(|l| {
@@ -429,60 +563,4 @@ fn walk_sources(spec: &PathLatticeSpec) -> Vec<PathLevelId> {
             source
         })
         .collect()
-}
-
-/// Mark and drop cells similar to all their item-lattice parents at the
-/// same path level. The one redundancy pass: the batch build and the
-/// federated merge (`FlowCube::prune_redundant`) both end here.
-pub(crate) fn prune_redundant(
-    cuboids: &mut FxHashMap<CuboidKey, Cuboid>,
-    schema: &Schema,
-    tau: f64,
-    params: &FlowCubeParams,
-    stats: &mut BuildStats,
-) {
-    let metric = KlSimilarity::default();
-    // Decide first (against the *unpruned* cube: Definition 4.4 compares
-    // to the parents' flowgraphs, which exist whether or not a parent is
-    // itself redundant), then drop. Deciding only reads, so it runs in
-    // chunks like materialization does.
-    let candidates: Vec<(&CuboidKey, &CellKey, &CellEntry)> = cuboids
-        .iter()
-        .flat_map(|(ck, cuboid)| cuboid.iter().map(move |(key, entry)| (ck, key, entry)))
-        .collect();
-    let redundant = |&(ck, key, entry): &(&CuboidKey, &CellKey, &CellEntry)| {
-        let parents: Vec<&FlowGraph> = (ck.item_level.parents().into_iter())
-            .filter_map(|parent_level| {
-                let parent_key = aggregate_key(key, &parent_level, schema);
-                let parent_ck = CuboidKey {
-                    item_level: parent_level,
-                    path_level: ck.path_level,
-                };
-                Some(&cuboids.get(&parent_ck)?.get(&parent_key)?.graph)
-            })
-            .collect();
-        is_redundant(&entry.graph, &parents, &metric, tau)
-    };
-    let report = run_chunks_counted(
-        "build.redundancy.chunk",
-        candidates.len(),
-        balanced_chunks(candidates.len()),
-        params.threads_for(candidates.len()),
-        |range| {
-            candidates[range]
-                .iter()
-                .filter(|c| redundant(c))
-                .map(|&(ck, key, _)| (ck.clone(), key.clone()))
-                .collect::<Vec<_>>()
-        },
-    );
-    stats.chunk_retries += report.retried_chunks;
-    let to_drop: Vec<(CuboidKey, CellKey)> = report.results.into_iter().flatten().collect();
-    stats.cells_pruned_redundant = to_drop.len();
-    for (ck, key) in to_drop {
-        if let Some(cuboid) = cuboids.get_mut(&ck) {
-            cuboid.cells.remove(&key);
-        }
-    }
-    cuboids.retain(|_, c| !c.is_empty());
 }

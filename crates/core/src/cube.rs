@@ -3,6 +3,7 @@
 
 use crate::build::{self, BuildOutput};
 use crate::cell::{display_key, level_of_key, CellEntry, CellKey, Cuboid, CuboidKey};
+use crate::counts;
 use crate::error::CoreError;
 use crate::params::{FlowCubeParams, ItemPlan};
 use crate::stats::BuildStats;
@@ -406,15 +407,17 @@ impl FlowCube {
     }
 
     /// Drop cells redundant w.r.t. their item-lattice parents
-    /// (Definition 4.4) — the same pruning the build pipeline applies as
-    /// its final phase, exposed for cubes assembled by merging partials,
-    /// where τ cannot be applied per partition (similarity to a parent is
-    /// holistic over the union). Returns the number of cells dropped and
-    /// records it in the build stats.
+    /// (Definition 4.4) — the decision the build pipeline makes on its
+    /// counts, made on this cube's graphs projected onto counts, for
+    /// cubes assembled by merging partials, where τ cannot be applied per
+    /// partition (similarity to a parent is holistic over the union).
+    /// Returns the number of cells dropped and records it in the build
+    /// stats.
     pub fn prune_redundant(&mut self, tau: f64) -> usize {
         // `cells_materialized` deliberately stays at its pre-prune value,
-        // matching the batch pipeline (phase 6 counts, phase 7 prunes).
-        build::prune_redundant(
+        // matching the batch pipeline (every counted cell is counted
+        // there, whether or not it is stored).
+        counts::prune_redundant(
             &mut self.cuboids,
             &self.schema,
             tau,

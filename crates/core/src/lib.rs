@@ -28,6 +28,7 @@
 
 mod build;
 pub mod cell;
+mod counts;
 pub mod cube;
 pub mod delta;
 pub mod error;

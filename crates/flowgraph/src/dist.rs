@@ -34,6 +34,15 @@ impl<K: Ord + Copy + Hash + Debug> CountDist<K> {
         Self::default()
     }
 
+    /// A distribution over `(key, count)` pairs already ascending by key,
+    /// no key twice — the form a canonical node table lists them in. The
+    /// vector becomes the distribution as it is: no re-sort, no growth.
+    pub fn from_sorted(counts: Vec<(K, u64)>) -> Self {
+        debug_assert!(counts.windows(2).all(|w| w[0].0 < w[1].0));
+        let total = counts.iter().map(|&(_, c)| c).sum();
+        CountDist { counts, total }
+    }
+
     /// Record one observation of `key`.
     pub fn add(&mut self, key: K) {
         self.add_n(key, 1);
@@ -208,6 +217,17 @@ mod tests {
             [1, 5, 8, 9]
         );
         assert_eq!(d.map_keys(|k| k), d);
+    }
+
+    #[test]
+    fn from_sorted_equals_adding_the_counts() {
+        let pairs = vec![(1u32, 2), (4, 3), (9, 1)];
+        let mut added = CountDist::new();
+        for &(k, n) in &pairs {
+            added.add_n(k, n);
+        }
+        assert_eq!(CountDist::from_sorted(pairs), added);
+        assert_eq!(CountDist::<u32>::from_sorted(Vec::new()), CountDist::new());
     }
 
     #[test]

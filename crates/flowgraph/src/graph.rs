@@ -138,7 +138,9 @@ impl GraphRead for FlowGraph {
 
 /// One node of a flowgraph in fully explicit form — the reassembly input
 /// for decoders that store graphs outside [`FlowGraph`] (the columnar
-/// snapshot sections). Field meanings match [`FlowGraph`]'s accessors.
+/// snapshot sections) and for writers that produce a canonical table
+/// directly (the cube build). Field meanings match [`FlowGraph`]'s
+/// accessors.
 #[derive(Clone, Debug)]
 pub struct NodeSpec {
     pub loc: ConceptId,
@@ -146,7 +148,9 @@ pub struct NodeSpec {
     pub children: Vec<NodeId>,
     pub count: u64,
     pub terminate: u64,
-    /// `(duration, count)` observations; any order — re-sorted on build.
+    /// `(duration, count)` observations: any order for
+    /// [`FlowGraph::from_nodes`], which re-sorts them; ascending for
+    /// [`FlowGraph::from_canonical`], which does not.
     pub durations: Vec<(DurValue, u64)>,
 }
 
@@ -264,6 +268,33 @@ impl FlowGraph {
             nodes: out,
             total_paths,
         })
+    }
+
+    /// A flowgraph whose node table the caller writes node by node,
+    /// already in canonical order (root first; pre-order, children by
+    /// location; children lists ascending; durations ascending by key, no
+    /// key twice). The table is allocated once at exactly `nodes.len()`
+    /// and each node's durations become its distribution as they are
+    /// ([`CountDist::from_sorted`]): no growth, no re-sort, no
+    /// [`FlowGraph::canonicalize`]. Ids are trusted — the builder's
+    /// counterpart of [`FlowGraph::from_nodes`], which checks them.
+    pub fn from_canonical(
+        nodes: impl ExactSizeIterator<Item = NodeSpec>,
+        total_paths: u64,
+    ) -> Self {
+        let mut table = Vec::with_capacity(nodes.len());
+        table.extend(nodes.map(|spec| Node {
+            loc: spec.loc,
+            parent: spec.parent,
+            children: spec.children,
+            count: spec.count,
+            terminate: spec.terminate,
+            durations: CountDist::from_sorted(spec.durations),
+        }));
+        FlowGraph {
+            nodes: table,
+            total_paths,
+        }
     }
 
     /// Total paths summarized.
@@ -754,6 +785,25 @@ mod tests {
         for (prefix, old) in prefixes {
             assert_eq!(c.node_by_prefix(&prefix), Some(remap[old.index()]));
         }
+    }
+
+    /// Writing a canonical graph's own table back node by node gives the
+    /// same graph, byte for byte.
+    #[test]
+    fn from_canonical_rebuilds_a_canonical_table() {
+        let (mut g, _) = figure3_graph();
+        g.canonicalize();
+        let nodes = (0..g.len() as u32).map(NodeId).map(|n| NodeSpec {
+            loc: g.location(n),
+            parent: g.parent(n),
+            children: g.children(n).to_vec(),
+            count: g.count(n),
+            terminate: g.terminate_count(n),
+            durations: g.durations(n).iter().collect(),
+        });
+        let rebuilt = FlowGraph::from_canonical(nodes, g.total_paths());
+        let enc = |g: &FlowGraph| serde_json::to_string(g).unwrap();
+        assert_eq!(enc(&rebuilt), enc(&g));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!   (Lemma 4.2) assembles higher-level graphs from materialized ones.
 //! * [`exception`] — the holistic component (Lemma 4.3): frequent path
 //!   segments whose presence shifts a node's distributions by more than ε.
-//! * [`similarity`] — KL / L∞ divergences between flowgraphs and the
+//! * [`similarity`] — the KL divergence between flowgraphs and the
 //!   Definition 4.4 redundancy test.
 
 pub mod diff;
@@ -24,4 +24,4 @@ pub use exception::{
 };
 pub use graph::{FlowGraph, GraphRead, NodeId, NodeSpec};
 pub use query::{path_probability, predict_next, top_k_paths, ScoredPath};
-pub use similarity::{is_redundant, FlowSimilarity, KlSimilarity, L1Similarity};
+pub use similarity::{is_redundant, FlowSimilarity, KlSimilarity};

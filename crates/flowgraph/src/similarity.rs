@@ -5,15 +5,16 @@
 //! flowgraphs … other metrics, based for example on PDFA distance, could
 //! be used") and notes φ need not satisfy the triangle inequality. We
 //! expose a [`FlowSimilarity`] trait measuring a *divergence* (0 =
-//! identical), with two implementations:
+//! identical), implemented by [`KlSimilarity`]: the expected per-node KL
+//! divergence of the transition and duration distributions, weighted by
+//! the child graph's reach probabilities. This is the standard
+//! decomposition of the KL divergence between the path distributions
+//! induced by two tree-structured Markov models.
 //!
-//! * [`KlSimilarity`] — expected per-node KL divergence of the transition
-//!   and duration distributions, weighted by the child graph's reach
-//!   probabilities. This is the standard decomposition of the KL
-//!   divergence between the path distributions induced by two
-//!   tree-structured Markov models.
-//! * [`L1Similarity`] — the same reach-weighted sum with the L∞ deviation
-//!   per node; cheaper and threshold-compatible with ε.
+//! The cube build decides Definition 4.4 on count vectors instead
+//! (`flowcube_core`'s counts module), summing the same terms in the same
+//! order; [`KlSimilarity::divergence`] and [`is_redundant`] are the
+//! definitions it is tested against.
 
 use crate::graph::{FlowGraph, NodeId};
 use serde::{Deserialize, Serialize};
@@ -74,36 +75,6 @@ impl FlowSimilarity for KlSimilarity {
     }
 }
 
-/// Reach-weighted L∞ deviation over the union tree; directly comparable
-/// with the exception threshold ε.
-#[derive(Copy, Clone, Debug, Default, Serialize, Deserialize)]
-pub struct L1Similarity;
-
-impl FlowSimilarity for L1Similarity {
-    fn divergence(&self, child: &FlowGraph, parent: &FlowGraph) -> f64 {
-        let mut total = 0.0;
-        for n in child.node_ids() {
-            let w = child.reach_probability(n);
-            if w == 0.0 {
-                continue;
-            }
-            let prefix = child.prefix_of(n);
-            match parent.node_by_prefix(&prefix) {
-                Some(m) => {
-                    total += w * child.transitions(n).max_deviation(&parent.transitions(m));
-                    if n != NodeId::ROOT {
-                        total += w * child.durations(n).max_deviation(parent.durations(m));
-                    }
-                }
-                None => {
-                    total += w * 2.0; // maximal disagreement on both dists
-                }
-            }
-        }
-        total
-    }
-}
-
 /// Definition 4.4: `child` is redundant when it is similar to **every**
 /// parent cell's flowgraph — i.e. the divergence stays within `tau` for
 /// all of them. Cells with no parents (the apex) are never redundant.
@@ -140,7 +111,6 @@ mod tests {
         let paths = vec![path(&[(1, 2), (2, 3)]), path(&[(1, 2), (3, 1)])];
         let g = graph(&paths);
         assert!(KlSimilarity::default().divergence(&g, &g) < 1e-9);
-        assert!(L1Similarity.divergence(&g, &g) < 1e-9);
     }
 
     #[test]
@@ -156,8 +126,6 @@ mod tests {
         let d_close = kl.divergence(&close, &base);
         let d_far = kl.divergence(&far, &base);
         assert!(d_close < d_far, "{d_close} !< {d_far}");
-        let l1 = L1Similarity;
-        assert!(l1.divergence(&close, &base) < l1.divergence(&far, &base));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   and cardinality analysis".
 
 use crate::cut::PathLevel;
-use crate::level::ItemLevel;
+use crate::level::{DurationLevel, ItemLevel};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -94,9 +94,45 @@ impl ItemLattice {
 
 /// The set of path abstraction levels selected for materialization,
 /// ordered by the coarser-than relation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Deserializing one checks it as [`PathLatticeSpec::try_new`] does, so
+/// a spec that arrives as bytes — a snapshot section, a cube file, a
+/// shard part — holds the same invariants as one built in the program.
+#[derive(Debug, Clone, Serialize)]
 pub struct PathLatticeSpec {
     levels: Vec<PathLevel>,
+}
+
+/// A [`PathLatticeSpec`] as bytes spell it, before it is checked.
+#[derive(Deserialize)]
+struct RawPathLatticeSpec {
+    levels: Vec<PathLevel>,
+}
+
+impl<'de> Deserialize<'de> for PathLatticeSpec {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::de::Error> {
+        let levels = RawPathLatticeSpec::from_value(value)?.levels;
+        let invalid =
+            |detail: String| serde::de::Error::custom(format!("path lattice spec: {detail}"));
+        if levels.is_empty() {
+            return Err(invalid("no path levels".into()));
+        }
+        if levels.len() > PathLevelId::MAX as usize {
+            return Err(invalid(format!("{} path levels", levels.len())));
+        }
+        // `Bucket(0)` divides by zero wherever durations are aggregated
+        // or compared.
+        if let Some(level) = levels
+            .iter()
+            .find(|l| l.duration == DurationLevel::Bucket(0))
+        {
+            return Err(invalid(format!(
+                "level {:?} has zero-width duration buckets",
+                level.name
+            )));
+        }
+        PathLatticeSpec::try_new(levels).map_err(|e| invalid(e.to_string()))
+    }
 }
 
 /// Index of a [`PathLevel`] within a [`PathLatticeSpec`].
@@ -261,6 +297,44 @@ mod tests {
         // fine/* and coarse/raw are incomparable
         assert_eq!(spec.coarser_than(1), vec![3]);
         assert_eq!(spec.coarser_than(2), vec![3]);
+    }
+
+    /// A spec from bytes meets the checks of one built in the program: a
+    /// level listed twice, no level at all, or zero-width buckets are a
+    /// deserialization error, not a panic or a stack overflow later.
+    #[test]
+    fn a_deserialized_spec_is_checked() {
+        let mut h = ConceptHierarchy::new("location");
+        h.add_path(["transportation", "truck"]).unwrap();
+        let level = |name: &str, duration| {
+            PathLevel::new(name, LocationCut::uniform_level(&h, 2), duration)
+        };
+        let good = PathLatticeSpec::new(vec![
+            level("raw", DurationLevel::Raw),
+            level("any", DurationLevel::Any),
+        ]);
+        let back = PathLatticeSpec::from_value(&good.to_value()).unwrap();
+        assert_eq!(back.levels(), good.levels());
+        let from =
+            |levels: Vec<PathLevel>| PathLatticeSpec::from_value(&RawSpec { levels }.to_value());
+        let err = from(vec![
+            level("a", DurationLevel::Raw),
+            level("b", DurationLevel::Raw),
+        ])
+        .unwrap_err();
+        assert!(err.to_string().contains("same level"), "{err}");
+        assert!(from(Vec::new()).is_err());
+        let err = from(vec![
+            level("b0", DurationLevel::Bucket(0)),
+            level("b2", DurationLevel::Bucket(2)),
+        ])
+        .unwrap_err();
+        assert!(err.to_string().contains("zero-width"), "{err}");
+    }
+
+    #[derive(Serialize)]
+    struct RawSpec {
+        levels: Vec<PathLevel>,
     }
 
     #[test]

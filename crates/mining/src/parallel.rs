@@ -137,7 +137,9 @@ where
 ///
 /// The `mining.chunk` failpoint (`flowcube-testkit`) fires at the top
 /// of every chunk execution, including serial runs and retries — arming
-/// it with a one-shot panic exercises exactly this recovery path.
+/// it with a one-shot panic exercises exactly this recovery path — and
+/// so does a failpoint named `name`, which reaches one phase's chunks
+/// only.
 pub fn run_chunks_counted<R, F>(
     name: &'static str,
     n: usize,
@@ -151,6 +153,7 @@ where
 {
     let run_one = |r: Range<usize>| {
         flowcube_testkit::fail_point_unit("mining.chunk");
+        flowcube_testkit::fail_point_unit(name);
         f(r)
     };
     let ranges = chunk_ranges(n, chunks);

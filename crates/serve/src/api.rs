@@ -34,7 +34,7 @@ use crate::deltalog;
 use crate::error::{ApiError, SnapshotError};
 use crate::http::Request;
 use crate::server::{Scope, Service};
-use crate::snapshot::{run_sections, Snapshot};
+use crate::snapshot::Snapshot;
 use flowcube_core::{
     display_key, view, CellKey, CubeDelta, Cuboid, CuboidKey, CuboidRead, FlowCube, Route,
 };
@@ -152,42 +152,6 @@ impl ServedCube {
         ColumnarSection::validate(bytes, &ctx, schema, &label).map(Some)
     }
 
-    /// Hydrate the given cuboids if not yet resident — the missing
-    /// sections side by side when a request needs many (the first
-    /// point lookup at a path level needs every item level).
-    fn ensure<'a>(
-        &self,
-        keys: impl IntoIterator<Item = &'a CuboidKey>,
-    ) -> Result<(), SnapshotError> {
-        let mut missing: Vec<&CuboidKey> = {
-            let resident = self.resident.read();
-            keys.into_iter()
-                .filter(|k| !resident.contains_key(k))
-                .collect()
-        };
-        if missing.is_empty() {
-            return Ok(());
-        }
-        // Held across the loads, so racing workers do not each read (and
-        // re-encode) the same section.
-        let mut resident = self.resident.write();
-        missing.retain(|k| !resident.contains_key(*k));
-        missing.sort_unstable();
-        missing.dedup();
-        let loaded = run_sections(
-            "serve.snapshot.hydrate",
-            self.shell().params(),
-            missing.len(),
-            |i| self.load(missing[i]),
-        );
-        // Sections before the first failure stay; the failure is not
-        // memoized, so a transient fault costs one request.
-        for (key, section) in missing.into_iter().zip(loaded) {
-            resident.insert(key.clone(), section?.map(Arc::new));
-        }
-        Ok(())
-    }
-
     /// Every cuboid key of the served cube: snapshot ∪ delta keys (a key
     /// may repeat).
     fn all_keys(&self) -> impl Iterator<Item = &CuboidKey> {
@@ -195,8 +159,9 @@ impl ServedCube {
         self.snapshot.cuboid_keys().chain(delta_keys)
     }
 
-    /// The hydrated section at `(item level, path level)`, if any cell
-    /// is materialized there.
+    /// The section at `(item level, path level)`, if any cell is
+    /// materialized there — hydrated on first touch. A load failure is not
+    /// memoized, so a transient fault costs one request.
     fn cuboid(
         &self,
         item_level: &ItemLevel,
@@ -206,37 +171,49 @@ impl ServedCube {
             item_level: item_level.clone(),
             path_level,
         };
-        self.ensure([&key])?;
-        Ok(self.resident.read().get(&key).cloned().flatten())
+        if let Some(section) = self.resident.read().get(&key) {
+            return Ok(section.clone());
+        }
+        // Held across the load, so racing workers do not each read (and
+        // re-encode) the same section.
+        let mut resident = self.resident.write();
+        if let Some(section) = resident.get(&key) {
+            return Ok(section.clone());
+        }
+        let section = self.load(&key)?.map(Arc::new);
+        resident.insert(key, section.clone());
+        Ok(section)
     }
 
     /// Point lookup with ancestor fallback ([`view::lookup_route`]): the
-    /// route taken, the answering section, and the cell's row in it.
-    /// Hydrates every cuboid at the path level first — the ancestor walk
-    /// may probe any item level.
+    /// route taken, the answering section, and the cell's row in it. Each
+    /// probe of the walk hydrates only the section it asks about; the
+    /// first section that fails to load ends the walk and is the answer.
     fn lookup(
         &self,
         key: &[ConceptId],
         path_level: PathLevelId,
     ) -> Result<(Route, Arc<ColumnarSection>, usize), ApiError> {
-        self.ensure(self.all_keys().filter(|k| k.path_level == path_level))?;
-        let resident = self.resident.read();
-        let at = |item_level: &ItemLevel| {
-            let key = CuboidKey {
-                item_level: item_level.clone(),
-                path_level,
-            };
-            resident.get(&key).and_then(Option::as_ref)
-        };
-        view::lookup_route(self.shell().schema(), key, |lvl, k| {
-            at(lvl).is_some_and(|section| section.contains(k))
-        })
-        .and_then(|route| {
-            let section = at(&route.item_level)?.clone();
-            let row = section.find(&route.key)?;
-            Some((route, section, row))
-        })
-        .ok_or_else(|| ApiError::NotFound("no materialized cell or ancestor".into()))
+        let failed: std::cell::Cell<Option<SnapshotError>> = std::cell::Cell::new(None);
+        let route = view::lookup_route(self.shell().schema(), key, |lvl, k| {
+            match self.cuboid(lvl, path_level) {
+                Ok(section) => section.is_some_and(|section| section.contains(k)),
+                Err(e) => {
+                    failed.set(Some(e));
+                    true // stop the walk: the lookup fails with `e`
+                }
+            }
+        });
+        if let Some(e) = failed.into_inner() {
+            return Err(e.into());
+        }
+        route
+            .and_then(|route| {
+                let section = self.cuboid(&route.item_level, path_level).ok()??;
+                let row = section.find(&route.key)?;
+                Some((route, section, row))
+            })
+            .ok_or_else(|| ApiError::NotFound("no materialized cell or ancestor".into()))
     }
 
     /// Cuboids currently resident in memory.

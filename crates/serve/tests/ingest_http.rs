@@ -382,7 +382,8 @@ fn patched_cuboid_below_min_support_disappears() {
     assert!(cell.contains("\"source_cell\":\"(*, *)\""), "got {cell:?}");
     assert!(cell.contains("\"support\":110"), "got {cell:?}");
 
-    // The lookup probed every cuboid of the level; only the apex stayed.
+    // The lookup probed (1, 0), empty after the overlay, then the apex:
+    // only the apex holds cells.
     let (status, _, stats) = get(addr, "/stats", &[]);
     assert_eq!(status, 200);
     assert!(stats.contains("\"resident_cuboids\":1"), "got {stats:?}");

@@ -488,6 +488,37 @@ fn v2_bit_flip_under_crc_is_typed() {
     }
 }
 
+/// A spec section that lists one path level twice, with every checksum
+/// repaired: the spec is checked as it is decoded, so `open` returns the
+/// typed error instead of handing mining a lattice it would recurse on
+/// until the stack overflowed.
+#[test]
+fn spec_section_with_a_repeated_level_is_typed() {
+    let (full, _) = v2_bytes_with_cuboid("spec-base.snap", 1);
+    let (index, _) = parse_container(&full);
+    let target = index
+        .iter()
+        .position(|d| d.kind == "spec")
+        .expect("a spec section");
+    let bad = rebuild_with_patched_section(&full, target, |p| {
+        let mut spec = serde_json::parse_value_str(std::str::from_utf8(p).unwrap()).unwrap();
+        let serde_json::Value::Object(fields) = &mut spec else {
+            panic!("the spec is an object")
+        };
+        let (_, serde_json::Value::Array(levels)) = &mut fields[0] else {
+            panic!("its one field is the level list")
+        };
+        levels.push(levels[0].clone());
+        *p = serde_json::to_string(&spec).unwrap().into_bytes();
+    });
+    match open_and_verify(&bad, "spec.snap") {
+        Err(SnapshotError::Corrupt { detail }) => {
+            assert!(detail.contains("same level"), "got {detail:?}")
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
 /// A file cut short *after* `open` admitted its index: every section
 /// past the cut is a short read for whichever worker hydrates it. Typed
 /// error, the same one at any thread count, never a panic.

@@ -1,14 +1,16 @@
 //! Whatever order a spec lists its duration levels in, and whether a
-//! level's flowgraphs were walked or rolled up from a finer level on the
-//! same location cut, every materialized cell holds the graph of
-//! Definition 3.1: its own paths, aggregated at its own path level,
-//! walked and canonicalized — and the exceptions mined from exactly
-//! those paths, whether they were mined before redundancy pruning or,
-//! as the build does, only for the cells that survive it.
+//! level's counts were taken from the path dictionary or rolled up from
+//! a finer level on the same location cut, every materialized cell holds
+//! the graph of Definition 3.1: its own paths, aggregated at its own path
+//! level, walked and canonicalized — and the exceptions mined from
+//! exactly those paths, whether they were mined before redundancy
+//! pruning or, as the build does, only for the cells that survive it.
+//! The cells the build stores are the ones Definition 4.4, applied to
+//! those graphs with `is_redundant` and the KL metric, keeps.
 
 use flowcube::core::aggregate_key;
 use flowcube::datagen::{generate, DimShape, GeneratorConfig};
-use flowcube::flowgraph::{mine_exceptions, ExceptionParams};
+use flowcube::flowgraph::{is_redundant, mine_exceptions, ExceptionParams, KlSimilarity};
 use flowcube::hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
 use flowcube::pathdb::{aggregate_stages, AggStage, MergePolicy};
 use flowcube::{FlowCube, FlowCubeParams, FlowGraph, ItemPlan};
@@ -35,7 +37,7 @@ proptest! {
         picks in prop::collection::vec((0usize..DURATIONS.len(), 0u8..2), 2..=5),
         merge in 0usize..3,
         exceptions in 0u8..2,
-        prune in 0u8..2,
+        tau in 0usize..3,
     ) {
         let config = GeneratorConfig {
             num_paths: 200,
@@ -70,19 +72,47 @@ proptest! {
             .with_threads(2)
             .with_parallel_cutoff(2);
         params.merge = [MergePolicy::Sum, MergePolicy::Max, MergePolicy::First][merge];
-        if prune == 1 {
-            params.redundancy_tau = Some(0.05);
-        }
+        params.redundancy_tau = [None, Some(0.05), Some(0.3)][tau];
         let cube = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
         prop_assert!(cube.total_cells() > 0);
 
-        // Definition 4.4 reads flowgraphs only, so attaching exceptions
-        // to every cell and pruning afterwards stores the same cells with
-        // the same exceptions.
         if let Some(tau) = params.redundancy_tau {
             let mut unpruned = params.clone();
             unpruned.redundancy_tau = None;
             let mut exceptions_first = FlowCube::build(&db, spec.clone(), unpruned, ItemPlan::All);
+
+            // Definition 4.4 on the graphs themselves: the build, which
+            // decides on counts, stores exactly the cells it keeps.
+            let metric = KlSimilarity::default();
+            let mut kept = Vec::new();
+            let mut redundant = 0;
+            for (ck, keys) in exceptions_first.all_cells() {
+                let cuboid = exceptions_first.cuboid(&ck.item_level, ck.path_level).unwrap();
+                let mut keys_kept = Vec::new();
+                for key in keys {
+                    let parents: Vec<&FlowGraph> = (ck.item_level.parents().into_iter())
+                        .filter_map(|level| {
+                            let parent_key = aggregate_key(&key, &level, db.schema());
+                            let parent = exceptions_first.cuboid(&level, ck.path_level)?;
+                            Some(&parent.get(&parent_key)?.graph)
+                        })
+                        .collect();
+                    if is_redundant(&cuboid.get(&key).unwrap().graph, &parents, &metric, tau) {
+                        redundant += 1;
+                    } else {
+                        keys_kept.push(key);
+                    }
+                }
+                if !keys_kept.is_empty() {
+                    kept.push((ck, keys_kept));
+                }
+            }
+            prop_assert_eq!(redundant, cube.stats().cells_pruned_redundant);
+            prop_assert_eq!(&kept, &cube.all_cells());
+
+            // Definition 4.4 reads flowgraphs only, so attaching exceptions
+            // to every cell and pruning afterwards — the federated merge's
+            // order — stores the same cells with the same exceptions.
             let dropped = exceptions_first.prune_redundant(tau);
             prop_assert_eq!(dropped, cube.stats().cells_pruned_redundant);
             prop_assert_eq!(exceptions_first.all_cells(), cube.all_cells());

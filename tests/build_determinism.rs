@@ -2,8 +2,8 @@
 //! snapshot of a fixed-seed cube is pinned by digest, and the thread
 //! count, a retried chunk and the materialization plan change nothing.
 //!
-//! The `mining.chunk` failpoint is process-global, so every test in this
-//! binary takes [`serial`] first.
+//! The chunk failpoints are process-global, so every test in this binary
+//! takes [`serial`] first.
 
 use flowcube::datagen::{generate, DimShape, GeneratorConfig};
 use flowcube::hier::{DurationLevel, ItemLevel, LocationCut, PathLatticeSpec, PathLevel};
@@ -110,6 +110,30 @@ fn golden_snapshot_digest() {
     testkit::reset();
     assert_eq!(fired, 1, "the fault must land in the writer");
     assert_eq!(sha256_hex(&healed), GOLDEN_SHA256);
+}
+
+/// The build itself at any thread count, and with one count chunk or one
+/// redundancy chunk panicking once (recomputed serially), lands on the
+/// golden digest — exceptions on, τ set, every phase running.
+#[test]
+fn golden_digest_holds_at_any_build_thread_count_and_after_a_retried_chunk() {
+    let _guard = serial();
+    let (db, spec) = fixture();
+    let build = |threads| FlowCube::build(&db, spec.clone(), params(threads), ItemPlan::All);
+    for threads in [1, 2, 3, 7] {
+        let bytes = snapshot_bytes(&build(threads), "golden-build-tn");
+        assert_eq!(sha256_hex(&bytes), GOLDEN_SHA256, "build threads={threads}");
+    }
+    for phase in ["build.materialize.chunk", "build.redundancy.chunk"] {
+        testkit::arm_times(phase, 1, FailAction::Panic(None));
+        let healed = build(2);
+        let fired = testkit::hits(phase);
+        testkit::reset();
+        assert_eq!(fired, 1, "the fault must land in {phase}");
+        assert_eq!(healed.stats().chunk_retries, 1, "{phase}");
+        let bytes = snapshot_bytes(&healed, "golden-build-healed");
+        assert_eq!(sha256_hex(&bytes), GOLDEN_SHA256, "{phase}");
+    }
 }
 
 #[test]

@@ -57,7 +57,7 @@ fn parallel_build_chrome_trace_wellformed() {
     obs::enable();
     let db = test_db();
     let spec = two_level_spec(&db);
-    let mut params = FlowCubeParams::new(20);
+    let mut params = FlowCubeParams::new(20).with_redundancy(0.05);
     params.threads = 2;
     let cube = FlowCube::build(&db, spec, params, ItemPlan::All);
     let snap = std::env::temp_dir().join(format!("flowcube-obs-trace-{}.snap", std::process::id()));
@@ -124,9 +124,11 @@ fn parallel_build_chrome_trace_wellformed() {
         "mining.apriori",
         "mining.scan",
         "build.prepare",
+        "build.dictionary",
         "build.materialize",
         "build.cell",
         "build.redundancy",
+        "build.graphs",
         "build.exceptions",
         "serve.snapshot.write",
         "serve.snapshot.intern",
@@ -176,6 +178,21 @@ fn parallel_build_chrome_trace_wellformed() {
     assert!(cell_hist.count > 0);
     assert!(cell_hist.p50 <= cell_hist.p99);
     assert!(snapshot.gauges.contains_key("build.cells_materialized"));
+    // Definition 4.4 on counts: parent comparisons, the ones cut short
+    // past τ, and a graph written per stored cell only.
+    for counter in [
+        "build.redundancy.comparisons",
+        "build.redundancy.early_exit",
+    ] {
+        assert!(
+            snapshot.counters.get(counter).is_some_and(|&n| n > 0),
+            "{counter} missing or zero"
+        );
+    }
+    assert_eq!(
+        snapshot.gauges.get("build.graphs_built"),
+        Some(&(cube.total_cells() as f64))
+    );
     #[cfg(target_os = "linux")]
     assert!(snapshot.gauges.contains_key("process.peak_rss_bytes"));
 }
