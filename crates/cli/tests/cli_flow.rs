@@ -148,10 +148,13 @@ fn build_with_trace_and_metrics_out() {
     }
     assert!(trace_text.contains("\"build\""), "root build span missing");
     // Every phase `BuildStats` times is a span of its own, the exceptions
-    // pass (folded into `materialize_time`) included.
+    // pass (folded into `materialize_time`) included, and so are mining's
+    // row pass and pair pre-count.
     for phase in [
         "build.encode",
         "build.mine",
+        "mining.bitmaps",
+        "mining.precount",
         "build.prepare",
         "build.dictionary",
         "build.materialize",
@@ -167,6 +170,7 @@ fn build_with_trace_and_metrics_out() {
     assert!(metrics_text.contains("candidates.len1"));
     assert!(metrics_text.contains("mining.shared.pruned.family"));
     for series in [
+        "mining.bitmap_bytes",
         "build.cell_materialize_us",
         "build.redundancy.comparisons",
         "build.graphs_built",

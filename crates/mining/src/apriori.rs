@@ -1,7 +1,9 @@
 //! Core Apriori machinery shared by the `Shared`, `Basic`, and `Cubing`
-//! algorithms: candidate generation with pluggable pruning, a candidate
-//! prefix-trie, and subset counting.
+//! algorithms: candidate generation with pluggable pruning, and one
+//! counting pass per pattern length on the vertical bitmap (per-item tid
+//! rows, AND + popcount).
 
+use crate::bitmap::TidRows;
 use crate::item::ItemId;
 use flowcube_hier::FxHashSet;
 use serde::{Deserialize, Serialize};
@@ -30,7 +32,8 @@ pub struct MiningStats {
     pub pruned_unlinkable: u64,
     /// Candidates discarded thanks to pre-counted high-level patterns.
     pub pruned_precount: u64,
-    /// Number of full passes over the transaction data.
+    /// Counting passes: one counting pass per pattern length (per cell,
+    /// for Cubing).
     pub scans: u64,
     /// Cells mined (Cubing only).
     pub cells_mined: u64,
@@ -126,80 +129,6 @@ impl MiningStats {
         self.tidlist_items += other.tidlist_items;
         self.io_bytes_read += other.io_bytes_read;
         self.precounted_patterns += other.precounted_patterns;
-    }
-}
-
-/// Prefix trie over a fixed set of same-length candidates, used to count
-/// candidate support in one pass per transaction.
-pub struct CandidateTrie {
-    /// Flattened nodes; children are (item, node index) sorted by item.
-    children: Vec<Vec<(ItemId, u32)>>,
-    /// Candidate index at leaf depth (`u32::MAX` = none).
-    leaf: Vec<u32>,
-    k: usize,
-}
-
-impl CandidateTrie {
-    /// Build a trie over `candidates` (each sorted, all of length `k`).
-    pub fn build(candidates: &[Itemset], k: usize) -> Self {
-        let mut trie = CandidateTrie {
-            children: vec![Vec::new()],
-            leaf: vec![u32::MAX],
-            k,
-        };
-        for (ci, cand) in candidates.iter().enumerate() {
-            debug_assert_eq!(cand.len(), k);
-            let mut cur = 0u32;
-            for &item in cand.iter() {
-                let node = &mut trie.children[cur as usize];
-                cur = match node.binary_search_by_key(&item, |&(it, _)| it) {
-                    Ok(i) => node[i].1,
-                    Err(i) => {
-                        let new = trie.leaf.len() as u32;
-                        trie.children[cur as usize].insert(i, (item, new));
-                        trie.children.push(Vec::new());
-                        trie.leaf.push(u32::MAX);
-                        new
-                    }
-                };
-            }
-            trie.leaf[cur as usize] = ci as u32;
-        }
-        trie
-    }
-
-    /// Add every candidate contained in `transaction` to `counts`.
-    pub fn count_transaction(&self, transaction: &[ItemId], counts: &mut [u64]) {
-        self.walk(0, transaction, 1, counts);
-    }
-
-    fn walk(&self, node: u32, tail: &[ItemId], depth: usize, counts: &mut [u64]) {
-        // Two-pointer intersection of the node's children with the
-        // remaining transaction suffix (both sorted ascending).
-        let children = &self.children[node as usize];
-        if children.is_empty() {
-            return;
-        }
-        let mut ci = 0;
-        let mut ti = 0;
-        while ci < children.len() && ti < tail.len() {
-            let (item, child) = children[ci];
-            match item.cmp(&tail[ti]) {
-                std::cmp::Ordering::Less => ci += 1,
-                std::cmp::Ordering::Greater => ti += 1,
-                std::cmp::Ordering::Equal => {
-                    if depth == self.k {
-                        let leaf = self.leaf[child as usize];
-                        debug_assert_ne!(leaf, u32::MAX);
-                        counts[leaf as usize] += 1;
-                    } else {
-                        self.walk(child, &tail[ti + 1..], depth + 1, counts);
-                    }
-                    ci += 1;
-                    ti += 1;
-                }
-            }
-        }
     }
 }
 
@@ -405,41 +334,19 @@ fn batch_units_by_cost(units: &[(usize, usize)], threads: usize) -> Vec<std::ops
     out
 }
 
-/// Count `candidates` (all length `k`) over `transactions`, returning the
-/// support of each. The trie is built once and shared read-only; workers
-/// count disjoint transaction chunks into private vectors that are summed
-/// in chunk order (addition commutes — any merge order gives the serial
-/// counts, we keep chunk order anyway for uniformity).
-pub fn count_candidates(
+/// One counting pass: the support of each of `candidates` (all length
+/// `k`, in [`generate_candidates`] order) on `rows` (see
+/// [`TidRows::count`] for `threads`). Opens the `mining.scan` span and
+/// charges the pass to `stats`.
+pub(crate) fn count_candidates(
     candidates: &[Itemset],
     k: usize,
-    transactions: &[&[ItemId]],
+    rows: &TidRows,
     threads: usize,
     stats: &mut MiningStats,
 ) -> Vec<u64> {
-    let _scan_span = flowcube_obs::span!(
-        "mining.scan",
-        k = k,
-        candidates = candidates.len(),
-        threads = threads,
-    );
-    let trie = CandidateTrie::build(candidates, k);
-    let trie = &trie;
-    let parts =
-        crate::parallel::run_chunks("mining.scan.chunk", transactions.len(), threads, |r| {
-            let mut counts = vec![0u64; candidates.len()];
-            for &t in &transactions[r] {
-                if t.len() >= k {
-                    trie.count_transaction(t, &mut counts);
-                }
-            }
-            counts
-        });
-    let mut parts = parts.into_iter();
-    let mut counts = parts.next().unwrap_or_else(|| vec![0u64; candidates.len()]);
-    for part in parts {
-        crate::parallel::merge_counts(&mut counts, &part);
-    }
+    let _scan_span = flowcube_obs::span!("mining.scan", k = k, candidates = candidates.len());
+    let counts = rows.count(candidates, threads);
     stats.scans += 1;
     MiningStats::bump(&mut stats.counted_by_length, k, candidates.len() as u64);
     counts
@@ -451,32 +358,6 @@ mod tests {
 
     fn ids(v: &[u32]) -> Itemset {
         v.iter().map(|&x| ItemId(x)).collect()
-    }
-
-    #[test]
-    fn trie_counts_subsets() {
-        let candidates = vec![ids(&[1, 2]), ids(&[1, 3]), ids(&[2, 4])];
-        let trie = CandidateTrie::build(&candidates, 2);
-        let mut counts = vec![0u64; 3];
-        let t: Vec<ItemId> = [1u32, 2, 3].iter().map(|&x| ItemId(x)).collect();
-        trie.count_transaction(&t, &mut counts);
-        assert_eq!(counts, vec![1, 1, 0]);
-        let t2: Vec<ItemId> = [2u32, 4].iter().map(|&x| ItemId(x)).collect();
-        trie.count_transaction(&t2, &mut counts);
-        assert_eq!(counts, vec![1, 1, 1]);
-    }
-
-    #[test]
-    fn trie_counts_triples() {
-        let candidates = vec![ids(&[1, 2, 3]), ids(&[1, 2, 4])];
-        let trie = CandidateTrie::build(&candidates, 3);
-        let mut counts = vec![0u64; 2];
-        let t: Vec<ItemId> = [1u32, 2, 3, 4].iter().map(|&x| ItemId(x)).collect();
-        trie.count_transaction(&t, &mut counts);
-        assert_eq!(counts, vec![1, 1]);
-        let t: Vec<ItemId> = [1u32, 2].iter().map(|&x| ItemId(x)).collect();
-        trie.count_transaction(&t, &mut counts);
-        assert_eq!(counts, vec![1, 1]); // too short, unchanged
     }
 
     #[test]
@@ -527,11 +408,12 @@ mod tests {
             [1u32, 2].iter().map(|&x| ItemId(x)).collect(),
             [2u32, 3].iter().map(|&x| ItemId(x)).collect(),
         ];
-        let candidates = vec![ids(&[1, 2]), ids(&[2, 3]), ids(&[1, 3])];
+        let mut rows = TidRows::new(3, vec![ItemId(1), ItemId(2), ItemId(3)], 4, |i| i);
+        crate::bitmap::fill_rows(transactions.iter().map(|t| t.as_slice()), &mut [&mut rows]);
+        let candidates = vec![ids(&[1, 2]), ids(&[1, 3]), ids(&[2, 3])];
         let mut stats = MiningStats::default();
-        let tx_slices: Vec<&[ItemId]> = transactions.iter().map(|t| t.as_slice()).collect();
-        let counts = count_candidates(&candidates, 2, &tx_slices, 1, &mut stats);
-        assert_eq!(counts, vec![2, 2, 1]);
+        let counts = count_candidates(&candidates, 2, &rows, 1, &mut stats);
+        assert_eq!(counts, vec![2, 1, 2]);
         assert_eq!(stats.scans, 1);
         assert_eq!(stats.counted_by_length, vec![0, 3]);
     }

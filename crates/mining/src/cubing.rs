@@ -7,10 +7,16 @@
 //! re-generated and re-counted in every cell — and (2) the tid-list
 //! measures it must materialize and re-read for every cell. Both are
 //! deliberately reproduced (and measured in [`MiningStats`]).
+//!
+//! Inside a cell, the Apriori run counts its items in one pass over the
+//! cell's transactions, sets the tid rows of the frequent ones (one bit
+//! per transaction of the cell) in a second, and counts every longer
+//! candidate on those rows, one counting pass per length.
 
 use crate::apriori::{
     count_candidates, generate_candidates, Itemset, MiningStats, PruneHooks, PruneReason,
 };
+use crate::bitmap::{fill_rows, TidRows};
 use crate::buc::buc_iceberg;
 use crate::encode::TransactionDb;
 use crate::item::ItemId;
@@ -50,9 +56,12 @@ pub struct CubingConfig {
     /// the paper's point, not the local candidate hygiene.
     pub local_pruning: bool,
     pub io: CubingIo,
-    /// Worker threads for each cell's counting scans (`0` = auto; see
-    /// [`SharedConfig::threads`](crate::shared::SharedConfig)). Cells at
-    /// or below the parallel cutoff — most of them — scan serially.
+    /// Worker threads for each cell's candidate generation and counting
+    /// passes (`0` = auto; see
+    /// [`SharedConfig::threads`](crate::shared::SharedConfig)): generation
+    /// plans from the cell's transaction count, a counting pass from its
+    /// candidate count, and either runs serially at or below the parallel
+    /// cutoff.
     #[serde(default)]
     pub threads: usize,
 }
@@ -258,6 +267,13 @@ pub fn mine_cubing(
         for s in &prev {
             push_pattern(&mut out, &cell_items, s, counts[&s[0]]);
         }
+        let mut rows = TidRows::new(
+            cell_tx.len(),
+            prev.iter().map(|s| s[0]).collect(),
+            dict.len(),
+            |i| i,
+        );
+        fill_rows(cell_tx.iter().copied(), &mut [&mut rows]);
         let mut k = 2;
         while !prev.is_empty() {
             let pair_ok = |a: ItemId, b: ItemId| -> (bool, PruneReason) {
@@ -281,7 +297,7 @@ pub fn mine_cubing(
             if candidates.is_empty() {
                 break;
             }
-            let supports = count_candidates(&candidates, k, &cell_tx, cell_threads, &mut stats);
+            let supports = count_candidates(&candidates, k, &rows, config.threads, &mut stats);
             let mut next: Vec<Itemset> = Vec::new();
             for (cand, support) in candidates.into_iter().zip(supports) {
                 if support >= delta {

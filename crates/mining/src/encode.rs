@@ -110,16 +110,6 @@ impl TransactionDb {
         (0..self.len()).map(move |i| self.transaction(i))
     }
 
-    /// Iterate the transactions of one index range, in order — the view a
-    /// parallel scan worker gets of its chunk (see
-    /// [`crate::parallel::chunk_ranges`]).
-    pub fn iter_range(
-        &self,
-        range: std::ops::Range<usize>,
-    ) -> impl Iterator<Item = &[ItemId]> + '_ {
-        range.map(move |i| self.transaction(i))
-    }
-
     /// Original record id of transaction `i`.
     pub fn record_id(&self, i: usize) -> u64 {
         self.record_ids[i]
@@ -247,20 +237,6 @@ mod tests {
         assert_eq!(stages, 16);
         let dims = t.iter().filter(|&&i| tx.dict().kind(i).is_dim()).count();
         assert_eq!(dims, 5);
-    }
-
-    #[test]
-    fn iter_range_matches_full_iteration() {
-        let db = samples::paper_table1();
-        let spec = paper_spec(db.schema());
-        let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
-        let full: Vec<_> = tx.iter().collect();
-        let chunked: Vec<_> = tx
-            .iter_range(0..3)
-            .chain(tx.iter_range(3..tx.len()))
-            .collect();
-        assert_eq!(full, chunked);
-        assert_eq!(tx.iter_range(5..5).count(), 0);
     }
 
     #[test]

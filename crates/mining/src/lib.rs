@@ -1,6 +1,7 @@
 //! Multi-level frequent pattern mining for flowcube construction (§5).
 
 pub mod apriori;
+mod bitmap;
 pub mod buc;
 pub mod cubing;
 pub mod encode;

@@ -1,5 +1,5 @@
-//! Deterministic fork/join helpers shared by the mining scans and by
-//! flowgraph materialization in `flowcube-core`.
+//! Deterministic fork/join helpers shared by the mining counting passes
+//! and by flowgraph materialization in `flowcube-core`.
 //!
 //! The design rule for every parallel phase in this workspace: the input
 //! is cut into disjoint, *contiguous* chunks, workers produce a private
@@ -15,9 +15,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Environment variable consulted when a threads knob is `0` (auto).
 pub const THREADS_ENV: &str = "FLOWCUBE_THREADS";
 
-/// Default minimum number of work items (transactions, cells × levels)
-/// a phase must have before it spawns worker threads. Below this, thread
-/// startup costs more than the scan itself.
+/// Default minimum number of work items (candidates, join units, cells ×
+/// levels) a phase must have before it spawns worker threads. Below this,
+/// thread startup costs more than the work itself.
 pub const DEFAULT_PARALLEL_CUTOFF: usize = 8;
 
 /// Resolve a requested thread count: an explicit `requested > 0` wins;
@@ -65,17 +65,6 @@ pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Fold one worker's count vector into the accumulator. Saturating, so a
-/// merge can never wrap even if per-chunk counts sit near `u64::MAX`
-/// (counts are transaction counts, but the merge must not be the place
-/// where an overflow silently corrupts supports).
-pub fn merge_counts(acc: &mut [u64], part: &[u64]) {
-    debug_assert_eq!(acc.len(), part.len(), "count vectors must align");
-    for (a, &p) in acc.iter_mut().zip(part) {
-        *a = a.saturating_add(p);
-    }
-}
-
 /// Per-chunk results from [`run_chunks_counted`], in chunk order, plus
 /// how many chunks had their worker panic and were recomputed serially.
 #[derive(Debug)]
@@ -103,7 +92,8 @@ pub fn balanced_chunks(n: usize) -> usize {
 }
 
 /// [`run_chunks_counted`] with one chunk per thread, results only — the
-/// mining scans, whose transactions cost about the same each.
+/// mining counting passes, whose candidates cost about the same each (one
+/// AND + popcount over a tid row).
 pub fn run_chunks<R, F>(name: &'static str, n: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -246,15 +236,6 @@ mod tests {
         assert_eq!(ranges[0], 0..1);
         assert_eq!(ranges[2], 2..3);
         assert!(ranges[7].is_empty());
-    }
-
-    #[test]
-    fn merge_counts_sums_and_saturates() {
-        let mut acc = vec![1, u64::MAX - 1, 0];
-        merge_counts(&mut acc, &[2, 5, 7]);
-        assert_eq!(acc, vec![3, u64::MAX, 7]);
-        merge_counts(&mut acc, &[0, u64::MAX, 1]);
-        assert_eq!(acc, vec![3, u64::MAX, 8]);
     }
 
     #[test]

@@ -7,11 +7,21 @@
 //! itemsets) and the frequent path segments of every cell (itemsets mixing
 //! the cell's dimension items with stage items), at every item and path
 //! abstraction level at once.
+//!
+//! One scan of the transactions counts the items; a second sets the tid
+//! rows (one bit per transaction) of the items that join and, under
+//! rule 1, of their pre-count projections. Every later count — rule 1's
+//! pairs, each pattern length's candidates, the look-ahead's high-level
+//! patterns — is an AND + popcount over those rows, one counting pass
+//! per length.
 
-use crate::apriori::{generate_candidates, Itemset, MiningStats, PruneHooks, PruneReason};
+use crate::apriori::{
+    count_candidates, generate_candidates, Itemset, MiningStats, PruneHooks, PruneReason,
+};
+use crate::bitmap::{fill_rows, TidRows};
 use crate::encode::TransactionDb;
 use crate::item::{ItemId, ItemKind};
-use flowcube_hier::{DimId, DurationLevel, FxHashMap, PathLevelId};
+use flowcube_hier::{DimId, DurationLevel, PathLevelId};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a Shared/Basic run.
@@ -19,8 +29,8 @@ use serde::{Deserialize, Serialize};
 pub struct SharedConfig {
     /// δ — absolute minimum support (number of transactions).
     pub min_support: u64,
-    /// Pre-count high-abstraction-level pairs during the first scan and
-    /// use them to discard candidates early (pruning technique 1).
+    /// Pre-count high-abstraction-level pairs before the level-wise loop
+    /// and use them to discard candidates early (pruning technique 1).
     pub precount: bool,
     /// Hierarchy level dimension items are projected to for pre-counting
     /// (the paper pre-counted "patterns of length 2 at abstraction level
@@ -34,18 +44,18 @@ pub struct SharedConfig {
     pub prune_ancestor_pairs: bool,
     /// The paper's "more general precounting strategy … count high
     /// abstraction level patterns of length k+1 when counting the support
-    /// of length k patterns": in every scan, candidate high-level
-    /// (k+1)-patterns are counted against the projected transactions, and
-    /// any later candidate whose projection is known infrequent is pruned
-    /// without counting. Off by default (the paper's experiments only
-    /// pre-counted pairs in the first scan).
+    /// of length k patterns": in every counting pass, candidate high-level
+    /// (k+1)-patterns are counted on the projections' rows, and any later
+    /// candidate whose projection is known infrequent is pruned without
+    /// counting. Off by default (the paper's experiments only pre-counted
+    /// pairs).
     pub precount_ahead: bool,
     /// Mine only the family the flowcube reads (a fifth rule, not in the
     /// paper): itemsets whose stage items all carry a concrete duration
     /// and belong to one path level, with any dimension items. The family
     /// is downward closed, so Apriori restricted to it finds every
     /// frequent member — the same argument as rules 2 and 4.
-    /// `*`-duration stage items are still counted in scan 1 (rule 1
+    /// `*`-duration stage items are still counted in the item scan (rule 1
     /// pre-counts through them) but never join.
     #[serde(default)]
     pub prune_outside_family: bool,
@@ -53,11 +63,12 @@ pub struct SharedConfig {
     /// baseline, whose candidate set can exhaust memory — as in the
     /// paper's experiments).
     pub max_len: Option<usize>,
-    /// Worker threads for the counting scans and candidate generation.
+    /// Worker threads for candidate generation and the counting passes.
     /// `0` resolves automatically (the `FLOWCUBE_THREADS` environment
-    /// variable if set, else `available_parallelism`); databases at or
-    /// below [`crate::parallel::DEFAULT_PARALLEL_CUTOFF`] transactions are
-    /// always scanned serially. Output is bit-identical at any setting.
+    /// variable if set, else `available_parallelism`). Generation plans
+    /// from the transaction count, a counting pass from its candidate
+    /// count; at or below [`crate::parallel::DEFAULT_PARALLEL_CUTOFF`]
+    /// either runs serially. Output is bit-identical at any setting.
     #[serde(default)]
     pub threads: usize,
 }
@@ -261,11 +272,12 @@ fn precount_projection(tx: &TransactionDb, dim_level: u8) -> Vec<ItemId> {
 
 /// Run the Shared (or Basic, depending on `config`) algorithm.
 ///
-/// Every scan is data-parallel over `config.threads` workers (see
-/// [`crate::parallel`]): workers count disjoint transaction chunks into
-/// private vectors/tables that are merged in chunk order before the
-/// support filter, so the output — itemsets, supports, order, and stats —
-/// is bit-identical to the serial run at any thread count.
+/// The item scan runs on the calling thread and the row pass on one
+/// thread of its own; candidate generation shards its join units, and every
+/// counting pass splits its candidates into contiguous ranges, across
+/// `config.threads` workers, with results placed by chunk index. The output — itemsets, supports,
+/// order, and stats — is bit-identical to the serial run at any thread
+/// count.
 pub fn mine(tx: &TransactionDb, config: &SharedConfig) -> FrequentItemsets {
     let threads = crate::parallel::plan_threads(
         config.threads,
@@ -285,95 +297,17 @@ pub fn mine(tx: &TransactionDb, config: &SharedConfig) -> FrequentItemsets {
     // itemsets — every itemset in the output must occur somewhere.
     let delta = config.min_support.max(1);
 
-    // ------- Scan 1: L1 counts and (optionally) high-level pair counts.
-    // Per-chunk item counts and pre-count tables merge by summation; the
-    // projected transactions concatenate in chunk order, keeping
-    // `projected_tx[ti]` aligned with transaction `ti`.
-    let projection = if config.precount {
-        Some(precount_projection(tx, config.precount_dim_level))
-    } else {
-        None
-    };
-    let keep_projected = config.precount_ahead && projection.is_some();
-    let scan1_span = flowcube_obs::span!(
-        "mining.scan",
-        k = 1usize,
-        candidates = dict.len(),
-        threads = threads,
-    );
-    let projection_ref = projection.as_deref();
-    let scan1_parts =
-        crate::parallel::run_chunks("mining.scan.chunk", tx.len(), threads, |range| {
-            let mut item_counts = vec![0u64; dict.len()];
-            let mut precounted: FxHashMap<(ItemId, ItemId), u64> = FxHashMap::default();
-            let mut projected: Vec<Vec<ItemId>> = Vec::new();
-            let mut proj_scratch: Vec<ItemId> = Vec::new();
-            for ti in range {
-                let t = tx.transaction(ti);
-                for &i in t {
-                    item_counts[i.index()] += 1;
-                }
-                if let Some(projection) = projection_ref {
-                    proj_scratch.clear();
-                    proj_scratch.extend(t.iter().map(|&i| projection[i.index()]));
-                    proj_scratch.sort_unstable();
-                    proj_scratch.dedup();
-                    for (x, &a) in proj_scratch.iter().enumerate() {
-                        for &b in &proj_scratch[x + 1..] {
-                            *precounted.entry((a, b)).or_insert(0) += 1;
-                        }
-                    }
-                    if keep_projected {
-                        projected.push(proj_scratch.clone());
-                    }
-                }
-            }
-            (item_counts, precounted, projected)
-        });
+    // ------- Scan 1: item counts.
+    let scan1_span = flowcube_obs::span!("mining.scan", k = 1usize, candidates = dict.len());
     let mut item_counts = vec![0u64; dict.len()];
-    let mut precounted: FxHashMap<(ItemId, ItemId), u64> = FxHashMap::default();
-    let mut projected_tx: Vec<Vec<ItemId>> = Vec::new();
-    for (counts, pre, projected) in scan1_parts {
-        crate::parallel::merge_counts(&mut item_counts, &counts);
-        for (pair, c) in pre {
-            *precounted.entry(pair).or_insert(0) += c;
+    for t in tx.iter() {
+        for &i in t {
+            item_counts[i.index()] += 1;
         }
-        projected_tx.extend(projected);
     }
     drop(scan1_span);
     stats.scans += 1;
     MiningStats::bump(&mut stats.counted_by_length, 1, dict.len() as u64);
-
-    // High-level bookkeeping for the generalized look-ahead: every
-    // *frequent* projected pattern of each size seen so far. At the time
-    // candidates of length m are generated, all projected sizes ≤ m have
-    // been decided, so "projection not in the frequent set" is a sound
-    // prune.
-    let mut high_frequent: flowcube_hier::FxHashSet<Itemset> = Default::default();
-    let mut high_prev: Vec<Itemset> = Vec::new();
-    if keep_projected {
-        let projection = projection
-            .as_ref()
-            .expect("keep_projected implies projection");
-        let mut high_items: Vec<ItemId> = projection.to_vec();
-        high_items.sort_unstable();
-        high_items.dedup();
-        for &h in &high_items {
-            if item_counts[h.index()] >= delta {
-                high_frequent.insert(vec![h].into_boxed_slice());
-            }
-        }
-        let mut pairs: Vec<Itemset> = precounted
-            .iter()
-            .filter(|&(_, &c)| c >= delta)
-            .map(|(&(a, b), _)| vec![a, b].into_boxed_slice())
-            .collect();
-        pairs.sort();
-        for p in &pairs {
-            high_frequent.insert(p.clone());
-        }
-        high_prev = pairs;
-    }
 
     let mut frequent: Vec<(Itemset, u64)> = Vec::new();
     let frequent_items: Vec<ItemId> = (0..dict.len() as u32)
@@ -396,6 +330,97 @@ pub fn mine(tx: &TransactionDb, config: &SharedConfig) -> FrequentItemsets {
         frequent.push((s.clone(), item_counts[s[0].index()]));
     }
     MiningStats::bump(&mut stats.frequent_by_length, 1, prev.len() as u64);
+
+    // ------- Tid rows: the items that join and, under rule 1, their
+    // projections. A projection's row is the OR over every item, frequent
+    // or not, projecting onto it — the set of transactions whose projected
+    // transaction holds it. The look-ahead pre-counts every frequent
+    // projected pair, so it takes a row for every projection.
+    let projection = config
+        .precount
+        .then(|| precount_projection(tx, config.precount_dim_level));
+    let keep_projected = config.precount_ahead && projection.is_some();
+    // The rows are built on a thread of their own, so that they come from
+    // that thread's malloc arena. Transient and 7.3 MB on `build_fig6`,
+    // they shifted the layout of the main arena's `brk` heap when built
+    // here, and the snapshot writer's freed section buffers then stayed
+    // resident: 58 MB more heap at the end of serving, in every run on
+    // one seed (DESIGN §6).
+    let (item_rows, projected) = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let mut item_rows = TidRows::new(
+                    tx.len(),
+                    prev.iter().map(|s| s[0]).collect(),
+                    dict.len(),
+                    |i| i,
+                );
+                let mut projected = projection.as_ref().map(|projection| {
+                    let mut owners: Vec<ItemId> = if keep_projected {
+                        projection.clone()
+                    } else {
+                        prev.iter().map(|s| projection[s[0].index()]).collect()
+                    };
+                    owners.sort_unstable();
+                    owners.dedup();
+                    TidRows::new(tx.len(), owners, dict.len(), |i| projection[i.index()])
+                });
+                match projected.as_mut() {
+                    Some(rows) => fill_rows(tx.iter(), &mut [&mut item_rows, rows]),
+                    None => fill_rows(tx.iter(), &mut [&mut item_rows]),
+                }
+                (item_rows, projected)
+            })
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    });
+
+    // ------- Rule 1's pair table: the support of every pair of
+    // projections, a dense matrix over the projections' rows.
+    let pair_counts: Option<Vec<u64>> = projected.as_ref().map(|rows| {
+        let (owners, m) = (rows.items(), rows.items().len());
+        let index_pairs = || (0..m).flat_map(move |x| (x + 1..m).map(move |y| (x, y)));
+        let pairs: Vec<Itemset> = index_pairs()
+            .map(|(x, y)| vec![owners[x], owners[y]].into_boxed_slice())
+            .collect();
+        let _span = flowcube_obs::span!("mining.precount", projections = m, pairs = pairs.len());
+        let mut matrix = vec![0u64; m * m];
+        for ((x, y), count) in index_pairs().zip(rows.count(&pairs, config.threads)) {
+            matrix[x * m + y] = count;
+            matrix[y * m + x] = count;
+        }
+        matrix
+    });
+
+    // High-level bookkeeping for the generalized look-ahead: every
+    // *frequent* projected pattern of each size seen so far. At the time
+    // candidates of length m are generated, all projected sizes ≤ m have
+    // been decided, so "projection not in the frequent set" is a sound
+    // prune.
+    let mut high_frequent: flowcube_hier::FxHashSet<Itemset> = Default::default();
+    let mut high_prev: Vec<Itemset> = Vec::new();
+    if keep_projected {
+        let (rows, matrix) = (
+            projected.as_ref().expect("keep_projected implies rows"),
+            pair_counts
+                .as_ref()
+                .expect("keep_projected implies the pair table"),
+        );
+        let (owners, m) = (rows.items(), rows.items().len());
+        for &h in owners {
+            if item_counts[h.index()] >= delta {
+                high_frequent.insert(vec![h].into_boxed_slice());
+            }
+        }
+        for x in 0..m {
+            for y in x + 1..m {
+                if matrix[x * m + y] >= delta {
+                    high_prev.push(vec![owners[x], owners[y]].into_boxed_slice());
+                }
+            }
+        }
+        high_frequent.extend(high_prev.iter().cloned());
+    }
 
     // ------- Level-wise loop.
     let mut k = 2;
@@ -420,13 +445,14 @@ pub fn mine(tx: &TransactionDb, config: &SharedConfig) -> FrequentItemsets {
             if config.prune_unlinkable && !dict.can_cooccur(a, b) {
                 return (false, PruneReason::Unlinkable);
             }
-            if let Some(projection) = &projection {
-                let (pa, pb) = (projection[a.index()], projection[b.index()]);
-                if pa != pb {
-                    let key = if pa < pb { (pa, pb) } else { (pb, pa) };
-                    if precounted.get(&key).copied().unwrap_or(0) < delta {
-                        return (false, PruneReason::Precount);
-                    }
+            if let (Some(rows), Some(matrix)) = (&projected, &pair_counts) {
+                let route = |i: ItemId| {
+                    rows.route(i)
+                        .expect("a joining item's projection has a row")
+                };
+                let (x, y) = (route(a), route(b));
+                if x != y && matrix[x * rows.items().len() + y] < delta {
+                    return (false, PruneReason::Precount);
                 }
             }
             (true, PruneReason::None)
@@ -456,7 +482,7 @@ pub fn mine(tx: &TransactionDb, config: &SharedConfig) -> FrequentItemsets {
         }
 
         // Look-ahead: high-level candidates of length k+1 are counted in
-        // the same pass, against the projected transactions.
+        // the same pass, on the projections' rows.
         let high_candidates = if keep_projected && !high_prev.is_empty() {
             generate_candidates(
                 &high_prev,
@@ -469,55 +495,13 @@ pub fn mine(tx: &TransactionDb, config: &SharedConfig) -> FrequentItemsets {
             Vec::new()
         };
 
-        let scan_span = flowcube_obs::span!(
-            "mining.scan",
-            k = k,
-            candidates = candidates.len(),
-            lookahead = high_candidates.len(),
-            threads = threads,
-        );
-        let trie = crate::apriori::CandidateTrie::build(&candidates, k);
-        let trie = &trie;
-        let high_trie = (!high_candidates.is_empty())
-            .then(|| crate::apriori::CandidateTrie::build(&high_candidates, k + 1));
-        let high_trie = high_trie.as_ref();
-        let projected_ref = &projected_tx;
-        let scan_parts =
-            crate::parallel::run_chunks("mining.scan.chunk", tx.len(), threads, |range| {
-                let mut counts = vec![0u64; candidates.len()];
-                let mut high_counts = vec![0u64; high_candidates.len()];
-                match high_trie {
-                    None => {
-                        for t in tx.iter_range(range) {
-                            if t.len() >= k {
-                                trie.count_transaction(t, &mut counts);
-                            }
-                        }
-                    }
-                    Some(high_trie) => {
-                        for ti in range {
-                            let t = tx.transaction(ti);
-                            if t.len() >= k {
-                                trie.count_transaction(t, &mut counts);
-                            }
-                            let pt = &projected_ref[ti];
-                            if pt.len() > k {
-                                high_trie.count_transaction(pt, &mut high_counts);
-                            }
-                        }
-                    }
-                }
-                (counts, high_counts)
-            });
-        let mut counts = vec![0u64; candidates.len()];
-        let mut high_counts = vec![0u64; high_candidates.len()];
-        for (c, h) in scan_parts {
-            crate::parallel::merge_counts(&mut counts, &c);
-            crate::parallel::merge_counts(&mut high_counts, &h);
-        }
-        drop(scan_span);
-        stats.scans += 1;
-        MiningStats::bump(&mut stats.counted_by_length, k, candidates.len() as u64);
+        let counts = count_candidates(&candidates, k, &item_rows, config.threads, &mut stats);
+        let high_counts = match &projected {
+            Some(rows) if !high_candidates.is_empty() => {
+                rows.count(&high_candidates, config.threads)
+            }
+            _ => Vec::new(),
+        };
         stats.precounted_patterns += high_candidates.len() as u64;
 
         let mut next: Vec<Itemset> = Vec::new();

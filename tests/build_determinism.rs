@@ -112,9 +112,10 @@ fn golden_snapshot_digest() {
     assert_eq!(sha256_hex(&healed), GOLDEN_SHA256);
 }
 
-/// The build itself at any thread count, and with one count chunk or one
-/// redundancy chunk panicking once (recomputed serially), lands on the
-/// golden digest — exceptions on, τ set, every phase running.
+/// The build itself at any thread count, and with one count chunk, one
+/// redundancy chunk or one mining counting chunk panicking once
+/// (recomputed serially), lands on the golden digest — exceptions on, τ
+/// set, every phase running.
 #[test]
 fn golden_digest_holds_at_any_build_thread_count_and_after_a_retried_chunk() {
     let _guard = serial();
@@ -134,6 +135,16 @@ fn golden_digest_holds_at_any_build_thread_count_and_after_a_retried_chunk() {
         let bytes = snapshot_bytes(&healed, "golden-build-healed");
         assert_eq!(sha256_hex(&bytes), GOLDEN_SHA256, "{phase}");
     }
+    // One mining counting chunk — a candidate range on the tid rows —
+    // panics once. Mining's retries are counted by the obs counter, not in
+    // `BuildStats`.
+    testkit::arm_times("mining.scan.chunk", 1, FailAction::Panic(None));
+    let healed = build(2);
+    let fired = testkit::hits("mining.scan.chunk");
+    testkit::reset();
+    assert_eq!(fired, 1, "the fault must land in a counting pass");
+    let bytes = snapshot_bytes(&healed, "golden-build-healed-mining");
+    assert_eq!(sha256_hex(&bytes), GOLDEN_SHA256, "mining.scan.chunk");
 }
 
 #[test]

@@ -114,15 +114,17 @@ fn parallel_build_chrome_trace_wellformed() {
         assert_eq!(*d, 0, "unbalanced begin/end on lane {tid}");
     }
 
-    // The whole pipeline shows up: root build span, phase spans, per-scan
-    // mining spans, per-cell materialization spans, and the snapshot
-    // writer's stages.
+    // The whole pipeline shows up: root build span, phase spans, mining's
+    // row pass, pair pre-count and per-length counting passes, per-cell
+    // materialization spans, and the snapshot writer's stages.
     for expected in [
         "build",
         "build.encode",
         "build.mine",
         "mining.apriori",
         "mining.scan",
+        "mining.bitmaps",
+        "mining.precount",
         "build.prepare",
         "build.dictionary",
         "build.materialize",
@@ -178,6 +180,14 @@ fn parallel_build_chrome_trace_wellformed() {
     assert!(cell_hist.count > 0);
     assert!(cell_hist.p50 <= cell_hist.p99);
     assert!(snapshot.gauges.contains_key("build.cells_materialized"));
+    // The tid rows the build's mining counted on.
+    assert!(
+        snapshot
+            .gauges
+            .get("mining.bitmap_bytes")
+            .is_some_and(|&b| b > 0.0),
+        "tid-row bytes gauge missing or zero"
+    );
     // Definition 4.4 on counts: parent comparisons, the ones cut short
     // past τ, and a graph written per stored cell only.
     for counter in [
