@@ -17,17 +17,38 @@ impl Default for ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Parse from argv: `--scale 0.5` or a bare positional float.
+    /// Parse from argv: `--scale 0.5` or a bare positional `0.5`. On a
+    /// bad value, print usage and exit 2.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        for (i, a) in args.iter().enumerate() {
-            if a == "--scale" {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    return ExperimentScale(v);
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            eprintln!("usage: [--scale <fraction>] or [<fraction>] (default 0.1)");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse the arguments after the program name. A scale is a finite
+    /// fraction above zero, given as `--scale <v>` or as a bare `<v>`;
+    /// any other `--flag` takes one value and is left to the binary.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let mut scale = ExperimentScale::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let value = match arg.as_str() {
+                "--scale" => args.next().ok_or("--scale needs a value")?,
+                flag if flag.starts_with("--") => {
+                    args.next();
+                    continue;
                 }
-            }
+                bare => bare,
+            };
+            scale = match value.parse::<f64>() {
+                Ok(v) if v.is_finite() && v > 0.0 => ExperimentScale(v),
+                _ => return Err(format!("bad scale {value:?}")),
+            };
         }
-        ExperimentScale::default()
+        Ok(scale)
     }
 
     pub fn apply(&self, paper_n: usize) -> usize {
@@ -125,6 +146,30 @@ mod tests {
         let s = ExperimentScale(0.1);
         assert_eq!(s.apply(100_000), 10_000);
         assert_eq!(s.apply(500), 100); // floor
+    }
+
+    #[test]
+    fn scale_parses_both_documented_forms() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            ExperimentScale::parse(&args).map(|s| s.0)
+        };
+        assert_eq!(parse(&[]), Ok(0.1));
+        assert_eq!(parse(&["0.5"]), Ok(0.5));
+        assert_eq!(parse(&["--scale", "0.25"]), Ok(0.25));
+        assert_eq!(parse(&["--out", "r.json", "--scale", "1"]), Ok(1.0));
+        assert_eq!(parse(&["--scale", "0.2", "--out", "0.9.json"]), Ok(0.2));
+        for bad in [
+            &["--scale", "x"][..],
+            &["--scale"],
+            &["x"],
+            &["0"],
+            &["-0.5"],
+            &["NaN"],
+            &["inf"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be refused");
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Timing runner: executes Shared / Cubing / Basic on one dataset and
-//! collects runtimes plus mining statistics.
+//! collects runtimes plus mining statistics, and [`median_secs`], the
+//! one repeat-and-take-the-median timer the harness binaries share.
 
 use flowcube_datagen::{generate, GeneratorConfig};
 use flowcube_mining::{mine, mine_cubing, CubingConfig, MiningStats, SharedConfig, TransactionDb};
 use flowcube_obs::MetricsSnapshot;
 use flowcube_pathdb::{MergePolicy, PathDatabase};
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 use crate::experiments::paper_path_spec;
 
@@ -43,6 +45,23 @@ fn time_it<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, f64) {
     let timer = flowcube_obs::Timer::start(name);
     let out = f();
     (out, timer.stop().as_secs_f64())
+}
+
+/// Seconds per call of `f`: the median over `batches` batches of `iters`
+/// calls each. A batch spreads one clock read over calls too short to
+/// time alone; the median ignores a batch a noisy neighbour slowed.
+pub fn median_secs(batches: usize, iters: u32, mut f: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..batches)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            start.elapsed().as_secs_f64() / f64::from(iters)
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// Generate a dataset from `config`, encode it once, then run the

@@ -18,8 +18,8 @@
 //!   path), everything else is plain words. Recording is allocation-free.
 //! * The recorder has its own enable flag, independent of the tracing
 //!   flag: a disabled [`record`] call costs **one relaxed atomic load**
-//!   (the same contract as a quiet testkit failpoint; see
-//!   `benches/flight_overhead.rs` → `BENCH_flight_overhead.json`).
+//!   (the same contract as a quiet testkit failpoint; the `exp_overhead`
+//!   binary of `flowcube-bench` measures both side by side).
 //!
 //! [`snapshot`] decodes the surviving window (oldest → newest) for the
 //! `/debug/flight` endpoint and for access-log dumps on slow or failed

@@ -19,8 +19,8 @@
 //! The whole crate rides on one process-global `AtomicBool`. Until the
 //! first failpoint is armed, [`fail_point`] is a single relaxed atomic
 //! load and an immediate return — the same budget as a disabled
-//! `flowcube_obs::span!`. `benches/failpoint_overhead.rs` holds the hot
-//! path to that budget.
+//! `flowcube_obs::span!`. The `exp_overhead` binary of `flowcube-bench`
+//! prices the hot path against that budget.
 //!
 //! ## Activation
 //!

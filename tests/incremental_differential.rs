@@ -20,34 +20,13 @@
 //! subset of the batch rebuild.
 
 use flowcube::core::{BuildStats, CellKey, CubeDelta, CuboidKey};
-use flowcube::datagen::{generate, DimShape, GeneratorConfig};
 use flowcube::hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
 use flowcube::serve::write_snapshot;
 use flowcube::{FlowCube, FlowCubeParams, ItemPlan, PathDatabase};
 use proptest::prelude::*;
 
-/// A generated path database with a two-level path lattice — the same
-/// shape the mining differential uses, small enough that five proptest
-/// cases stay fast.
-fn gen_db(paths: usize, seed: u64) -> (PathDatabase, PathLatticeSpec) {
-    let config = GeneratorConfig {
-        num_paths: paths,
-        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
-        num_sequences: 5,
-        path_len: (3, 5),
-        max_duration: 4,
-        seed,
-        ..Default::default()
-    };
-    let db = generate(&config).db;
-    let loc = db.schema().locations();
-    let fine = LocationCut::uniform_level(loc, loc.max_level());
-    let spec = PathLatticeSpec::new(vec![
-        PathLevel::new("fine", fine.clone(), DurationLevel::Raw),
-        PathLevel::new("fine/any", fine, DurationLevel::Any),
-    ]);
-    (db, spec)
-}
+mod common;
+use common::gen_db;
 
 /// Split `db` into `k` contiguous non-empty micro-batches.
 fn split_db(db: &PathDatabase, k: usize) -> Vec<PathDatabase> {

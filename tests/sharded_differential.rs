@@ -13,32 +13,13 @@
 //! build-history counters, and the sharded pipeline reproduces content
 //! exactly.
 
-use flowcube::datagen::{generate, DimShape, GeneratorConfig};
 use flowcube::federate::{build_sharded, merge_shard_parts, shard_db, ShardPart};
-use flowcube::hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
 use flowcube::serve::write_snapshot;
-use flowcube::{FlowCube, FlowCubeParams, ItemPlan, PathDatabase};
+use flowcube::{FlowCube, FlowCubeParams, ItemPlan};
 use proptest::prelude::*;
 
-fn gen_db(paths: usize, seed: u64) -> (PathDatabase, PathLatticeSpec) {
-    let config = GeneratorConfig {
-        num_paths: paths,
-        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
-        num_sequences: 5,
-        path_len: (3, 5),
-        max_duration: 4,
-        seed,
-        ..Default::default()
-    };
-    let db = generate(&config).db;
-    let loc = db.schema().locations();
-    let fine = LocationCut::uniform_level(loc, loc.max_level());
-    let spec = PathLatticeSpec::new(vec![
-        PathLevel::new("fine", fine.clone(), DurationLevel::Raw),
-        PathLevel::new("fine/any", fine, DurationLevel::Any),
-    ]);
-    (db, spec)
-}
+mod common;
+use common::gen_db;
 
 fn snapshot_bytes(cube: &FlowCube, tag: &str) -> Vec<u8> {
     let path = std::env::temp_dir().join(format!(
