@@ -617,28 +617,21 @@ pub fn serve_with_handle(args: &Args) -> Result<flowcube_serve::ServerHandle, St
     flowcube_obs::enable();
     let served = if args.get("snapshot").is_some() {
         let path: &std::path::Path = args.require("snapshot")?.as_ref();
-        // Resolve any compaction a crash interrupted *before* opening:
-        // the marker decides whether the new snapshot is live (finish
-        // the sidecar trim) or half-done (discard the attempt).
-        match flowcube_serve::compact::recover(path).map_err(|e| e.to_string())? {
-            flowcube_serve::Recovery::Clean => {}
-            flowcube_serve::Recovery::FinishedTrim => {
-                println!("recovered interrupted compaction: finished sidecar trim");
-            }
-            flowcube_serve::Recovery::Discarded => {
-                println!("recovered interrupted compaction: discarded half-done fold");
-            }
+        // The one open: any compaction a crash interrupted is resolved
+        // first — the marker decides whether the new snapshot is live
+        // (finish the sidecar trim) or half-done (discard the attempt).
+        let (served, recovery) =
+            flowcube_serve::ServedCube::open(path).map_err(|e| e.to_string())?;
+        if recovery != flowcube_serve::Recovery::Clean {
+            println!("recovered interrupted compaction: {recovery:?}");
         }
-        let snap = flowcube_serve::Snapshot::open(path).map_err(|e| e.to_string())?;
-        let deltas = flowcube_serve::read_deltas(&flowcube_serve::deltalog_path(path))
-            .map_err(|e| e.to_string())?;
         println!(
             "opened snapshot {} ({} cuboids, lazy, {} sidecar deltas)",
             path.display(),
-            snap.num_cuboids(),
-            deltas.len()
+            served.total_cuboids(),
+            served.pending_deltas()
         );
-        flowcube_serve::ServedCube::from_snapshot_with_deltas(snap, deltas)
+        served
     } else if args.get("cube").is_some() {
         flowcube_serve::ServedCube::from_cube(&read_cube(args.require("cube")?)?)
             .map_err(|e| e.to_string())?

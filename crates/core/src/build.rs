@@ -14,9 +14,11 @@ use crate::counts::{self, CodeTable, Counts, PathDictionary, Scratch};
 use crate::params::{Algorithm, FlowCubeParams, ItemPlan};
 use crate::stats::BuildStats;
 use flowcube_flowgraph::{
-    exceptions_from_segments, Exception, ExceptionParams, FlowGraph, Segment,
+    exceptions_from_segments, mine_exceptions, Exception, ExceptionParams, FlowGraph, Segment,
 };
-use flowcube_hier::{ConceptId, DurationLevel, FxHashMap, ItemLevel, PathLatticeSpec, PathLevelId};
+use flowcube_hier::{
+    ConceptId, DurationLevel, FxHashMap, FxHashSet, ItemLevel, PathLatticeSpec, PathLevelId,
+};
 use flowcube_mining::parallel::{balanced_chunks, run_chunks_counted};
 use flowcube_mining::{
     buc_iceberg, mine, mine_cubing, CubingConfig, FrequentItemsets, ItemKind, SharedConfig,
@@ -346,15 +348,31 @@ pub(crate) fn build(
     // ---- Phase 7: exceptions — the holistic part of the measure — for
     // the cells that are stored, counted as materialization time.
     let exceptions_timer = Timer::start("build.exceptions");
-    attach_exceptions(
-        &mut cuboids,
-        &cells,
-        &tids,
-        &segments,
-        &levels,
-        params,
-        &mut stats,
-    );
+    let mut pending: Vec<Pending<'_>> = Vec::new();
+    for (lvl, by_cell) in segments.iter().enumerate() {
+        if by_cell.is_empty() {
+            continue;
+        }
+        for (i, (item_level, key)) in cells.iter().enumerate() {
+            let Some(mined) = by_cell.get(key) else {
+                continue;
+            };
+            let ck = CuboidKey {
+                item_level: item_level.clone(),
+                path_level: lvl as PathLevelId,
+            };
+            if cuboids.get(&ck).is_some_and(|c| c.get(key).is_some()) {
+                let segments = Some(mined.as_slice());
+                pending.push(Pending {
+                    ck,
+                    key,
+                    tids: &tids[i],
+                    segments,
+                });
+            }
+        }
+    }
+    stats.chunk_retries += attach_exceptions(&mut cuboids, &pending, &levels, params);
     stats.materialize_time = materialize_time + exceptions_timer.stop();
 
     if flowcube_obs::is_enabled() {
@@ -456,59 +474,36 @@ fn segments_by_cell(tx: &TransactionDb, mined: &FrequentItemsets, plan: &ItemPla
     segments
 }
 
-/// Mine the exceptions of every stored (cell, path level) that has
-/// frequent segments, from the cell's own paths at that level
-/// (Lemma 4.3), and attach them.
+/// A stored (cell, path level) whose exceptions are to be mined: its
+/// address, its tids, and its frequent segments when mining found them
+/// (`None`: find them in the cell's own paths).
+struct Pending<'a> {
+    ck: CuboidKey,
+    key: &'a CellKey,
+    tids: &'a [u32],
+    segments: Option<&'a [MinedSegment]>,
+}
+
+/// Mine each pending cell's exceptions from its own paths at its level
+/// (Lemma 4.3), read off the dictionary, and attach them. Returns the
+/// chunks retried.
 fn attach_exceptions(
     cuboids: &mut FxHashMap<CuboidKey, Cuboid>,
-    cells: &[(ItemLevel, CellKey)],
-    tids: &[Vec<u32>],
-    segments: &CellSegments,
+    pending: &[Pending<'_>],
     levels: &Levels,
     params: &FlowCubeParams,
-    stats: &mut BuildStats,
-) {
-    let mut pending: Vec<(usize, CuboidKey, &[MinedSegment])> = Vec::new();
-    for (lvl, by_cell) in segments.iter().enumerate() {
-        if by_cell.is_empty() {
-            continue;
-        }
-        for (i, (item_level, key)) in cells.iter().enumerate() {
-            let Some(mined) = by_cell.get(key) else {
-                continue;
-            };
-            let ck = CuboidKey {
-                item_level: item_level.clone(),
-                path_level: lvl as PathLevelId,
-            };
-            if cuboids.get(&ck).is_some_and(|c| c.get(key).is_some()) {
-                pending.push((i, ck, mined));
-            }
-        }
-    }
-
+) -> usize {
     let exc_params = ExceptionParams {
         min_support: params.min_support,
         min_deviation: params.exception_deviation,
     };
-    let mine_cell = |(i, ck, mined): &(usize, CuboidKey, &[MinedSegment])| -> Vec<Exception> {
-        let graph = &cuboids[ck].cells[&cells[*i].1].graph;
-        // The cell's frequent segments, translated onto the graph's nodes.
-        let segs: Vec<Segment> = mined
-            .iter()
-            .filter_map(|constraints| {
-                // `constraints` is sorted root-to-leaf.
-                constraints
-                    .iter()
-                    .map(|(prefix, dur)| Some((graph.node_by_prefix(prefix)?, *dur)))
-                    .collect()
-            })
-            .collect();
-        // The cell's paths at this level, from the dictionary.
-        let (dict, roll) = (levels.dict(ck.path_level), levels.roll(ck.path_level));
+    let stored = &*cuboids;
+    let mine_cell = |p: &Pending<'_>| -> Vec<Exception> {
+        let graph = &stored[&p.ck].cells[p.key].graph;
+        let (dict, roll) = (levels.dict(p.ck.path_level), levels.roll(p.ck.path_level));
         let mut stages: Vec<AggStage> = Vec::new();
-        let mut ends: Vec<usize> = Vec::with_capacity(tids[*i].len());
-        for &t in &tids[*i] {
+        let mut ends: Vec<usize> = Vec::with_capacity(p.tids.len());
+        for &t in p.tids {
             dict.stages(t, roll, &mut stages);
             ends.push(stages.len());
         }
@@ -518,6 +513,18 @@ fn attach_exceptions(
                 let path = &stages[start..end];
                 start = end;
                 path
+            })
+            .collect();
+        let Some(mined) = p.segments else {
+            return mine_exceptions(graph, &paths, &exc_params);
+        };
+        // The cell's frequent segments, translated onto the graph's nodes;
+        // each is sorted root-to-leaf.
+        let segs: Vec<Segment> = (mined.iter())
+            .filter_map(|constraints| {
+                (constraints.iter())
+                    .map(|(prefix, dur)| Some((graph.node_by_prefix(prefix)?, *dur)))
+                    .collect()
             })
             .collect();
         exceptions_from_segments(graph, &paths, &segs, &exc_params)
@@ -531,14 +538,55 @@ fn attach_exceptions(
         params.threads_for(pending.len()),
         |range| pending[range].iter().map(&mine_cell).collect::<Vec<_>>(),
     );
-    stats.chunk_retries += report.retried_chunks;
-    let found: Vec<Vec<Exception>> = report.results.into_iter().flatten().collect();
-    for ((i, ck, _), exceptions) in pending.into_iter().zip(found) {
-        let entry = (cuboids.get_mut(&ck))
-            .and_then(|cuboid| cuboid.cells.get_mut(&cells[i].1))
+    for (p, exceptions) in pending.iter().zip(report.results.into_iter().flatten()) {
+        let entry = (cuboids.get_mut(&p.ck))
+            .and_then(|cuboid| cuboid.cells.get_mut(p.key))
             .expect("pending lists stored cells only");
         entry.exceptions = exceptions;
     }
+    report.retried_chunks
+}
+
+/// Re-mine the exceptions of the `dirty` cells of `cuboids` from the
+/// full database `db` (Lemma 4.3), on the build's machinery: the cells'
+/// tid lists from one BUC pass, their paths from the path dictionary,
+/// each cell mined by [`attach_exceptions`]. Cells no longer stored are
+/// skipped; returns the number re-mined.
+pub(crate) fn remine(
+    db: &PathDatabase,
+    spec: &PathLatticeSpec,
+    params: &FlowCubeParams,
+    cuboids: &mut FxHashMap<CuboidKey, Cuboid>,
+    dirty: &[(CuboidKey, Vec<CellKey>)],
+) -> usize {
+    let wanted: FxHashSet<&CellKey> = dirty.iter().flat_map(|(_, keys)| keys).collect();
+    if wanted.is_empty() {
+        return 0;
+    }
+    let (buc_cells, _) = buc_iceberg(db, params.min_support);
+    let tids: FxHashMap<CellKey, Vec<u32>> = (buc_cells.into_iter())
+        .filter_map(|cell| {
+            let key: CellKey = (cell.values.iter())
+                .map(|v| v.unwrap_or(ConceptId::ROOT))
+                .collect();
+            wanted.contains(&key).then_some((key, cell.tids))
+        })
+        .collect();
+    let mut pending: Vec<Pending<'_>> = (dirty.iter())
+        .flat_map(|(ck, keys)| keys.iter().map(move |key| (ck, key)))
+        .filter(|(ck, key)| cuboids.get(*ck).is_some_and(|c| c.get(key).is_some()))
+        .map(|(ck, key)| Pending {
+            ck: ck.clone(),
+            key,
+            tids: tids.get(key).map_or(&[], Vec::as_slice),
+            segments: None,
+        })
+        .collect();
+    pending.sort_unstable_by(|a, b| (&a.ck, a.key).cmp(&(&b.ck, b.key)));
+    pending.dedup_by(|a, b| (&a.ck, a.key) == (&b.ck, b.key));
+    let levels = Levels::new(db, spec, params.merge);
+    attach_exceptions(cuboids, &pending, &levels, params);
+    pending.len()
 }
 
 /// For every path level, the level its counts come from: itself when it

@@ -91,13 +91,11 @@ impl Cuboid {
     }
 
     /// Merge another cuboid's cells into this one by Lemma 4.2 count
-    /// addition, returning the keys that were touched (their exceptions
-    /// are now stale — Lemma 4.3 — and have been cleared).
-    ///
-    /// Merged graphs are re-canonicalized so the node table stays a pure
-    /// function of the cell's content regardless of merge order.
-    pub fn merge_from(&mut self, other: &Cuboid) -> Vec<CellKey> {
-        let mut dirty = Vec::with_capacity(other.len());
+    /// addition, clearing the touched cells' exceptions (now stale —
+    /// Lemma 4.3). Merged graphs are re-canonicalized so the node table
+    /// stays a pure function of the cell's content regardless of merge
+    /// order. No δ is applied: that is [`Cuboid::fold`]'s one cut.
+    fn merge_from(&mut self, other: &Cuboid) {
         for (key, entry) in other.iter() {
             match self.cells.get_mut(key) {
                 Some(existing) => {
@@ -113,14 +111,23 @@ impl Cuboid {
                     self.cells.insert(key.clone(), cloned);
                 }
             }
-            dirty.push(key.clone());
         }
-        dirty
     }
 
-    /// Drop cells whose support fell below the iceberg threshold,
-    /// returning how many were removed.
-    pub fn enforce_min_support(&mut self, min_support: u64) -> usize {
+    /// The one fold of an assembled cube: add `parts` into this cuboid
+    /// ([`Cuboid::merge_from`], Lemma 4.2), then cut at `min_support`
+    /// **once**, over the summed supports. A partition merge, a delta
+    /// apply, a served overlay and a compaction all fold through here, so
+    /// a cell the parts only lift over δ together survives in each.
+    /// Returns how many cells the cut dropped.
+    pub fn fold<'a>(
+        &mut self,
+        parts: impl IntoIterator<Item = &'a Cuboid>,
+        min_support: u64,
+    ) -> usize {
+        for part in parts {
+            self.merge_from(part);
+        }
         let before = self.cells.len();
         self.cells.retain(|_, e| e.support >= min_support);
         before - self.cells.len()

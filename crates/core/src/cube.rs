@@ -101,10 +101,6 @@ impl FlowCube {
         &self.stats
     }
 
-    pub(crate) fn cuboids_map(&self) -> &FxHashMap<CuboidKey, Cuboid> {
-        &self.cuboids
-    }
-
     pub(crate) fn cuboids_map_mut(&mut self) -> &mut FxHashMap<CuboidKey, Cuboid> {
         &mut self.cuboids
     }
@@ -291,48 +287,8 @@ impl FlowCube {
         self.schema.rebuild_indexes();
     }
 
-    /// Merge another flowcube built over a **disjoint partition** of the
-    /// same logical database (same schema and path-level spec) into this
-    /// one — distributed construction via Lemma 4.2: flowgraph
-    /// distributions are algebraic, so partition cubes combine by adding
-    /// counts.
-    ///
-    /// Two caveats, by design:
-    /// * exceptions are **holistic** (Lemma 4.3) and cannot be merged —
-    ///   merged cells get their exception lists cleared; re-mine them
-    ///   where needed ([`FlowCube::remine_exceptions`]);
-    /// * the iceberg condition was applied per partition, so a cell
-    ///   frequent only in the union may be missing from both inputs.
-    ///   Build partitions with δ = 1 for an exact merge.
-    ///
-    /// After merging, this cube's iceberg threshold is re-enforced: cells
-    /// below `params.min_support` in the union are dropped rather than
-    /// left as sub-threshold residue.
-    ///
-    /// The merged [`BuildStats`] describe the total construction work
-    /// across both operands (see [`BuildStats::absorb`]): counters and
-    /// phase timings add, `threads_used` takes the maximum, and
-    /// `cells_materialized` is recomputed from the merged cube.
-    ///
-    /// # Errors
-    /// Returns [`CoreError`] when the schemas or path-level specs are
-    /// incompatible.
-    pub fn merge_from(&mut self, other: &FlowCube) -> Result<(), CoreError> {
-        self.check_mergeable(other)?;
-        for (ck, cuboid) in &other.cuboids {
-            self.cuboids
-                .entry(ck.clone())
-                .or_default()
-                .merge_from(cuboid);
-        }
-        self.enforce_min_support(self.params.min_support);
-        self.stats.absorb(&other.stats);
-        self.stats.cells_materialized = self.total_cells();
-        Ok(())
-    }
-
-    /// Structural compatibility check shared by the merge entry points:
-    /// same dimension count, same path-level spec (by level names).
+    /// Structural compatibility check of a partition merge: same
+    /// dimension count, same path-level spec (by level names).
     fn check_mergeable(&self, other: &FlowCube) -> Result<(), CoreError> {
         if self.schema.num_dims() != other.schema.num_dims() {
             return Err(CoreError::SchemaMismatch {
@@ -356,16 +312,13 @@ impl FlowCube {
     }
 
     /// Merge the partial cubes of a **disjoint partition** of one logical
-    /// database into a single cube under `params` — the distributed
-    /// (sharded) construction path.
+    /// database into a single cube under `params` — distributed (sharded)
+    /// construction via Lemma 4.2: flowgraph distributions are algebraic,
+    /// so partition cubes combine by adding counts.
     ///
-    /// Unlike chaining [`FlowCube::merge_from`], the iceberg condition is
-    /// enforced **once, at the end**, over the fully summed supports.
-    /// Chained merges enforce δ after every step, so a cell frequent only
-    /// in the union of many shards would be dropped before its later
-    /// contributions arrive; deferring the cut makes the merge exact at
-    /// any δ, provided the partials were built at δ = 1 (Lemma 4.2 —
-    /// flowgraph counts are algebraic).
+    /// Every cuboid is folded once ([`Cuboid::fold`]): cut at δ over the
+    /// summed supports, so the merge is exact at any δ provided the
+    /// partials were built at δ = 1.
     ///
     /// Exceptions are holistic (Lemma 4.3) and arrive cleared; re-mine
     /// them from the full database via [`FlowCube::remine_exceptions`]
@@ -373,35 +326,43 @@ impl FlowCube {
     /// is likewise holistic; apply [`FlowCube::prune_redundant`] after
     /// the merge when `params.redundancy_tau` is set.
     ///
+    /// The merged [`BuildStats`] describe the total construction work
+    /// across the parts (see [`BuildStats::absorb`]), with
+    /// `cells_materialized` recomputed from the merged cube.
+    ///
     /// # Errors
     /// [`CoreError::PathSpecMismatch`] when `parts` is empty or any two
     /// partials disagree structurally; [`CoreError::SchemaMismatch`] on a
     /// dimension-count mismatch.
-    pub fn merge_partitions(
-        parts: &[FlowCube],
+    pub fn merge_partitions<'a>(
+        parts: impl IntoIterator<Item = &'a FlowCube>,
         params: FlowCubeParams,
     ) -> Result<FlowCube, CoreError> {
-        let first = parts.first().ok_or_else(|| CoreError::PathSpecMismatch {
+        let mut parts = parts.into_iter().peekable();
+        let first = parts.peek().ok_or_else(|| CoreError::PathSpecMismatch {
             detail: "no partition cubes to merge".to_string(),
         })?;
-        let min_support = params.min_support;
         let mut cube = FlowCube::from_parts(
             first.schema.clone(),
             first.spec.clone(),
             params,
             BuildStats::default(),
         );
+        let mut by_key: FxHashMap<&CuboidKey, Vec<&Cuboid>> = FxHashMap::default();
         for part in parts {
             cube.check_mergeable(part)?;
             for (ck, cuboid) in &part.cuboids {
-                cube.cuboids
-                    .entry(ck.clone())
-                    .or_default()
-                    .merge_from(cuboid);
+                by_key.entry(ck).or_default().push(cuboid);
             }
             cube.stats.absorb(&part.stats);
         }
-        cube.enforce_min_support(min_support);
+        for (ck, cuboids) in by_key {
+            let mut folded = Cuboid::default();
+            folded.fold(cuboids, cube.params.min_support);
+            if !folded.is_empty() {
+                cube.cuboids.insert(ck.clone(), folded);
+            }
+        }
         cube.stats.cells_materialized = cube.total_cells();
         Ok(cube)
     }
@@ -442,22 +403,6 @@ impl FlowCube {
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
-    }
-
-    /// Re-apply the iceberg condition: drop every cell whose support is
-    /// below `min_support` and every cuboid that becomes empty. Returns
-    /// the number of cells removed.
-    ///
-    /// Needed after [`FlowCube::merge_from`] / [`FlowCube::apply_delta`]
-    /// when the operands were built at a lower δ than this cube enforces
-    /// (partition builds use δ = 1 for exactness).
-    pub fn enforce_min_support(&mut self, min_support: u64) -> usize {
-        let mut removed = 0;
-        for cuboid in self.cuboids.values_mut() {
-            removed += cuboid.enforce_min_support(min_support);
-        }
-        self.cuboids.retain(|_, c| !c.is_empty());
-        removed
     }
 
     /// Human-readable cell description.

@@ -10,14 +10,14 @@
 //! reports them as *dirty*, and [`FlowCube::remine_exceptions`] re-mines
 //! exactly those cells from the full path set.
 
-use crate::cell::{aggregate_key, CellKey, Cuboid, CuboidKey};
+use crate::build;
+use crate::cell::{CellKey, Cuboid, CuboidKey};
 use crate::cube::FlowCube;
 use crate::error::CoreError;
 use crate::params::{FlowCubeParams, ItemPlan};
-use flowcube_flowgraph::ExceptionParams;
-use flowcube_hier::{FxHashMap, PathLatticeSpec, PathLevelId, Schema};
+use flowcube_hier::{PathLatticeSpec, Schema};
 use flowcube_obs::{counter_add, Timer};
-use flowcube_pathdb::{aggregate_stages, AggStage, PathDatabase};
+use flowcube_pathdb::PathDatabase;
 use serde::{Deserialize, Serialize};
 
 /// A micro-batch of cube content: the δ=1, exception-free mini-cube of a
@@ -142,15 +142,17 @@ pub struct DeltaReport {
 
 impl FlowCube {
     /// Merge a micro-batch delta into this cube (Lemma 4.2: counts add),
-    /// re-enforce the iceberg condition, and report the dirty cells whose
-    /// exceptions must be re-mined (Lemma 4.3).
+    /// folding each of its cuboids into this cube's with one δ cut
+    /// ([`Cuboid::fold`]), and report the dirty cells whose exceptions
+    /// must be re-mined (Lemma 4.3).
     ///
     /// Exactness: with `params.min_support == 1` the result is
     /// byte-identical to rebuilding from the union of the streams (any
-    /// split, any order). At δ > 1 the iceberg prunes eagerly after each
-    /// apply, so a cell's early sub-threshold contributions are forgotten
-    /// — the maintained cube is a subset of the batch-built one, which is
-    /// the same per-partition caveat as [`FlowCube::merge_from`].
+    /// split, any order). At δ > 1 each apply cuts at δ, so a cell's
+    /// early sub-threshold contributions are forgotten — the maintained
+    /// cube is a subset of the batch-built one. (A served overlay folds
+    /// all its pending deltas in one cut and forgets nothing between
+    /// them.)
     ///
     /// # Errors
     /// [`CoreError::SchemaMismatch`] / [`CoreError::PathSpecMismatch`]
@@ -160,27 +162,25 @@ impl FlowCube {
         let timer = Timer::start("cube.delta.apply");
         delta.validate_against(self)?;
 
-        let mut merged_cells = 0;
+        let min_support = self.params().min_support;
+        let (mut merged_cells, mut pruned_cells) = (0, 0);
         let mut dirty: Vec<(CuboidKey, Vec<CellKey>)> = Vec::with_capacity(delta.cuboids.len());
         for (ck, cuboid) in &delta.cuboids {
-            let touched = self
-                .cuboids_map_mut()
-                .entry(ck.clone())
-                .or_default()
-                .merge_from(cuboid);
-            merged_cells += touched.len();
-            dirty.push((ck.clone(), touched));
-        }
-        let pruned_cells = self.enforce_min_support(self.params().min_support);
-        if pruned_cells > 0 {
-            // Cells that did not survive the iceberg are not dirty — they
-            // no longer exist.
-            for (ck, keys) in &mut dirty {
-                let cuboid = self.cuboids_map().get(ck);
-                keys.retain(|k| cuboid.is_some_and(|c| c.get(k).is_some()));
+            let cuboids = self.cuboids_map_mut();
+            let mut folded = cuboids.remove(ck).unwrap_or_default();
+            pruned_cells += folded.fold([cuboid], min_support);
+            merged_cells += cuboid.len();
+            let touched: Vec<CellKey> = (cuboid.cells.keys())
+                .filter(|k| folded.cells.contains_key(*k))
+                .cloned()
+                .collect();
+            if !folded.is_empty() {
+                cuboids.insert(ck.clone(), folded);
+            }
+            if !touched.is_empty() {
+                dirty.push((ck.clone(), touched));
             }
         }
-        dirty.retain(|(_, keys)| !keys.is_empty());
 
         self.stats_mut().deltas_applied += 1;
         self.stats_mut().delta_paths += delta.paths;
@@ -199,13 +199,13 @@ impl FlowCube {
     }
 
     /// Re-mine exceptions for the dirty cells of one or more delta
-    /// applications, against the **full** path database (base plus every
-    /// applied batch) — exceptions are holistic (Lemma 4.3), so the
-    /// delta's own paths are not enough.
+    /// applications (or of a partition merge), against the **full** path
+    /// database — exceptions are holistic (Lemma 4.3), so the delta's own
+    /// paths are not enough.
     ///
-    /// Only the listed cells are touched; everything else keeps its
-    /// existing exceptions. Returns the number of cells re-mined. Cells
-    /// in `dirty` that no longer exist (pruned meanwhile) are skipped.
+    /// Runs on the build's machinery (BUC tid lists, the path dictionary,
+    /// the chunked runner). Only the listed cells that still exist are
+    /// touched; returns how many were re-mined.
     ///
     /// # Errors
     /// [`CoreError::SchemaMismatch`] when `db`'s dimension count differs
@@ -223,75 +223,8 @@ impl FlowCube {
             });
         }
         let timer = Timer::start("cube.delta.remine");
-
-        // Aggregate each record's path once per distinct path level in
-        // the dirty set (the expensive, shared part).
-        let mut agg_by_level: FxHashMap<PathLevelId, Vec<Vec<AggStage>>> = FxHashMap::default();
-        for (ck, _) in dirty {
-            agg_by_level.entry(ck.path_level).or_insert_with(|| {
-                let level = self.spec().level(ck.path_level);
-                db.records()
-                    .iter()
-                    .map(|r| {
-                        aggregate_stages(&r.stages, level, self.params().merge)
-                            .expect("db locations are covered by every cut")
-                    })
-                    .collect()
-            });
-        }
-
-        // One pass per dirty cuboid: route each record's paths to the
-        // dirty cells its dims aggregate into.
-        let mut work: Vec<(CuboidKey, CellKey, Vec<&[AggStage]>)> = Vec::new();
-        for (ck, keys) in dirty {
-            let agg = &agg_by_level[&ck.path_level];
-            let mut per_cell: FxHashMap<&CellKey, Vec<&[AggStage]>> = FxHashMap::default();
-            let wanted: FxHashMap<&CellKey, ()> = keys.iter().map(|k| (k, ())).collect();
-            for (i, r) in db.records().iter().enumerate() {
-                let cell = aggregate_key(&r.dims, &ck.item_level, self.schema());
-                if let Some((&k, _)) = wanted.get_key_value(&cell) {
-                    per_cell.entry(k).or_default().push(&agg[i]);
-                }
-            }
-            // Keep the caller's key order (deterministic, matches the
-            // delta's sorted cell order).
-            for key in keys {
-                if self
-                    .cuboids_map()
-                    .get(ck)
-                    .is_some_and(|c| c.get(key).is_some())
-                {
-                    let paths = per_cell.remove(key).unwrap_or_default();
-                    work.push((ck.clone(), key.clone(), paths));
-                }
-            }
-        }
-
-        let exc_params = ExceptionParams {
-            min_support: self.params().min_support,
-            min_deviation: self.params().exception_deviation,
-        };
-        let threads = self.params().threads_for(work.len());
-        let results: Vec<Vec<flowcube_flowgraph::Exception>> = {
-            let cells: Vec<flowcube_mining::RemineCell<'_, &[AggStage]>> = work
-                .iter()
-                .map(|(ck, key, paths)| flowcube_mining::RemineCell {
-                    graph: &self.cuboids_map()[ck].cells[key].graph,
-                    paths,
-                })
-                .collect();
-            flowcube_mining::remine_cells(&cells, &exc_params, threads)
-        };
-        let remined = results.len();
-        for ((ck, key, _), exceptions) in work.iter().zip(results) {
-            if let Some(entry) = self
-                .cuboids_map_mut()
-                .get_mut(ck)
-                .and_then(|c| c.cells.get_mut(key))
-            {
-                entry.exceptions = exceptions;
-            }
-        }
+        let (spec, params) = (self.spec().clone(), self.params().clone());
+        let remined = build::remine(db, &spec, &params, self.cuboids_map_mut(), dirty);
         counter_add("cube.delta.remined_cells", remined as u64);
         let elapsed = timer.stop();
         flowcube_obs::histogram_record("cube.delta.remine_us", elapsed.as_secs_f64() * 1e6);

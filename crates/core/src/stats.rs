@@ -58,8 +58,7 @@ impl BuildStats {
     }
 
     /// Fold another build's statistics into this one, as when merging
-    /// partition cubes (`FlowCube::merge_from`) or applying micro-batch
-    /// deltas (`FlowCube::apply_delta`).
+    /// partition cubes (`FlowCube::merge_partitions`).
     ///
     /// Semantics: the result describes the **total work across both
     /// constructions** — counters and timings add (total CPU spent, not

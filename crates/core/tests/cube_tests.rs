@@ -410,9 +410,9 @@ fn partition_cubes_merge_to_full_cube() {
     let full_db = PathDatabase::from_records(schema, records).unwrap();
 
     let params = || FlowCubeParams::new(1).with_exceptions(false);
-    let mut merged = FlowCube::build(&left, spec.clone(), params(), ItemPlan::All);
+    let left_cube = FlowCube::build(&left, spec.clone(), params(), ItemPlan::All);
     let right_cube = FlowCube::build(&right, spec.clone(), params(), ItemPlan::All);
-    merged.merge_from(&right_cube).unwrap();
+    let merged = FlowCube::merge_partitions(&[left_cube, right_cube], params()).unwrap();
     let full = FlowCube::build(&full_db, spec, params(), ItemPlan::All);
 
     assert_eq!(merged.total_cells(), full.total_cells());
@@ -470,8 +470,7 @@ fn merge_rejects_incompatible_cubes() {
         DurationLevel::Raw,
     )]);
     let b = FlowCube::build(&db, spec, FlowCubeParams::new(2), ItemPlan::All);
-    let mut a2 = a.clone();
-    match a2.merge_from(&b) {
+    match FlowCube::merge_partitions(&[a, b], FlowCubeParams::new(2)) {
         Err(flowcube_core::CoreError::PathSpecMismatch { .. }) => {}
         other => panic!("expected PathSpecMismatch, got {other:?}"),
     }

@@ -12,11 +12,11 @@
 //!    union.
 //! 2. [`merge_shard_parts`] validates the shard map (same shard count
 //!    everywhere, every id `0..shards` present exactly once, path counts
-//!    adding up to the full database), merges counts with **deferred** δ
-//!    enforcement ([`FlowCube::merge_partitions`]), then runs the two
-//!    holistic phases over the merged cube exactly the way the batch
-//!    pipeline orders them: exception re-mining against the full path
-//!    database first, redundancy pruning second.
+//!    adding up to the full database), merges counts with one δ cut over
+//!    the summed supports ([`FlowCube::merge_partitions`]), then runs the
+//!    two holistic phases over the merged cube in the batch pipeline's
+//!    order: Definition 4.4 first, then exceptions — re-mined against the
+//!    full path database — for the cells that survive it.
 
 use crate::error::FederateError;
 use crate::shard::{shard_db, ShardPart};
@@ -101,21 +101,19 @@ pub fn merge_shard_parts(
         }
     }
 
-    let cubes: Vec<FlowCube> = parts.iter().map(|p| p.cube.clone()).collect();
-    let mut merged = FlowCube::merge_partitions(&cubes, params.clone())?;
+    let mut merged = FlowCube::merge_partitions(parts.iter().map(|p| &p.cube), params.clone())?;
 
-    // Holistic phases, in batch-pipeline order: exceptions before
-    // redundancy pruning (pruning discards a cell's exceptions with it,
-    // exactly as the single-node build does).
+    // Holistic phases, in batch-pipeline order: redundancy first, then
+    // exceptions for the stored cells only.
+    if let Some(tau) = params.redundancy_tau {
+        merged.prune_redundant(tau);
+    }
     if params.mine_exceptions {
         let db = db.ok_or_else(|| FederateError::Config {
             detail: "exception mining requires the full path database (--db)".into(),
         })?;
-        let dirty = merged.all_cells();
-        merged.remine_exceptions(db, &dirty)?;
-    }
-    if let Some(tau) = params.redundancy_tau {
-        merged.prune_redundant(tau);
+        let stored = merged.all_cells();
+        merged.remine_exceptions(db, &stored)?;
     }
     Ok(merged)
 }

@@ -5,7 +5,6 @@ mod bitmap;
 pub mod buc;
 pub mod cubing;
 pub mod encode;
-pub mod incremental;
 pub mod item;
 pub mod parallel;
 pub mod prefix;
@@ -16,7 +15,6 @@ pub use buc::{buc_iceberg, BucStats, IcebergCell};
 pub use cubing::{mine_cubing, CubingConfig, CubingIo};
 pub use encode::TransactionDb;
 pub use flowcube_obs as obs;
-pub use incremental::{remine_cells, RemineCell};
 pub use item::{DictContext, ItemDictionary, ItemId, ItemKind};
 pub use parallel::{plan_threads, resolve_threads, DEFAULT_PARALLEL_CUTOFF, THREADS_ENV};
 pub use prefix::{PrefixId, PrefixInterner};

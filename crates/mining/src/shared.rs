@@ -150,14 +150,6 @@ impl FrequentItemsets {
         self.itemsets.iter().filter(move |(s, _)| s.len() == k)
     }
 
-    /// Support lookup (exact itemset match; `itemset` must be sorted).
-    pub fn support_of(&self, itemset: &[ItemId]) -> Option<u64> {
-        self.itemsets
-            .iter()
-            .find(|(s, _)| &**s == itemset)
-            .map(|&(_, c)| c)
-    }
-
     /// The frequent *cells* of the flowcube: itemsets made only of
     /// dimension items, at most one per dimension. Each is returned as
     /// `(sorted dim items, support)`. The all-`*` apex cell is implicit
@@ -183,31 +175,6 @@ impl FrequentItemsets {
             })
             .map(|(s, c)| (s.to_vec(), *c))
             .collect()
-    }
-
-    /// Frequent path segments of one cell: for every frequent itemset of
-    /// the form `cell ∪ S` with `S` a non-empty set of stage items, yields
-    /// `(S, support)`. Pass the empty slice for the apex cell.
-    pub fn cell_segments(&self, cell: &[ItemId], tx: &TransactionDb) -> Vec<(Vec<ItemId>, u64)> {
-        let dict = tx.dict();
-        let mut out = Vec::new();
-        for (s, c) in &self.itemsets {
-            if s.len() <= cell.len() {
-                continue;
-            }
-            let mut cell_part: Vec<ItemId> = Vec::new();
-            let mut stage_part: Vec<ItemId> = Vec::new();
-            for &i in s.iter() {
-                match dict.kind(i) {
-                    ItemKind::Dim { .. } => cell_part.push(i),
-                    ItemKind::Stage { .. } => stage_part.push(i),
-                }
-            }
-            if cell_part == cell && !stage_part.is_empty() {
-                out.push((stage_part, *c));
-            }
-        }
-        out
     }
 }
 
@@ -702,32 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_segments_extraction() {
-        let tx = paper_tx();
-        let out = mine_shared(&tx, 2);
-        let cells = out.frequent_cells(&tx);
-        // For the (nike) cell, (f,10) is a frequent segment with support 4
-        // (records 1,3,4,5,6 are nike; of those 1,3,4,5,6 have f=10 → 5;
-        // wait record 2 is nike f=5; so support 5).
-        let nike_cell: Vec<ItemId> = cells
-            .iter()
-            .find(|(items, _)| items.len() == 1 && display_set(&tx, items).contains("211"))
-            .map(|(items, _)| items.clone())
-            .unwrap();
-        let segs = out.cell_segments(&nike_cell, &tx);
-        assert!(!segs.is_empty());
-        let f10 = segs
-            .iter()
-            .find(|(s, _)| s.len() == 1 && display_set(&tx, s) == "{(f,10)}");
-        assert_eq!(f10.map(|&(_, c)| c), Some(5));
-        // apex cell: segments are stage-only frequent itemsets
-        let apex = out.cell_segments(&[], &tx);
-        assert!(apex
-            .iter()
-            .any(|(s, c)| display_set(&tx, s) == "{(f,10)}" && *c == 5));
-    }
-
-    #[test]
     fn lookahead_precount_preserves_output() {
         let tx = paper_tx();
         for delta in [2u64, 3, 4] {
@@ -753,8 +694,8 @@ mod tests {
         assert!(high.itemsets.len() < low.itemsets.len());
         // every high-support itemset appears in the low run with the same
         // support
-        for (s, c) in &high.itemsets {
-            assert_eq!(low.support_of(s), Some(*c));
+        for found in &high.itemsets {
+            assert!(low.itemsets.contains(found), "{found:?}");
         }
     }
 }

@@ -50,7 +50,9 @@ pub enum FlightKind {
     Deadline,
     /// A worker thread panicked and was respawned.
     WorkerCrash,
-    /// A snapshot hot-reload completed; `status` 0 = ok, 1 = failed.
+    /// The served cube was swapped (or an attempt to swap it failed):
+    /// the label names the cause — `reload`, `ingest` or `compact` —
+    /// and `status` is 0 = ok, 1 = failed.
     Reload,
     /// An uncategorized marker (generic span-style event).
     Mark,

@@ -3,9 +3,10 @@
 //!
 //! A long-running ingest stream grows the sidecar without bound and
 //! makes every restart replay it in full. Compaction folds the sidecar
-//! into the snapshot it annotates — producing exactly the cube a server
-//! restart would have reconstructed — and trims the folded prefix off
-//! the sidecar, all without a moment where a crash loses data.
+//! into the snapshot it annotates — writing, cuboid for cuboid, what the
+//! served overlay answers from ([`ServedCube`]'s one fold: counts add,
+//! one δ cut) — and trims the folded prefix off the sidecar, all without
+//! a moment where a crash loses data.
 //!
 //! ## The marker-file protocol
 //!
@@ -13,6 +14,8 @@
 //! brackets its non-atomic window with a durable **marker**
 //! (`<snapshot>.compact`) that records how to finish or undo the job:
 //!
+//! 0. Resolve any earlier job's leftover marker ([`recover`]), so a fold
+//!    that failed after its rename is finished, not folded again.
 //! 1. Fold the snapshot plus the sidecar's first `folded_bytes` bytes
 //!    (a record-aligned boundary; concurrent appends land past it) into
 //!    a cube, and write it to `<snapshot>.compact-tmp`.
@@ -23,7 +26,8 @@
 //! 4. Rewrite the sidecar as just the unfolded tail (temp + rename).
 //! 5. Remove the marker.
 //!
-//! [`recover`] runs at server startup. No marker → nothing to do. A
+//! [`recover`] runs before every open ([`ServedCube::open`]: startup,
+//! reload, the swap after a compaction). No marker → nothing to do. A
 //! marker whose snapshot CRC matches the live snapshot means the crash
 //! hit between steps 3 and 5: the new snapshot is live, so recovery
 //! *finishes* the trim (step 4, guarded by the folded-prefix CRC so an
@@ -36,6 +40,7 @@
 //! simulate crashes in both windows; the durability suite restarts a
 //! server across each and proves no ingested path is lost.
 
+use crate::api::ServedCube;
 use crate::crc::crc32;
 use crate::deltalog;
 use crate::error::{ApiError, SnapshotError};
@@ -138,6 +143,7 @@ pub fn compact(path: &Path) -> Result<CompactReport, ApiError> {
 }
 
 fn compact_inner(path: &Path) -> Result<CompactReport, ApiError> {
+    recover(path)?;
     let log = deltalog::deltalog_path(path);
     let sidecar_len = match std::fs::metadata(&log) {
         Ok(m) => m.len(),
@@ -159,12 +165,9 @@ fn compact_inner(path: &Path) -> Result<CompactReport, ApiError> {
     let folded_deltas = deltas.len();
     let folded_paths: u64 = deltas.iter().map(|d| d.paths).sum();
 
-    let snapshot = Snapshot::open(path)?;
-    let mut cube = snapshot.load_cube()?;
-    drop(snapshot); // close the read handle before the rename below
-    for delta in &deltas {
-        cube.apply_delta(delta)?;
-    }
+    // The overlay's snapshot handle closes with it, before the rename.
+    let cube =
+        ServedCube::from_snapshot_with_deltas(Snapshot::open(path)?, deltas).folded_cube()?;
     let tmp = tmp_snapshot_path(path);
     let info = write_snapshot(&cube, &tmp)?;
 
@@ -211,36 +214,26 @@ pub fn recover(path: &Path) -> Result<Recovery, SnapshotError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Recovery::Clean),
         Err(e) => return Err(io_err(&marker_file, e)),
     };
-    let tmp = tmp_snapshot_path(path);
     let marker: Option<Marker> = std::str::from_utf8(&marker_bytes)
         .ok()
         .and_then(|s| serde_json::from_str(s).ok());
-    let Some(marker) = marker else {
-        // Unreadable marker: the job's intent is unknown, but the old
-        // snapshot + sidecar pair is intact — discard the attempt.
-        let _ = std::fs::remove_file(&tmp);
-        let _ = std::fs::remove_file(&marker_file);
-        flowcube_obs::counter_add("serve.compact.recovered_discard", 1);
-        return Ok(Recovery::Discarded);
-    };
-
-    let live = std::fs::read(path).map_err(|e| io_err(path, e))?;
-    if crc32(&live) == marker.snapshot_crc {
+    let live_crc = crc32(&std::fs::read(path).map_err(|e| io_err(path, e))?);
+    let recovery = match marker {
         // Crash between rename and trim: the fold is live; finish it.
-        trim_sidecar(
-            &deltalog::deltalog_path(path),
-            marker.folded_bytes,
-            marker.folded_prefix_crc,
-        )?;
-        let _ = std::fs::remove_file(&tmp);
-        let _ = std::fs::remove_file(&marker_file);
-        flowcube_obs::counter_add("serve.compact.recovered_finish", 1);
-        Ok(Recovery::FinishedTrim)
-    } else {
-        // Crash before the rename: undo.
-        let _ = std::fs::remove_file(&tmp);
-        let _ = std::fs::remove_file(&marker_file);
-        flowcube_obs::counter_add("serve.compact.recovered_discard", 1);
-        Ok(Recovery::Discarded)
-    }
+        Some(marker) if marker.snapshot_crc == live_crc => {
+            let log = deltalog::deltalog_path(path);
+            trim_sidecar(&log, marker.folded_bytes, marker.folded_prefix_crc)?;
+            flowcube_obs::counter_add("serve.compact.recovered_finish", 1);
+            Recovery::FinishedTrim
+        }
+        // Crash before the rename, or a marker too torn to tell: the old
+        // snapshot + sidecar pair is intact — undo the attempt.
+        _ => {
+            flowcube_obs::counter_add("serve.compact.recovered_discard", 1);
+            Recovery::Discarded
+        }
+    };
+    let _ = std::fs::remove_file(tmp_snapshot_path(path));
+    let _ = std::fs::remove_file(&marker_file);
+    Ok(recovery)
 }

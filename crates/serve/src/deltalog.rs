@@ -1,13 +1,13 @@
 //! The delta sidecar: a crash-tolerant append-only log of
 //! [`CubeDelta`]s riding alongside a snapshot file.
 //!
-//! `POST /admin/ingest` on a snapshot-backed server cannot rewrite the
-//! snapshot (the build pipeline owns that file), so accepted deltas are
-//! appended to `<snapshot>.deltas` and replayed — at startup, on
-//! hot-reload, and on every cube swap — on top of the snapshot's
-//! cuboids. Writing a fresh snapshot that already folds the deltas in
-//! and deleting the sidecar is the compaction story (the `ingest`
-//! CLI's job, not the server's).
+//! `POST /admin/ingest` on a snapshot-backed server does not rewrite the
+//! snapshot per delta, so accepted deltas are appended to
+//! `<snapshot>.deltas` and replayed on top of the snapshot's cuboids
+//! whenever the pair is opened (startup, hot-reload, the swap after a
+//! compaction). The server itself folds the sidecar back into the
+//! snapshot and trims it ([`crate::compact`], `POST /admin/compact` or
+//! the size/age triggers).
 //!
 //! ## Record layout
 //!
@@ -21,14 +21,16 @@
 //! Records repeat until end-of-file. A torn tail — a record whose
 //! header or payload ends past the file — is *tolerated*: replay stops
 //! at the last complete record, because a crash mid-append must not
-//! take the server down. A CRC mismatch on a *complete* record is real
-//! corruption and is an error.
+//! take the server down, and the next append cuts the torn bytes off
+//! before it writes, so its record follows the last complete one. A CRC
+//! mismatch on a *complete* record is real corruption and is an error.
 
 use crate::crc::crc32;
 use crate::error::SnapshotError;
 use flowcube_core::CubeDelta;
-use std::fs::OpenOptions;
-use std::io::{Read, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Per-record header: payload length + payload CRC.
@@ -52,9 +54,44 @@ fn io_err(path: &Path, e: std::io::Error) -> SnapshotError {
     }
 }
 
+/// The payload length a record header at byte `at` declares, guarded
+/// against a corrupt length prefix.
+fn payload_len(header: &[u8], at: u64) -> Result<u64, SnapshotError> {
+    let mut len_le = [0u8; 8];
+    len_le.copy_from_slice(&header[..8]);
+    let len = u64::from_le_bytes(len_le);
+    if len > MAX_RECORD_BYTES {
+        return Err(SnapshotError::Corrupt {
+            detail: format!("delta record at byte {at} declares {len} bytes"),
+        });
+    }
+    Ok(len)
+}
+
+/// The byte length of the sidecar's complete records: the record headers
+/// are hopped from the start (no payload is read) up to the first record
+/// that ends past `file_len` — a torn tail.
+fn complete_len(file: &File, file_len: u64, path: &Path) -> Result<u64, SnapshotError> {
+    let mut header = [0u8; RECORD_HEADER_LEN];
+    let mut at = 0u64;
+    while file_len - at >= RECORD_HEADER_LEN as u64 {
+        file.read_exact_at(&mut header, at)
+            .map_err(|e| io_err(path, e))?;
+        let end = at + RECORD_HEADER_LEN as u64 + payload_len(&header, at)?;
+        if end > file_len {
+            break;
+        }
+        at = end;
+    }
+    Ok(at)
+}
+
 /// Append one delta to the sidecar at `path`, creating the file if
-/// absent. The record is written with a single `write_all` and flushed,
-/// so a crash leaves at worst a torn tail that [`read_deltas`] skips.
+/// absent. A torn tail a crash left behind is cut off first, so the
+/// record lands right after the last complete one; a write that fails
+/// is rolled back to that length. The record is written with a single
+/// `write_all` and flushed, so a crash leaves at worst a torn tail that
+/// [`read_deltas`] skips and the next append cuts.
 pub fn append_delta(path: &Path, delta: &CubeDelta) -> Result<(), SnapshotError> {
     let _span = flowcube_obs::span!("serve.deltalog.append");
     let payload = serde_json::to_string(delta)
@@ -68,11 +105,24 @@ pub fn append_delta(path: &Path, delta: &CubeDelta) -> Result<(), SnapshotError>
     record.extend_from_slice(&payload);
     let mut file = OpenOptions::new()
         .create(true)
-        .append(true)
+        .truncate(false)
+        .read(true)
+        .write(true)
         .open(path)
         .map_err(|e| io_err(path, e))?;
-    file.write_all(&record).map_err(|e| io_err(path, e))?;
-    file.flush().map_err(|e| io_err(path, e))?;
+    let file_len = file.metadata().map_err(|e| io_err(path, e))?.len();
+    let end = complete_len(&file, file_len, path)?;
+    if end < file_len {
+        file.set_len(end).map_err(|e| io_err(path, e))?;
+        flowcube_obs::counter_add("serve.deltalog.torn_tail_cut_bytes", file_len - end);
+    }
+    let written = (file.seek(SeekFrom::Start(end)))
+        .and_then(|_| file.write_all(&record))
+        .and_then(|()| file.flush());
+    if let Err(e) = written {
+        let _ = file.set_len(end);
+        return Err(io_err(path, e));
+    }
     flowcube_obs::counter_add("serve.deltalog.appended", 1);
     Ok(())
 }
@@ -106,14 +156,7 @@ pub fn read_deltas_up_to(path: &Path, limit: u64) -> Result<(Vec<CubeDelta>, u64
     let mut deltas = Vec::new();
     let mut at = 0usize;
     while bytes.len() - at >= RECORD_HEADER_LEN {
-        let mut len_le = [0u8; 8];
-        len_le.copy_from_slice(&bytes[at..at + 8]);
-        let len = u64::from_le_bytes(len_le);
-        if len > MAX_RECORD_BYTES {
-            return Err(SnapshotError::Corrupt {
-                detail: format!("delta record at byte {at} declares {len} bytes"),
-            });
-        }
+        let len = payload_len(&bytes[at..], at as u64)?;
         let mut crc_le = [0u8; 4];
         crc_le.copy_from_slice(&bytes[at + 8..at + RECORD_HEADER_LEN]);
         let crc = u32::from_le_bytes(crc_le);
@@ -242,5 +285,30 @@ mod tests {
             read_deltas(&path),
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
+    }
+
+    /// An append after a torn tail cuts the torn bytes off and lands
+    /// right after the last complete record: the log reads back as the
+    /// records that were acknowledged, in order, and nothing else.
+    #[test]
+    fn append_after_a_torn_tail_follows_the_last_complete_record() {
+        let scratch = Scratch::new("torn-append");
+        let path = scratch.0.clone();
+        let numbered = |paths| CubeDelta {
+            paths,
+            ..sample_delta()
+        };
+        append_delta(&path, &numbered(1)).unwrap();
+        append_delta(&path, &numbered(2)).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() - 5]).unwrap();
+
+        append_delta(&path, &numbered(3)).unwrap();
+        let back: Vec<u64> = read_deltas(&path)
+            .unwrap()
+            .iter()
+            .map(|d| d.paths)
+            .collect();
+        assert_eq!(back, [1, 3]);
     }
 }

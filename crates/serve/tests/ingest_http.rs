@@ -204,13 +204,9 @@ fn snapshot_ingest_is_durable_across_reload_and_restart() {
     handle.shutdown();
     handle.join();
 
-    // A fresh process (what the CLI does at startup): open the snapshot,
-    // replay the sidecar — same answers as the live server gave.
-    let replayed = ServedCube::from_snapshot_with_deltas(
-        Snapshot::open(&path).unwrap(),
-        read_deltas(&sidecar).unwrap(),
-    );
-    let handle = start(replayed);
+    // A fresh process (the CLI's startup): the one open replays the
+    // sidecar — same answers as the live server gave.
+    let handle = start(ServedCube::open(&path).unwrap().0);
     let addr = handle.addr();
     let (status, _, cell_restarted) = get(addr, "/cell?cell=*,*&level=fine", &[]);
     assert_eq!(status, 200);

@@ -1,21 +1,28 @@
 //! Request-level observability, end to end: request-id echo, Prometheus
 //! exposition conformance, per-endpoint latency histograms, Retry-After
-//! on overload-shaped errors, the flight-recorder debug endpoint, and
-//! structured access logging with flight dumps.
+//! on overload-shaped errors, the flight-recorder debug endpoint, the
+//! cause of every swap of the served cube, and structured access logging
+//! with flight dumps.
 
-use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
+use flowcube_core::{CubeDelta, FlowCube, FlowCubeParams, ItemPlan};
 use flowcube_datagen::{generate, DimShape, GeneratorConfig};
 use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
-use flowcube_obs::flight;
+use flowcube_obs::flight::{self, FlightKind};
+use flowcube_pathdb::PathDatabase;
 use flowcube_serve::http::Request;
 use flowcube_serve::{
-    handle_request, serve_cube, AccessLog, AppState, RequestCtx, ResponseCache, ServedCube,
-    ServerConfig, ServerHandle,
+    handle_request, serve_cube, write_snapshot, AccessLog, AppState, RequestCtx, ResponseCache,
+    ServedCube, ServerConfig, ServerHandle, Snapshot,
 };
 use flowcube_testkit::http::{get, header, third_connection};
+use std::sync::Mutex;
 use std::time::Duration;
 
-fn small_cube() -> FlowCube {
+/// Held by the tests that read flight events back and by the one that
+/// floods the ring, so the flood cannot lap the events being read.
+static FLIGHT_RING: Mutex<()> = Mutex::new(());
+
+fn small_db() -> (PathDatabase, PathLatticeSpec) {
     let config = GeneratorConfig {
         num_paths: 120,
         dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
@@ -30,6 +37,11 @@ fn small_cube() -> FlowCube {
         LocationCut::uniform_level(loc, loc.max_level()),
         DurationLevel::Raw,
     )]);
+    (db, spec)
+}
+
+fn small_cube() -> FlowCube {
+    let (db, spec) = small_db();
     FlowCube::build(&db, spec, FlowCubeParams::new(8), ItemPlan::All)
 }
 
@@ -181,6 +193,7 @@ fn deadline_503_carries_retry_after_and_request_id() {
 /// ring and the metrics registry, both bounded.
 #[test]
 fn requests_leave_the_span_trace_alone() {
+    let _ring = FLIGHT_RING.lock().unwrap_or_else(|e| e.into_inner());
     flowcube_obs::enable();
     let state = AppState::new(image(), ResponseCache::new(8));
     let req = plain_request("/cell", &[("cell", "*,*"), ("level", "fine")], &[]);
@@ -249,6 +262,43 @@ fn debug_flight_exposes_recent_events() {
 
     handle.shutdown();
     handle.join();
+}
+
+/// Reload, ingest and compaction all swap the served cube; each swap is a
+/// `Reload` flight event whose label names its cause, and a failed
+/// attempt carries status 1.
+#[test]
+fn swap_events_name_their_cause() {
+    let _ring = FLIGHT_RING.lock().unwrap_or_else(|e| e.into_inner());
+    flight::enable();
+    let (db, spec) = small_db();
+    let params = FlowCubeParams::new(8);
+    let path = std::env::temp_dir().join(format!("flowcube-swaps-{}.snap", std::process::id()));
+    let sidecar = flowcube_serve::deltalog_path(&path);
+    let _ = std::fs::remove_file(&sidecar);
+    let cube = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
+    write_snapshot(&cube, &path).expect("write snapshot");
+    let served = ServedCube::from_snapshot(Snapshot::open(&path).expect("open snapshot"));
+    let state = AppState::new(served, ResponseCache::new(8));
+
+    let delta = CubeDelta::compute(&db, &spec, &params, &ItemPlan::All);
+    let body = serde_json::to_string(&delta).expect("encode delta");
+    state.ingest(body.as_bytes()).expect("ingest");
+    assert!(state.ingest(b"{not json").is_err());
+    state.compact().expect("compact");
+    state.reload().expect("reload");
+    let swaps: Vec<(String, u16)> = (flight::snapshot().into_iter())
+        .filter(|e| e.kind == FlightKind::Reload)
+        .map(|e| (e.label, e.status))
+        .collect();
+    let causes = [("ingest", 0), ("ingest", 1), ("compact", 0), ("reload", 0)];
+    assert!(
+        swaps.ends_with(&causes.map(|(cause, status)| (cause.to_string(), status))),
+        "got {swaps:?}"
+    );
+
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&sidecar);
 }
 
 #[test]

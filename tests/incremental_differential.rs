@@ -13,9 +13,9 @@
 //!   against the full path database reproduces the batch-built
 //!   exceptions.
 //!
-//! At δ > 1 the maintained cube is lossy by design (the iceberg prunes
-//! eagerly after every apply, forgetting early sub-threshold
-//! contributions), so the tests assert the documented weaker contract:
+//! At δ > 1 a maintained `FlowCube` is lossy by design (each apply cuts
+//! at δ, forgetting early sub-threshold contributions), so the tests
+//! assert the documented weaker contract:
 //! the iceberg invariant always holds and the maintained cube is a
 //! subset of the batch rebuild.
 
@@ -155,8 +155,7 @@ proptest! {
 
     /// δ > 1: the iceberg is re-enforced after every apply (no cell ever
     /// sits below δ), and the maintained cube is a subset of the batch
-    /// rebuild with never-larger supports — the documented lossiness,
-    /// same caveat as `merge_from`.
+    /// rebuild with never-larger supports — the documented lossiness.
     #[test]
     fn iceberg_reenforced_and_subset_of_batch_at_higher_delta(
         paths in 30usize..70,
@@ -244,7 +243,7 @@ fn mismatched_delta_is_rejected() {
     );
 }
 
-/// `merge_from` combines build statistics honestly: counters add,
+/// `merge_partitions` combines build statistics honestly: counters add,
 /// `cells_materialized` is recomputed from the merged cube, and the
 /// iceberg is re-enforced on the union.
 #[test]
@@ -253,21 +252,21 @@ fn merge_from_combines_stats_and_reenforces_iceberg() {
     let params = FlowCubeParams::new(2).with_exceptions(false);
     let halves = split_db(&db, 2);
 
-    let mut left = FlowCube::build(&halves[0], spec.clone(), params.clone(), ItemPlan::All);
+    let left = FlowCube::build(&halves[0], spec.clone(), params.clone(), ItemPlan::All);
     let right = FlowCube::build(&halves[1], spec.clone(), params.clone(), ItemPlan::All);
     let (lf, rf) = (left.stats().frequent_cells, right.stats().frequent_cells);
     let (ls, rs) = (left.stats().mining.scans, right.stats().mining.scans);
 
-    left.merge_from(&right).expect("same schema and spec");
+    let merged = FlowCube::merge_partitions(&[left, right], params).expect("same schema and spec");
 
     // Counters describe the total work across both constructions…
-    assert_eq!(left.stats().frequent_cells, lf + rf);
-    assert_eq!(left.stats().mining.scans, ls + rs);
+    assert_eq!(merged.stats().frequent_cells, lf + rf);
+    assert_eq!(merged.stats().mining.scans, ls + rs);
     // …while the materialized-cell count describes the merged cube, not
     // the sum of the halves (shared cells must not be double-counted).
-    assert_eq!(left.stats().cells_materialized, left.total_cells());
+    assert_eq!(merged.stats().cells_materialized, merged.total_cells());
 
-    for (ck, cuboid) in left.cuboids() {
+    for (ck, cuboid) in merged.cuboids() {
         for (cell, entry) in cuboid.iter() {
             assert!(
                 entry.support >= 2,
