@@ -127,7 +127,8 @@ fn snapshot_serve_query_shutdown() {
     // Acceptance: served /rollup equals the in-process roll_up.
     {
         let snapshot = flowcube_serve::Snapshot::open(&snap).expect("open snapshot");
-        let cube = snapshot.load_cube().expect("load cube");
+        let served = flowcube_serve::ServedCube::from_snapshot(snapshot);
+        let cube = served.folded_cube().expect("load cube");
         let key = cube.require_key(&format!("{value},*,*")).expect("key");
         let pl = cube.require_path_level("loc0/dur0").expect("level");
         let (parent, entry) = cube.roll_up(&key, 0, pl).expect("in-process rollup");

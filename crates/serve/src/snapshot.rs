@@ -698,16 +698,6 @@ impl Snapshot {
         flowcube_obs::counter_add("serve.snapshot.cuboid_loads", 1);
         self.load_section(desc).map(Some)
     }
-
-    /// Eagerly decode every cuboid into a complete heap [`FlowCube`].
-    pub fn load_cube(&self) -> Result<FlowCube, SnapshotError> {
-        let _span = flowcube_obs::span!("serve.snapshot.load_cube");
-        let mut cube = self.shell.clone();
-        for (key, desc) in self.container.cuboid_sections() {
-            cube.insert_cuboid(key.clone(), self.load_section(desc)?.decode_cuboid()?);
-        }
-        Ok(cube)
-    }
 }
 
 /// Copy a header slice into a fixed-size array for `from_le_bytes`.

@@ -22,7 +22,9 @@ use flowcube_datagen::{generate, DimShape, GeneratorConfig};
 use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel, Schema};
 use flowcube_serve::crc::crc32;
 use flowcube_serve::snapshot::{SectionDesc, KIND_CUBOID};
-use flowcube_serve::{load_v1_cube, write_snapshot, Snapshot, SnapshotError, FORMAT_VERSION};
+use flowcube_serve::{
+    load_v1_cube, write_snapshot, ServedCube, Snapshot, SnapshotError, FORMAT_VERSION,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -120,7 +122,7 @@ proptest! {
 
         let snap = Snapshot::open(&path).expect("open");
         prop_assert_eq!(snap.num_cuboids(), cube.num_cuboids());
-        let loaded = snap.load_cube().expect("load");
+        let loaded = ServedCube::from_snapshot(snap).folded_cube().expect("load");
         prop_assert_eq!(loaded.num_cuboids(), cube.num_cuboids());
         prop_assert_eq!(loaded.total_cells(), cube.total_cells());
         prop_assert_eq!(query_fingerprint(&loaded), query_fingerprint(&cube));
@@ -184,7 +186,7 @@ fn truncation_fails_cleanly() {
     for cut in cuts {
         let t = tmp(&format!("trunc-{cut}.snap"));
         std::fs::write(&t, &full[..cut]).unwrap();
-        let result = Snapshot::open(&t).and_then(|s| s.load_cube());
+        let result = Snapshot::open(&t).and_then(|s| ServedCube::from_snapshot(s).folded_cube());
         assert!(
             result.is_err(),
             "truncation at {cut}/{} bytes must fail",
@@ -215,7 +217,7 @@ fn corrupted_payload_is_detected() {
         let result = Snapshot::open(&t).and_then(|s| {
             // Either open itself (metadata/index) or a cuboid load must
             // notice the flip.
-            s.load_cube()
+            ServedCube::from_snapshot(s).folded_cube()
         });
         match result {
             Err(SnapshotError::ChecksumMismatch { .. })
@@ -529,12 +531,13 @@ fn file_truncated_under_an_open_snapshot_is_typed() {
     write_snapshot(&cube, &p).expect("write");
     let snapshot = Snapshot::open(&p).expect("open");
     assert!(snapshot.num_cuboids() > 8, "enough sections to fan out");
+    let served = ServedCube::from_snapshot(Snapshot::open(&p).expect("open"));
     let len = std::fs::metadata(&p).unwrap().len();
     let file = std::fs::OpenOptions::new().write(true).open(&p).unwrap();
     file.set_len(len * 2 / 3).expect("truncate in place");
     for result in [
         at_1_and_4_threads(|| snapshot.verify_all()),
-        at_1_and_4_threads(|| snapshot.load_cube().map(drop)),
+        at_1_and_4_threads(|| served.folded_cube().map(drop)),
     ] {
         match result {
             Err(SnapshotError::Io { .. }) | Err(SnapshotError::Truncated { .. }) => {}
@@ -578,9 +581,8 @@ fn golden_v1_fixture_is_upgrade_only() {
 
     let v2 = tmp("golden-v2.snap");
     write_snapshot(&cube, &v2).expect("write v2");
-    let loaded_v2 = Snapshot::open(&v2)
-        .expect("open v2")
-        .load_cube()
+    let loaded_v2 = ServedCube::from_snapshot(Snapshot::open(&v2).expect("open v2"))
+        .folded_cube()
         .expect("load v2");
     assert_eq!(query_fingerprint(&loaded_v2), want);
     // The upgrade reader reads format 1 and nothing else.

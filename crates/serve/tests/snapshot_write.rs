@@ -8,7 +8,7 @@
 use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
 use flowcube_datagen::{generate, DimShape, GeneratorConfig};
 use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
-use flowcube_serve::{write_snapshot, Snapshot, SnapshotError};
+use flowcube_serve::{write_snapshot, ServedCube, Snapshot, SnapshotError};
 use flowcube_testkit::FailAction;
 
 fn cube(seed: u64, min_support: u64) -> FlowCube {
@@ -55,12 +55,18 @@ fn a_write_onto_a_served_path_replaces_the_file_atomically() {
     held.verify_all()
         .expect("the open handle keeps a whole file");
     assert_eq!(
-        held.load_cube().expect("old cube").total_cells(),
+        ServedCube::from_snapshot(held)
+            .folded_cube()
+            .expect("old cube")
+            .total_cells(),
         old.total_cells()
     );
     let fresh = Snapshot::open(&path).expect("open new");
     assert_eq!(
-        fresh.load_cube().expect("new cube").total_cells(),
+        ServedCube::from_snapshot(fresh)
+            .folded_cube()
+            .expect("new cube")
+            .total_cells(),
         new.total_cells()
     );
     let on_disk = std::fs::read(&path).unwrap();

@@ -14,7 +14,7 @@
 //! 2. the operator contracts the endpoints are built on (`CuboidRead`,
 //!    `GraphRead`) agree between a `ColumnarSection` and the `Cuboid` it
 //!    encodes;
-//! 3. write → open → `load_cube` → write again reproduces the file
+//! 3. write → open → `folded_cube` → write again reproduces the file
 //!    byte-for-byte: the encode/decode pair is lossless *and* canonical.
 //!
 //! The checked-in format-1 fixture rides the same reference: upgraded
@@ -396,7 +396,8 @@ proptest! {
         );
 
         // Re-encode stability: one canonical byte string per content.
-        let reloaded = Snapshot::open(&file).expect("reopen").load_cube().expect("load");
+        let reopened = Snapshot::open(&file).expect("reopen");
+        let reloaded = ServedCube::from_snapshot(reopened).folded_cube().expect("load");
         let rewrite = tmp(&format!("{tag}-rewrite.snap"));
         write_snapshot(&reloaded, &rewrite).expect("rewrite");
         prop_assert_eq!(
