@@ -2,13 +2,15 @@
 
 use crate::args::Args;
 use crate::error::CliError;
-use flowcube_core::{Algorithm, FlowCube, FlowCubeParams, ItemPlan};
+use flowcube_core::{Algorithm, CellKey, FlowCube, FlowCubeParams, ItemPlan};
 use flowcube_datagen::{generate as gen_paths, DimShape, GeneratorConfig};
-use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel, Schema};
+use flowcube_federate::{build_shard_part, merge_shard_parts, ShardPart};
+use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel, PathLevelId, Schema};
 use flowcube_mining::{
     mine as mine_itemsets, mine_cubing, CubingConfig, SharedConfig, TransactionDb,
 };
 use flowcube_pathdb::{MergePolicy, PathDatabase};
+use flowcube_serve::{write_snapshot, ServedCube, SnapshotError, SnapshotInfo, FORMAT_VERSION};
 
 pub const USAGE: &str = "\
 flowcube — RFID FlowCube construction and analysis (VLDB 2006 reproduction)
@@ -18,27 +20,23 @@ USAGE:
                     [--flow-correlation F] [--exception-bias B] --out db.json
   flowcube build    --db db.json --min-support N [--eps E] [--tau T]
                     [--algorithm shared|basic|cubing]
-                    [--no-exceptions] [--threads N] --out cube.json
-                    [--shards N --shard-id K] (emit one shard partial)
-  flowcube merge    part0.json part1.json … --db db.json --min-support N
-                    [--eps E] [--tau T] [--no-exceptions] --out cube.json
-                    [--snapshot-out cube.snap]
-  flowcube cells    --cube cube.json [--level NAME] [--limit N]
-  flowcube query    --cube cube.json --cell v1,v2,… (use * for any)
+                    [--no-exceptions] [--threads N] --out cube.snap
+                    [--shards N --shard-id K] (write one shard part)
+  flowcube merge    part0.snap part1.snap … --db db.json --min-support N
+                    [--eps E] [--tau T] [--no-exceptions] --out cube.snap
+  flowcube cells    --snapshot cube.snap [--level NAME] [--limit N]
+  flowcube query    --snapshot cube.snap --cell v1,v2,… (use * for any)
                     [--level NAME]
   flowcube mine     --db db.json --algorithm shared|basic|cubing
                     --min-support N [--threads N]
-  flowcube predict  --cube cube.json --cell v1,… --observed loc:dur,loc:dur
-                    [--level NAME]
-  flowcube snapshot --db db.json [build flags] --out cube.snap
-                    (or --cube cube.json --out cube.snap to convert,
-                     or --snapshot old.snap --out cube.snap to upgrade
-                     a format-1 snapshot)
+  flowcube predict  --snapshot cube.snap --cell v1,…
+                    --observed loc:dur,loc:dur [--level NAME]
+  flowcube snapshot --snapshot old.snap --out cube.snap
+                    (upgrade a format-1 snapshot)
   flowcube serve    --snapshot cube.snap [--addr HOST:PORT] [--workers N]
                     [--queue-depth N] [--cache N] [--deadline-ms MS]
                     [--degraded-after N] [--access-log FILE|-] [--slow-ms MS]
                     [--compact-after-bytes N] [--compact-after-secs S]
-                    (or --cube cube.json to serve a JSON cube directly)
   flowcube federate --backends h1:p1|h1r2:p,h2:p2,… [--shards N]
                     [--addr HOST:PORT] [--deadline-ms MS]
                     [--shard-timeout-ms MS] [--workers N] [--queue-depth N]
@@ -50,7 +48,8 @@ USAGE:
   flowcube ingest   --follow readings.log --db db.json [--out deltas.jsonl]
                     [--post http://HOST:PORT/admin/ingest] [--once]
                     [--post-timeout-ms MS] [--post-retries N]
-                    [--poll-ms MS] [--gap N] [--unit N] [build flags]
+                    [--post-backoff-ms MS] [--poll-ms MS] [--gap N] [--unit N]
+                    [build flags]
   flowcube tables   (reproduce the paper's Tables 1-4 examples)
 
 INGESTION (--on-error):
@@ -71,15 +70,15 @@ INCREMENTAL INGESTION (--follow):
 
 SHARDED BUILD + FEDERATION:
   A large path database builds in parallel: `build --shards N --shard-id K`
-  partitions paths by a fixed EPC hash and emits shard K's partial cube
-  (δ = 1, no exceptions, no pruning — counts merge by addition, Lemma
-  4.2); `merge` combines the N partials, enforces the real min-support,
-  re-mines exceptions against the full database (Lemma 4.3 — pass --db),
-  and prunes redundancy, producing a cube byte-identical to a
-  single-node build. `federate` boots a scatter-gather front over N
-  `serve` backends (backend K serves shard K's cube): query endpoints
-  fan out, counts merge, and a slow or dead shard degrades the answer
-  (\"partial\": true + Retry-After) instead of failing it.
+  partitions paths by a fixed EPC hash and writes shard K's part file, the
+  snapshot of its partial cube (δ = 1, no exceptions, no pruning — counts
+  merge by addition, Lemma 4.2) plus the shard map; `merge` combines the
+  N parts, enforces the real min-support, prunes redundancy and re-mines
+  exceptions against the full database (Lemma 4.3 — pass --db), writing
+  a snapshot byte-identical to a single-node build. `federate` boots a
+  scatter-gather front over N `serve` backends (backend K serves part K):
+  query endpoints fan out, counts merge, and a slow or dead shard degrades
+  the answer (\"partial\": true + Retry-After) instead of failing it.
 
 REPLICA SETS (federate --backends):
   Each shard entry may name several replicas separated by '|'
@@ -96,10 +95,10 @@ REPLICA SETS (federate --backends):
   answer degrades to partial only when an entire replica set is down.
 
 SNAPSHOT FORMAT:
-  Snapshots are format 2, the columnar layout `serve` queries in place.
-  A format-1 file from an older build is upgrade-only: `snapshot
-  --snapshot old.snap --out new.snap`. `serve --cube` serves the same
-  format from memory; deltas it ingests are not durable.
+  Every cube file is a format-2 snapshot, the columnar layout `serve`
+  queries in place; `cells`, `query`, `predict`, `merge` and `serve` all
+  open it with its <snapshot>.deltas sidecar. A format-1 file from an
+  older build is upgrade-only: `snapshot --snapshot old.snap --out new.snap`.
 
 COMPACTION (--compact-after-bytes / --compact-after-secs):
   A snapshot-backed server folds its <snapshot>.deltas sidecar into a
@@ -253,63 +252,58 @@ fn build_params(args: &Args) -> Result<FlowCubeParams, String> {
     Ok(params)
 }
 
-/// Build a cube from `--db` plus the shared build flags.
-fn build_cube(args: &Args) -> Result<FlowCube, CliError> {
-    let db = read_db(args.require("db")?)?;
-    let params = build_params(args)?;
-    let spec = default_spec(db.schema())?;
-    let cube = FlowCube::build(&db, spec, params, ItemPlan::All);
+/// Print what a snapshot write wrote.
+fn report_write(out: &str, written: Result<SnapshotInfo, SnapshotError>) -> Result<(), CliError> {
+    let info = written.map_err(|e| e.to_string())?;
     println!(
-        "built cube: {} cuboids, {} cells [{}]",
-        cube.num_cuboids(),
-        cube.total_cells(),
-        cube.stats().summary()
+        "wrote snapshot {out} (format v{FORMAT_VERSION}): {} sections ({} cuboids), {} bytes",
+        info.sections, info.cuboids, info.bytes
     );
-    Ok(cube)
+    Ok(())
 }
 
+/// `flowcube build` — write the snapshot of `--db`'s cube or, with
+/// `--shards N --shard-id K`, shard K's [`ShardPart`] file.
 pub fn build(args: &Args) -> Result<(), CliError> {
     obs_setup(args);
     let out = args.require("out")?;
-    if args.get("shards").is_some() {
-        return build_shard(args, out);
-    }
-    let cube = build_cube(args)?;
-    let json = serde_json::to_string(&cube).map_err(|e| e.to_string())?;
-    std::fs::write(out, json).map_err(|e| e.to_string())?;
-    println!("wrote {out}");
-    obs_finish(args)
-}
-
-/// `flowcube build --shards N --shard-id K` — build one shard's partial
-/// cube (δ = 1, no exceptions, no pruning; the merge step enforces the
-/// real parameters) and write it as a [`flowcube_federate::ShardPart`].
-fn build_shard(args: &Args, out: &str) -> Result<(), CliError> {
-    let shards: u32 = args.num("shards", 0u32)?;
-    let shard_id: u32 = match args.get("shard-id") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--shard-id: cannot parse {v:?}"))?,
-        None => return Err(CliError::usage("--shards requires --shard-id")),
+    let shard = match (args.get("shards"), args.get("shard-id")) {
+        (None, _) => None,
+        (Some(_), None) => return Err(CliError::usage("--shards requires --shard-id")),
+        (Some(_), Some(_)) => Some((args.num("shards", 0u32)?, args.num("shard-id", 0u32)?)),
     };
     let db = read_db(args.require("db")?)?;
     let params = build_params(args)?;
     let spec = default_spec(db.schema())?;
-    let part = flowcube_federate::build_shard_part(&db, spec, &params, shards, shard_id)?;
-    let json = serde_json::to_string(&part).map_err(|e| e.to_string())?;
-    std::fs::write(out, json).map_err(|e| e.to_string())?;
-    println!(
-        "wrote shard {shard_id}/{shards} to {out}: {} paths, {} cells",
-        part.paths,
-        part.cube.total_cells()
-    );
+    let written = match shard {
+        Some((shards, shard_id)) => {
+            let part = build_shard_part(&db, spec, &params, shards, shard_id)?;
+            println!(
+                "built shard {shard_id}/{shards}: {} paths, {} cells",
+                part.map.paths,
+                part.cube.total_cells()
+            );
+            part.write(out)
+        }
+        None => {
+            let cube = FlowCube::build(&db, spec, params, ItemPlan::All);
+            println!(
+                "built cube: {} cuboids, {} cells [{}]",
+                cube.num_cuboids(),
+                cube.total_cells(),
+                cube.stats().summary()
+            );
+            write_snapshot(&cube, out)
+        }
+    };
+    report_write(out, written)?;
     obs_finish(args)
 }
 
-/// `flowcube merge` — combine shard partials (positional arguments)
-/// into one cube, identical to a single-node build with the same flags.
-/// `--db` supplies the full path database for exception re-mining
-/// (Lemma 4.3: exceptions are holistic); omit it only with
+/// `flowcube merge` — combine shard part files (positional arguments)
+/// into one cube snapshot, identical to a single-node build with the
+/// same flags. `--db` supplies the full path database for exception
+/// re-mining (Lemma 4.3: exceptions are holistic); omit it only with
 /// `--no-exceptions`.
 pub fn merge(args: &Args) -> Result<(), CliError> {
     obs_setup(args);
@@ -320,34 +314,18 @@ pub fn merge(args: &Args) -> Result<(), CliError> {
         ));
     }
     let params = build_params(args)?;
-    let mut parts = Vec::with_capacity(args.positional.len());
-    for path in &args.positional {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        // A part that does not decode — its spec repeats a path level,
-        // say — is bad input data.
-        let mut part: flowcube_federate::ShardPart =
-            serde_json::from_str(&text).map_err(|e| CliError::data(format!("{path}: {e}")))?;
-        part.rebuild_indexes();
-        parts.push(part);
-    }
-    let db = match args.get("db") {
-        Some(path) => Some(read_db(path)?),
-        None => None,
-    };
-    let cube = flowcube_federate::merge_shard_parts(&parts, db.as_ref(), &params)?;
+    let parts = (args.positional.iter())
+        .map(|path| ShardPart::open(path).map_err(|e| CliError::snapshot(path, e)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let db = args.get("db").map(read_db).transpose()?;
+    let cube = merge_shard_parts(&parts, db.as_ref(), &params)?;
     println!(
         "merged {} shard parts: {} cuboids, {} cells",
         parts.len(),
         cube.num_cuboids(),
         cube.total_cells()
     );
-    if let Some(snap) = args.get("snapshot-out") {
-        let info = flowcube_serve::write_snapshot(&cube, snap).map_err(|e| e.to_string())?;
-        println!("wrote snapshot {snap}: {} bytes", info.bytes);
-    }
-    let json = serde_json::to_string(&cube).map_err(|e| e.to_string())?;
-    std::fs::write(out, json).map_err(|e| e.to_string())?;
-    println!("wrote {out}");
+    report_write(out, write_snapshot(&cube, out))?;
     obs_finish(args)
 }
 
@@ -395,15 +373,26 @@ pub fn federate(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn read_cube(path: &str) -> Result<FlowCube, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut cube: FlowCube = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    cube.rebuild_indexes();
-    Ok(cube)
+/// The cube in `--snapshot` as `serve` answers from that file: the one
+/// open ([`ServedCube::open`]: crash recovery, sidecar deltas) and the
+/// one eager decode ([`ServedCube::folded_cube`]).
+fn open_cube(args: &Args) -> Result<FlowCube, CliError> {
+    let path = args.require("snapshot")?;
+    ServedCube::open(path.as_ref())
+        .and_then(|(served, _)| served.folded_cube())
+        .map_err(|e| CliError::snapshot(path, e))
+}
+
+/// The cell `--cell` (`*` or empty = any) at the path level `--level`
+/// (default: the first).
+fn cell_at(cube: &FlowCube, args: &Args) -> Result<(CellKey, PathLevelId), CliError> {
+    let key = cube.require_key(args.require("cell")?)?;
+    let level = args.get_or("level", &cube.spec().level(0).name);
+    Ok((key, cube.require_path_level(level)?))
 }
 
 pub fn cells(args: &Args) -> Result<(), CliError> {
-    let cube = read_cube(args.require("cube")?)?;
+    let cube = open_cube(args)?;
     let limit = args.num("limit", 50usize)?;
     let level_filter = args.get("level");
     let mut shown = 0;
@@ -444,26 +433,8 @@ pub fn cells(args: &Args) -> Result<(), CliError> {
 }
 
 pub fn query(args: &Args) -> Result<(), CliError> {
-    let cube = read_cube(args.require("cube")?)?;
-    let cell_spec = args.require("cell")?;
-    let names: Vec<Option<&str>> = cell_spec
-        .split(',')
-        .map(|s| {
-            let s = s.trim();
-            if s == "*" || s.is_empty() {
-                None
-            } else {
-                Some(s)
-            }
-        })
-        .collect();
-    let key = cube
-        .key_from_names(&names)
-        .ok_or_else(|| format!("cannot resolve cell {cell_spec:?}"))?;
-    let level_name = args.get_or("level", &cube.spec().level(0).name).to_string();
-    let pl = cube
-        .path_level_id(&level_name)
-        .ok_or_else(|| format!("unknown path level {level_name:?}"))?;
+    let cube = open_cube(args)?;
+    let (key, pl) = cell_at(&cube, args)?;
     match cube.lookup(&key, pl) {
         Some(lk) => {
             if !lk.exact {
@@ -516,22 +487,8 @@ pub fn mine(args: &Args) -> Result<(), CliError> {
 
 /// Predict the next location for an observed partial path within a cell.
 pub fn predict(args: &Args) -> Result<(), CliError> {
-    let cube = read_cube(args.require("cube")?)?;
-    let cell_spec = args.require("cell")?;
-    let names: Vec<Option<&str>> = cell_spec
-        .split(',')
-        .map(|s| {
-            let s = s.trim();
-            (s != "*" && !s.is_empty()).then_some(s)
-        })
-        .collect();
-    let key = cube
-        .key_from_names(&names)
-        .ok_or_else(|| format!("cannot resolve cell {cell_spec:?}"))?;
-    let level_name = args.get_or("level", &cube.spec().level(0).name).to_string();
-    let pl = cube
-        .path_level_id(&level_name)
-        .ok_or_else(|| format!("unknown path level {level_name:?}"))?;
+    let cube = open_cube(args)?;
+    let (key, pl) = cell_at(&cube, args)?;
     let lk = cube
         .lookup(&key, pl)
         .ok_or("no materialized cell or ancestor found")?;
@@ -579,34 +536,14 @@ pub fn predict(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Load the cube named by `--cube` (JSON) or `--snapshot` (a format-1
-/// snapshot to upgrade), or build one from `--db`.
-fn cube_for_snapshot(args: &Args) -> Result<FlowCube, CliError> {
-    if let Some(path) = args.get("cube") {
-        Ok(read_cube(path)?)
-    } else if let Some(path) = args.get("snapshot") {
-        Ok(flowcube_serve::load_v1_cube(path).map_err(|e| e.to_string())?)
-    } else if args.get("db").is_some() {
-        build_cube(args)
-    } else {
-        Err("need --cube cube.json, --snapshot old.snap or --db db.json (plus build flags)".into())
-    }
-}
-
-/// `flowcube snapshot` — build (or load) a cube and persist it to the
-/// versioned binary snapshot format a server can open lazily.
+/// `flowcube snapshot --snapshot old.snap --out new.snap` — rewrite a
+/// format-1 snapshot in the current format.
 pub fn snapshot(args: &Args) -> Result<(), CliError> {
     obs_setup(args);
+    let old = args.require("snapshot")?;
     let out = args.require("out")?;
-    let cube = cube_for_snapshot(args)?;
-    let info = flowcube_serve::write_snapshot(&cube, out).map_err(|e| e.to_string())?;
-    println!(
-        "wrote snapshot {out} (format v{}): {} sections ({} cuboids), {} bytes",
-        flowcube_serve::FORMAT_VERSION,
-        info.sections,
-        info.cuboids,
-        info.bytes
-    );
+    let cube = flowcube_serve::load_v1_cube(old).map_err(|e| CliError::snapshot(old, e))?;
+    report_write(out, write_snapshot(&cube, out))?;
     obs_finish(args)
 }
 
@@ -615,29 +552,19 @@ pub fn snapshot(args: &Args) -> Result<(), CliError> {
 pub fn serve_with_handle(args: &Args) -> Result<flowcube_serve::ServerHandle, String> {
     // The server is an observability consumer: always record.
     flowcube_obs::enable();
-    let served = if args.get("snapshot").is_some() {
-        let path: &std::path::Path = args.require("snapshot")?.as_ref();
-        // The one open: any compaction a crash interrupted is resolved
-        // first — the marker decides whether the new snapshot is live
-        // (finish the sidecar trim) or half-done (discard the attempt).
-        let (served, recovery) =
-            flowcube_serve::ServedCube::open(path).map_err(|e| e.to_string())?;
-        if recovery != flowcube_serve::Recovery::Clean {
-            println!("recovered interrupted compaction: {recovery:?}");
-        }
-        println!(
-            "opened snapshot {} ({} cuboids, lazy, {} sidecar deltas)",
-            path.display(),
-            served.total_cuboids(),
-            served.pending_deltas()
-        );
-        served
-    } else if args.get("cube").is_some() {
-        flowcube_serve::ServedCube::from_cube(&read_cube(args.require("cube")?)?)
-            .map_err(|e| e.to_string())?
-    } else {
-        return Err("need --snapshot cube.snap or --cube cube.json".into());
-    };
+    let path = args.require("snapshot")?;
+    // The one open: any compaction a crash interrupted is resolved
+    // first — the marker decides whether the new snapshot is live
+    // (finish the sidecar trim) or half-done (discard the attempt).
+    let (served, recovery) = ServedCube::open(path.as_ref()).map_err(|e| e.to_string())?;
+    if recovery != flowcube_serve::Recovery::Clean {
+        println!("recovered interrupted compaction: {recovery:?}");
+    }
+    println!(
+        "opened snapshot {path} ({} cuboids, lazy, {} sidecar deltas)",
+        served.total_cuboids(),
+        served.pending_deltas()
+    );
     let config = flowcube_serve::ServerConfig {
         addr: args.get_or("addr", "127.0.0.1:7070").to_string(),
         workers: args.num("workers", 4usize)?,
@@ -671,7 +598,7 @@ pub fn serve_with_handle(args: &Args) -> Result<flowcube_serve::ServerHandle, St
     Ok(handle)
 }
 
-/// `flowcube serve` — serve a snapshot (or JSON cube) until SIGINT/SIGTERM.
+/// `flowcube serve` — serve a snapshot until SIGINT/SIGTERM.
 pub fn serve(args: &Args) -> Result<(), CliError> {
     let handle = serve_with_handle(args)?;
     handle.wait_for_signals();
@@ -743,15 +670,7 @@ fn ingest_follow(args: &Args) -> Result<(), CliError> {
 
     // Delta parameters mirror the *base cube's* build flags — the delta
     // itself is always computed at δ = 1 (CubeDelta::compute).
-    let mut params = FlowCubeParams::new(args.num("min-support", 100u64)?);
-    params.exception_deviation = args.num("eps", params.exception_deviation)?;
-    if let Some(tau) = args.get("tau") {
-        params.redundancy_tau = Some(
-            tau.parse()
-                .map_err(|_| format!("--tau: bad value {tau:?}"))?,
-        );
-    }
-    params.threads = args.num("threads", 0usize)?;
+    let params = build_params(args)?;
     let spec = default_spec(&schema)?;
 
     let config = flowcube_pathdb::CleanerConfig {

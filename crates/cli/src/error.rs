@@ -12,6 +12,7 @@
 //! data file", not "retry" or "fix your invocation".
 
 use flowcube_core::CoreError;
+use flowcube_serve::SnapshotError;
 use std::fmt;
 
 /// Generic failure.
@@ -42,6 +43,16 @@ impl CliError {
         CliError {
             message: message.into(),
             code: EXIT_DATAERR,
+        }
+    }
+
+    /// A snapshot file at `path` that failed to open or decode: a data
+    /// error when its bytes are bad, a generic failure when it could not
+    /// be read at all.
+    pub fn snapshot(path: &str, e: SnapshotError) -> Self {
+        match e {
+            SnapshotError::Io { .. } => CliError::from(e.to_string()),
+            _ => CliError::data(format!("{path}: {e}")),
         }
     }
 }

@@ -2,6 +2,7 @@
 //! temp files, driving the command functions directly.
 
 use flowcube_cli::{commands, Args};
+use flowcube_serve::{crc::crc32, snapshot::SectionDesc};
 use serde_json::Value;
 
 fn args(line: &str) -> Args {
@@ -18,7 +19,7 @@ fn tmp(name: &str) -> String {
 #[test]
 fn generate_build_query_cycle() {
     let db = tmp("db.json");
-    let cube = tmp("cube.json");
+    let cube = tmp("cube.snap");
     commands::generate(&args(&format!(
         "generate --paths 500 --dims 2 --seqs 6 --seed 3 --out {db}"
     )))
@@ -31,9 +32,9 @@ fn generate_build_query_cycle() {
     .expect("build");
     assert!(std::fs::metadata(&cube).is_ok());
 
-    commands::cells(&args(&format!("cells --cube {cube} --limit 3"))).expect("cells");
+    commands::cells(&args(&format!("cells --snapshot {cube} --limit 3"))).expect("cells");
     commands::query(&args(&format!(
-        "query --cube {cube} --cell *,* --level loc0/dur0"
+        "query --snapshot {cube} --cell *,* --level loc0/dur0"
     )))
     .expect("query");
     commands::mine(&args(&format!(
@@ -52,7 +53,7 @@ fn generate_build_query_cycle() {
 #[test]
 fn build_with_redundancy_and_exceptions() {
     let db = tmp("db2.json");
-    let cube = tmp("cube2.json");
+    let cube = tmp("cube2.snap");
     commands::generate(&args(&format!(
         "generate --paths 400 --dims 2 --seed 5 --flow-correlation 0.5 --out {db}"
     )))
@@ -62,7 +63,7 @@ fn build_with_redundancy_and_exceptions() {
     )))
     .expect("build with exceptions");
     commands::cells(&args(&format!(
-        "cells --cube {cube} --level loc0/dur0 --limit 2"
+        "cells --snapshot {cube} --level loc0/dur0 --limit 2"
     )))
     .expect("cells filtered");
     let _ = std::fs::remove_file(&db);
@@ -72,7 +73,7 @@ fn build_with_redundancy_and_exceptions() {
 #[test]
 fn errors_are_reported() {
     assert!(commands::build(&args("build --db /nonexistent.json --out /tmp/x")).is_err());
-    assert!(commands::query(&args("query --cube /nonexistent.json --cell a")).is_err());
+    assert!(commands::query(&args("query --snapshot /nonexistent.snap --cell a")).is_err());
     assert!(commands::mine(&args("mine --db /nonexistent.json")).is_err());
     assert!(commands::generate(&args("generate")).is_err()); // missing --out
                                                              // unknown algorithm
@@ -86,7 +87,7 @@ fn errors_are_reported() {
 #[test]
 fn predict_flow() {
     let db = tmp("db4.json");
-    let cube = tmp("cube4.json");
+    let cube = tmp("cube4.snap");
     commands::generate(&args(&format!(
         "generate --paths 600 --dims 2 --seqs 5 --seed 11 --exception-bias 0.8 --out {db}"
     )))
@@ -101,12 +102,12 @@ fn predict_flow() {
     let first = parsed.records()[0].stages[0].loc;
     let loc_name = parsed.schema().locations().name_of(first).to_string();
     commands::predict(&args(&format!(
-        "predict --cube {cube} --cell *,* --observed {loc_name}:1"
+        "predict --snapshot {cube} --cell *,* --observed {loc_name}:1"
     )))
     .expect("predict");
     // bad observed location
     assert!(commands::predict(&args(&format!(
-        "predict --cube {cube} --cell *,* --observed mars:1"
+        "predict --snapshot {cube} --cell *,* --observed mars:1"
     )))
     .is_err());
     let _ = std::fs::remove_file(&db);
@@ -121,7 +122,7 @@ fn tables_runs() {
 #[test]
 fn build_with_trace_and_metrics_out() {
     let db = tmp("db5.json");
-    let cube = tmp("cube5.json");
+    let cube = tmp("cube5.snap");
     let trace = tmp("trace5.json");
     let metrics = tmp("metrics5.json");
     commands::generate(&args(&format!(
@@ -178,14 +179,7 @@ fn build_with_trace_and_metrics_out() {
         assert!(metrics_text.contains(series), "{series}");
     }
 
-    // A traced `flowcube snapshot` attributes the write to its stages.
-    // (Same test: the recorder is global and each traced command resets it.)
-    let snap = tmp("cube5.snap");
-    commands::snapshot(&args(&format!(
-        "snapshot --db {db} --min-support 30 --trace-out {trace} --out {snap}"
-    )))
-    .expect("snapshot with tracing");
-    let trace_text = std::fs::read_to_string(&trace).expect("trace file rewritten");
+    // The build's trace attributes the snapshot write to its stages.
     for stage in [
         "serve.snapshot.write",
         "serve.snapshot.intern",
@@ -196,9 +190,44 @@ fn build_with_trace_and_metrics_out() {
         assert!(trace_text.contains(&format!("\"{stage}\"")), "{stage}");
     }
 
-    for f in [&db, &cube, &trace, &metrics, &snap] {
+    for f in [&db, &cube, &trace, &metrics] {
         let _ = std::fs::remove_file(f);
     }
+}
+
+/// Rewrite the snapshot at `path` with its `spec` section's first path
+/// level listed twice, repairing every offset and checksum so that the
+/// repeated level is the file's only fault.
+fn repeat_a_path_level(path: &str) {
+    let full = std::fs::read(path).unwrap();
+    let data = 24 + u64::from_le_bytes(full[12..20].try_into().unwrap()) as usize;
+    let mut index: Vec<SectionDesc> =
+        serde_json::from_str(std::str::from_utf8(&full[24..data]).unwrap()).unwrap();
+    let mut payloads: Vec<Vec<u8>> = (index.iter())
+        .map(|d| full[data + d.offset as usize..][..d.len as usize].to_vec())
+        .collect();
+    let spec = index.iter().position(|d| d.kind == "spec").expect("spec");
+    let mut value = serde_json::parse_value_str(std::str::from_utf8(&payloads[spec]).unwrap());
+    let Ok(Value::Object(fields)) = &mut value else {
+        panic!("the spec is an object")
+    };
+    let (_, Value::Array(levels)) = &mut fields[0] else {
+        panic!("its one field is the level list")
+    };
+    levels.push(levels[0].clone());
+    payloads[spec] = serde_json::to_string(&value.unwrap()).unwrap().into_bytes();
+    let mut offset = 0;
+    for (d, p) in index.iter_mut().zip(&payloads) {
+        (d.offset, d.len, d.crc) = (offset, p.len() as u64, crc32(p));
+        offset += d.len;
+    }
+    let index = serde_json::to_string(&index).unwrap().into_bytes();
+    let mut out = full[..12].to_vec();
+    out.extend((index.len() as u64).to_le_bytes());
+    out.extend(crc32(&index).to_le_bytes());
+    out.extend(index);
+    payloads.iter().for_each(|p| out.extend(p));
+    std::fs::write(path, out).unwrap();
 }
 
 /// A shard part whose spec lists one path level twice is bad input
@@ -207,8 +236,8 @@ fn build_with_trace_and_metrics_out() {
 #[test]
 fn merge_rejects_a_part_that_repeats_a_path_level() {
     let db = tmp("db6.json");
-    let part = tmp("part6.json");
-    let out = tmp("merged6.json");
+    let part = tmp("part6.snap");
+    let out = tmp("merged6.snap");
     commands::generate(&args(&format!(
         "generate --paths 200 --dims 2 --seed 4 --out {db}"
     )))
@@ -217,25 +246,69 @@ fn merge_rejects_a_part_that_repeats_a_path_level() {
         "build --db {db} --min-support 10 --shards 1 --shard-id 0 --out {part}"
     )))
     .expect("build a part");
-    let mut value = serde_json::parse_value_str(&std::fs::read_to_string(&part).unwrap()).unwrap();
-    let mut spec = &mut value;
-    for key in ["cube", "spec", "levels"] {
-        let Value::Object(fields) = spec else {
-            panic!("{key} is in an object")
-        };
-        spec = &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1;
-    }
-    let Value::Array(levels) = spec else {
-        panic!("levels is a list")
-    };
-    levels.push(levels[0].clone());
-    std::fs::write(&part, serde_json::to_string(&value).unwrap()).unwrap();
+    repeat_a_path_level(&part);
 
     let err = commands::merge(&args(&format!("merge {part} --no-exceptions --out {out}")))
         .expect_err("a repeated level is refused");
     assert_eq!(err.code, 65, "{}", err.message);
     assert!(err.message.contains("same level"), "{}", err.message);
     for f in [&db, &part, &out] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+/// Shard parts are snapshots end to end: `serve` answers a part file's
+/// apex with the part's path count, and `merge` of the parts writes the
+/// bytes `build` writes under the same flags (τ set, exceptions on).
+#[test]
+fn shard_parts_serve_and_merge_to_the_build() {
+    let db = tmp("db7.json");
+    let parts = [tmp("part7-0.snap"), tmp("part7-1.snap")];
+    let (merged, built) = (tmp("merged7.snap"), tmp("built7.snap"));
+    commands::generate(&args(&format!(
+        "generate --paths 300 --dims 2 --seqs 6 --seed 8 --exception-bias 0.5 --out {db}"
+    )))
+    .expect("generate");
+    let flags = format!("--db {db} --min-support 15 --tau 0.05 --eps 0.2");
+    for (k, part) in parts.iter().enumerate() {
+        commands::build(&args(&format!(
+            "build {flags} --shards 2 --shard-id {k} --out {part}"
+        )))
+        .expect("build a part");
+    }
+
+    let text = std::fs::read_to_string(&db).unwrap();
+    let parsed: flowcube_pathdb::PathDatabase = serde_json::from_str(&text).unwrap();
+    let paths = (parsed.records().iter())
+        .filter(|r| flowcube_federate::shard_of(r.id, 2) == 0)
+        .count();
+    assert!(
+        paths > 0 && paths < parsed.len(),
+        "shard 0 holds {paths} paths"
+    );
+    let handle = commands::serve_with_handle(&args(&format!(
+        "serve --snapshot {} --addr 127.0.0.1:0 --workers 1",
+        parts[0]
+    )))
+    .expect("serve a part");
+    let (status, _, body) =
+        flowcube_testkit::http::get(handle.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
+    handle.shutdown();
+    handle.join();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(&format!("\"support\":{paths},")), "{body}");
+
+    commands::merge(&args(&format!(
+        "merge {} {} {flags} --out {merged}",
+        parts[0], parts[1]
+    )))
+    .expect("merge");
+    commands::build(&args(&format!("build {flags} --out {built}"))).expect("build");
+    assert!(
+        std::fs::read(&merged).unwrap() == std::fs::read(&built).unwrap(),
+        "merged parts differ from the single-node build"
+    );
+    for f in parts.iter().chain([&db, &merged, &built]) {
         let _ = std::fs::remove_file(f);
     }
 }

@@ -54,10 +54,10 @@ fn every_registered_endpoint_exposes_a_latency_histogram() {
         "generate --paths 300 --dims 3 --seqs 6 --seed 5 --out {db}"
     )))
     .expect("generate");
-    commands::snapshot(&args(&format!(
-        "snapshot --db {db} --min-support 15 --out {snap}"
+    commands::build(&args(&format!(
+        "build --db {db} --min-support 15 --out {snap}"
     )))
-    .expect("snapshot");
+    .expect("build");
 
     let handle = commands::serve_with_handle(&args(&format!(
         "serve --snapshot {snap} --addr 127.0.0.1:0 --workers 2 \

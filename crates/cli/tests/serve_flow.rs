@@ -1,4 +1,4 @@
-//! End-to-end serving flow: generate → snapshot → serve on an ephemeral
+//! End-to-end serving flow: generate → build → serve on an ephemeral
 //! port → one query per endpoint → clean shutdown. Also checks the
 //! acceptance property that a served `/rollup` equals the in-process
 //! `FlowCube::roll_up` on the same snapshot.
@@ -38,10 +38,10 @@ fn snapshot_serve_query_shutdown() {
         "generate --paths 400 --dims 3 --seqs 8 --seed 9 --out {db}"
     )))
     .expect("generate");
-    commands::snapshot(&args(&format!(
-        "snapshot --db {db} --min-support 20 --out {snap}"
+    commands::build(&args(&format!(
+        "build --db {db} --min-support 20 --out {snap}"
     )))
-    .expect("snapshot");
+    .expect("build");
 
     let handle = commands::serve_with_handle(&args(&format!(
         "serve --snapshot {snap} --addr 127.0.0.1:0 --workers 2 --cache 64"

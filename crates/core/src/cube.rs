@@ -10,7 +10,6 @@ use crate::stats::BuildStats;
 use crate::view::{self, CuboidRead};
 use flowcube_hier::{ConceptId, FxHashMap, ItemLevel, PathLatticeSpec, PathLevelId, Schema};
 use flowcube_pathdb::PathDatabase;
-use serde::{Deserialize, Serialize};
 
 /// Result of a point lookup: the entry plus whether it came from the
 /// requested cell or from the nearest materialized ancestor (the
@@ -26,13 +25,13 @@ pub struct Lookup<'a> {
     pub source_level: &'a ItemLevel,
 }
 
-/// A materialized flowcube.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// A materialized flowcube. Its one persistent form is the snapshot
+/// `flowcube-serve` writes and opens.
+#[derive(Clone, Debug)]
 pub struct FlowCube {
     schema: Schema,
     spec: PathLatticeSpec,
     params: FlowCubeParams,
-    #[serde(with = "crate::serde_map")]
     cuboids: FxHashMap<CuboidKey, Cuboid>,
     stats: BuildStats,
 }
@@ -279,12 +278,6 @@ impl FlowCube {
                 rows
             })
             .unwrap_or_default()
-    }
-
-    /// Rebuild the name-lookup indexes that serde skips; call after
-    /// deserializing a cube.
-    pub fn rebuild_indexes(&mut self) {
-        self.schema.rebuild_indexes();
     }
 
     /// Structural compatibility check of a partition merge: same

@@ -14,7 +14,7 @@ use crate::build;
 use crate::cell::{CellKey, Cuboid, CuboidKey};
 use crate::cube::FlowCube;
 use crate::error::CoreError;
-use crate::params::{FlowCubeParams, ItemPlan};
+use crate::params::{partial_params, FlowCubeParams, ItemPlan};
 use flowcube_hier::{PathLatticeSpec, Schema};
 use flowcube_obs::{counter_add, Timer};
 use flowcube_pathdb::PathDatabase;
@@ -45,10 +45,8 @@ impl CubeDelta {
     /// Build the delta for a micro-batch of path records.
     ///
     /// `params` is the **base cube's** parameter set; the delta itself is
-    /// built at δ = 1 with exception mining and redundancy pruning off
-    /// (both are holistic — they cannot be computed per batch), keeping
-    /// everything else (merge policy, thread plan) so that applying the
-    /// delta is exact per Lemma 4.2.
+    /// built under [`partial_params`] — δ = 1, the holistic phases off —
+    /// so that applying the delta is exact per Lemma 4.2.
     pub fn compute(
         batch: &PathDatabase,
         spec: &PathLatticeSpec,
@@ -56,11 +54,7 @@ impl CubeDelta {
         plan: &ItemPlan,
     ) -> CubeDelta {
         let _span = flowcube_obs::span!("delta.compute");
-        let mut delta_params = params.clone();
-        delta_params.min_support = 1;
-        delta_params.mine_exceptions = false;
-        delta_params.redundancy_tau = None;
-        let mini = FlowCube::build(batch, spec.clone(), delta_params, plan.clone());
+        let mini = FlowCube::build(batch, spec.clone(), partial_params(params), plan.clone());
         let mut cuboids: Vec<(CuboidKey, Cuboid)> = mini
             .cuboids()
             .map(|(k, c)| (k.clone(), c.clone()))

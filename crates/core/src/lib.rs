@@ -45,6 +45,6 @@ pub use error::CoreError;
 /// one [`FlowCubeParams::threads_for`] plans threads for — re-exported
 /// for the crates that persist and serve a cube.
 pub use flowcube_mining::parallel;
-pub use params::{Algorithm, FlowCubeParams, ItemPlan};
+pub use params::{partial_params, Algorithm, FlowCubeParams, ItemPlan};
 pub use stats::BuildStats;
 pub use view::{CellStats, CuboidRead, Route};

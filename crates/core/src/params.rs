@@ -93,6 +93,20 @@ impl FlowCubeParams {
     }
 }
 
+/// The parameters of a partial cube — a shard's part or an ingested
+/// delta: counts only. δ is 1, exceptions and redundancy pruning are
+/// off, since the iceberg cut, the exception measure (Lemma 4.3) and
+/// Definition 4.4 are holistic; the cube the parts add into applies
+/// them. Everything else (merge policy, algorithm, threads) is `full`'s,
+/// so the partial counts are exactly the ones a full build would add.
+pub fn partial_params(full: &FlowCubeParams) -> FlowCubeParams {
+    let mut p = full.clone();
+    p.min_support = 1;
+    p.mine_exceptions = false;
+    p.redundancy_tau = None;
+    p
+}
+
 /// Which item-lattice levels get materialized (§5, "Partial
 /// Materialization", after Han et al.'s minimum/observation-layer
 /// strategy).

@@ -433,31 +433,6 @@ fn partition_cubes_merge_to_full_cube() {
     }
 }
 
-/// Cubes persist through JSON and answer the same queries after
-/// `rebuild_indexes`.
-#[test]
-fn cube_serde_roundtrip() {
-    let (_, cube) = paper_cube(2);
-    let json = serde_json::to_string(&cube).expect("serialize cube");
-    let mut back: FlowCube = serde_json::from_str(&json).expect("deserialize cube");
-    back.rebuild_indexes();
-    assert_eq!(cube.num_cuboids(), back.num_cuboids());
-    assert_eq!(cube.total_cells(), back.total_cells());
-    // Named lookup works after index rebuild.
-    let a = cube
-        .cell_by_names(&[Some("outerwear"), Some("nike")], "fine/raw")
-        .unwrap();
-    let b = back
-        .cell_by_names(&[Some("outerwear"), Some("nike")], "fine/raw")
-        .unwrap();
-    assert_eq!(a.support, b.support);
-    assert_eq!(a.graph.len(), b.graph.len());
-    assert_eq!(a.exceptions.len(), b.exceptions.len());
-    // Serialization is deterministic.
-    let json2 = serde_json::to_string(&cube).unwrap();
-    assert_eq!(json, json2);
-}
-
 #[test]
 fn merge_rejects_incompatible_cubes() {
     let (_, a) = paper_cube(2);

@@ -19,20 +19,13 @@
 //!    full path database — for the cells that survive it.
 
 use crate::error::FederateError;
-use crate::shard::{shard_db, ShardPart};
+use crate::shard::{shard_db, ShardMap, ShardPart};
+/// The partial-build parameters for one shard: counts only, every
+/// holistic phase deferred to the merge.
+pub use flowcube_core::partial_params;
 use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
 use flowcube_hier::PathLatticeSpec;
 use flowcube_pathdb::PathDatabase;
-
-/// The partial-build parameters for one shard: counts only, every
-/// holistic phase deferred to the merge.
-pub fn partial_params(full: &FlowCubeParams) -> FlowCubeParams {
-    let mut p = full.clone();
-    p.min_support = 1;
-    p.mine_exceptions = false;
-    p.redundancy_tau = None;
-    p
-}
 
 /// Build shard `shard_id` of a `shards`-way partition of `db`: filter
 /// the paths by EPC hash and run a partial (δ = 1, exception-free,
@@ -47,9 +40,11 @@ pub fn build_shard_part(
     let shard = shard_db(db, shards, shard_id)?;
     let cube = FlowCube::build(&shard, spec, partial_params(params), ItemPlan::All);
     Ok(ShardPart {
-        shards,
-        shard_id,
-        paths: shard.len() as u64,
+        map: ShardMap {
+            shards,
+            shard_id,
+            paths: shard.len() as u64,
+        },
         cube,
     })
 }
@@ -67,21 +62,21 @@ pub fn merge_shard_parts(
     let first = parts.first().ok_or_else(|| FederateError::PartMismatch {
         detail: "no shard parts to merge".into(),
     })?;
-    let shards = first.shards;
+    let shards = first.map.shards;
     if shards == 0 {
         return Err(FederateError::PartMismatch {
             detail: "shard part declares 0 total shards".into(),
         });
     }
     for part in parts {
-        if part.shards != shards {
+        if part.map.shards != shards {
             return Err(FederateError::ShardCountMismatch {
                 expected: shards,
-                actual: part.shards,
+                actual: part.map.shards,
             });
         }
     }
-    let mut ids: Vec<u32> = parts.iter().map(|p| p.shard_id).collect();
+    let mut ids: Vec<u32> = parts.iter().map(|p| p.map.shard_id).collect();
     ids.sort_unstable();
     let expected: Vec<u32> = (0..shards).collect();
     if ids != expected {
@@ -90,7 +85,7 @@ pub fn merge_shard_parts(
         });
     }
     if let Some(db) = db {
-        let total: u64 = parts.iter().map(|p| p.paths).sum();
+        let total: u64 = parts.iter().map(|p| p.map.paths).sum();
         if total != db.len() as u64 {
             return Err(FederateError::PartMismatch {
                 detail: format!(
@@ -118,9 +113,10 @@ pub fn merge_shard_parts(
     Ok(merged)
 }
 
-/// Single-process sharded build: partition, build every shard, merge.
-/// This is what the differential tests compare against `FlowCube::build`
-/// and what `flowcube build --shards N` without `--shard-id` runs.
+/// Single-process sharded build: partition, build every shard, merge —
+/// what the differential tests compare against `FlowCube::build`. The
+/// CLI has no such mode: `flowcube build --shards N` needs `--shard-id`
+/// and writes one part, and `flowcube merge` combines the part files.
 pub fn build_sharded(
     db: &PathDatabase,
     spec: PathLatticeSpec,
@@ -212,11 +208,61 @@ mod tests {
         ));
         // Path-count validation against the full db.
         let mut short = p1.clone();
-        short.paths += 1;
+        short.map.paths += 1;
         assert!(matches!(
             merge_shard_parts(&[p0, short], Some(&db), &params),
             Err(FederateError::PartMismatch { .. })
         ));
+    }
+
+    /// A part file gives back the shard map and the cube it was written
+    /// from — an empty shard's too — and CRC-checks the map like every
+    /// section; a plain cube snapshot is not a part.
+    #[test]
+    fn part_files_round_trip_the_map_and_the_cube() {
+        use flowcube_serve::{write_snapshot, Snapshot, SnapshotError};
+        let db = samples::paper_table1();
+        let params = FlowCubeParams::new(2);
+        let empty = (0..97)
+            .find(|&k| shard_db(&db, 97, k).unwrap().is_empty())
+            .expect("97 shards over 8 paths leave one empty");
+        let dir = std::env::temp_dir();
+        let path = |name: &str| dir.join(format!("flowcube-part-{}-{name}", std::process::id()));
+        let (file, a, b) = (path("part.snap"), path("a.snap"), path("b.snap"));
+        for (shards, shard_id) in [(2, 0), (2, 1), (97, empty)] {
+            let part = build_shard_part(&db, spec(&db), &params, shards, shard_id).unwrap();
+            part.write(&file).unwrap();
+            Snapshot::open(&file).unwrap().verify_all().unwrap();
+            let back = ShardPart::open(&file).unwrap();
+            assert_eq!(back.map, part.map);
+            // The cube is the one written: it snapshots to the same bytes.
+            write_snapshot(&part.cube, &a).unwrap();
+            write_snapshot(&back.cube, &b).unwrap();
+            assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+            assert!(matches!(
+                ShardPart::open(&a),
+                Err(SnapshotError::MissingSection { kind: "shard" })
+            ));
+
+            let mut bytes = std::fs::read(&file).unwrap();
+            let at = bytes.windows(10).position(|w| w == b"\"shard_id\"");
+            bytes[at.expect("the shard section") + 1] = b'S';
+            std::fs::write(&file, bytes).unwrap();
+            for result in [
+                Snapshot::open(&file).unwrap().verify_all(),
+                ShardPart::open(&file).map(drop),
+            ] {
+                match result {
+                    Err(SnapshotError::ChecksumMismatch { section }) => {
+                        assert_eq!(section, "shard")
+                    }
+                    other => panic!("expected a checksum mismatch, got {other:?}"),
+                }
+            }
+        }
+        for f in [&file, &a, &b] {
+            let _ = std::fs::remove_file(f);
+        }
     }
 
     /// An empty shard (more shards than distinct EPC hash buckets hit)

@@ -30,7 +30,7 @@ pub enum FederateError {
     /// Every shard of a fan-out failed or timed out — there is nothing
     /// to degrade to.
     AllShardsFailed { shards: u32 },
-    /// Plain I/O (reading a part file, binding the front listener).
+    /// Plain I/O (binding the front listener, a failed POST).
     Io { detail: String },
 }
 

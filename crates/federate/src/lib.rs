@@ -16,10 +16,10 @@
 //!    `"partial": true` instead of failing when shards are slow or
 //!    down.
 //!
-//! The shard map (shard count + id) travels in [`shard::ShardPart`]
-//! wrappers and front configuration — never inside a cube or its
-//! snapshot, which is what keeps merged snapshots byte-identical to
-//! single-node ones.
+//! The shard map (shard count + id + paths) travels in
+//! [`shard::ShardPart`] — on disk, one `shard` section of the part's
+//! snapshot — and in front configuration, never inside a cube, which is
+//! what keeps merged snapshots byte-identical to single-node ones.
 //!
 //! Like the serving layer, this crate fronts the network: `unwrap` /
 //! `expect` are denied outside tests.
@@ -41,4 +41,4 @@ pub use front::{serve_front, Front, FrontConfig, FrontHandle};
 pub use health::{BreakerConfig, BreakerState};
 pub use merge::merge_endpoint;
 pub use replica::{parse_backend_spec, HedgePolicy, ReplicaSet, RetryBudget};
-pub use shard::{shard_db, shard_of, ShardPart};
+pub use shard::{shard_db, shard_of, ShardMap, ShardPart};

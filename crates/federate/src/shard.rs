@@ -1,4 +1,4 @@
-//! The partition function and the on-disk shard-partial format.
+//! The partition function and the shard part file.
 //!
 //! Paths are routed to shards by a mixed hash of the record id (the
 //! EPC): `shard_of(epc, N)`. The hash is a fixed function — the same EPC
@@ -10,7 +10,12 @@
 use crate::error::FederateError;
 use flowcube_core::FlowCube;
 use flowcube_pathdb::PathDatabase;
+use flowcube_serve::{write_snapshot_with, ServedCube, SnapshotError, SnapshotInfo};
 use serde::{Deserialize, Serialize};
+use std::path::Path;
+
+/// Kind of the snapshot section that holds a part file's [`ShardMap`].
+const KIND_SHARD: &str = "shard";
 
 /// SplitMix64 finalizer — the same mixer the serving layer uses for
 /// request ids. EPCs are often sequential; mixing spreads them evenly
@@ -58,29 +63,50 @@ pub fn shard_db(
     })
 }
 
-/// One shard's partial build: the δ = 1, exception-free, unpruned cube
-/// over the shard's paths, wrapped with enough shard metadata for the
-/// merge step to validate completeness. The shard map lives *here*, not
-/// in the cube or its snapshot — a merged cube must snapshot
-/// byte-identically to a single-node build, so it cannot carry any
-/// trace of how it was constructed.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ShardPart {
+/// Where a shard part sits in its partition — what the merge step
+/// validates a part set against.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ShardMap {
     /// Total shards in the partition this part belongs to.
     pub shards: u32,
     /// This part's shard id, in `0..shards`.
     pub shard_id: u32,
     /// Paths that hashed to this shard (may be 0).
     pub paths: u64,
+}
+
+/// One shard's partial build: the δ = 1, exception-free, unpruned cube
+/// over the shard's paths, plus its [`ShardMap`]. On disk a part is a
+/// snapshot of its cube — the file a federation backend serves — whose
+/// one extra `shard` section holds the map. The map never enters the
+/// cube itself: a merged cube must snapshot byte-identically to a
+/// single-node build, so it cannot carry any trace of how it was
+/// constructed.
+#[derive(Clone, Debug)]
+pub struct ShardPart {
+    pub map: ShardMap,
     /// The partial cube (δ = 1, `mine_exceptions = false`,
     /// `redundancy_tau = None`).
     pub cube: FlowCube,
 }
 
 impl ShardPart {
-    /// Rebuild the serde-skipped name indexes; call after deserializing.
-    pub fn rebuild_indexes(&mut self) {
-        self.cube.rebuild_indexes();
+    /// Write the part file: [`flowcube_serve::write_snapshot`]'s bytes
+    /// for the cube plus the `shard` section.
+    pub fn write(&self, path: impl AsRef<Path>) -> Result<SnapshotInfo, SnapshotError> {
+        write_snapshot_with(&self.cube, (KIND_SHARD, &self.map), path)
+    }
+
+    /// Open a part file the way `serve` opens it ([`ServedCube::open`],
+    /// sidecar deltas included) and decode its cube
+    /// ([`ServedCube::folded_cube`]). A snapshot without a `shard`
+    /// section is [`SnapshotError::MissingSection`].
+    pub fn open(path: impl AsRef<Path>) -> Result<ShardPart, SnapshotError> {
+        let (served, _) = ServedCube::open(path.as_ref())?;
+        Ok(ShardPart {
+            map: served.snapshot().section(KIND_SHARD)?,
+            cube: served.folded_cube()?,
+        })
     }
 }
 

@@ -80,9 +80,9 @@ impl ServedCube {
         Ok((Self::from_snapshot_with_deltas(snapshot, deltas), recovery))
     }
 
-    /// Serve an in-process cube (tests, benches, `serve --cube`). The
-    /// cube is encoded into the bytes [`crate::write_snapshot`] would
-    /// put in a file and served from that image like from a file.
+    /// Serve an in-process cube (tests, benches). The cube is encoded
+    /// into the bytes [`crate::write_snapshot`] would put in a file and
+    /// served from that image like from a file.
     pub fn from_cube(cube: &FlowCube) -> Result<Self, SnapshotError> {
         Snapshot::from_cube(cube).map(Self::from_snapshot)
     }
@@ -123,6 +123,12 @@ impl ServedCube {
     /// cuboids in it.
     pub fn shell(&self) -> &FlowCube {
         self.snapshot.shell()
+    }
+
+    /// The snapshot this cube is served from, for the metadata sections
+    /// serving does not read ([`Snapshot::section`]).
+    pub fn snapshot(&self) -> &Snapshot {
+        &self.snapshot
     }
 
     /// The pending deltas' cuboids at `key`, oldest first.

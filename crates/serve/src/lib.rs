@@ -64,4 +64,6 @@ pub use compact::{compact, recover, CompactReport, Recovery};
 pub use deltalog::{append_delta, deltalog_path, read_deltas, read_deltas_up_to};
 pub use error::{ApiError, SnapshotError};
 pub use server::{host, serve, serve_cube, Scope, ServerConfig, ServerHandle, Service};
-pub use snapshot::{load_v1_cube, write_snapshot, Snapshot, SnapshotInfo, FORMAT_VERSION};
+pub use snapshot::{
+    load_v1_cube, write_snapshot, write_snapshot_with, Snapshot, SnapshotInfo, FORMAT_VERSION,
+};

@@ -22,7 +22,7 @@
 //! *data region*), so the index's own length never perturbs them. Every
 //! payload carries its own CRC-32, verified on load — lazily for cuboid
 //! sections, eagerly for the metadata sections (`schema`, `spec`,
-//! `params`, `stats`).
+//! `params`, `stats`), plus a shard part's `shard` map, which serving never reads.
 //!
 //! The metadata sections are JSON. A `strings` section holds the shared
 //! interned name table, and each cuboid is a flat columnar section (see
@@ -204,16 +204,19 @@ fn canonical_stats(stats: &flowcube_core::BuildStats) -> flowcube_core::BuildSta
 }
 
 /// Encode `cube` as the chunks of a snapshot container, in file order:
-/// header, index, then one payload per section. The file writer and the
-/// in-memory image ([`Snapshot::from_cube`]) are both exactly these
-/// bytes.
+/// header, index, then one payload per section. The file writers and the
+/// in-memory image ([`Snapshot::from_cube`]) are all exactly these
+/// bytes. `extra` is one more metadata section, after the strings table.
 ///
 /// The pipeline is intern → count → (encode in place → CRC, per cuboid,
 /// in parallel) → index. Nothing a worker computes depends on which
 /// worker computed it or when, and every section has its own buffer at
 /// its sorted position, so the bytes are the serial bytes at any thread
 /// count.
-fn encode_container(cube: &FlowCube) -> Result<Vec<Vec<u8>>, SnapshotError> {
+fn encode_container(
+    cube: &FlowCube,
+    extra: Option<(&'static str, Vec<u8>)>,
+) -> Result<Vec<Vec<u8>>, SnapshotError> {
     // Metadata sections first, then cuboids in deterministic order.
     let mut cuboids: Vec<(&CuboidKey, &Cuboid)> = cube.cuboids().collect();
     cuboids.sort_by(|a, b| a.0.cmp(b.0));
@@ -222,7 +225,7 @@ fn encode_container(cube: &FlowCube) -> Result<Vec<Vec<u8>>, SnapshotError> {
         let table = StringTable::from_cuboids(cube.schema(), cuboids.iter().map(|&(_, c)| c));
         StringsCtx::new(table, cube.schema())
     };
-    let meta = [
+    let mut meta = vec![
         (KIND_SCHEMA, encode("schema", cube.schema())?),
         (KIND_SPEC, encode("spec", cube.spec())?),
         (
@@ -232,6 +235,7 @@ fn encode_container(cube: &FlowCube) -> Result<Vec<Vec<u8>>, SnapshotError> {
         (KIND_STATS, encode("stats", &canonical_stats(cube.stats()))?),
         (KIND_STRINGS, strings.table.encode()),
     ];
+    meta.extend(extra);
     // Workers count and workers fill, but the section buffers are
     // allocated here in between: one a worker thread allocated could not
     // reuse the memory the build just freed on this thread, and the
@@ -305,9 +309,27 @@ pub fn write_snapshot(
     cube: &FlowCube,
     path: impl AsRef<Path>,
 ) -> Result<SnapshotInfo, SnapshotError> {
-    let path = path.as_ref();
+    write_container(cube, None, path.as_ref())
+}
+
+/// [`write_snapshot`] with one more JSON metadata section `(kind,
+/// value)`, a shard part's shard map. Serving ignores it, `verify_all`
+/// checks its CRC and [`Snapshot::section`] reads it.
+pub fn write_snapshot_with<T: Serialize>(
+    cube: &FlowCube,
+    (kind, value): (&'static str, &T),
+    path: impl AsRef<Path>,
+) -> Result<SnapshotInfo, SnapshotError> {
+    write_container(cube, Some((kind, encode(kind, value)?)), path.as_ref())
+}
+
+fn write_container(
+    cube: &FlowCube,
+    extra: Option<(&'static str, Vec<u8>)>,
+    path: &Path,
+) -> Result<SnapshotInfo, SnapshotError> {
     let _span = flowcube_obs::span!("serve.snapshot.write");
-    let chunks = encode_container(cube)?;
+    let chunks = encode_container(cube, extra)?;
     let tmp = sibling(path, &format!(".write-tmp.{}", std::process::id()));
     let written = write_chunks(&tmp, &chunks).and_then(|crc| {
         std::fs::rename(&tmp, path)
@@ -600,7 +622,7 @@ impl Snapshot {
     /// Encode `cube` into an in-memory image and open it through the
     /// same validation as a file.
     pub(crate) fn from_cube(cube: &FlowCube) -> Result<Snapshot, SnapshotError> {
-        let chunks = encode_container(cube)?;
+        let chunks = encode_container(cube, None)?;
         let container = Container::parse(Source::Image(chunks), Path::new("<image>"))?;
         Snapshot::new(container, None)
     }
@@ -636,6 +658,15 @@ impl Snapshot {
     /// image).
     pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()
+    }
+
+    /// Read, CRC-check and decode the JSON metadata section `kind` —
+    /// [`SnapshotError::MissingSection`] when the file has none.
+    pub fn section<T: for<'de> Deserialize<'de>>(
+        &self,
+        kind: &'static str,
+    ) -> Result<T, SnapshotError> {
+        self.container.json_section(self.container.meta(kind)?)
     }
 
     /// Exhaustively validate the snapshot: every section's payload is
