@@ -4,12 +4,10 @@
 //! Usage: `exp_all [--scale 0.05] [--out bench_results.json]`
 
 use flowcube_bench::experiments::{
-    base_config, fig10_config, fig6_sizes, fig7_supports, fig8_config, fig9_config,
-    paper_path_spec, ExperimentScale,
+    fig10, fig11_pruning, fig6, fig7, fig8, fig9, paper_db, paper_path_spec, ExperimentScale,
 };
-use flowcube_bench::runner::{print_header, print_row, run_all, run_all_on, RunResult};
-use flowcube_datagen::generate;
-use flowcube_mining::{mine, MiningStats, SharedConfig, TransactionDb};
+use flowcube_bench::runner::RunResult;
+use flowcube_mining::{MiningStats, TransactionDb};
 use flowcube_pathdb::MergePolicy;
 use serde::Serialize;
 
@@ -34,78 +32,14 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "bench_results.json".to_string());
 
-    // Figure 6
-    print_header(&format!("Figure 6: database size (scale {})", scale.0));
-    let mut fig6 = Vec::new();
-    for (i, &n) in fig6_sizes(scale).iter().enumerate() {
-        let r = run_all(&format!("N={n}"), &base_config(n), 0.01, i < 2);
-        print_row(&r);
-        fig6.push(r);
-    }
-
-    // Figure 7
-    let n = scale.apply(100_000);
-    let generated = generate(&base_config(n));
-    print_header(&format!("Figure 7: minimum support (N = {n})"));
-    let mut fig7 = Vec::new();
-    for pct in fig7_supports() {
-        let r = run_all_on(&format!("δ={:.1}%", pct * 100.0), &generated.db, pct, true);
-        print_row(&r);
-        fig7.push(r);
-    }
-
-    // Figure 8
-    print_header(&format!("Figure 8: dimensions (N = {n}, sparse)"));
-    let mut fig8 = Vec::new();
-    for dims in [2usize, 4, 6, 8, 10] {
-        let r = run_all(&format!("d={dims}"), &fig8_config(n, dims), 0.01, true);
-        print_row(&r);
-        fig8.push(r);
-    }
-
-    // Figure 9
-    print_header(&format!("Figure 9: item density (N = {n})"));
-    let mut fig9 = Vec::new();
-    for variant in ['a', 'b', 'c'] {
-        let r = run_all(
-            &format!("dataset {variant}"),
-            &fig9_config(n, variant),
-            0.01,
-            variant != 'a',
-        );
-        print_row(&r);
-        fig9.push(r);
-    }
-
-    // Figure 10
-    print_header(&format!("Figure 10: path density (N = {n})"));
-    let mut fig10 = Vec::new();
-    for seqs in [10usize, 25, 50, 100, 150] {
-        let r = run_all(&format!("seqs={seqs}"), &fig10_config(n, seqs), 0.01, false);
-        print_row(&r);
-        fig10.push(r);
-    }
-
-    // Figure 11
-    println!("== Figure 11: pruning power (N = {n}, δ = 1%) ==");
-    let spec = paper_path_spec(generated.db.schema());
-    let tx = TransactionDb::encode(&generated.db, spec, MergePolicy::Sum);
-    let delta = ((n as f64) * 0.01).ceil() as u64;
-    let shared = mine(&tx, &SharedConfig::shared(delta));
-    let basic = mine(&tx, &SharedConfig::basic(delta));
-    for k in 0..basic
-        .stats
-        .counted_by_length
-        .len()
-        .max(shared.stats.counted_by_length.len())
-    {
-        println!(
-            "len {:>2}: basic={:>12} shared={:>12}",
-            k + 1,
-            basic.stats.counted_by_length.get(k).copied().unwrap_or(0),
-            shared.stats.counted_by_length.get(k).copied().unwrap_or(0)
-        );
-    }
+    let fig6 = fig6(scale);
+    let db = paper_db(scale);
+    let fig7 = fig7(&db);
+    let fig8 = fig8(scale);
+    let fig9 = fig9(scale);
+    let fig10 = fig10(scale);
+    let tx = TransactionDb::encode(&db, paper_path_spec(db.schema()), MergePolicy::Sum);
+    let (fig11_shared, fig11_basic) = fig11_pruning(&tx);
 
     let all = AllResults {
         scale: scale.0,
@@ -114,8 +48,8 @@ fn main() {
         fig8,
         fig9,
         fig10,
-        fig11_shared: shared.stats,
-        fig11_basic: basic.stats,
+        fig11_shared,
+        fig11_basic,
     };
     std::fs::write(
         &out_path,

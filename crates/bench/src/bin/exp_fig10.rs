@@ -7,16 +7,8 @@
 //!
 //! Usage: `exp_fig10 [--scale 0.1]`
 
-use flowcube_bench::experiments::{fig10_config, ExperimentScale};
-use flowcube_bench::runner::{print_header, print_row, run_all};
+use flowcube_bench::experiments::{fig10, ExperimentScale};
 
 fn main() {
-    let scale = ExperimentScale::from_args();
-    let n = scale.apply(100_000);
-    print_header(&format!("Figure 10: path density (N = {n}, δ = 1%, d = 5)"));
-    for seqs in [10usize, 25, 50, 100, 150] {
-        let config = fig10_config(n, seqs);
-        let r = run_all(&format!("seqs={seqs}"), &config, 0.01, false);
-        print_row(&r);
-    }
+    fig10(ExperimentScale::from_args());
 }

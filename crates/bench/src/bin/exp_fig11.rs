@@ -8,9 +8,10 @@
 //!
 //! Usage: `exp_fig11 [--scale 0.1]`
 
-use flowcube_bench::experiments::{base_config, paper_path_spec, ExperimentScale};
+use flowcube_bench::experiments::{
+    fig11_pruning, fig11_support, paper_db, paper_path_spec, ExperimentScale,
+};
 use flowcube_bench::median_secs;
-use flowcube_datagen::generate;
 use flowcube_mining::{
     mine, mine_cubing, CubingConfig, CubingIo, MiningStats, SharedConfig, TransactionDb,
 };
@@ -28,45 +29,11 @@ fn ablation_row(name: &str, mut run: impl FnMut() -> MiningStats) {
 }
 
 fn main() {
-    let scale = ExperimentScale::from_args();
-    let n = scale.apply(100_000);
-    let config = base_config(n);
-    let generated = generate(&config);
-    let spec = paper_path_spec(generated.db.schema());
-    let tx = TransactionDb::encode(&generated.db, spec, MergePolicy::Sum);
-    let delta = ((n as f64) * 0.01).ceil() as u64;
-
-    println!("== Figure 11: pruning power (N = {n}, δ = 1%) ==");
-    let shared = mine(&tx, &SharedConfig::shared(delta));
-    let basic = mine(&tx, &SharedConfig::basic(delta));
-    println!("{:<16} {:>14} {:>14}", "length", "basic", "shared");
-    let max = shared
-        .stats
-        .counted_by_length
-        .len()
-        .max(basic.stats.counted_by_length.len());
-    for k in 0..max {
-        let b = basic.stats.counted_by_length.get(k).copied().unwrap_or(0);
-        let s = shared.stats.counted_by_length.get(k).copied().unwrap_or(0);
-        println!("{:<16} {:>14} {:>14}", k + 1, b, s);
-    }
-    println!(
-        "total            {:>14} {:>14}",
-        basic.stats.total_counted(),
-        shared.stats.total_counted()
-    );
-    println!(
-        "max length       {:>14} {:>14}",
-        basic.stats.max_length(),
-        shared.stats.max_length()
-    );
-    println!(
-        "shared prunes: ancestor={} unlinkable={} precount={} subset={}",
-        shared.stats.pruned_ancestor,
-        shared.stats.pruned_unlinkable,
-        shared.stats.pruned_precount,
-        shared.stats.pruned_subset
-    );
+    let db = paper_db(ExperimentScale::from_args());
+    let n = db.len();
+    let tx = TransactionDb::encode(&db, paper_path_spec(db.schema()), MergePolicy::Sum);
+    let delta = fig11_support(n);
+    fig11_pruning(&tx);
 
     println!();
     println!("== Pruning ablation (N = {n}, δ = 1%, median of {RUNS} runs) ==");
@@ -108,6 +75,6 @@ fn main() {
         ),
     ];
     for (name, cfg) in &cubing_variants {
-        ablation_row(name, || mine_cubing(&generated.db, &tx, cfg).stats);
+        ablation_row(name, || mine_cubing(&db, &tx, cfg).stats);
     }
 }

@@ -4,21 +4,8 @@
 //!
 //! Usage: `exp_fig6 [--scale 0.1]`
 
-use flowcube_bench::experiments::{base_config, fig6_sizes, ExperimentScale};
-use flowcube_bench::runner::{print_header, print_row, run_all};
+use flowcube_bench::experiments::{fig6, ExperimentScale};
 
 fn main() {
-    let scale = ExperimentScale::from_args();
-    let sizes = fig6_sizes(scale);
-    print_header(&format!(
-        "Figure 6: database size sweep (scale {}, δ = 1%, d = 5)",
-        scale.0
-    ));
-    for (i, &n) in sizes.iter().enumerate() {
-        let config = base_config(n);
-        // Paper: basic ran only for the two smallest sizes.
-        let run_basic = i < 2;
-        let r = run_all(&format!("N={n}"), &config, 0.01, run_basic);
-        print_row(&r);
-    }
+    fig6(ExperimentScale::from_args());
 }

@@ -4,23 +4,8 @@
 //!
 //! Usage: `exp_fig7 [--scale 0.1]`
 
-use flowcube_bench::experiments::{base_config, fig7_supports, ExperimentScale};
-use flowcube_bench::runner::{print_header, print_row};
-use flowcube_datagen::generate;
+use flowcube_bench::experiments::{fig7, paper_db, ExperimentScale};
 
 fn main() {
-    let scale = ExperimentScale::from_args();
-    let n = scale.apply(100_000);
-    let config = base_config(n);
-    let generated = generate(&config);
-    print_header(&format!("Figure 7: minimum support sweep (N = {n}, d = 5)"));
-    for pct in fig7_supports() {
-        let r = flowcube_bench::runner::run_all_on(
-            &format!("δ={:.1}%", pct * 100.0),
-            &generated.db,
-            pct,
-            true,
-        );
-        print_row(&r);
-    }
+    fig7(&paper_db(ExperimentScale::from_args()));
 }

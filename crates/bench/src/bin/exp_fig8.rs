@@ -4,18 +4,8 @@
 //!
 //! Usage: `exp_fig8 [--scale 0.1]`
 
-use flowcube_bench::experiments::{fig8_config, ExperimentScale};
-use flowcube_bench::runner::{print_header, print_row, run_all};
+use flowcube_bench::experiments::{fig8, ExperimentScale};
 
 fn main() {
-    let scale = ExperimentScale::from_args();
-    let n = scale.apply(100_000);
-    print_header(&format!(
-        "Figure 8: dimensionality sweep (N = {n}, δ = 1%, sparse)"
-    ));
-    for dims in [2usize, 4, 6, 8, 10] {
-        let config = fig8_config(n, dims);
-        let r = run_all(&format!("d={dims}"), &config, 0.01, true);
-        print_row(&r);
-    }
+    fig8(ExperimentScale::from_args());
 }

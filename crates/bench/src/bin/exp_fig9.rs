@@ -7,17 +7,8 @@
 //!
 //! Usage: `exp_fig9 [--scale 0.1]`
 
-use flowcube_bench::experiments::{fig9_config, ExperimentScale};
-use flowcube_bench::runner::{print_header, print_row, run_all};
+use flowcube_bench::experiments::{fig9, ExperimentScale};
 
 fn main() {
-    let scale = ExperimentScale::from_args();
-    let n = scale.apply(100_000);
-    print_header(&format!("Figure 9: item density (N = {n}, δ = 1%, d = 5)"));
-    for variant in ['a', 'b', 'c'] {
-        let config = fig9_config(n, variant);
-        let run_basic = variant != 'a';
-        let r = run_all(&format!("dataset {variant}"), &config, 0.01, run_basic);
-        print_row(&r);
-    }
+    fig9(ExperimentScale::from_args());
 }

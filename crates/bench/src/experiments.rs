@@ -1,7 +1,12 @@
-//! Dataset presets matching §6.1 and the per-figure parameters.
+//! Dataset presets matching §6.1, and each figure's sweep: the one
+//! definition of its series that both its `exp_fig*` binary and `exp_all`
+//! run. A sweep prints its table as it goes and returns the rows.
 
-use flowcube_datagen::{DimShape, GeneratorConfig};
+use crate::runner::{print_header, print_row, run_all, run_all_on, RunResult};
+use flowcube_datagen::{generate, DimShape, GeneratorConfig};
 use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel, Schema};
+use flowcube_mining::{mine, MiningStats, SharedConfig, TransactionDb};
+use flowcube_pathdb::PathDatabase;
 
 /// Global size multiplier. The paper ran 100k–1M paths on a 2.4 GHz
 /// Pentium IV; the default scale of 0.1 keeps every figure reproducible
@@ -94,46 +99,151 @@ pub fn paper_path_spec(schema: &Schema) -> PathLatticeSpec {
     ])
 }
 
-/// Figure 6: database size sweep (paper: 100k–1M paths, δ=1%, d=5).
-pub fn fig6_sizes(scale: ExperimentScale) -> Vec<usize> {
-    [100_000usize, 200_000, 400_000, 600_000, 800_000, 1_000_000]
-        .iter()
-        .map(|&n| scale.apply(n))
+/// The §6.1 default dataset at the paper's N = 100k, scaled: the one
+/// Figure 7 sweeps supports over and Figure 11 mines.
+pub fn paper_db(scale: ExperimentScale) -> PathDatabase {
+    generate(&base_config(scale.apply(100_000))).db
+}
+
+fn printed(r: RunResult) -> RunResult {
+    print_row(&r);
+    r
+}
+
+/// Run a sweep at δ = 1%: one `(label, dataset, run Basic?)` per point,
+/// each row printed under `title` as it finishes.
+fn sweep(
+    title: &str,
+    points: impl IntoIterator<Item = (String, GeneratorConfig, bool)>,
+) -> Vec<RunResult> {
+    print_header(title);
+    (points.into_iter())
+        .map(|(label, config, run_basic)| printed(run_all(&label, &config, 0.01, run_basic)))
         .collect()
 }
 
-/// Figure 7: minimum support sweep (paper: 0.3%–2%, N=100k, d=5).
-pub fn fig7_supports() -> Vec<f64> {
-    vec![0.003, 0.005, 0.008, 0.011, 0.014, 0.017, 0.020]
+/// Figure 6 — runtime vs. database size (paper: 100k–1M paths, δ = 1%,
+/// d = 5). Basic runs at the two smallest sizes only: in the paper its
+/// candidate set outgrew memory beyond them.
+pub fn fig6(scale: ExperimentScale) -> Vec<RunResult> {
+    let sizes = [100_000, 200_000, 400_000, 600_000, 800_000, 1_000_000].map(|n| scale.apply(n));
+    let points =
+        (sizes.into_iter().enumerate()).map(|(i, n)| (format!("N={n}"), base_config(n), i < 2));
+    let title = format!(
+        "Figure 6: database size sweep (scale {}, δ = 1%, d = 5)",
+        scale.0
+    );
+    sweep(&title, points)
 }
 
-/// Figure 8: dimension sweep (paper: 2–10 dims, N=100k, δ=1%, sparse).
-pub fn fig8_config(num_paths: usize, dims: usize) -> GeneratorConfig {
-    let mut c = base_config(num_paths);
-    // "quite sparse to prevent the number of frequent cells to explode":
-    // use the dataset-c density and stronger skew dilution.
-    c.dims = vec![DimShape::new(vec![5, 5, 10], 0.4); dims];
-    c
+/// Figure 7 — runtime vs. minimum support (paper: 0.3%–2% over
+/// [`paper_db`]), every algorithm at every support.
+pub fn fig7(db: &PathDatabase) -> Vec<RunResult> {
+    print_header(&format!(
+        "Figure 7: minimum support sweep (N = {}, d = 5)",
+        db.len()
+    ));
+    [0.003, 0.005, 0.008, 0.011, 0.014, 0.017, 0.020]
+        .iter()
+        .map(|&pct| printed(run_all_on(&format!("δ={:.1}%", pct * 100.0), db, pct, true)))
+        .collect()
 }
 
-/// Figure 9: item density variants a, b, c (distinct values per level).
-pub fn fig9_config(num_paths: usize, variant: char) -> GeneratorConfig {
-    let fanout = match variant {
-        'a' => vec![2, 2, 5],
-        'b' => vec![4, 4, 6],
-        'c' => vec![5, 5, 10],
-        _ => panic!("unknown density variant {variant}"),
-    };
-    let mut c = base_config(num_paths);
-    c.dims = vec![DimShape::new(fanout, 0.8); 5];
-    c
+/// Figure 8 — runtime vs. number of path-independent dimensions (paper:
+/// 2–10 dims, N = 100k, δ = 1%), every algorithm. The data is "quite
+/// sparse to prevent the number of frequent cells to explode": the
+/// dataset-c density with stronger skew dilution.
+pub fn fig8(scale: ExperimentScale) -> Vec<RunResult> {
+    let n = scale.apply(100_000);
+    let points = [2, 4, 6, 8, 10].map(|dims| {
+        let mut config = base_config(n);
+        config.dims = vec![DimShape::new(vec![5, 5, 10], 0.4); dims];
+        (format!("d={dims}"), config, true)
+    });
+    sweep(
+        &format!("Figure 8: dimensionality sweep (N = {n}, δ = 1%, sparse)"),
+        points,
+    )
 }
 
-/// Figure 10: path density sweep (distinct location sequences).
-pub fn fig10_config(num_paths: usize, num_sequences: usize) -> GeneratorConfig {
-    let mut c = base_config(num_paths);
-    c.num_sequences = num_sequences;
-    c
+/// Figure 9's item-density datasets a, b, c: distinct values per level.
+pub const FIG9_DATASETS: [(char, [usize; 3]); 3] =
+    [('a', [2, 2, 5]), ('b', [4, 4, 6]), ('c', [5, 5, 10])];
+
+/// Figure 9 — runtime vs. item density over [`FIG9_DATASETS`] (N = 100k,
+/// δ = 1%, d = 5). Basic skips dataset *a*, as in the paper (candidate
+/// explosion).
+pub fn fig9(scale: ExperimentScale) -> Vec<RunResult> {
+    let n = scale.apply(100_000);
+    let points = FIG9_DATASETS.map(|(variant, fanout)| {
+        let mut config = base_config(n);
+        config.dims = vec![DimShape::new(fanout.to_vec(), 0.8); 5];
+        (format!("dataset {variant}"), config, variant != 'a')
+    });
+    sweep(
+        &format!("Figure 9: item density (N = {n}, δ = 1%, d = 5)"),
+        points,
+    )
+}
+
+/// Figure 10 — runtime vs. path density, the number of distinct
+/// location sequences (N = 100k, δ = 1%, d = 5). Basic never runs: it
+/// cannot finish on dense paths, as in the paper.
+pub fn fig10(scale: ExperimentScale) -> Vec<RunResult> {
+    let n = scale.apply(100_000);
+    let points = [10, 25, 50, 100, 150].map(|seqs| {
+        let mut config = base_config(n);
+        config.num_sequences = seqs;
+        (format!("seqs={seqs}"), config, false)
+    });
+    sweep(
+        &format!("Figure 10: path density (N = {n}, δ = 1%, d = 5)"),
+        points,
+    )
+}
+
+/// Figure 11's support: 1% of `n` transactions, rounded up.
+pub fn fig11_support(n: usize) -> u64 {
+    ((n as f64) * 0.01).ceil() as u64
+}
+
+/// Figure 11 — pruning power: candidates counted per pattern length,
+/// Basic vs. Shared, on `tx` (the encoded [`paper_db`]) at
+/// [`fig11_support`]. Prints the table; returns `(shared, basic)`.
+pub fn fig11_pruning(tx: &TransactionDb) -> (MiningStats, MiningStats) {
+    let n = tx.len();
+    let delta = fig11_support(n);
+    println!("== Figure 11: pruning power (N = {n}, δ = 1%) ==");
+    let shared = mine(tx, &SharedConfig::shared(delta)).stats;
+    let basic = mine(tx, &SharedConfig::basic(delta)).stats;
+    println!("{:<16} {:>14} {:>14}", "length", "basic", "shared");
+    let max = shared
+        .counted_by_length
+        .len()
+        .max(basic.counted_by_length.len());
+    for k in 0..max {
+        let b = basic.counted_by_length.get(k).copied().unwrap_or(0);
+        let s = shared.counted_by_length.get(k).copied().unwrap_or(0);
+        println!("{:<16} {:>14} {:>14}", k + 1, b, s);
+    }
+    println!(
+        "total            {:>14} {:>14}",
+        basic.total_counted(),
+        shared.total_counted()
+    );
+    println!(
+        "max length       {:>14} {:>14}",
+        basic.max_length(),
+        shared.max_length()
+    );
+    println!(
+        "shared prunes: ancestor={} unlinkable={} precount={} subset={}",
+        shared.pruned_ancestor,
+        shared.pruned_unlinkable,
+        shared.pruned_precount,
+        shared.pruned_subset
+    );
+    (shared, basic)
 }
 
 #[cfg(test)]
@@ -184,13 +294,8 @@ mod tests {
 
     #[test]
     fn fig9_variants() {
-        assert_eq!(fig9_config(100, 'a').dims[0].fanout, vec![2, 2, 5]);
-        assert_eq!(fig9_config(100, 'c').dims[0].fanout, vec![5, 5, 10]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn fig9_bad_variant() {
-        let _ = fig9_config(100, 'z');
+        let fanout = |v| FIG9_DATASETS.iter().find(|d| d.0 == v).unwrap().1;
+        assert_eq!(fanout('a'), [2, 2, 5]);
+        assert_eq!(fanout('c'), [5, 5, 10]);
     }
 }

@@ -492,25 +492,9 @@ pub fn predict(args: &Args) -> Result<(), CliError> {
     let lk = cube
         .lookup(&key, pl)
         .ok_or("no materialized cell or ancestor found")?;
-    // Parse --observed "loc:dur,loc:dur,…" (dur optional).
     let observed_spec = args.require("observed")?;
+    let observed = cube.require_path(observed_spec)?;
     let loc_h = cube.schema().locations();
-    let mut observed = Vec::new();
-    for part in observed_spec.split(',') {
-        let part = part.trim();
-        let (loc_name, dur) = match part.split_once(':') {
-            Some((l, d)) => (
-                l,
-                Some(
-                    d.parse::<u32>()
-                        .map_err(|_| format!("bad duration in {part:?}"))?,
-                ),
-            ),
-            None => (part, None),
-        };
-        let loc = loc_h.id_of(loc_name).map_err(|e| e.to_string())?;
-        observed.push(flowcube_pathdb::AggStage { loc, dur });
-    }
     let dist = lk
         .entry
         .predict_next(&observed)

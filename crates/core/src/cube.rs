@@ -9,7 +9,7 @@ use crate::params::{FlowCubeParams, ItemPlan};
 use crate::stats::BuildStats;
 use crate::view::{self, CuboidRead};
 use flowcube_hier::{ConceptId, FxHashMap, ItemLevel, PathLatticeSpec, PathLevelId, Schema};
-use flowcube_pathdb::PathDatabase;
+use flowcube_pathdb::{AggStage, PathDatabase};
 
 /// Result of a point lookup: the entry plus whether it came from the
 /// requested cell or from the nearest materialized ancestor (the
@@ -176,6 +176,42 @@ impl FlowCube {
             })
     }
 
+    /// Resolve an observed path `loc:dur,loc` — location names, each with
+    /// an optional duration — into aggregated stages. Empty stages are
+    /// skipped.
+    ///
+    /// # Errors
+    /// [`CoreError::UnknownLocation`] for a name the location hierarchy
+    /// lacks; [`CoreError::MalformedPath`] for a duration that is not a
+    /// number, or a path with no stage.
+    pub fn require_path(&self, spec: &str) -> Result<Vec<AggStage>, CoreError> {
+        let locations = self.schema.locations();
+        let mut out = Vec::new();
+        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+            let (name, dur) = match part.split_once(':') {
+                Some((name, d)) => {
+                    let dur = d.parse::<u32>().map_err(|_| CoreError::MalformedPath {
+                        detail: format!("bad duration in path stage {part:?}"),
+                    })?;
+                    (name, Some(dur))
+                }
+                None => (part, None),
+            };
+            let loc = locations
+                .id_of(name)
+                .map_err(|_| CoreError::UnknownLocation {
+                    name: name.to_string(),
+                })?;
+            out.push(AggStage { loc, dur });
+        }
+        if out.is_empty() {
+            return Err(CoreError::MalformedPath {
+                detail: "empty path".to_string(),
+            });
+        }
+        Ok(out)
+    }
+
     /// Resolve a cell key from value names (`None` = `*`).
     pub fn key_from_names(&self, names: &[Option<&str>]) -> Option<CellKey> {
         if names.len() != self.schema.num_dims() {
@@ -280,9 +316,10 @@ impl FlowCube {
             .unwrap_or_default()
     }
 
-    /// Structural compatibility check of a partition merge: same
-    /// dimension count, same path-level spec (by level names).
-    fn check_mergeable(&self, other: &FlowCube) -> Result<(), CoreError> {
+    /// Structural compatibility check of a partition merge or a
+    /// comparison: same dimension count, same path-level spec (by level
+    /// names).
+    pub(crate) fn check_mergeable(&self, other: &FlowCube) -> Result<(), CoreError> {
         if self.schema.num_dims() != other.schema.num_dims() {
             return Err(CoreError::SchemaMismatch {
                 left_dims: self.schema.num_dims(),

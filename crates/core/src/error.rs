@@ -20,6 +20,11 @@ pub enum CoreError {
     /// A cell specification did not resolve against the schema (wrong
     /// arity or an unknown dimension value).
     UnresolvedCell { spec: String },
+    /// An observed path names a location the hierarchy does not have.
+    UnknownLocation { name: String },
+    /// An observed path has a stage whose duration is not a number, or
+    /// no stage at all.
+    MalformedPath { detail: String },
     /// A dimension index is out of range for the schema.
     DimensionOutOfRange { dim: usize, num_dims: usize },
     /// Source data failed to parse during ingestion (bad input, not a
@@ -43,6 +48,8 @@ impl fmt::Display for CoreError {
             CoreError::UnresolvedCell { spec } => {
                 write!(f, "cannot resolve cell {spec:?}")
             }
+            CoreError::UnknownLocation { name } => write!(f, "unknown location {name:?}"),
+            CoreError::MalformedPath { detail } => f.write_str(detail),
             CoreError::DimensionOutOfRange { dim, num_dims } => {
                 write!(f, "dimension {dim} out of range (schema has {num_dims})")
             }

@@ -28,6 +28,7 @@
 
 mod build;
 pub mod cell;
+pub mod compare;
 mod counts;
 pub mod cube;
 pub mod delta;
@@ -38,6 +39,7 @@ pub mod stats;
 pub mod view;
 
 pub use cell::{aggregate_key, display_key, level_of_key, CellEntry, CellKey, Cuboid, CuboidKey};
+pub use compare::{CellDiff, CubeDiff};
 pub use cube::{FlowCube, Lookup};
 pub use delta::{CubeDelta, DeltaReport};
 pub use error::CoreError;

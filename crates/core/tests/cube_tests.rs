@@ -1,8 +1,12 @@
 //! End-to-end tests of flowcube construction and navigation on the
 //! paper's running example and on synthetic data.
 
-use flowcube_core::{Algorithm, FlowCube, FlowCubeParams, ItemPlan};
+use flowcube_core::{
+    display_key, Algorithm, CellEntry, CellKey, Cuboid, CuboidKey, FlowCube, FlowCubeParams,
+    ItemPlan,
+};
 use flowcube_datagen::{generate, GeneratorConfig};
+use flowcube_flowgraph::{FlowGraph, NodeId, NodeSpec};
 use flowcube_hier::{ConceptId, DurationLevel, ItemLevel, LocationCut, PathLatticeSpec, PathLevel};
 use flowcube_pathdb::samples;
 
@@ -153,19 +157,7 @@ fn all_algorithms_build_identical_cubes() {
     );
     for other in [&basic, &cubing] {
         assert_eq!(shared.num_cuboids(), other.num_cuboids());
-        assert_eq!(shared.total_cells(), other.total_cells());
-        for (ck, cuboid) in shared.cuboids() {
-            let oc = other
-                .cuboid(&ck.item_level, ck.path_level)
-                .expect("cuboid present in both");
-            assert_eq!(cuboid.len(), oc.len());
-            for (key, entry) in cuboid.iter() {
-                let oe = oc.get(key).expect("cell present in both");
-                assert_eq!(entry.support, oe.support);
-                assert_eq!(entry.graph.total_paths(), oe.graph.total_paths());
-                assert_eq!(entry.graph.len(), oe.graph.len());
-            }
-        }
+        shared.ensure_same(other).unwrap_or_else(|d| panic!("{d}"));
     }
 }
 
@@ -202,22 +194,9 @@ fn parallel_build_matches_serial() {
         FlowCubeParams::new(10).with_threads(4),
         ItemPlan::All,
     );
-    assert_eq!(serial.total_cells(), parallel.total_cells());
-    // Every cell, graph, and exception must be identical; serializing
-    // the cuboids compares them all at once (params/stats are excluded —
-    // they record the differing thread knob and wall-clock timings).
-    assert_eq!(
-        serde_json::to_string(serial.cuboids().collect::<Vec<_>>().as_slice()).unwrap(),
-        serde_json::to_string(parallel.cuboids().collect::<Vec<_>>().as_slice()).unwrap()
-    );
-    for (ck, cuboid) in serial.cuboids() {
-        let pc = parallel.cuboid(&ck.item_level, ck.path_level).unwrap();
-        for (key, entry) in cuboid.iter() {
-            let pe = pc.get(key).unwrap();
-            assert_eq!(entry.support, pe.support);
-            assert_eq!(entry.exceptions.len(), pe.exceptions.len());
-        }
-    }
+    serial
+        .ensure_same(&parallel)
+        .unwrap_or_else(|d| panic!("{d}"));
 }
 
 #[test]
@@ -242,10 +221,7 @@ fn build_threads_policy_controls_materialization() {
         ItemPlan::All,
     );
     assert_eq!(serial.stats().threads_used, 1);
-    assert_eq!(
-        serde_json::to_string(cube.cuboids().collect::<Vec<_>>().as_slice()).unwrap(),
-        serde_json::to_string(serial.cuboids().collect::<Vec<_>>().as_slice()).unwrap()
-    );
+    cube.ensure_same(&serial).unwrap_or_else(|d| panic!("{d}"));
 }
 
 #[test]
@@ -415,22 +391,7 @@ fn partition_cubes_merge_to_full_cube() {
     let merged = FlowCube::merge_partitions(&[left_cube, right_cube], params()).unwrap();
     let full = FlowCube::build(&full_db, spec, params(), ItemPlan::All);
 
-    assert_eq!(merged.total_cells(), full.total_cells());
-    for (ck, cuboid) in full.cuboids() {
-        let mc = merged.cuboid(&ck.item_level, ck.path_level).unwrap();
-        for (key, entry) in cuboid.iter() {
-            let me = mc.get(key).unwrap();
-            assert_eq!(me.support, entry.support);
-            assert_eq!(me.graph.total_paths(), entry.graph.total_paths());
-            assert_eq!(me.graph.len(), entry.graph.len());
-            for n in entry.graph.node_ids() {
-                let prefix = entry.graph.prefix_of(n);
-                let m = me.graph.node_by_prefix(&prefix).unwrap();
-                assert_eq!(me.graph.count(m), entry.graph.count(n));
-                assert_eq!(me.graph.durations(m), entry.graph.durations(n));
-            }
-        }
-    }
+    merged.ensure_same(&full).unwrap_or_else(|d| panic!("{d}"));
 }
 
 #[test]
@@ -445,8 +406,10 @@ fn merge_rejects_incompatible_cubes() {
         DurationLevel::Raw,
     )]);
     let b = FlowCube::build(&db, spec, FlowCubeParams::new(2), ItemPlan::All);
+    // A comparison refuses the pair with the merge's own error.
+    let refused = a.compare(&b).unwrap_err();
     match FlowCube::merge_partitions(&[a, b], FlowCubeParams::new(2)) {
-        Err(flowcube_core::CoreError::PathSpecMismatch { .. }) => {}
+        Err(e @ flowcube_core::CoreError::PathSpecMismatch { .. }) => assert_eq!(e, refused),
         other => panic!("expected PathSpecMismatch, got {other:?}"),
     }
 }
@@ -543,4 +506,101 @@ fn stats_are_populated() {
     assert!(s.cells_materialized > 0);
     assert!(s.mining.total_frequent() > 0);
     assert!(s.summary().contains("cells="));
+}
+
+/// `g` with node `bump`'s count one higher and `total_paths` paths.
+fn rebuilt(g: &FlowGraph, bump: Option<NodeId>, total_paths: u64) -> FlowGraph {
+    let nodes = (g.node_ids())
+        .map(|n| NodeSpec {
+            loc: g.location(n),
+            parent: g.parent(n),
+            children: g.children(n).to_vec(),
+            count: g.count(n) + u64::from(Some(n) == bump),
+            terminate: g.terminate_count(n),
+            durations: g.durations(n).iter().collect(),
+        })
+        .collect();
+    FlowGraph::from_nodes(nodes, total_paths).unwrap()
+}
+
+/// `compare` names exactly the cell a perturbation touched: one node
+/// count, one exception, one missing cell, one path total, one
+/// redundancy mark.
+#[test]
+fn compare_names_exactly_the_perturbed_cell() {
+    let config = GeneratorConfig {
+        num_paths: 300,
+        seed: 11,
+        ..Default::default()
+    };
+    let db = generate(&config).db;
+    let cube = FlowCube::build(&db, paper_spec(&db), FlowCubeParams::new(10), ItemPlan::All);
+    assert!(cube.compare(&cube).unwrap().is_empty());
+    // `f` edits one cuboid of a copy of the cube.
+    let compare_edited = |ck: &CuboidKey, f: &dyn Fn(&mut Cuboid)| {
+        let mut copy = cube.clone();
+        let mut cuboid = cube.cuboid(&ck.item_level, ck.path_level).unwrap().clone();
+        f(&mut cuboid);
+        copy.insert_cuboid(ck.clone(), cuboid);
+        copy.compare(&cube).unwrap()
+    };
+    // `f` edits one cell; the comparison names that cell and no other.
+    let changed = |ck: &CuboidKey, key: &CellKey, f: &dyn Fn(&mut CellEntry)| {
+        let diff = compare_edited(ck, &|c| f(c.cells.get_mut(key).unwrap()));
+        let rendered = diff.render(&cube, 8);
+        assert!(rendered.contains(&display_key(key, cube.schema())));
+        assert!(diff.left_only.is_empty() && diff.right_only.is_empty());
+        assert_eq!(diff.changed.len(), 1, "{rendered}");
+        let cell = diff.changed.into_iter().next().unwrap();
+        assert_eq!((&cell.cuboid, &cell.key), (ck, key));
+        cell
+    };
+    let cells: Vec<(CuboidKey, CellKey)> = (cube.all_cells().into_iter())
+        .flat_map(|(ck, keys)| keys.into_iter().map(move |k| (ck.clone(), k)))
+        .collect();
+
+    // One node's count: the node and its parent (whose transitions count
+    // the node) are the nodes named.
+    let (ck, key) = &cells[cells.len() / 2];
+    let graph = &cube.cell(key, ck.path_level).unwrap().graph;
+    let node = NodeId((graph.len() - 1) as u32);
+    let cell = changed(ck, key, &|e| {
+        e.graph = rebuilt(&e.graph, Some(node), e.graph.total_paths());
+    });
+    assert_eq!(cell.support.0, cell.support.1);
+    assert!(!cell.exceptions_differ);
+    let mut named: Vec<_> = cell.graph.deltas.iter().map(|d| d.prefix.clone()).collect();
+    named.sort();
+    let mut want = [graph.prefix_of(node), graph.prefix_of(graph.parent(node))];
+    want.sort();
+    assert_eq!(named, want);
+
+    // One exception dropped.
+    let (ck, key) = (cells.iter())
+        .find(|(ck, key)| !cube.cell(key, ck.path_level).unwrap().exceptions.is_empty())
+        .expect("the cube has an exception");
+    let cell = changed(ck, key, &|e| {
+        e.exceptions.pop();
+    });
+    assert!(cell.exceptions_differ && cell.graph.is_empty());
+
+    // One path total: every node agrees, the root is named.
+    let (ck, key) = &cells[cells.len() - 1];
+    let cell = changed(ck, key, &|e| {
+        e.graph = rebuilt(&e.graph, None, e.graph.total_paths() + 1);
+    });
+    assert_eq!(cell.graph.deltas.len(), 1);
+    assert!(cell.graph.deltas[0].prefix.is_empty());
+
+    // One redundancy mark flipped.
+    let (ck, key) = &cells[1];
+    let cell = changed(ck, key, &|e| e.redundant = !e.redundant);
+    assert_ne!(cell.redundant.0, cell.redundant.1);
+    assert!(!cell.exceptions_differ && cell.graph.is_empty());
+
+    // One cell missing on the left.
+    let (ck, key) = &cells[0];
+    let diff = compare_edited(ck, &|c| assert!(c.cells.remove(key).is_some()));
+    assert!(diff.left_only.is_empty() && diff.changed.is_empty());
+    assert_eq!(diff.right_only, vec![(ck.clone(), key.clone())]);
 }

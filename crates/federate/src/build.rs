@@ -158,27 +158,8 @@ mod tests {
             let batch = FlowCube::build(&db, spec(&db), params.clone(), ItemPlan::All);
             for shards in [2u32, 3] {
                 let merged = build_sharded(&db, spec(&db), &params, shards).unwrap();
-                assert_eq!(
-                    merged.total_cells(),
-                    batch.total_cells(),
-                    "δ={min_support} shards={shards}"
-                );
-                for (ck, keys) in batch.all_cells() {
-                    for key in keys {
-                        let b = batch.cell(&key, ck.path_level).unwrap();
-                        let m = merged
-                            .cell(&key, ck.path_level)
-                            .unwrap_or_else(|| panic!("missing cell {key:?}"));
-                        assert_eq!(b.support, m.support);
-                        // FlowGraph has no PartialEq; rendered JSON is
-                        // canonical (stable node order).
-                        assert_eq!(
-                            serde_json::to_string(&b.graph).unwrap(),
-                            serde_json::to_string(&m.graph).unwrap()
-                        );
-                        assert_eq!(b.exceptions, m.exceptions);
-                    }
-                }
+                (merged.ensure_same(&batch))
+                    .unwrap_or_else(|d| panic!("δ={min_support} shards={shards}: {d}"));
             }
         }
     }
@@ -274,6 +255,6 @@ mod tests {
         // 97 shards over 8 paths: most shards are empty.
         let merged = build_sharded(&db, spec(&db), &params, 97).unwrap();
         let batch = FlowCube::build(&db, spec(&db), params, ItemPlan::All);
-        assert_eq!(merged.total_cells(), batch.total_cells());
+        merged.ensure_same(&batch).unwrap_or_else(|d| panic!("{d}"));
     }
 }

@@ -42,7 +42,6 @@ use flowcube_core::{
 use flowcube_flowgraph::GraphRead;
 use flowcube_hier::{ConceptId, FxHashMap, ItemLevel, PathLevelId, Schema};
 use flowcube_obs::flight::{self, FlightKind};
-use flowcube_pathdb::AggStage;
 use parking_lot::{Mutex, RwLock};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -837,35 +836,6 @@ fn parse_dim(cube: &FlowCube, req: &Request) -> Result<usize, ApiError> {
     Ok(dim)
 }
 
-/// Parse an observed path `loc:dur,loc` into aggregated stages.
-fn parse_path(cube: &FlowCube, spec: &str) -> Result<Vec<AggStage>, ApiError> {
-    let loc_h = cube.schema().locations();
-    let mut out = Vec::new();
-    for part in spec.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let (loc_name, dur) = match part.split_once(':') {
-            Some((l, d)) => {
-                let dur = d.parse::<u32>().map_err(|_| {
-                    ApiError::BadRequest(format!("bad duration in path stage {part:?}"))
-                })?;
-                (l, Some(dur))
-            }
-            None => (part, None),
-        };
-        let loc = loc_h
-            .id_of(loc_name)
-            .map_err(|_| ApiError::NotFound(format!("unknown location {loc_name:?}")))?;
-        out.push(AggStage { loc, dur });
-    }
-    if out.is_empty() {
-        return Err(ApiError::BadRequest("empty path".into()));
-    }
-    Ok(out)
-}
-
 fn location_names(schema: &Schema, ids: &[ConceptId]) -> Vec<String> {
     let h = schema.locations();
     ids.iter().map(|&c| h.name_of(c).to_string()).collect()
@@ -1024,7 +994,7 @@ fn handle_topk(served: &ServedCube, req: &Request) -> Result<String, ApiError> {
 fn handle_probability(served: &ServedCube, req: &Request) -> Result<String, ApiError> {
     let cube = served.shell();
     let (key, pl) = resolve_cell(cube, req)?;
-    let path = parse_path(cube, require_param(req, "path")?)?;
+    let path = cube.require_path(require_param(req, "path")?)?;
     let (route, section, row) = served.lookup(&key, pl)?;
     Ok(json(&ProbabilityResponse {
         cell: display_key(&route.key, cube.schema()),

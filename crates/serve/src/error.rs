@@ -121,8 +121,10 @@ impl ApiError {
             ApiError::BadRequest(_) | ApiError::Malformed(_) => 400,
             ApiError::NotFound(_) => 404,
             ApiError::Core(e) => match e {
-                CoreError::UnknownPathLevel { .. } | CoreError::UnresolvedCell { .. } => 404,
-                CoreError::DimensionOutOfRange { .. } => 400,
+                CoreError::UnknownPathLevel { .. }
+                | CoreError::UnresolvedCell { .. }
+                | CoreError::UnknownLocation { .. } => 404,
+                CoreError::DimensionOutOfRange { .. } | CoreError::MalformedPath { .. } => 400,
                 CoreError::SchemaMismatch { .. } | CoreError::PathSpecMismatch { .. } => 409,
                 // Bad source data surfacing through a serving path is a
                 // malformed request from the server's point of view.

@@ -147,7 +147,9 @@ impl Fixture {
         }
         let snapshot = Snapshot::open(&self.path).unwrap();
         let compacted = ServedCube::from_snapshot(snapshot).folded_cube().unwrap();
-        assert_eq!(canonical_cells(&compacted), canonical_cells(&reference));
+        compacted
+            .ensure_same(&reference)
+            .unwrap_or_else(|d| panic!("{d}"));
         assert_eq!(
             compacted.stats().cells_materialized,
             reference.stats().cells_materialized
@@ -159,21 +161,6 @@ impl Drop for Fixture {
     fn drop(&mut self) {
         self.clean();
     }
-}
-
-/// Every cell of the cube as a sorted, canonical `(address, json)` list.
-fn canonical_cells(cube: &FlowCube) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for (ck, cuboid) in cube.cuboids() {
-        for (cell, entry) in cuboid.iter() {
-            out.push((
-                format!("{ck:?}/{cell:?}"),
-                serde_json::to_string(entry).unwrap(),
-            ));
-        }
-    }
-    out.sort();
-    out
 }
 
 /// Every cell of every cuboid as the server at `addr` answers it: one

@@ -78,6 +78,13 @@ fn survives_malformed_and_hostile_input() {
     assert_eq!(status, 400);
     let (status, _, _) = get(addr, "/cell?cell=*,*&level=no-such-level", &[]);
     assert_eq!(status, 404);
+    // An observed path: an unknown location is not found; a bad duration
+    // or no stage at all is a bad request.
+    for (path, want) in [("mars:1", 404), ("mars:soon", 400), (",%20,", 400)] {
+        let target = format!("/paths/probability?cell=*,*&level=fine&path={path}");
+        let (status, _, body) = get(addr, &target, &[]);
+        assert_eq!(status, want, "path={path:?} got {body:?}");
+    }
 
     // After all that abuse the server still answers correctly.
     let (status, _, body) = get(addr, "/healthz", &[]);

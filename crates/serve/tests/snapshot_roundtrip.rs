@@ -65,36 +65,27 @@ fn small_cube(paths: usize, seed: u64, min_support: u64) -> FlowCube {
     small_cube_threads(paths, seed, min_support, 1)
 }
 
-/// Serialize every cell's `lookup` answer plus a dim-0 `roll_up`, as the
-/// equality fingerprint of a cube's query behavior.
+/// Every cell's `lookup` route plus a dim-0 `roll_up` target, named
+/// through the cube's schema: the fingerprint of a cube's navigation.
+/// What the cells hold is [`FlowCube::ensure_same`]'s to check.
 fn query_fingerprint(cube: &FlowCube) -> Vec<String> {
     let mut out = Vec::new();
-    let mut rows: Vec<(flowcube_core::CuboidKey, Vec<flowcube_core::CellKey>)> = cube
-        .cuboids()
-        .map(|(ck, cuboid)| {
-            let mut keys: Vec<_> = cuboid.iter().map(|(k, _)| k.clone()).collect();
-            keys.sort();
-            (ck.clone(), keys)
-        })
-        .collect();
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
-    for (ck, keys) in rows {
+    for (ck, keys) in cube.all_cells() {
         for key in keys {
             let lk = cube.lookup(&key, ck.path_level).expect("cell exists");
             out.push(format!(
-                "{}@{}:{} support={} entry={}",
+                "{}@{}:{} support={}",
                 display_key(&key, cube.schema()),
                 ck.path_level,
                 lk.exact,
-                lk.entry.support,
-                serde_json::to_string(lk.entry).unwrap()
+                lk.entry.support
             ));
             match cube.roll_up(&key, 0, ck.path_level) {
                 Some((parent, entry)) => out.push(format!(
-                    "rollup {} -> {} {}",
+                    "rollup {} -> {} support={}",
                     display_key(&key, cube.schema()),
                     display_key(&parent, cube.schema()),
-                    serde_json::to_string(entry).unwrap()
+                    entry.support
                 )),
                 None => out.push(format!(
                     "rollup {} -> none",
@@ -124,7 +115,7 @@ proptest! {
         prop_assert_eq!(snap.num_cuboids(), cube.num_cuboids());
         let loaded = ServedCube::from_snapshot(snap).folded_cube().expect("load");
         prop_assert_eq!(loaded.num_cuboids(), cube.num_cuboids());
-        prop_assert_eq!(loaded.total_cells(), cube.total_cells());
+        loaded.ensure_same(&cube)?;
         prop_assert_eq!(query_fingerprint(&loaded), query_fingerprint(&cube));
         let _ = std::fs::remove_file(&path);
     }
@@ -576,7 +567,9 @@ fn golden_v1_fixture_is_upgrade_only() {
     }
 
     let cube = load_v1_cube(golden_path()).expect("load golden v1");
-    let want = query_fingerprint(&golden_cube());
+    let golden = golden_cube();
+    let want = query_fingerprint(&golden);
+    cube.ensure_same(&golden).unwrap_or_else(|d| panic!("{d}"));
     assert_eq!(query_fingerprint(&cube), want);
 
     let v2 = tmp("golden-v2.snap");
@@ -584,6 +577,9 @@ fn golden_v1_fixture_is_upgrade_only() {
     let loaded_v2 = ServedCube::from_snapshot(Snapshot::open(&v2).expect("open v2"))
         .folded_cube()
         .expect("load v2");
+    loaded_v2
+        .ensure_same(&golden)
+        .unwrap_or_else(|d| panic!("{d}"));
     assert_eq!(query_fingerprint(&loaded_v2), want);
     // The upgrade reader reads format 1 and nothing else.
     assert!(matches!(

@@ -4,8 +4,8 @@
 //! 2005."
 //!
 //! Two cubes are built from two simulated years whose logistics changed
-//! (a rerouted lane and slower transport); `flowgraph::diff` surfaces
-//! exactly what moved.
+//! (a rerouted lane and slower transport); `FlowCube::compare` aligns
+//! them cell by cell and surfaces exactly what moved.
 //!
 //! ```sh
 //! cargo run --release --example historical_compare
@@ -13,7 +13,6 @@
 
 use flowcube::core::{FlowCube, FlowCubeParams, ItemPlan};
 use flowcube::datagen::{generate, GeneratorConfig};
-use flowcube::flowgraph::diff;
 use flowcube::hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
 use flowcube::pathdb::{PathDatabase, PathRecord, Stage};
 
@@ -78,17 +77,23 @@ fn main() {
     let cube_2005 = build_cube(&year_2005.db);
     let cube_2006 = build_cube(&db_2006);
 
-    let apex = vec![flowcube::hier::ConceptId::ROOT; year_2005.db.schema().num_dims()];
-    let g_2005 = &cube_2005.cell(&apex, 0).expect("2005 apex").graph;
-    let g_2006 = &cube_2006.cell(&apex, 0).expect("2006 apex").graph;
-
-    let changes = diff(g_2006, g_2005, 0.01);
-    let loc = year_2005.db.schema().locations();
-    println!("2006 vs 2005 — top flow changes (reach ≥ 1%):\n");
-    print!("{}", changes.render(loc, 12));
+    let changes = cube_2006.compare(&cube_2005).expect("same schema and spec");
     println!(
-        "\nstable under ε=0.5? {}   (total prefixes compared: {})",
-        changes.is_stable(0.5),
-        changes.deltas.len()
+        "2006 vs 2005 — {} cells new, {} gone, {} changed",
+        changes.left_only.len(),
+        changes.right_only.len(),
+        changes.changed.len()
     );
+
+    let apex = vec![flowcube::hier::ConceptId::ROOT; year_2005.db.schema().num_dims()];
+    let mut flows = (changes.changed.into_iter())
+        .find(|c| c.key == apex)
+        .expect("the apex cell changed")
+        .graph;
+    flows
+        .deltas
+        .retain(|d| d.reach_left.max(d.reach_right) >= 0.01);
+    let loc = year_2005.db.schema().locations();
+    println!("\ntop flow changes at the apex (reach ≥ 1%):\n");
+    print!("{}", flows.render(loc, 12));
 }

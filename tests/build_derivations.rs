@@ -115,15 +115,7 @@ proptest! {
             // order — stores the same cells with the same exceptions.
             let dropped = exceptions_first.prune_redundant(tau);
             prop_assert_eq!(dropped, cube.stats().cells_pruned_redundant);
-            prop_assert_eq!(exceptions_first.all_cells(), cube.all_cells());
-            for (ck, cuboid) in cube.cuboids() {
-                let reference = exceptions_first
-                    .cuboid(&ck.item_level, ck.path_level)
-                    .expect("same cuboids");
-                for (key, entry) in cuboid.iter() {
-                    prop_assert_eq!(&entry.exceptions, &reference.get(key).unwrap().exceptions);
-                }
-            }
+            exceptions_first.ensure_same(&cube)?;
         }
 
         let exc_params = ExceptionParams {

@@ -7,10 +7,12 @@
 
 use flowcube::datagen::{generate, DimShape, GeneratorConfig};
 use flowcube::hier::{DurationLevel, ItemLevel, LocationCut, PathLatticeSpec, PathLevel};
-use flowcube::serve::write_snapshot;
 use flowcube::testkit::{self, sha256_hex, FailAction};
 use flowcube::{FlowCube, FlowCubeParams, ItemPlan, PathDatabase};
 use std::sync::{Mutex, MutexGuard};
+
+mod common;
+use common::snapshot_bytes;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -50,17 +52,6 @@ fn params(threads: usize) -> FlowCubeParams {
         .with_parallel_cutoff(2)
 }
 
-fn snapshot_bytes(cube: &FlowCube, tag: &str) -> Vec<u8> {
-    let path = std::env::temp_dir().join(format!(
-        "flowcube-build-det-{}-{tag}.snap",
-        std::process::id()
-    ));
-    write_snapshot(cube, &path).expect("snapshot writes");
-    let bytes = std::fs::read(&path).expect("snapshot reads back");
-    let _ = std::fs::remove_file(&path);
-    bytes
-}
-
 /// `cube` under params that send the snapshot writer to `threads`
 /// workers: the same cuboids, as a build at that thread count leaves
 /// them.
@@ -92,11 +83,11 @@ fn golden_snapshot_digest() {
     assert!(cube
         .cuboids()
         .any(|(_, c)| c.iter().any(|(_, e)| !e.exceptions.is_empty())));
-    assert_eq!(sha256_hex(&snapshot_bytes(&cube, "golden")), GOLDEN_SHA256);
+    assert_eq!(sha256_hex(&snapshot_bytes(&cube)), GOLDEN_SHA256);
     // The writer encodes and checksums sections on the cube's own thread
     // policy; none of that reaches the file.
     for threads in [2, 3, 7] {
-        let bytes = snapshot_bytes(&with_writer_threads(&cube, threads), "golden-tn");
+        let bytes = snapshot_bytes(&with_writer_threads(&cube, threads));
         assert_eq!(
             sha256_hex(&bytes),
             GOLDEN_SHA256,
@@ -105,7 +96,7 @@ fn golden_snapshot_digest() {
     }
     // One writer chunk panics once: it is re-encoded serially, in place.
     testkit::arm_times("mining.chunk", 1, FailAction::Panic(None));
-    let healed = snapshot_bytes(&with_writer_threads(&cube, 2), "golden-healed");
+    let healed = snapshot_bytes(&with_writer_threads(&cube, 2));
     let fired = testkit::hits("mining.chunk");
     testkit::reset();
     assert_eq!(fired, 1, "the fault must land in the writer");
@@ -122,7 +113,7 @@ fn golden_digest_holds_at_any_build_thread_count_and_after_a_retried_chunk() {
     let (db, spec) = fixture();
     let build = |threads| FlowCube::build(&db, spec.clone(), params(threads), ItemPlan::All);
     for threads in [1, 2, 3, 7] {
-        let bytes = snapshot_bytes(&build(threads), "golden-build-tn");
+        let bytes = snapshot_bytes(&build(threads));
         assert_eq!(sha256_hex(&bytes), GOLDEN_SHA256, "build threads={threads}");
     }
     for phase in ["build.materialize.chunk", "build.redundancy.chunk"] {
@@ -132,7 +123,7 @@ fn golden_digest_holds_at_any_build_thread_count_and_after_a_retried_chunk() {
         testkit::reset();
         assert_eq!(fired, 1, "the fault must land in {phase}");
         assert_eq!(healed.stats().chunk_retries, 1, "{phase}");
-        let bytes = snapshot_bytes(&healed, "golden-build-healed");
+        let bytes = snapshot_bytes(&healed);
         assert_eq!(sha256_hex(&bytes), GOLDEN_SHA256, "{phase}");
     }
     // One mining counting chunk — a candidate range on the tid rows —
@@ -143,7 +134,7 @@ fn golden_digest_holds_at_any_build_thread_count_and_after_a_retried_chunk() {
     let fired = testkit::hits("mining.scan.chunk");
     testkit::reset();
     assert_eq!(fired, 1, "the fault must land in a counting pass");
-    let bytes = snapshot_bytes(&healed, "golden-build-healed-mining");
+    let bytes = snapshot_bytes(&healed);
     assert_eq!(sha256_hex(&bytes), GOLDEN_SHA256, "mining.scan.chunk");
 }
 
@@ -152,12 +143,12 @@ fn thread_count_and_chunk_retry_leave_the_bytes_alone() {
     let _guard = serial();
     let (db, spec) = fixture();
     let build = |threads| FlowCube::build(&db, spec.clone(), params(threads), ItemPlan::All);
-    let serial_bytes = snapshot_bytes(&build(1), "t1");
+    let serial_bytes = snapshot_bytes(&build(1));
     for threads in [2, 3, 7] {
         let cube = build(threads);
         assert_eq!(cube.stats().chunk_retries, 0);
         assert!(
-            snapshot_bytes(&cube, "tn") == serial_bytes,
+            snapshot_bytes(&cube) == serial_bytes,
             "threads={threads} changed the snapshot"
         );
     }
@@ -172,12 +163,12 @@ fn thread_count_and_chunk_retry_leave_the_bytes_alone() {
             ItemPlan::All,
         )
     };
-    let clean = snapshot_bytes(&quiet(2), "clean");
+    let clean = snapshot_bytes(&quiet(2));
     testkit::arm_times("mining.chunk", 1, FailAction::Panic(None));
     let healed = quiet(2);
     testkit::reset();
     assert_eq!(healed.stats().chunk_retries, 1);
-    assert!(snapshot_bytes(&healed, "healed") == clean);
+    assert!(snapshot_bytes(&healed) == clean);
 }
 
 /// A plan that leaves a level's item-lattice parents out materializes
@@ -205,21 +196,21 @@ fn plans_without_parents_match_the_full_plan() {
     for plan in plans {
         let partial = unpruned(plan.clone());
         assert!(partial.num_cuboids() > 0);
-        for (ck, cuboid) in partial.cuboids() {
+        let diff = partial.compare(&full).expect("same schema and spec");
+        assert!(
+            diff.left_only.is_empty() && diff.changed.is_empty(),
+            "{}",
+            diff.render(&partial, 8)
+        );
+        for (ck, _) in &diff.right_only {
+            assert!(
+                !plan.includes(&ck.item_level),
+                "{}",
+                diff.render(&partial, 8)
+            );
+        }
+        for (ck, _) in partial.cuboids() {
             assert!(plan.includes(&ck.item_level));
-            let reference = full
-                .cuboid(&ck.item_level, ck.path_level)
-                .expect("the full plan has every cuboid");
-            assert_eq!(cuboid.len(), reference.len(), "{ck:?}");
-            for (key, entry) in cuboid.iter() {
-                let want = reference.get(key).expect("same cells");
-                assert_eq!(entry.support, want.support);
-                assert_eq!(
-                    serde_json::to_string(&entry.graph).unwrap(),
-                    serde_json::to_string(&want.graph).unwrap()
-                );
-                assert_eq!(entry.exceptions, want.exceptions);
-            }
         }
     }
 }

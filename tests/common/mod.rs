@@ -1,8 +1,13 @@
 //! Helpers shared by the root differential suites.
 
+// Each suite compiles this module and uses part of it.
+#![allow(dead_code)]
+
 use flowcube::datagen::{generate, DimShape, GeneratorConfig};
 use flowcube::hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
-use flowcube::PathDatabase;
+use flowcube::serve::write_snapshot;
+use flowcube::{FlowCube, PathDatabase};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A generated path database with a two-level path lattice: two small
 /// dimensions and five location sequences, so a proptest case builds in
@@ -25,4 +30,19 @@ pub fn gen_db(paths: usize, seed: u64) -> (PathDatabase, PathLatticeSpec) {
         PathLevel::new("fine/any", fine, DurationLevel::Any),
     ]);
     (db, spec)
+}
+
+/// The bytes `write_snapshot` writes for `cube`, read back from a temp
+/// file unique to this call.
+pub fn snapshot_bytes(cube: &FlowCube) -> Vec<u8> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "flowcube-test-{}-{}.snap",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    write_snapshot(cube, &path).expect("snapshot writes");
+    let bytes = std::fs::read(&path).expect("snapshot reads back");
+    let _ = std::fs::remove_file(&path);
+    bytes
 }

@@ -148,15 +148,12 @@ fn parent_graph_is_merge_of_children() {
         total += entry.support;
     }
     assert_eq!(total, apex.support);
-    assert_eq!(merged.total_paths(), apex.graph.total_paths());
-    assert_eq!(merged.len(), apex.graph.len());
-    for n in apex.graph.node_ids() {
-        let prefix = apex.graph.prefix_of(n);
-        let m = merged.node_by_prefix(&prefix).expect("same shape");
-        assert_eq!(merged.count(m), apex.graph.count(n));
-        assert_eq!(merged.durations(m), apex.graph.durations(n));
-        assert_eq!(merged.terminate_count(m), apex.graph.terminate_count(n));
-    }
+    let diff = flowcube::flowgraph::diff(&merged, &apex.graph);
+    assert!(
+        diff.is_empty(),
+        "{}",
+        diff.render(db.schema().locations(), 8)
+    );
 }
 
 /// Cell supports within one cuboid partition the database when the item

@@ -21,12 +21,11 @@
 
 use flowcube::core::{BuildStats, CellKey, CubeDelta, CuboidKey};
 use flowcube::hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
-use flowcube::serve::write_snapshot;
 use flowcube::{FlowCube, FlowCubeParams, ItemPlan, PathDatabase};
 use proptest::prelude::*;
 
 mod common;
-use common::gen_db;
+use common::{gen_db, snapshot_bytes};
 
 /// Split `db` into `k` contiguous non-empty micro-batches.
 fn split_db(db: &PathDatabase, k: usize) -> Vec<PathDatabase> {
@@ -60,31 +59,14 @@ fn incremental_cube(
     (cube, dirty)
 }
 
-/// Canonical content view: every cell rendered as a sorted
-/// `(address, json)` list, where the JSON covers support, flowgraph, and
-/// exceptions. Two cubes with equal views answer every query alike.
-fn canonical_cells(cube: &FlowCube) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for (ck, cuboid) in cube.cuboids() {
-        for (cell, entry) in cuboid.iter() {
-            out.push((
-                format!("{ck:?}/{cell:?}"),
-                serde_json::to_string(entry).expect("cell entries serialize"),
-            ));
-        }
-    }
-    out.sort();
-    out
-}
-
-/// Snapshot bytes with the build-history stats zeroed on both sides.
+/// Snapshot bytes with the build-history stats zeroed.
 ///
 /// `write_snapshot` already canonicalizes params and zeroes the
 /// delta-application counters, but it deliberately keeps the mining
 /// counters — and an incremental cube's mining counters only cover its
 /// base batch. Byte-identity is a claim about the cube's *content*, so
 /// both sides are rebuilt around `BuildStats::default()` first.
-fn normalized_snapshot_bytes(cube: &FlowCube, tag: &str) -> Vec<u8> {
+fn normalized_snapshot_bytes(cube: &FlowCube) -> Vec<u8> {
     let mut shell = FlowCube::from_parts(
         cube.schema().clone(),
         cube.spec().clone(),
@@ -94,14 +76,7 @@ fn normalized_snapshot_bytes(cube: &FlowCube, tag: &str) -> Vec<u8> {
     for (key, cuboid) in cube.cuboids() {
         shell.insert_cuboid(key.clone(), cuboid.clone());
     }
-    let path = std::env::temp_dir().join(format!(
-        "flowcube-incr-diff-{}-{tag}.snap",
-        std::process::id()
-    ));
-    write_snapshot(&shell, &path).expect("snapshot writes");
-    let bytes = std::fs::read(&path).expect("snapshot reads back");
-    let _ = std::fs::remove_file(&path);
-    bytes
+    snapshot_bytes(&shell)
 }
 
 proptest! {
@@ -123,11 +98,10 @@ proptest! {
         let (incr, _) = incremental_cube(&batches, &spec, &params);
         let batch = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
 
-        prop_assert_eq!(incr.total_cells(), batch.total_cells());
-        prop_assert_eq!(canonical_cells(&incr), canonical_cells(&batch));
+        incr.ensure_same(&batch)?;
         prop_assert_eq!(
-            normalized_snapshot_bytes(&incr, &format!("incr-{seed}-{k}")),
-            normalized_snapshot_bytes(&batch, &format!("batch-{seed}-{k}")),
+            normalized_snapshot_bytes(&incr),
+            normalized_snapshot_bytes(&batch),
             "snapshot bytes diverged at paths={} seed={} k={}", paths, seed, k
         );
     }
@@ -150,7 +124,7 @@ proptest! {
         incr.remine_exceptions(&db, &dirty).expect("same schema");
         let batch = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
 
-        prop_assert_eq!(canonical_cells(&incr), canonical_cells(&batch));
+        incr.ensure_same(&batch)?;
     }
 
     /// δ > 1: the iceberg is re-enforced after every apply (no cell ever
@@ -176,17 +150,16 @@ proptest! {
                     "cell {:?}/{:?} survived below δ with support {}",
                     ck, cell, entry.support
                 );
-                let batch_entry = batch
-                    .cuboids()
-                    .find(|(k, _)| *k == ck)
-                    .and_then(|(_, c)| c.get(cell));
-                let batch_support = batch_entry.map_or(0, |e| e.support);
-                prop_assert!(
-                    batch_support >= entry.support,
-                    "maintained cell {:?}/{:?} has support {} > batch's {}",
-                    ck, cell, entry.support, batch_support
-                );
             }
+        }
+        let diff = incr.compare(&batch).expect("same schema and spec");
+        prop_assert!(diff.left_only.is_empty(), "{}", diff.render(&incr, 8));
+        for cell in &diff.changed {
+            prop_assert!(
+                cell.support.0 <= cell.support.1,
+                "maintained cell has more support than the batch's: {}",
+                diff.render(&incr, 8)
+            );
         }
     }
 }
@@ -198,7 +171,7 @@ fn empty_batch_delta_is_a_noop() {
     let (db, spec) = gen_db(24, 7);
     let params = FlowCubeParams::new(1).with_exceptions(false);
     let mut cube = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
-    let before = canonical_cells(&cube);
+    let before = cube.clone();
 
     let empty = PathDatabase::from_records(db.schema().clone(), Vec::new())
         .expect("an empty path database is valid");
@@ -210,7 +183,7 @@ fn empty_batch_delta_is_a_noop() {
     assert_eq!(report.merged_cells, 0);
     assert_eq!(report.pruned_cells, 0);
     assert!(report.dirty.is_empty());
-    assert_eq!(canonical_cells(&cube), before);
+    cube.ensure_same(&before).unwrap_or_else(|d| panic!("{d}"));
     // The apply is still recorded — maintenance history is honest even
     // for no-ops (and snapshot writing zeroes it back out).
     assert_eq!(cube.stats().deltas_applied, 1);
@@ -224,7 +197,7 @@ fn mismatched_delta_is_rejected() {
     let (db, spec) = gen_db(24, 11);
     let params = FlowCubeParams::new(1).with_exceptions(false);
     let mut cube = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
-    let before = canonical_cells(&cube);
+    let before = cube.clone();
 
     // Same db, different path-level names → different fingerprint.
     let loc = db.schema().locations();
@@ -236,11 +209,8 @@ fn mismatched_delta_is_rejected() {
     let delta = CubeDelta::compute(&db, &other_spec, &params, &ItemPlan::All);
     assert!(delta.validate_against(&cube).is_err());
     assert!(cube.apply_delta(&delta).is_err());
-    assert_eq!(
-        canonical_cells(&cube),
-        before,
-        "a rejected delta must not touch the cube"
-    );
+    // A rejected delta must not touch the cube.
+    cube.ensure_same(&before).unwrap_or_else(|d| panic!("{d}"));
 }
 
 /// `merge_partitions` combines build statistics honestly: counters add,

@@ -144,13 +144,8 @@ proptest! {
         let mut left = FlowGraph::build(paths[..k].iter().map(|p| p.as_slice()));
         let right = FlowGraph::build(paths[k..].iter().map(|p| p.as_slice()));
         left.merge(&right);
-        prop_assert_eq!(left.len(), full.len());
-        for n in full.node_ids() {
-            let prefix = full.prefix_of(n);
-            let m = left.node_by_prefix(&prefix).unwrap();
-            prop_assert_eq!(left.count(m), full.count(n));
-            prop_assert_eq!(left.durations(m), full.durations(n));
-        }
+        let diff = flowcube::flowgraph::diff(&left, &full);
+        prop_assert!(diff.is_empty(), "{:?}", diff.deltas);
     }
 
     /// Apriori anti-monotonicity: every subset of a frequent itemset is

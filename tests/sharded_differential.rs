@@ -14,23 +14,11 @@
 //! exactly.
 
 use flowcube::federate::{build_sharded, merge_shard_parts, shard_db, ShardPart};
-use flowcube::serve::write_snapshot;
 use flowcube::{FlowCube, FlowCubeParams, ItemPlan};
 use proptest::prelude::*;
 
 mod common;
-use common::gen_db;
-
-fn snapshot_bytes(cube: &FlowCube, tag: &str) -> Vec<u8> {
-    let path = std::env::temp_dir().join(format!(
-        "flowcube-shard-diff-{}-{tag}.snap",
-        std::process::id()
-    ));
-    write_snapshot(cube, &path).expect("snapshot writes");
-    let bytes = std::fs::read(&path).expect("snapshot reads back");
-    let _ = std::fs::remove_file(&path);
-    bytes
-}
+use common::{gen_db, snapshot_bytes};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -53,10 +41,10 @@ proptest! {
             .expect("sharded build succeeds");
         let single = FlowCube::build(&db, spec, params, ItemPlan::All);
 
-        prop_assert_eq!(sharded.total_cells(), single.total_cells());
+        sharded.ensure_same(&single)?;
         prop_assert_eq!(
-            snapshot_bytes(&sharded, &format!("shard-{seed}-{shards}-{delta}")),
-            snapshot_bytes(&single, &format!("single-{seed}-{shards}-{delta}")),
+            snapshot_bytes(&sharded),
+            snapshot_bytes(&single),
             "snapshot bytes diverged at paths={} seed={} shards={} delta={}",
             paths, seed, shards, delta
         );
@@ -79,9 +67,10 @@ proptest! {
             .expect("sharded build succeeds");
         let single = FlowCube::build(&db, spec, params, ItemPlan::All);
 
+        sharded.ensure_same(&single)?;
         prop_assert_eq!(
-            snapshot_bytes(&sharded, &format!("tau-shard-{seed}-{shards}")),
-            snapshot_bytes(&single, &format!("tau-single-{seed}-{shards}")),
+            snapshot_bytes(&sharded),
+            snapshot_bytes(&single),
             "pruned snapshots diverged at paths={} seed={} shards={}",
             paths, seed, shards
         );
@@ -96,10 +85,10 @@ fn empty_shards_merge_cleanly() {
     let params = FlowCubeParams::new(1);
     let sharded = build_sharded(&db, spec.clone(), &params, 97).expect("97-way shard of 8 paths");
     let single = FlowCube::build(&db, spec, params, ItemPlan::All);
-    assert_eq!(
-        snapshot_bytes(&sharded, "empty-shard"),
-        snapshot_bytes(&single, "empty-single")
-    );
+    sharded
+        .ensure_same(&single)
+        .unwrap_or_else(|d| panic!("{d}"));
+    assert_eq!(snapshot_bytes(&sharded), snapshot_bytes(&single));
 }
 
 /// The merge validates its inputs: a missing shard, a duplicate shard,
