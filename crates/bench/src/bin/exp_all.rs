@@ -4,9 +4,10 @@
 //! Usage: `exp_all [--scale 0.05] [--out bench_results.json]`
 
 use flowcube_bench::experiments::{
-    fig10, fig11_pruning, fig6, fig7, fig8, fig9, paper_db, paper_path_spec, ExperimentScale,
+    fig10, fig11_pruning, fig6, fig7, fig8, fig9, paper_db, ExperimentScale,
 };
 use flowcube_bench::runner::RunResult;
+use flowcube_hier::PathLatticeSpec;
 use flowcube_mining::{MiningStats, TransactionDb};
 use flowcube_pathdb::MergePolicy;
 use serde::Serialize;
@@ -38,7 +39,11 @@ fn main() {
     let fig8 = fig8(scale);
     let fig9 = fig9(scale);
     let fig10 = fig10(scale);
-    let tx = TransactionDb::encode(&db, paper_path_spec(db.schema()), MergePolicy::Sum);
+    let tx = TransactionDb::encode(
+        &db,
+        PathLatticeSpec::paper(db.schema().locations(), 4),
+        MergePolicy::Sum,
+    );
     let (fig11_shared, fig11_basic) = fig11_pruning(&tx);
 
     let all = AllResults {

@@ -8,10 +8,9 @@
 //!
 //! Usage: `exp_fig11 [--scale 0.1]`
 
-use flowcube_bench::experiments::{
-    fig11_pruning, fig11_support, paper_db, paper_path_spec, ExperimentScale,
-};
+use flowcube_bench::experiments::{fig11_pruning, fig11_support, paper_db, ExperimentScale};
 use flowcube_bench::median_secs;
+use flowcube_hier::PathLatticeSpec;
 use flowcube_mining::{
     mine, mine_cubing, CubingConfig, CubingIo, MiningStats, SharedConfig, TransactionDb,
 };
@@ -31,7 +30,11 @@ fn ablation_row(name: &str, mut run: impl FnMut() -> MiningStats) {
 fn main() {
     let db = paper_db(ExperimentScale::from_args());
     let n = db.len();
-    let tx = TransactionDb::encode(&db, paper_path_spec(db.schema()), MergePolicy::Sum);
+    let tx = TransactionDb::encode(
+        &db,
+        PathLatticeSpec::paper(db.schema().locations(), 4),
+        MergePolicy::Sum,
+    );
     let delta = fig11_support(n);
     fig11_pruning(&tx);
 

@@ -5,10 +5,10 @@
 //!
 //! Usage: `exp_incremental` (no flags); prints one JSON line.
 
-use flowcube_bench::experiments::{base_config, paper_path_spec};
 use flowcube_bench::median_secs;
 use flowcube_core::{CubeDelta, FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, DimShape};
+use flowcube_datagen::{generate, DimShape, GeneratorConfig};
+use flowcube_hier::PathLatticeSpec;
 use flowcube_pathdb::PathDatabase;
 use serde::Serialize;
 use std::hint::black_box;
@@ -43,15 +43,18 @@ fn main() {
     // Figure 6's workload at Figure 8's low dimensionality (d = 2): with
     // the full d = 5 item lattice a δ = 1 micro-batch delta materializes
     // every item level, past what a live ingest accepts in one body.
-    let mut config = base_config(BASE_PATHS + BATCH_PATHS);
-    config.dims = vec![DimShape::new(vec![4, 4, 6], 0.8); 2];
+    let config = GeneratorConfig {
+        num_paths: BASE_PATHS + BATCH_PATHS,
+        dims: vec![DimShape::new(vec![4, 4, 6], 0.8); 2],
+        ..Default::default()
+    };
     let db = generate(&config).db;
     let records = db.records();
     let base =
         PathDatabase::from_records(db.schema().clone(), records[..BASE_PATHS].to_vec()).unwrap();
     let batch =
         PathDatabase::from_records(db.schema().clone(), records[BASE_PATHS..].to_vec()).unwrap();
-    let spec = paper_path_spec(db.schema());
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
     // Exceptions off: serve-side ingest is algebraic only.
     let params = FlowCubeParams::new(20).with_exceptions(false);
 

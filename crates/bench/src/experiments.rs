@@ -4,7 +4,6 @@
 
 use crate::runner::{print_header, print_row, run_all, run_all_on, RunResult};
 use flowcube_datagen::{generate, DimShape, GeneratorConfig};
-use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel, Schema};
 use flowcube_mining::{mine, MiningStats, SharedConfig, TransactionDb};
 use flowcube_pathdb::PathDatabase;
 
@@ -61,48 +60,14 @@ impl ExperimentScale {
     }
 }
 
-/// Base configuration shared by all experiments: 5 path-independent
-/// dimensions with 3-level hierarchies (dataset *b* density: 4, 4, 6
-/// distinct values per level), a 2-level location hierarchy, and a pool
-/// of 30 valid sequences.
-pub fn base_config(num_paths: usize) -> GeneratorConfig {
-    GeneratorConfig {
-        num_paths,
-        dims: vec![DimShape::new(vec![4, 4, 6], 0.8); 5],
-        location_groups: 4,
-        locations_per_group: 5,
-        location_skew: 0.8,
-        num_sequences: 30,
-        sequence_skew: 0.8,
-        path_len: (3, 8),
-        max_duration: 8,
-        duration_skew: 1.0,
-        flow_correlation: 0.0,
-        exception_bias: 0.0,
-        seed: 42,
-    }
-}
-
-/// The experiments' path abstraction levels: "locations \[at\] the level
-/// present in the path database and one level higher … durations \[at\]
-/// the level present … and the any (*) level, for a total of 4 path
-/// abstraction levels."
-pub fn paper_path_spec(schema: &Schema) -> PathLatticeSpec {
-    let loc = schema.locations();
-    let fine = LocationCut::uniform_level(loc, loc.max_level());
-    let coarse = LocationCut::uniform_level(loc, loc.max_level().saturating_sub(1).max(1));
-    PathLatticeSpec::new(vec![
-        PathLevel::new("loc0/dur0", fine.clone(), DurationLevel::Raw),
-        PathLevel::new("loc0/dur*", fine, DurationLevel::Any),
-        PathLevel::new("loc1/dur0", coarse.clone(), DurationLevel::Raw),
-        PathLevel::new("loc1/dur*", coarse, DurationLevel::Any),
-    ])
-}
-
 /// The §6.1 default dataset at the paper's N = 100k, scaled: the one
 /// Figure 7 sweeps supports over and Figure 11 mines.
 pub fn paper_db(scale: ExperimentScale) -> PathDatabase {
-    generate(&base_config(scale.apply(100_000))).db
+    generate(&GeneratorConfig {
+        num_paths: scale.apply(100_000),
+        ..Default::default()
+    })
+    .db
 }
 
 fn printed(r: RunResult) -> RunResult {
@@ -127,8 +92,13 @@ fn sweep(
 /// candidate set outgrew memory beyond them.
 pub fn fig6(scale: ExperimentScale) -> Vec<RunResult> {
     let sizes = [100_000, 200_000, 400_000, 600_000, 800_000, 1_000_000].map(|n| scale.apply(n));
-    let points =
-        (sizes.into_iter().enumerate()).map(|(i, n)| (format!("N={n}"), base_config(n), i < 2));
+    let points = (sizes.into_iter().enumerate()).map(|(i, n)| {
+        let config = GeneratorConfig {
+            num_paths: n,
+            ..Default::default()
+        };
+        (format!("N={n}"), config, i < 2)
+    });
     let title = format!(
         "Figure 6: database size sweep (scale {}, δ = 1%, d = 5)",
         scale.0
@@ -156,8 +126,11 @@ pub fn fig7(db: &PathDatabase) -> Vec<RunResult> {
 pub fn fig8(scale: ExperimentScale) -> Vec<RunResult> {
     let n = scale.apply(100_000);
     let points = [2, 4, 6, 8, 10].map(|dims| {
-        let mut config = base_config(n);
-        config.dims = vec![DimShape::new(vec![5, 5, 10], 0.4); dims];
+        let config = GeneratorConfig {
+            num_paths: n,
+            dims: vec![DimShape::new(vec![5, 5, 10], 0.4); dims],
+            ..Default::default()
+        };
         (format!("d={dims}"), config, true)
     });
     sweep(
@@ -176,8 +149,11 @@ pub const FIG9_DATASETS: [(char, [usize; 3]); 3] =
 pub fn fig9(scale: ExperimentScale) -> Vec<RunResult> {
     let n = scale.apply(100_000);
     let points = FIG9_DATASETS.map(|(variant, fanout)| {
-        let mut config = base_config(n);
-        config.dims = vec![DimShape::new(fanout.to_vec(), 0.8); 5];
+        let config = GeneratorConfig {
+            num_paths: n,
+            dims: vec![DimShape::new(fanout.to_vec(), 0.8); 5],
+            ..Default::default()
+        };
         (format!("dataset {variant}"), config, variant != 'a')
     });
     sweep(
@@ -192,8 +168,11 @@ pub fn fig9(scale: ExperimentScale) -> Vec<RunResult> {
 pub fn fig10(scale: ExperimentScale) -> Vec<RunResult> {
     let n = scale.apply(100_000);
     let points = [10, 25, 50, 100, 150].map(|seqs| {
-        let mut config = base_config(n);
-        config.num_sequences = seqs;
+        let config = GeneratorConfig {
+            num_paths: n,
+            num_sequences: seqs,
+            ..Default::default()
+        };
         (format!("seqs={seqs}"), config, false)
     });
     sweep(
@@ -249,7 +228,6 @@ pub fn fig11_pruning(tx: &TransactionDb) -> (MiningStats, MiningStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowcube_datagen::build_schema;
 
     #[test]
     fn scale_application() {
@@ -280,16 +258,6 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be refused");
         }
-    }
-
-    #[test]
-    fn spec_has_four_levels_with_expected_order() {
-        let schema = build_schema(&base_config(10));
-        let spec = paper_path_spec(&schema);
-        assert_eq!(spec.len(), 4);
-        // loc1/dur* is coarser than everything else
-        assert_eq!(spec.coarser_than(0).len(), 3);
-        assert!(spec.coarser_than(3).is_empty());
     }
 
     #[test]

@@ -10,5 +10,5 @@
 pub mod experiments;
 pub mod runner;
 
-pub use experiments::{paper_path_spec, ExperimentScale};
+pub use experiments::ExperimentScale;
 pub use runner::{median_secs, run_all, AlgoResult, RunResult};

@@ -3,13 +3,12 @@
 //! one repeat-and-take-the-median timer the harness binaries share.
 
 use flowcube_datagen::{generate, GeneratorConfig};
+use flowcube_hier::PathLatticeSpec;
 use flowcube_mining::{mine, mine_cubing, CubingConfig, MiningStats, SharedConfig, TransactionDb};
 use flowcube_obs::MetricsSnapshot;
 use flowcube_pathdb::{MergePolicy, PathDatabase};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-
-use crate::experiments::paper_path_spec;
 
 /// One algorithm's outcome on one dataset.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -79,7 +78,7 @@ pub fn run_all(
 /// Same as [`run_all`] over an existing database.
 pub fn run_all_on(label: &str, db: &PathDatabase, support_pct: f64, run_basic: bool) -> RunResult {
     let delta = ((db.len() as f64 * support_pct).ceil() as u64).max(2);
-    let spec = paper_path_spec(db.schema());
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
     let (tx, encode_seconds) = time_it("bench.encode", || {
         TransactionDb::encode(db, spec, MergePolicy::Sum)
     });

@@ -5,7 +5,7 @@ use crate::error::CliError;
 use flowcube_core::{Algorithm, CellKey, FlowCube, FlowCubeParams, ItemPlan};
 use flowcube_datagen::{generate as gen_paths, DimShape, GeneratorConfig};
 use flowcube_federate::{build_shard_part, merge_shard_parts, ShardPart};
-use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel, PathLevelId, Schema};
+use flowcube_hier::{PathLatticeSpec, PathLevelId};
 use flowcube_mining::{
     mine as mine_itemsets, mine_cubing, CubingConfig, SharedConfig, TransactionDb,
 };
@@ -193,22 +193,6 @@ fn read_db(path: &str) -> Result<PathDatabase, String> {
     Ok(db)
 }
 
-/// The default 4-level path lattice of the paper's experiments: leaf and
-/// one-up location cuts × raw and `*` durations. A database whose
-/// location hierarchy is flat has no one-up cut — the four would be two
-/// levels listed twice — and is refused as a usage error.
-fn default_spec(schema: &Schema) -> Result<PathLatticeSpec, CliError> {
-    let loc = schema.locations();
-    let fine = LocationCut::uniform_level(loc, loc.max_level());
-    let coarse = LocationCut::uniform_level(loc, loc.max_level().saturating_sub(1).max(1));
-    Ok(PathLatticeSpec::try_new(vec![
-        PathLevel::new("loc0/dur0", fine.clone(), DurationLevel::Raw),
-        PathLevel::new("loc0/dur*", fine, DurationLevel::Any),
-        PathLevel::new("loc1/dur0", coarse.clone(), DurationLevel::Raw),
-        PathLevel::new("loc1/dur*", coarse, DurationLevel::Any),
-    ])?)
-}
-
 pub fn generate(args: &Args) -> Result<(), CliError> {
     let out = args.require("out")?;
     let config = GeneratorConfig {
@@ -274,7 +258,7 @@ pub fn build(args: &Args) -> Result<(), CliError> {
     };
     let db = read_db(args.require("db")?)?;
     let params = build_params(args)?;
-    let spec = default_spec(db.schema())?;
+    let spec = PathLatticeSpec::try_paper(db.schema().locations(), 4)?;
     let written = match shard {
         Some((shards, shard_id)) => {
             let part = build_shard_part(&db, spec, &params, shards, shard_id)?;
@@ -458,7 +442,7 @@ pub fn mine(args: &Args) -> Result<(), CliError> {
     obs_setup(args);
     let db = read_db(args.require("db")?)?;
     let delta = args.num("min-support", 100u64)?;
-    let spec = default_spec(db.schema())?;
+    let spec = PathLatticeSpec::try_paper(db.schema().locations(), 4)?;
     let timer = flowcube_obs::Timer::start("mine.encode");
     let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
     let encode = timer.stop();
@@ -655,7 +639,7 @@ fn ingest_follow(args: &Args) -> Result<(), CliError> {
     // Delta parameters mirror the *base cube's* build flags — the delta
     // itself is always computed at δ = 1 (CubeDelta::compute).
     let params = build_params(args)?;
-    let spec = default_spec(&schema)?;
+    let spec = PathLatticeSpec::try_paper(schema.locations(), 4)?;
 
     let config = flowcube_pathdb::CleanerConfig {
         max_same_location_gap: args.num("gap", u64::MAX)?,
@@ -737,12 +721,7 @@ pub fn tables(_args: &Args) -> Result<(), CliError> {
     for r in db.records() {
         println!("  {:>2}  {}", r.id, db.display_record(r));
     }
-    let loc = db.schema().locations();
-    let spec = PathLatticeSpec::new(vec![PathLevel::new(
-        "base",
-        LocationCut::uniform_level(loc, 2),
-        DurationLevel::Raw,
-    )]);
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
     let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
     println!("\nTable 3 — transformed transaction database:");
     for i in 0..tx.len() {

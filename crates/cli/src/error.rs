@@ -152,23 +152,16 @@ mod tests {
     }
 
     /// A level list that names one path level twice is the invocation's
-    /// fault: exit 2, with the typed error's message.
+    /// fault: exit 2, with the typed error's message. The default
+    /// lattice degenerates so on a flat hierarchy: "one level up" is the
+    /// leaf cut again.
     #[test]
     fn repeated_path_level_is_a_usage_error() {
-        use flowcube_hier::{
-            ConceptHierarchy, DurationLevel, LocationCut, PathLatticeSpec, PathLevel,
-        };
+        use flowcube_hier::{ConceptHierarchy, PathLatticeSpec};
         let mut flat = ConceptHierarchy::new("location");
         flat.add_path(["dock"]).unwrap();
         flat.add_path(["shelf"]).unwrap();
-        // What the default lattice degenerates to on a flat hierarchy:
-        // "one level up" is the leaf cut again.
-        let cut = LocationCut::uniform_level(&flat, 1);
-        let rejected = PathLatticeSpec::try_new(vec![
-            PathLevel::new("loc0/dur0", cut.clone(), DurationLevel::Raw),
-            PathLevel::new("loc1/dur0", cut, DurationLevel::Raw),
-        ])
-        .unwrap_err();
+        let rejected = PathLatticeSpec::try_paper(&flat, 4).unwrap_err();
         let e: CliError = rejected.into();
         assert_eq!(e.code, EXIT_USAGE);
         assert!(e.message.contains("loc0/dur0") && e.message.contains("loc1/dur0"));

@@ -3,23 +3,16 @@
 
 use flowcube_cli::{commands, Args};
 use flowcube_serve::{crc::crc32, snapshot::SectionDesc};
+use flowcube_testkit::temp_path;
 use serde_json::Value;
 
 fn args(line: &str) -> Args {
     Args::parse(line.split_whitespace().map(String::from)).expect("parse")
 }
 
-fn tmp(name: &str) -> String {
-    std::env::temp_dir()
-        .join(format!("flowcube-cli-test-{}-{name}", std::process::id()))
-        .to_string_lossy()
-        .into_owned()
-}
-
 #[test]
 fn generate_build_query_cycle() {
-    let db = tmp("db.json");
-    let cube = tmp("cube.snap");
+    let [db, cube] = ["db.json", "cube.snap"].map(|n| temp_path(n).display().to_string());
     commands::generate(&args(&format!(
         "generate --paths 500 --dims 2 --seqs 6 --seed 3 --out {db}"
     )))
@@ -52,8 +45,7 @@ fn generate_build_query_cycle() {
 
 #[test]
 fn build_with_redundancy_and_exceptions() {
-    let db = tmp("db2.json");
-    let cube = tmp("cube2.snap");
+    let [db, cube] = ["db2.json", "cube2.snap"].map(|n| temp_path(n).display().to_string());
     commands::generate(&args(&format!(
         "generate --paths 400 --dims 2 --seed 5 --flow-correlation 0.5 --out {db}"
     )))
@@ -77,7 +69,7 @@ fn errors_are_reported() {
     assert!(commands::mine(&args("mine --db /nonexistent.json")).is_err());
     assert!(commands::generate(&args("generate")).is_err()); // missing --out
                                                              // unknown algorithm
-    let db = tmp("db3.json");
+    let db = temp_path("db3.json").display().to_string();
     commands::generate(&args(&format!("generate --paths 120 --dims 2 --out {db}")))
         .expect("generate");
     assert!(commands::mine(&args(&format!("mine --db {db} --algorithm quantum"))).is_err());
@@ -86,8 +78,7 @@ fn errors_are_reported() {
 
 #[test]
 fn predict_flow() {
-    let db = tmp("db4.json");
-    let cube = tmp("cube4.snap");
+    let [db, cube] = ["db4.json", "cube4.snap"].map(|n| temp_path(n).display().to_string());
     commands::generate(&args(&format!(
         "generate --paths 600 --dims 2 --seqs 5 --seed 11 --exception-bias 0.8 --out {db}"
     )))
@@ -121,10 +112,8 @@ fn tables_runs() {
 
 #[test]
 fn build_with_trace_and_metrics_out() {
-    let db = tmp("db5.json");
-    let cube = tmp("cube5.snap");
-    let trace = tmp("trace5.json");
-    let metrics = tmp("metrics5.json");
+    let [db, cube, trace, metrics] = ["db5.json", "cube5.snap", "trace5.json", "metrics5.json"]
+        .map(|n| temp_path(n).display().to_string());
     commands::generate(&args(&format!(
         "generate --paths 400 --dims 2 --seed 9 --out {db}"
     )))
@@ -235,9 +224,8 @@ fn repeat_a_path_level(path: &str) {
 /// stack overflowed.
 #[test]
 fn merge_rejects_a_part_that_repeats_a_path_level() {
-    let db = tmp("db6.json");
-    let part = tmp("part6.snap");
-    let out = tmp("merged6.snap");
+    let [db, part, out] =
+        ["db6.json", "part6.snap", "merged6.snap"].map(|n| temp_path(n).display().to_string());
     commands::generate(&args(&format!(
         "generate --paths 200 --dims 2 --seed 4 --out {db}"
     )))
@@ -262,9 +250,15 @@ fn merge_rejects_a_part_that_repeats_a_path_level() {
 /// bytes `build` writes under the same flags (τ set, exceptions on).
 #[test]
 fn shard_parts_serve_and_merge_to_the_build() {
-    let db = tmp("db7.json");
-    let parts = [tmp("part7-0.snap"), tmp("part7-1.snap")];
-    let (merged, built) = (tmp("merged7.snap"), tmp("built7.snap"));
+    let [db, part0, part1, merged, built] = [
+        "db7.json",
+        "part7-0.snap",
+        "part7-1.snap",
+        "merged7.snap",
+        "built7.snap",
+    ]
+    .map(|n| temp_path(n).display().to_string());
+    let parts = [part0, part1];
     commands::generate(&args(&format!(
         "generate --paths 300 --dims 2 --seqs 6 --seed 8 --exception-bias 0.5 --out {db}"
     )))

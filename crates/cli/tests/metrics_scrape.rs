@@ -10,19 +10,10 @@ use flowcube_cli::{commands, Args};
 use flowcube_obs::export::check_prometheus_text;
 use flowcube_serve::registered_endpoints;
 use flowcube_testkit::http::get;
+use flowcube_testkit::temp_path;
 
 fn args(line: &str) -> Args {
     Args::parse(line.split_whitespace().map(String::from)).expect("parse")
-}
-
-fn tmp(name: &str) -> String {
-    std::env::temp_dir()
-        .join(format!(
-            "flowcube-scrape-test-{}-{name}",
-            std::process::id()
-        ))
-        .to_string_lossy()
-        .into_owned()
 }
 
 /// A request that exercises the endpoint behind each registered tag.
@@ -46,9 +37,8 @@ fn target_for(tag: &str) -> String {
 
 #[test]
 fn every_registered_endpoint_exposes_a_latency_histogram() {
-    let db = tmp("db.json");
-    let snap = tmp("cube.snap");
-    let access = tmp("access.jsonl");
+    let [db, snap, access] =
+        ["db.json", "cube.snap", "access.jsonl"].map(|n| temp_path(n).display().to_string());
 
     commands::generate(&args(&format!(
         "generate --paths 300 --dims 3 --seqs 6 --seed 5 --out {db}"

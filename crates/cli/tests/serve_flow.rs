@@ -5,17 +5,11 @@
 
 use flowcube_cli::{commands, Args};
 use flowcube_testkit::http::get;
+use flowcube_testkit::temp_path;
 use std::net::SocketAddr;
 
 fn args(line: &str) -> Args {
     Args::parse(line.split_whitespace().map(String::from)).expect("parse")
-}
-
-fn tmp(name: &str) -> String {
-    std::env::temp_dir()
-        .join(format!("flowcube-serve-test-{}-{name}", std::process::id()))
-        .to_string_lossy()
-        .into_owned()
 }
 
 /// Assert a 200 whose JSON body contains every expected fragment.
@@ -31,8 +25,7 @@ fn expect_json(addr: SocketAddr, target: &str, fragments: &[&str]) -> String {
 
 #[test]
 fn snapshot_serve_query_shutdown() {
-    let db = tmp("db.json");
-    let snap = tmp("cube.snap");
+    let [db, snap] = ["db.json", "cube.snap"].map(|n| temp_path(n).display().to_string());
 
     commands::generate(&args(&format!(
         "generate --paths 400 --dims 3 --seqs 8 --seed 9 --out {db}"
@@ -160,7 +153,7 @@ fn v1_snapshot_upgrades_then_serves() {
         env!("CARGO_MANIFEST_DIR"),
         "/../serve/tests/fixtures/golden_v1.snap"
     );
-    let new = tmp("upgraded.snap");
+    let new = temp_path("upgraded.snap").display().to_string();
 
     let err =
         commands::serve_with_handle(&args(&format!("serve --snapshot {old} --addr 127.0.0.1:0")))

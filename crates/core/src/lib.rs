@@ -12,16 +12,11 @@
 //!
 //! ```
 //! use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
-//! use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+//! use flowcube_hier::PathLatticeSpec;
 //! use flowcube_pathdb::samples;
 //!
 //! let db = samples::paper_table1();
-//! let loc = db.schema().locations();
-//! let spec = PathLatticeSpec::new(vec![PathLevel::new(
-//!     "base",
-//!     LocationCut::uniform_level(loc, 2),
-//!     DurationLevel::Raw,
-//! )]);
+//! let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
 //! let cube = FlowCube::build(&db, spec, FlowCubeParams::new(2), ItemPlan::All);
 //! assert!(cube.total_cells() > 0);
 //! ```

@@ -10,21 +10,9 @@ use flowcube_flowgraph::{FlowGraph, NodeId, NodeSpec};
 use flowcube_hier::{ConceptId, DurationLevel, ItemLevel, LocationCut, PathLatticeSpec, PathLevel};
 use flowcube_pathdb::samples;
 
-fn paper_spec(db: &flowcube_pathdb::PathDatabase) -> PathLatticeSpec {
-    let loc = db.schema().locations();
-    let fine = LocationCut::uniform_level(loc, 2);
-    let coarse = LocationCut::uniform_level(loc, 1);
-    PathLatticeSpec::new(vec![
-        PathLevel::new("fine/raw", fine.clone(), DurationLevel::Raw),
-        PathLevel::new("fine/*", fine, DurationLevel::Any),
-        PathLevel::new("coarse/raw", coarse.clone(), DurationLevel::Raw),
-        PathLevel::new("coarse/*", coarse, DurationLevel::Any),
-    ])
-}
-
 fn paper_cube(min_support: u64) -> (flowcube_pathdb::PathDatabase, FlowCube) {
     let db = samples::paper_table1();
-    let spec = paper_spec(&db);
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
     let cube = FlowCube::build(&db, spec, FlowCubeParams::new(min_support), ItemPlan::All);
     (db, cube)
 }
@@ -45,7 +33,7 @@ fn figure4_outerwear_nike_cell() {
     let (db, cube) = paper_cube(2);
     let schema = db.schema();
     let entry = cube
-        .cell_by_names(&[Some("outerwear"), Some("nike")], "fine/raw")
+        .cell_by_names(&[Some("outerwear"), Some("nike")], "loc0/dur0")
         .expect("(outerwear, nike) cell");
     assert_eq!(entry.support, 3);
     let loc = schema.locations();
@@ -69,12 +57,12 @@ fn iceberg_condition_drops_rare_cells() {
     let (_, cube) = paper_cube(2);
     // (shirt, nike) has one path — below δ=2.
     assert!(cube
-        .cell_by_names(&[Some("shirt"), Some("nike")], "fine/raw")
+        .cell_by_names(&[Some("shirt"), Some("nike")], "loc0/dur0")
         .is_none());
     // but present at δ=1
     let (_, cube1) = paper_cube(1);
     assert!(cube1
-        .cell_by_names(&[Some("shirt"), Some("nike")], "fine/raw")
+        .cell_by_names(&[Some("shirt"), Some("nike")], "loc0/dur0")
         .is_some());
 }
 
@@ -136,7 +124,7 @@ fn slice_and_dice() {
 #[test]
 fn all_algorithms_build_identical_cubes() {
     let db = samples::paper_table1();
-    let spec = paper_spec(&db);
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
     let shared = FlowCube::build(
         &db,
         spec.clone(),
@@ -207,14 +195,14 @@ fn build_threads_policy_controls_materialization() {
     let db = samples::paper_table1();
     let cube = FlowCube::build(
         &db,
-        paper_spec(&db),
+        PathLatticeSpec::paper(db.schema().locations(), 4),
         FlowCubeParams::new(2).with_threads(2),
         ItemPlan::All,
     );
     assert_eq!(cube.stats().threads_used, 2);
     let serial = FlowCube::build(
         &db,
-        paper_spec(&db),
+        PathLatticeSpec::paper(db.schema().locations(), 4),
         FlowCubeParams::new(2)
             .with_threads(2)
             .with_parallel_cutoff(10_000),
@@ -227,7 +215,7 @@ fn build_threads_policy_controls_materialization() {
 #[test]
 fn plan_restricts_materialized_levels() {
     let db = samples::paper_table1();
-    let spec = paper_spec(&db);
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
     let observation = ItemLevel(vec![2, 2]);
     let minimum = ItemLevel(vec![1, 1]);
     let plan = ItemPlan::Layers {
@@ -321,17 +309,12 @@ fn exceptions_survive_cube_construction() {
         ))
         .unwrap();
     }
-    let loc = db.schema().locations();
-    let spec = PathLatticeSpec::new(vec![PathLevel::new(
-        "fine/raw",
-        LocationCut::uniform_level(loc, 2),
-        DurationLevel::Raw,
-    )]);
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
     let mut params = FlowCubeParams::new(4);
     params.exception_deviation = 0.3;
     let cube = FlowCube::build(&db, spec, params, ItemPlan::All);
     let entry = cube
-        .cell_by_names(&[Some("tennis"), Some("nike")], "fine/raw")
+        .cell_by_names(&[Some("tennis"), Some("nike")], "loc0/dur0")
         .unwrap();
     assert!(
         !entry.exceptions.is_empty(),
@@ -347,7 +330,7 @@ fn exceptions_survive_cube_construction() {
 #[test]
 fn describe_and_name_helpers() {
     let (_, cube) = paper_cube(2);
-    assert!(cube.path_level_id("fine/raw").is_some());
+    assert!(cube.path_level_id("loc0/dur0").is_some());
     assert!(cube.path_level_id("nope").is_none());
     let key = cube
         .key_from_names(&[Some("tennis"), Some("nike")])
@@ -371,12 +354,7 @@ fn partition_cubes_merge_to_full_cube() {
         ..Default::default()
     };
     let out = generate(&config);
-    let loc = out.db.schema().locations();
-    let spec = PathLatticeSpec::new(vec![PathLevel::new(
-        "leaf",
-        LocationCut::uniform_level(loc, 2),
-        DurationLevel::Raw,
-    )]);
+    let spec = PathLatticeSpec::paper(out.db.schema().locations(), 1);
     // Split records into two halves.
     use flowcube_pathdb::PathDatabase;
     let (schema, records) = out.db.into_parts();
@@ -399,12 +377,7 @@ fn merge_rejects_incompatible_cubes() {
     let (_, a) = paper_cube(2);
     // Different spec length.
     let db = samples::paper_table1();
-    let loc = db.schema().locations();
-    let spec = PathLatticeSpec::new(vec![PathLevel::new(
-        "only",
-        LocationCut::uniform_level(loc, 2),
-        DurationLevel::Raw,
-    )]);
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
     let b = FlowCube::build(&db, spec, FlowCubeParams::new(2), ItemPlan::All);
     // A comparison refuses the pair with the merge's own error.
     let refused = a.compare(&b).unwrap_err();
@@ -435,15 +408,15 @@ fn from_parts_reassembles_cube() {
     assert_eq!(shell.total_cells(), cube.total_cells());
     // Name-based lookup works without an explicit rebuild_indexes call.
     let a = cube
-        .cell_by_names(&[Some("outerwear"), Some("nike")], "fine/raw")
+        .cell_by_names(&[Some("outerwear"), Some("nike")], "loc0/dur0")
         .unwrap();
     let b = shell
-        .cell_by_names(&[Some("outerwear"), Some("nike")], "fine/raw")
+        .cell_by_names(&[Some("outerwear"), Some("nike")], "loc0/dur0")
         .unwrap();
     assert_eq!(a.support, b.support);
     // Typed resolution helpers.
-    let pl = shell.require_path_level("fine/raw").unwrap();
-    assert_eq!(pl, cube.path_level_id("fine/raw").unwrap());
+    let pl = shell.require_path_level("loc0/dur0").unwrap();
+    assert_eq!(pl, cube.path_level_id("loc0/dur0").unwrap());
     match shell.require_path_level("nope") {
         Err(flowcube_core::CoreError::UnknownPathLevel { name }) => assert_eq!(name, "nope"),
         other => panic!("expected UnknownPathLevel, got {other:?}"),
@@ -458,7 +431,7 @@ fn from_parts_reassembles_cube() {
 #[test]
 fn selected_plan_materializes_only_listed_levels() {
     let db = samples::paper_table1();
-    let spec = paper_spec(&db);
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
     let only = ItemLevel(vec![2, 2]);
     let cube = FlowCube::build(
         &db,
@@ -534,7 +507,12 @@ fn compare_names_exactly_the_perturbed_cell() {
         ..Default::default()
     };
     let db = generate(&config).db;
-    let cube = FlowCube::build(&db, paper_spec(&db), FlowCubeParams::new(10), ItemPlan::All);
+    let cube = FlowCube::build(
+        &db,
+        PathLatticeSpec::paper(db.schema().locations(), 4),
+        FlowCubeParams::new(10),
+        ItemPlan::All,
+    );
     assert!(cube.compare(&cube).unwrap().is_empty());
     // `f` edits one cuboid of a copy of the cube.
     let compare_edited = |ck: &CuboidKey, f: &dyn Fn(&mut Cuboid)| {

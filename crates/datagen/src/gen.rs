@@ -101,6 +101,22 @@ impl Default for GeneratorConfig {
     }
 }
 
+impl GeneratorConfig {
+    /// The test suites' small database: two dimensions of fanout
+    /// `[2, 3]` at skew 0.7 and a pool of five location sequences, every
+    /// other knob at its default — a cube over it builds in
+    /// milliseconds, so a property test can build hundreds.
+    pub fn small(num_paths: usize, seed: u64) -> Self {
+        GeneratorConfig {
+            num_paths,
+            dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
+            num_sequences: 5,
+            seed,
+            ..Default::default()
+        }
+    }
+}
+
 /// A generated dataset: the database plus the sequence pool used.
 pub struct Generated {
     pub db: PathDatabase,

@@ -132,20 +132,7 @@ pub fn build_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowcube_hier::{DurationLevel, LocationCut, PathLevel};
     use flowcube_pathdb::samples;
-
-    fn spec(db: &PathDatabase) -> PathLatticeSpec {
-        let loc = db.schema().locations();
-        let fine = LocationCut::uniform_level(loc, 2);
-        let coarse = LocationCut::uniform_level(loc, 1);
-        PathLatticeSpec::new(vec![
-            PathLevel::new("fine/raw", fine.clone(), DurationLevel::Raw),
-            PathLevel::new("fine/*", fine, DurationLevel::Any),
-            PathLevel::new("coarse/raw", coarse.clone(), DurationLevel::Raw),
-            PathLevel::new("coarse/*", coarse, DurationLevel::Any),
-        ])
-    }
 
     /// Cells, supports, graphs, and exceptions all agree with the batch
     /// build — the in-memory face of the snapshot byte-identity the
@@ -153,11 +140,12 @@ mod tests {
     #[test]
     fn sharded_equals_batch_on_paper_example() {
         let db = samples::paper_table1();
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         for min_support in [1, 2] {
             let params = FlowCubeParams::new(min_support);
-            let batch = FlowCube::build(&db, spec(&db), params.clone(), ItemPlan::All);
+            let batch = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
             for shards in [2u32, 3] {
-                let merged = build_sharded(&db, spec(&db), &params, shards).unwrap();
+                let merged = build_sharded(&db, spec.clone(), &params, shards).unwrap();
                 (merged.ensure_same(&batch))
                     .unwrap_or_else(|d| panic!("δ={min_support} shards={shards}: {d}"));
             }
@@ -167,9 +155,10 @@ mod tests {
     #[test]
     fn merge_rejects_incomplete_or_mixed_parts() {
         let db = samples::paper_table1();
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         let params = FlowCubeParams::new(1);
-        let p0 = build_shard_part(&db, spec(&db), &params, 2, 0).unwrap();
-        let p1 = build_shard_part(&db, spec(&db), &params, 2, 1).unwrap();
+        let p0 = build_shard_part(&db, spec.clone(), &params, 2, 0).unwrap();
+        let p1 = build_shard_part(&db, spec.clone(), &params, 2, 1).unwrap();
 
         // Missing a shard.
         assert!(matches!(
@@ -182,7 +171,7 @@ mod tests {
             Err(FederateError::PartMismatch { .. })
         ));
         // Mixed shard counts.
-        let q0 = build_shard_part(&db, spec(&db), &params, 3, 0).unwrap();
+        let q0 = build_shard_part(&db, spec.clone(), &params, 3, 0).unwrap();
         assert!(matches!(
             merge_shard_parts(&[p0.clone(), q0], None, &params),
             Err(FederateError::ShardCountMismatch { .. })
@@ -203,15 +192,15 @@ mod tests {
     fn part_files_round_trip_the_map_and_the_cube() {
         use flowcube_serve::{write_snapshot, Snapshot, SnapshotError};
         let db = samples::paper_table1();
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         let params = FlowCubeParams::new(2);
         let empty = (0..97)
             .find(|&k| shard_db(&db, 97, k).unwrap().is_empty())
             .expect("97 shards over 8 paths leave one empty");
-        let dir = std::env::temp_dir();
-        let path = |name: &str| dir.join(format!("flowcube-part-{}-{name}", std::process::id()));
-        let (file, a, b) = (path("part.snap"), path("a.snap"), path("b.snap"));
+        let path = flowcube_testkit::temp_path;
+        let (file, a, b) = (path("part.snap"), path("part-a.snap"), path("part-b.snap"));
         for (shards, shard_id) in [(2, 0), (2, 1), (97, empty)] {
-            let part = build_shard_part(&db, spec(&db), &params, shards, shard_id).unwrap();
+            let part = build_shard_part(&db, spec.clone(), &params, shards, shard_id).unwrap();
             part.write(&file).unwrap();
             Snapshot::open(&file).unwrap().verify_all().unwrap();
             let back = ShardPart::open(&file).unwrap();
@@ -251,10 +240,11 @@ mod tests {
     #[test]
     fn empty_shards_are_legal() {
         let db = samples::paper_table1();
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         let params = FlowCubeParams::new(2);
         // 97 shards over 8 paths: most shards are empty.
-        let merged = build_sharded(&db, spec(&db), &params, 97).unwrap();
-        let batch = FlowCube::build(&db, spec(&db), params, ItemPlan::All);
+        let merged = build_sharded(&db, spec.clone(), &params, 97).unwrap();
+        let batch = FlowCube::build(&db, spec.clone(), params, ItemPlan::All);
         merged.ensure_same(&batch).unwrap_or_else(|d| panic!("{d}"));
     }
 }

@@ -26,6 +26,7 @@
 //! without real network chaos.
 
 use crate::error::FederateError;
+use flowcube_hier::fx::splitmix64;
 use flowcube_testkit::{fail_point, Fault};
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -62,14 +63,6 @@ impl Default for ClientConfig {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn entropy_seed() -> u64 {
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -93,7 +86,11 @@ pub fn backoff_schedule(cfg: &ClientConfig, retries: u32) -> Vec<Duration> {
         let sleep_ns = if cap == 0 {
             0
         } else {
-            splitmix64(&mut state) % (cap + 1)
+            let draw = splitmix64(state);
+            // SplitMix64's stream step: the next state is one golden
+            // gamma on.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            draw % (cap + 1)
         };
         out.push(Duration::from_nanos(sleep_ns));
         base = base.saturating_mul(2);

@@ -9,6 +9,7 @@
 
 use crate::error::FederateError;
 use flowcube_core::FlowCube;
+use flowcube_hier::fx::splitmix64;
 use flowcube_pathdb::PathDatabase;
 use flowcube_serve::{write_snapshot_with, ServedCube, SnapshotError, SnapshotInfo};
 use serde::{Deserialize, Serialize};
@@ -17,17 +18,9 @@ use std::path::Path;
 /// Kind of the snapshot section that holds a part file's [`ShardMap`].
 const KIND_SHARD: &str = "shard";
 
-/// SplitMix64 finalizer — the same mixer the serving layer uses for
-/// request ids. EPCs are often sequential; mixing spreads them evenly
-/// across shards instead of striping.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Which of `shards` partitions an EPC belongs to.
+/// Which of `shards` partitions an EPC belongs to. EPCs are often
+/// sequential; [`splitmix64`] spreads them evenly across shards instead
+/// of striping.
 pub fn shard_of(epc: u64, shards: u32) -> u32 {
     debug_assert!(shards > 0);
     (splitmix64(epc) % shards.max(1) as u64) as u32
@@ -120,6 +113,31 @@ mod tests {
             let s = shard_of(epc, 7);
             assert!(s < 7);
             assert_eq!(s, shard_of(epc, 7), "same epc, same shard");
+        }
+    }
+
+    /// Placement is part of the contract between the build farm and the
+    /// front tier: these assignments must never change.
+    #[test]
+    fn shard_of_is_pinned() {
+        let first_twelve = |shards| {
+            (0..12u64)
+                .map(|epc| shard_of(epc, shards))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(first_twelve(2), [1, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1]);
+        assert_eq!(first_twelve(3), [1, 2, 1, 0, 1, 2, 2, 0, 1, 1, 1, 0]);
+        assert_eq!(first_twelve(7), [2, 2, 4, 2, 6, 3, 3, 2, 4, 2, 1, 1]);
+        for (epc, pinned) in [
+            (u64::MAX, [0, 1, 32]),
+            (1_000_003, [0, 4, 36]),
+            (0xdead_beef, [1, 2, 27]),
+        ] {
+            assert_eq!(
+                [2, 5, 64].map(|shards| shard_of(epc, shards)),
+                pinned,
+                "epc {epc}"
+            );
         }
     }
 

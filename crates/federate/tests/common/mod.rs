@@ -1,30 +1,9 @@
-//! What the federation suites share: the generated path database, a
-//! backend `serve` instance over a cube, and a JSON body parser.
+//! What the federation suites share: a backend `serve` instance over a
+//! cube, and a JSON body parser.
 
 use flowcube_core::FlowCube;
-use flowcube_datagen::{generate, DimShape, GeneratorConfig};
-use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
-use flowcube_pathdb::PathDatabase;
 use flowcube_serve::{serve_cube, ServedCube, ServerConfig, ServerHandle};
 use serde_json::Value;
-
-pub fn gen_db(paths: usize, seed: u64) -> (PathDatabase, PathLatticeSpec) {
-    let config = GeneratorConfig {
-        num_paths: paths,
-        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
-        num_sequences: 5,
-        seed,
-        ..Default::default()
-    };
-    let db = generate(&config).db;
-    let loc = db.schema().locations();
-    let spec = PathLatticeSpec::new(vec![PathLevel::new(
-        "fine",
-        LocationCut::uniform_level(loc, loc.max_level()),
-        DurationLevel::Raw,
-    )]);
-    (db, spec)
-}
 
 pub fn start_backend(cube: FlowCube) -> ServerHandle {
     start_backend_at(cube, "127.0.0.1:0")

@@ -11,8 +11,9 @@
 
 mod common;
 
-use common::{gen_db, parse, start_backend};
+use common::{parse, start_backend};
 use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
+use flowcube_datagen::{generate, GeneratorConfig};
 use flowcube_federate::{serve_front, shard_db, FrontConfig, FrontHandle, ReplicaSet};
 use flowcube_hier::PathLatticeSpec;
 use flowcube_pathdb::PathDatabase;
@@ -28,13 +29,10 @@ fn params() -> FlowCubeParams {
     FlowCubeParams::new(1)
 }
 
-/// Boot `shards` backends over an EPC-hash partition of `db`, plus a
-/// front tier federating them.
-fn boot_federation(
-    db: &PathDatabase,
-    spec: &PathLatticeSpec,
-    shards: u32,
-) -> (Vec<ServerHandle>, FrontHandle) {
+/// Boot `shards` backends over an EPC-hash partition of `db`, each
+/// cubed at the leaf path level, plus a front tier federating them.
+fn boot_federation(db: &PathDatabase, shards: u32) -> (Vec<ServerHandle>, FrontHandle) {
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
     let backends: Vec<ServerHandle> = (0..shards)
         .map(|k| {
             let shard = shard_db(db, shards, k).expect("shard splits");
@@ -67,14 +65,15 @@ fn field_u64(v: &Value, key: &str) -> Option<u64> {
 /// single-node answers in every algebraic measure.
 #[test]
 fn federated_answers_match_single_node() {
-    let (db, spec) = gen_db(90, 21);
-    let single = start_backend(FlowCube::build(&db, spec.clone(), params(), ItemPlan::All));
-    let (backends, front) = boot_federation(&db, &spec, 2);
+    let db = generate(&GeneratorConfig::small(90, 21)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
+    let single = start_backend(FlowCube::build(&db, spec, params(), ItemPlan::All));
+    let (backends, front) = boot_federation(&db, 2);
 
     // Apex cell: supports partition across shards and sum back exactly.
-    let (status, _, fed_body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, fed_body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200, "got {fed_body:?}");
-    let (status, _, single_body) = get(single.addr(), "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, single_body) = get(single.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200);
     let (fed, one) = (parse(&fed_body), parse(&single_body));
     assert_eq!(field_u64(&fed, "support"), Some(db.len() as u64));
@@ -91,7 +90,11 @@ fn federated_answers_match_single_node() {
     // Drill the apex down dim 0, then roll one child back up: the
     // federated rollup support equals the in-process roll_up the single
     // node answers (both are the apex support).
-    let (status, _, drill) = get(front.addr(), "/drilldown?cell=*,*&dim=0&level=fine", &[]);
+    let (status, _, drill) = get(
+        front.addr(),
+        "/drilldown?cell=*,*&dim=0&level=loc0/dur0",
+        &[],
+    );
     assert_eq!(status, 200, "got {drill:?}");
     let drill = parse(&drill);
     let children = drill
@@ -99,7 +102,11 @@ fn federated_answers_match_single_node() {
         .and_then(Value::as_array)
         .expect("children");
     assert!(!children.is_empty(), "apex must have dim-0 children");
-    let (status, _, single_drill) = get(single.addr(), "/drilldown?cell=*,*&dim=0&level=fine", &[]);
+    let (status, _, single_drill) = get(
+        single.addr(),
+        "/drilldown?cell=*,*&dim=0&level=loc0/dur0",
+        &[],
+    );
     assert_eq!(status, 200);
     let single_drill = parse(&single_drill);
     // Same children, same supports (order-independent).
@@ -130,7 +137,7 @@ fn federated_answers_match_single_node() {
         .trim_start_matches('(')
         .trim_end_matches(')')
         .replace(", ", ",");
-    let target = format!("/rollup?cell={child_query}&dim=0&level=fine");
+    let target = format!("/rollup?cell={child_query}&dim=0&level=loc0/dur0");
     let (status, _, fed_roll) = get(front.addr(), &target, &[]);
     assert_eq!(status, 200, "got {fed_roll:?}");
     let (status, _, single_roll) = get(single.addr(), &target, &[]);
@@ -146,9 +153,17 @@ fn federated_answers_match_single_node() {
     // Top-k with k large enough that no shard truncates: the federated
     // probability distribution equals the single node's, because the
     // support-weighted shard probabilities are exactly path counts.
-    let (status, _, fed_topk) = get(front.addr(), "/paths/topk?cell=*,*&level=fine&k=500", &[]);
+    let (status, _, fed_topk) = get(
+        front.addr(),
+        "/paths/topk?cell=*,*&level=loc0/dur0&k=500",
+        &[],
+    );
     assert_eq!(status, 200, "got {fed_topk:?}");
-    let (status, _, single_topk) = get(single.addr(), "/paths/topk?cell=*,*&level=fine&k=500", &[]);
+    let (status, _, single_topk) = get(
+        single.addr(),
+        "/paths/topk?cell=*,*&level=loc0/dur0&k=500",
+        &[],
+    );
     assert_eq!(status, 200);
     let paths = |v: &Value| -> Vec<(String, i64)> {
         let mut out: Vec<(String, i64)> = v
@@ -175,7 +190,7 @@ fn federated_answers_match_single_node() {
 
     // Exceptions federate as a union; the endpoint answers and carries
     // a consistent count.
-    let (status, _, exc) = get(front.addr(), "/exceptions?cell=*,*&level=fine", &[]);
+    let (status, _, exc) = get(front.addr(), "/exceptions?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200, "got {exc:?}");
     let exc = parse(&exc);
     let listed = exc
@@ -198,14 +213,14 @@ fn federated_answers_match_single_node() {
 /// the backend's body through byte-for-byte.
 #[test]
 fn single_shard_federation_is_byte_transparent() {
-    let (db, spec) = gen_db(40, 33);
-    let (backends, front) = boot_federation(&db, &spec, 1);
+    let db = generate(&GeneratorConfig::small(40, 33)).db;
+    let (backends, front) = boot_federation(&db, 1);
 
     for target in [
-        "/cell?cell=*,*&level=fine",
-        "/drilldown?cell=*,*&dim=0&level=fine",
-        "/paths/topk?cell=*,*&level=fine&k=3",
-        "/exceptions?cell=*,*&level=fine",
+        "/cell?cell=*,*&level=loc0/dur0",
+        "/drilldown?cell=*,*&dim=0&level=loc0/dur0",
+        "/paths/topk?cell=*,*&level=loc0/dur0&k=3",
+        "/exceptions?cell=*,*&level=loc0/dur0",
     ] {
         let (f_status, _, f_body) = get(front.addr(), target, &[]);
         let (b_status, _, b_body) = get(backends[0].addr(), target, &[]);
@@ -229,11 +244,11 @@ fn single_shard_federation_is_byte_transparent() {
 /// shard's counts are still a correct answer over its own paths.
 #[test]
 fn dead_shard_degrades_to_partial() {
-    let (db, spec) = gen_db(60, 47);
-    let (mut backends, front) = boot_federation(&db, &spec, 2);
+    let db = generate(&GeneratorConfig::small(60, 47)).db;
+    let (mut backends, front) = boot_federation(&db, 2);
 
     // Healthy first.
-    let (status, _, healthy) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, healthy) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200);
     let healthy_support = field_u64(&parse(&healthy), "support").unwrap();
     assert_eq!(healthy_support, db.len() as u64);
@@ -243,7 +258,7 @@ fn dead_shard_degrades_to_partial() {
     dead.shutdown();
     dead.join();
 
-    let (status, headers, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
+    let (status, headers, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200, "degradation must not be an error: {body:?}");
     let partial = parse(&body);
     assert_eq!(partial.get("partial").and_then(Value::as_bool), Some(true));
@@ -258,7 +273,7 @@ fn dead_shard_degrades_to_partial() {
     let dead = backends.remove(0);
     dead.shutdown();
     dead.join();
-    let (status, headers, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
+    let (status, headers, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 503, "got {body:?}");
     assert_eq!(header(&headers, "retry-after"), Some("1"));
     assert!(body.contains("error"), "got {body:?}");
@@ -271,8 +286,8 @@ fn dead_shard_degrades_to_partial() {
 /// JSON error bodies there — and leave it answering.
 #[test]
 fn front_survives_malformed_and_hostile_input() {
-    let (db, spec) = gen_db(40, 52);
-    let (backends, front) = boot_federation(&db, &spec, 2);
+    let db = generate(&GeneratorConfig::small(40, 52)).db;
+    let (backends, front) = boot_federation(&db, 2);
     let addr = front.addr();
 
     for (raw, want) in hostile_requests() {
@@ -292,7 +307,7 @@ fn front_survives_malformed_and_hostile_input() {
     // Half-open connection: connect, write a fragment, hang up.
     let _ = raw_roundtrip(addr, b"GET /cel");
 
-    let (status, _, body) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, body) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200, "got {body:?}");
     assert_eq!(field_u64(&parse(&body), "support"), Some(db.len() as u64));
 
@@ -337,10 +352,10 @@ fn front_sheds_with_429_and_retry_after() {
 /// request in the front's own flight ring, served in serve's shape.
 #[test]
 fn request_id_is_in_the_fronts_flight_ring() {
-    let (db, spec) = gen_db(40, 53);
-    let (backends, front) = boot_federation(&db, &spec, 2);
+    let db = generate(&GeneratorConfig::small(40, 53)).db;
+    let (backends, front) = boot_federation(&db, 2);
 
-    let target = "/cell?cell=*,*&level=fine";
+    let target = "/cell?cell=*,*&level=loc0/dur0";
     let (status, headers, _) = get(front.addr(), target, &[("X-Request-Id", "abc-1")]);
     assert_eq!(status, 200);
     assert_eq!(header(&headers, "x-request-id"), Some("abc-1"));

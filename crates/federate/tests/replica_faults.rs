@@ -16,8 +16,9 @@
 
 mod common;
 
-use common::{gen_db, parse, start_backend, start_backend_at};
+use common::{parse, start_backend, start_backend_at};
 use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
+use flowcube_datagen::{generate, GeneratorConfig};
 use flowcube_federate::{
     serve_front, shard_db, BreakerConfig, FrontConfig, FrontHandle, HedgePolicy, ReplicaSet,
 };
@@ -43,17 +44,17 @@ fn lock_globals() -> MutexGuard<'static, ()> {
     guard
 }
 
-/// Boot `shards` shard cubes, each served by `replicas` identical
+/// Boot `shards` shard cubes at the leaf path level, each served by `replicas` identical
 /// backends (δ = 1: Lemma 4.2 merges counts by addition), federated
 /// behind one front with the given knobs. Replica servers are grouped by
 /// shard so tests can kill specific ones.
 fn boot_replicated(
     db: &PathDatabase,
-    spec: &PathLatticeSpec,
     shards: u32,
     replicas: usize,
     tune: impl FnOnce(&mut FrontConfig),
 ) -> (Vec<Vec<ServerHandle>>, FrontHandle) {
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
     let params = FlowCubeParams::new(1);
     let groups: Vec<Vec<ServerHandle>> = (0..shards)
         .map(|k| {
@@ -116,7 +117,7 @@ fn pooled(front: &FrontHandle, k: usize, r: usize) -> usize {
 
 /// `/cell` of the apex: the whole database's support, from every shard.
 fn assert_full_answer(front: &FrontHandle, db: &PathDatabase, tag: &str) {
-    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200, "{tag}: got {body:?}");
     let v = parse(&body);
     assert_eq!(
@@ -137,8 +138,8 @@ fn flight_kinds() -> Vec<FlightKind> {
 #[test]
 fn hedge_first_reply_wins_and_abandons_the_slow_replica() {
     let _guard = lock_globals();
-    let (db, spec) = gen_db(50, 71);
-    let (groups, front) = boot_replicated(&db, &spec, 1, 2, |c| {
+    let db = generate(&GeneratorConfig::small(50, 71)).db;
+    let (groups, front) = boot_replicated(&db, 1, 2, |c| {
         c.hedge = HedgePolicy::Fixed(Duration::from_millis(20));
     });
 
@@ -149,7 +150,7 @@ fn hedge_first_reply_wins_and_abandons_the_slow_replica() {
         FailAction::Delay(Duration::from_millis(400)),
     );
     let start = Instant::now();
-    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
     let elapsed = start.elapsed();
     assert_eq!(status, 200, "got {body:?}");
     let v = parse(&body);
@@ -202,8 +203,8 @@ fn hedge_first_reply_wins_and_abandons_the_slow_replica() {
 #[test]
 fn hedge_pair_is_never_gathered_twice() {
     let _guard = lock_globals();
-    let (db, spec) = gen_db(60, 72);
-    let (groups, front) = boot_replicated(&db, &spec, 2, 2, |c| {
+    let db = generate(&GeneratorConfig::small(60, 72)).db;
+    let (groups, front) = boot_replicated(&db, 2, 2, |c| {
         c.hedge = HedgePolicy::Fixed(Duration::from_millis(15));
     });
 
@@ -214,7 +215,7 @@ fn hedge_pair_is_never_gathered_twice() {
         );
     }
     for _ in 0..3 {
-        let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
+        let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
         assert_eq!(status, 200, "got {body:?}");
         let v = parse(&body);
         assert_eq!(
@@ -246,8 +247,8 @@ fn hedge_pair_is_never_gathered_twice() {
 #[test]
 fn exhausted_budget_suppresses_the_hedge() {
     let _guard = lock_globals();
-    let (db, spec) = gen_db(40, 73);
-    let (groups, front) = boot_replicated(&db, &spec, 1, 2, |c| {
+    let db = generate(&GeneratorConfig::small(40, 73)).db;
+    let (groups, front) = boot_replicated(&db, 1, 2, |c| {
         c.hedge = HedgePolicy::Fixed(Duration::from_millis(10));
         c.retry_budget = 0;
     });
@@ -257,7 +258,7 @@ fn exhausted_budget_suppresses_the_hedge() {
         FailAction::Delay(Duration::from_millis(150)),
     );
     let start = Instant::now();
-    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
     let elapsed = start.elapsed();
     assert_eq!(status, 200, "got {body:?}");
     assert!(
@@ -292,8 +293,8 @@ fn exhausted_budget_suppresses_the_hedge() {
 #[test]
 fn breaker_opens_on_failures_and_probe_closes_it() {
     let _guard = lock_globals();
-    let (db, spec) = gen_db(40, 74);
-    let (groups, front) = boot_replicated(&db, &spec, 1, 2, |c| {
+    let db = generate(&GeneratorConfig::small(40, 74)).db;
+    let (groups, front) = boot_replicated(&db, 1, 2, |c| {
         c.hedge = HedgePolicy::Off;
         c.breaker = BreakerConfig {
             failure_threshold: 1,
@@ -309,7 +310,7 @@ fn breaker_opens_on_failures_and_probe_closes_it() {
         1,
         FailAction::ReturnErr(Some("injected transport failure".into())),
     );
-    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200, "retry hides the failure: {body:?}");
     assert!(parse(&body).get("partial").is_none(), "full answer: {body}");
     assert_eq!(
@@ -339,7 +340,7 @@ fn breaker_opens_on_failures_and_probe_closes_it() {
     std::thread::sleep(Duration::from_millis(80));
     let deadline = Instant::now() + Duration::from_secs(3);
     loop {
-        let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
+        let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
         assert_eq!(status, 200, "got {body:?}");
         let (_, _, health) = get(front.addr(), "/healthz", &[]);
         if !health.contains("\"open\"") && !health.contains("\"half_open\"") {
@@ -371,8 +372,8 @@ fn breaker_opens_on_failures_and_probe_closes_it() {
 #[test]
 fn one_dead_replica_per_shard_keeps_every_answer_full() {
     let _guard = lock_globals();
-    let (db, spec) = gen_db(80, 75);
-    let (mut groups, front) = boot_replicated(&db, &spec, 2, 2, |_| {});
+    let db = generate(&GeneratorConfig::small(80, 75)).db;
+    let (mut groups, front) = boot_replicated(&db, 2, 2, |_| {});
 
     for _ in 0..5 {
         assert_full_answer(&front, &db, "healthy");
@@ -407,8 +408,8 @@ fn one_dead_replica_per_shard_keeps_every_answer_full() {
 #[test]
 fn front_worker_panic_is_counted_and_respawned() {
     let _guard = lock_globals();
-    let (db, spec) = gen_db(40, 76);
-    let (groups, front) = boot_replicated(&db, &spec, 2, 1, |_| {});
+    let db = generate(&GeneratorConfig::small(40, 76)).db;
+    let (groups, front) = boot_replicated(&db, 2, 1, |_| {});
 
     // Exactly one request panics its worker; the client sees a hangup.
     flowcube_testkit::arm_times("federate.worker.request", 1, FailAction::Panic(None));
@@ -432,7 +433,7 @@ fn front_worker_panic_is_counted_and_respawned() {
         assert_eq!(backend.state().health.worker_crashes(), 0);
     }
 
-    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200, "got {body:?}");
     let v = parse(&body);
     assert_eq!(
@@ -450,8 +451,8 @@ fn front_worker_panic_is_counted_and_respawned() {
 #[test]
 fn shard_connections_are_pooled_not_opened_per_attempt() {
     let _guard = lock_globals();
-    let (db, spec) = gen_db(60, 77);
-    let (groups, front) = boot_replicated(&db, &spec, 2, 1, |_| {});
+    let db = generate(&GeneratorConfig::small(60, 77)).db;
+    let (groups, front) = boot_replicated(&db, 2, 1, |_| {});
 
     let accepted = family("serve.connections.accepted");
     for i in 0..20 {
@@ -477,8 +478,8 @@ fn shard_connections_are_pooled_not_opened_per_attempt() {
 #[test]
 fn stale_pooled_connection_is_resent_not_reported() {
     let _guard = lock_globals();
-    let (db, spec) = gen_db(60, 78);
-    let (mut groups, front) = boot_replicated(&db, &spec, 2, 1, |_| {});
+    let db = generate(&GeneratorConfig::small(60, 78)).db;
+    let (mut groups, front) = boot_replicated(&db, 2, 1, |_| {});
     assert_full_answer(&front, &db, "before the restart");
     assert_eq!(pooled(&front, 0, 0), 1, "the front holds a connection");
 
@@ -488,7 +489,8 @@ fn stale_pooled_connection_is_resent_not_reported() {
     old.shutdown();
     old.join();
     let shard = shard_db(&db, 2, 0).expect("shard splits");
-    let cube = FlowCube::build(&shard, spec.clone(), FlowCubeParams::new(1), ItemPlan::All);
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
+    let cube = FlowCube::build(&shard, spec, FlowCubeParams::new(1), ItemPlan::All);
     groups[0].push(start_backend_at(cube, &addr));
 
     let selected = family("federate.replica.selected");
@@ -522,13 +524,13 @@ fn stale_pooled_connection_is_resent_not_reported() {
 #[test]
 fn torn_read_on_a_pooled_connection_drops_the_socket() {
     let _guard = lock_globals();
-    let (db, spec) = gen_db(40, 79);
-    let (groups, front) = boot_replicated(&db, &spec, 1, 1, |_| {});
+    let db = generate(&GeneratorConfig::small(40, 79)).db;
+    let (groups, front) = boot_replicated(&db, 1, 1, |_| {});
     assert_full_answer(&front, &db, "warm-up");
     assert_eq!(pooled(&front, 0, 0), 1);
 
     flowcube_testkit::arm_times("federate.client.read", 1, FailAction::ShortRead(0));
-    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 503, "the only replica's attempt failed: {body}");
     assert_eq!(flowcube_testkit::hits("federate.client.read"), 1);
     assert_eq!(family("federate.client.pool.hit"), 1, "it rode the pool");
@@ -547,7 +549,11 @@ fn torn_read_on_a_pooled_connection_drops_the_socket() {
     // The next request connects afresh and reads its own answer, not
     // the /cell answer left unread on the dropped socket.
     let misses = family("federate.client.pool.miss");
-    let (status, _, body) = get(front.addr(), "/paths/topk?cell=*,*&level=fine&k=2", &[]);
+    let (status, _, body) = get(
+        front.addr(),
+        "/paths/topk?cell=*,*&level=loc0/dur0&k=2",
+        &[],
+    );
     assert_eq!(family("federate.client.pool.miss") - misses, 1);
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"paths\""), "a top-k answer: {body}");
@@ -563,8 +569,8 @@ fn torn_read_on_a_pooled_connection_drops_the_socket() {
 #[test]
 fn hedge_losers_socket_is_pooled_only_after_its_whole_response() {
     let _guard = lock_globals();
-    let (db, spec) = gen_db(50, 80);
-    let (groups, front) = boot_replicated(&db, &spec, 1, 2, |c| {
+    let db = generate(&GeneratorConfig::small(50, 80)).db;
+    let (groups, front) = boot_replicated(&db, 1, 2, |c| {
         c.hedge = HedgePolicy::Fixed(Duration::from_millis(20));
     });
 
@@ -598,7 +604,11 @@ fn hedge_losers_socket_is_pooled_only_after_its_whole_response() {
     let accepted = family("serve.connections.accepted");
     for i in 0..3 {
         assert_full_answer(&front, &db, &format!("cell {i}"));
-        let (status, _, body) = get(front.addr(), "/paths/topk?cell=*,*&level=fine&k=2", &[]);
+        let (status, _, body) = get(
+            front.addr(),
+            "/paths/topk?cell=*,*&level=loc0/dur0&k=2",
+            &[],
+        );
         assert_eq!(status, 200, "{body}");
         assert!(body.contains("\"paths\""), "a top-k answer: {body}");
     }
@@ -612,8 +622,8 @@ fn hedge_losers_socket_is_pooled_only_after_its_whole_response() {
 #[test]
 fn breaker_open_empties_the_replicas_pool() {
     let _guard = lock_globals();
-    let (db, spec) = gen_db(40, 81);
-    let (groups, front) = boot_replicated(&db, &spec, 1, 2, |c| {
+    let db = generate(&GeneratorConfig::small(40, 81)).db;
+    let (groups, front) = boot_replicated(&db, 1, 2, |c| {
         c.hedge = HedgePolicy::Off;
         c.breaker = BreakerConfig {
             failure_threshold: 1,

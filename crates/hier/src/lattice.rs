@@ -10,7 +10,8 @@
 //!   where the cuboids to compute are "determined based on … application
 //!   and cardinality analysis".
 
-use crate::cut::PathLevel;
+use crate::concept::ConceptHierarchy;
+use crate::cut::{LocationCut, PathLevel};
 use crate::level::{DurationLevel, ItemLevel};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -200,6 +201,45 @@ impl PathLatticeSpec {
         Ok(PathLatticeSpec { levels })
     }
 
+    /// The first `n` (1–4) of the experiments' path abstraction levels
+    /// (§6.1): "locations \[at\] the level present in the path database
+    /// and one level higher … durations \[at\] the level present … and
+    /// the any (*) level, for a total of 4 path abstraction levels" —
+    /// `loc0/dur0`, `loc0/dur*`, `loc1/dur0`, `loc1/dur*`, most detailed
+    /// first.
+    ///
+    /// # Panics
+    /// When `n` is outside 1–4, or when the first `n` levels list one
+    /// level twice — see [`Self::try_paper`].
+    pub fn paper(locations: &ConceptHierarchy, n: usize) -> Self {
+        Self::try_paper(locations, n).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::paper`] for hierarchies that come from outside the
+    /// program. A flat location hierarchy has no one-up cut: from
+    /// `n = 3` on, the `loc1` levels repeat the `loc0` ones and the
+    /// spec is refused.
+    pub fn try_paper(locations: &ConceptHierarchy, n: usize) -> Result<Self, DuplicatePathLevel> {
+        assert!(
+            (1..=4).contains(&n),
+            "the paper's lattice has 1–4 levels, not {n}"
+        );
+        let leaf = LocationCut::uniform_level(locations, locations.max_level());
+        let up =
+            LocationCut::uniform_level(locations, locations.max_level().saturating_sub(1).max(1));
+        let levels = [
+            ("loc0/dur0", &leaf, DurationLevel::Raw),
+            ("loc0/dur*", &leaf, DurationLevel::Any),
+            ("loc1/dur0", &up, DurationLevel::Raw),
+            ("loc1/dur*", &up, DurationLevel::Any),
+        ];
+        Self::try_new(
+            (levels.into_iter().take(n))
+                .map(|(name, cut, duration)| PathLevel::new(name, cut.clone(), duration))
+                .collect(),
+        )
+    }
+
     pub fn len(&self) -> usize {
         self.levels.len()
     }
@@ -234,9 +274,6 @@ impl PathLatticeSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::concept::ConceptHierarchy;
-    use crate::cut::LocationCut;
-    use crate::level::DurationLevel;
 
     #[test]
     fn item_lattice_enumeration() {
@@ -330,6 +367,48 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.to_string().contains("zero-width"), "{err}");
+    }
+
+    /// `paper` spells §6.1's lattice with the names the CLI and the
+    /// benchmark use; shorter lattices are its prefixes.
+    #[test]
+    fn paper_lattice_levels() {
+        let mut h = ConceptHierarchy::new("location");
+        h.add_path(["transportation", "truck"]).unwrap();
+        h.add_path(["store", "shelf"]).unwrap();
+        let spec = PathLatticeSpec::paper(&h, 4);
+        let names: Vec<&str> = spec.levels().iter().map(|l| l.name.as_str()).collect();
+        assert_eq!(names, ["loc0/dur0", "loc0/dur*", "loc1/dur0", "loc1/dur*"]);
+        let durations: Vec<_> = spec.levels().iter().map(|l| l.duration).collect();
+        use DurationLevel::{Any, Raw};
+        assert_eq!(durations, [Raw, Any, Raw, Any]);
+        for n in [1, 2] {
+            assert_eq!(PathLatticeSpec::paper(&h, n).levels(), &spec.levels()[..n]);
+        }
+        // The leaf cut is the hierarchy's own level, the one-up cut its
+        // parent level.
+        assert_eq!(spec.level(0).cut, LocationCut::uniform_level(&h, 2));
+        assert_eq!(spec.level(2).cut, LocationCut::uniform_level(&h, 1));
+        assert_ne!(spec.level(0).cut, spec.level(2).cut);
+        assert_eq!(spec.coarser_than(0), vec![1, 2, 3]);
+        assert!(spec.coarser_than(3).is_empty());
+    }
+
+    /// On a flat hierarchy the one-up cut is the leaf cut again: the
+    /// full lattice lists two levels twice and is refused, while the
+    /// two-level prefix stands.
+    #[test]
+    fn paper_lattice_on_a_flat_hierarchy() {
+        let mut flat = ConceptHierarchy::new("location");
+        flat.add_path(["dock"]).unwrap();
+        flat.add_path(["shelf"]).unwrap();
+        let err = PathLatticeSpec::try_paper(&flat, 4).unwrap_err();
+        assert_eq!((err.first, err.second), (0, 2));
+        assert_eq!(
+            (err.first_name.as_str(), err.second_name.as_str()),
+            ("loc0/dur0", "loc1/dur0")
+        );
+        assert_eq!(PathLatticeSpec::try_paper(&flat, 2).unwrap().len(), 2);
     }
 
     #[derive(Serialize)]

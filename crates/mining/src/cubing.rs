@@ -340,20 +340,12 @@ fn push_pattern(
 mod tests {
     use super::*;
     use crate::shared::{mine_shared, SharedConfig};
-    use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+    use flowcube_hier::PathLatticeSpec;
     use flowcube_pathdb::{samples, MergePolicy};
 
     fn setup() -> (PathDatabase, TransactionDb) {
         let db = samples::paper_table1();
-        let loc = db.schema().locations();
-        let fine = LocationCut::uniform_level(loc, 2);
-        let coarse = LocationCut::uniform_level(loc, 1);
-        let spec = PathLatticeSpec::new(vec![
-            PathLevel::new("fine/raw", fine.clone(), DurationLevel::Raw),
-            PathLevel::new("fine/*", fine, DurationLevel::Any),
-            PathLevel::new("coarse/raw", coarse.clone(), DurationLevel::Raw),
-            PathLevel::new("coarse/*", coarse, DurationLevel::Any),
-        ]);
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
         (db, tx)
     }

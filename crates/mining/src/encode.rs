@@ -154,20 +154,7 @@ impl TransactionDb {
 mod tests {
     use super::*;
     use crate::item::ItemKind;
-    use flowcube_hier::{DurationLevel, LocationCut, PathLevel};
     use flowcube_pathdb::samples;
-
-    pub(crate) fn paper_spec(schema: &Schema) -> PathLatticeSpec {
-        let loc = schema.locations();
-        let fine = LocationCut::uniform_level(loc, 2);
-        let coarse = LocationCut::uniform_level(loc, 1);
-        PathLatticeSpec::new(vec![
-            PathLevel::new("fine/raw", fine.clone(), DurationLevel::Raw),
-            PathLevel::new("fine/*", fine, DurationLevel::Any),
-            PathLevel::new("coarse/raw", coarse.clone(), DurationLevel::Raw),
-            PathLevel::new("coarse/*", coarse, DurationLevel::Any),
-        ])
-    }
 
     #[test]
     fn table3_base_level_items() {
@@ -176,13 +163,7 @@ mod tests {
         // codes keep the category digit, so 1121 / 21 style differs, but
         // the stage encoding matches exactly.
         let db = samples::paper_table1();
-        let schema = db.schema().clone();
-        let loc = schema.locations();
-        let spec = PathLatticeSpec::new(vec![PathLevel::new(
-            "base",
-            LocationCut::uniform_level(loc, 2),
-            DurationLevel::Raw,
-        )]);
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
         let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
         assert_eq!(tx.len(), 8);
         let shown = tx.display_transaction(0);
@@ -199,7 +180,7 @@ mod tests {
     #[test]
     fn transactions_are_ancestor_closed() {
         let db = samples::paper_table1();
-        let spec = paper_spec(db.schema());
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
         for t in tx.iter() {
             for &item in t {
@@ -216,7 +197,7 @@ mod tests {
     #[test]
     fn transactions_sorted_and_deduped() {
         let db = samples::paper_table1();
-        let spec = paper_spec(db.schema());
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
         for t in tx.iter() {
             assert!(t.windows(2).all(|w| w[0] < w[1]));
@@ -226,7 +207,7 @@ mod tests {
     #[test]
     fn all_four_levels_emit_stage_items() {
         let db = samples::paper_table1();
-        let spec = paper_spec(db.schema());
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
         // Record 1 has 5 stages (f,d,t,s,c); at the coarse cut d,t merge
         // into transportation and s,c into store, leaving 3 stages.
@@ -242,7 +223,7 @@ mod tests {
     #[test]
     fn record_ids_preserved() {
         let db = samples::paper_table1();
-        let spec = paper_spec(db.schema());
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
         let ids: Vec<u64> = (0..tx.len()).map(|i| tx.record_id(i)).collect();
         assert_eq!(ids, vec![1, 2, 3, 4, 5, 6, 7, 8]);
@@ -252,7 +233,7 @@ mod tests {
     fn support_of_coarse_item_counts_all_specializations() {
         // (f,*) at the fine/* level must appear in all 8 transactions.
         let db = samples::paper_table1();
-        let spec = paper_spec(db.schema());
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
         let f = db.schema().locations().id_of("factory").unwrap();
         let mut dict_prefixes = tx.dict().prefixes().clone();

@@ -356,15 +356,7 @@ mod tests {
 
     fn setup() -> (Schema, PathLatticeSpec) {
         let schema = samples::paper_schema();
-        let loc = schema.locations();
-        let fine = LocationCut::uniform_level(loc, 2);
-        let coarse = LocationCut::uniform_level(loc, 1);
-        let spec = PathLatticeSpec::new(vec![
-            PathLevel::new("fine/raw", fine.clone(), DurationLevel::Raw),
-            PathLevel::new("fine/*", fine, DurationLevel::Any),
-            PathLevel::new("coarse/raw", coarse.clone(), DurationLevel::Raw),
-            PathLevel::new("coarse/*", coarse, DurationLevel::Any),
-        ]);
+        let spec = PathLatticeSpec::paper(schema.locations(), 4);
         (schema, spec)
     }
 

@@ -504,13 +504,10 @@ pub fn mine(tx: &TransactionDb, config: &SharedConfig) -> FrequentItemsets {
 /// ```
 /// use flowcube_mining::{mine_shared, TransactionDb};
 /// use flowcube_pathdb::{samples, MergePolicy};
-/// use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+/// use flowcube_hier::PathLatticeSpec;
 ///
 /// let db = samples::paper_table1();
-/// let loc = db.schema().locations();
-/// let spec = PathLatticeSpec::new(vec![PathLevel::new(
-///     "base", LocationCut::uniform_level(loc, 2), DurationLevel::Raw,
-/// )]);
+/// let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
 /// let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
 /// let out = mine_shared(&tx, 4);
 /// // (f,10) is one of the paper's Table 4 entries with support 5.
@@ -528,20 +525,12 @@ pub fn mine_basic(tx: &TransactionDb, min_support: u64) -> FrequentItemsets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowcube_hier::{LocationCut, PathLatticeSpec, PathLevel};
+    use flowcube_hier::PathLatticeSpec;
     use flowcube_pathdb::{samples, MergePolicy};
 
     fn paper_tx() -> TransactionDb {
         let db = samples::paper_table1();
-        let loc = db.schema().locations();
-        let fine = LocationCut::uniform_level(loc, 2);
-        let coarse = LocationCut::uniform_level(loc, 1);
-        let spec = PathLatticeSpec::new(vec![
-            PathLevel::new("fine/raw", fine.clone(), DurationLevel::Raw),
-            PathLevel::new("fine/*", fine, DurationLevel::Any),
-            PathLevel::new("coarse/raw", coarse.clone(), DurationLevel::Raw),
-            PathLevel::new("coarse/*", coarse, DurationLevel::Any),
-        ]);
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         TransactionDb::encode(&db, spec, MergePolicy::Sum)
     }
 

@@ -8,7 +8,7 @@
 //! so a moved literal means a candidate set or a support moved.
 
 use flowcube_datagen::{generate, DimShape, GeneratorConfig};
-use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube_hier::PathLatticeSpec;
 use flowcube_mining::{
     mine, mine_cubing, CubingConfig, FrequentItemsets, MiningStats, SharedConfig, TransactionDb,
 };
@@ -29,15 +29,7 @@ fn fixture() -> (PathDatabase, TransactionDb) {
         ..Default::default()
     };
     let db = generate(&config).db;
-    let loc = db.schema().locations();
-    let fine = LocationCut::uniform_level(loc, loc.max_level());
-    let coarse = LocationCut::uniform_level(loc, loc.max_level() - 1);
-    let spec = PathLatticeSpec::new(vec![
-        PathLevel::new("loc0/dur0", fine.clone(), DurationLevel::Raw),
-        PathLevel::new("loc0/dur*", fine, DurationLevel::Any),
-        PathLevel::new("loc1/dur0", coarse.clone(), DurationLevel::Raw),
-        PathLevel::new("loc1/dur*", coarse, DurationLevel::Any),
-    ]);
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
     let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
     (db, tx)
 }

@@ -364,8 +364,7 @@ mod tests {
 
     #[test]
     fn poll_file_resumes_from_offset() {
-        let path =
-            std::env::temp_dir().join(format!("flowcube-follow-test-{}.log", std::process::id()));
+        let path = flowcube_testkit::temp_path("follow.log");
         let _ = std::fs::remove_file(&path);
         std::fs::write(&path, "item 1 tennis nike\nread 1 factory 0\n").unwrap();
         let mut f = follower();

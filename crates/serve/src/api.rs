@@ -40,6 +40,7 @@ use flowcube_core::{
     display_key, view, CellKey, CubeDelta, Cuboid, CuboidKey, CuboidRead, FlowCube, Route,
 };
 use flowcube_flowgraph::GraphRead;
+use flowcube_hier::fx::splitmix64;
 use flowcube_hier::{ConceptId, FxHashMap, ItemLevel, PathLevelId, Schema};
 use flowcube_obs::flight::{self, FlightKind};
 use parking_lot::{Mutex, RwLock};
@@ -1165,13 +1166,6 @@ fn status_class(status: u16) -> usize {
 }
 
 // ---- request identity ---------------------------------------------------
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// FNV-1a over a client-supplied request id — the numeric trace id that
 /// flight events carry for it.

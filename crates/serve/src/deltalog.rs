@@ -195,17 +195,12 @@ pub fn read_deltas_up_to(path: &Path, limit: u64) -> Result<(Vec<CubeDelta>, u64
 mod tests {
     use super::*;
     use flowcube_core::{CubeDelta, FlowCubeParams, ItemPlan};
-    use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+    use flowcube_hier::PathLatticeSpec;
     use flowcube_pathdb::samples;
 
     fn sample_delta() -> CubeDelta {
         let db = samples::paper_table1();
-        let loc = db.schema().locations();
-        let spec = PathLatticeSpec::new(vec![PathLevel::new(
-            "base",
-            LocationCut::uniform_level(loc, 2),
-            DurationLevel::Raw,
-        )]);
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
         CubeDelta::compute(&db, &spec, &FlowCubeParams::new(2), &ItemPlan::All)
     }
 
@@ -213,10 +208,7 @@ mod tests {
     struct Scratch(PathBuf);
     impl Scratch {
         fn new(name: &str) -> Scratch {
-            let path = std::env::temp_dir().join(format!(
-                "flowcube-deltalog-test-{}-{name}",
-                std::process::id()
-            ));
+            let path = flowcube_testkit::temp_path(&format!("deltalog-{name}"));
             let _ = std::fs::remove_file(&path);
             Scratch(path)
         }

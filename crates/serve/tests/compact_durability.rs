@@ -14,7 +14,7 @@
 //! serialize on a mutex instead of relying on `--test-threads=1`.
 
 use flowcube_core::{CubeDelta, FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, DimShape, GeneratorConfig};
+use flowcube_datagen::{generate, GeneratorConfig};
 use flowcube_hier::{DurationLevel, ItemLattice, LocationCut, PathLatticeSpec, PathLevel};
 use flowcube_pathdb::PathDatabase;
 use flowcube_serve::{
@@ -22,7 +22,7 @@ use flowcube_serve::{
     ServedCube, ServerConfig, ServerHandle, Snapshot,
 };
 use flowcube_testkit::http::request;
-use flowcube_testkit::FailAction;
+use flowcube_testkit::{temp_path, FailAction};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
@@ -37,14 +37,7 @@ fn lock_failpoints() -> MutexGuard<'static, ()> {
 }
 
 fn base_and_batches(seed: u64, batches: usize) -> (PathDatabase, Vec<PathDatabase>) {
-    let config = GeneratorConfig {
-        num_paths: 80 + batches * 10,
-        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
-        num_sequences: 5,
-        seed,
-        ..Default::default()
-    };
-    let db = generate(&config).db;
+    let db = generate(&GeneratorConfig::small(80 + batches * 10, seed)).db;
     let records = db.records();
     let base = PathDatabase::from_records(db.schema().clone(), records[..80].to_vec()).unwrap();
     let tail: Vec<PathDatabase> = records[80..]
@@ -87,8 +80,7 @@ impl Fixture {
         let deltas = (batches.iter())
             .map(|b| CubeDelta::compute(b, &spec, &params, &ItemPlan::All))
             .collect();
-        let path =
-            std::env::temp_dir().join(format!("flowcube-compact-{}-{name}", std::process::id()));
+        let path = temp_path(name);
         let fixture = Fixture { cube, deltas, path };
         fixture.clean();
         write_snapshot(&fixture.cube, &fixture.path).unwrap();

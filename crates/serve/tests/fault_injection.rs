@@ -7,14 +7,13 @@
 //! shared across the whole process.
 
 use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, DimShape, GeneratorConfig};
-use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube_datagen::{generate, GeneratorConfig};
+use flowcube_hier::PathLatticeSpec;
 use flowcube_serve::{
     serve_cube, write_snapshot, ServedCube, ServerConfig, ServerHandle, Snapshot,
 };
 use flowcube_testkit::http::{get, raw_roundtrip, request};
-use flowcube_testkit::FailAction;
-use std::path::PathBuf;
+use flowcube_testkit::{temp_path, FailAction};
 use std::time::{Duration, Instant};
 
 fn gated() -> bool {
@@ -24,33 +23,6 @@ fn gated() -> bool {
         eprintln!("skipped: set FLOWCUBE_FAULT_TESTS=1 to run fault-injection tests");
         false
     }
-}
-
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("flowcube-fault-test-{}-{name}", std::process::id()))
-}
-
-fn small_cube(seed: u64, min_support: u64) -> FlowCube {
-    let config = GeneratorConfig {
-        num_paths: 120,
-        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
-        num_sequences: 5,
-        seed,
-        ..Default::default()
-    };
-    let db = generate(&config).db;
-    let loc = db.schema().locations();
-    let spec = PathLatticeSpec::new(vec![PathLevel::new(
-        "fine",
-        LocationCut::uniform_level(loc, loc.max_level()),
-        DurationLevel::Raw,
-    )]);
-    FlowCube::build(
-        &db,
-        spec,
-        FlowCubeParams::new(min_support).with_threads(1),
-        ItemPlan::All,
-    )
 }
 
 fn start(served: ServedCube, config: ServerConfig) -> ServerHandle {
@@ -79,8 +51,16 @@ fn worker_panic_is_counted_and_respawned() {
         return;
     }
     flowcube_testkit::reset();
+    let db = generate(&GeneratorConfig::small(120, 11)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
+    let cube = FlowCube::build(
+        &db,
+        spec,
+        FlowCubeParams::new(8).with_threads(1),
+        ItemPlan::All,
+    );
     let handle = start(
-        ServedCube::from_cube(&small_cube(11, 8)).expect("encode image"),
+        ServedCube::from_cube(&cube).expect("encode image"),
         ServerConfig {
             workers: 2,
             degraded_after: 0,
@@ -119,7 +99,7 @@ fn worker_panic_is_counted_and_respawned() {
     assert!(body.contains("\"ok\":false"), "got {body:?}");
 
     // And the pool still has live workers serving real queries.
-    let (status, _, body) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, body) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200, "got {body:?}");
 
     flowcube_testkit::reset();
@@ -135,8 +115,16 @@ fn deadline_exceeded_returns_503() {
         return;
     }
     flowcube_testkit::reset();
+    let db = generate(&GeneratorConfig::small(120, 12)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
+    let cube = FlowCube::build(
+        &db,
+        spec,
+        FlowCubeParams::new(8).with_threads(1),
+        ItemPlan::All,
+    );
     let handle = start(
-        ServedCube::from_cube(&small_cube(12, 8)).expect("encode image"),
+        ServedCube::from_cube(&cube).expect("encode image"),
         ServerConfig {
             workers: 2,
             request_deadline: Some(Duration::from_millis(40)),
@@ -150,11 +138,11 @@ fn deadline_exceeded_returns_503() {
         1,
         FailAction::Delay(Duration::from_millis(120)),
     );
-    let (status, _, body) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, body) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 503, "got {body:?}");
     assert!(body.contains("deadline"), "got {body:?}");
 
-    let (status, _, _) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, _) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200);
 
     flowcube_testkit::reset();
@@ -171,8 +159,16 @@ fn reload_swaps_and_corruption_rolls_back() {
         return;
     }
     flowcube_testkit::reset();
-    let path = tmp("reload.snap");
-    write_snapshot(&small_cube(21, 8), &path).expect("write v1");
+    let path = temp_path("reload.snap");
+    let db = generate(&GeneratorConfig::small(120, 21)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
+    let v1 = FlowCube::build(
+        &db,
+        spec,
+        FlowCubeParams::new(8).with_threads(1),
+        ItemPlan::All,
+    );
+    write_snapshot(&v1, &path).expect("write v1");
     let handle = start(
         ServedCube::from_snapshot(Snapshot::open(&path).expect("open")),
         ServerConfig {
@@ -184,7 +180,15 @@ fn reload_swaps_and_corruption_rolls_back() {
     let stats_v1 = stats_summary(addr);
 
     // Replace the file with a different cube and reload: stats change.
-    write_snapshot(&small_cube(22, 4), &path).expect("write v2");
+    let db = generate(&GeneratorConfig::small(120, 22)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
+    let v2 = FlowCube::build(
+        &db,
+        spec,
+        FlowCubeParams::new(4).with_threads(1),
+        ItemPlan::All,
+    );
+    write_snapshot(&v2, &path).expect("write v2");
     let (status, _, body) = request(addr, "POST", "/admin/reload", &[], "");
     assert_eq!(status, 200, "got {body:?}");
     assert!(body.contains("\"reloaded\":true"), "got {body:?}");
@@ -196,7 +200,7 @@ fn reload_swaps_and_corruption_rolls_back() {
     // the old inode. The reload is rejected and every query keeps
     // answering from the v2 cube.
     let bytes = std::fs::read(&path).expect("read snapshot");
-    let staged = tmp("reload-staged.snap");
+    let staged = temp_path("reload-staged.snap");
     std::fs::write(&staged, &bytes[..bytes.len() / 2]).expect("truncate");
     std::fs::rename(&staged, &path).expect("rename corrupt over live");
     let (status, _, body) = request(addr, "POST", "/admin/reload", &[], "");
@@ -206,12 +210,12 @@ fn reload_swaps_and_corruption_rolls_back() {
         stats_summary(addr),
         "failed reload must not change state"
     );
-    let (status, _, _) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, _) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200);
 
     // Same rollback when the *open* itself fails via failpoint (the file
     // on disk is valid again): the live server never sees the fault.
-    let staged = tmp("reload-staged.snap");
+    let staged = temp_path("reload-staged.snap");
     std::fs::write(&staged, &bytes).expect("restore");
     std::fs::rename(&staged, &path).expect("rename restore over live");
     flowcube_testkit::arm_times(
@@ -242,8 +246,16 @@ fn section_short_read_does_not_poison_server() {
         return;
     }
     flowcube_testkit::reset();
-    let path = tmp("short-read.snap");
-    write_snapshot(&small_cube(23, 8), &path).expect("write");
+    let path = temp_path("short-read.snap");
+    let db = generate(&GeneratorConfig::small(120, 23)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
+    let cube = FlowCube::build(
+        &db,
+        spec,
+        FlowCubeParams::new(8).with_threads(1),
+        ItemPlan::All,
+    );
+    write_snapshot(&cube, &path).expect("write");
     let handle = start(
         ServedCube::from_snapshot(Snapshot::open(&path).expect("open")),
         ServerConfig {
@@ -255,11 +267,11 @@ fn section_short_read_does_not_poison_server() {
     let addr = handle.addr();
 
     flowcube_testkit::arm_times("serve.snapshot.section", 1, FailAction::ShortRead(4));
-    let (status, _, body) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, body) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert!((400..=599).contains(&status), "got {status} {body:?}");
 
     // The failpoint is drained; the identical request succeeds now.
-    let (status, _, body) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, body) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200, "got {body:?}");
 
     flowcube_testkit::reset();

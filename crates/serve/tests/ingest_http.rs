@@ -7,28 +7,21 @@
 //! covered here.
 
 use flowcube_core::{CubeDelta, FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, DimShape, GeneratorConfig};
-use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube_datagen::{generate, GeneratorConfig};
+use flowcube_hier::PathLatticeSpec;
 use flowcube_pathdb::PathDatabase;
 use flowcube_serve::{
     deltalog_path, read_deltas, serve_cube, write_snapshot, ServedCube, ServerConfig, ServerHandle,
     Snapshot,
 };
 use flowcube_testkit::http::{get, request};
-use std::path::PathBuf;
+use flowcube_testkit::temp_path;
 use std::time::Duration;
 
 /// A generated db split into a base (first 100 paths) and a stream tail
 /// (the rest) that arrives later as micro-batch deltas.
 fn base_and_batches(seed: u64, batches: usize) -> (PathDatabase, Vec<PathDatabase>) {
-    let config = GeneratorConfig {
-        num_paths: 100 + batches * 10,
-        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
-        num_sequences: 5,
-        seed,
-        ..Default::default()
-    };
-    let db = generate(&config).db;
+    let db = generate(&GeneratorConfig::small(100 + batches * 10, seed)).db;
     let records = db.records();
     let base = PathDatabase::from_records(db.schema().clone(), records[..100].to_vec()).unwrap();
     let tail: Vec<PathDatabase> = records[100..]
@@ -36,15 +29,6 @@ fn base_and_batches(seed: u64, batches: usize) -> (PathDatabase, Vec<PathDatabas
         .map(|c| PathDatabase::from_records(db.schema().clone(), c.to_vec()).unwrap())
         .collect();
     (base, tail)
-}
-
-fn spec_for(db: &PathDatabase) -> PathLatticeSpec {
-    let loc = db.schema().locations();
-    PathLatticeSpec::new(vec![PathLevel::new(
-        "fine",
-        LocationCut::uniform_level(loc, loc.max_level()),
-        DurationLevel::Raw,
-    )])
 }
 
 fn params() -> FlowCubeParams {
@@ -64,13 +48,6 @@ fn start(served: ServedCube) -> ServerHandle {
     .expect("server starts")
 }
 
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "flowcube-ingest-http-{}-{name}",
-        std::process::id()
-    ))
-}
-
 /// In-memory image: the delta joins the overlay exactly as it would
 /// over a file, minus the sidecar — queries answer before, after, and
 /// with the merged counts; malformed and mismatched deltas are rejected
@@ -78,7 +55,7 @@ fn tmp(name: &str) -> PathBuf {
 #[test]
 fn in_memory_ingest_applies_and_rejects_bad_deltas() {
     let (base, batches) = base_and_batches(31, 2);
-    let spec = spec_for(&base);
+    let spec = PathLatticeSpec::paper(base.schema().locations(), 1);
     let cube = FlowCube::build(&base, spec.clone(), params(), ItemPlan::All);
     let handle = start(ServedCube::from_cube(&cube).expect("encode image"));
     let addr = handle.addr();
@@ -97,7 +74,7 @@ fn in_memory_ingest_applies_and_rejects_bad_deltas() {
     assert!(resp.contains("\"pending_deltas\":1"), "got {resp:?}");
 
     // Queries still answer, with the merged counts.
-    let (status, _, apex) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, apex) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200);
     assert!(apex.contains("\"support\":110"), "got {apex:?}");
 
@@ -143,9 +120,9 @@ fn in_memory_ingest_applies_and_rejects_bad_deltas() {
 #[test]
 fn snapshot_ingest_is_durable_across_reload_and_restart() {
     let (base, batches) = base_and_batches(47, 3);
-    let spec = spec_for(&base);
+    let spec = PathLatticeSpec::paper(base.schema().locations(), 1);
     let cube = FlowCube::build(&base, spec.clone(), params(), ItemPlan::All);
-    let path = tmp("durable.snap");
+    let path = temp_path("durable.snap");
     let sidecar = deltalog_path(&path);
     let _ = std::fs::remove_file(&sidecar);
     write_snapshot(&cube, &path).expect("write snapshot");
@@ -154,7 +131,7 @@ fn snapshot_ingest_is_durable_across_reload_and_restart() {
     let addr = handle.addr();
 
     // Hydrate a cell from the snapshot, then ingest two deltas.
-    let (status, _, cell_before) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, cell_before) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200);
     for (i, batch) in batches[..2].iter().enumerate() {
         let delta = CubeDelta::compute(batch, &spec, &params(), &ItemPlan::All);
@@ -174,7 +151,7 @@ fn snapshot_ingest_is_durable_across_reload_and_restart() {
     );
 
     // The apex cell now includes the deltas' paths: support grew.
-    let (status, _, cell_after) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, cell_after) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200);
     assert_ne!(cell_before, cell_after, "overlay must change the apex cell");
     let (status, _, stats) = get(addr, "/stats", &[]);
@@ -197,7 +174,7 @@ fn snapshot_ingest_is_durable_across_reload_and_restart() {
     let (status, _, resp) = request(addr, "POST", "/admin/reload", &[], "");
     assert_eq!(status, 200, "got {resp:?}");
     assert!(resp.contains("\"deltas\":2"), "got {resp:?}");
-    let (status, _, cell_reloaded) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, cell_reloaded) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200);
     assert_eq!(cell_after, cell_reloaded, "reload must not lose deltas");
 
@@ -208,7 +185,7 @@ fn snapshot_ingest_is_durable_across_reload_and_restart() {
     // sidecar — same answers as the live server gave.
     let handle = start(ServedCube::open(&path).unwrap().0);
     let addr = handle.addr();
-    let (status, _, cell_restarted) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, cell_restarted) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200);
     assert_eq!(
         cell_after, cell_restarted,
@@ -226,9 +203,9 @@ fn snapshot_ingest_is_durable_across_reload_and_restart() {
 #[test]
 fn queries_keep_answering_during_ingest() {
     let (base, batches) = base_and_batches(59, 3);
-    let spec = spec_for(&base);
+    let spec = PathLatticeSpec::paper(base.schema().locations(), 1);
     let cube = FlowCube::build(&base, spec.clone(), params(), ItemPlan::All);
-    let path = tmp("live.snap");
+    let path = temp_path("live.snap");
     let sidecar = deltalog_path(&path);
     let _ = std::fs::remove_file(&sidecar);
     write_snapshot(&cube, &path).expect("write snapshot");
@@ -242,7 +219,7 @@ fn queries_keep_answering_during_ingest() {
         std::thread::spawn(move || {
             let mut queries = 0u32;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let (status, _, body) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+                let (status, _, body) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
                 assert_eq!(status, 200, "mid-ingest query failed: {body:?}");
                 queries += 1;
             }
@@ -276,7 +253,7 @@ fn queries_keep_answering_during_ingest() {
 #[test]
 fn delta_with_names_the_snapshot_never_interned_is_served() {
     let (db, _) = base_and_batches(83, 4);
-    let spec = spec_for(&db);
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
     let params = FlowCubeParams::new(1).with_exceptions(false);
     // Everything carrying leaf value `v` in dimension 0, or visiting
     // location `l`, arrives later as the delta.
@@ -298,9 +275,9 @@ fn delta_with_names_the_snapshot_never_interned_is_served() {
     let (v_name, parent) = (dim0.name_of(v), dim0.name_of(dim0.parent_of(v)));
     let l_name = db.schema().locations().name_of(l);
     let targets = [
-        format!("/cell?cell={v_name},*&level=fine"),
-        format!("/drilldown?cell={parent},*&dim=0&level=fine"),
-        "/paths/topk?cell=*,*&level=fine&k=1000".to_string(),
+        format!("/cell?cell={v_name},*&level=loc0/dur0"),
+        format!("/drilldown?cell={parent},*&dim=0&level=loc0/dur0"),
+        "/paths/topk?cell=*,*&level=loc0/dur0&k=1000".to_string(),
     ];
     // The reference: the union, batch-built and served unpatched.
     let full = FlowCube::build(&db, spec, params, ItemPlan::All);
@@ -317,7 +294,7 @@ fn delta_with_names_the_snapshot_never_interned_is_served() {
     reference.shutdown();
     reference.join();
 
-    let path = tmp("new-names.snap");
+    let path = temp_path("new-names.snap");
     let sidecar = deltalog_path(&path);
     let _ = std::fs::remove_file(&sidecar);
     write_snapshot(&cube, &path).expect("write snapshot");
@@ -350,7 +327,7 @@ fn delta_with_names_the_snapshot_never_interned_is_served() {
 #[test]
 fn patched_cuboid_below_min_support_disappears() {
     let (base, batches) = base_and_batches(97, 1);
-    let spec = spec_for(&base);
+    let spec = PathLatticeSpec::paper(base.schema().locations(), 1);
     // δ = |base|: only the apex cell of the base reaches it.
     let params = FlowCubeParams::new(100).with_exceptions(false);
     let cube = FlowCube::build(&base, spec.clone(), params.clone(), ItemPlan::All);
@@ -365,14 +342,14 @@ fn patched_cuboid_below_min_support_disappears() {
     assert_eq!(status, 200, "got {resp:?}");
 
     // Every cell the delta brings to item level (1, 0) has ≤ 10 paths.
-    let (status, _, dice) = get(addr, "/dice?at=1,0&level=fine", &[]);
+    let (status, _, dice) = get(addr, "/dice?at=1,0&level=loc0/dur0", &[]);
     assert_eq!(status, 200);
     assert_eq!(dice, "{\"count\":0,\"cells\":[]}");
     let value = base
         .schema()
         .dim(0)
         .name_of(batches[0].records()[0].dims[0]);
-    let (status, _, cell) = get(addr, &format!("/cell?cell={value},*&level=fine"), &[]);
+    let (status, _, cell) = get(addr, &format!("/cell?cell={value},*&level=loc0/dur0"), &[]);
     assert_eq!(status, 200, "got {cell:?}");
     assert!(cell.contains("\"exact\":false"), "got {cell:?}");
     assert!(cell.contains("\"source_cell\":\"(*, *)\""), "got {cell:?}");

@@ -9,9 +9,9 @@
 //! the `serve.*` series; the tests serialize on one mutex.
 
 use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, DimShape, GeneratorConfig};
+use flowcube_datagen::{generate, GeneratorConfig};
 use flowcube_federate::{serve_front, FrontConfig, FrontHandle, ReplicaSet};
-use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube_hier::PathLatticeSpec;
 use flowcube_serve::{serve_cube, ServedCube, ServerConfig, ServerHandle};
 use flowcube_testkit::http::{get, header, parse_response, raw_roundtrip, Persistent, Response};
 use std::net::SocketAddr;
@@ -26,25 +26,7 @@ fn lock_globals() -> MutexGuard<'static, ()> {
     guard
 }
 
-fn small_cube() -> FlowCube {
-    let config = GeneratorConfig {
-        num_paths: 120,
-        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
-        num_sequences: 5,
-        seed: 11,
-        ..Default::default()
-    };
-    let db = generate(&config).db;
-    let loc = db.schema().locations();
-    let spec = PathLatticeSpec::new(vec![PathLevel::new(
-        "fine",
-        LocationCut::uniform_level(loc, loc.max_level()),
-        DurationLevel::Raw,
-    )]);
-    FlowCube::build(&db, spec, FlowCubeParams::new(8), ItemPlan::All)
-}
-
-const CELL: &str = "/cell?cell=*,*&level=fine";
+const CELL: &str = "/cell?cell=*,*&level=loc0/dur0";
 
 /// One tier under test, with whatever it needs kept alive behind it.
 struct Tier {
@@ -94,8 +76,11 @@ impl Tier {
 }
 
 fn backend(workers: usize, read_timeout: Duration) -> ServerHandle {
+    let db = generate(&GeneratorConfig::small(120, 11)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
+    let cube = FlowCube::build(&db, spec, FlowCubeParams::new(8), ItemPlan::All);
     serve_cube(
-        ServedCube::from_cube(&small_cube()).expect("encode image"),
+        ServedCube::from_cube(&cube).expect("encode image"),
         ServerConfig {
             workers,
             read_timeout,

@@ -4,36 +4,24 @@
 
 use flowcube_core::{view, CuboidKey, FlowCube, FlowCubeParams, ItemPlan};
 use flowcube_datagen::{generate, DimShape, GeneratorConfig};
-use flowcube_hier::{ConceptId, DurationLevel, ItemLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube_hier::{ConceptId, ItemLevel, PathLatticeSpec};
 use flowcube_serve::http::Request;
 use flowcube_serve::snapshot::SectionDesc;
 use flowcube_serve::{
     handle_request, write_snapshot, AppState, RequestCtx, ResponseCache, ServedCube, Snapshot,
 };
+use flowcube_testkit::temp_path;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
-
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("flowcube-hydration-{}-{name}", std::process::id()))
-}
 
 /// Two dimensions three levels deep, at a δ that leaves most fine cells
 /// out: lookups there fall back up the lattice.
 fn cube() -> FlowCube {
     let config = GeneratorConfig {
-        num_paths: 400,
         dims: vec![DimShape::new(vec![2, 2, 2], 0.7); 2],
-        num_sequences: 5,
-        seed: 5,
-        ..Default::default()
+        ..GeneratorConfig::small(400, 5)
     };
     let db = generate(&config).db;
-    let loc = db.schema().locations();
-    let fine = LocationCut::uniform_level(loc, loc.max_level());
-    let spec = PathLatticeSpec::new(vec![
-        PathLevel::new("fine", fine.clone(), DurationLevel::Raw),
-        PathLevel::new("fine/any", fine, DurationLevel::Any),
-    ]);
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
     let params = FlowCubeParams::new(25)
         .with_exceptions(false)
         .with_threads(1);
@@ -42,7 +30,7 @@ fn cube() -> FlowCube {
 
 /// Serve `bytes` from a file, cold.
 fn serve(bytes: &[u8], name: &str) -> AppState {
-    let path = tmp(name);
+    let path = temp_path(name);
     std::fs::write(&path, bytes).unwrap();
     let served = ServedCube::from_snapshot(Snapshot::open(&path).expect("open"));
     let _ = std::fs::remove_file(&path);
@@ -50,7 +38,7 @@ fn serve(bytes: &[u8], name: &str) -> AppState {
 }
 
 fn snapshot_bytes(cube: &FlowCube, name: &str) -> Vec<u8> {
-    let path = tmp(name);
+    let path = temp_path(name);
     write_snapshot(cube, &path).expect("write");
     let bytes = std::fs::read(&path).unwrap();
     let _ = std::fs::remove_file(&path);
@@ -69,7 +57,7 @@ fn cell_request(cube: &FlowCube, key: &[ConceptId]) -> Request {
         path: "/cell".to_string(),
         query: vec![
             ("cell".to_string(), spec.join(",")),
-            ("level".to_string(), "fine".to_string()),
+            ("level".to_string(), "loc0/dur0".to_string()),
         ],
         headers: Vec::new(),
         body: Vec::new(),

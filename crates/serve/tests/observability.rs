@@ -5,16 +5,16 @@
 //! with flight dumps.
 
 use flowcube_core::{CubeDelta, FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, DimShape, GeneratorConfig};
-use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube_datagen::{generate, GeneratorConfig};
+use flowcube_hier::PathLatticeSpec;
 use flowcube_obs::flight::{self, FlightKind};
-use flowcube_pathdb::PathDatabase;
 use flowcube_serve::http::Request;
 use flowcube_serve::{
     handle_request, serve_cube, write_snapshot, AccessLog, AppState, RequestCtx, ResponseCache,
     ServedCube, ServerConfig, ServerHandle, Snapshot,
 };
 use flowcube_testkit::http::{get, header, third_connection};
+use flowcube_testkit::temp_path;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -22,31 +22,11 @@ use std::time::Duration;
 /// floods the ring, so the flood cannot lap the events being read.
 static FLIGHT_RING: Mutex<()> = Mutex::new(());
 
-fn small_db() -> (PathDatabase, PathLatticeSpec) {
-    let config = GeneratorConfig {
-        num_paths: 120,
-        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
-        num_sequences: 5,
-        seed: 11,
-        ..Default::default()
-    };
-    let db = generate(&config).db;
-    let loc = db.schema().locations();
-    let spec = PathLatticeSpec::new(vec![PathLevel::new(
-        "fine",
-        LocationCut::uniform_level(loc, loc.max_level()),
-        DurationLevel::Raw,
-    )]);
-    (db, spec)
-}
-
-fn small_cube() -> FlowCube {
-    let (db, spec) = small_db();
-    FlowCube::build(&db, spec, FlowCubeParams::new(8), ItemPlan::All)
-}
-
 fn image() -> ServedCube {
-    ServedCube::from_cube(&small_cube()).expect("encode image")
+    let db = generate(&GeneratorConfig::small(120, 11)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
+    let cube = FlowCube::build(&db, spec, FlowCubeParams::new(8), ItemPlan::All);
+    ServedCube::from_cube(&cube).expect("encode image")
 }
 
 fn start(config: ServerConfig) -> ServerHandle {
@@ -121,12 +101,12 @@ fn prometheus_scrape_is_conformant_with_per_endpoint_histograms() {
     let addr = handle.addr();
 
     // Mixed traffic: successes, a 404, and a repeated cacheable query.
-    let (s, _, _) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+    let (s, _, _) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(s, 200);
     get(addr, "/stats", &[]);
     get(addr, "/healthz", &[]);
-    get(addr, "/paths/topk?cell=*,*&level=fine&k=3", &[]);
-    get(addr, "/paths/topk?cell=*,*&level=fine&k=3", &[]); // cache hit
+    get(addr, "/paths/topk?cell=*,*&level=loc0/dur0&k=3", &[]);
+    get(addr, "/paths/topk?cell=*,*&level=loc0/dur0&k=3", &[]); // cache hit
     get(addr, "/no/such/route", &[]);
 
     // Default stays JSON — existing scrapers keep working.
@@ -174,7 +154,7 @@ fn prometheus_scrape_is_conformant_with_per_endpoint_histograms() {
 #[test]
 fn deadline_503_carries_retry_after_and_request_id() {
     let state = AppState::new(image(), ResponseCache::new(8));
-    let req = plain_request("/cell", &[("cell", "*,*"), ("level", "fine")], &[]);
+    let req = plain_request("/cell", &[("cell", "*,*"), ("level", "loc0/dur0")], &[]);
     let ctx = RequestCtx::with_timeout(Duration::ZERO);
     let resp = handle_request(&state, &req, &ctx);
     assert_eq!(resp.status, 503, "got {}", resp.body);
@@ -196,7 +176,7 @@ fn requests_leave_the_span_trace_alone() {
     let _ring = FLIGHT_RING.lock().unwrap_or_else(|e| e.into_inner());
     flowcube_obs::enable();
     let state = AppState::new(image(), ResponseCache::new(8));
-    let req = plain_request("/cell", &[("cell", "*,*"), ("level", "fine")], &[]);
+    let req = plain_request("/cell", &[("cell", "*,*"), ("level", "loc0/dur0")], &[]);
     // Hydration happens (and may span) on the first touch only.
     assert_eq!(
         handle_request(&state, &req, &RequestCtx::default()).status,
@@ -271,9 +251,10 @@ fn debug_flight_exposes_recent_events() {
 fn swap_events_name_their_cause() {
     let _ring = FLIGHT_RING.lock().unwrap_or_else(|e| e.into_inner());
     flight::enable();
-    let (db, spec) = small_db();
+    let db = generate(&GeneratorConfig::small(120, 11)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
     let params = FlowCubeParams::new(8);
-    let path = std::env::temp_dir().join(format!("flowcube-swaps-{}.snap", std::process::id()));
+    let path = temp_path("swaps.snap");
     let sidecar = flowcube_serve::deltalog_path(&path);
     let _ = std::fs::remove_file(&sidecar);
     let cube = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
@@ -304,7 +285,7 @@ fn swap_events_name_their_cause() {
 #[test]
 fn access_log_writes_entries_and_dumps_flight_when_bad() {
     flight::enable();
-    let path = std::env::temp_dir().join(format!("flowcube-access-{}.jsonl", std::process::id()));
+    let path = temp_path("access.jsonl");
     let _ = std::fs::remove_file(&path);
     let log =
         AccessLog::open(path.to_str().expect("utf8 path"), Some(10_000)).expect("open access log");
@@ -320,7 +301,7 @@ fn access_log_writes_entries_and_dumps_flight_when_bad() {
     // A 503 deadline miss: logged with the flight window attached.
     let bad = handle_request(
         &state,
-        &plain_request("/cell", &[("cell", "*,*"), ("level", "fine")], &[]),
+        &plain_request("/cell", &[("cell", "*,*"), ("level", "loc0/dur0")], &[]),
         &RequestCtx::with_timeout(Duration::ZERO),
     );
     assert_eq!(bad.status, 503);

@@ -3,34 +3,19 @@
 //! still gets a correct answer.
 
 use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, DimShape, GeneratorConfig};
-use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube_datagen::{generate, GeneratorConfig};
+use flowcube_hier::PathLatticeSpec;
 use flowcube_serve::{serve_cube, ServedCube, ServerConfig, ServerHandle};
 use flowcube_testkit::http::{get, hostile_requests, parse_response, raw_roundtrip};
 use serde_json::Value;
 use std::time::Duration;
 
-fn small_cube() -> FlowCube {
-    let config = GeneratorConfig {
-        num_paths: 120,
-        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
-        num_sequences: 5,
-        seed: 11,
-        ..Default::default()
-    };
-    let db = generate(&config).db;
-    let loc = db.schema().locations();
-    let spec = PathLatticeSpec::new(vec![PathLevel::new(
-        "fine",
-        LocationCut::uniform_level(loc, loc.max_level()),
-        DurationLevel::Raw,
-    )]);
-    FlowCube::build(&db, spec, FlowCubeParams::new(8), ItemPlan::All)
-}
-
 fn start() -> ServerHandle {
+    let db = generate(&GeneratorConfig::small(120, 11)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
+    let cube = FlowCube::build(&db, spec, FlowCubeParams::new(8), ItemPlan::All);
     serve_cube(
-        ServedCube::from_cube(&small_cube()).expect("encode image"),
+        ServedCube::from_cube(&cube).expect("encode image"),
         ServerConfig {
             workers: 2,
             read_timeout: Duration::from_millis(500),
@@ -74,14 +59,14 @@ fn survives_malformed_and_hostile_input() {
     assert!(body.contains("error"), "got {body:?}");
     let (status, _, _) = get(addr, "/cell?cell=zzz-not-a-value", &[]);
     assert_eq!(status, 404);
-    let (status, _, _) = get(addr, "/rollup?cell=*,*&dim=99&level=fine", &[]);
+    let (status, _, _) = get(addr, "/rollup?cell=*,*&dim=99&level=loc0/dur0", &[]);
     assert_eq!(status, 400);
     let (status, _, _) = get(addr, "/cell?cell=*,*&level=no-such-level", &[]);
     assert_eq!(status, 404);
     // An observed path: an unknown location is not found; a bad duration
     // or no stage at all is a bad request.
     for (path, want) in [("mars:1", 404), ("mars:soon", 400), (",%20,", 400)] {
-        let target = format!("/paths/probability?cell=*,*&level=fine&path={path}");
+        let target = format!("/paths/probability?cell=*,*&level=loc0/dur0&path={path}");
         let (status, _, body) = get(addr, &target, &[]);
         assert_eq!(status, want, "path={path:?} got {body:?}");
     }
@@ -92,7 +77,7 @@ fn survives_malformed_and_hostile_input() {
     assert!(body.contains("\"ok\":true"), "got {body:?}");
     assert!(body.contains("\"status\":\"ok\""), "got {body:?}");
     assert!(body.contains("\"worker_crashes\":0"), "got {body:?}");
-    let (status, _, body) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+    let (status, _, body) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200, "got {body:?}");
     assert!(body.contains("\"support\""), "got {body:?}");
 
@@ -110,7 +95,7 @@ fn concurrent_clients_get_consistent_answers() {
         threads.push(std::thread::spawn(move || {
             let mut bodies = Vec::new();
             for _ in 0..10 {
-                let (status, _, body) = get(addr, "/cell?cell=*,*&level=fine", &[]);
+                let (status, _, body) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
                 assert_eq!(status, 200);
                 bodies.push(body);
             }

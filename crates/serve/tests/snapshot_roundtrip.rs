@@ -18,44 +18,24 @@
 //!   was written from, and answers queries identically once re-encoded.
 
 use flowcube_core::{display_key, FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, DimShape, GeneratorConfig};
-use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel, Schema};
+use flowcube_datagen::{generate, GeneratorConfig};
+use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
 use flowcube_serve::crc::crc32;
 use flowcube_serve::snapshot::{SectionDesc, KIND_CUBOID};
 use flowcube_serve::{
     load_v1_cube, write_snapshot, ServedCube, Snapshot, SnapshotError, FORMAT_VERSION,
 };
+use flowcube_testkit::temp_path;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("flowcube-snap-test-{}-{name}", std::process::id()))
-}
-
-fn two_level_spec(schema: &Schema) -> PathLatticeSpec {
-    let loc = schema.locations();
-    let fine = LocationCut::uniform_level(loc, loc.max_level());
-    PathLatticeSpec::new(vec![
-        PathLevel::new("fine", fine.clone(), DurationLevel::Raw),
-        PathLevel::new("fine/any", fine, DurationLevel::Any),
-    ])
-}
-
 /// A small deterministic cube, varied by the inputs.
 fn small_cube_threads(paths: usize, seed: u64, min_support: u64, threads: usize) -> FlowCube {
-    let config = GeneratorConfig {
-        num_paths: paths,
-        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
-        num_sequences: 5,
-        seed,
-        ..Default::default()
-    };
-    let db = generate(&config).db;
-    let spec = two_level_spec(db.schema());
+    let db = generate(&GeneratorConfig::small(paths, seed)).db;
     FlowCube::build(
         &db,
-        spec,
+        PathLatticeSpec::paper(db.schema().locations(), 2),
         FlowCubeParams::new(min_support).with_threads(threads),
         ItemPlan::All,
     )
@@ -108,7 +88,7 @@ proptest! {
         min_support in 4u64..20,
     ) {
         let cube = small_cube(paths, seed, min_support);
-        let path = tmp(&format!("rt-{paths}-{seed}-{min_support}.snap"));
+        let path = temp_path(&format!("rt-{paths}-{seed}-{min_support}.snap"));
         write_snapshot(&cube, &path).expect("write");
 
         let snap = Snapshot::open(&path).expect("open");
@@ -124,8 +104,8 @@ proptest! {
 #[test]
 fn snapshot_bytes_are_deterministic() {
     let cube = small_cube(80, 7, 8);
-    let a = tmp("det-a.snap");
-    let b = tmp("det-b.snap");
+    let a = temp_path("det-a.snap");
+    let b = temp_path("det-b.snap");
     write_snapshot(&cube, &a).expect("write a");
     write_snapshot(&cube, &b).expect("write b");
     assert_eq!(
@@ -142,22 +122,18 @@ fn snapshot_bytes_are_deterministic() {
 /// `write_snapshot` canonicalizes away the thread knob and the timings.
 #[test]
 fn snapshot_bytes_identical_across_thread_counts() {
-    let reference = {
-        let cube = small_cube_threads(90, 13, 8, 1);
-        let p = tmp("threads-1.snap");
-        write_snapshot(&cube, &p).expect("write");
+    let bytes = |threads| {
+        let p = temp_path(&format!("threads-{threads}.snap"));
+        write_snapshot(&small_cube_threads(90, 13, 8, threads), &p).expect("write");
         let bytes = std::fs::read(&p).unwrap();
         let _ = std::fs::remove_file(&p);
         bytes
     };
+    let reference = bytes(1);
     for threads in [2usize, 7] {
-        let cube = small_cube_threads(90, 13, 8, threads);
-        let p = tmp(&format!("threads-{threads}.snap"));
-        write_snapshot(&cube, &p).expect("write");
-        let bytes = std::fs::read(&p).unwrap();
-        let _ = std::fs::remove_file(&p);
         assert_eq!(
-            bytes, reference,
+            bytes(threads),
+            reference,
             "snapshot built with {threads} threads differs from serial"
         );
     }
@@ -168,14 +144,14 @@ fn snapshot_bytes_identical_across_thread_counts() {
 #[test]
 fn truncation_fails_cleanly() {
     let cube = small_cube(60, 3, 6);
-    let path = tmp("trunc.snap");
+    let path = temp_path("trunc.snap");
     write_snapshot(&cube, &path).expect("write");
     let full = std::fs::read(&path).unwrap();
 
     // A spread of cut points: inside magic, header, index, payloads.
     let cuts = [0, 4, 8, 11, 16, 23, 40, full.len() / 2, full.len() - 1];
     for cut in cuts {
-        let t = tmp(&format!("trunc-{cut}.snap"));
+        let t = temp_path(&format!("trunc-{cut}.snap"));
         std::fs::write(&t, &full[..cut]).unwrap();
         let result = Snapshot::open(&t).and_then(|s| ServedCube::from_snapshot(s).folded_cube());
         assert!(
@@ -192,7 +168,7 @@ fn truncation_fails_cleanly() {
 #[test]
 fn corrupted_payload_is_detected() {
     let cube = small_cube(60, 4, 6);
-    let path = tmp("crc.snap");
+    let path = temp_path("crc.snap");
     write_snapshot(&cube, &path).expect("write");
     let full = std::fs::read(&path).unwrap();
 
@@ -203,7 +179,7 @@ fn corrupted_payload_is_detected() {
         let pos = full.len() - full.len() / frac - 1;
         let mut bad = full.clone();
         bad[pos] ^= 0x40;
-        let t = tmp(&format!("crc-{frac}.snap"));
+        let t = temp_path(&format!("crc-{frac}.snap"));
         std::fs::write(&t, &bad).unwrap();
         let result = Snapshot::open(&t).and_then(|s| {
             // Either open itself (metadata/index) or a cuboid load must
@@ -224,7 +200,7 @@ fn corrupted_payload_is_detected() {
 #[test]
 fn future_version_is_rejected() {
     let cube = small_cube(50, 5, 6);
-    let path = tmp("ver.snap");
+    let path = temp_path("ver.snap");
     write_snapshot(&cube, &path).expect("write");
     let mut bytes = std::fs::read(&path).unwrap();
     // Bytes 8..12 are the little-endian format version.
@@ -242,7 +218,7 @@ fn future_version_is_rejected() {
 
 #[test]
 fn wrong_magic_is_rejected() {
-    let path = tmp("magic.snap");
+    let path = temp_path("magic.snap");
     std::fs::write(&path, b"NOTACUBExxxxxxxxxxxxxxxxxxxxxxxx").unwrap();
     assert!(matches!(
         Snapshot::open(&path),
@@ -257,7 +233,7 @@ fn wrong_magic_is_rejected() {
 #[test]
 fn version_zero_is_rejected() {
     let cube = small_cube(50, 5, 6);
-    let path = tmp("ver0.snap");
+    let path = temp_path("ver0.snap");
     write_snapshot(&cube, &path).expect("write");
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[8..12].copy_from_slice(&0u32.to_le_bytes());
@@ -349,7 +325,7 @@ fn at_1_and_4_threads<R: PartialEq + std::fmt::Debug>(check: impl Fn() -> R) -> 
 /// the hot-reload admission path, and the one that must reject every
 /// corruption class below with a typed error instead of a panic.
 fn open_and_verify(bytes: &[u8], name: &str) -> Result<(), SnapshotError> {
-    let p = tmp(name);
+    let p = temp_path(name);
     std::fs::write(&p, bytes).unwrap();
     let r = at_1_and_4_threads(|| Snapshot::open(&p).and_then(|s| s.verify_all()));
     let _ = std::fs::remove_file(&p);
@@ -361,7 +337,7 @@ fn open_and_verify(bytes: &[u8], name: &str) -> Result<(), SnapshotError> {
 /// to corrupt).
 fn v2_bytes_with_cuboid(name: &str, min_cells: u64) -> (Vec<u8>, usize) {
     let cube = small_cube(120, 11, 4);
-    let p = tmp(name);
+    let p = temp_path(name);
     write_snapshot(&cube, &p).expect("write");
     let full = std::fs::read(&p).unwrap();
     let _ = std::fs::remove_file(&p);
@@ -518,7 +494,7 @@ fn spec_section_with_a_repeated_level_is_typed() {
 #[test]
 fn file_truncated_under_an_open_snapshot_is_typed() {
     let cube = small_cube(120, 11, 4);
-    let p = tmp("shrunk.snap");
+    let p = temp_path("shrunk.snap");
     write_snapshot(&cube, &p).expect("write");
     let snapshot = Snapshot::open(&p).expect("open");
     assert!(snapshot.num_cuboids() > 8, "enough sections to fan out");
@@ -545,7 +521,20 @@ fn file_truncated_under_an_open_snapshot_is_typed() {
 /// The cube the checked-in v1 fixture was written from. The fixture is
 /// frozen: this build has no v1 writer to regenerate it with.
 fn golden_cube() -> FlowCube {
-    small_cube(30, 1, 4)
+    let db = generate(&GeneratorConfig::small(30, 1)).db;
+    let loc = db.schema().locations();
+    let fine = LocationCut::uniform_level(loc, loc.max_level());
+    // Hand-built, not `paper(_, 2)`: the fixture stores these level names.
+    let spec = PathLatticeSpec::new(vec![
+        PathLevel::new("fine", fine.clone(), DurationLevel::Raw),
+        PathLevel::new("fine/any", fine, DurationLevel::Any),
+    ]);
+    FlowCube::build(
+        &db,
+        spec,
+        FlowCubeParams::new(4).with_threads(1),
+        ItemPlan::All,
+    )
 }
 
 fn golden_path() -> PathBuf {
@@ -572,7 +561,7 @@ fn golden_v1_fixture_is_upgrade_only() {
     cube.ensure_same(&golden).unwrap_or_else(|d| panic!("{d}"));
     assert_eq!(query_fingerprint(&cube), want);
 
-    let v2 = tmp("golden-v2.snap");
+    let v2 = temp_path("golden-v2.snap");
     write_snapshot(&cube, &v2).expect("write v2");
     let loaded_v2 = ServedCube::from_snapshot(Snapshot::open(&v2).expect("open v2"))
         .folded_cube()

@@ -6,32 +6,14 @@
 //! no concurrent writer to land in.
 
 use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, DimShape, GeneratorConfig};
-use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube_datagen::{generate, GeneratorConfig};
+use flowcube_hier::PathLatticeSpec;
 use flowcube_serve::{write_snapshot, ServedCube, Snapshot, SnapshotError};
-use flowcube_testkit::FailAction;
-
-fn cube(seed: u64, min_support: u64) -> FlowCube {
-    let db = generate(&GeneratorConfig {
-        num_paths: 120,
-        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
-        num_sequences: 5,
-        seed,
-        ..Default::default()
-    })
-    .db;
-    let loc = db.schema().locations();
-    let spec = PathLatticeSpec::new(vec![PathLevel::new(
-        "fine",
-        LocationCut::uniform_level(loc, loc.max_level()),
-        DurationLevel::Raw,
-    )]);
-    FlowCube::build(&db, spec, FlowCubeParams::new(min_support), ItemPlan::All)
-}
+use flowcube_testkit::{temp_path, FailAction};
 
 #[test]
 fn a_write_onto_a_served_path_replaces_the_file_atomically() {
-    let dir = std::env::temp_dir().join(format!("flowcube-snap-write-{}", std::process::id()));
+    let dir = temp_path("snap-write");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("cube.snap");
@@ -44,6 +26,11 @@ fn a_write_onto_a_served_path_replaces_the_file_atomically() {
         names
     };
 
+    let cube = |seed, min_support| {
+        let db = generate(&GeneratorConfig::small(120, seed)).db;
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
+        FlowCube::build(&db, spec, FlowCubeParams::new(min_support), ItemPlan::All)
+    };
     let (old, new) = (cube(31, 4), cube(32, 8));
     assert_ne!(old.total_cells(), new.total_cells());
     write_snapshot(&old, &path).expect("write old");

@@ -66,8 +66,8 @@
 //! [`any_armed`] to keep the disabled path allocation-free.
 //!
 //! The crate also carries the integration suites' one raw HTTP client,
-//! [`http`], and the digest golden-file tests pin bytes with,
-//! [`sha256_hex`].
+//! [`http`], the digest golden-file tests pin bytes with,
+//! [`sha256_hex`], and their one scratch-file namer, [`temp_path`].
 
 pub mod http;
 mod sha256;
@@ -75,8 +75,16 @@ pub use sha256::sha256_hex;
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+
+/// A path in the system temp directory for a test's scratch file or
+/// directory `name`, unique to this process and name: test binaries that
+/// run at once never share one. Nothing is created.
+pub fn temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("flowcube-test-{}-{name}", std::process::id()))
+}
 
 /// Environment variable read by [`init_from_env`].
 pub const FAILPOINTS_ENV: &str = "FLOWCUBE_FAILPOINTS";

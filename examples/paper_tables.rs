@@ -7,7 +7,7 @@
 //! cargo run --example paper_tables
 //! ```
 
-use flowcube::hier::{DurationLevel, ItemLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube::hier::{ItemLevel, PathLatticeSpec};
 use flowcube::mining::{mine_shared, TransactionDb};
 use flowcube::pathdb::{samples, MergePolicy};
 use flowcube_mining::buc_iceberg;
@@ -45,28 +45,14 @@ fn main() {
     }
 
     println!("\n== Table 3: transformed transaction database (base path level) ==");
-    let loc = schema.locations();
-    let spec = PathLatticeSpec::new(vec![PathLevel::new(
-        "base",
-        LocationCut::uniform_level(loc, 2),
-        DurationLevel::Raw,
-    )]);
+    let spec = PathLatticeSpec::paper(schema.locations(), 1);
     let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
     for i in 0..tx.len() {
         println!("  {:>2}  {}", tx.record_id(i), tx.display_transaction(i));
     }
 
     println!("\n== Table 4: frequent itemsets (δ = 3), lengths 1 and 2 ==");
-    let spec4 = {
-        let fine = LocationCut::uniform_level(loc, 2);
-        let coarse = LocationCut::uniform_level(loc, 1);
-        PathLatticeSpec::new(vec![
-            PathLevel::new("loc0/dur0", fine.clone(), DurationLevel::Raw),
-            PathLevel::new("loc0/dur*", fine, DurationLevel::Any),
-            PathLevel::new("loc1/dur0", coarse.clone(), DurationLevel::Raw),
-            PathLevel::new("loc1/dur*", coarse, DurationLevel::Any),
-        ])
-    };
+    let spec4 = PathLatticeSpec::paper(schema.locations(), 4);
     let tx4 = TransactionDb::encode(&db, spec4, MergePolicy::Sum);
     let out = mine_shared(&tx4, 3);
     for k in [1usize, 2] {

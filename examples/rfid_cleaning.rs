@@ -8,7 +8,7 @@
 
 use flowcube::core::{FlowCube, FlowCubeParams, ItemPlan};
 use flowcube::datagen::{generate, to_readings, GeneratorConfig};
-use flowcube::hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube::hier::PathLatticeSpec;
 use flowcube::pathdb::{clean_readings, stays_to_record, CleanerConfig, PathDatabase};
 
 fn main() {
@@ -59,15 +59,9 @@ fn main() {
     println!("stage-exact reconstructions: {matches}/{}", db.len());
 
     // Cube the reconstruction.
-    let loc = db.schema().locations();
-    let spec = PathLatticeSpec::new(vec![PathLevel::new(
-        "leaf",
-        LocationCut::uniform_level(loc, 2),
-        DurationLevel::Raw,
-    )]);
     let cube = FlowCube::build(
         &db,
-        spec,
+        PathLatticeSpec::paper(db.schema().locations(), 1),
         FlowCubeParams::new(40).with_exceptions(false),
         ItemPlan::All,
     );

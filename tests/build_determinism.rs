@@ -6,7 +6,7 @@
 //! takes [`serial`] first.
 
 use flowcube::datagen::{generate, DimShape, GeneratorConfig};
-use flowcube::hier::{DurationLevel, ItemLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube::hier::{ItemLevel, PathLatticeSpec};
 use flowcube::testkit::{self, sha256_hex, FailAction};
 use flowcube::{FlowCube, FlowCubeParams, ItemPlan, PathDatabase};
 use std::sync::{Mutex, MutexGuard};
@@ -33,15 +33,7 @@ fn fixture() -> (PathDatabase, PathLatticeSpec) {
         ..Default::default()
     };
     let db = generate(&config).db;
-    let loc = db.schema().locations();
-    let fine = LocationCut::uniform_level(loc, loc.max_level());
-    let coarse = LocationCut::uniform_level(loc, loc.max_level() - 1);
-    let spec = PathLatticeSpec::new(vec![
-        PathLevel::new("loc0/dur0", fine.clone(), DurationLevel::Raw),
-        PathLevel::new("loc0/dur*", fine, DurationLevel::Any),
-        PathLevel::new("loc1/dur0", coarse.clone(), DurationLevel::Raw),
-        PathLevel::new("loc1/dur*", coarse, DurationLevel::Any),
-    ]);
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
     (db, spec)
 }
 

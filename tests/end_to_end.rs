@@ -3,10 +3,11 @@
 
 use flowcube::core::{FlowCube, FlowCubeParams, ItemPlan};
 use flowcube::datagen::{generate, to_readings, GeneratorConfig};
-use flowcube::hier::{
-    ConceptId, DurationLevel, ItemLevel, LocationCut, PathLatticeSpec, PathLevel,
-};
+use flowcube::hier::{ConceptId, ItemLevel};
 use flowcube::pathdb::{clean_readings, stays_to_record, CleanerConfig, PathDatabase};
+
+mod common;
+use common::two_level_spec;
 
 fn pipeline_db(num_paths: usize, seed: u64) -> PathDatabase {
     let config = GeneratorConfig {
@@ -37,22 +38,6 @@ fn pipeline_db(num_paths: usize, seed: u64) -> PathDatabase {
         .unwrap();
     }
     db
-}
-
-fn two_level_spec(db: &PathDatabase) -> PathLatticeSpec {
-    let loc = db.schema().locations();
-    PathLatticeSpec::new(vec![
-        PathLevel::new(
-            "leaf",
-            LocationCut::uniform_level(loc, 2),
-            DurationLevel::Raw,
-        ),
-        PathLevel::new(
-            "group",
-            LocationCut::uniform_level(loc, 1),
-            DurationLevel::Any,
-        ),
-    ])
 }
 
 #[test]
@@ -184,12 +169,7 @@ fn cuboid_partitions_database() {
 #[test]
 fn facade_reexports() {
     let db = flowcube::pathdb::samples::paper_table1();
-    let loc = db.schema().locations();
-    let spec = flowcube::PathLatticeSpec::new(vec![flowcube::PathLevel::new(
-        "x",
-        flowcube::LocationCut::uniform_level(loc, 2),
-        flowcube::DurationLevel::Raw,
-    )]);
+    let spec = flowcube::PathLatticeSpec::paper(db.schema().locations(), 1);
     let cube = flowcube::FlowCube::build(
         &db,
         spec,

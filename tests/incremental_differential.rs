@@ -20,12 +20,13 @@
 //! subset of the batch rebuild.
 
 use flowcube::core::{BuildStats, CellKey, CubeDelta, CuboidKey};
+use flowcube::datagen::generate;
 use flowcube::hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
 use flowcube::{FlowCube, FlowCubeParams, ItemPlan, PathDatabase};
 use proptest::prelude::*;
 
 mod common;
-use common::{gen_db, snapshot_bytes};
+use common::{short_paths, snapshot_bytes};
 
 /// Split `db` into `k` contiguous non-empty micro-batches.
 fn split_db(db: &PathDatabase, k: usize) -> Vec<PathDatabase> {
@@ -91,7 +92,8 @@ proptest! {
         seed in 0u64..1000,
         k in 2usize..6,
     ) {
-        let (db, spec) = gen_db(paths, seed);
+        let db = generate(&short_paths(paths, seed)).db;
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
         let params = FlowCubeParams::new(1).with_exceptions(false);
         let batches = split_db(&db, k);
 
@@ -116,7 +118,8 @@ proptest! {
         seed in 0u64..1000,
         k in 2usize..4,
     ) {
-        let (db, spec) = gen_db(paths, seed);
+        let db = generate(&short_paths(paths, seed)).db;
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
         let params = FlowCubeParams::new(1); // exceptions on by default
         let batches = split_db(&db, k);
 
@@ -136,7 +139,8 @@ proptest! {
         seed in 0u64..1000,
         k in 2usize..5,
     ) {
-        let (db, spec) = gen_db(paths, seed);
+        let db = generate(&short_paths(paths, seed)).db;
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
         let params = FlowCubeParams::new(3).with_exceptions(false);
         let batches = split_db(&db, k);
 
@@ -168,7 +172,8 @@ proptest! {
 /// paths and zero cells, and applying it changes nothing.
 #[test]
 fn empty_batch_delta_is_a_noop() {
-    let (db, spec) = gen_db(24, 7);
+    let db = generate(&short_paths(24, 7)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
     let params = FlowCubeParams::new(1).with_exceptions(false);
     let mut cube = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
     let before = cube.clone();
@@ -194,7 +199,8 @@ fn empty_batch_delta_is_a_noop() {
 /// before it can corrupt the cube.
 #[test]
 fn mismatched_delta_is_rejected() {
-    let (db, spec) = gen_db(24, 11);
+    let db = generate(&short_paths(24, 11)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
     let params = FlowCubeParams::new(1).with_exceptions(false);
     let mut cube = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
     let before = cube.clone();
@@ -218,7 +224,8 @@ fn mismatched_delta_is_rejected() {
 /// iceberg is re-enforced on the union.
 #[test]
 fn merge_from_combines_stats_and_reenforces_iceberg() {
-    let (db, spec) = gen_db(48, 3);
+    let db = generate(&short_paths(48, 3)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
     let params = FlowCubeParams::new(2).with_exceptions(false);
     let halves = split_db(&db, 2);
 

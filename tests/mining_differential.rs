@@ -8,16 +8,17 @@
 //! brute-force support oracle on proptest-generated path databases.
 
 use flowcube::core::{level_of_key, CellKey, ItemPlan};
-use flowcube::datagen::{generate, DimShape, GeneratorConfig};
-use flowcube::hier::{
-    ConceptId, DurationLevel, ItemLevel, LocationCut, PathLatticeSpec, PathLevel,
-};
+use flowcube::datagen::generate;
+use flowcube::hier::{ConceptId, ItemLevel, PathLatticeSpec};
 use flowcube::mining::{
     buc_iceberg, mine, mine_cubing, CubingConfig, FrequentItemsets, ItemId, ItemKind, SharedConfig,
     TransactionDb,
 };
 use flowcube::pathdb::{MergePolicy, PathDatabase};
 use proptest::prelude::*;
+
+mod common;
+use common::short_paths;
 
 /// A generated path database plus its transaction encoding, sized so the
 /// parallel cutoff (8 transactions) is always cleared.
@@ -28,28 +29,9 @@ fn encode_db(paths: usize, seed: u64) -> (PathDatabase, TransactionDb) {
 /// [`encode_db`], optionally with the coarser location cut as well: two
 /// concrete-duration path levels, so itemsets can mix levels.
 fn encode_levels(paths: usize, seed: u64, two_cuts: bool) -> (PathDatabase, TransactionDb) {
-    let config = GeneratorConfig {
-        num_paths: paths,
-        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
-        num_sequences: 5,
-        path_len: (3, 5),
-        max_duration: 4,
-        seed,
-        ..Default::default()
-    };
-    let db = generate(&config).db;
-    let loc = db.schema().locations();
-    let fine = LocationCut::uniform_level(loc, loc.max_level());
-    let mut levels = vec![
-        PathLevel::new("fine", fine.clone(), DurationLevel::Raw),
-        PathLevel::new("fine/any", fine, DurationLevel::Any),
-    ];
-    if two_cuts {
-        let coarse = LocationCut::uniform_level(loc, loc.max_level() - 1);
-        levels.push(PathLevel::new("coarse", coarse.clone(), DurationLevel::Raw));
-        levels.push(PathLevel::new("coarse/any", coarse, DurationLevel::Any));
-    }
-    let tx = TransactionDb::encode(&db, PathLatticeSpec::new(levels), MergePolicy::Sum);
+    let db = generate(&short_paths(paths, seed)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), if two_cuts { 4 } else { 2 });
+    let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
     (db, tx)
 }
 

@@ -5,13 +5,15 @@
 
 use flowcube::core::{FlowCube, FlowCubeParams, ItemPlan};
 use flowcube::datagen::{generate, GeneratorConfig};
-use flowcube::hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
 use flowcube::mining::{mine, mine_cubing, CubingConfig, SharedConfig, TransactionDb};
 use flowcube::obs;
 use flowcube::pathdb::{MergePolicy, PathDatabase};
 use serde_json::{Number, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
+
+mod common;
+use common::two_level_spec;
 
 /// The recorder is process-global; every test here serializes on this so
 /// one test's spans never leak into another's exported trace.
@@ -24,22 +26,6 @@ fn test_db() -> PathDatabase {
         ..Default::default()
     };
     generate(&config).db
-}
-
-fn two_level_spec(db: &PathDatabase) -> PathLatticeSpec {
-    let loc = db.schema().locations();
-    PathLatticeSpec::new(vec![
-        PathLevel::new(
-            "leaf",
-            LocationCut::uniform_level(loc, loc.max_level()),
-            DurationLevel::Raw,
-        ),
-        PathLevel::new(
-            "group",
-            LocationCut::uniform_level(loc, loc.max_level().saturating_sub(1).max(1)),
-            DurationLevel::Any,
-        ),
-    ])
 }
 
 fn field<'a>(fields: &'a [(String, Value)], key: &str) -> &'a Value {
@@ -60,7 +46,7 @@ fn parallel_build_chrome_trace_wellformed() {
     let mut params = FlowCubeParams::new(20).with_redundancy(0.05);
     params.threads = 2;
     let cube = FlowCube::build(&db, spec, params, ItemPlan::All);
-    let snap = std::env::temp_dir().join(format!("flowcube-obs-trace-{}.snap", std::process::id()));
+    let snap = flowcube::testkit::temp_path("obs-trace.snap");
     let written = flowcube::serve::write_snapshot(&cube, &snap).expect("snapshot writes");
     let _ = std::fs::remove_file(&snap);
     let json = obs::export::chrome_trace_json();

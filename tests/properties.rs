@@ -2,9 +2,7 @@
 //! algorithm invariants.
 
 use flowcube::flowgraph::{CountDist, FlowGraph};
-use flowcube::hier::{
-    ConceptHierarchy, ConceptId, DurationLevel, LocationCut, PathLatticeSpec, PathLevel, Schema,
-};
+use flowcube::hier::{ConceptHierarchy, ConceptId, PathLatticeSpec, Schema};
 use flowcube::mining::{mine_basic, mine_cubing, mine_shared, CubingConfig, TransactionDb};
 use flowcube::pathdb::{aggregate_stages, AggStage, MergePolicy, PathDatabase, PathRecord, Stage};
 use proptest::prelude::*;
@@ -77,18 +75,6 @@ fn arb_db(max_records: usize) -> impl Strategy<Value = PathDatabase> {
     })
 }
 
-fn spec_for(db: &PathDatabase) -> PathLatticeSpec {
-    let loc = db.schema().locations();
-    let fine = LocationCut::uniform_level(loc, 2);
-    let coarse = LocationCut::uniform_level(loc, 1);
-    PathLatticeSpec::new(vec![
-        PathLevel::new("fine", fine.clone(), DurationLevel::Raw),
-        PathLevel::new("fine*", fine, DurationLevel::Any),
-        PathLevel::new("coarse", coarse.clone(), DurationLevel::Raw),
-        PathLevel::new("coarse*", coarse, DurationLevel::Any),
-    ])
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -96,7 +82,7 @@ proptest! {
     /// consecutive duplicate locations.
     #[test]
     fn aggregation_preserves_total_duration(db in arb_db(12)) {
-        let spec = spec_for(&db);
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         for r in db.records() {
             for lvl in [0u16, 2] {
                 let level = spec.level(lvl);
@@ -115,7 +101,7 @@ proptest! {
     /// the number of inserted paths.
     #[test]
     fn flowgraph_conservation(db in arb_db(20)) {
-        let spec = spec_for(&db);
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         let paths: Vec<Vec<AggStage>> = db
             .records()
             .iter()
@@ -133,7 +119,7 @@ proptest! {
     /// regardless of the split point.
     #[test]
     fn flowgraph_merge_equals_union(db in arb_db(16), split in 0usize..16) {
-        let spec = spec_for(&db);
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         let paths: Vec<Vec<AggStage>> = db
             .records()
             .iter()
@@ -152,7 +138,7 @@ proptest! {
     /// frequent with at least the same support.
     #[test]
     fn frequent_itemsets_are_downward_closed(db in arb_db(14)) {
-        let spec = spec_for(&db);
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
         let delta = 2u64;
         let out = mine_shared(&tx, delta);
@@ -184,7 +170,7 @@ proptest! {
     /// The three algorithms agree on every random database.
     #[test]
     fn algorithms_agree(db in arb_db(12)) {
-        let spec = spec_for(&db);
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
         let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
         let delta = 2u64;
         let shared = mine_shared(&tx, delta);

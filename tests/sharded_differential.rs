@@ -13,12 +13,14 @@
 //! build-history counters, and the sharded pipeline reproduces content
 //! exactly.
 
+use flowcube::datagen::generate;
 use flowcube::federate::{build_sharded, merge_shard_parts, shard_db, ShardPart};
+use flowcube::hier::PathLatticeSpec;
 use flowcube::{FlowCube, FlowCubeParams, ItemPlan};
 use proptest::prelude::*;
 
 mod common;
-use common::{gen_db, snapshot_bytes};
+use common::{short_paths, snapshot_bytes};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -34,7 +36,8 @@ proptest! {
         delta in 1u64..4,
     ) {
         let shards = [2u32, 3, 7][shard_idx];
-        let (db, spec) = gen_db(paths, seed);
+        let db = generate(&short_paths(paths, seed)).db;
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
         let params = FlowCubeParams::new(delta);
 
         let sharded = build_sharded(&db, spec.clone(), &params, shards)
@@ -59,7 +62,8 @@ proptest! {
         seed in 0u64..1000,
         shards in 2u32..4,
     ) {
-        let (db, spec) = gen_db(paths, seed);
+        let db = generate(&short_paths(paths, seed)).db;
+        let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
         let mut params = FlowCubeParams::new(1);
         params.redundancy_tau = Some(0.5);
 
@@ -81,7 +85,8 @@ proptest! {
 /// pipeline must treat an empty shard as a legal zero, not an error.
 #[test]
 fn empty_shards_merge_cleanly() {
-    let (db, spec) = gen_db(8, 5);
+    let db = generate(&short_paths(8, 5)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
     let params = FlowCubeParams::new(1);
     let sharded = build_sharded(&db, spec.clone(), &params, 97).expect("97-way shard of 8 paths");
     let single = FlowCube::build(&db, spec, params, ItemPlan::All);
@@ -98,7 +103,8 @@ fn empty_shards_merge_cleanly() {
 fn merge_rejects_inconsistent_part_sets() {
     use flowcube::federate::{build_shard_part, partial_params, FederateError};
 
-    let (db, spec) = gen_db(30, 9);
+    let db = generate(&short_paths(30, 9)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
     let params = FlowCubeParams::new(1);
     let parts: Vec<ShardPart> = (0..3)
         .map(|k| build_shard_part(&db, spec.clone(), &params, 3, k).unwrap())

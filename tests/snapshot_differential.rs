@@ -21,44 +21,27 @@
 //! through `load_v1_cube` + `write_snapshot`, it answers like core.
 
 use flowcube::core::{display_key, view, CuboidRead};
-use flowcube::datagen::{generate, DimShape, GeneratorConfig};
+use flowcube::datagen::{generate, GeneratorConfig};
 use flowcube::flowgraph::{path_probability, top_k_paths, ExceptionDetail, GraphRead};
-use flowcube::hier::{ConceptId, DurationLevel, LocationCut, PathLatticeSpec, PathLevel, Schema};
+use flowcube::hier::{ConceptId, PathLatticeSpec, Schema};
 use flowcube::pathdb::AggStage;
 use flowcube::serve::http::Request;
 use flowcube::serve::{
     handle_request, load_v1_cube, write_snapshot, AppState, RequestCtx, ResponseCache, ServedCube,
     Snapshot,
 };
+use flowcube::testkit::temp_path;
 use flowcube::{FlowCube, FlowCubeParams, ItemPlan};
 use proptest::prelude::*;
 use serde_json::{Number, Value};
-use std::path::PathBuf;
-
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("flowcube-snap-diff-{}-{name}", std::process::id()))
-}
 
 /// A small deterministic cube with exceptions on — the exception
 /// columns must survive the encoding too, not just the flowgraphs.
 fn small_cube(paths: usize, seed: u64, min_support: u64) -> FlowCube {
-    let config = GeneratorConfig {
-        num_paths: paths,
-        dims: vec![DimShape::new(vec![2, 3], 0.7); 2],
-        num_sequences: 5,
-        seed,
-        ..Default::default()
-    };
-    let db = generate(&config).db;
-    let loc = db.schema().locations();
-    let fine = LocationCut::uniform_level(loc, loc.max_level());
-    let spec = PathLatticeSpec::new(vec![
-        PathLevel::new("fine", fine.clone(), DurationLevel::Raw),
-        PathLevel::new("fine/any", fine, DurationLevel::Any),
-    ]);
+    let db = generate(&GeneratorConfig::small(paths, seed)).db;
     FlowCube::build(
         &db,
-        spec,
+        PathLatticeSpec::paper(db.schema().locations(), 2),
         FlowCubeParams::new(min_support).with_threads(1),
         ItemPlan::All,
     )
@@ -378,7 +361,7 @@ proptest! {
         let cube = small_cube(paths, seed, min_support);
         let matrix = request_matrix(&cube);
         let tag = format!("{paths}-{seed}-{min_support}");
-        let file = tmp(&format!("{tag}.snap"));
+        let file = temp_path(&format!("{tag}.snap"));
         write_snapshot(&cube, &file).expect("write");
 
         let image = AppState::new(
@@ -398,7 +381,7 @@ proptest! {
         // Re-encode stability: one canonical byte string per content.
         let reopened = Snapshot::open(&file).expect("reopen");
         let reloaded = ServedCube::from_snapshot(reopened).folded_cube().expect("load");
-        let rewrite = tmp(&format!("{tag}-rewrite.snap"));
+        let rewrite = temp_path(&format!("{tag}-rewrite.snap"));
         write_snapshot(&reloaded, &rewrite).expect("rewrite");
         prop_assert_eq!(
             std::fs::read(&file).expect("read"),
@@ -420,7 +403,7 @@ proptest! {
         min_support in 2u64..10,
     ) {
         let cube = small_cube(paths, seed, min_support);
-        let file = tmp(&format!("ops-{paths}-{seed}-{min_support}.snap"));
+        let file = temp_path(&format!("ops-{paths}-{seed}-{min_support}.snap"));
         write_snapshot(&cube, &file).expect("write");
         let snapshot = Snapshot::open(&file).expect("open");
 
@@ -478,7 +461,7 @@ fn golden_v1_upgrade_answers_like_core() {
         "/crates/serve/tests/fixtures/golden_v1.snap"
     );
     let cube = load_v1_cube(fixture).expect("read golden v1");
-    let upgraded = tmp("golden-upgraded.snap");
+    let upgraded = temp_path("golden-upgraded.snap");
     write_snapshot(&cube, &upgraded).expect("write upgrade");
     let snapshot = Snapshot::open(&upgraded).expect("open upgrade");
     let state = AppState::new(ServedCube::from_snapshot(snapshot), ResponseCache::new(64));
