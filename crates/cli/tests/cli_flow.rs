@@ -306,3 +306,70 @@ fn shard_parts_serve_and_merge_to_the_build() {
         let _ = std::fs::remove_file(f);
     }
 }
+
+/// Table 1's database as a `--db` / `--schema-from` file.
+fn paper_db(name: &str) -> String {
+    let path = temp_path(name).display().to_string();
+    let db = flowcube_pathdb::samples::paper_table1();
+    std::fs::write(&path, serde_json::to_string(&db).unwrap()).unwrap();
+    path
+}
+
+/// `ingest --text`: one bad line fails a strict parse as bad data (exit
+/// 65); a lenient one writes the good records.
+#[test]
+fn ingest_text_is_strict_or_lenient() {
+    let [text, out] = ["paths8.txt", "clean8.json"].map(|n| temp_path(n).display().to_string());
+    let schema = paper_db("db8.json");
+    let lines = "tennis, nike : (factory,1)(shelf,2)\nnot a path\nshirt, adidas : (factory,3)\n";
+    std::fs::write(&text, lines).unwrap();
+    let ingest = format!("ingest --text {text} --schema-from {schema} --out {out}");
+    let err = commands::ingest(&args(&ingest)).expect_err("strict refuses the bad line");
+    assert_eq!(err.code, 65, "{}", err.message);
+    commands::ingest(&args(&format!("{ingest} --on-error lenient"))).expect("lenient");
+    let written = std::fs::read_to_string(&out).unwrap();
+    let db: flowcube_pathdb::PathDatabase = serde_json::from_str(&written).unwrap();
+    assert_eq!(db.len(), 2);
+    for f in [&text, &out, &schema] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+/// `ingest --follow --once` writes one delta line per commit to `--out`
+/// and posts each to a live server, whose apex counts the log's paths. A
+/// `--post` URL without `http://` is refused before the log is read, so
+/// no delta reaches `--out`.
+#[test]
+fn ingest_follow_writes_and_posts_each_commit() {
+    let [log, out, snap] = ["readings9.log", "deltas9.jsonl", "cube9.snap"]
+        .map(|n| temp_path(n).display().to_string());
+    let db = paper_db("db9.json");
+    let flags = format!("--db {db} --min-support 1 --no-exceptions");
+    commands::build(&args(&format!("build {flags} --out {snap}"))).expect("build");
+    let readings = "item 101 tennis nike\nitem 102 shirt adidas\nitem 103 sandals nike\n\
+                    read 101 factory 0\nread 101 truck 4\nread 102 factory 1\ncommit\n\
+                    read 103 factory 2\nread 103 shelf 5\ncommit\nend\n";
+    std::fs::write(&log, readings).unwrap();
+    let follow = format!("ingest --follow {log} {flags} --once --out {out}");
+    let post = |url: &str| commands::ingest(&args(&format!("{follow} --post {url}")));
+    let err = post("localhost:7070/admin/ingest").expect_err("no scheme");
+    assert!(err.message.contains("only http:// URLs"), "{}", err.message);
+    assert!(std::fs::metadata(&out).is_err(), "--out was written");
+
+    let handle = commands::serve_with_handle(&args(&format!(
+        "serve --snapshot {snap} --addr 127.0.0.1:0 --workers 1"
+    )))
+    .expect("serve");
+    let followed = post(&format!("http://{}/admin/ingest", handle.addr()));
+    let apex = "/cell?cell=*,*&level=loc0/dur0";
+    let (status, _, body) = flowcube_testkit::http::get(handle.addr(), apex, &[]);
+    handle.shutdown();
+    handle.join();
+    followed.expect("follow");
+    assert_eq!(std::fs::read_to_string(&out).unwrap().lines().count(), 2);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"support\":11,"), "{body}");
+    for f in [&log, &out, &snap, &db, &format!("{snap}.deltas")] {
+        let _ = std::fs::remove_file(f);
+    }
+}

@@ -2,8 +2,7 @@
 //! paper's running example and on synthetic data.
 
 use flowcube_core::{
-    display_key, Algorithm, CellEntry, CellKey, Cuboid, CuboidKey, FlowCube, FlowCubeParams,
-    ItemPlan,
+    display_key, CellEntry, CellKey, Cuboid, CuboidKey, FlowCube, FlowCubeParams, ItemPlan,
 };
 use flowcube_datagen::{generate, GeneratorConfig};
 use flowcube_flowgraph::{FlowGraph, NodeId, NodeSpec};
@@ -50,20 +49,6 @@ fn figure4_outerwear_nike_cell() {
     // no dist_center branch in this cell
     let d = loc.id_of("dist_center").unwrap();
     assert!(g.node_by_prefix(&[f, d]).is_none());
-}
-
-#[test]
-fn iceberg_condition_drops_rare_cells() {
-    let (_, cube) = paper_cube(2);
-    // (shirt, nike) has one path — below δ=2.
-    assert!(cube
-        .cell_by_names(&[Some("shirt"), Some("nike")], "loc0/dur0")
-        .is_none());
-    // but present at δ=1
-    let (_, cube1) = paper_cube(1);
-    assert!(cube1
-        .cell_by_names(&[Some("shirt"), Some("nike")], "loc0/dur0")
-        .is_some());
 }
 
 #[test]
@@ -119,72 +104,6 @@ fn slice_and_dice() {
     assert_eq!(diced.len(), 2);
     let all = cube.dice(&level, 0, |_| true);
     assert!(all.len() >= 2);
-}
-
-#[test]
-fn all_algorithms_build_identical_cubes() {
-    let db = samples::paper_table1();
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
-    let shared = FlowCube::build(
-        &db,
-        spec.clone(),
-        FlowCubeParams::new(2).with_algorithm(Algorithm::Shared),
-        ItemPlan::All,
-    );
-    let basic = FlowCube::build(
-        &db,
-        spec.clone(),
-        FlowCubeParams::new(2).with_algorithm(Algorithm::Basic),
-        ItemPlan::All,
-    );
-    let cubing = FlowCube::build(
-        &db,
-        spec,
-        FlowCubeParams::new(2).with_algorithm(Algorithm::Cubing),
-        ItemPlan::All,
-    );
-    for other in [&basic, &cubing] {
-        assert_eq!(shared.num_cuboids(), other.num_cuboids());
-        shared.ensure_same(other).unwrap_or_else(|d| panic!("{d}"));
-    }
-}
-
-#[test]
-fn parallel_build_matches_serial() {
-    let config = GeneratorConfig {
-        num_paths: 300,
-        seed: 11,
-        ..Default::default()
-    };
-    let out = generate(&config);
-    let loc = out.db.schema().locations();
-    let spec = PathLatticeSpec::new(vec![
-        PathLevel::new(
-            "leaf/raw",
-            LocationCut::uniform_level(loc, 2),
-            DurationLevel::Raw,
-        ),
-        PathLevel::new(
-            "group/*",
-            LocationCut::uniform_level(loc, 1),
-            DurationLevel::Any,
-        ),
-    ]);
-    let serial = FlowCube::build(
-        &out.db,
-        spec.clone(),
-        FlowCubeParams::new(10).with_threads(1),
-        ItemPlan::All,
-    );
-    let parallel = FlowCube::build(
-        &out.db,
-        spec,
-        FlowCubeParams::new(10).with_threads(4),
-        ItemPlan::All,
-    );
-    serial
-        .ensure_same(&parallel)
-        .unwrap_or_else(|d| panic!("{d}"));
 }
 
 #[test]
@@ -344,34 +263,6 @@ fn describe_and_name_helpers() {
     assert!(cube.key_from_names(&[Some("mars"), None]).is_none());
 }
 
-/// Distributed construction: two partition cubes at δ = 1 merge into a
-/// cube whose graphs match a single-shot build exactly.
-#[test]
-fn partition_cubes_merge_to_full_cube() {
-    let config = GeneratorConfig {
-        num_paths: 200,
-        seed: 77,
-        ..Default::default()
-    };
-    let out = generate(&config);
-    let spec = PathLatticeSpec::paper(out.db.schema().locations(), 1);
-    // Split records into two halves.
-    use flowcube_pathdb::PathDatabase;
-    let (schema, records) = out.db.into_parts();
-    let mid = records.len() / 2;
-    let left = PathDatabase::from_records(schema.clone(), records[..mid].to_vec()).unwrap();
-    let right = PathDatabase::from_records(schema.clone(), records[mid..].to_vec()).unwrap();
-    let full_db = PathDatabase::from_records(schema, records).unwrap();
-
-    let params = || FlowCubeParams::new(1).with_exceptions(false);
-    let left_cube = FlowCube::build(&left, spec.clone(), params(), ItemPlan::All);
-    let right_cube = FlowCube::build(&right, spec.clone(), params(), ItemPlan::All);
-    let merged = FlowCube::merge_partitions(&[left_cube, right_cube], params()).unwrap();
-    let full = FlowCube::build(&full_db, spec, params(), ItemPlan::All);
-
-    merged.ensure_same(&full).unwrap_or_else(|d| panic!("{d}"));
-}
-
 #[test]
 fn merge_rejects_incompatible_cubes() {
     let (_, a) = paper_cube(2);
@@ -426,26 +317,6 @@ fn from_parts_reassembles_cube() {
         shell.require_key("martian,nike"),
         Err(flowcube_core::CoreError::UnresolvedCell { .. })
     ));
-}
-
-#[test]
-fn selected_plan_materializes_only_listed_levels() {
-    let db = samples::paper_table1();
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
-    let only = ItemLevel(vec![2, 2]);
-    let cube = FlowCube::build(
-        &db,
-        spec,
-        FlowCubeParams::new(2),
-        ItemPlan::Selected(vec![only.clone()]),
-    );
-    assert!(cube.num_cuboids() > 0);
-    for (ck, _) in cube.cuboids() {
-        assert_eq!(ck.item_level, only);
-    }
-    // The apex is not in the plan → no apex cell.
-    let apex = vec![ConceptId::ROOT, ConceptId::ROOT];
-    assert!(cube.cell(&apex, 0).is_none());
 }
 
 #[test]

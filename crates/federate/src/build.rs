@@ -134,57 +134,6 @@ mod tests {
     use super::*;
     use flowcube_pathdb::samples;
 
-    /// Cells, supports, graphs, and exceptions all agree with the batch
-    /// build — the in-memory face of the snapshot byte-identity the
-    /// root differential suite proves.
-    #[test]
-    fn sharded_equals_batch_on_paper_example() {
-        let db = samples::paper_table1();
-        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
-        for min_support in [1, 2] {
-            let params = FlowCubeParams::new(min_support);
-            let batch = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
-            for shards in [2u32, 3] {
-                let merged = build_sharded(&db, spec.clone(), &params, shards).unwrap();
-                (merged.ensure_same(&batch))
-                    .unwrap_or_else(|d| panic!("δ={min_support} shards={shards}: {d}"));
-            }
-        }
-    }
-
-    #[test]
-    fn merge_rejects_incomplete_or_mixed_parts() {
-        let db = samples::paper_table1();
-        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
-        let params = FlowCubeParams::new(1);
-        let p0 = build_shard_part(&db, spec.clone(), &params, 2, 0).unwrap();
-        let p1 = build_shard_part(&db, spec.clone(), &params, 2, 1).unwrap();
-
-        // Missing a shard.
-        assert!(matches!(
-            merge_shard_parts(std::slice::from_ref(&p0), None, &params),
-            Err(FederateError::PartMismatch { .. })
-        ));
-        // Duplicate shard id.
-        assert!(matches!(
-            merge_shard_parts(&[p0.clone(), p0.clone()], None, &params),
-            Err(FederateError::PartMismatch { .. })
-        ));
-        // Mixed shard counts.
-        let q0 = build_shard_part(&db, spec.clone(), &params, 3, 0).unwrap();
-        assert!(matches!(
-            merge_shard_parts(&[p0.clone(), q0], None, &params),
-            Err(FederateError::ShardCountMismatch { .. })
-        ));
-        // Path-count validation against the full db.
-        let mut short = p1.clone();
-        short.map.paths += 1;
-        assert!(matches!(
-            merge_shard_parts(&[p0, short], Some(&db), &params),
-            Err(FederateError::PartMismatch { .. })
-        ));
-    }
-
     /// A part file gives back the shard map and the cube it was written
     /// from — an empty shard's too — and CRC-checks the map like every
     /// section; a plain cube snapshot is not a part.
@@ -233,18 +182,5 @@ mod tests {
         for f in [&file, &a, &b] {
             let _ = std::fs::remove_file(f);
         }
-    }
-
-    /// An empty shard (more shards than distinct EPC hash buckets hit)
-    /// merges as a no-op instead of erroring.
-    #[test]
-    fn empty_shards_are_legal() {
-        let db = samples::paper_table1();
-        let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
-        let params = FlowCubeParams::new(2);
-        // 97 shards over 8 paths: most shards are empty.
-        let merged = build_sharded(&db, spec.clone(), &params, 97).unwrap();
-        let batch = FlowCube::build(&db, spec.clone(), params, ItemPlan::All);
-        merged.ensure_same(&batch).unwrap_or_else(|d| panic!("{d}"));
     }
 }

@@ -247,12 +247,6 @@ impl Service for Front {
     }
 }
 
-/// One shard's fan-out outcome.
-enum ShardReply {
-    Answered { status: u16, body: String },
-    Failed { detail: String },
-}
-
 fn scatter_gather(req: &Request, front: &Front, trace: u64) -> HttpResponse {
     let config = &front.config;
     let deadline = Instant::now() + config.request_deadline;
@@ -271,7 +265,7 @@ fn scatter_gather(req: &Request, front: &Front, trace: u64) -> HttpResponse {
     // every shard cannot multiply this request's backend load past
     // `shards + retry_budget` attempts.
     let budget = RetryBudget::new(config.retry_budget);
-    let mut replies: Vec<ShardReply> = Vec::with_capacity(front.shards.len());
+    let mut replies: Vec<ShardOutcome> = Vec::with_capacity(front.shards.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = front
             .shards
@@ -298,35 +292,30 @@ fn scatter_gather(req: &Request, front: &Front, trace: u64) -> HttpResponse {
                         ),
                         us,
                     );
-                    match outcome {
-                        ShardOutcome::Answered { status, body } => {
-                            ShardReply::Answered { status, body }
-                        }
-                        ShardOutcome::Failed { detail } => {
-                            flowcube_obs::counter_add(
-                                &flowcube_obs::labeled(
-                                    "federate.shard.errors",
-                                    &[("shard", &shard_label)],
-                                ),
-                                1,
-                            );
-                            flight::record(
-                                FlightKind::ShardTimeout,
-                                trace,
-                                scatter_label,
-                                0,
-                                rt.shard as u64,
-                            );
-                            ShardReply::Failed { detail }
-                        }
+                    if let ShardOutcome::Failed { .. } = outcome {
+                        flowcube_obs::counter_add(
+                            &flowcube_obs::labeled(
+                                "federate.shard.errors",
+                                &[("shard", &shard_label)],
+                            ),
+                            1,
+                        );
+                        flight::record(
+                            FlightKind::ShardTimeout,
+                            trace,
+                            scatter_label,
+                            0,
+                            rt.shard as u64,
+                        );
                     }
+                    outcome
                 })
             })
             .collect();
         for h in handles {
             match h.join() {
                 Ok(reply) => replies.push(reply),
-                Err(_) => replies.push(ShardReply::Failed {
+                Err(_) => replies.push(ShardOutcome::Failed {
                     detail: "shard task panicked".into(),
                 }),
             }
@@ -335,14 +324,14 @@ fn scatter_gather(req: &Request, front: &Front, trace: u64) -> HttpResponse {
 
     let answered = replies
         .iter()
-        .filter(|r| matches!(r, ShardReply::Answered { .. }))
+        .filter(|r| matches!(r, ShardOutcome::Answered { .. }))
         .count();
     flight::record(FlightKind::Gather, trace, scatter_label, 0, answered as u64);
 
     gather(req, config, &replies)
 }
 
-fn gather(req: &Request, config: &FrontConfig, replies: &[ShardReply]) -> HttpResponse {
+fn gather(req: &Request, config: &FrontConfig, replies: &[ShardOutcome]) -> HttpResponse {
     let mut ok_raw: Vec<&str> = Vec::new();
     let mut ok_bodies: Vec<Value> = Vec::new();
     let mut not_found: Option<&str> = None;
@@ -350,7 +339,7 @@ fn gather(req: &Request, config: &FrontConfig, replies: &[ShardReply]) -> HttpRe
     let mut failed = 0u32;
     for reply in replies {
         match reply {
-            ShardReply::Answered { status: 200, body } => {
+            ShardOutcome::Answered { status: 200, body } => {
                 match serde_json::parse_value_str(body) {
                     Ok(v) => {
                         ok_raw.push(body);
@@ -360,13 +349,13 @@ fn gather(req: &Request, config: &FrontConfig, replies: &[ShardReply]) -> HttpRe
                     Err(_) => failed += 1,
                 }
             }
-            ShardReply::Answered { status: 404, body } => {
+            ShardOutcome::Answered { status: 404, body } => {
                 not_found.get_or_insert(body.as_str());
             }
-            ShardReply::Answered { status, body } => {
+            ShardOutcome::Answered { status, body } => {
                 other_status.get_or_insert((*status, body.as_str()));
             }
-            ShardReply::Failed { .. } => failed += 1,
+            ShardOutcome::Failed { .. } => failed += 1,
         }
     }
 
@@ -385,8 +374,8 @@ fn gather(req: &Request, config: &FrontConfig, replies: &[ShardReply]) -> HttpRe
                 let detail = replies
                     .iter()
                     .find_map(|r| match r {
-                        ShardReply::Failed { detail } => Some(detail.as_str()),
-                        ShardReply::Answered { .. } => None,
+                        ShardOutcome::Failed { detail } => Some(detail.as_str()),
+                        ShardOutcome::Answered { .. } => None,
                     })
                     .unwrap_or("no shard answered");
                 let all_failed = FederateError::AllShardsFailed {
@@ -601,10 +590,10 @@ mod tests {
             ..FrontConfig::default()
         };
         let replies = vec![
-            ShardReply::Failed {
+            ShardOutcome::Failed {
                 detail: "down".into(),
             },
-            ShardReply::Failed {
+            ShardOutcome::Failed {
                 detail: "down".into(),
             },
         ];
@@ -621,11 +610,11 @@ mod tests {
             ..FrontConfig::default()
         };
         let replies = vec![
-            ShardReply::Answered {
+            ShardOutcome::Answered {
                 status: 200,
                 body: r#"{"cell":"*","parent":"*","support":5,"nodes":2}"#.into(),
             },
-            ShardReply::Failed {
+            ShardOutcome::Failed {
                 detail: "down".into(),
             },
         ];
@@ -643,11 +632,11 @@ mod tests {
             ..FrontConfig::default()
         };
         let replies = vec![
-            ShardReply::Answered {
+            ShardOutcome::Answered {
                 status: 404,
                 body: r#"{"error":"no such cell"}"#.into(),
             },
-            ShardReply::Answered {
+            ShardOutcome::Answered {
                 status: 404,
                 body: r#"{"error":"no such cell"}"#.into(),
             },

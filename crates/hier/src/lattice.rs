@@ -425,14 +425,22 @@ mod tests {
             PathLevel::new(name, LocationCut::uniform_level(&h, depth), duration)
         };
         // Names do not tell levels apart; cut and duration do.
-        let err = PathLatticeSpec::try_new(vec![
-            level("a", 2, DurationLevel::Raw),
-            level("b", 1, DurationLevel::Raw),
-            level("c", 2, DurationLevel::Raw),
-        ])
-        .unwrap_err();
+        let repeated = || {
+            vec![
+                level("a", 2, DurationLevel::Raw),
+                level("b", 1, DurationLevel::Raw),
+                level("c", 2, DurationLevel::Raw),
+            ]
+        };
+        let err = PathLatticeSpec::try_new(repeated()).unwrap_err();
         assert_eq!((err.first, err.second), (0, 2));
-        assert!(err.to_string().contains("\"a\"") && err.to_string().contains("\"c\""));
+        assert_eq!(
+            (err.first_name.as_str(), err.second_name.as_str()),
+            ("a", "c")
+        );
+        // `new` keeps its signature and panics with the same message.
+        let panic = std::panic::catch_unwind(|| PathLatticeSpec::new(repeated())).unwrap_err();
+        assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
         // `Raw` and `Bucket(1)` aggregate durations identically.
         assert!(PathLatticeSpec::try_new(vec![
             level("raw", 2, DurationLevel::Raw),

@@ -1,5 +1,6 @@
 //! Workspace-level integration: the full pipeline from raw RFID readings
-//! to a queried flowcube, plus cross-crate invariants.
+//! to a queried flowcube, and the cube's laws on fixed databases. The
+//! laws are the ones the table's rows check (`common::table`).
 
 use flowcube::core::{FlowCube, FlowCubeParams, ItemPlan};
 use flowcube::datagen::{generate, to_readings, GeneratorConfig};
@@ -7,6 +8,7 @@ use flowcube::hier::{ConceptId, ItemLevel};
 use flowcube::pathdb::{clean_readings, stays_to_record, CleanerConfig, PathDatabase};
 
 mod common;
+use common::table::{node_conservation, roll_up_laws};
 use common::two_level_spec;
 
 fn pipeline_db(num_paths: usize, seed: u64) -> PathDatabase {
@@ -59,47 +61,32 @@ fn readings_to_cube_pipeline() {
     }
 }
 
-/// Node-local invariants of every materialized flowgraph: child counts
-/// plus terminations equal the node count; duration observations equal
-/// the node count; transition probabilities sum to 1.
+/// The cube over `config`'s database at δ = 1, exceptions off, every
+/// item level.
+fn cube_at_delta_1(config: &GeneratorConfig) -> (PathDatabase, FlowCube) {
+    let db = generate(config).db;
+    let params = FlowCubeParams::new(1).with_exceptions(false);
+    let cube = FlowCube::build(&db, two_level_spec(&db), params, ItemPlan::All);
+    (db, cube)
+}
+
+/// Node-local invariants of every materialized flowgraph, on a cube of
+/// cleaned readings: child counts plus terminations equal the node
+/// count, duration observations equal it, transition probabilities sum
+/// to 1.
 #[test]
 fn flowgraph_conservation_invariants() {
     let db = pipeline_db(400, 23);
-    let spec = two_level_spec(&db);
-    let cube = FlowCube::build(
-        &db,
-        spec,
-        FlowCubeParams::new(10).with_exceptions(false),
-        ItemPlan::All,
-    );
-    let mut checked = 0;
-    for (_, cuboid) in cube.cuboids() {
-        for (_, entry) in cuboid.iter() {
-            let g = &entry.graph;
-            for n in g.node_ids() {
-                let children_sum: u64 = g.children(n).iter().map(|&c| g.count(c)).sum();
-                assert_eq!(
-                    children_sum + g.terminate_count(n),
-                    g.count(n),
-                    "flow conservation"
-                );
-                if n != flowcube::flowgraph::NodeId::ROOT {
-                    assert_eq!(g.durations(n).total(), g.count(n));
-                }
-                if g.count(n) > 0 {
-                    let p: f64 = g.transitions(n).probabilities().map(|(_, p)| p).sum();
-                    assert!((p - 1.0).abs() < 1e-9);
-                }
-                checked += 1;
-            }
-        }
-    }
+    let params = FlowCubeParams::new(10).with_exceptions(false);
+    let cube = FlowCube::build(&db, two_level_spec(&db), params, ItemPlan::All);
+    let checked = node_conservation(&cube).unwrap_or_else(|e| panic!("{e}"));
     assert!(checked > 100);
 }
 
-/// Lemma 4.2 at cube granularity: the apex flowgraph equals the merge of
-/// a full level-1 partition of one dimension (δ = 1 so nothing is
-/// iceberg-pruned).
+/// Lemma 4.2 at cube granularity (δ = 1, so nothing is iceberg-pruned):
+/// the apex graph is the merge of a full level-1 partition of each
+/// dimension, and its support their sum. The table's roll-up laws row
+/// checks every parent, on generated scenarios.
 #[test]
 fn parent_graph_is_merge_of_children() {
     let config = GeneratorConfig {
@@ -107,42 +94,12 @@ fn parent_graph_is_merge_of_children() {
         seed: 31,
         ..Default::default()
     };
-    let db = generate(&config).db;
-    let spec = two_level_spec(&db);
-    let cube = FlowCube::build(
-        &db,
-        spec,
-        FlowCubeParams::new(1).with_exceptions(false),
-        ItemPlan::All,
-    );
-    let dims = db.schema().num_dims();
-    let apex_key = vec![ConceptId::ROOT; dims];
-    let apex = cube.cell(&apex_key, 0).unwrap();
-
-    // Merge the (v, *, …, *) cells over all level-1 values of dim 0.
-    let mut merged = flowcube::FlowGraph::new();
-    let level = ItemLevel(
-        std::iter::once(1)
-            .chain(std::iter::repeat_n(0, dims - 1))
-            .collect(),
-    );
-    let cuboid = cube.cuboid(&level, 0).expect("level-1 cuboid");
-    let mut total = 0;
-    for (_, entry) in cuboid.iter() {
-        merged.merge(&entry.graph);
-        total += entry.support;
-    }
-    assert_eq!(total, apex.support);
-    let diff = flowcube::flowgraph::diff(&merged, &apex.graph);
-    assert!(
-        diff.is_empty(),
-        "{}",
-        diff.render(db.schema().locations(), 8)
-    );
+    let (_, cube) = cube_at_delta_1(&config);
+    let apex = |level: &ItemLevel| level.0.iter().all(|&l| l == 0);
+    roll_up_laws(&cube, apex).unwrap_or_else(|e| panic!("{e}"));
 }
 
-/// Cell supports within one cuboid partition the database when the item
-/// level fully specifies every dimension at level 1 and δ = 1.
+/// At δ = 1 the cells of every cuboid partition the database.
 #[test]
 fn cuboid_partitions_database() {
     let config = GeneratorConfig {
@@ -150,19 +107,11 @@ fn cuboid_partitions_database() {
         seed: 41,
         ..Default::default()
     };
-    let db = generate(&config).db;
-    let spec = two_level_spec(&db);
-    let cube = FlowCube::build(
-        &db,
-        spec,
-        FlowCubeParams::new(1).with_exceptions(false),
-        ItemPlan::All,
-    );
-    let dims = db.schema().num_dims();
-    let level = ItemLevel(vec![1; dims]);
-    let cuboid = cube.cuboid(&level, 0).expect("all-dims level-1 cuboid");
-    let total: u64 = cuboid.iter().map(|(_, e)| e.support).sum();
-    assert_eq!(total, db.len() as u64);
+    let (db, cube) = cube_at_delta_1(&config);
+    for (ck, cuboid) in cube.cuboids() {
+        let total: u64 = cuboid.iter().map(|(_, e)| e.support).sum();
+        assert_eq!(total, db.len() as u64, "{ck:?}");
+    }
 }
 
 /// The facade crate re-exports work end to end.

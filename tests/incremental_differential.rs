@@ -1,133 +1,62 @@
-//! Differential harness for incremental flowcube maintenance
+//! Incremental flowcube maintenance off its exact contract
 //! (DESIGN.md §12).
 //!
-//! The contract under test, from the paper's two lemmas:
-//!
-//! * **Lemma 4.2 (algebraic counts)** — at δ = 1, building a cube from a
-//!   base batch and then applying `CubeDelta`s for the remaining batches
-//!   produces a cube *byte-identical* (snapshot bytes, after stats
-//!   normalization) to rebuilding from the whole stream at once, for any
-//!   split of the stream into micro-batches.
-//! * **Lemma 4.3 (holistic exceptions)** — applying a delta clears the
-//!   touched cells' exceptions, and re-mining exactly those dirty cells
-//!   against the full path database reproduces the batch-built
-//!   exceptions.
-//!
-//! At δ > 1 a maintained `FlowCube` is lossy by design (each apply cuts
-//! at δ, forgetting early sub-threshold contributions), so the tests
-//! assert the documented weaker contract:
-//! the iceberg invariant always holds and the maintained cube is a
-//! subset of the batch rebuild.
+//! At δ = 1, incremental apply and dirty-cell re-mining equal the
+//! definitional cube, and so the batch rebuild: the first two properties
+//! run those rows of the one table (`common::table`). At δ > 1 a
+//! maintained `FlowCube` is lossy by design (each apply cuts at δ,
+//! forgetting early sub-threshold contributions), so this suite asserts
+//! the documented weaker contract — the iceberg invariant always holds
+//! and the maintained cube is a subset of the batch rebuild — plus the
+//! edges of the delta API: empty batches, mismatched deltas, and how a
+//! partition merge combines build statistics.
 
-use flowcube::core::{BuildStats, CellKey, CubeDelta, CuboidKey};
+use flowcube::core::CubeDelta;
 use flowcube::datagen::generate;
 use flowcube::hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
 use flowcube::{FlowCube, FlowCubeParams, ItemPlan, PathDatabase};
 use proptest::prelude::*;
 
 mod common;
-use common::{short_paths, snapshot_bytes};
-
-/// Split `db` into `k` contiguous non-empty micro-batches.
-fn split_db(db: &PathDatabase, k: usize) -> Vec<PathDatabase> {
-    let records = db.records();
-    let k = k.min(records.len()).max(1);
-    let per = records.len().div_ceil(k);
-    records
-        .chunks(per)
-        .map(|chunk| {
-            PathDatabase::from_records(db.schema().clone(), chunk.to_vec())
-                .expect("chunk of a valid db is valid")
-        })
-        .collect()
-}
-
-/// Build the cube incrementally: batch-build over the first micro-batch,
-/// then `CubeDelta::compute` + `apply_delta` for each later batch.
-/// Returns the cube plus every dirty cell reported along the way.
-fn incremental_cube(
-    batches: &[PathDatabase],
-    spec: &PathLatticeSpec,
-    params: &FlowCubeParams,
-) -> (FlowCube, Vec<(CuboidKey, Vec<CellKey>)>) {
-    let mut cube = FlowCube::build(&batches[0], spec.clone(), params.clone(), ItemPlan::All);
-    let mut dirty = Vec::new();
-    for batch in &batches[1..] {
-        let delta = CubeDelta::compute(batch, spec, params, &ItemPlan::All);
-        let report = cube.apply_delta(&delta).expect("same schema and spec");
-        dirty.extend(report.dirty);
-    }
-    (cube, dirty)
-}
-
-/// Snapshot bytes with the build-history stats zeroed.
-///
-/// `write_snapshot` already canonicalizes params and zeroes the
-/// delta-application counters, but it deliberately keeps the mining
-/// counters — and an incremental cube's mining counters only cover its
-/// base batch. Byte-identity is a claim about the cube's *content*, so
-/// both sides are rebuilt around `BuildStats::default()` first.
-fn normalized_snapshot_bytes(cube: &FlowCube) -> Vec<u8> {
-    let mut shell = FlowCube::from_parts(
-        cube.schema().clone(),
-        cube.spec().clone(),
-        cube.params().clone(),
-        BuildStats::default(),
-    );
-    for (key, cuboid) in cube.cuboids() {
-        shell.insert_cuboid(key.clone(), cuboid.clone());
-    }
-    snapshot_bytes(&shell)
-}
+use common::scenario::{Scenario, Scenarios};
+use common::table::Case;
+use common::{short_paths, split_db};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// The tentpole property (Lemma 4.2): at δ = 1 with exceptions off,
-    /// incremental apply over ANY split of the stream equals the batch
-    /// rebuild — cell for cell, and byte for byte in snapshot form.
+    /// Lemma 4.2: at δ = 1 with exceptions off, incremental apply over
+    /// any split of the stream equals the batch rebuild, cell for cell
+    /// and byte for byte.
     #[test]
     fn delta_apply_equals_batch_rebuild(
-        paths in 20usize..70,
-        seed in 0u64..1000,
-        k in 2usize..6,
+        scenario in Scenarios.prop_map(|s| Scenario {
+            min_support: 1,
+            tau: None,
+            exceptions: false,
+            ..s
+        }),
     ) {
-        let db = generate(&short_paths(paths, seed)).db;
-        let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
-        let params = FlowCubeParams::new(1).with_exceptions(false);
-        let batches = split_db(&db, k);
-
-        let (incr, _) = incremental_cube(&batches, &spec, &params);
-        let batch = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
-
-        incr.ensure_same(&batch)?;
-        prop_assert_eq!(
-            normalized_snapshot_bytes(&incr),
-            normalized_snapshot_bytes(&batch),
-            "snapshot bytes diverged at paths={} seed={} k={}", paths, seed, k
-        );
+        let case = Case::new(&scenario);
+        case.build()?;
+        case.incremental()?;
     }
 
     /// Lemma 4.3: re-mining exactly the dirty cells against the full
     /// path database reproduces the batch-built exceptions, cell for
-    /// cell — untouched cells keep their base exceptions and still
-    /// agree, because their path multiset never changed.
+    /// cell.
     #[test]
     fn dirty_remine_reproduces_batch_exceptions(
-        paths in 20usize..50,
-        seed in 0u64..1000,
-        k in 2usize..4,
+        scenario in Scenarios.prop_map(|s| Scenario {
+            min_support: 1,
+            tau: None,
+            exceptions: true,
+            ..s
+        }),
     ) {
-        let db = generate(&short_paths(paths, seed)).db;
-        let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
-        let params = FlowCubeParams::new(1); // exceptions on by default
-        let batches = split_db(&db, k);
-
-        let (mut incr, dirty) = incremental_cube(&batches, &spec, &params);
-        incr.remine_exceptions(&db, &dirty).expect("same schema");
-        let batch = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
-
-        incr.ensure_same(&batch)?;
+        let case = Case::new(&scenario);
+        case.build()?;
+        case.incremental()?;
     }
 
     /// δ > 1: the iceberg is re-enforced after every apply (no cell ever
@@ -144,7 +73,11 @@ proptest! {
         let params = FlowCubeParams::new(3).with_exceptions(false);
         let batches = split_db(&db, k);
 
-        let (incr, _) = incremental_cube(&batches, &spec, &params);
+        let mut incr = FlowCube::build(&batches[0], spec.clone(), params.clone(), ItemPlan::All);
+        for batch in &batches[1..] {
+            let delta = CubeDelta::compute(batch, &spec, &params, &ItemPlan::All);
+            incr.apply_delta(&delta).expect("same schema and spec");
+        }
         let batch = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
 
         for (ck, cuboid) in incr.cuboids() {
