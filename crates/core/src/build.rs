@@ -25,7 +25,7 @@ use flowcube_mining::{
     TransactionDb,
 };
 use flowcube_obs::Timer;
-use flowcube_pathdb::{AggStage, MergePolicy, PathDatabase};
+use flowcube_pathdb::{AggStage, PathDatabase};
 
 /// Everything produced by the build, consumed by [`crate::FlowCube`].
 pub(crate) struct BuildOutput {
@@ -59,14 +59,27 @@ struct Levels {
 }
 
 impl Levels {
-    fn new(db: &PathDatabase, spec: &PathLatticeSpec, merge: MergePolicy) -> Self {
+    /// Walk every walked level, one chunk each (`build.dictionary.chunk`);
+    /// also returns the chunks retried.
+    fn new(db: &PathDatabase, spec: &PathLatticeSpec, params: &FlowCubeParams) -> (Self, usize) {
         let sources = walk_sources(spec);
-        let dicts: Vec<Option<PathDictionary>> = spec
-            .ids()
-            .map(|l| {
-                (sources[l as usize] == l).then(|| PathDictionary::walk(db, spec.level(l), merge))
-            })
-            .collect();
+        let walked: Vec<PathLevelId> = spec.ids().filter(|&l| sources[l as usize] == l).collect();
+        // A walk reads every record: the cutoff counts records walked.
+        let report = run_chunks_counted(
+            "build.dictionary.chunk",
+            walked.len(),
+            walked.len(),
+            params.threads_for(walked.len() * db.len()),
+            |range| {
+                (walked[range].iter())
+                    .map(|&l| PathDictionary::walk(db, spec.level(l), params.merge))
+                    .collect::<Vec<_>>()
+            },
+        );
+        let mut dicts: Vec<Option<PathDictionary>> = spec.ids().map(|_| None).collect();
+        for (&l, dict) in walked.iter().zip(report.results.into_iter().flatten()) {
+            dicts[l as usize] = Some(dict);
+        }
         let rolled = spec
             .ids()
             .map(|l| {
@@ -77,12 +90,13 @@ impl Levels {
                 })
             })
             .collect();
-        Levels {
+        let levels = Levels {
             sources,
             durations: spec.levels().iter().map(|level| level.duration).collect(),
             dicts,
             rolled,
-        }
+        };
+        (levels, report.retried_chunks)
     }
 
     /// The dictionary level `l` is counted from.
@@ -161,24 +175,35 @@ pub(crate) fn build(
     // ---- Phase 2: the iceberg cells with their tid lists, from one BUC
     // pass — the group-by is algebraic (Gray et al.), BUC partitions each
     // cell's tid list out of its parent's as it descends, and the delta
-    // and merge pipelines take their cells from the same pass.
-    let (buc_cells, _) = buc_iceberg(db, params.min_support);
+    // and merge pipelines take their cells from the same pass. BUC emits
+    // the plan's levels only and skips the subtrees below none of them.
+    let plan_levels = plan.levels();
+    let (buc_cells, buc_stats) = {
+        let _span = flowcube_obs::span!("build.buc");
+        buc_iceberg(db, params.min_support, plan_levels.as_deref(), |subtrees| {
+            params.threads_for(subtrees)
+        })
+    };
+    stats.chunk_retries += buc_stats.chunk_retries as usize;
+    flowcube_obs::counter_add("build.buc.partitions", buc_stats.partitions_examined);
+    flowcube_obs::counter_add("build.buc.tid_entries", buc_stats.tidlist_items);
     let (cells, tids): (Vec<(ItemLevel, CellKey)>, Vec<Vec<u32>>) = buc_cells
         .into_iter()
-        .filter_map(|cell| {
+        .map(|cell| {
             let key: CellKey = (cell.values.iter())
                 .map(|v| v.unwrap_or(ConceptId::ROOT))
                 .collect();
-            let level = level_of_key(&key, schema);
-            plan.includes(&level).then_some(((level, key), cell.tids))
+            ((level_of_key(&key, schema), key), cell.tids)
         })
         .unzip();
     stats.frequent_cells = cells.len();
 
     // ---- Phase 3: the path dictionary — one walk of the records per
-    // walked path level numbers the apex node table of its cut and gives
-    // each tid its code list; a level rolled up from it maps the codes.
-    let levels = Levels::new(db, &spec, params.merge);
+    // walked path level, the walks side by side, numbers the apex node
+    // table of its cut and gives each tid its code list; a level rolled
+    // up from it maps the codes.
+    let (levels, retries) = Levels::new(db, &spec, params);
+    stats.chunk_retries += retries;
     stats.prepare_time = prepare_timer.stop();
 
     // ---- Phase 4: count every cell at every path level, one work item
@@ -236,7 +261,7 @@ pub(crate) fn build(
             out
         },
     );
-    stats.chunk_retries = report.retried_chunks;
+    stats.chunk_retries += report.retried_chunks;
     let num_levels = spec.len();
     stats.cells_materialized = cells.len() * num_levels;
     // Indexed by `cell * num_levels + level`.
@@ -549,9 +574,10 @@ fn attach_exceptions(
 
 /// Re-mine the exceptions of the `dirty` cells of `cuboids` from the
 /// full database `db` (Lemma 4.3), on the build's machinery: the cells'
-/// tid lists from one BUC pass, their paths from the path dictionary,
-/// each cell mined by [`attach_exceptions`]. Cells no longer stored are
-/// skipped; returns the number re-mined.
+/// tid lists from one BUC pass restricted to the dirty item levels, their
+/// paths from the path dictionary, each cell mined by
+/// [`attach_exceptions`]. Cells no longer stored are skipped; returns the
+/// number re-mined.
 pub(crate) fn remine(
     db: &PathDatabase,
     spec: &PathLatticeSpec,
@@ -563,7 +589,14 @@ pub(crate) fn remine(
     if wanted.is_empty() {
         return 0;
     }
-    let (buc_cells, _) = buc_iceberg(db, params.min_support);
+    let mut dirty_levels: Vec<ItemLevel> = (dirty.iter())
+        .map(|(ck, _)| ck.item_level.clone())
+        .collect();
+    dirty_levels.sort_unstable();
+    dirty_levels.dedup();
+    let (buc_cells, _) = buc_iceberg(db, params.min_support, Some(&dirty_levels), |subtrees| {
+        params.threads_for(subtrees)
+    });
     let tids: FxHashMap<CellKey, Vec<u32>> = (buc_cells.into_iter())
         .filter_map(|cell| {
             let key: CellKey = (cell.values.iter())
@@ -584,7 +617,7 @@ pub(crate) fn remine(
         .collect();
     pending.sort_unstable_by(|a, b| (&a.ck, a.key).cmp(&(&b.ck, b.key)));
     pending.dedup_by(|a, b| (&a.ck, a.key) == (&b.ck, b.key));
-    let levels = Levels::new(db, spec, params.merge);
+    let (levels, _) = Levels::new(db, spec, params);
     attach_exceptions(cuboids, &pending, &levels, params);
     pending.len()
 }

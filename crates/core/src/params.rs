@@ -142,6 +142,25 @@ impl ItemPlan {
             } => level == minimum || level == observation || popular.contains(level),
         }
     }
+
+    /// The levels the plan materializes; `None` for every level.
+    pub(crate) fn levels(&self) -> Option<Vec<ItemLevel>> {
+        match self {
+            ItemPlan::All => None,
+            ItemPlan::Selected(levels) => Some(levels.clone()),
+            ItemPlan::Layers {
+                minimum,
+                observation,
+                popular,
+            } => Some(
+                [minimum, observation]
+                    .into_iter()
+                    .chain(popular)
+                    .cloned()
+                    .collect(),
+            ),
+        }
+    }
 }
 
 #[cfg(test)]

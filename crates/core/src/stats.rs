@@ -32,8 +32,9 @@ pub struct BuildStats {
     /// the cutoff/clamp policy of `FlowCubeParams::threads_for`).
     #[serde(default)]
     pub threads_used: usize,
-    /// Materialization chunks whose worker panicked and were recomputed
-    /// serially (see `flowcube_mining::parallel::run_chunks_counted`).
+    /// Build chunks (BUC subtrees, dictionary walks, materialization)
+    /// whose worker panicked and were recomputed serially (see
+    /// `flowcube_mining::parallel::run_chunks_counted`).
     /// Zero on a healthy build; any other value means a worker died and
     /// the build self-healed without changing its output.
     #[serde(default)]

@@ -20,6 +20,7 @@ use crate::bitmap::{fill_rows, TidRows};
 use crate::buc::buc_iceberg;
 use crate::encode::TransactionDb;
 use crate::item::ItemId;
+use crate::parallel::{plan_threads, DEFAULT_PARALLEL_CUTOFF};
 use crate::shared::FrequentItemsets;
 use flowcube_hier::FxHashMap;
 use flowcube_pathdb::PathDatabase;
@@ -187,7 +188,9 @@ pub fn mine_cubing(
     let mut stats = MiningStats::default();
 
     // Step 3 of Algorithm 2: iceberg cube with tid-list measures.
-    let (cells, buc_stats) = buc_iceberg(db, delta);
+    let (cells, buc_stats) = buc_iceberg(db, delta, None, |subtrees| {
+        plan_threads(config.threads, subtrees, DEFAULT_PARALLEL_CUTOFF)
+    });
     stats.tidlist_items = buc_stats.tidlist_items;
 
     // Precompute stage-only projections of all transactions once; reading
@@ -212,10 +215,9 @@ pub fn mine_cubing(
     };
 
     let mut out: Vec<(Itemset, u64)> = Vec::new();
-    let ctx = tx.ctx();
     for cell in &cells {
         stats.cells_mined += 1;
-        let Some(cell_items) = cell.dim_items(dict, ctx) else {
+        let Some(cell_items) = cell.dim_items(dict) else {
             continue;
         };
         // Step 5: read the transactions aggregated in the cell.
@@ -233,11 +235,7 @@ pub fn mine_cubing(
                 .map(|&t| stage_only[t as usize].as_slice())
                 .collect(),
         };
-        let cell_threads = crate::parallel::plan_threads(
-            config.threads,
-            cell_tx.len(),
-            crate::parallel::DEFAULT_PARALLEL_CUTOFF,
-        );
+        let cell_threads = plan_threads(config.threads, cell_tx.len(), DEFAULT_PARALLEL_CUTOFF);
 
         // Record the cell itself as a frequent pattern (Shared reports
         // frequent cells the same way; the apex cell is implicit).

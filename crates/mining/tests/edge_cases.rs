@@ -71,7 +71,7 @@ fn empty_database() {
     assert_eq!(tx.len(), 0);
     let out = mine_shared(&tx, 1);
     assert!(out.itemsets.is_empty());
-    let (cells, _) = buc_iceberg(&db, 1);
+    let (cells, _) = buc_iceberg(&db, 1, None, |_| 1);
     assert!(cells.is_empty());
     let cubing = mine_cubing(&db, &tx, &CubingConfig::new(1));
     assert!(cubing.itemsets.is_empty());

@@ -22,26 +22,17 @@ fn main() {
     }
 
     println!("\n== Table 2: product aggregated one level up (iceberg δ=2) ==");
-    let (cells, _) = buc_iceberg(&db, 2);
-    let type_brand = ItemLevel(vec![2, 2]);
+    let type_brand = [ItemLevel(vec![2, 2])];
+    let (cells, _) = buc_iceberg(&db, 2, Some(&type_brand), |_| 1);
     for cell in &cells {
-        let level = ItemLevel(
-            cell.values
-                .iter()
-                .enumerate()
-                .map(|(d, v)| v.map_or(0, |c| schema.dim(d as u8).level_of(c)))
-                .collect(),
-        );
-        if level == type_brand {
-            let names: Vec<&str> = cell
-                .values
-                .iter()
-                .enumerate()
-                .map(|(d, v)| v.map_or("*", |c| schema.dim(d as u8).name_of(c)))
-                .collect();
-            let ids: Vec<String> = cell.tids.iter().map(|t| (t + 1).to_string()).collect();
-            println!("  ({}) -> paths {}", names.join(", "), ids.join(","));
-        }
+        let names: Vec<&str> = cell
+            .values
+            .iter()
+            .enumerate()
+            .map(|(d, v)| v.map_or("*", |c| schema.dim(d as u8).name_of(c)))
+            .collect();
+        let ids: Vec<String> = cell.tids.iter().map(|t| (t + 1).to_string()).collect();
+        println!("  ({}) -> paths {}", names.join(", "), ids.join(","));
     }
 
     println!("\n== Table 3: transformed transaction database (base path level) ==");

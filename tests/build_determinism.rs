@@ -95,10 +95,10 @@ fn golden_snapshot_digest() {
     assert_eq!(sha256_hex(&healed), GOLDEN_SHA256);
 }
 
-/// The build itself at any thread count, and with one count chunk, one
-/// redundancy chunk or one mining counting chunk panicking once
-/// (recomputed serially), lands on the golden digest — exceptions on, τ
-/// set, every phase running.
+/// The build itself at any thread count, and with one BUC subtree, one
+/// dictionary walk, one count chunk, one redundancy chunk or one mining
+/// counting chunk panicking once (recomputed serially), lands on the
+/// golden digest — exceptions on, τ set, every phase running.
 #[test]
 fn golden_digest_holds_at_any_build_thread_count_and_after_a_retried_chunk() {
     let _guard = serial();
@@ -108,7 +108,14 @@ fn golden_digest_holds_at_any_build_thread_count_and_after_a_retried_chunk() {
         let bytes = snapshot_bytes(&build(threads));
         assert_eq!(sha256_hex(&bytes), GOLDEN_SHA256, "build threads={threads}");
     }
-    for phase in ["build.materialize.chunk", "build.redundancy.chunk"] {
+    // At 2 threads and cutoff 2, BUC's level-1 subtrees (two per
+    // dimension) and the two walked levels each go to two workers.
+    for phase in [
+        "mining.buc.chunk",
+        "build.dictionary.chunk",
+        "build.materialize.chunk",
+        "build.redundancy.chunk",
+    ] {
         testkit::arm_times(phase, 1, FailAction::Panic(None));
         let healed = build(2);
         let fired = testkit::hits(phase);

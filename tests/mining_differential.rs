@@ -198,7 +198,7 @@ proptest! {
     fn buc_cell_supports_match_shared(paths in 30usize..120, seed in 0u64..1000) {
         let (db, tx) = encode_db(paths, seed);
         let delta = (paths / 8).max(4) as u64;
-        let (buc_cells, _) = buc_iceberg(&db, delta);
+        let (buc_cells, _) = buc_iceberg(&db, delta, None, |_| 2);
         let mut buc: Vec<(CellKey, u64)> = buc_cells
             .iter()
             .map(|c| {

@@ -5,7 +5,7 @@
 
 use flowcube::core::{FlowCube, FlowCubeParams, ItemPlan};
 use flowcube::datagen::{generate, GeneratorConfig};
-use flowcube::mining::{mine, mine_cubing, CubingConfig, SharedConfig, TransactionDb};
+use flowcube::mining::{buc_iceberg, mine, mine_cubing, CubingConfig, SharedConfig, TransactionDb};
 use flowcube::obs;
 use flowcube::pathdb::{MergePolicy, PathDatabase};
 use serde_json::{Number, Value};
@@ -112,6 +112,7 @@ fn parallel_build_chrome_trace_wellformed() {
         "mining.bitmaps",
         "mining.precount",
         "build.prepare",
+        "build.buc",
         "build.dictionary",
         "build.materialize",
         "build.cell",
@@ -173,6 +174,16 @@ fn parallel_build_chrome_trace_wellformed() {
             .get("mining.bitmap_bytes")
             .is_some_and(|&b| b > 0.0),
         "tid-row bytes gauge missing or zero"
+    );
+    // The BUC pass's counters are its own `BucStats`.
+    let (_, buc) = buc_iceberg(&db, 20, None, |_| 1);
+    assert_eq!(
+        snapshot.counters.get("build.buc.partitions"),
+        Some(&buc.partitions_examined)
+    );
+    assert_eq!(
+        snapshot.counters.get("build.buc.tid_entries"),
+        Some(&buc.tidlist_items)
     );
     // Definition 4.4 on counts: parent comparisons, the ones cut short
     // past τ, and a graph written per stored cell only.
