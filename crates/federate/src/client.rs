@@ -10,10 +10,11 @@
 //!   request deadline is the budget and a retry would only burn it. The
 //!   socket goes back to the pool only after its whole response was
 //!   read. A server may close an idle connection at any time, so a
-//!   request that dies on a *reused* connection before the first
-//!   response byte is resent once on a fresh one (a `GET` is idempotent,
-//!   RFC 9110 §9.2.2), and only that attempt's outcome is the caller's:
-//!   a stale pooled connection is not a replica failure.
+//!   request whose *reused* connection turns out closed (EOF, reset,
+//!   aborted, broken pipe) before the first response byte is resent once
+//!   on a fresh one (a `GET` is idempotent, RFC 9110 §9.2.2), and only
+//!   that attempt's outcome is the caller's: a stale pooled connection is
+//!   not a replica failure. A timeout is one — it is not resent.
 //! * [`http_post`] — timeout plus **retry-with-backoff on connection
 //!   refused**, always on a fresh connection that is closed afterwards.
 //!   Used by the delta shipper (`flowcube ingest --follow --post`),
@@ -158,9 +159,10 @@ impl Pool {
 enum AttemptError {
     /// At connect: nothing was sent — safe to retry.
     Refused(String),
-    /// On a reused connection, before the first byte of a response: the
-    /// server had closed it while it idled, and did not process the
-    /// request (or, for an idempotent request, may as well not have).
+    /// On a reused connection, closed before the first byte of a
+    /// response: the server had closed it while it idled, and did not
+    /// process the request (or, for an idempotent request, may as well
+    /// not have).
     Stale(String),
     /// Later: the request may have been processed — not retried.
     Other(String),
@@ -214,10 +216,17 @@ fn exchange(
     };
     let _ = stream.set_read_timeout(Some(timeout));
     let _ = stream.set_write_timeout(Some(timeout));
-    // Until a response byte arrives, a failure on a reused connection
-    // means the server had already closed it.
-    let early = |msg: String| {
-        if was_reused {
+    // Until a response byte arrives, a reused connection found closed —
+    // EOF, reset, aborted, broken pipe — was closed by the server while
+    // it idled. Anything else, a timeout above all, is the replica's.
+    let early = |kind: std::io::ErrorKind, msg: String| {
+        use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
+        if was_reused
+            && matches!(
+                kind,
+                UnexpectedEof | ConnectionReset | ConnectionAborted | BrokenPipe
+            )
+        {
             AttemptError::Stale(msg)
         } else {
             AttemptError::Other(msg)
@@ -225,7 +234,7 @@ fn exchange(
     };
     stream
         .write_all(request.as_bytes())
-        .map_err(|e| early(format!("send to {host}: {e}")))?;
+        .map_err(|e| early(e.kind(), format!("send to {host}: {e}")))?;
     match fail_point("federate.client.read") {
         Some(Fault::Error(msg)) => {
             return Err(AttemptError::Other(format!("injected: {msg}")));
@@ -244,7 +253,7 @@ fn exchange(
         if received {
             AttemptError::Other(msg)
         } else {
-            early(msg)
+            early(e.kind(), msg)
         }
     })?;
     Ok((

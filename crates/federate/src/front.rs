@@ -21,6 +21,12 @@
 //! second request after the shard's recent p95, and budgeted retries —
 //! a shard leg fails only when its *entire replica set* is down.
 //!
+//! The fan-out spawns no thread. The front worker answering the request
+//! is the coordinator of every shard leg: each attempt runs on a pooled
+//! attempt worker and reports, tagged with its shard, into one channel,
+//! and the worker sleeps on that channel until a report, the earliest
+//! pending hedge, or the request's deadline.
+//!
 //! The front is a [`Service`] hosted on the serving layer's runtime
 //! (`serve::server`): listener, bounded accept queue, `429` shedding,
 //! supervised workers, the request envelope (request id, flight
@@ -36,7 +42,9 @@
 use crate::error::FederateError;
 use crate::health::BreakerConfig;
 use crate::merge;
-use crate::replica::{HedgePolicy, ReplicaSet, RetryBudget, ShardOutcome, ShardRuntime};
+use crate::replica::{
+    Fanout, HedgePolicy, Leg, ReplicaSet, RetryBudget, ShardOutcome, ShardRuntime,
+};
 use flowcube_obs::flight::{self, FlightKind};
 use flowcube_serve::http::Request;
 use flowcube_serve::{
@@ -44,7 +52,7 @@ use flowcube_serve::{
     ServerHandle, Service,
 };
 use serde_json::Value;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Front-tier tunables; `Default` is sized for tests.
@@ -249,8 +257,6 @@ impl Service for Front {
 
 fn scatter_gather(req: &Request, front: &Front, trace: u64) -> HttpResponse {
     let config = &front.config;
-    let deadline = Instant::now() + config.request_deadline;
-    let target = rebuild_target(req);
     let scatter_label = flight::intern("scatter");
     flight::record(
         FlightKind::Scatter,
@@ -260,67 +266,39 @@ fn scatter_gather(req: &Request, front: &Front, trace: u64) -> HttpResponse {
         config.shards as u64,
     );
 
-    // One retry budget per request, shared across every shard leg:
-    // hedges and retries all draw from it, so a brownout that slows
-    // every shard cannot multiply this request's backend load past
-    // `shards + retry_budget` attempts.
-    let budget = RetryBudget::new(config.retry_budget);
-    let mut replies: Vec<ShardOutcome> = Vec::with_capacity(front.shards.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = front
-            .shards
+    let (tx, rx) = mpsc::channel();
+    let fan = Fanout {
+        target: rebuild_target(req).into(),
+        deadline: Instant::now() + config.request_deadline,
+        shard_timeout: config.shard_timeout,
+        hedge: &config.hedge,
+        // One retry budget per request, shared across every shard leg:
+        // hedges and retries all draw from it, so a brownout that slows
+        // every shard cannot multiply this request's backend load past
+        // `shards + retry_budget` attempts.
+        budget: RetryBudget::new(config.retry_budget),
+        trace,
+        tx,
+    };
+    // Sleep until a report, the earliest pending hedge, or the deadline.
+    let mut legs: Vec<Leg> = front.shards.iter().map(|rt| rt.leg(&fan)).collect();
+    while legs.iter().any(Leg::is_pending) {
+        let wake = legs
             .iter()
-            .map(|rt| {
-                let target = target.clone();
-                let budget = &budget;
-                scope.spawn(move || {
-                    let shard_start = Instant::now();
-                    let outcome = rt.query(
-                        &target,
-                        deadline,
-                        config.shard_timeout,
-                        &config.hedge,
-                        budget,
-                        trace,
-                    );
-                    let us = shard_start.elapsed().as_micros() as f64;
-                    let shard_label = rt.shard.to_string();
-                    flowcube_obs::histogram_record(
-                        &flowcube_obs::labeled(
-                            "federate.shard.latency_us",
-                            &[("shard", &shard_label)],
-                        ),
-                        us,
-                    );
-                    if let ShardOutcome::Failed { .. } = outcome {
-                        flowcube_obs::counter_add(
-                            &flowcube_obs::labeled(
-                                "federate.shard.errors",
-                                &[("shard", &shard_label)],
-                            ),
-                            1,
-                        );
-                        flight::record(
-                            FlightKind::ShardTimeout,
-                            trace,
-                            scatter_label,
-                            0,
-                            rt.shard as u64,
-                        );
-                    }
-                    outcome
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(reply) => replies.push(reply),
-                Err(_) => replies.push(ShardOutcome::Failed {
-                    detail: "shard task panicked".into(),
-                }),
+            .filter_map(Leg::hedge_at)
+            .fold(fan.deadline, Instant::min);
+        match rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
+            Ok(report) => legs[report.shard].on_report(report, &fan),
+            // `fan` holds a sender, so the channel cannot disconnect.
+            Err(_) => {
+                let now = Instant::now();
+                for leg in &mut legs {
+                    leg.on_timer(now, &fan);
+                }
             }
         }
-    });
+    }
+    let replies: Vec<ShardOutcome> = legs.into_iter().map(Leg::into_outcome).collect();
 
     let answered = replies
         .iter()

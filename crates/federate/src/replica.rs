@@ -4,7 +4,9 @@
 //! Each shard of the federation is served by a **replica set** — one or
 //! more `serve` backends holding the same shard cube, written on the CLI
 //! as `--backends "a:1|a:2,b:1|b:2"` (`,` separates shards, `|` separates
-//! replicas). A shard's fan-out leg then becomes a small coordinator:
+//! replicas). A shard's fan-out leg (`Leg`) then becomes a small state
+//! machine, stepped by the request's one coordinator (the front worker
+//! running `front::scatter_gather`) as attempt reports and timers arrive:
 //!
 //! 1. **Select** a replica by health-weighted round-robin: breaker-open
 //!    replicas are skipped outright ([`crate::health`]), replicas with a
@@ -14,9 +16,10 @@
 //!    threshold — by default the shard's recent p95 latency from a
 //!    streaming window estimator, clamped into sane bounds — a second
 //!    request is fired at the next replica. First *answer* wins; the
-//!    loser is abandoned (its socket timeout reaps the thread) and
-//!    counted under `federate.replica.abandoned`. Its socket re-enters
-//!    the replica's pool only if it went on to read its whole response.
+//!    loser is abandoned — it runs on, bounded by its socket timeout,
+//!    and its report is dropped — and counted under
+//!    `federate.replica.abandoned`. Its socket re-enters the replica's
+//!    pool only if it went on to read its whole response.
 //! 3. **Retry** transport failures (refused, timeout, torn read) against
 //!    the remaining replicas — but every hedge and every retry first
 //!    draws a token from the request's [`RetryBudget`], so a brownout
@@ -29,6 +32,13 @@
 //! outcome reaches the breaker, the retry budget and the metrics below.
 //! Half-open probes never use the pool.
 //!
+//! Attempts and probes run on a process-wide cached pool of worker
+//! threads: a job goes to a parked worker when one is idle, and to a
+//! newly spawned one otherwise — never behind a busy worker, so a hedge
+//! starts while its primary is still blocked in its socket. A worker
+//! parks after each job and exits after ten seconds without one; a warm
+//! front spawns none (`federate.attempt_workers.spawned` counts them).
+//!
 //! Metrics are labeled `shard=K replica=R` (R = replica index within the
 //! set): `federate.replica.{selected,hedged,hedge_won,retried,
 //! breaker_open,abandoned}`. Flight events `Hedge` / `BreakerOpen` /
@@ -38,9 +48,11 @@ use crate::client;
 use crate::error::FederateError;
 use crate::health::{Availability, BreakerConfig, BreakerState, ReplicaHealth};
 use flowcube_obs::flight::{self, FlightKind};
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// The replicas serving one shard. Order is the operator's preference
@@ -196,79 +208,250 @@ impl Default for LatencyWindow {
     }
 }
 
+/// The metric series of one replica, named once: `shard=K replica=R`.
+struct ReplicaSeries {
+    selected: String,
+    hedged: String,
+    hedge_won: String,
+    retried: String,
+    breaker_open: String,
+    breaker_close: String,
+}
+
+impl ReplicaSeries {
+    fn new(shard: u32, replica: usize) -> ReplicaSeries {
+        let (shard, replica) = (shard.to_string(), replica.to_string());
+        let name = |series: &str| {
+            flowcube_obs::labeled(series, &[("shard", &shard), ("replica", &replica)])
+        };
+        ReplicaSeries {
+            selected: name("federate.replica.selected"),
+            hedged: name("federate.replica.hedged"),
+            hedge_won: name("federate.replica.hedge_won"),
+            retried: name("federate.replica.retried"),
+            breaker_open: name("federate.replica.breaker_open"),
+            breaker_close: name("federate.replica.breaker_close"),
+        }
+    }
+}
+
 /// A replica's shared runtime state: its address, its breaker, and the
 /// idle connections to it.
 pub struct ReplicaState {
     pub addr: String,
     pub health: ReplicaHealth,
     pub pool: client::Pool,
+    series: ReplicaSeries,
+    /// Failpoint sites: tests arm `federate.replica.s{shard}.r{idx}`
+    /// with `delay(ms)` (slow replica), `return` (refused), etc.; the
+    /// probe path is `federate.replica.probe.s{shard}.r{idx}`.
+    data_failpoint: String,
+    probe_failpoint: String,
 }
 
 /// One shard's serving-side runtime: the replica set, its breakers, the
 /// round-robin cursor, and the latency window feeding the hedge
-/// threshold. Shared (`Arc`) between front workers, attempt threads, and
-/// health probes.
+/// threshold. Shared (`Arc`) between front workers, attempts, and health
+/// probes.
 pub struct ShardRuntime {
     pub shard: u32,
     pub replicas: Vec<Arc<ReplicaState>>,
     breaker: BreakerConfig,
     cursor: AtomicUsize,
     pub latency: LatencyWindow,
+    /// `federate.replica.abandoned` and `federate.shard.{latency_us,
+    /// errors}`, labeled `shard=K`.
+    abandoned_series: String,
+    latency_series: String,
+    errors_series: String,
 }
 
-/// What one attempt thread reports back to its shard coordinator.
-struct AttemptReport {
+/// What one attempt reports back to its request's coordinator.
+pub(crate) struct AttemptReport {
+    /// The shard the attempt belongs to: the index of its leg.
+    pub(crate) shard: usize,
     replica: usize,
     hedge: bool,
     outcome: Result<(u16, String), String>,
 }
 
-/// The shard leg's final outcome, consumed by the front tier's gather.
+/// A shard leg's final outcome, consumed by the front tier's gather.
 pub enum ShardOutcome {
     Answered { status: u16, body: String },
     Failed { detail: String },
 }
 
-fn replica_metric(name: &str, shard: u32, replica: usize) -> String {
-    flowcube_obs::labeled(
-        name,
-        &[
-            ("shard", &shard.to_string()),
-            ("replica", &replica.to_string()),
-        ],
-    )
+/// Workers that run attempts and probes, shared by every front in the
+/// process.
+static ATTEMPT_WORKERS: Workers = Workers::new(Workers::IDLE);
+
+/// A cached pool of detached worker threads. [`Workers::run`] hands a job
+/// to a parked worker when one is idle and spawns a worker otherwise, so
+/// a job never waits behind a busy one: a hedge starts while its primary
+/// is still blocked in its socket. A worker parks after each job and
+/// exits once it has been idle for the pool's idle period.
+struct Workers {
+    queue: Mutex<Queue>,
+    wake: Condvar,
+    idle_for: Duration,
 }
 
-/// Failpoint site name for one replica's data path; tests arm
-/// `federate.replica.s{shard}.r{idx}` with `delay(ms)` (slow replica),
-/// `return` (refused), etc. The probe path uses
-/// `federate.replica.probe.s{shard}.r{idx}`.
-fn data_failpoint(shard: u32, replica: usize) -> String {
-    format!("federate.replica.s{shard}.r{replica}")
+type Job = Box<dyn FnOnce() + Send>;
+
+struct Queue {
+    /// Jobs handed to parked workers and not yet picked up.
+    jobs: VecDeque<Job>,
+    /// Parked workers that no queued job is meant for: parked workers
+    /// minus `jobs.len()`, never negative, so every queued job has a
+    /// parked worker to take it.
+    idle: usize,
 }
 
-fn probe_failpoint(shard: u32, replica: usize) -> String {
-    format!("federate.replica.probe.s{shard}.r{replica}")
+impl Workers {
+    /// Longer than any gap between attempts of a front under load, so a
+    /// steady front never lets a worker go.
+    const IDLE: Duration = Duration::from_secs(10);
+
+    const fn new(idle_for: Duration) -> Workers {
+        Workers {
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                idle: 0,
+            }),
+            wake: Condvar::new(),
+            idle_for,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        // No job runs under the lock, and every update leaves the queue
+        // consistent: a poisoned guard is still a valid one.
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn run(&'static self, job: impl FnOnce() + Send + 'static) {
+        let job: Job = Box::new(job);
+        let mut queue = self.lock();
+        if queue.idle > 0 {
+            queue.idle -= 1;
+            queue.jobs.push_back(job);
+            drop(queue);
+            self.wake.notify_one();
+            return;
+        }
+        drop(queue);
+        // A worker that cannot be spawned drops its job, and with it the
+        // job's report sender: the coordinator sees the attempt as lost
+        // and its leg runs into the deadline, as a hung socket would.
+        let spawned = std::thread::Builder::new()
+            .name("federate-attempt".into())
+            .spawn(move || self.work(job));
+        if spawned.is_ok() {
+            flowcube_obs::counter_add("federate.attempt_workers.spawned", 1);
+        }
+    }
+
+    /// A worker's life: run a job, park, take the next one, until the
+    /// idle period passes with nothing queued.
+    fn work(&self, mut job: Job) {
+        loop {
+            // A panicking job takes its own report sender down with it;
+            // the worker lives on for the next one.
+            let _ = panic::catch_unwind(AssertUnwindSafe(job));
+            let mut queue = self.lock();
+            queue.idle += 1;
+            let expires = Instant::now() + self.idle_for;
+            job = loop {
+                // A job queued just as the idle period ran out is still
+                // this worker's: the queue is checked before the clock.
+                if let Some(next) = queue.jobs.pop_front() {
+                    break next;
+                }
+                let now = Instant::now();
+                if now >= expires {
+                    queue.idle -= 1;
+                    return;
+                }
+                queue = self
+                    .wake
+                    .wait_timeout(queue, expires - now)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
+            };
+        }
+    }
+}
+
+/// What every leg of one fan-out shares: the backend target, the
+/// request's deadline and retry budget, and the one channel all of its
+/// attempts report into.
+pub(crate) struct Fanout<'a> {
+    pub(crate) target: Arc<str>,
+    pub(crate) deadline: Instant,
+    pub(crate) shard_timeout: Duration,
+    pub(crate) hedge: &'a HedgePolicy,
+    /// Shared across every leg: hedges and retries all draw from it.
+    pub(crate) budget: RetryBudget,
+    pub(crate) trace: u64,
+    pub(crate) tx: mpsc::Sender<AttemptReport>,
+}
+
+impl Fanout<'_> {
+    /// One attempt's socket budget: the shard timeout, capped by what is
+    /// left of the request, so an abandoned attempt cannot outlive the
+    /// request by more than the shard timeout.
+    fn attempt_budget(&self, now: Instant) -> Duration {
+        self.shard_timeout
+            .min(self.deadline.saturating_duration_since(now))
+            .max(Duration::from_millis(1))
+    }
+}
+
+/// One shard's leg of a fan-out: selection, hedging and budgeted
+/// retries, stepped by the request's coordinator as reports and timers
+/// arrive. The first answer wins; a leg hedges only while just its
+/// primary is in flight; a retry opens its own hedge window.
+pub(crate) struct Leg {
+    rt: Arc<ShardRuntime>,
+    /// Replicas not yet tried, in plan order.
+    order: std::vec::IntoIter<usize>,
+    in_flight: u32,
+    hedge_delay: Option<Duration>,
+    /// When to hedge the attempt in flight; `None` once it has hedged,
+    /// or when hedging is off.
+    hedge_at: Option<Instant>,
+    last_error: String,
+    started: Instant,
+    outcome: Option<ShardOutcome>,
 }
 
 impl ShardRuntime {
     pub fn new(shard: u32, set: &ReplicaSet, breaker: BreakerConfig) -> ShardRuntime {
+        let labeled =
+            |series: &str| flowcube_obs::labeled(series, &[("shard", &shard.to_string())]);
         ShardRuntime {
             shard,
             replicas: set
                 .replicas
                 .iter()
-                .map(|addr| {
+                .enumerate()
+                .map(|(idx, addr)| {
                     Arc::new(ReplicaState {
                         addr: addr.clone(),
                         health: ReplicaHealth::default(),
                         pool: client::Pool::default(),
+                        series: ReplicaSeries::new(shard, idx),
+                        data_failpoint: format!("federate.replica.s{shard}.r{idx}"),
+                        probe_failpoint: format!("federate.replica.probe.s{shard}.r{idx}"),
                     })
                 })
                 .collect(),
             breaker,
             cursor: AtomicUsize::new(0),
             latency: LatencyWindow::new(),
+            abandoned_series: labeled("federate.replica.abandoned"),
+            latency_series: labeled("federate.shard.latency_us"),
+            errors_series: labeled("federate.shard.errors"),
         }
     }
 
@@ -288,7 +471,7 @@ impl ShardRuntime {
 
     /// Health-weighted round-robin: rotate the cursor over the set, keep
     /// breaker-closed replicas (clean streaks ahead of dirty ones, both
-    /// in rotation order), spawn at most one `/healthz` probe for an
+    /// in rotation order), start at most one `/healthz` probe for an
     /// open-past-cooldown replica, and — only when *every* replica is
     /// open — fall back to the full rotation so the shard degrades to
     /// the old "try it and time out" behavior rather than giving up
@@ -320,45 +503,38 @@ impl ShardRuntime {
         }
     }
 
-    /// Fire the half-open `/healthz` probe on a detached thread. The
+    /// Run the half-open `/healthz` probe on an attempt worker. The
     /// breaker is already HalfOpen (the [`Availability::Probe`] caller
     /// owns it); close/reopen happens when the probe returns.
     fn spawn_probe(self: &Arc<Self>, idx: usize) {
         let rt = Arc::clone(self);
-        let _ = std::thread::Builder::new()
-            .name(format!("federate-probe-s{}-r{idx}", self.shard))
-            .spawn(move || {
-                let replica = &rt.replicas[idx];
-                let injected = flowcube_testkit::any_armed()
-                    .then(|| flowcube_testkit::fail_point(&probe_failpoint(rt.shard, idx)))
-                    .flatten();
-                let ok = match injected {
-                    Some(_) => false,
-                    // On a fresh connection: what a probe tests is that
-                    // the replica accepts connections.
-                    None => {
-                        client::http_get(&replica.addr, "/healthz", rt.breaker.probe_timeout, None)
-                            .is_ok_and(|(status, _)| status == 200)
-                    }
-                };
-                if ok {
-                    if replica.health.probe_succeeded() {
-                        flowcube_obs::counter_add(
-                            &replica_metric("federate.replica.breaker_close", rt.shard, idx),
-                            1,
-                        );
-                        flight::record(
-                            FlightKind::BreakerClose,
-                            0,
-                            flight::intern("replica"),
-                            0,
-                            ((rt.shard as u64) << 32) | idx as u64,
-                        );
-                    }
-                } else {
-                    replica.health.probe_failed(Instant::now());
+        ATTEMPT_WORKERS.run(move || {
+            let replica = &rt.replicas[idx];
+            let injected = flowcube_testkit::any_armed()
+                .then(|| flowcube_testkit::fail_point(&replica.probe_failpoint))
+                .flatten();
+            let ok = match injected {
+                Some(_) => false,
+                // On a fresh connection: what a probe tests is that the
+                // replica accepts connections.
+                None => client::http_get(&replica.addr, "/healthz", rt.breaker.probe_timeout, None)
+                    .is_ok_and(|(status, _)| status == 200),
+            };
+            if ok {
+                if replica.health.probe_succeeded() {
+                    flowcube_obs::counter_add(&replica.series.breaker_close, 1);
+                    flight::record(
+                        FlightKind::BreakerClose,
+                        0,
+                        flight::intern("replica"),
+                        0,
+                        ((rt.shard as u64) << 32) | idx as u64,
+                    );
                 }
-            });
+            } else {
+                replica.health.probe_failed(Instant::now());
+            }
+        });
     }
 
     /// The hedge threshold for one attempt, or `None` when hedging is
@@ -378,231 +554,212 @@ impl ShardRuntime {
         }
     }
 
-    /// Launch one attempt on a detached thread. The thread owns its
-    /// socket (bounded by `budget`), reports health + latency into the
-    /// shared runtime even if the coordinator has moved on (an abandoned
-    /// hedge loser still updates the breaker), and sends its report over
-    /// `tx` — a send into a dropped receiver is the abandonment.
-    fn launch(
-        self: &Arc<Self>,
-        replica: usize,
-        target: &str,
-        budget: Duration,
-        hedge: bool,
-        tx: &mpsc::Sender<AttemptReport>,
-    ) {
-        flowcube_obs::counter_add(
-            &replica_metric("federate.replica.selected", self.shard, replica),
-            1,
-        );
+    /// Launch one attempt on an attempt worker. The worker owns the
+    /// socket (bounded by the attempt budget), reports health + latency
+    /// into the shared runtime even if the coordinator has moved on (an
+    /// abandoned hedge loser still updates the breaker), and sends its
+    /// report over the fan-out's channel — into a receiver that may be
+    /// gone, which is the abandonment.
+    fn launch(self: &Arc<Self>, replica: usize, hedge: bool, fan: &Fanout) {
+        flowcube_obs::counter_add(&self.replicas[replica].series.selected, 1);
         let rt = Arc::clone(self);
-        let target = target.to_string();
-        let tx = tx.clone();
-        let _ = std::thread::Builder::new()
-            .name(format!("federate-s{}-r{replica}", self.shard))
-            .spawn(move || {
-                let state = &rt.replicas[replica];
-                let started = Instant::now();
-                let injected = flowcube_testkit::any_armed()
-                    .then(|| flowcube_testkit::fail_point(&data_failpoint(rt.shard, replica)))
-                    .flatten();
-                let outcome = match injected {
-                    Some(fault) => Err(match fault {
-                        flowcube_testkit::Fault::Error(msg) => format!("injected: {msg}"),
-                        flowcube_testkit::Fault::ShortRead(n) => {
-                            format!("injected short read of {n} bytes")
-                        }
-                    }),
-                    None => client::http_get(&state.addr, &target, budget, Some(&state.pool)),
-                };
-                match &outcome {
-                    Ok(_) => {
-                        state.health.record_success();
-                        rt.latency
-                            .observe_us(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
+        let target = Arc::clone(&fan.target);
+        let budget = fan.attempt_budget(Instant::now());
+        let tx = fan.tx.clone();
+        ATTEMPT_WORKERS.run(move || {
+            let state = &rt.replicas[replica];
+            let started = Instant::now();
+            let injected = flowcube_testkit::any_armed()
+                .then(|| flowcube_testkit::fail_point(&state.data_failpoint))
+                .flatten();
+            let outcome = match injected {
+                Some(fault) => Err(match fault {
+                    flowcube_testkit::Fault::Error(msg) => format!("injected: {msg}"),
+                    flowcube_testkit::Fault::ShortRead(n) => {
+                        format!("injected short read of {n} bytes")
                     }
-                    Err(_) => {
-                        if state.health.record_failure(&rt.breaker, Instant::now()) {
-                            // The breaker opened: the replica's idle
-                            // connections are not to be trusted either.
-                            state.pool.clear();
-                            flowcube_obs::counter_add(
-                                &replica_metric("federate.replica.breaker_open", rt.shard, replica),
-                                1,
-                            );
-                            flight::record(
-                                FlightKind::BreakerOpen,
-                                0,
-                                flight::intern("replica"),
-                                0,
-                                ((rt.shard as u64) << 32) | replica as u64,
-                            );
-                        }
+                }),
+                None => client::http_get(&state.addr, &target, budget, Some(&state.pool)),
+            };
+            match &outcome {
+                Ok(_) => {
+                    state.health.record_success();
+                    rt.latency
+                        .observe_us(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
+                }
+                Err(_) => {
+                    if state.health.record_failure(&rt.breaker, Instant::now()) {
+                        // The breaker opened: the replica's idle
+                        // connections are not to be trusted either.
+                        state.pool.clear();
+                        flowcube_obs::counter_add(&state.series.breaker_open, 1);
+                        flight::record(
+                            FlightKind::BreakerOpen,
+                            0,
+                            flight::intern("replica"),
+                            0,
+                            ((rt.shard as u64) << 32) | replica as u64,
+                        );
                     }
                 }
-                let _ = tx.send(AttemptReport {
-                    replica,
-                    hedge,
-                    outcome,
-                });
+            }
+            let _ = tx.send(AttemptReport {
+                shard: rt.shard as usize,
+                replica,
+                hedge,
+                outcome,
             });
+        });
     }
 
-    /// One shard leg of a federated fan-out: selection, hedging, and
-    /// budgeted retries, all inside `deadline`. Per-attempt sockets are
-    /// capped at `shard_timeout` (and at the remaining deadline), so an
-    /// abandoned attempt cannot outlive the request by more than the
-    /// shard timeout.
-    pub fn query(
-        self: &Arc<Self>,
-        target: &str,
-        deadline: Instant,
-        shard_timeout: Duration,
-        hedge: &HedgePolicy,
-        budget: &RetryBudget,
-        trace: u64,
-    ) -> ShardOutcome {
-        let (tx, rx) = mpsc::channel();
-        let mut order = self.plan().into_iter();
-        let Some(first) = order.next() else {
-            return ShardOutcome::Failed {
-                detail: format!("shard {}: no replica available", self.shard),
-            };
+    /// Start this shard's leg of `fan`: plan the replica order and launch
+    /// the primary attempt.
+    pub(crate) fn leg(self: &Arc<Self>, fan: &Fanout) -> Leg {
+        let started = Instant::now();
+        let mut leg = Leg {
+            rt: Arc::clone(self),
+            order: self.plan().into_iter(),
+            in_flight: 0,
+            hedge_delay: self.hedge_delay(fan.hedge, fan.shard_timeout),
+            hedge_at: None,
+            last_error: String::from("no attempt completed"),
+            started,
+            outcome: None,
         };
-        let attempt_budget = |now: Instant| {
-            shard_timeout
-                .min(deadline.saturating_duration_since(now))
-                .max(Duration::from_millis(1))
-        };
-        self.launch(first, target, attempt_budget(Instant::now()), false, &tx);
-        let mut in_flight = 1u32;
-        let hedge_delay = self.hedge_delay(hedge, shard_timeout);
-        let mut hedge_done = hedge_delay.is_none();
-        let mut last_error = String::from("no attempt completed");
-        loop {
-            let now = Instant::now();
-            let until_deadline = deadline.saturating_duration_since(now);
-            if until_deadline.is_zero() {
-                return ShardOutcome::Failed {
-                    detail: format!("shard {}: timed out ({last_error})", self.shard),
-                };
+        match leg.order.next() {
+            Some(first) => leg.attempt(first, started, fan),
+            None => leg.resolve(
+                ShardOutcome::Failed {
+                    detail: format!("shard {}: no replica available", self.shard),
+                },
+                fan,
+            ),
+        }
+        leg
+    }
+}
+
+impl Leg {
+    /// The instant this leg wants the coordinator back for its hedge, if
+    /// one is pending.
+    pub(crate) fn hedge_at(&self) -> Option<Instant> {
+        self.hedge_at
+    }
+
+    pub(crate) fn is_pending(&self) -> bool {
+        self.outcome.is_none()
+    }
+
+    /// The leg's outcome; a leg still pending has failed.
+    pub(crate) fn into_outcome(self) -> ShardOutcome {
+        self.outcome.unwrap_or(ShardOutcome::Failed {
+            detail: self.last_error,
+        })
+    }
+
+    /// Launch a primary or a retry: one attempt in flight, with a hedge
+    /// window of its own.
+    fn attempt(&mut self, replica: usize, now: Instant, fan: &Fanout) {
+        self.rt.launch(replica, false, fan);
+        self.in_flight = 1;
+        self.hedge_at = self.hedge_delay.map(|d| now + d);
+    }
+
+    /// An attempt of this leg reported. Reports for a resolved leg are
+    /// its abandoned hedge losers, and are dropped.
+    pub(crate) fn on_report(&mut self, report: AttemptReport, fan: &Fanout) {
+        if self.outcome.is_some() {
+            return;
+        }
+        self.in_flight -= 1;
+        match report.outcome {
+            Ok((status, body)) => {
+                if report.hedge {
+                    let won = &self.rt.replicas[report.replica].series.hedge_won;
+                    flowcube_obs::counter_add(won, 1);
+                }
+                if self.in_flight > 0 {
+                    // The slower half of the hedge pair is abandoned: it
+                    // finishes its read on its worker, and its report is
+                    // dropped.
+                    flowcube_obs::counter_add(&self.rt.abandoned_series, self.in_flight as u64);
+                }
+                self.resolve(ShardOutcome::Answered { status, body }, fan);
             }
-            // While exactly the primary is in flight and a hedge is still
-            // possible, wait only up to the hedge threshold.
-            let hedge_wait = (!hedge_done && in_flight == 1)
-                .then_some(hedge_delay)
-                .flatten()
-                .filter(|d| *d < until_deadline);
-            let wait = hedge_wait.unwrap_or(until_deadline);
-            match rx.recv_timeout(wait) {
-                Ok(report) => {
-                    in_flight -= 1;
-                    match report.outcome {
-                        Ok((status, body)) => {
-                            if report.hedge {
-                                flowcube_obs::counter_add(
-                                    &replica_metric(
-                                        "federate.replica.hedge_won",
-                                        self.shard,
-                                        report.replica,
-                                    ),
-                                    1,
-                                );
-                            }
-                            if in_flight > 0 {
-                                // The slower half of the hedge pair is
-                                // abandoned: its thread will finish into a
-                                // dropped receiver.
-                                flowcube_obs::counter_add(
-                                    &flowcube_obs::labeled(
-                                        "federate.replica.abandoned",
-                                        &[("shard", &self.shard.to_string())],
-                                    ),
-                                    in_flight as u64,
-                                );
-                            }
-                            return ShardOutcome::Answered { status, body };
-                        }
-                        Err(detail) => {
-                            last_error = detail;
-                            if in_flight > 0 {
-                                continue; // the hedge partner may still win
-                            }
-                            match order.next() {
-                                Some(next_replica) if budget.try_take() => {
-                                    flowcube_obs::counter_add(
-                                        &replica_metric(
-                                            "federate.replica.retried",
-                                            self.shard,
-                                            next_replica,
-                                        ),
-                                        1,
-                                    );
-                                    self.launch(
-                                        next_replica,
-                                        target,
-                                        attempt_budget(Instant::now()),
-                                        false,
-                                        &tx,
-                                    );
-                                    in_flight = 1;
-                                    // The retry gets its own hedge window.
-                                    hedge_done = hedge_delay.is_none();
-                                }
-                                _ => {
-                                    return ShardOutcome::Failed { detail: last_error };
-                                }
-                            }
-                        }
-                    }
+            Err(detail) => {
+                self.last_error = detail;
+                if self.in_flight > 0 {
+                    return; // the hedge partner may still win
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if hedge_wait.is_some() {
-                        hedge_done = true;
-                        // Hedge only if a distinct replica remains and the
-                        // request still has budget; an exhausted budget
-                        // suppresses the hedge entirely.
-                        if let Some(next_replica) = order.next() {
-                            if budget.try_take() {
-                                flowcube_obs::counter_add(
-                                    &replica_metric(
-                                        "federate.replica.hedged",
-                                        self.shard,
-                                        next_replica,
-                                    ),
-                                    1,
-                                );
-                                flight::record(
-                                    FlightKind::Hedge,
-                                    trace,
-                                    flight::intern("replica"),
-                                    0,
-                                    ((self.shard as u64) << 32) | next_replica as u64,
-                                );
-                                self.launch(
-                                    next_replica,
-                                    target,
-                                    attempt_budget(Instant::now()),
-                                    true,
-                                    &tx,
-                                );
-                                in_flight += 1;
-                            }
-                        }
-                    } else {
-                        return ShardOutcome::Failed {
-                            detail: format!(
-                                "shard {}: deadline exceeded with {in_flight} attempt(s) in flight",
-                                self.shard
-                            ),
-                        };
+                match self.order.next() {
+                    Some(next) if fan.budget.try_take() => {
+                        flowcube_obs::counter_add(&self.rt.replicas[next].series.retried, 1);
+                        self.attempt(next, Instant::now(), fan);
                     }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return ShardOutcome::Failed { detail: last_error };
+                    _ => {
+                        let detail = std::mem::take(&mut self.last_error);
+                        self.resolve(ShardOutcome::Failed { detail }, fan);
+                    }
                 }
             }
         }
+    }
+
+    /// The coordinator woke at `now` without a report: fail the leg if
+    /// the request's deadline has passed, else hedge if the hedge is due.
+    pub(crate) fn on_timer(&mut self, now: Instant, fan: &Fanout) {
+        if self.outcome.is_some() {
+            return;
+        }
+        if now >= fan.deadline {
+            let detail = format!(
+                "shard {}: deadline exceeded with {} attempt(s) in flight ({})",
+                self.rt.shard, self.in_flight, self.last_error
+            );
+            self.resolve(ShardOutcome::Failed { detail }, fan);
+            return;
+        }
+        if self.hedge_at.is_none_or(|at| now < at) {
+            return;
+        }
+        self.hedge_at = None;
+        // Hedge only if a distinct replica remains and the request still
+        // has budget; an exhausted budget suppresses the hedge entirely.
+        if let Some(next) = self.order.next() {
+            if fan.budget.try_take() {
+                flowcube_obs::counter_add(&self.rt.replicas[next].series.hedged, 1);
+                flight::record(
+                    FlightKind::Hedge,
+                    fan.trace,
+                    flight::intern("replica"),
+                    0,
+                    ((self.rt.shard as u64) << 32) | next as u64,
+                );
+                self.rt.launch(next, true, fan);
+                self.in_flight += 1;
+            }
+        }
+    }
+
+    /// Settle the leg, and record its latency, and a failure's error
+    /// count and `ShardTimeout` flight event.
+    fn resolve(&mut self, outcome: ShardOutcome, fan: &Fanout) {
+        self.hedge_at = None;
+        flowcube_obs::histogram_record(
+            &self.rt.latency_series,
+            self.started.elapsed().as_micros() as f64,
+        );
+        if let ShardOutcome::Failed { .. } = outcome {
+            flowcube_obs::counter_add(&self.rt.errors_series, 1);
+            flight::record(
+                FlightKind::ShardTimeout,
+                fan.trace,
+                flight::intern("scatter"),
+                0,
+                self.rt.shard as u64,
+            );
+        }
+        self.outcome = Some(outcome);
     }
 }
 
@@ -696,6 +853,90 @@ mod tests {
         rt.replicas[1].health.record_failure(&cfg, Instant::now());
         let plan = rt.plan();
         assert_eq!(plan.len(), 2, "all-open falls back to full rotation");
+    }
+
+    /// Wait, without a deadline of the code's own, until `cond` holds.
+    fn until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn parked(pool: &Workers) -> usize {
+        pool.lock().idle
+    }
+
+    #[test]
+    fn a_blocked_job_does_not_delay_the_next_one() {
+        static POOL: Workers = Workers::new(Duration::from_secs(60));
+        // One parked worker, which the blocked job takes.
+        POOL.run(|| {});
+        until("the first worker parks", || parked(&POOL) == 1);
+        // Both jobs pass the barrier only if they run at once, each on
+        // its own worker.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..2 {
+            let (barrier, tx) = (Arc::clone(&barrier), tx.clone());
+            POOL.run(move || {
+                barrier.wait();
+                let _ = tx.send(std::thread::current().id());
+            });
+        }
+        let a = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("both jobs ran");
+        let b = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("both jobs ran");
+        assert_ne!(a, b, "the second job got a worker of its own");
+    }
+
+    #[test]
+    fn a_job_handed_over_as_the_idle_period_ends_is_never_lost() {
+        static POOL: Workers = Workers::new(Duration::from_millis(1));
+        let (tx, rx) = mpsc::channel();
+        for i in 0..500u64 {
+            let tx = tx.clone();
+            POOL.run(move || {
+                let _ = tx.send(i);
+            });
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(10)),
+                Ok(i),
+                "job {i} ran"
+            );
+            // Sweep the next hand-over across the parked worker's expiry.
+            std::thread::sleep(Duration::from_micros(i % 10 * 150));
+        }
+        until("every worker has expired", || {
+            let queue = POOL.lock();
+            queue.idle == 0 && queue.jobs.is_empty()
+        });
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_wedge_later_jobs() {
+        static POOL: Workers = Workers::new(Duration::from_secs(60));
+        POOL.run(|| panic!("an attempt panicked"));
+        until("the panicked worker parks again", || parked(&POOL) == 1);
+        let (tx, rx) = mpsc::channel();
+        for i in 0..4 {
+            let tx = tx.clone();
+            POOL.run(move || {
+                let _ = tx.send(i);
+            });
+        }
+        let mut ran: Vec<i32> = (0..4)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(10))
+                    .expect("later jobs run")
+            })
+            .collect();
+        ran.sort_unstable();
+        assert_eq!(ran, [0, 1, 2, 3]);
     }
 
     #[test]

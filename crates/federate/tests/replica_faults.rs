@@ -6,9 +6,10 @@
 //! acceptance path — one replica per shard killed mid-run yields 100%
 //! full, non-partial 200s — and the contract of the per-replica
 //! connection pools: attempts reuse connections, a stale pooled
-//! connection is not a replica failure, a socket whose response was not
-//! read to the end never carries another request, and an open breaker
-//! empties its replica's pool.
+//! connection is not a replica failure (but a timeout on one is), a
+//! socket whose response was not read to the end never carries another
+//! request, and an open breaker empties its replica's pool — and that a
+//! warm front runs its attempts on reused workers, spawning none.
 //!
 //! The failpoint registry, metrics registry, and flight ring are all
 //! process-global; these tests serialize on one mutex and reset all
@@ -29,7 +30,9 @@ use flowcube_serve::ServerHandle;
 use flowcube_testkit::http::{get, raw_roundtrip};
 use flowcube_testkit::FailAction;
 use serde_json::Value;
-use std::sync::{Mutex, MutexGuard};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 static GLOBALS: Mutex<()> = Mutex::new(());
@@ -656,5 +659,118 @@ fn breaker_open_empties_the_replicas_pool() {
     );
 
     flowcube_testkit::reset();
+    shutdown_all(groups, front);
+}
+
+/// (f) A pooled connection whose replica stalls is a timed-out attempt,
+/// not a stale connection: it fails after one shard timeout, is not
+/// resent, and the replica's failure streak hears of it.
+#[test]
+fn timeout_on_a_pooled_connection_is_a_failure_not_a_stale_resend() {
+    let _guard = lock_globals();
+    // A scripted replica: it answers the first request on its first
+    // connection with keep-alive, then reads the second and stalls.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let replica = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        read_head(&mut conn);
+        let body = r#"{"cell":"*,*","support":7,"nodes":1}"#;
+        let response = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
+            body.len()
+        );
+        conn.write_all(response.as_bytes()).expect("answer");
+        read_head(&mut conn);
+        // Hold both the stalled connection and the listener until the
+        // test is done: a resend would connect and stall too.
+        let _ = done_rx.recv();
+    });
+    let front = serve_front(FrontConfig {
+        backends: vec![ReplicaSet::single(addr)],
+        shards: 1,
+        workers: 2,
+        shard_timeout: Duration::from_millis(200),
+        hedge: HedgePolicy::Off,
+        ..Default::default()
+    })
+    .expect("front starts");
+
+    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
+    assert_eq!(status, 200, "the first request is answered: {body}");
+    assert_eq!(pooled(&front, 0, 0), 1, "and its connection pooled");
+
+    let start = Instant::now();
+    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
+    let elapsed = start.elapsed();
+    assert_eq!(status, 503, "the only replica timed out: {body}");
+    assert!(
+        (Duration::from_millis(190)..Duration::from_millis(380)).contains(&elapsed),
+        "one shard timeout, not two: took {elapsed:?}"
+    );
+    assert_eq!(family("federate.client.pool.hit"), 1, "it rode the pool");
+    assert_eq!(
+        family("federate.client.pool.stale"),
+        0,
+        "and was not resent"
+    );
+    assert_eq!(
+        front.state().shards()[0].replicas[0]
+            .health
+            .consecutive_failures(),
+        1,
+        "the replica's failure streak heard of the timeout"
+    );
+
+    front.shutdown();
+    front.join();
+    let _ = done_tx.send(());
+    replica.join().expect("scripted replica");
+}
+
+/// Read one request head off `conn`.
+fn read_head(conn: &mut TcpStream) {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        match conn.read(&mut byte) {
+            Ok(1) => head.push(byte[0]),
+            other => panic!("request head cut short: {other:?}"),
+        }
+    }
+}
+
+/// A warm front runs every attempt on a parked worker: after a warm-up,
+/// a hundred federated reads over 2 shards x 2 replicas spawn none.
+#[test]
+fn warm_front_spawns_no_attempt_workers() {
+    let _guard = lock_globals();
+    let db = generate(&GeneratorConfig::small(60, 82)).db;
+    let (groups, front) = boot_replicated(&db, 2, 2, |_| {});
+
+    // Warm up with both front workers busy at once, so the pool holds
+    // workers for every attempt two concurrent requests can have out.
+    std::thread::scope(|scope| {
+        for client in 0..2 {
+            let (front, db) = (&front, &db);
+            scope.spawn(move || {
+                for i in 0..30 {
+                    assert_full_answer(front, db, &format!("warm-up {client}.{i}"));
+                }
+            });
+        }
+    });
+    let spawned = counter("federate.attempt_workers.spawned", &[]);
+    for i in 0..100 {
+        assert_full_answer(&front, &db, &format!("steady {i}"));
+    }
+    assert_eq!(
+        counter("federate.attempt_workers.spawned", &[]) - spawned,
+        0,
+        "steady-state reads spawned attempt workers"
+    );
+
     shutdown_all(groups, front);
 }
