@@ -147,11 +147,14 @@ impl RetryBudget {
 
 /// Streaming latency window: the last [`LatencyWindow::CAPACITY`]
 /// successful attempt latencies for one shard, quantile-queried to set
-/// the adaptive hedge threshold. A fixed ring + sort-on-query is exact
+/// the adaptive hedge threshold. A fixed ring + select-on-query is exact
 /// over the window and costs nothing on the record path but a short
-/// mutex hold.
+/// mutex hold; a query holds the lock only to copy the ring onto its
+/// stack.
 pub struct LatencyWindow {
-    samples: Mutex<(Vec<u64>, usize)>,
+    /// The ring, how many of its slots hold samples, and the slot the
+    /// next sample overwrites once it is full.
+    samples: Mutex<([u64; Self::CAPACITY], usize, usize)>,
 }
 
 impl LatencyWindow {
@@ -161,15 +164,16 @@ impl LatencyWindow {
 
     pub fn new() -> LatencyWindow {
         LatencyWindow {
-            samples: Mutex::new((Vec::with_capacity(Self::CAPACITY), 0)),
+            samples: Mutex::new(([0; Self::CAPACITY], 0, 0)),
         }
     }
 
     pub fn observe_us(&self, us: u64) {
         let mut guard = self.samples.lock().unwrap_or_else(|e| e.into_inner());
-        let (ring, next) = &mut *guard;
-        if ring.len() < Self::CAPACITY {
-            ring.push(us);
+        let (ring, len, next) = &mut *guard;
+        if *len < Self::CAPACITY {
+            ring[*len] = us;
+            *len += 1;
         } else {
             ring[*next] = us;
             *next = (*next + 1) % Self::CAPACITY;
@@ -177,11 +181,7 @@ impl LatencyWindow {
     }
 
     pub fn len(&self) -> usize {
-        self.samples
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .0
-            .len()
+        self.samples.lock().unwrap_or_else(|e| e.into_inner()).1
     }
 
     pub fn is_empty(&self) -> bool {
@@ -190,15 +190,19 @@ impl LatencyWindow {
 
     /// Exact quantile over the current window; `None` until any sample.
     pub fn quantile_us(&self, q: f64) -> Option<u64> {
-        let guard = self.samples.lock().unwrap_or_else(|e| e.into_inner());
-        if guard.0.is_empty() {
+        self.quantile_after_us(1, q)
+    }
+
+    /// [`Self::quantile_us`], but `None` until the window holds `min`
+    /// samples: one lock for the hedge's warm-up check and its quantile.
+    pub fn quantile_after_us(&self, min: usize, q: f64) -> Option<u64> {
+        let (mut ring, len, _) = *self.samples.lock().unwrap_or_else(|e| e.into_inner());
+        if len < min.max(1) {
             return None;
         }
-        let mut sorted = guard.0.clone();
-        drop(guard);
-        sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        Some(sorted[idx])
+        let window = &mut ring[..len];
+        let idx = ((len - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+        Some(*window.select_nth_unstable(idx).1)
     }
 }
 
@@ -544,12 +548,13 @@ impl ShardRuntime {
             HedgePolicy::Off => None,
             HedgePolicy::Fixed(d) => Some(*d),
             HedgePolicy::Adaptive => {
-                let half = shard_timeout / 2;
-                if self.latency.len() < LatencyWindow::WARMUP {
-                    return Some(half.max(Duration::from_millis(1)));
+                let half = (shard_timeout / 2).max(Duration::from_millis(1));
+                match self.latency.quantile_after_us(LatencyWindow::WARMUP, 0.95) {
+                    None => Some(half),
+                    Some(p95) => {
+                        Some(Duration::from_micros(p95).clamp(Duration::from_millis(1), half))
+                    }
                 }
-                let p95 = Duration::from_micros(self.latency.quantile_us(0.95).unwrap_or(0));
-                Some(p95.clamp(Duration::from_millis(1), half.max(Duration::from_millis(1))))
             }
         }
     }
@@ -815,6 +820,43 @@ mod tests {
         let p95 = w.quantile_us(0.95).unwrap();
         assert!((95..=100).contains(&p95), "p95 over the window, got {p95}");
         assert!(w.quantile_us(0.0).unwrap() >= 37);
+    }
+
+    /// The quantile the window computed before it selected in place: a
+    /// clone of the samples, sorted.
+    fn sorted_quantile(window: &[u64], q: f64) -> u64 {
+        let mut sorted = window.to_vec();
+        sorted.sort_unstable();
+        sorted[((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Below the warm-up, at a full window and after the ring wraps,
+        /// the selected quantile is exactly the sorted one, and the
+        /// warm-up gate opens at `WARMUP` samples.
+        #[test]
+        fn latency_window_selects_the_sorted_quantile(
+            samples in proptest::prelude::prop::collection::vec(0u64..5_000, 0..200),
+            q in 0.0f64..1.0,
+        ) {
+            let w = LatencyWindow::new();
+            for &us in &samples {
+                w.observe_us(us);
+            }
+            let kept = &samples[samples.len().saturating_sub(LatencyWindow::CAPACITY)..];
+            proptest::prop_assert_eq!(w.len(), kept.len());
+            for q in [q, 0.0, 0.95, 1.0] {
+                let want = (!kept.is_empty()).then(|| sorted_quantile(kept, q));
+                proptest::prop_assert_eq!(w.quantile_us(q), want);
+                let warm = (kept.len() >= LatencyWindow::WARMUP).then_some(want).flatten();
+                proptest::prop_assert_eq!(
+                    w.quantile_after_us(LatencyWindow::WARMUP, q),
+                    warm
+                );
+            }
+        }
     }
 
     #[test]

@@ -175,7 +175,12 @@ pub fn counter_add(name: &str, delta: u64) {
     if !is_enabled() || delta == 0 {
         return;
     }
-    with_registry(|r| *r.counters.entry(name.to_string()).or_insert(0) += delta);
+    with_registry(|r| match r.counters.get_mut(name) {
+        Some(count) => *count += delta,
+        None => {
+            r.counters.insert(name.to_string(), delta);
+        }
+    });
 }
 
 /// Set a named gauge to the latest value (no-op while disabled).
@@ -183,8 +188,11 @@ pub fn gauge_set(name: &str, value: f64) {
     if !is_enabled() {
         return;
     }
-    with_registry(|r| {
-        r.gauges.insert(name.to_string(), value);
+    with_registry(|r| match r.gauges.get_mut(name) {
+        Some(gauge) => *gauge = value,
+        None => {
+            r.gauges.insert(name.to_string(), value);
+        }
     });
 }
 
@@ -229,11 +237,13 @@ pub fn histogram_record(name: &str, value: f64) {
     if !is_enabled() {
         return;
     }
-    with_registry(|r| {
-        r.histograms
+    with_registry(|r| match r.histograms.get_mut(name) {
+        Some(histogram) => histogram.record(value),
+        None => r
+            .histograms
             .entry(name.to_string())
             .or_default()
-            .record(value)
+            .record(value),
     });
 }
 

@@ -360,9 +360,11 @@ pub struct RequestCtx {
     /// have hydrated cuboids from disk); a handler is never interrupted
     /// mid-flight.
     pub deadline: Option<Instant>,
-    /// Microseconds the connection sat in the accept queue before a
-    /// worker picked it up (0 when unknown / direct dispatch).
-    pub queue_wait_us: u64,
+    /// Microseconds a fresh connection sat in the accept queue before a
+    /// worker picked it up; `None` when the runtime did not see a wait —
+    /// a parked connection (it waited in the kernel), a pipelined
+    /// request, direct dispatch.
+    pub queue_wait_us: Option<u64>,
 }
 
 impl RequestCtx {
@@ -1268,10 +1270,13 @@ pub fn handle_request<S: Service>(service: &S, req: &Request, ctx: &RequestCtx) 
     let endpoint = scope.endpoint(&req.path);
     let (tag, label) = (endpoint.tag, endpoint.label);
     let (id, trace) = assign_request_id(req);
-    flight::record(FlightKind::RequestStart, trace, label, 0, ctx.queue_wait_us);
+    let queue_wait_us = ctx.queue_wait_us.unwrap_or(0);
+    flight::record(FlightKind::RequestStart, trace, label, 0, queue_wait_us);
     flowcube_obs::counter_add(&scope.requests_total, 1);
     flowcube_obs::counter_add(&endpoint.requests, 1);
-    flowcube_obs::histogram_record(&scope.queue_wait_us, ctx.queue_wait_us as f64);
+    if ctx.queue_wait_us.is_some() {
+        flowcube_obs::histogram_record(&scope.queue_wait_us, queue_wait_us as f64);
+    }
 
     let mut resp = builtin(req).unwrap_or_else(|| service.route(req, ctx, trace));
 

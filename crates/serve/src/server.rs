@@ -8,47 +8,48 @@
 //! optional access log and an optional `SIGHUP` hook. Everything below
 //! is the runtime's and is the same for every service.
 //!
-//! Threading model:
+//! Threading model — one Linux `epoll(7)` readiness set per server owns
+//! every connection that is between requests:
 //!
-//! * one **acceptor** thread owns the listener and every connection
-//!   that is between requests. It waits in one `poll(2)` on the
-//!   listener, on a wake channel and on all parked connections, and
-//!   pushes what becomes ready — a fresh connection, or a parked one
-//!   whose next request has started to arrive — onto a bounded queue;
-//! * `workers` **worker** threads pop connections, parse one request
-//!   (on a fresh connection after applying the socket timeouts and
-//!   `TCP_NODELAY`), answer it through [`crate::api::handle_request`]
-//!   (the request envelope around the service's route), and then either
-//!   close the connection or hand it back to the acceptor to be parked.
-//!   A request already waiting in the connection's carry buffer
-//!   (pipelining) is answered first. **A connection between requests
-//!   occupies no worker**: a worker never blocks in `read` on an idle
-//!   socket, so two workers serve any number of persistent clients;
-//! * when the queue is full the acceptor answers `429 Too Many
+//! * one **acceptor** thread keeps the door. It accepts, puts each fresh
+//!   connection on a bounded queue and rings the set's doorbell (an
+//!   `eventfd`); when the queue is full it answers `429 Too Many
 //!   Requests` inline and drops the connection — load shedding at the
-//!   door instead of unbounded buffering — whether the connection was
-//!   fresh or parked.
+//!   door instead of unbounded buffering. It also closes parked
+//!   connections that idle past the read timeout. Nothing else wakes it;
+//! * `workers` **worker** threads wait on the set itself. The worker the
+//!   kernel wakes takes what is ready — the doorbell (it pops a fresh
+//!   connection and applies the socket timeouts and `TCP_NODELAY`) or a
+//!   parked connection whose next request has started to arrive — parses
+//!   one request, answers it through [`crate::api::handle_request`] (the
+//!   request envelope around the service's route), answers any request
+//!   already waiting in the connection's carry buffer (pipelining), and
+//!   then closes the connection or parks it again: one `epoll_ctl`
+//!   re-arms it. **A connection between requests occupies no worker**: a
+//!   worker never blocks in `read` on an idle socket, so two workers
+//!   serve any number of persistent clients.
 //!
-//! Connection life cycle: accepted → queued → served → parked → queued
-//! → served → … → closed. The acceptor owns a socket while it is parked,
-//! the queue while it is queued, one worker while it is served. A
-//! response says `Connection: keep-alive` exactly when the connection is
-//! parked afterwards, and `Connection: close` when it is not: the client
-//! asked for `Connection: close` (or spoke HTTP/1.0 without
-//! `Connection: keep-alive`), the request could not be parsed (the
-//! stream position is unknown), the write failed, the server is
-//! shutting down, or the connection was shed. A parked connection that
-//! stays silent for [`ServerConfig::read_timeout`] is closed, and at
-//! most [`MAX_IDLE_CONNECTIONS`] are parked — one more closes the
-//! longest-idle one. The idle watcher is `poll(2)`: the runtime needs a
-//! unix target.
+//! Connection life cycle: accepted → queued → served → parked → served
+//! → … → closed. The queue owns a socket while it is queued, one worker
+//! while it is served, the set's slot table while it is parked; a
+//! parked connection that turns readable goes from the kernel straight
+//! to the worker it wakes, so it waits in the kernel's ready list, never
+//! in the queue, and is never shed. A response says `Connection:
+//! keep-alive` exactly when the connection is parked afterwards, and
+//! `Connection: close` when it is not: the client asked for `Connection:
+//! close` (or spoke HTTP/1.0 without `Connection: keep-alive`), the
+//! request could not be parsed (the stream position is unknown), the
+//! write failed, the server is shutting down, or the connection was
+//! shed. A parked connection that stays silent for
+//! [`ServerConfig::read_timeout`] is closed, and at most
+//! [`MAX_IDLE_CONNECTIONS`] are parked — parking one more closes the
+//! longest-idle one. The runtime waits on `epoll`: it needs Linux.
 //!
 //! Shutdown is cooperative: [`ServerHandle::shutdown`] (or `SIGINT`/
-//! `SIGTERM` via [`ServerHandle::wait_for_signals`]) flips a flag; the
-//! acceptor (unblocked through its wake channel) drops every parked
-//! connection and exits, the workers (polling the queue with a short
-//! wait timeout) answer what is in flight with `Connection: close` and
-//! drain.
+//! `SIGTERM` via [`ServerHandle::wait_for_signals`]) flips a flag and
+//! wakes the acceptor and the workers through their `eventfd`s; the
+//! acceptor closes every parked connection and exits, the workers answer
+//! what is in flight with `Connection: close` and drain.
 //!
 //! Fault tolerance:
 //!
@@ -73,11 +74,10 @@ use crate::http::{
 };
 use flowcube_obs::flight::{self, FlightKind};
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -167,6 +167,8 @@ pub struct Scope {
     connections_idle: String,
     /// Parked connections the server closed: idle timeout or cap.
     connections_idle_closed: String,
+    /// Returns from the acceptor's wait: accepts, idle sweeps, shutdown.
+    acceptor_wakeups: String,
     /// Failpoint evaluated by a worker that has claimed a connection.
     worker_request: String,
 }
@@ -199,6 +201,7 @@ impl Scope {
             connections_reused: series("connections.reused"),
             connections_idle: series("connections.idle"),
             connections_idle_closed: series("connections.idle_closed"),
+            acceptor_wakeups: series("acceptor.wakeups"),
             worker_request: series("worker.request"),
         }
     }
@@ -270,26 +273,25 @@ impl Default for ServerConfig {
     }
 }
 
-/// A client connection, as it travels between the acceptor, the queue
-/// and the workers.
+/// A client connection, as it travels between the queue, the workers
+/// and the readiness set.
 struct Conn {
     stream: TcpStream,
     /// Bytes read past the last answered request: the start of the next.
     carry: Vec<u8>,
     /// Requests answered on this connection so far.
     served: u64,
+    /// Registered in the readiness set: parking it again re-arms it.
+    registered: bool,
 }
 
-/// The bounded hand-off between the acceptor and the workers.
-/// (std `Mutex`/`Condvar` — the vendored `parking_lot` has no condvar;
-/// poisoning is recovered because a panicking worker must not wedge the
-/// accept path.)
+/// The bounded queue of fresh connections, between the acceptor and the
+/// workers. (Poisoning is recovered because a panicking worker must not
+/// wedge the accept path.)
 struct ConnQueue {
-    /// Each connection carries the instant a worker could first have
-    /// taken it — accepted, or seen readable while parked — so the worker
-    /// that picks it up can report how long it waited.
-    queue: std::sync::Mutex<VecDeque<(Conn, Instant)>>,
-    ready: std::sync::Condvar,
+    /// Each connection carries the instant it was accepted, so the
+    /// worker that picks it up can report how long it waited.
+    queue: Mutex<VecDeque<(Conn, Instant)>>,
     depth: usize,
     /// The `{scope}.queue.depth` gauge.
     gauge: String,
@@ -298,75 +300,187 @@ struct ConnQueue {
 impl ConnQueue {
     fn new(depth: usize, gauge: String) -> Self {
         ConnQueue {
-            queue: std::sync::Mutex::new(VecDeque::new()),
-            ready: std::sync::Condvar::new(),
+            queue: Mutex::new(VecDeque::new()),
             depth: depth.max(1),
             gauge,
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(Conn, Instant)>> {
+    fn lock(&self) -> MutexGuard<'_, VecDeque<(Conn, Instant)>> {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Enqueue if there is room; a full queue hands the connection back
     /// so the caller can shed it.
-    fn push(&self, conn: Conn, ready_at: Instant) -> Result<(), Conn> {
+    fn push(&self, conn: Conn, accepted: Instant) -> Result<(), Conn> {
         let mut q = self.lock();
         if q.len() >= self.depth {
             return Err(conn);
         }
-        q.push_back((conn, ready_at));
+        q.push_back((conn, accepted));
         flowcube_obs::gauge_set(&self.gauge, q.len() as f64);
-        drop(q);
-        self.ready.notify_one();
         Ok(())
     }
 
-    /// Pop with a bounded wait so workers can observe shutdown. Returns
-    /// the connection and the microseconds it sat queued.
-    fn pop(&self, wait: Duration) -> Option<(Conn, u64)> {
+    /// The oldest connection and the microseconds it sat queued.
+    fn pop(&self) -> Option<(Conn, u64)> {
         let mut q = self.lock();
-        if q.is_empty() {
-            let (guard, _timeout) = self
-                .ready
-                .wait_timeout(q, wait)
-                .unwrap_or_else(|e| e.into_inner());
-            q = guard;
-        }
-        let item = q.pop_front();
-        if item.is_some() {
-            flowcube_obs::gauge_set(&self.gauge, q.len() as f64);
-        }
-        drop(q);
-        item.map(|(conn, ready_at)| (conn, ready_at.elapsed().as_micros() as u64))
+        let (conn, accepted) = q.pop_front()?;
+        flowcube_obs::gauge_set(&self.gauge, q.len() as f64);
+        Some((conn, accepted.elapsed().as_micros() as u64))
     }
 }
 
-/// The way back to the acceptor: answered connections for it to park,
-/// and the wake channel that interrupts its `poll`.
-struct Handback {
-    returned: std::sync::Mutex<Vec<Conn>>,
-    /// Write end of the wake channel; the acceptor polls the other end.
-    wake: UnixStream,
+/// The doorbell's token in the workers' set; a parked connection's is
+/// its slot index in the low half and the slot's generation in the high
+/// half, and no slot index reaches `u32::MAX`.
+const DOORBELL: u64 = u64::MAX;
+/// The tokens of the acceptor's set.
+const LISTENER: u64 = 0;
+const ACCEPTOR_WAKE: u64 = 1;
+
+/// The readiness set the workers wait on, and the slot table that owns
+/// the parked connections. Each parked socket is armed `EPOLLIN |
+/// EPOLLRDHUP | EPOLLONESHOT`, so its readiness reaches exactly one
+/// worker and disarms it; that worker re-arms it when it parks the
+/// connection again. A slot's generation moves on each time the slot is
+/// reused, so an event for a connection the idle sweep has already
+/// closed names a stale token and is ignored.
+struct Parking {
+    epoll: sys::Epoll,
+    /// Rung once per queued fresh connection; in the set, level-triggered.
+    doorbell: sys::EventFd,
+    slots: Mutex<Slots>,
+    /// Most connections parked at once.
+    cap: usize,
+    /// The `{scope}.connections.idle` gauge.
+    idle: String,
+    /// The `{scope}.connections.idle_closed` counter.
+    idle_closed: String,
 }
 
-impl Handback {
-    fn park(&self, conn: Conn) {
-        self.returned
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(conn);
-        self.wake();
+#[derive(Default)]
+struct Slots {
+    /// Generation and, while parked, the connection and when it parked.
+    entries: Vec<(u32, Option<(Conn, Instant)>)>,
+    free: Vec<usize>,
+    parked: usize,
+    /// Set at shutdown: nothing parks any more.
+    closed: bool,
+}
+
+impl Slots {
+    fn remove(&mut self, index: usize) -> Option<Conn> {
+        let (conn, _) = self.entries[index].1.take()?;
+        self.free.push(index);
+        self.parked -= 1;
+        Some(conn)
+    }
+}
+
+impl Parking {
+    fn new(cap: usize, scope: &Scope) -> io::Result<Parking> {
+        let parking = Parking {
+            epoll: sys::Epoll::new()?,
+            doorbell: sys::EventFd::new()?,
+            slots: Mutex::new(Slots::default()),
+            cap: cap.max(1),
+            idle: scope.connections_idle.clone(),
+            idle_closed: scope.connections_idle_closed.clone(),
+        };
+        parking
+            .epoll
+            .add(&parking.doorbell, sys::EPOLLIN, DOORBELL)?;
+        Ok(parking)
     }
 
-    /// Non-blocking: a full channel already holds a wake-up.
-    fn wake(&self) {
-        let _ = (&self.wake).write(&[1]);
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn take(&self) -> Vec<Conn> {
-        std::mem::take(&mut *self.returned.lock().unwrap_or_else(|e| e.into_inner()))
+    /// Park `conn` until its next request starts to arrive. Parking one
+    /// more than the cap closes the longest-idle connection first.
+    fn park(&self, mut conn: Conn) {
+        let mut slots = self.lock();
+        if slots.closed {
+            return;
+        }
+        if slots.parked >= self.cap {
+            let longest_idle = (0..slots.entries.len())
+                .filter_map(|i| Some((i, slots.entries[i].1.as_ref()?.1)))
+                .min_by_key(|&(_, since)| since);
+            if let Some((i, _)) = longest_idle {
+                // Counted before the close, which the peer can see.
+                flowcube_obs::counter_add(&self.idle_closed, 1);
+                slots.remove(i);
+            }
+        }
+        let index = slots.free.pop().unwrap_or_else(|| {
+            slots.entries.push((0, None));
+            slots.entries.len() - 1
+        });
+        let generation = slots.entries[index].0.wrapping_add(1);
+        let token = (u64::from(generation) << 32) | index as u64;
+        let interest = sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLONESHOT;
+        let armed = if conn.registered {
+            self.epoll.modify(&conn.stream, interest, token)
+        } else {
+            self.epoll.add(&conn.stream, interest, token)
+        };
+        if armed.is_err() {
+            // Nothing would ever wake for it: close it.
+            slots.free.push(index);
+            return;
+        }
+        conn.registered = true;
+        // In the table before the lock is released, so the worker the
+        // event wakes finds it.
+        slots.entries[index] = (generation, Some((conn, Instant::now())));
+        slots.parked += 1;
+        flowcube_obs::gauge_set(&self.idle, slots.parked as f64);
+    }
+
+    /// Take the parked connection `token` names; `None` when its slot has
+    /// moved on (the sweep closed it first).
+    fn take(&self, token: u64) -> Option<Conn> {
+        let (index, generation) = ((token & u64::from(u32::MAX)) as usize, (token >> 32) as u32);
+        let mut slots = self.lock();
+        if slots.entries.get(index)?.0 != generation {
+            return None;
+        }
+        let conn = slots.remove(index)?;
+        flowcube_obs::gauge_set(&self.idle, slots.parked as f64);
+        Some(conn)
+    }
+
+    /// Close every connection parked for `idle` or longer; returns when
+    /// the next of the others expires.
+    fn sweep(&self, now: Instant, idle: Duration) -> Option<Instant> {
+        let mut slots = self.lock();
+        let mut next = None::<Instant>;
+        for i in 0..slots.entries.len() {
+            let Some((_, since)) = slots.entries[i].1 else {
+                continue;
+            };
+            if now.saturating_duration_since(since) >= idle {
+                flowcube_obs::counter_add(&self.idle_closed, 1);
+                slots.remove(i);
+            } else {
+                next = Some(next.map_or(since, |n| n.min(since)));
+            }
+        }
+        flowcube_obs::gauge_set(&self.idle, slots.parked as f64);
+        next.map(|since| since + idle)
+    }
+
+    /// Close every parked connection, and park none from now on.
+    fn close_all(&self) {
+        let mut slots = self.lock();
+        slots.closed = true;
+        slots.entries.clear();
+        slots.free.clear();
+        slots.parked = 0;
+        flowcube_obs::gauge_set(&self.idle, 0.0);
     }
 }
 
@@ -376,7 +490,9 @@ pub struct ServerHandle<S = AppState> {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     state: Arc<S>,
-    handback: Arc<Handback>,
+    /// Wakes the acceptor.
+    door_wake: Arc<sys::EventFd>,
+    parking: Arc<Parking>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -391,12 +507,14 @@ impl<S: Service> ServerHandle<S> {
         self.state.clone()
     }
 
-    /// Request a graceful stop; returns immediately. The wake channel
-    /// unblocks the acceptor so it observes the flag without waiting for
-    /// real traffic.
+    /// Request a graceful stop; returns immediately. The acceptor and
+    /// the idle workers are woken, so they observe the flag without
+    /// waiting for real traffic.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        self.handback.wake();
+        self.door_wake.post(1);
+        // Enough rings for every worker; each takes one and sees the flag.
+        self.parking.doorbell.post(1 << 20);
     }
 
     /// Wait for the acceptor, supervisor, and all workers to exit.
@@ -454,13 +572,13 @@ fn host_capped<S: Service>(
 ) -> io::Result<ServerHandle<S>> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    // `poll` says when `accept` will not block; should the peer have
-    // reset by then, a blocking accept would stall every parked
-    // connection behind it.
+    // `epoll` says when `accept` will not block; should the peer have
+    // reset by then, a blocking accept would stall the door.
     listener.set_nonblocking(true)?;
-    let (wake_tx, wake_rx) = UnixStream::pair()?;
-    wake_tx.set_nonblocking(true)?;
-    wake_rx.set_nonblocking(true)?;
+    let door = sys::Epoll::new()?;
+    let door_wake = Arc::new(sys::EventFd::new()?);
+    door.add(&listener, sys::EPOLLIN, LISTENER)?;
+    door.add(&*door_wake, sys::EPOLLIN, ACCEPTOR_WAKE)?;
 
     // The flight recorder runs for the life of the server: it is the
     // always-on black box that slow-request and 5xx access-log entries
@@ -474,23 +592,19 @@ fn host_capped<S: Service>(
         config.queue_depth,
         scope.queue_depth.clone(),
     ));
-    let handback = Arc::new(Handback {
-        returned: std::sync::Mutex::new(Vec::new()),
-        wake: wake_tx,
-    });
+    let parking = Arc::new(Parking::new(idle_cap, scope)?);
     let mut threads = Vec::with_capacity(2);
 
     // Acceptor.
     {
         let acceptor = Acceptor {
             listener,
-            wake: wake_rx,
+            door,
             service: state.clone(),
             queue: queue.clone(),
-            handback: handback.clone(),
+            parking: parking.clone(),
             stop: stop.clone(),
             idle_timeout: config.read_timeout,
-            idle_cap,
         };
         threads.push(
             std::thread::Builder::new()
@@ -504,7 +618,7 @@ fn host_capped<S: Service>(
         let pool = WorkerPool {
             service: state.clone(),
             queue,
-            handback: handback.clone(),
+            parking: parking.clone(),
             stop: stop.clone(),
             config: config.clone(),
         };
@@ -520,7 +634,8 @@ fn host_capped<S: Service>(
         addr,
         stop,
         state,
-        handback,
+        door_wake,
+        parking,
         threads,
     })
 }
@@ -531,117 +646,94 @@ pub fn serve_cube(cube: crate::api::ServedCube, config: ServerConfig) -> io::Res
     serve(AppState::new(cube, cache), config)
 }
 
-/// The acceptor thread's state: the listener, the wake channel, and the
-/// parked connections it alone owns.
+/// The acceptor thread's state: the listener and its own readiness set
+/// — the listener and the wake `eventfd` — apart from the workers'.
 struct Acceptor<S> {
     listener: TcpListener,
-    /// Read end of the wake channel.
-    wake: UnixStream,
+    door: sys::Epoll,
     service: Arc<S>,
     queue: Arc<ConnQueue>,
-    handback: Arc<Handback>,
+    parking: Arc<Parking>,
     stop: Arc<AtomicBool>,
     /// How long a parked connection may stay silent.
     idle_timeout: Duration,
-    /// Most connections parked at once.
-    idle_cap: usize,
 }
 
 impl<S: Service> Acceptor<S> {
     fn run(self) {
         let scope = self.service.scope();
-        // Each parked connection with the instant it was parked.
-        let mut parked: Vec<(Conn, Instant)> = Vec::new();
-        let mut fds: Vec<sys::PollFd> = Vec::new();
-        let mut idle_reported = 0;
+        // No parked connection expires before this: one parked after the
+        // last sweep expires a whole idle budget after it.
+        let mut next_sweep = Instant::now() + self.idle_timeout;
         loop {
-            fds.clear();
-            fds.push(sys::PollFd::readable(&self.listener));
-            fds.push(sys::PollFd::readable(&self.wake));
-            fds.extend(parked.iter().map(|(c, _)| sys::PollFd::readable(&c.stream)));
-            let next_expiry = parked.iter().map(|&(_, since)| since).min();
-            let timeout = next_expiry
-                .map(|since| (since + self.idle_timeout).saturating_duration_since(Instant::now()));
-            if !sys::wait(&mut fds, timeout) {
-                // Interrupted by a signal, as a rule. Nothing is known to
-                // be ready; do not spin should the error persist.
-                std::thread::sleep(Duration::from_millis(1));
-                fds.iter_mut().for_each(|fd| fd.revents = 0);
-            }
+            let timeout = next_sweep.saturating_duration_since(Instant::now());
+            let ready = self.door.wait(Some(timeout));
+            flowcube_obs::counter_add(&scope.acceptor_wakeups, 1);
             if self.stop.load(Ordering::SeqCst) {
-                return; // closes the listener and every parked connection
+                self.parking.close_all();
+                return; // closes the listener
+            }
+            match ready {
+                Ok(Some(LISTENER)) => self.accept_all(),
+                Ok(_) => {}
+                // Interrupted by a signal, as a rule. Do not spin should
+                // the error persist.
+                Err(_) => std::thread::sleep(Duration::from_millis(1)),
             }
             let now = Instant::now();
-
-            // Parked connections with something to read go back to the
-            // workers (downwards, so `swap_remove` keeps `fds` aligned);
-            // silent ones past the idle budget are closed.
-            for i in (0..parked.len()).rev() {
-                if fds[2 + i].revents != 0 {
-                    let (conn, _) = parked.swap_remove(i);
-                    self.enqueue(conn, now);
-                } else if now.saturating_duration_since(parked[i].1) >= self.idle_timeout {
-                    // Counted before the close, which the peer can see.
-                    flowcube_obs::counter_add(&scope.connections_idle_closed, 1);
-                    parked.swap_remove(i);
-                }
-            }
-
-            if fds[1].revents != 0 {
-                let mut drain = [0u8; 64];
-                let _ = (&self.wake).read(&mut drain);
-                for conn in self.handback.take() {
-                    if parked.len() >= self.idle_cap {
-                        let longest_idle = (0..parked.len()).min_by_key(|&i| parked[i].1);
-                        if let Some(i) = longest_idle {
-                            parked.swap_remove(i);
-                            flowcube_obs::counter_add(&scope.connections_idle_closed, 1);
-                        }
-                    }
-                    parked.push((conn, now));
-                }
-            }
-
-            if fds[0].revents != 0 {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        flowcube_obs::counter_add(&scope.connections_accepted, 1);
-                        let conn = Conn {
-                            stream,
-                            carry: Vec::new(),
-                            served: 0,
-                        };
-                        self.enqueue(conn, now);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                    // Out of descriptors, most likely: the listener stays
-                    // readable, so back off instead of spinning.
-                    Err(_) => std::thread::sleep(Duration::from_millis(20)),
-                }
-            }
-
-            if parked.len() != idle_reported {
-                idle_reported = parked.len();
-                flowcube_obs::gauge_set(&scope.connections_idle, idle_reported as f64);
+            if now >= next_sweep {
+                next_sweep = self
+                    .parking
+                    .sweep(now, self.idle_timeout)
+                    .unwrap_or(now + self.idle_timeout);
             }
         }
     }
 
-    /// Queue a connection a worker can serve now; shed it when the queue
-    /// is full, telling the client when to come back.
-    fn enqueue(&self, conn: Conn, ready_at: Instant) {
-        if let Err(mut shed) = self.queue.push(conn, ready_at) {
-            flowcube_obs::counter_add(&self.service.scope().shed, 1);
-            flight::record(FlightKind::Shed, 0, 0, 429, 0);
-            let _ = shed.stream.set_nonblocking(false);
-            let _ = shed
-                .stream
-                .set_write_timeout(Some(Duration::from_millis(500)));
-            let _ = write_response(
-                &mut shed.stream,
-                &error_response(&ApiError::Overloaded),
-                false,
-            );
+    /// Accept until the backlog is empty, queueing each connection.
+    fn accept_all(&self) {
+        let scope = self.service.scope();
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _peer)) => {
+                    flowcube_obs::counter_add(&scope.connections_accepted, 1);
+                    let conn = Conn {
+                        stream,
+                        carry: Vec::new(),
+                        served: 0,
+                        registered: false,
+                    };
+                    self.enqueue(conn, Instant::now());
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                // Out of descriptors, most likely: the listener stays
+                // readable, so back off instead of spinning.
+                Err(_) => {
+                    std::thread::sleep(Duration::from_millis(20));
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Queue a fresh connection and ring for a worker; shed it when the
+    /// queue is full, telling the client when to come back.
+    fn enqueue(&self, conn: Conn, accepted: Instant) {
+        match self.queue.push(conn, accepted) {
+            Ok(()) => self.parking.doorbell.post(1),
+            Err(mut shed) => {
+                flowcube_obs::counter_add(&self.service.scope().shed, 1);
+                flight::record(FlightKind::Shed, 0, 0, 429, 0);
+                let _ = shed.stream.set_nonblocking(false);
+                let _ = shed
+                    .stream
+                    .set_write_timeout(Some(Duration::from_millis(500)));
+                let _ = write_response(
+                    &mut shed.stream,
+                    &error_response(&ApiError::Overloaded),
+                    false,
+                );
+            }
         }
     }
 }
@@ -650,7 +742,7 @@ impl<S: Service> Acceptor<S> {
 struct WorkerPool<S> {
     service: Arc<S>,
     queue: Arc<ConnQueue>,
-    handback: Arc<Handback>,
+    parking: Arc<Parking>,
     stop: Arc<AtomicBool>,
     config: ServerConfig,
 }
@@ -706,70 +798,92 @@ fn supervisor_loop<S: Service>(pool: WorkerPool<S>) {
 }
 
 fn worker_loop<S: Service>(pool: &WorkerPool<S>) {
+    while !pool.stop.load(Ordering::SeqCst) {
+        // A bounded wait, so that a worker observes shutdown even if it
+        // missed its ring.
+        match pool.parking.epoll.wait(Some(Duration::from_millis(100))) {
+            Ok(Some(DOORBELL)) => {
+                // Another worker may have answered the same ring.
+                if !pool.parking.doorbell.take() {
+                    continue;
+                }
+                if let Some((conn, waited_us)) = pool.queue.pop() {
+                    serve_connection(pool, conn, Some(waited_us));
+                }
+            }
+            Ok(Some(token)) => {
+                if let Some(conn) = pool.parking.take(token) {
+                    serve_connection(pool, conn, None);
+                }
+            }
+            // Timed out, or interrupted by a signal.
+            Ok(None) | Err(_) => {}
+        }
+    }
+}
+
+/// Answer the request that made `conn` ready, and any pipelined behind
+/// it; then park the connection or drop it. `queue_wait_us` is how long
+/// a fresh connection sat queued; a parked one waited in the kernel,
+/// where the runtime does not see it.
+fn serve_connection<S: Service>(
+    pool: &WorkerPool<S>,
+    mut conn: Conn,
+    mut queue_wait_us: Option<u64>,
+) {
     let (service, config) = (&*pool.service, &pool.config);
     let scope = service.scope();
     let rejected = |e: ApiError| {
         flowcube_obs::counter_add(&scope.malformed, 1);
         error_response(&e)
     };
+    // Fault injection: kill this worker after it claimed a connection —
+    // the harshest spot, since the stream dies with it. The supervisor
+    // respawns the pool slot. The site carries the scope's name, so
+    // arming one tier's never kills another's workers in the same
+    // process.
+    flowcube_testkit::fail_point_unit(&scope.worker_request);
+    if conn.served == 0 {
+        // Some platforms hand the listener's non-blocking mode down.
+        let _ = conn.stream.set_nonblocking(false);
+        let _ = conn.stream.set_read_timeout(Some(config.read_timeout));
+        let _ = conn.stream.set_write_timeout(Some(config.write_timeout));
+        let _ = conn.stream.set_nodelay(true);
+    }
     loop {
-        let Some((mut conn, mut queue_wait_us)) = pool.queue.pop(Duration::from_millis(100)) else {
-            if pool.stop.load(Ordering::SeqCst) {
+        let (resp, keep_alive) = match read_request(&mut conn.stream, &mut conn.carry) {
+            Ok((req, client_keeps_alive)) => {
+                let mut ctx = match config.request_deadline {
+                    Some(timeout) => RequestCtx::with_timeout(timeout),
+                    None => RequestCtx::default(),
+                };
+                ctx.queue_wait_us = queue_wait_us.take();
+                if conn.served > 0 {
+                    flowcube_obs::counter_add(&scope.connections_reused, 1);
+                }
+                let resp = handle_request(service, &req, &ctx);
+                let stopping = pool.stop.load(Ordering::SeqCst);
+                (resp, client_keeps_alive && !stopping)
+            }
+            Err(HttpError::Disconnected) => {
+                // A peer that closes a connection it was not using has
+                // not vanished mid-request.
+                let was_idle = conn.served > 0 && conn.carry.is_empty();
+                if !was_idle {
+                    flowcube_obs::counter_add(&scope.disconnected, 1);
+                }
                 return;
             }
-            continue;
+            Err(HttpError::Malformed(detail)) => (rejected(ApiError::Malformed(detail)), false),
+            Err(HttpError::TooLarge) => (rejected(ApiError::TooLarge), false),
         };
-        // Fault injection: kill this worker after it claimed a
-        // connection — the harshest spot, since the stream dies with it.
-        // The supervisor respawns the pool slot. The site carries the
-        // scope's name, so arming one tier's never kills another's
-        // workers in the same process.
-        flowcube_testkit::fail_point_unit(&scope.worker_request);
-        if conn.served == 0 {
-            // Some platforms hand the listener's non-blocking mode down.
-            let _ = conn.stream.set_nonblocking(false);
-            let _ = conn.stream.set_read_timeout(Some(config.read_timeout));
-            let _ = conn.stream.set_write_timeout(Some(config.write_timeout));
-            let _ = conn.stream.set_nodelay(true);
+        if write_response(&mut conn.stream, &resp, keep_alive).is_err() || !keep_alive {
+            return;
         }
-        // Answer the request that made the connection ready, and any
-        // pipelined behind it; then park the connection or drop it.
-        loop {
-            let (resp, keep_alive) = match read_request(&mut conn.stream, &mut conn.carry) {
-                Ok((req, client_keeps_alive)) => {
-                    let mut ctx = match config.request_deadline {
-                        Some(timeout) => RequestCtx::with_timeout(timeout),
-                        None => RequestCtx::default(),
-                    };
-                    ctx.queue_wait_us = queue_wait_us;
-                    if conn.served > 0 {
-                        flowcube_obs::counter_add(&scope.connections_reused, 1);
-                    }
-                    let resp = handle_request(service, &req, &ctx);
-                    let stopping = pool.stop.load(Ordering::SeqCst);
-                    (resp, client_keeps_alive && !stopping)
-                }
-                Err(HttpError::Disconnected) => {
-                    // A peer that closes a connection it was not using
-                    // has not vanished mid-request.
-                    let was_idle = conn.served > 0 && conn.carry.is_empty();
-                    if !was_idle {
-                        flowcube_obs::counter_add(&scope.disconnected, 1);
-                    }
-                    break;
-                }
-                Err(HttpError::Malformed(detail)) => (rejected(ApiError::Malformed(detail)), false),
-                Err(HttpError::TooLarge) => (rejected(ApiError::TooLarge), false),
-            };
-            if write_response(&mut conn.stream, &resp, keep_alive).is_err() || !keep_alive {
-                break;
-            }
-            conn.served += 1;
-            if !request_buffered(&conn.carry) {
-                pool.handback.park(conn);
-                break;
-            }
-            queue_wait_us = 0;
+        conn.served += 1;
+        if !request_buffered(&conn.carry) {
+            pool.parking.park(conn);
+            return;
         }
     }
 }
@@ -813,59 +927,137 @@ mod sig {
     }
 }
 
-// ---- poll(2) ------------------------------------------------------------
-// The acceptor's one blocking call: wait until the listener, the wake
-// channel or a parked connection has something to read.
+// ---- epoll(7) -------------------------------------------------------------
+// The runtime's one blocking wait: the acceptor on its listener and wake
+// `eventfd`, the workers on the doorbell and every parked connection.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("the server runtime waits on epoll(7), which only Linux has");
 
 mod sys {
-    use std::os::fd::AsRawFd;
+    use std::fs::File;
+    use std::io::{self, Read, Write};
+    use std::os::fd::{AsRawFd, FromRawFd, RawFd};
     use std::time::Duration;
 
-    const POLLIN: i16 = 0x001;
+    pub const EPOLLIN: u32 = 0x001;
+    pub const EPOLLRDHUP: u32 = 0x2000;
+    pub const EPOLLONESHOT: u32 = 1 << 30;
+    const EPOLL_CTL_ADD: i32 = 1;
+    const EPOLL_CTL_MOD: i32 = 3;
+    /// `O_CLOEXEC`, as `EPOLL_CLOEXEC` and `EFD_CLOEXEC`.
+    const CLOEXEC: i32 = 0o2_000_000;
+    /// `O_NONBLOCK`, as `EFD_NONBLOCK`.
+    const NONBLOCK: i32 = 0o4_000;
+    const EFD_SEMAPHORE: i32 = 1;
 
-    /// `struct pollfd`.
-    #[repr(C)]
-    pub struct PollFd {
-        fd: i32,
-        events: i16,
-        /// What `poll` found: non-zero when the descriptor is readable,
-        /// at end of stream, or in error.
-        pub revents: i16,
+    /// `struct epoll_event`, which the kernel packs on x86-64.
+    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+    struct EpollEvent {
+        events: u32,
+        data: u64,
     }
 
-    impl PollFd {
-        pub fn readable(source: &impl AsRawFd) -> PollFd {
-            PollFd {
-                fd: source.as_raw_fd(),
-                events: POLLIN,
-                revents: 0,
+    extern "C" {
+        fn epoll_create1(flags: i32) -> i32;
+        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+        fn eventfd(initval: u32, flags: i32) -> i32;
+    }
+
+    /// A descriptor a call just returned, owned; or the call's error.
+    ///
+    /// # Safety
+    ///
+    /// `fd` is the return value of a call that, on success, hands over
+    /// a new descriptor nothing else owns.
+    unsafe fn owned(fd: i32) -> io::Result<File> {
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // SAFETY: the caller hands over the one owner of `fd`.
+        Ok(unsafe { File::from_raw_fd(fd as RawFd) })
+    }
+
+    /// An `epoll` instance; each registration carries a `u64` token.
+    pub struct Epoll(File);
+
+    impl Epoll {
+        pub fn new() -> io::Result<Epoll> {
+            // SAFETY: no pointers, and a new descriptor on success;
+            // std already links libc on Linux.
+            unsafe { owned(epoll_create1(CLOEXEC)) }.map(Epoll)
+        }
+
+        pub fn add(&self, source: &impl AsRawFd, events: u32, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, source.as_raw_fd(), events, token)
+        }
+
+        /// Change a registration — for a one-shot one, re-arm it.
+        pub fn modify(&self, source: &impl AsRawFd, events: u32, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_MOD, source.as_raw_fd(), events, token)
+        }
+
+        fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+            let mut event = EpollEvent {
+                events,
+                data: token,
+            };
+            // SAFETY: `event` is a live `struct epoll_event` the kernel
+            // only reads during the call.
+            match unsafe { epoll_ctl(self.0.as_raw_fd(), op, fd, &mut event) } {
+                0 => Ok(()),
+                _ => Err(io::Error::last_os_error()),
+            }
+        }
+
+        /// Block until one registration is ready or `timeout` passes
+        /// (`None`: no limit); the ready one's token, `None` on timeout.
+        /// `EINTR` is an error.
+        pub fn wait(&self, timeout: Option<Duration>) -> io::Result<Option<u64>> {
+            // Rounded up, so that a wait for an expiry does not return
+            // just short of it and spin.
+            let millis = timeout.map_or(-1, |t| {
+                i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
+            });
+            let mut event = EpollEvent { events: 0, data: 0 };
+            // SAFETY: room for exactly the one event `maxevents` allows;
+            // the kernel keeps no pointer past the call.
+            match unsafe { epoll_wait(self.0.as_raw_fd(), &mut event, 1, millis) } {
+                n if n < 0 => Err(io::Error::last_os_error()),
+                0 => Ok(None),
+                _ => Ok(Some(event.data)),
             }
         }
     }
 
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    type Nfds = std::ffi::c_ulong;
-    #[cfg(not(any(target_os = "linux", target_os = "android")))]
-    type Nfds = std::ffi::c_uint;
+    /// A non-blocking `eventfd` in semaphore mode: readable while its
+    /// count is above zero, and each read takes one.
+    pub struct EventFd(File);
 
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
+    impl EventFd {
+        pub fn new() -> io::Result<EventFd> {
+            // SAFETY: no pointers, and a new descriptor on success.
+            unsafe { owned(eventfd(0, CLOEXEC | NONBLOCK | EFD_SEMAPHORE)) }.map(EventFd)
+        }
+
+        pub fn post(&self, n: u64) {
+            // Fails only when the count would overflow: still readable.
+            let _ = (&self.0).write_all(&n.to_ne_bytes());
+        }
+
+        /// Take one from the count; `false` when it was zero.
+        pub fn take(&self) -> bool {
+            let mut count = [0u8; 8];
+            (&self.0).read_exact(&mut count).is_ok()
+        }
     }
 
-    /// Block until a descriptor is ready or `timeout` passes (`None`: no
-    /// limit). `false` when the call failed — `EINTR`, as a rule — and
-    /// `revents` holds nothing.
-    pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> bool {
-        // Rounded up, so that a wait for an expiry does not return just
-        // short of it and spin.
-        let millis = timeout.map_or(-1, |t| {
-            i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
-        });
-        // SAFETY: pointer and length describe one live, exclusively
-        // borrowed slice of `#[repr(C)]` structs laid out as `struct
-        // pollfd`; `poll` writes only their `revents` and keeps no
-        // pointer past its return. std already links libc on unix.
-        unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, millis) >= 0 }
+    impl AsRawFd for EventFd {
+        fn as_raw_fd(&self) -> RawFd {
+            self.0.as_raw_fd()
+        }
     }
 }
 

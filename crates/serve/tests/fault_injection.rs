@@ -12,7 +12,7 @@ use flowcube_hier::PathLatticeSpec;
 use flowcube_serve::{
     serve_cube, write_snapshot, ServedCube, ServerConfig, ServerHandle, Snapshot,
 };
-use flowcube_testkit::http::{get, raw_roundtrip, request};
+use flowcube_testkit::http::{get, raw_roundtrip, request, Persistent};
 use flowcube_testkit::{temp_path, FailAction};
 use std::time::{Duration, Instant};
 
@@ -101,6 +101,58 @@ fn worker_panic_is_counted_and_respawned() {
     // And the pool still has live workers serving real queries.
     let (status, _, body) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200, "got {body:?}");
+
+    flowcube_testkit::reset();
+    handle.shutdown();
+    handle.join();
+}
+
+/// A worker that panics loses only the connection it was serving: a
+/// client parked meanwhile keeps its connection, and its next request
+/// is answered on it.
+#[test]
+fn worker_crash_loses_only_the_connection_it_was_serving() {
+    if !gated() {
+        return;
+    }
+    flowcube_testkit::reset();
+    let db = generate(&GeneratorConfig::small(120, 11)).db;
+    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
+    let cube = FlowCube::build(
+        &db,
+        spec,
+        FlowCubeParams::new(8).with_threads(1),
+        ItemPlan::All,
+    );
+    let handle = start(
+        ServedCube::from_cube(&cube).expect("encode image"),
+        ServerConfig {
+            workers: 2,
+            ..Default::default()
+        },
+    );
+    let addr = handle.addr();
+    let mut parked = Persistent::new(addr);
+    assert_eq!(parked.get("/healthz").expect("answered").0, 200);
+
+    flowcube_testkit::arm_times("serve.worker.request", 1, FailAction::Panic(None));
+    let raw = raw_roundtrip(addr, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert!(raw.is_empty(), "panicked worker must not answer: {raw:?}");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.state().health.worker_crashes() < 1 {
+        assert!(Instant::now() < deadline, "crash never recorded");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(handle.state().health.worker_crashes(), 1);
+
+    let (status, _, body) = parked
+        .get("/cell?cell=*,*&level=loc0/dur0")
+        .expect("answered");
+    assert_eq!(status, 200, "got {body:?}");
+    assert_eq!(
+        parked.connects, 1,
+        "the parked connection survived the crash"
+    );
 
     flowcube_testkit::reset();
     handle.shutdown();

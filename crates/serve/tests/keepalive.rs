@@ -3,7 +3,8 @@
 //! (`serve_front`, over one shard): connections persist, requests are
 //! framed by `Content-Length` and answered in order, every response
 //! names the connection's fate, an idle connection occupies no worker,
-//! is closed after the read timeout, and does not hold up shutdown.
+//! is closed after the read timeout, and does not hold up shutdown, and
+//! warm requests never wake the acceptor.
 //!
 //! The metrics registry is process-global and both tiers' shards write
 //! the `serve.*` series; the tests serialize on one mutex.
@@ -382,6 +383,35 @@ fn half_closed_client_gets_its_answer_and_an_eof() {
             tier.scope,
             start.elapsed()
         );
+        tier.stop();
+    }
+}
+
+/// (h) Warm traffic never wakes the acceptor: a parked connection that
+/// turns readable goes from the kernel to a worker, and the worker
+/// re-arms it itself. Two hundred requests on one warm connection add
+/// no wake-up and no connection.
+#[test]
+fn warm_requests_never_wake_the_acceptor() {
+    let _guard = lock_globals();
+    for tier in tiers(2, Duration::from_secs(5)) {
+        let mut client = Persistent::new(tier.addr);
+        assert_eq!(client.get(CELL).expect("warm-up answered").0, 200);
+        let wakeups = tier.counter("acceptor.wakeups");
+        assert!(wakeups > 0, "{}: accepting woke the acceptor", tier.scope);
+        let accepted = tier.counter("connections.accepted");
+        for i in 0..200 {
+            let response = client.get(CELL).expect("answered");
+            assert_eq!(response.0, 200, "{} request {i}", tier.scope);
+        }
+        assert_eq!(
+            tier.counter("acceptor.wakeups") - wakeups,
+            0,
+            "{}: warm requests woke the acceptor",
+            tier.scope
+        );
+        assert_eq!(tier.counter("connections.accepted"), accepted);
+        assert_eq!(client.connects, 1, "{}", tier.scope);
         tier.stop();
     }
 }
