@@ -21,11 +21,17 @@
 //! second request after the shard's recent p95, and budgeted retries —
 //! a shard leg fails only when its *entire replica set* is down.
 //!
-//! The fan-out spawns no thread. The front worker answering the request
-//! is the coordinator of every shard leg: each attempt runs on a pooled
-//! attempt worker and reports, tagged with its shard, into one channel,
-//! and the worker sleeps on that channel until a report, the earliest
-//! pending hedge, or the request's deadline.
+//! The fan-out hands nothing to another thread while the request is
+//! open. The front worker answering the request is the coordinator of
+//! every shard leg and owns its attempts' sockets: each attempt is a
+//! non-blocking state machine ([`crate::client::Attempt`]), and the
+//! worker waits in one `poll(2)` over them until a socket is ready, the
+//! earliest pending hedge, an attempt's socket budget, or the request's
+//! deadline. Every data attempt forwards the request's id — the one the
+//! front echoes to its client — as `X-Request-Id`, so each shard's flight
+//! ring names the request as the front's does. What is still in flight
+//! when the request answers (a hedge loser) finishes on one background
+//! thread ([`crate::replica`]).
 //!
 //! The front is a [`Service`] hosted on the serving layer's runtime
 //! (`serve::server`): listener, bounded accept queue, `429` shedding,
@@ -42,17 +48,15 @@
 use crate::error::FederateError;
 use crate::health::BreakerConfig;
 use crate::merge;
-use crate::replica::{
-    Fanout, HedgePolicy, Leg, ReplicaSet, RetryBudget, ShardOutcome, ShardRuntime,
-};
+use crate::replica::{Fanout, HedgePolicy, ReplicaSet, RetryBudget, ShardOutcome, ShardRuntime};
 use flowcube_obs::flight::{self, FlightKind};
 use flowcube_serve::http::Request;
 use flowcube_serve::{
-    error_response, host, ApiError, HealthState, HttpResponse, RequestCtx, Scope, ServerConfig,
-    ServerHandle, Service,
+    echoed_request_id, error_response, host, ApiError, HealthState, HttpResponse, RequestCtx,
+    Scope, ServerConfig, ServerHandle, Service,
 };
 use serde_json::Value;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Front-tier tunables; `Default` is sized for tests.
@@ -266,9 +270,11 @@ fn scatter_gather(req: &Request, front: &Front, trace: u64) -> HttpResponse {
         config.shards as u64,
     );
 
-    let (tx, rx) = mpsc::channel();
+    let target = rebuild_target(req);
+    let request_id = echoed_request_id(req, trace);
     let fan = Fanout {
-        target: rebuild_target(req).into(),
+        target: &target,
+        request_id: &request_id,
         deadline: Instant::now() + config.request_deadline,
         shard_timeout: config.shard_timeout,
         hedge: &config.hedge,
@@ -278,27 +284,9 @@ fn scatter_gather(req: &Request, front: &Front, trace: u64) -> HttpResponse {
         // `shards + retry_budget` attempts.
         budget: RetryBudget::new(config.retry_budget),
         trace,
-        tx,
+        flights: Vec::new(),
     };
-    // Sleep until a report, the earliest pending hedge, or the deadline.
-    let mut legs: Vec<Leg> = front.shards.iter().map(|rt| rt.leg(&fan)).collect();
-    while legs.iter().any(Leg::is_pending) {
-        let wake = legs
-            .iter()
-            .filter_map(Leg::hedge_at)
-            .fold(fan.deadline, Instant::min);
-        match rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
-            Ok(report) => legs[report.shard].on_report(report, &fan),
-            // `fan` holds a sender, so the channel cannot disconnect.
-            Err(_) => {
-                let now = Instant::now();
-                for leg in &mut legs {
-                    leg.on_timer(now, &fan);
-                }
-            }
-        }
-    }
-    let replies: Vec<ShardOutcome> = legs.into_iter().map(Leg::into_outcome).collect();
+    let replies = fan.scatter(&front.shards);
 
     let answered = replies
         .iter()

@@ -23,7 +23,7 @@
 //!   Entered after [`BreakerConfig::failure_threshold`] consecutive
 //!   transport failures.
 //! * **HalfOpen** — the cooldown elapsed; exactly one `/healthz` probe is
-//!   in flight (spawned by the selection path, never a data request).
+//!   in flight (started by the selection path, never a data request).
 //!   Success closes the breaker; failure re-opens it and restarts the
 //!   cooldown clock. Query traffic keeps skipping the replica until the
 //!   probe closes it — half-open admits a *probe*, not a request, so a

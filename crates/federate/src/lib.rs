@@ -35,10 +35,12 @@ pub mod replica;
 pub mod shard;
 
 pub use build::{build_shard_part, build_sharded, merge_shard_parts, partial_params};
-pub use client::{http_get, http_post, ClientConfig};
+pub use client::{http_post, ClientConfig};
 pub use error::FederateError;
 pub use front::{serve_front, Front, FrontConfig, FrontHandle};
 pub use health::{BreakerConfig, BreakerState};
 pub use merge::merge_endpoint;
-pub use replica::{parse_backend_spec, HedgePolicy, ReplicaSet, RetryBudget};
+pub use replica::{
+    attempts_in_background, parse_backend_spec, HedgePolicy, ReplicaSet, RetryBudget,
+};
 pub use shard::{shard_db, shard_of, ShardMap, ShardPart};

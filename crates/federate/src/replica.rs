@@ -6,7 +6,7 @@
 //! as `--backends "a:1|a:2,b:1|b:2"` (`,` separates shards, `|` separates
 //! replicas). A shard's fan-out leg (`Leg`) then becomes a small state
 //! machine, stepped by the request's one coordinator (the front worker
-//! running `front::scatter_gather`) as attempt reports and timers arrive:
+//! running `front::scatter_gather`) as attempts end and timers fire:
 //!
 //! 1. **Select** a replica by health-weighted round-robin: breaker-open
 //!    replicas are skipped outright ([`crate::health`]), replicas with a
@@ -16,8 +16,8 @@
 //!    threshold — by default the shard's recent p95 latency from a
 //!    streaming window estimator, clamped into sane bounds — a second
 //!    request is fired at the next replica. First *answer* wins; the
-//!    loser is abandoned — it runs on, bounded by its socket timeout,
-//!    and its report is dropped — and counted under
+//!    loser is abandoned — it runs on, bounded by its socket budget, and
+//!    its outcome reaches no leg — and counted under
 //!    `federate.replica.abandoned`. Its socket re-enters the replica's
 //!    pool only if it went on to read its whole response.
 //! 3. **Retry** transport failures (refused, timeout, torn read) against
@@ -28,31 +28,38 @@
 //! Attempts ride persistent connections: each replica owns a small pool
 //! of idle ones ([`client::Pool`]), emptied when its breaker opens. A
 //! pooled connection the replica had already closed costs one resend on
-//! a fresh connection inside [`client::http_get`]; only that attempt's
+//! a fresh connection inside [`client::Attempt`]; only that attempt's
 //! outcome reaches the breaker, the retry budget and the metrics below.
 //! Half-open probes never use the pool.
 //!
-//! Attempts and probes run on a process-wide cached pool of worker
-//! threads: a job goes to a parked worker when one is idle, and to a
-//! newly spawned one otherwise — never behind a busy worker, so a hedge
-//! starts while its primary is still blocked in its socket. A worker
-//! parks after each job and exits after ten seconds without one; a warm
-//! front spawns none (`federate.attempt_workers.spawned` counts them).
+//! The coordinator owns its attempts' sockets. Each attempt is a
+//! non-blocking [`client::Attempt`] wrapped in a `Flight` (which replica,
+//! which leg, what its end records), and one `poll(2)` over the request's
+//! few sockets waits for whichever comes first: a socket ready, the
+//! earliest hedge instant, an attempt's socket budget, or the request's
+//! deadline. A healthy read makes no thread hand-off at all. Attempts
+//! still in flight when the request answers — hedge losers, attempts past
+//! the deadline — and half-open probes go to one lazily started
+//! process-wide thread that runs the same attempt loop (`drive`) and records
+//! health, latency and pooling exactly as the coordinator would
+//! (`federate.attempts.handed_off` counts the data attempts handed over).
 //!
 //! Metrics are labeled `shard=K replica=R` (R = replica index within the
 //! set): `federate.replica.{selected,hedged,hedge_won,retried,
 //! breaker_open,abandoned}`. Flight events `Hedge` / `BreakerOpen` /
 //! `BreakerClose` carry the same coordinates.
 
-use crate::client;
+use crate::client::{self, Attempt};
 use crate::error::FederateError;
 use crate::health::{Availability, BreakerConfig, BreakerState, ReplicaHealth};
 use flowcube_obs::flight::{self, FlightKind};
-use std::collections::VecDeque;
+use flowcube_serve::server::sys::{self, EventFd, PollFd};
+use flowcube_testkit::{Deferred, Fault};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The replicas serving one shard. Order is the operator's preference
@@ -251,6 +258,23 @@ pub struct ReplicaState {
     /// probe path is `federate.replica.probe.s{shard}.r{idx}`.
     data_failpoint: String,
     probe_failpoint: String,
+    /// `addr` resolved, once: later connects make no lookup.
+    resolved: OnceLock<SocketAddr>,
+}
+
+impl ReplicaState {
+    fn socket_addr(&self) -> Result<SocketAddr, String> {
+        if let Some(addr) = self.resolved.get() {
+            return Ok(*addr);
+        }
+        let addr = self
+            .addr
+            .to_socket_addrs()
+            .map_err(|e| format!("resolve {}: {e}", self.addr))?
+            .next()
+            .ok_or_else(|| format!("resolve {}: no address", self.addr))?;
+        Ok(*self.resolved.get_or_init(|| addr))
+    }
 }
 
 /// One shard's serving-side runtime: the replica set, its breakers, the
@@ -270,134 +294,321 @@ pub struct ShardRuntime {
     errors_series: String,
 }
 
-/// What one attempt reports back to its request's coordinator.
-pub(crate) struct AttemptReport {
-    /// The shard the attempt belongs to: the index of its leg.
-    pub(crate) shard: usize,
-    replica: usize,
-    hedge: bool,
-    outcome: Result<(u16, String), String>,
-}
-
 /// A shard leg's final outcome, consumed by the front tier's gather.
 pub enum ShardOutcome {
     Answered { status: u16, body: String },
     Failed { detail: String },
 }
 
-/// Workers that run attempts and probes, shared by every front in the
-/// process.
-static ATTEMPT_WORKERS: Workers = Workers::new(Workers::IDLE);
-
-/// A cached pool of detached worker threads. [`Workers::run`] hands a job
-/// to a parked worker when one is idle and spawns a worker otherwise, so
-/// a job never waits behind a busy one: a hedge starts while its primary
-/// is still blocked in its socket. A worker parks after each job and
-/// exits once it has been idle for the pool's idle period.
-struct Workers {
-    queue: Mutex<Queue>,
-    wake: Condvar,
-    idle_for: Duration,
+/// What an attempt is for, and so what its end records and where its
+/// outcome goes.
+#[derive(Clone, Copy)]
+enum Role {
+    /// A data attempt of the leg of shard `leg`; `hedge` when it is the
+    /// hedged second request.
+    Data { leg: usize, hedge: bool },
+    /// A half-open `/healthz` probe.
+    Probe,
 }
 
-type Job = Box<dyn FnOnce() + Send>;
-
-struct Queue {
-    /// Jobs handed to parked workers and not yet picked up.
-    jobs: VecDeque<Job>,
-    /// Parked workers that no queued job is meant for: parked workers
-    /// minus `jobs.len()`, never negative, so every queued job has a
-    /// parked worker to take it.
-    idle: usize,
+/// How far an attempt has come.
+enum Run {
+    /// An armed `delay` failpoint holds its send back until then, on the
+    /// loop's timer; the socket budget starts when it ends.
+    Held(Instant, Duration, String),
+    Going(Attempt),
+    /// An injected fault: it ends at its first step.
+    Failed(String),
 }
 
-impl Workers {
-    /// Longer than any gap between attempts of a front under load, so a
-    /// steady front never lets a worker go.
-    const IDLE: Duration = Duration::from_secs(10);
+/// One attempt in flight: a replica's [`Attempt`] (or its stand-in while
+/// a failpoint holds or fails it), and what its end must record.
+pub(crate) struct Flight {
+    rt: Arc<ShardRuntime>,
+    replica: usize,
+    role: Role,
+    started: Instant,
+    run: Run,
+}
 
-    const fn new(idle_for: Duration) -> Workers {
-        Workers {
-            queue: Mutex::new(Queue {
-                jobs: VecDeque::new(),
-                idle: 0,
-            }),
-            wake: Condvar::new(),
-            idle_for,
+impl Flight {
+    /// Launch an attempt at `replica` of `rt`: evaluate its failpoint,
+    /// then start sending `request` under `budget`.
+    fn launch(
+        rt: &Arc<ShardRuntime>,
+        replica: usize,
+        role: Role,
+        request: String,
+        budget: Duration,
+    ) -> Flight {
+        let state = &rt.replicas[replica];
+        let started = Instant::now();
+        let site = match role {
+            Role::Data { .. } => &state.data_failpoint,
+            Role::Probe => &state.probe_failpoint,
+        };
+        let injected = flowcube_testkit::any_armed()
+            .then(|| flowcube_testkit::fail_point_deferred(site))
+            .flatten();
+        let mut flight = Flight {
+            rt: Arc::clone(rt),
+            replica,
+            role,
+            started,
+            run: Run::Failed(String::new()),
+        };
+        flight.run = match injected {
+            None => flight.open(request, budget),
+            Some(Deferred::Delay(d)) => Run::Held(started + d, budget, request),
+            Some(Deferred::Fault(Fault::Error(msg))) => Run::Failed(format!("injected: {msg}")),
+            Some(Deferred::Fault(Fault::ShortRead(n))) => {
+                Run::Failed(format!("injected short read of {n} bytes"))
+            }
+        };
+        flight
+    }
+
+    /// Start sending: on a pooled connection when the replica has one
+    /// idle (data attempts only), else on a fresh one.
+    fn open(&self, request: String, budget: Duration) -> Run {
+        let state = &self.rt.replicas[self.replica];
+        let peer = match state.socket_addr() {
+            Ok(peer) => peer,
+            Err(detail) => return Run::Failed(detail),
+        };
+        let reused = match self.role {
+            Role::Data { .. } => {
+                let reused = state.pool.take();
+                let series = match reused {
+                    Some(_) => "federate.client.pool.hit",
+                    None => "federate.client.pool.miss",
+                };
+                flowcube_obs::counter_add(series, 1);
+                reused
+            }
+            Role::Probe => None,
+        };
+        Run::Going(Attempt::start(peer, request, budget, reused))
+    }
+
+    fn pollfd(&self) -> PollFd {
+        match &self.run {
+            Run::Going(attempt) => attempt.pollfd(),
+            _ => PollFd {
+                fd: -1,
+                events: 0,
+                revents: 0,
+            },
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Queue> {
-        // No job runs under the lock, and every update leaves the queue
-        // consistent: a poisoned guard is still a valid one.
-        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    /// When the flight must be stepped even if its socket stays quiet.
+    fn due(&self) -> Instant {
+        match &self.run {
+            Run::Held(until, ..) => *until,
+            Run::Going(attempt) => attempt.deadline(),
+            Run::Failed(_) => self.started,
+        }
     }
 
-    fn run(&'static self, job: impl FnOnce() + Send + 'static) {
-        let job: Job = Box::new(job);
-        let mut queue = self.lock();
-        if queue.idle > 0 {
-            queue.idle -= 1;
-            queue.jobs.push_back(job);
+    fn step(&mut self, revents: i16, now: Instant) -> Option<Result<client::Answer, String>> {
+        match &mut self.run {
+            Run::Held(until, ..) if now < *until => None,
+            Run::Held(_, budget, request) => {
+                let (request, budget) = (std::mem::take(request), *budget);
+                self.run = self.open(request, budget);
+                self.step(0, now)
+            }
+            Run::Going(attempt) => attempt.step(revents, now),
+            Run::Failed(detail) => Some(Err(std::mem::take(detail))),
+        }
+    }
+
+    /// The attempt ended: record its health, latency and socket into the
+    /// shared runtime, and hand back where its outcome goes.
+    fn finish(self, outcome: Result<client::Answer, String>) -> (Role, usize, Outcome) {
+        let (rt, replica) = (&self.rt, self.replica);
+        let state = &rt.replicas[replica];
+        let outcome = outcome.map(|(status, body, socket)| {
+            if let (Role::Data { .. }, Some(socket)) = (self.role, socket) {
+                state.pool.put(socket);
+            }
+            (status, body)
+        });
+        match self.role {
+            Role::Data { .. } => match &outcome {
+                Ok(_) => {
+                    state.health.record_success();
+                    rt.latency.observe_us(
+                        self.started.elapsed().as_micros().min(u64::MAX as u128) as u64,
+                    );
+                }
+                Err(_) => {
+                    if state.health.record_failure(&rt.breaker, Instant::now()) {
+                        // The breaker opened: the replica's idle
+                        // connections are not to be trusted either.
+                        state.pool.clear();
+                        flowcube_obs::counter_add(&state.series.breaker_open, 1);
+                        flight::record(
+                            FlightKind::BreakerOpen,
+                            0,
+                            flight::intern("replica"),
+                            0,
+                            ((rt.shard as u64) << 32) | replica as u64,
+                        );
+                    }
+                }
+            },
+            Role::Probe => {
+                if matches!(outcome, Ok((200, _))) {
+                    if state.health.probe_succeeded() {
+                        flowcube_obs::counter_add(&state.series.breaker_close, 1);
+                        flight::record(
+                            FlightKind::BreakerClose,
+                            0,
+                            flight::intern("replica"),
+                            0,
+                            ((rt.shard as u64) << 32) | replica as u64,
+                        );
+                    }
+                } else {
+                    state.health.probe_failed(Instant::now());
+                }
+            }
+        }
+        (self.role, replica, outcome)
+    }
+}
+
+/// An attempt's outcome as a leg sees it: status and body, or why not.
+type Outcome = Result<(u16, String), String>;
+
+/// The one attempt loop. Waits in `poll(2)` until a flight's socket is
+/// ready, a flight is due (its held send or its socket budget), `bell`
+/// rings or `wake` passes; then steps every flight that is ready or due.
+/// Flights that end are removed, [`Flight::finish`]ed, and pushed onto
+/// `ended`. Returns whether `bell` rang.
+fn drive(
+    flights: &mut Vec<Flight>,
+    fds: &mut Vec<PollFd>,
+    bell: Option<&EventFd>,
+    wake: Option<Instant>,
+    ended: &mut Vec<(Role, usize, Outcome)>,
+) -> bool {
+    fds.clear();
+    let mut due = wake;
+    for flight in flights.iter() {
+        fds.push(flight.pollfd());
+        due = Some(due.map_or(flight.due(), |d| d.min(flight.due())));
+    }
+    if let Some(bell) = bell {
+        fds.push(PollFd {
+            fd: bell.as_raw_fd(),
+            events: sys::POLLIN,
+            revents: 0,
+        });
+    }
+    let timeout = due.map(|d| d.saturating_duration_since(Instant::now()));
+    // A failed wait steps only the flights that are due; their budgets
+    // and the caller's `wake` still bound the loop.
+    let _ = sys::poll_fds(fds, timeout);
+    let now = Instant::now();
+    // Back to front, so that a removal moves only a flight already seen.
+    for i in (0..flights.len()).rev() {
+        let revents = fds[i].revents;
+        if revents == 0 && flights[i].due() > now {
+            continue;
+        }
+        if let Some(outcome) = flights[i].step(revents, now) {
+            ended.push(flights.swap_remove(i).finish(outcome));
+        }
+    }
+    bell.is_some() && fds.last().is_some_and(|fd| fd.revents != 0)
+}
+
+/// The process-wide thread that finishes what a request left in flight
+/// and runs half-open probes, on the same attempt loop as the coordinators.
+struct Background {
+    queue: Mutex<Vec<Flight>>,
+    bell: EventFd,
+}
+
+/// Started by the first hand-off; it runs for the life of the process.
+static BACKGROUND: OnceLock<Option<&'static Background>> = OnceLock::new();
+
+/// Flights handed to the background thread that have not ended yet.
+static IN_BACKGROUND: AtomicUsize = AtomicUsize::new(0);
+
+/// Attempts and probes the background thread is still driving, in every
+/// front of the process: abandoned hedge losers, attempts past their
+/// request's deadline, half-open probes. For inspection — a suite that
+/// reads process-global metrics waits for 0 before it starts.
+pub fn attempts_in_background() -> usize {
+    IN_BACKGROUND.load(Ordering::Relaxed)
+}
+
+impl Background {
+    /// Give `flights` to the background thread, starting it if this is
+    /// the first hand-off. If it cannot be started, the flights are
+    /// dropped — their sockets close — and record nothing.
+    fn adopt(flights: impl IntoIterator<Item = Flight>) {
+        let background = BACKGROUND.get_or_init(|| {
+            let background: &'static Background = Box::leak(Box::new(Background {
+                queue: Mutex::new(Vec::new()),
+                bell: EventFd::new().ok()?,
+            }));
+            std::thread::Builder::new()
+                .name("federate-attempts".into())
+                .spawn(move || background.run())
+                .ok()
+                .map(|_| background)
+        });
+        if let Some(background) = background {
+            let mut queue = background.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let before = queue.len();
+            queue.extend(flights);
+            IN_BACKGROUND.fetch_add(queue.len() - before, Ordering::Relaxed);
             drop(queue);
-            self.wake.notify_one();
-            return;
-        }
-        drop(queue);
-        // A worker that cannot be spawned drops its job, and with it the
-        // job's report sender: the coordinator sees the attempt as lost
-        // and its leg runs into the deadline, as a hung socket would.
-        let spawned = std::thread::Builder::new()
-            .name("federate-attempt".into())
-            .spawn(move || self.work(job));
-        if spawned.is_ok() {
-            flowcube_obs::counter_add("federate.attempt_workers.spawned", 1);
+            background.bell.post(1);
         }
     }
 
-    /// A worker's life: run a job, park, take the next one, until the
-    /// idle period passes with nothing queued.
-    fn work(&self, mut job: Job) {
+    fn run(&self) {
+        let (mut flights, mut fds, mut ended) = (Vec::new(), Vec::new(), Vec::new());
         loop {
-            // A panicking job takes its own report sender down with it;
-            // the worker lives on for the next one.
-            let _ = panic::catch_unwind(AssertUnwindSafe(job));
-            let mut queue = self.lock();
-            queue.idle += 1;
-            let expires = Instant::now() + self.idle_for;
-            job = loop {
-                // A job queued just as the idle period ran out is still
-                // this worker's: the queue is checked before the clock.
-                if let Some(next) = queue.jobs.pop_front() {
-                    break next;
-                }
-                let now = Instant::now();
-                if now >= expires {
-                    queue.idle -= 1;
-                    return;
-                }
-                queue = self
-                    .wake
-                    .wait_timeout(queue, expires - now)
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
-            };
+            flights.append(&mut self.queue.lock().unwrap_or_else(|e| e.into_inner()));
+            // A flight that panics is lost; the thread lives on for the
+            // others.
+            let rang = panic::catch_unwind(AssertUnwindSafe(|| {
+                drive(&mut flights, &mut fds, Some(&self.bell), None, &mut ended)
+            }))
+            .unwrap_or(false);
+            // Nothing waits for these outcomes: `finish` recorded them.
+            IN_BACKGROUND.fetch_sub(ended.len(), Ordering::Relaxed);
+            ended.clear();
+            if rang {
+                while self.bell.take() {}
+            }
         }
     }
 }
 
-/// What every leg of one fan-out shares: the backend target, the
-/// request's deadline and retry budget, and the one channel all of its
-/// attempts report into.
+/// What every leg of one fan-out shares: the backend target, the request
+/// id it forwards, the request's deadline and retry budget, and its
+/// attempts in flight.
 pub(crate) struct Fanout<'a> {
-    pub(crate) target: Arc<str>,
+    pub(crate) target: &'a str,
+    /// Sent as `X-Request-Id` on every data attempt, so each shard's
+    /// flight ring names the request by the id its client sees.
+    pub(crate) request_id: &'a str,
     pub(crate) deadline: Instant,
     pub(crate) shard_timeout: Duration,
     pub(crate) hedge: &'a HedgePolicy,
     /// Shared across every leg: hedges and retries all draw from it.
     pub(crate) budget: RetryBudget,
     pub(crate) trace: u64,
-    pub(crate) tx: mpsc::Sender<AttemptReport>,
+    /// The attempts in flight; empty when the fan-out starts.
+    pub(crate) flights: Vec<Flight>,
 }
 
 impl Fanout<'_> {
@@ -409,11 +620,41 @@ impl Fanout<'_> {
             .min(self.deadline.saturating_duration_since(now))
             .max(Duration::from_millis(1))
     }
+
+    /// Run one leg per shard to its outcome, from this thread: the
+    /// request's coordinator. Attempts still in flight once every leg has
+    /// settled go to the background thread.
+    pub(crate) fn scatter(mut self, shards: &[Arc<ShardRuntime>]) -> Vec<ShardOutcome> {
+        let mut legs: Vec<Leg> = shards.iter().map(|rt| rt.leg(&mut self)).collect();
+        let (mut fds, mut ended) = (Vec::new(), Vec::new());
+        while legs.iter().any(Leg::is_pending) {
+            let wake = legs
+                .iter()
+                .filter_map(Leg::hedge_at)
+                .fold(self.deadline, Instant::min);
+            drive(&mut self.flights, &mut fds, None, Some(wake), &mut ended);
+            for (role, replica, outcome) in ended.drain(..) {
+                if let Role::Data { leg, hedge } = role {
+                    legs[leg].on_end(replica, hedge, outcome, &mut self);
+                }
+            }
+            let now = Instant::now();
+            for leg in &mut legs {
+                leg.on_timer(now, &mut self);
+            }
+        }
+        if !self.flights.is_empty() {
+            let handed = self.flights.len() as u64;
+            flowcube_obs::counter_add("federate.attempts.handed_off", handed);
+            Background::adopt(self.flights.drain(..));
+        }
+        legs.into_iter().map(Leg::into_outcome).collect()
+    }
 }
 
 /// One shard's leg of a fan-out: selection, hedging and budgeted
-/// retries, stepped by the request's coordinator as reports and timers
-/// arrive. The first answer wins; a leg hedges only while just its
+/// retries, stepped by the request's coordinator as its attempts end and
+/// timers fire. The first answer wins; a leg hedges only while just its
 /// primary is in flight; a retry opens its own hedge window.
 pub(crate) struct Leg {
     rt: Arc<ShardRuntime>,
@@ -447,6 +688,7 @@ impl ShardRuntime {
                         series: ReplicaSeries::new(shard, idx),
                         data_failpoint: format!("federate.replica.s{shard}.r{idx}"),
                         probe_failpoint: format!("federate.replica.probe.s{shard}.r{idx}"),
+                        resolved: OnceLock::new(),
                     })
                 })
                 .collect(),
@@ -495,7 +737,7 @@ impl ShardRuntime {
                     consecutive_failures: 0,
                 } => clean.push(idx),
                 Availability::Ready { .. } => dirty.push(idx),
-                Availability::Probe => self.spawn_probe(idx),
+                Availability::Probe => self.start_probe(idx),
                 Availability::Skip => {}
             }
         }
@@ -507,38 +749,18 @@ impl ShardRuntime {
         }
     }
 
-    /// Run the half-open `/healthz` probe on an attempt worker. The
-    /// breaker is already HalfOpen (the [`Availability::Probe`] caller
-    /// owns it); close/reopen happens when the probe returns.
-    fn spawn_probe(self: &Arc<Self>, idx: usize) {
-        let rt = Arc::clone(self);
-        ATTEMPT_WORKERS.run(move || {
-            let replica = &rt.replicas[idx];
-            let injected = flowcube_testkit::any_armed()
-                .then(|| flowcube_testkit::fail_point(&replica.probe_failpoint))
-                .flatten();
-            let ok = match injected {
-                Some(_) => false,
-                // On a fresh connection: what a probe tests is that the
-                // replica accepts connections.
-                None => client::http_get(&replica.addr, "/healthz", rt.breaker.probe_timeout, None)
-                    .is_ok_and(|(status, _)| status == 200),
-            };
-            if ok {
-                if replica.health.probe_succeeded() {
-                    flowcube_obs::counter_add(&replica.series.breaker_close, 1);
-                    flight::record(
-                        FlightKind::BreakerClose,
-                        0,
-                        flight::intern("replica"),
-                        0,
-                        ((rt.shard as u64) << 32) | idx as u64,
-                    );
-                }
-            } else {
-                replica.health.probe_failed(Instant::now());
-            }
-        });
+    /// Start the half-open `/healthz` probe on the background thread.
+    /// The breaker is already HalfOpen (the [`Availability::Probe`]
+    /// caller owns it); close/reopen happens when the probe ends.
+    fn start_probe(self: &Arc<Self>, idx: usize) {
+        // On a fresh connection, without a request id: what a probe
+        // tests is that the replica accepts connections.
+        let request = format!(
+            "GET /healthz HTTP/1.1\r\nHost: {}\r\n\r\n",
+            self.replicas[idx].addr
+        );
+        let probe = Flight::launch(self, idx, Role::Probe, request, self.breaker.probe_timeout);
+        Background::adopt([probe]);
     }
 
     /// The hedge threshold for one attempt, or `None` when hedging is
@@ -559,67 +781,30 @@ impl ShardRuntime {
         }
     }
 
-    /// Launch one attempt on an attempt worker. The worker owns the
-    /// socket (bounded by the attempt budget), reports health + latency
-    /// into the shared runtime even if the coordinator has moved on (an
-    /// abandoned hedge loser still updates the breaker), and sends its
-    /// report over the fan-out's channel — into a receiver that may be
-    /// gone, which is the abandonment.
-    fn launch(self: &Arc<Self>, replica: usize, hedge: bool, fan: &Fanout) {
-        flowcube_obs::counter_add(&self.replicas[replica].series.selected, 1);
-        let rt = Arc::clone(self);
-        let target = Arc::clone(&fan.target);
+    /// Launch one data attempt of this shard's leg into `fan`'s flights.
+    /// Its end records health + latency into the shared runtime even if
+    /// its leg has settled (an abandoned hedge loser still updates the
+    /// breaker), on the coordinator or, once the request has answered,
+    /// on the background thread.
+    fn launch(self: &Arc<Self>, replica: usize, hedge: bool, fan: &mut Fanout) {
+        let state = &self.replicas[replica];
+        flowcube_obs::counter_add(&state.series.selected, 1);
+        let request = format!(
+            "GET {} HTTP/1.1\r\nHost: {}\r\nX-Request-Id: {}\r\n\r\n",
+            fan.target, state.addr, fan.request_id
+        );
+        let role = Role::Data {
+            leg: self.shard as usize,
+            hedge,
+        };
         let budget = fan.attempt_budget(Instant::now());
-        let tx = fan.tx.clone();
-        ATTEMPT_WORKERS.run(move || {
-            let state = &rt.replicas[replica];
-            let started = Instant::now();
-            let injected = flowcube_testkit::any_armed()
-                .then(|| flowcube_testkit::fail_point(&state.data_failpoint))
-                .flatten();
-            let outcome = match injected {
-                Some(fault) => Err(match fault {
-                    flowcube_testkit::Fault::Error(msg) => format!("injected: {msg}"),
-                    flowcube_testkit::Fault::ShortRead(n) => {
-                        format!("injected short read of {n} bytes")
-                    }
-                }),
-                None => client::http_get(&state.addr, &target, budget, Some(&state.pool)),
-            };
-            match &outcome {
-                Ok(_) => {
-                    state.health.record_success();
-                    rt.latency
-                        .observe_us(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                }
-                Err(_) => {
-                    if state.health.record_failure(&rt.breaker, Instant::now()) {
-                        // The breaker opened: the replica's idle
-                        // connections are not to be trusted either.
-                        state.pool.clear();
-                        flowcube_obs::counter_add(&state.series.breaker_open, 1);
-                        flight::record(
-                            FlightKind::BreakerOpen,
-                            0,
-                            flight::intern("replica"),
-                            0,
-                            ((rt.shard as u64) << 32) | replica as u64,
-                        );
-                    }
-                }
-            }
-            let _ = tx.send(AttemptReport {
-                shard: rt.shard as usize,
-                replica,
-                hedge,
-                outcome,
-            });
-        });
+        fan.flights
+            .push(Flight::launch(self, replica, role, request, budget));
     }
 
     /// Start this shard's leg of `fan`: plan the replica order and launch
     /// the primary attempt.
-    pub(crate) fn leg(self: &Arc<Self>, fan: &Fanout) -> Leg {
+    fn leg(self: &Arc<Self>, fan: &mut Fanout) -> Leg {
         let started = Instant::now();
         let mut leg = Leg {
             rt: Arc::clone(self),
@@ -647,16 +832,16 @@ impl ShardRuntime {
 impl Leg {
     /// The instant this leg wants the coordinator back for its hedge, if
     /// one is pending.
-    pub(crate) fn hedge_at(&self) -> Option<Instant> {
+    fn hedge_at(&self) -> Option<Instant> {
         self.hedge_at
     }
 
-    pub(crate) fn is_pending(&self) -> bool {
+    fn is_pending(&self) -> bool {
         self.outcome.is_none()
     }
 
     /// The leg's outcome; a leg still pending has failed.
-    pub(crate) fn into_outcome(self) -> ShardOutcome {
+    fn into_outcome(self) -> ShardOutcome {
         self.outcome.unwrap_or(ShardOutcome::Failed {
             detail: self.last_error,
         })
@@ -664,29 +849,30 @@ impl Leg {
 
     /// Launch a primary or a retry: one attempt in flight, with a hedge
     /// window of its own.
-    fn attempt(&mut self, replica: usize, now: Instant, fan: &Fanout) {
+    fn attempt(&mut self, replica: usize, now: Instant, fan: &mut Fanout) {
         self.rt.launch(replica, false, fan);
         self.in_flight = 1;
         self.hedge_at = self.hedge_delay.map(|d| now + d);
     }
 
-    /// An attempt of this leg reported. Reports for a resolved leg are
-    /// its abandoned hedge losers, and are dropped.
-    pub(crate) fn on_report(&mut self, report: AttemptReport, fan: &Fanout) {
+    /// An attempt of this leg at `replica` ended. The outcomes of a
+    /// settled leg's attempts are its abandoned hedge losers', and are
+    /// dropped.
+    fn on_end(&mut self, replica: usize, hedge: bool, outcome: Outcome, fan: &mut Fanout) {
         if self.outcome.is_some() {
             return;
         }
         self.in_flight -= 1;
-        match report.outcome {
+        match outcome {
             Ok((status, body)) => {
-                if report.hedge {
-                    let won = &self.rt.replicas[report.replica].series.hedge_won;
+                if hedge {
+                    let won = &self.rt.replicas[replica].series.hedge_won;
                     flowcube_obs::counter_add(won, 1);
                 }
                 if self.in_flight > 0 {
                     // The slower half of the hedge pair is abandoned: it
-                    // finishes its read on its worker, and its report is
-                    // dropped.
+                    // finishes its read on the coordinator or the
+                    // background thread, and its outcome is dropped.
                     flowcube_obs::counter_add(&self.rt.abandoned_series, self.in_flight as u64);
                 }
                 self.resolve(ShardOutcome::Answered { status, body }, fan);
@@ -710,9 +896,9 @@ impl Leg {
         }
     }
 
-    /// The coordinator woke at `now` without a report: fail the leg if
+    /// The coordinator woke at `now`: fail the leg if
     /// the request's deadline has passed, else hedge if the hedge is due.
-    pub(crate) fn on_timer(&mut self, now: Instant, fan: &Fanout) {
+    fn on_timer(&mut self, now: Instant, fan: &mut Fanout) {
         if self.outcome.is_some() {
             return;
         }
@@ -895,90 +1081,6 @@ mod tests {
         rt.replicas[1].health.record_failure(&cfg, Instant::now());
         let plan = rt.plan();
         assert_eq!(plan.len(), 2, "all-open falls back to full rotation");
-    }
-
-    /// Wait, without a deadline of the code's own, until `cond` holds.
-    fn until(what: &str, cond: impl Fn() -> bool) {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !cond() {
-            assert!(Instant::now() < deadline, "timed out waiting until {what}");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    fn parked(pool: &Workers) -> usize {
-        pool.lock().idle
-    }
-
-    #[test]
-    fn a_blocked_job_does_not_delay_the_next_one() {
-        static POOL: Workers = Workers::new(Duration::from_secs(60));
-        // One parked worker, which the blocked job takes.
-        POOL.run(|| {});
-        until("the first worker parks", || parked(&POOL) == 1);
-        // Both jobs pass the barrier only if they run at once, each on
-        // its own worker.
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let (tx, rx) = mpsc::channel();
-        for _ in 0..2 {
-            let (barrier, tx) = (Arc::clone(&barrier), tx.clone());
-            POOL.run(move || {
-                barrier.wait();
-                let _ = tx.send(std::thread::current().id());
-            });
-        }
-        let a = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("both jobs ran");
-        let b = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("both jobs ran");
-        assert_ne!(a, b, "the second job got a worker of its own");
-    }
-
-    #[test]
-    fn a_job_handed_over_as_the_idle_period_ends_is_never_lost() {
-        static POOL: Workers = Workers::new(Duration::from_millis(1));
-        let (tx, rx) = mpsc::channel();
-        for i in 0..500u64 {
-            let tx = tx.clone();
-            POOL.run(move || {
-                let _ = tx.send(i);
-            });
-            assert_eq!(
-                rx.recv_timeout(Duration::from_secs(10)),
-                Ok(i),
-                "job {i} ran"
-            );
-            // Sweep the next hand-over across the parked worker's expiry.
-            std::thread::sleep(Duration::from_micros(i % 10 * 150));
-        }
-        until("every worker has expired", || {
-            let queue = POOL.lock();
-            queue.idle == 0 && queue.jobs.is_empty()
-        });
-    }
-
-    #[test]
-    fn a_panicking_job_does_not_wedge_later_jobs() {
-        static POOL: Workers = Workers::new(Duration::from_secs(60));
-        POOL.run(|| panic!("an attempt panicked"));
-        until("the panicked worker parks again", || parked(&POOL) == 1);
-        let (tx, rx) = mpsc::channel();
-        for i in 0..4 {
-            let tx = tx.clone();
-            POOL.run(move || {
-                let _ = tx.send(i);
-            });
-        }
-        let mut ran: Vec<i32> = (0..4)
-            .map(|_| {
-                rx.recv_timeout(Duration::from_secs(10))
-                    .expect("later jobs run")
-            })
-            .collect();
-        ran.sort_unstable();
-        assert_eq!(ran, [0, 1, 2, 3]);
     }
 
     #[test]

@@ -349,7 +349,9 @@ fn front_sheds_with_429_and_retry_after() {
 }
 
 /// One request id, both flight views: the id a client sends names the
-/// request in the front's own flight ring, served in serve's shape.
+/// request in the front's own flight ring, served in serve's shape — and
+/// the front forwards it on every shard leg, so each shard's flight ring
+/// names the request by the same id.
 #[test]
 fn request_id_is_in_the_fronts_flight_ring() {
     let db = generate(&GeneratorConfig::small(40, 53)).db;
@@ -381,6 +383,28 @@ fn request_id_is_in_the_fronts_flight_ring() {
                     && field_u64(e, "trace_id") == Some(trace)
             }),
             "no {kind} for abc-1 in {body}"
+        );
+    }
+
+    // Every tier of this process shares one flight ring: the front's own
+    // `RequestStart` for abc-1 is there, and one more per shard, recorded
+    // by the shard's envelope from the forwarded `X-Request-Id`.
+    for backend in &backends {
+        let (status, _, body) = get(backend.addr(), "/debug/flight", &[]);
+        assert_eq!(status, 200);
+        let starts = parse(&body)
+            .get("events")
+            .and_then(Value::as_array)
+            .expect("events")
+            .iter()
+            .filter(|e| {
+                e.get("kind").and_then(Value::as_str) == Some("RequestStart")
+                    && field_u64(e, "trace_id") == Some(trace)
+            })
+            .count();
+        assert!(
+            starts > backends.len(),
+            "{starts} RequestStart events for abc-1: the front's and not one per shard"
         );
     }
 

@@ -8,8 +8,10 @@
 //! connection pools: attempts reuse connections, a stale pooled
 //! connection is not a replica failure (but a timeout on one is), a
 //! socket whose response was not read to the end never carries another
-//! request, and an open breaker empties its replica's pool — and that a
-//! warm front runs its attempts on reused workers, spawning none.
+//! request, and an open breaker empties its replica's pool — and that the
+//! request's coordinator owns its attempts: a hung connect stalls neither
+//! the hedge nor the other shard, and a warm front starts no thread and
+//! hands no attempt over unless a hedge fired.
 //!
 //! The failpoint registry, metrics registry, and flight ring are all
 //! process-global; these tests serialize on one mutex and reset all
@@ -39,6 +41,13 @@ static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn lock_globals() -> MutexGuard<'static, ()> {
     let guard = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    // An earlier test's abandoned attempts (a held hedge loser, a probe)
+    // may still be running on the background thread; they would count
+    // into this test's metrics.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while flowcube_federate::attempts_in_background() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     flowcube_testkit::reset();
     flowcube_obs::enable();
     flowcube_obs::reset();
@@ -742,16 +751,78 @@ fn read_head(conn: &mut TcpStream) {
     }
 }
 
-/// A warm front runs every attempt on a parked worker: after a warm-up,
-/// a hundred federated reads over 2 shards x 2 replicas spawn none.
+/// A connect that hangs stalls nothing else. One replica of shard 0 is a
+/// listener whose accept queue is full, so a connect to it never ends its
+/// handshake. Whenever the rotation leads with it, the hedge goes out on
+/// time and shard 1's leg runs on: every read is a full 200 well inside
+/// one shard timeout.
+#[test]
+fn a_hung_connect_stalls_neither_the_hedge_nor_the_other_shard() {
+    let _guard = lock_globals();
+    let db = generate(&GeneratorConfig::small(60, 83)).db;
+    let hung = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let hung_addr = hung.local_addr().expect("addr");
+    // Fill its accept queue: past the backlog, the kernel drops the SYN
+    // and the connect waits for a retransmit that will not be answered.
+    let mut queued = Vec::new();
+    while let Ok(conn) = TcpStream::connect_timeout(&hung_addr, Duration::from_millis(100)) {
+        queued.push(conn);
+        assert!(queued.len() < 4096, "the accept queue never filled");
+    }
+    let shard_timeout = Duration::from_secs(1);
+    let (groups, front) = boot_replicated(&db, 2, 2, |c| {
+        c.backends[0].replicas[1] = hung_addr.to_string();
+        c.hedge = HedgePolicy::Fixed(Duration::from_millis(20));
+        c.shard_timeout = shard_timeout;
+    });
+
+    for i in 0..8 {
+        let start = Instant::now();
+        assert_full_answer(&front, &db, &format!("read {i}"));
+        let took = start.elapsed();
+        assert!(
+            took < shard_timeout / 2,
+            "read {i} waited on the hung connect: {took:?}"
+        );
+    }
+    assert!(
+        counter(
+            "federate.replica.hedged",
+            &[("shard", "0"), ("replica", "0")]
+        ) >= 3,
+        "the rotation led with the hung replica, and the hedge answered"
+    );
+
+    shutdown_all(groups, front);
+    drop(queued);
+}
+
+/// A warm front hands no attempt to another thread: after a warm-up, a
+/// hundred federated reads over 2 shards x 2 replicas start no thread,
+/// and hand the background thread no attempt unless a hedge fired (a
+/// hedge's loser may still be reading when its request answers).
 #[test]
 fn warm_front_spawns_no_attempt_workers() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(60, 82)).db;
     let (groups, front) = boot_replicated(&db, 2, 2, |_| {});
 
-    // Warm up with both front workers busy at once, so the pool holds
-    // workers for every attempt two concurrent requests can have out.
+    // One forced hedge first, so the background thread starts now and not
+    // during the steady reads: shard 0's first primary (replica 0, where
+    // the rotation starts) is held past the cold window's hedge at half
+    // the shard timeout, and is still held when its request answers.
+    flowcube_testkit::arm_times(
+        "federate.replica.s0.r0",
+        1,
+        FailAction::Delay(Duration::from_millis(800)),
+    );
+    assert_full_answer(&front, &db, "hedged");
+    assert_eq!(
+        counter("federate.attempts.handed_off", &[]),
+        1,
+        "the held loser went to the background thread"
+    );
+    // Warm up with both front workers busy at once.
     std::thread::scope(|scope| {
         for client in 0..2 {
             let (front, db) = (&front, &db);
@@ -762,15 +833,36 @@ fn warm_front_spawns_no_attempt_workers() {
             });
         }
     });
-    let spawned = counter("federate.attempt_workers.spawned", &[]);
+    let threads = || {
+        std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task")
+            .count()
+    };
+    // A joined warm-up client can linger in /proc for a moment: count
+    // once two looks agree.
+    let settled = || loop {
+        let count = threads();
+        std::thread::sleep(Duration::from_millis(20));
+        if threads() == count {
+            break count;
+        }
+    };
+    let (before, handed, hedged) = (
+        settled(),
+        counter("federate.attempts.handed_off", &[]),
+        family("federate.replica.hedged"),
+    );
     for i in 0..100 {
         assert_full_answer(&front, &db, &format!("steady {i}"));
     }
-    assert_eq!(
-        counter("federate.attempt_workers.spawned", &[]) - spawned,
-        0,
-        "steady-state reads spawned attempt workers"
+    assert_eq!(threads(), before, "steady-state reads started a thread");
+    let handed = counter("federate.attempts.handed_off", &[]) - handed;
+    let hedged = family("federate.replica.hedged") - hedged;
+    assert!(
+        handed <= hedged,
+        "{handed} attempts handed off with {hedged} hedges: only a hedge's loser may be"
     );
 
+    flowcube_testkit::reset();
     shutdown_all(groups, front);
 }

@@ -1203,20 +1203,28 @@ fn valid_request_id(s: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b':'))
 }
 
+/// The id the envelope echoed for a request whose trace id is `trace`:
+/// its well-formed inbound `X-Request-Id`, or the one minted for it. A
+/// service that calls other tiers forwards this id, so their flight
+/// rings name the request as this tier's does.
+pub fn echoed_request_id(req: &Request, trace: u64) -> String {
+    match req.header("x-request-id") {
+        Some(id) if valid_request_id(id) => id.to_string(),
+        _ => format!("{trace:016x}"),
+    }
+}
+
 static NEXT_REQUEST: AtomicU64 = AtomicU64::new(1);
 
 /// The request's identity: honor a well-formed inbound `X-Request-Id`,
 /// mint one otherwise. Returns the string id (echoed to the client on
 /// every response) and the numeric trace id recorded on flight events.
 fn assign_request_id(req: &Request) -> (String, u64) {
-    if let Some(id) = req.header("x-request-id") {
-        if valid_request_id(id) {
-            return (id.to_string(), fnv1a(id));
-        }
-    }
-    let n = NEXT_REQUEST.fetch_add(1, Ordering::Relaxed);
-    let trace = splitmix64(trace_seed() ^ n);
-    (format!("{trace:016x}"), trace)
+    let trace = match req.header("x-request-id") {
+        Some(id) if valid_request_id(id) => fnv1a(id),
+        _ => splitmix64(trace_seed() ^ NEXT_REQUEST.fetch_add(1, Ordering::Relaxed)),
+    };
+    (echoed_request_id(req, trace), trace)
 }
 
 /// A fully-rendered response: status, body, content type, and any extra

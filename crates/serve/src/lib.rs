@@ -55,8 +55,9 @@ pub mod snapshot;
 
 pub use access::{AccessEntry, AccessLog};
 pub use api::{
-    error_response, handle_request, registered_endpoints, AppState, CompactResponse, HealthState,
-    HttpResponse, IngestResponse, ReloadResponse, RequestCtx, ServedCube,
+    echoed_request_id, error_response, handle_request, registered_endpoints, AppState,
+    CompactResponse, HealthState, HttpResponse, IngestResponse, ReloadResponse, RequestCtx,
+    ServedCube,
 };
 pub use cache::{CachedResponse, ResponseCache};
 pub use columnar::{ColumnarSection, GraphView, StringTable, StringsCtx};

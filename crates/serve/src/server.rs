@@ -927,16 +927,21 @@ mod sig {
     }
 }
 
-// ---- epoll(7) -------------------------------------------------------------
+// ---- epoll(7), poll(2) ----------------------------------------------------
 // The runtime's one blocking wait: the acceptor on its listener and wake
 // `eventfd`, the workers on the doorbell and every parked connection.
+// The federation front's request coordinator waits on `poll(2)` over its
+// shard attempts' sockets, which it connects without blocking.
 
 #[cfg(not(target_os = "linux"))]
 compile_error!("the server runtime waits on epoll(7), which only Linux has");
 
-mod sys {
+/// The few Linux calls std does not wrap, for the runtime and for the
+/// federation front's non-blocking shard attempts.
+pub mod sys {
     use std::fs::File;
     use std::io::{self, Read, Write};
+    use std::net::{SocketAddr, TcpStream};
     use std::os::fd::{AsRawFd, FromRawFd, RawFd};
     use std::time::Duration;
 
@@ -959,11 +964,132 @@ mod sys {
         data: u64,
     }
 
+    pub const POLLIN: i16 = 0x001;
+    pub const POLLOUT: i16 = 0x004;
+    const AF_INET: i32 = 2;
+    const AF_INET6: i32 = 10;
+    const SOCK_STREAM: i32 = 1;
+    /// `errno` of a non-blocking `connect` that has begun.
+    const EINPROGRESS: i32 = 115;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: i32,
+        pub events: i16,
+        pub revents: i16,
+    }
+
+    /// `struct sockaddr_in`: port and address in network byte order.
+    #[repr(C)]
+    struct SockAddrIn {
+        family: u16,
+        port: [u8; 2],
+        addr: [u8; 4],
+        zero: [u8; 8],
+    }
+
+    /// `struct sockaddr_in6`.
+    #[repr(C)]
+    struct SockAddrIn6 {
+        family: u16,
+        port: [u8; 2],
+        flowinfo: [u8; 4],
+        addr: [u8; 16],
+        scope_id: u32,
+    }
+
     extern "C" {
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         fn eventfd(initval: u32, flags: i32) -> i32;
+        fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
+        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+        fn connect(fd: i32, addr: *const u8, len: u32) -> i32;
+    }
+
+    /// A wait of `timeout` in whole milliseconds, rounded up so that a
+    /// wait for an expiry does not return just short of it and spin;
+    /// `None` is no limit.
+    fn millis(timeout: Option<Duration>) -> i32 {
+        timeout.map_or(-1, |t| {
+            i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
+        })
+    }
+
+    /// Block until one of `fds` is ready or `timeout` passes; how many
+    /// are ready (their `revents` say how). `EINTR` counts as none ready.
+    pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+        // SAFETY: `fds` is a live array of `fds.len()` `struct pollfd`s
+        // that the kernel writes `revents` of during the call only.
+        match unsafe {
+            poll(
+                fds.as_mut_ptr(),
+                fds.len() as std::ffi::c_ulong,
+                millis(timeout),
+            )
+        } {
+            n if n >= 0 => Ok(n as usize),
+            _ => match io::Error::last_os_error() {
+                e if e.kind() == io::ErrorKind::Interrupted => Ok(0),
+                e => Err(e),
+            },
+        }
+    }
+
+    /// Start a TCP connect to `addr` without blocking: the stream, and
+    /// whether it is connected already. One that is not becomes writable
+    /// (`POLLOUT`) once the handshake ends, and then
+    /// [`TcpStream::take_error`] says whether it failed. The stream is
+    /// non-blocking.
+    pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<(TcpStream, bool)> {
+        let family = match addr {
+            SocketAddr::V4(_) => AF_INET,
+            SocketAddr::V6(_) => AF_INET6,
+        };
+        // SAFETY: no pointers, and a new descriptor on success.
+        let fd = unsafe { socket(family, SOCK_STREAM | NONBLOCK | CLOEXEC, 0) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // SAFETY: `socket` just handed over the one owner of `fd`; the
+        // stream closes it on every path from here.
+        let stream = unsafe { TcpStream::from_raw_fd(fd) };
+        let port = addr.port().to_be_bytes();
+        // SAFETY (both arms): the address is a live, fully initialized
+        // `struct sockaddr_in{,6}` of the length passed, which the
+        // kernel only reads during the call.
+        let rc = match addr {
+            SocketAddr::V4(v4) => {
+                let raw = SockAddrIn {
+                    family: AF_INET as u16,
+                    port,
+                    addr: v4.ip().octets(),
+                    zero: [0; 8],
+                };
+                let len = std::mem::size_of::<SockAddrIn>() as u32;
+                unsafe { connect(fd, (&raw as *const SockAddrIn).cast(), len) }
+            }
+            SocketAddr::V6(v6) => {
+                let raw = SockAddrIn6 {
+                    family: AF_INET6 as u16,
+                    port,
+                    flowinfo: v6.flowinfo().to_be_bytes(),
+                    addr: v6.ip().octets(),
+                    scope_id: v6.scope_id(),
+                };
+                let len = std::mem::size_of::<SockAddrIn6>() as u32;
+                unsafe { connect(fd, (&raw as *const SockAddrIn6).cast(), len) }
+            }
+        };
+        if rc == 0 {
+            return Ok((stream, true));
+        }
+        match io::Error::last_os_error() {
+            e if e.raw_os_error() == Some(EINPROGRESS) => Ok((stream, false)),
+            e => Err(e),
+        }
     }
 
     /// A descriptor a call just returned, owned; or the call's error.
@@ -1016,15 +1142,10 @@ mod sys {
         /// (`None`: no limit); the ready one's token, `None` on timeout.
         /// `EINTR` is an error.
         pub fn wait(&self, timeout: Option<Duration>) -> io::Result<Option<u64>> {
-            // Rounded up, so that a wait for an expiry does not return
-            // just short of it and spin.
-            let millis = timeout.map_or(-1, |t| {
-                i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
-            });
             let mut event = EpollEvent { events: 0, data: 0 };
             // SAFETY: room for exactly the one event `maxevents` allows;
             // the kernel keeps no pointer past the call.
-            match unsafe { epoll_wait(self.0.as_raw_fd(), &mut event, 1, millis) } {
+            match unsafe { epoll_wait(self.0.as_raw_fd(), &mut event, 1, millis(timeout)) } {
                 n if n < 0 => Err(io::Error::last_os_error()),
                 0 => Ok(None),
                 _ => Ok(Some(event.data)),
@@ -1107,5 +1228,45 @@ mod tests {
         }
         server.shutdown();
         server.join();
+    }
+
+    /// Connect without blocking, then wait for the handshake in `poll`:
+    /// the socket turns writable with no error, over IPv4 and (where the
+    /// host has it) IPv6; a closed port is refused, at once or through
+    /// `take_error` once the socket turns ready.
+    #[test]
+    fn nonblocking_connects_finish_in_poll() {
+        let wait_writable = |stream: &TcpStream| {
+            let mut fd = [sys::PollFd {
+                fd: std::os::fd::AsRawFd::as_raw_fd(stream),
+                events: sys::POLLOUT,
+                revents: 0,
+            }];
+            let ready = sys::poll_fds(&mut fd, Some(Duration::from_secs(5))).expect("poll");
+            assert_eq!(ready, 1, "the handshake ended within the wait");
+            stream.take_error().expect("SO_ERROR")
+        };
+        for bind in ["127.0.0.1:0", "[::1]:0"] {
+            let Ok(listener) = TcpListener::bind(bind) else {
+                continue; // no IPv6 loopback here
+            };
+            let addr = listener.local_addr().unwrap();
+            let (stream, connected) = sys::connect_nonblocking(&addr).expect("connect starts");
+            if !connected {
+                assert!(wait_writable(&stream).is_none(), "{bind}: connected");
+            }
+            assert_eq!(stream.peer_addr().unwrap(), addr);
+            listener.accept().expect("the listener sees the connection");
+        }
+        let closed = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let refusal = match sys::connect_nonblocking(&closed) {
+            Err(e) => e,
+            Ok((stream, false)) => wait_writable(&stream).expect("the connect failed"),
+            Ok((_, true)) => panic!("connected to a closed port"),
+        };
+        assert_eq!(refusal.kind(), io::ErrorKind::ConnectionRefused);
     }
 }

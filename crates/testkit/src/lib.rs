@@ -10,7 +10,9 @@
 //!   into its own error type (a simulated IO/parse/validation failure);
 //! * `panic` — the site panics, exercising `catch_unwind` / supervisor
 //!   recovery paths;
-//! * `delay(ms)` — the site sleeps, exercising deadline paths;
+//! * `delay(ms)` — the site sleeps, exercising deadline paths; an event
+//!   loop evaluates its sites with [`fail_point_deferred`] instead, and
+//!   holds the one piece of work back on a timer rather than sleeping;
 //! * `short-read(n)` — the site surfaces [`Fault::ShortRead`], which IO
 //!   callers interpret as "only `n` bytes exist" (truncation).
 //!
@@ -159,23 +161,57 @@ pub fn fail_point_unit(name: &str) {
     }
 }
 
+/// What [`fail_point_deferred`] hands back instead of acting on it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Deferred {
+    /// The site must simulate this failure.
+    Fault(Fault),
+    /// The site must hold its work back this long — on a timer of its
+    /// own, not by sleeping.
+    Delay(Duration),
+}
+
+/// Evaluate a failpoint at a site that must not sleep: an event loop,
+/// where a `delay(ms)` is a timer for the one piece of work the site
+/// guards, not a stall of everything the loop drives. `Delay` actions
+/// come back as [`Deferred::Delay`]; `Panic` actions panic here, and the
+/// rest come back as [`Deferred::Fault`], as from [`fail_point`].
+#[inline]
+pub fn fail_point_deferred(name: &str) -> Option<Deferred> {
+    if !ACTIVE.load(Ordering::Relaxed) {
+        return None;
+    }
+    match fire(name)? {
+        FailAction::Delay(d) => Some(Deferred::Delay(d)),
+        action => act(name, action).map(Deferred::Fault),
+    }
+}
+
 #[cold]
 fn fail_point_armed(name: &str) -> Option<Fault> {
-    let action = {
-        let mut reg = REGISTRY.lock();
-        let entry = reg.get_mut(name)?;
-        if entry.action == FailAction::Off {
+    act(name, fire(name)?)
+}
+
+/// Count a visit to an armed point; the action it fires, if any.
+#[cold]
+fn fire(name: &str) -> Option<FailAction> {
+    let mut reg = REGISTRY.lock();
+    let entry = reg.get_mut(name)?;
+    if entry.action == FailAction::Off {
+        return None;
+    }
+    if let Some(remaining) = &mut entry.remaining {
+        if *remaining == 0 {
             return None;
         }
-        if let Some(remaining) = &mut entry.remaining {
-            if *remaining == 0 {
-                return None;
-            }
-            *remaining -= 1;
-        }
-        entry.hits += 1;
-        entry.action.clone()
-    };
+        *remaining -= 1;
+    }
+    entry.hits += 1;
+    Some(entry.action.clone())
+}
+
+/// Carry out a fired action: sleep, panic, or hand back the fault.
+fn act(name: &str, action: FailAction) -> Option<Fault> {
     match action {
         FailAction::Off => None,
         FailAction::Delay(d) => {
@@ -420,6 +456,27 @@ mod tests {
             let start = std::time::Instant::now();
             assert_eq!(fail_point("slow"), None);
             assert!(start.elapsed() >= Duration::from_millis(15));
+        });
+    }
+
+    #[test]
+    fn deferred_evaluation_hands_the_delay_back_without_sleeping() {
+        with_clean_registry(|| {
+            assert_eq!(fail_point_deferred("timer"), None, "nothing armed");
+            arm_times("timer", 1, FailAction::Delay(Duration::from_secs(30)));
+            let start = std::time::Instant::now();
+            assert_eq!(
+                fail_point_deferred("timer"),
+                Some(Deferred::Delay(Duration::from_secs(30)))
+            );
+            assert!(start.elapsed() < Duration::from_secs(5), "it did not sleep");
+            assert_eq!(fail_point_deferred("timer"), None, "budget spent");
+            assert_eq!(hits("timer"), 1);
+            arm("torn", FailAction::ShortRead(3));
+            assert_eq!(
+                fail_point_deferred("torn"),
+                Some(Deferred::Fault(Fault::ShortRead(3)))
+            );
         });
     }
 
