@@ -23,10 +23,23 @@ pub fn level_of_key(key: &[ConceptId], schema: &Schema) -> ItemLevel {
 
 /// Aggregate a key to a coarser level (used to find parent cells).
 pub fn aggregate_key(key: &[ConceptId], level: &ItemLevel, schema: &Schema) -> CellKey {
-    key.iter()
-        .enumerate()
-        .map(|(d, &c)| schema.dim(d as u8).ancestor_at_level(c, level.0[d]))
-        .collect()
+    let mut out = Vec::with_capacity(key.len());
+    aggregate_key_into(key, level, schema, &mut out);
+    out
+}
+
+/// [`aggregate_key`] into a caller's buffer, replacing its contents.
+pub fn aggregate_key_into(
+    key: &[ConceptId],
+    level: &ItemLevel,
+    schema: &Schema,
+    out: &mut CellKey,
+) {
+    out.clear();
+    out.extend(
+        (key.iter().enumerate())
+            .map(|(d, &c)| schema.dim(d as u8).ancestor_at_level(c, level.0[d])),
+    );
 }
 
 /// Render a key with dimension names, e.g. `(outerwear, nike)`.

@@ -7,7 +7,7 @@ use crate::counts;
 use crate::error::CoreError;
 use crate::params::{FlowCubeParams, ItemPlan};
 use crate::stats::BuildStats;
-use crate::view::{self, CuboidRead};
+use crate::view;
 use flowcube_hier::{ConceptId, FxHashMap, ItemLevel, PathLatticeSpec, PathLevelId, Schema};
 use flowcube_pathdb::{AggStage, PathDatabase};
 
@@ -228,25 +228,33 @@ impl FlowCube {
     }
 
     /// Point lookup that falls back to the nearest materialized ancestor
-    /// cell (breadth-first up the item lattice) — how a non-redundant /
-    /// iceberg cube answers queries for pruned cells. The routing lives
-    /// in [`view::lookup_route`], shared with the zero-copy snapshot
-    /// query path.
+    /// cell — how a non-redundant / iceberg cube answers queries for
+    /// pruned cells. The routing lives in [`view::lookup_route`], shared
+    /// with the zero-copy snapshot query path; on a miss it walks this
+    /// cube's own item levels at `path_level`.
     pub fn lookup(&self, key: &[ConceptId], path_level: PathLevelId) -> Option<Lookup<'_>> {
-        let route = view::lookup_route(&self.schema, key, |lvl, k| {
-            self.cuboid(lvl, path_level).is_some_and(|c| c.contains(k))
-        })?;
-        let ck = CuboidKey {
-            item_level: route.item_level,
-            path_level,
+        let stored = || {
+            view::walk_order(
+                (self.cuboids.keys())
+                    .filter(|ck| ck.path_level == path_level)
+                    .map(|ck| ck.item_level.clone()),
+            )
         };
-        let (ck_ref, cuboid) = self.cuboids.get_key_value(&ck)?;
-        let (source_key, entry) = cuboid.cells.get_key_value(route.key.as_slice())?;
+        let (route, (source_level, source_key, entry)) =
+            view::lookup_route(&self.schema, key, stored, |lvl, k| {
+                let ck = CuboidKey {
+                    item_level: lvl.clone(),
+                    path_level,
+                };
+                let (ck, cuboid) = self.cuboids.get_key_value(&ck)?;
+                let (source_key, entry) = cuboid.cells.get_key_value(k)?;
+                Some((&ck.item_level, source_key, entry))
+            })?;
         Some(Lookup {
             entry,
             exact: route.exact,
             source_key,
-            source_level: &ck_ref.item_level,
+            source_level,
         })
     }
 

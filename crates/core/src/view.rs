@@ -15,7 +15,7 @@
 //! differential suite compares responses byte-for-byte across storage
 //! representations.
 
-use crate::cell::{aggregate_key, level_of_key, CellKey, Cuboid};
+use crate::cell::{aggregate_key, aggregate_key_into, level_of_key, CellKey, Cuboid};
 use flowcube_hier::{ConceptId, ItemLevel, Schema};
 
 /// The scalar facts about one cell that every storage representation can
@@ -79,47 +79,61 @@ pub struct Route {
     pub exact: bool,
 }
 
-/// Point lookup with ancestor fallback (breadth-first up the item
-/// lattice) — how a non-redundant / iceberg cube answers queries for
-/// pruned cells. `probe` reports whether a cell is materialized at
-/// `(item level, key)` under the caller's fixed path level; the BFS
-/// expansion order (and therefore which ancestor answers when several
-/// are materialized at the same distance) is part of the query contract
-/// shared by every storage representation.
-pub fn lookup_route(
+/// The item levels a cuboid is stored at, in the order
+/// [`lookup_route`] probes them: nearest the finest first (level sum
+/// descending), ties by level vector ascending. That is the order the
+/// breadth-first walk up the item lattice first reaches each level in.
+pub fn walk_order(levels: impl IntoIterator<Item = ItemLevel>) -> Vec<ItemLevel> {
+    let mut levels: Vec<ItemLevel> = levels.into_iter().collect();
+    let sum = |l: &ItemLevel| l.0.iter().map(|&x| u32::from(x)).sum::<u32>();
+    levels.sort_unstable_by(|a, b| sum(b).cmp(&sum(a)).then_with(|| a.cmp(b)));
+    levels.dedup();
+    levels
+}
+
+/// Point lookup with ancestor fallback — how a non-redundant / iceberg
+/// cube answers queries for pruned cells. `probe` answers whether a cell
+/// is materialized at `(item level, key)` under the caller's fixed path
+/// level, handing back whatever the caller found there; the first
+/// `Some` ends the walk.
+///
+/// The key's own level is probed first, so an exact hit costs one probe.
+/// On a miss `stored` is asked, once, for the item levels that hold a
+/// cuboid at this path level in [`walk_order`], and only those coarser
+/// than the key's are probed, each at most once, with the key aggregated
+/// to them. Which ancestor answers when several are materialized at the
+/// same distance is part of the query contract shared by every storage
+/// representation: it is the one a breadth-first walk up the lattice,
+/// expanding parents in dimension order, reaches first — an ancestor's
+/// key depends on its level alone, so the walk order is the order of
+/// levels `walk_order` gives.
+pub fn lookup_route<T, L: AsRef<[ItemLevel]>>(
     schema: &Schema,
     key: &[ConceptId],
-    probe: impl Fn(&ItemLevel, &[ConceptId]) -> bool,
-) -> Option<Route> {
+    stored: impl FnOnce() -> L,
+    mut probe: impl FnMut(&ItemLevel, &[ConceptId]) -> Option<T>,
+) -> Option<(Route, T)> {
     let level = level_of_key(key, schema);
-    let mut frontier: Vec<(ItemLevel, CellKey)> = vec![(level, key.to_vec())];
-    let mut exact = true;
-    let mut seen: Vec<(ItemLevel, CellKey)> = Vec::new();
-    while !frontier.is_empty() {
-        for (lvl, k) in &frontier {
-            if probe(lvl, k) {
-                return Some(Route {
-                    item_level: lvl.clone(),
-                    key: k.clone(),
-                    exact,
-                });
-            }
+    if let Some(found) = probe(&level, key) {
+        let route = Route {
+            item_level: level,
+            key: key.to_vec(),
+            exact: true,
+        };
+        return Some((route, found));
+    }
+    let stored = stored();
+    let mut ancestor_key = Vec::with_capacity(key.len());
+    for ancestor in stored.as_ref().iter().filter(|l| l.is_coarser(&level)) {
+        aggregate_key_into(key, ancestor, schema, &mut ancestor_key);
+        if let Some(found) = probe(ancestor, &ancestor_key) {
+            let route = Route {
+                item_level: ancestor.clone(),
+                key: ancestor_key,
+                exact: false,
+            };
+            return Some((route, found));
         }
-        // Expand to parents.
-        let mut next: Vec<(ItemLevel, CellKey)> = Vec::new();
-        for (lvl, k) in frontier.drain(..) {
-            for parent in lvl.parents() {
-                let pk = aggregate_key(&k, &parent, schema);
-                if !next.iter().any(|(l, kk)| *l == parent && *kk == pk)
-                    && !seen.iter().any(|(l, kk)| *l == parent && *kk == pk)
-                {
-                    next.push((parent, pk));
-                }
-            }
-            seen.push((lvl, k));
-        }
-        frontier = next;
-        exact = false;
     }
     None
 }
@@ -195,7 +209,11 @@ mod tests {
     use super::*;
     use crate::cell::CellEntry;
     use flowcube_flowgraph::FlowGraph;
+    use flowcube_hier::fx::splitmix64;
+    use flowcube_hier::ConceptHierarchy;
     use flowcube_pathdb::samples;
+    use proptest::prelude::*;
+    use std::collections::{BTreeSet, HashSet};
 
     fn entry(support: u64) -> CellEntry {
         CellEntry {
@@ -204,6 +222,188 @@ mod tests {
             exceptions: Vec::new(),
             redundant: false,
         }
+    }
+
+    /// The walk [`lookup_route`] replaced: breadth first up the item
+    /// lattice from the key's level, expanding each level's parents in
+    /// dimension order and probing every level once, stored or not.
+    fn bfs_route(
+        schema: &Schema,
+        key: &[ConceptId],
+        mut probe: impl FnMut(&ItemLevel, &[ConceptId]) -> bool,
+    ) -> Option<Route> {
+        let level = level_of_key(key, schema);
+        let mut frontier: Vec<(ItemLevel, CellKey)> = vec![(level, key.to_vec())];
+        let mut exact = true;
+        let mut seen: HashSet<(ItemLevel, CellKey)> = HashSet::new();
+        while !frontier.is_empty() {
+            for (lvl, k) in &frontier {
+                if probe(lvl, k) {
+                    return Some(Route {
+                        item_level: lvl.clone(),
+                        key: k.clone(),
+                        exact,
+                    });
+                }
+            }
+            let mut next: Vec<(ItemLevel, CellKey)> = Vec::new();
+            for (lvl, k) in frontier.drain(..) {
+                for parent in lvl.parents() {
+                    let pk = aggregate_key(&k, &parent, schema);
+                    if seen.insert((parent.clone(), pk.clone())) {
+                        next.push((parent, pk));
+                    }
+                }
+            }
+            frontier = next;
+            exact = false;
+        }
+        None
+    }
+
+    /// One hierarchy per parent vector: concept `i + 1` hangs under
+    /// concept `parents[i] % (i + 1)`, so a hierarchy may be ragged.
+    fn ragged_schema(parents: &[Vec<u16>]) -> Schema {
+        let dims = (parents.iter().enumerate())
+            .map(|(d, parents)| {
+                let mut h = ConceptHierarchy::new(format!("d{d}"));
+                for (i, &p) in parents.iter().enumerate() {
+                    let parent = ConceptId(u32::from(p) % (i as u32 + 1));
+                    h.add(parent, format!("d{d}c{}", i + 1)).unwrap();
+                }
+                h
+            })
+            .collect();
+        let mut loc = ConceptHierarchy::new("location");
+        loc.add_path(["g", "a"]).unwrap();
+        Schema::new(dims, loc)
+    }
+
+    /// Every item level of `schema`'s lattice, in no particular order.
+    fn all_levels(schema: &Schema) -> Vec<ItemLevel> {
+        let mut levels = vec![Vec::new()];
+        for d in 0..schema.num_dims() {
+            let max = schema.dim(d as u8).max_level();
+            levels = (levels.iter())
+                .flat_map(|l| {
+                    (0..=max).map(move |x| {
+                        let mut l = l.clone();
+                        l.push(x);
+                        l
+                    })
+                })
+                .collect();
+        }
+        levels.into_iter().map(ItemLevel).collect()
+    }
+
+    /// The probes of the new walk and of the breadth-first oracle over
+    /// `stored`, with `answers` deciding which stored probes succeed.
+    #[allow(clippy::type_complexity)]
+    fn both_walks(
+        schema: &Schema,
+        key: &[ConceptId],
+        stored: &BTreeSet<ItemLevel>,
+        answers: impl Fn(&ItemLevel) -> bool,
+    ) -> (
+        (Option<Route>, Vec<ItemLevel>),
+        (Option<Route>, Vec<ItemLevel>),
+    ) {
+        let hit = |level: &ItemLevel| stored.contains(level) && answers(level);
+        let mut walked = Vec::new();
+        let route = lookup_route(
+            schema,
+            key,
+            || walk_order(stored.iter().cloned()),
+            |level, _| {
+                walked.push(level.clone());
+                hit(level).then_some(())
+            },
+        )
+        .map(|(route, ())| route);
+        let mut oracle_walked = Vec::new();
+        let oracle = bfs_route(schema, key, |level, _| {
+            oracle_walked.push(level.clone());
+            hit(level)
+        });
+        ((route, walked), (oracle, oracle_walked))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The stored-level walk answers as the breadth-first walk does
+        /// and probes the stored levels in the same order: over ragged
+        /// hierarchies, one to six dimensions, random sets of stored
+        /// levels and random probe answers.
+        #[test]
+        fn the_walk_probes_stored_levels_in_breadth_first_order(
+            parents in prop::collection::vec(prop::collection::vec(0u16..8, 1..5), 1..7),
+            seed in 0u64..u64::MAX,
+            stored_per_8 in 1u64..8,
+            answer_per_8 in 0u64..8,
+        ) {
+            let schema = ragged_schema(&parents);
+            let mut rng = seed;
+            let mut next = || {
+                rng = splitmix64(rng);
+                rng
+            };
+            let key: CellKey = (0..schema.num_dims())
+                .map(|d| ConceptId((next() % schema.dim(d as u8).len() as u64) as u32))
+                .collect();
+            let stored: BTreeSet<ItemLevel> = (all_levels(&schema).into_iter())
+                .filter(|_| next() % 8 < stored_per_8)
+                .collect();
+            let salt = next();
+            let answers = |level: &ItemLevel| {
+                let h = level.0.iter().fold(salt, |h, &x| splitmix64(h ^ u64::from(x)));
+                h % 8 < answer_per_8
+            };
+            let ((route, walked), (oracle, oracle_walked)) =
+                both_walks(&schema, &key, &stored, answers);
+            prop_assert_eq!(&route, &oracle, "key {:?}", key);
+            let on_stored = |probes: Vec<ItemLevel>| -> Vec<ItemLevel> {
+                probes.into_iter().filter(|l| stored.contains(l)).collect()
+            };
+            prop_assert_eq!(on_stored(walked), on_stored(oracle_walked), "key {:?}", key);
+        }
+    }
+
+    /// A leaf key of four three-level dimensions that no stored level
+    /// answers: the breadth-first walk probes all 4⁴ = 256 lattice
+    /// levels; the stored-level walk probes the key's own level, then
+    /// each stored ancestor once, and nothing else.
+    #[test]
+    fn a_leaf_walk_probes_each_stored_ancestor_once() {
+        let schema = ragged_schema(&vec![vec![0, 1, 2]; 4]);
+        assert!((0..4).all(|d| schema.dim(d).max_level() == 3));
+        let leaf: CellKey = vec![ConceptId(3); 4];
+        let own = level_of_key(&leaf, &schema);
+        assert_eq!(own, ItemLevel(vec![3; 4]));
+        let stored: BTreeSet<ItemLevel> = (all_levels(&schema).into_iter())
+            .filter(|l| l.0.iter().map(|&x| x as usize).sum::<usize>() % 3 == 1)
+            .collect();
+        let ((route, walked), (oracle, oracle_walked)) =
+            both_walks(&schema, &leaf, &stored, |_| false);
+        assert_eq!((route, oracle), (None, None));
+        assert_eq!(oracle_walked.len(), 256);
+        let ancestors: Vec<ItemLevel> = (walk_order(stored.iter().cloned()).into_iter())
+            .filter(|l| l.is_coarser(&own))
+            .collect();
+        assert_eq!(walked[0], own);
+        assert_eq!(walked[1..], ancestors[..]);
+        assert_eq!(walked.len(), 1 + stored.len());
+        // With the apex answering, both walks end there.
+        let mut with_apex = stored.clone();
+        with_apex.insert(ItemLevel::top(4));
+        let ((route, _), (oracle, _)) =
+            both_walks(&schema, &leaf, &with_apex, |l| *l == ItemLevel::top(4));
+        assert_eq!(route, oracle);
+        assert_eq!(
+            route.expect("the apex answers").key,
+            vec![ConceptId::ROOT; 4]
+        );
     }
 
     #[test]

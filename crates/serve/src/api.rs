@@ -62,9 +62,14 @@ pub struct ServedCube {
     /// Ingested micro-batch deltas, overlaid on each cuboid as it
     /// hydrates — shared with the cube this one was derived from.
     deltas: Vec<Arc<CubeDelta>>,
-    /// Every cuboid key probed so far — its section, or `None` when no
-    /// cell is materialized there — so each section loads at most once.
-    resident: RwLock<FxHashMap<CuboidKey, Option<Arc<ColumnarSection>>>>,
+    /// Per path level, every item level probed so far — its section, or
+    /// `None` when no cell is materialized there — so each section loads
+    /// at most once.
+    resident: RwLock<Vec<FxHashMap<ItemLevel, Option<Arc<ColumnarSection>>>>>,
+    /// Per path level, the item levels of snapshot ∪ delta keys in
+    /// [`view::walk_order`]: the levels a fallback walk probes. Built on
+    /// the first fallback, never at open.
+    stored: OnceLock<Vec<Vec<ItemLevel>>>,
 }
 
 impl ServedCube {
@@ -104,10 +109,12 @@ impl ServedCube {
     }
 
     fn over(snapshot: Arc<Snapshot>, deltas: Vec<Arc<CubeDelta>>) -> Self {
+        let path_levels = snapshot.shell().spec().len();
         ServedCube {
             snapshot,
             deltas,
-            resident: RwLock::new(FxHashMap::default()),
+            resident: RwLock::new(vec![FxHashMap::default(); path_levels]),
+            stored: OnceLock::new(),
         }
     }
 
@@ -230,22 +237,43 @@ impl ServedCube {
         item_level: &ItemLevel,
         path_level: PathLevelId,
     ) -> Result<Option<Arc<ColumnarSection>>, SnapshotError> {
-        let key = CuboidKey {
-            item_level: item_level.clone(),
-            path_level,
-        };
-        if let Some(section) = self.resident.read().get(&key) {
-            return Ok(section.clone());
+        let pl = path_level as usize;
+        match self.resident.read().get(pl) {
+            Some(at_level) => {
+                if let Some(section) = at_level.get(item_level) {
+                    return Ok(section.clone());
+                }
+            }
+            None => return Ok(None), // no such path level: nothing stored
         }
         // Held across the load, so racing workers do not each read (and
         // re-encode) the same section.
         let mut resident = self.resident.write();
-        if let Some(section) = resident.get(&key) {
+        if let Some(section) = resident[pl].get(item_level) {
             return Ok(section.clone());
         }
+        let key = CuboidKey {
+            item_level: item_level.clone(),
+            path_level,
+        };
         let section = self.load(&key)?.map(Arc::new);
-        resident.insert(key, section.clone());
+        resident[pl].insert(key.item_level, section.clone());
         Ok(section)
+    }
+
+    /// The item levels a fallback walk at `path_level` probes, in walk
+    /// order: every level of snapshot ∪ delta keys there.
+    fn stored_levels(&self, path_level: PathLevelId) -> &[ItemLevel] {
+        let stored = self.stored.get_or_init(|| {
+            let mut by_level = vec![Vec::new(); self.shell().spec().len()];
+            for key in self.keys() {
+                if let Some(levels) = by_level.get_mut(key.path_level as usize) {
+                    levels.push(key.item_level.clone());
+                }
+            }
+            by_level.into_iter().map(view::walk_order).collect()
+        });
+        stored.get(path_level as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Point lookup with ancestor fallback ([`view::lookup_route`]): the
@@ -257,37 +285,40 @@ impl ServedCube {
         key: &[ConceptId],
         path_level: PathLevelId,
     ) -> Result<(Route, Arc<ColumnarSection>, usize), ApiError> {
-        let failed: std::cell::Cell<Option<SnapshotError>> = std::cell::Cell::new(None);
-        let route = view::lookup_route(self.shell().schema(), key, |lvl, k| {
+        let stored = || self.stored_levels(path_level);
+        let found = view::lookup_route(self.shell().schema(), key, stored, |lvl, k| {
             match self.cuboid(lvl, path_level) {
-                Ok(section) => section.is_some_and(|section| section.contains(k)),
-                Err(e) => {
-                    failed.set(Some(e));
-                    true // stop the walk: the lookup fails with `e`
+                Ok(section) => {
+                    let section = section?;
+                    let row = section.find(k)?;
+                    Some(Ok((section, row)))
                 }
+                // Stop the walk: the lookup fails with `e`.
+                Err(e) => Some(Err(e)),
             }
         });
-        if let Some(e) = failed.into_inner() {
-            return Err(e.into());
+        match found {
+            Some((route, Ok((section, row)))) => Ok((route, section, row)),
+            Some((_, Err(e))) => Err(e.into()),
+            None => Err(ApiError::NotFound(
+                "no materialized cell or ancestor".into(),
+            )),
         }
-        route
-            .and_then(|route| {
-                let section = self.cuboid(&route.item_level, path_level).ok()??;
-                let row = section.find(&route.key)?;
-                Some((route, section, row))
-            })
-            .ok_or_else(|| ApiError::NotFound("no materialized cell or ancestor".into()))
     }
 
     /// Cuboids currently resident in memory.
     pub fn resident_cuboids(&self) -> usize {
-        self.resident.read().values().flatten().count()
+        let resident = self.resident.read();
+        resident.iter().flat_map(|m| m.values().flatten()).count()
     }
 
     /// Cells currently resident in memory.
     pub fn resident_cells(&self) -> usize {
         let resident = self.resident.read();
-        resident.values().flatten().map(|s| s.num_cells()).sum()
+        (resident.iter())
+            .flat_map(|m| m.values().flatten())
+            .map(|s| s.num_cells())
+            .sum()
     }
 
     /// Total cuboids in the served cube (snapshot ∪ delta keys).

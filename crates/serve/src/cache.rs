@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A cached, fully-rendered HTTP response.
@@ -36,6 +36,9 @@ struct Shard {
 pub struct ResponseCache {
     shards: Vec<Mutex<Shard>>,
     capacity_per_shard: usize,
+    /// Entries across all shards, changed only under the shard lock that
+    /// inserts, evicts or clears, so reading it locks nothing.
+    entries: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -56,6 +59,7 @@ impl ResponseCache {
                 })
                 .collect(),
             capacity_per_shard: capacity.div_ceil(NUM_SHARDS),
+            entries: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -111,29 +115,31 @@ impl ResponseCache {
                 .map(|(k, _)| k.clone())
             {
                 shard.map.remove(&stalest);
+                self.entries.fetch_sub(1, Ordering::Relaxed);
                 flowcube_obs::counter_add("serve.cache.evictions", 1);
             }
         }
-        shard.map.insert(
-            key,
-            Entry {
-                response: Arc::new(response),
-                last_used: clock,
-            },
-        );
+        let entry = Entry {
+            response: Arc::new(response),
+            last_used: clock,
+        };
+        if shard.map.insert(key, entry).is_none() {
+            self.entries.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Drop every cached response (used by benches to measure cold paths).
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut shard = shard.lock();
+            self.entries.fetch_sub(shard.map.len(), Ordering::Relaxed);
             shard.map.clear();
         }
     }
 
-    /// Total entries across shards.
+    /// Total entries across shards, without taking a shard lock.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.entries.load(Ordering::Relaxed)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -218,6 +224,29 @@ mod tests {
         assert!(cache.get(&same[0]).is_some(), "recently used evicted");
         assert!(cache.get(&same[1]).is_none(), "LRU survived");
         assert!(cache.get(&same[2]).is_some());
+    }
+
+    /// Entries counted under the shard locks, the way `len` once did.
+    fn locked_len(cache: &ResponseCache) -> usize {
+        cache.shards.iter().map(|s| s.lock().map.len()).sum()
+    }
+
+    #[test]
+    fn entry_count_follows_inserts_evictions_and_clear() {
+        let cache = ResponseCache::new(2 * NUM_SHARDS);
+        for i in 0..100 {
+            cache.insert(format!("key{i}"), resp("x"));
+            assert_eq!(cache.len(), locked_len(&cache), "after insert {i}");
+            // Replacing an entry adds none.
+            cache.insert(format!("key{i}"), resp("y"));
+            assert_eq!(cache.len(), locked_len(&cache), "after replace {i}");
+        }
+        assert!(cache.len() <= 2 * NUM_SHARDS, "evictions kept the bound");
+        assert!(cache.len() >= NUM_SHARDS, "100 keys fill most shards");
+        cache.clear();
+        assert_eq!((cache.len(), locked_len(&cache)), (0, 0));
+        cache.insert("again".into(), resp("z"));
+        assert_eq!((cache.len(), locked_len(&cache)), (1, 1));
     }
 
     #[test]

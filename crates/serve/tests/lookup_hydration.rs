@@ -106,14 +106,21 @@ fn a_fallback_hydrates_exactly_the_levels_the_walk_probed() {
     let (key, probed) = finest_keys(&cube)
         .into_iter()
         .find_map(|key| {
-            let probed = std::cell::RefCell::new(BTreeSet::new());
-            let route = view::lookup_route(cube.schema(), &key, |level, k| {
-                probed.borrow_mut().insert(level.clone());
-                cube.cuboid(level, 0).is_some_and(|c| c.get(k).is_some())
+            let mut probed = BTreeSet::new();
+            let stored = || {
+                view::walk_order(
+                    (cube.cuboids())
+                        .filter(|(ck, _)| ck.path_level == 0)
+                        .map(|(ck, _)| ck.item_level.clone()),
+                )
+            };
+            let (route, ()) = view::lookup_route(cube.schema(), &key, stored, |level, k| {
+                probed.insert(level.clone());
+                cube.cuboid(level, 0)?.get(k).map(|_| ())
             })?;
             let steps =
                 depth(&flowcube_core::level_of_key(&key, cube.schema())) - depth(&route.item_level);
-            (steps == 2).then(|| (key, probed.into_inner()))
+            (steps == 2).then_some((key, probed))
         })
         .expect("a key whose answer is two steps up");
     let resp = handle_request(&state, &cell_request(&cube, &key), &RequestCtx::default());

@@ -20,9 +20,10 @@
 //! The checked-in format-1 fixture rides the same reference: upgraded
 //! through `load_v1_cube` + `write_snapshot`, it answers like core.
 
-use flowcube::core::{display_key, view, CuboidRead};
+use flowcube::core::{display_key, view, CellKey, CuboidRead};
 use flowcube::datagen::{generate, GeneratorConfig};
 use flowcube::flowgraph::{path_probability, top_k_paths, ExceptionDetail, GraphRead};
+use flowcube::hier::PathLevelId;
 use flowcube::hier::{ConceptId, PathLatticeSpec, Schema};
 use flowcube::pathdb::AggStage;
 use flowcube::serve::http::Request;
@@ -38,13 +39,24 @@ use serde_json::{Number, Value};
 /// A small deterministic cube with exceptions on — the exception
 /// columns must survive the encoding too, not just the flowgraphs.
 fn small_cube(paths: usize, seed: u64, min_support: u64) -> FlowCube {
+    small_cube_and_records(paths, seed, min_support).0
+}
+
+/// The cube, and the distinct keys of its records in ascending order:
+/// leaf cells, most of which the iceberg does not keep, so a point
+/// lookup of one walks up to an ancestor.
+fn small_cube_and_records(paths: usize, seed: u64, min_support: u64) -> (FlowCube, Vec<CellKey>) {
     let db = generate(&GeneratorConfig::small(paths, seed)).db;
-    FlowCube::build(
+    let mut keys: Vec<CellKey> = db.records().iter().map(|r| r.dims.clone()).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let cube = FlowCube::build(
         &db,
         PathLatticeSpec::paper(db.schema().locations(), 2),
         FlowCubeParams::new(min_support).with_threads(1),
         ItemPlan::All,
-    )
+    );
+    (cube, keys)
 }
 
 fn get(path: &str, query: &[(&str, &str)]) -> Request {
@@ -133,6 +145,125 @@ fn cell_rows<K: AsRef<[ConceptId]>>(
     ])
 }
 
+/// The point lookups of `key` at path level `pl` — `/cell`,
+/// `/paths/topk`, `/paths/probability`, `/exceptions` — with what core's
+/// `lookup` answers: from the cell itself when it is materialized, from
+/// the ancestor the walk up the item lattice reaches when not, `404`
+/// when nothing answers.
+fn point_requests(cube: &FlowCube, key: &[ConceptId], pl: PathLevelId) -> Vec<(Request, Expected)> {
+    let schema = cube.schema();
+    let loc = schema.locations();
+    let level = cube.spec().level(pl).name.clone();
+    let spec = cell_spec(key, schema);
+    let shown = display_key(key, schema);
+    let mut reqs = Vec::new();
+    let Some(lk) = cube.lookup(key, pl) else {
+        for path in ["/cell", "/paths/topk", "/exceptions"] {
+            reqs.push((get(path, &[("cell", &spec), ("level", &level)]), None));
+        }
+        return reqs;
+    };
+    let source = display_key(lk.source_key, schema);
+    reqs.push((
+        get("/cell", &[("cell", &spec), ("level", &level)]),
+        Some(obj(vec![
+            ("cell", text(&shown)),
+            ("level", text(&level)),
+            ("exact", Value::Bool(lk.exact)),
+            ("source_cell", text(&source)),
+            ("support", num(lk.entry.support)),
+            ("nodes", count(lk.entry.graph.len() - 1)),
+            ("exceptions", count(lk.entry.exceptions.len())),
+            ("description", text(cube.describe_cell(lk.source_key, pl))),
+        ])),
+    ));
+    let top = top_k_paths(&lk.entry.graph, 3);
+    reqs.push((
+        get(
+            "/paths/topk",
+            &[("cell", &spec), ("level", &level), ("k", "3")],
+        ),
+        Some(obj(vec![
+            ("cell", text(&source)),
+            ("support", num(lk.entry.support)),
+            (
+                "paths",
+                Value::Array(
+                    top.iter()
+                        .map(|p| {
+                            obj(vec![
+                                ("locations", names(schema, &p.locations)),
+                                ("probability", float(p.probability)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ])),
+    ));
+    if let Some(best) = top.first() {
+        let stages: Vec<AggStage> = best
+            .locations
+            .iter()
+            .map(|&loc| AggStage { loc, dur: None })
+            .collect();
+        let path = best
+            .locations
+            .iter()
+            .map(|&c| loc.name_of(c))
+            .collect::<Vec<_>>()
+            .join(",");
+        reqs.push((
+            get(
+                "/paths/probability",
+                &[("cell", &spec), ("level", &level), ("path", &path)],
+            ),
+            Some(obj(vec![
+                ("cell", text(&source)),
+                (
+                    "probability",
+                    float(path_probability(&lk.entry.graph, &stages)),
+                ),
+            ])),
+        ));
+    }
+    let graph = &lk.entry.graph;
+    let exceptions: Vec<Value> = lk
+        .entry
+        .exceptions
+        .iter()
+        .map(|e| {
+            let condition = e
+                .condition
+                .iter()
+                .map(|&(n, d)| text(format!("{}={d}", loc.name_of(graph.location(n)))))
+                .collect();
+            obj(vec![
+                ("node", names(schema, &graph.prefix_of(e.node))),
+                ("condition", Value::Array(condition)),
+                ("support", num(e.support)),
+                ("deviation", float(e.deviation)),
+                (
+                    "kind",
+                    text(match e.detail {
+                        ExceptionDetail::Duration { .. } => "duration",
+                        ExceptionDetail::Transition { .. } => "transition",
+                    }),
+                ),
+            ])
+        })
+        .collect();
+    reqs.push((
+        get("/exceptions", &[("cell", &spec), ("level", &level)]),
+        Some(obj(vec![
+            ("cell", text(&source)),
+            ("count", count(exceptions.len())),
+            ("exceptions", Value::Array(exceptions)),
+        ])),
+    ));
+    reqs
+}
+
 /// Every query endpoint, over every materialized cell of the cube, in a
 /// deterministic order, each paired with the core API's answer: point
 /// lookups, rollup and drilldown along every dimension, slices and dices
@@ -141,7 +272,6 @@ fn cell_rows<K: AsRef<[ConceptId]>>(
 /// the matrix on purpose.
 fn request_matrix(cube: &FlowCube) -> Vec<(Request, Expected)> {
     let schema = cube.schema();
-    let loc = schema.locations();
     let mut reqs = Vec::new();
     let mut cuboids: Vec<_> = cube.cuboids().collect();
     cuboids.sort_by(|a, b| a.0.cmp(b.0));
@@ -158,21 +288,7 @@ fn request_matrix(cube: &FlowCube) -> Vec<(Request, Expected)> {
         for key in cuboid.keys_sorted() {
             let spec = cell_spec(&key, schema);
             let shown = display_key(&key, schema);
-            let lk = cube.lookup(&key, pl).expect("materialized cell");
-            let source = display_key(lk.source_key, schema);
-            reqs.push((
-                get("/cell", &[("cell", &spec), ("level", &level)]),
-                Some(obj(vec![
-                    ("cell", text(&shown)),
-                    ("level", text(&level)),
-                    ("exact", Value::Bool(lk.exact)),
-                    ("source_cell", text(&source)),
-                    ("support", num(lk.entry.support)),
-                    ("nodes", count(lk.entry.graph.len() - 1)),
-                    ("exceptions", count(lk.entry.exceptions.len())),
-                    ("description", text(cube.describe_cell(lk.source_key, pl))),
-                ])),
-            ));
+            reqs.extend(point_requests(cube, &key, pl));
             for dim in 0..schema.num_dims() {
                 let d = dim.to_string();
                 reqs.push((
@@ -197,90 +313,6 @@ fn request_matrix(cube: &FlowCube) -> Vec<(Request, Expected)> {
                     Some(cell_rows(cube, cube.drill_down(&key, dim, pl))),
                 ));
             }
-            let top = top_k_paths(&lk.entry.graph, 3);
-            reqs.push((
-                get(
-                    "/paths/topk",
-                    &[("cell", &spec), ("level", &level), ("k", "3")],
-                ),
-                Some(obj(vec![
-                    ("cell", text(&source)),
-                    ("support", num(lk.entry.support)),
-                    (
-                        "paths",
-                        Value::Array(
-                            top.iter()
-                                .map(|p| {
-                                    obj(vec![
-                                        ("locations", names(schema, &p.locations)),
-                                        ("probability", float(p.probability)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])),
-            ));
-            if let Some(best) = top.first() {
-                let stages: Vec<AggStage> = best
-                    .locations
-                    .iter()
-                    .map(|&loc| AggStage { loc, dur: None })
-                    .collect();
-                let path = best
-                    .locations
-                    .iter()
-                    .map(|&c| loc.name_of(c))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                reqs.push((
-                    get(
-                        "/paths/probability",
-                        &[("cell", &spec), ("level", &level), ("path", &path)],
-                    ),
-                    Some(obj(vec![
-                        ("cell", text(&source)),
-                        (
-                            "probability",
-                            float(path_probability(&lk.entry.graph, &stages)),
-                        ),
-                    ])),
-                ));
-            }
-            let graph = &lk.entry.graph;
-            let exceptions: Vec<Value> = lk
-                .entry
-                .exceptions
-                .iter()
-                .map(|e| {
-                    let condition = e
-                        .condition
-                        .iter()
-                        .map(|&(n, d)| text(format!("{}={d}", loc.name_of(graph.location(n)))))
-                        .collect();
-                    obj(vec![
-                        ("node", names(schema, &graph.prefix_of(e.node))),
-                        ("condition", Value::Array(condition)),
-                        ("support", num(e.support)),
-                        ("deviation", float(e.deviation)),
-                        (
-                            "kind",
-                            text(match e.detail {
-                                ExceptionDetail::Duration { .. } => "duration",
-                                ExceptionDetail::Transition { .. } => "transition",
-                            }),
-                        ),
-                    ])
-                })
-                .collect();
-            reqs.push((
-                get("/exceptions", &[("cell", &spec), ("level", &level)]),
-                Some(obj(vec![
-                    ("cell", text(&source)),
-                    ("count", count(exceptions.len())),
-                    ("exceptions", Value::Array(exceptions)),
-                ])),
-            ));
             if key[0] != ConceptId::ROOT {
                 let value = schema.dim(0).name_of(key[0]).to_string();
                 let expected = cell_rows(cube, cube.slice(&ck.item_level, pl, 0, key[0]));
@@ -319,9 +351,21 @@ fn request_matrix(cube: &FlowCube) -> Vec<(Request, Expected)> {
     reqs
 }
 
+/// The point lookups of each record's own key at every path level: leaf
+/// cells, answered exactly or from the nearest stored ancestor.
+fn fallback_matrix(cube: &FlowCube, record_keys: &[CellKey]) -> Vec<(Request, Expected)> {
+    (cube.spec().ids())
+        .flat_map(|pl| {
+            record_keys
+                .iter()
+                .flat_map(move |key| point_requests(cube, key, pl))
+        })
+        .collect()
+}
+
 /// Answer every request of the matrix from `state`, check each body
-/// field by field against the core reference, and return the raw
-/// `(status, body)` pairs for cross-source comparison.
+/// byte for byte against the core reference's rendering, and return the
+/// raw `(status, body)` pairs for cross-source comparison.
 fn check_against_core(
     state: &AppState,
     matrix: &[(Request, Expected)],
@@ -337,6 +381,7 @@ fn check_against_core(
                     assert_eq!(resp.status, 200, "{what}: {}", resp.body);
                     let got = serde_json::parse_value_str(&resp.body).expect("JSON body");
                     assert_eq!(&got, want, "{what}");
+                    assert_eq!(resp.body, serde_json::to_string(want).unwrap(), "{what}");
                 }
                 None => assert_eq!(resp.status, 404, "{what}: {}", resp.body),
             }
@@ -350,7 +395,9 @@ proptest! {
 
     /// Properties 1 and 3: the in-memory image and the snapshot file
     /// both answer every endpoint like the in-process cube, identically
-    /// to each other — and the file survives write → open → load →
+    /// to each other — over every materialized cell, and for the point
+    /// lookups over every record's leaf cell, which mostly falls back to
+    /// an ancestor — and the file survives write → open → load →
     /// rewrite byte-for-byte.
     #[test]
     fn endpoints_match_core_from_image_and_file(
@@ -358,8 +405,16 @@ proptest! {
         seed in 0u64..1000,
         min_support in 2u64..10,
     ) {
-        let cube = small_cube(paths, seed, min_support);
-        let matrix = request_matrix(&cube);
+        let (cube, record_keys) = small_cube_and_records(paths, seed, min_support);
+        let mut matrix = request_matrix(&cube);
+        let fallbacks = fallback_matrix(&cube, &record_keys);
+        let inexact = (fallbacks.iter())
+            .filter(|(req, want)| {
+                req.path == "/cell" && want.as_ref().is_some_and(|w| w.get("exact") == Some(&Value::Bool(false)))
+            })
+            .count();
+        prop_assert!(inexact > 0, "no record's leaf cell falls back");
+        matrix.extend(fallbacks);
         let tag = format!("{paths}-{seed}-{min_support}");
         let file = temp_path(&format!("{tag}.snap"));
         write_snapshot(&cube, &file).expect("write");
