@@ -2,6 +2,7 @@
 //! temp files, driving the command functions directly.
 
 use flowcube_cli::{commands, Args};
+use flowcube_fixtures::stop;
 use flowcube_serve::{crc::crc32, snapshot::SectionDesc};
 use flowcube_testkit::temp_path;
 use serde_json::Value;
@@ -287,8 +288,7 @@ fn shard_parts_serve_and_merge_to_the_build() {
     .expect("serve a part");
     let (status, _, body) =
         flowcube_testkit::http::get(handle.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
-    handle.shutdown();
-    handle.join();
+    stop(handle);
     assert_eq!(status, 200, "{body}");
     assert!(body.contains(&format!("\"support\":{paths},")), "{body}");
 
@@ -363,8 +363,7 @@ fn ingest_follow_writes_and_posts_each_commit() {
     let followed = post(&format!("http://{}/admin/ingest", handle.addr()));
     let apex = "/cell?cell=*,*&level=loc0/dur0";
     let (status, _, body) = flowcube_testkit::http::get(handle.addr(), apex, &[]);
-    handle.shutdown();
-    handle.join();
+    stop(handle);
     followed.expect("follow");
     assert_eq!(std::fs::read_to_string(&out).unwrap().lines().count(), 2);
     assert_eq!(status, 200, "{body}");

@@ -7,6 +7,7 @@
 //! endpoint that forgets its metrics fails here.
 
 use flowcube_cli::{commands, Args};
+use flowcube_fixtures::stop;
 use flowcube_obs::export::check_prometheus_text;
 use flowcube_serve::registered_endpoints;
 use flowcube_testkit::http::get;
@@ -91,8 +92,7 @@ fn every_registered_endpoint_exposes_a_latency_histogram() {
         );
     }
 
-    handle.shutdown();
-    handle.join();
+    stop(handle);
 
     // The CLI wired --access-log through: one JSON line per request.
     let log = std::fs::read_to_string(&access).expect("access log written");

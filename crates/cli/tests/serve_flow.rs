@@ -4,7 +4,8 @@
 //! `FlowCube::roll_up` on the same snapshot.
 
 use flowcube_cli::{commands, Args};
-use flowcube_testkit::http::get;
+use flowcube_fixtures::stop;
+use flowcube_testkit::http::get_ok;
 use flowcube_testkit::temp_path;
 use std::net::SocketAddr;
 
@@ -14,8 +15,7 @@ fn args(line: &str) -> Args {
 
 /// Assert a 200 whose JSON body contains every expected fragment.
 fn expect_json(addr: SocketAddr, target: &str, fragments: &[&str]) -> String {
-    let (status, _, body) = get(addr, target, &[]);
-    assert_eq!(status, 200, "{target}: {body}");
+    let body = get_ok(addr, target);
     assert!(body.starts_with('{'), "{target}: not a JSON object: {body}");
     for frag in fragments {
         assert!(body.contains(frag), "{target}: missing {frag:?} in {body}");
@@ -137,8 +137,7 @@ fn snapshot_serve_query_shutdown() {
     }
 
     // Clean shutdown: workers drain and join.
-    handle.shutdown();
-    handle.join();
+    stop(handle);
 
     let _ = std::fs::remove_file(&db);
     let _ = std::fs::remove_file(&snap);
@@ -149,10 +148,8 @@ fn snapshot_serve_query_shutdown() {
 /// in the current format, and the result serves.
 #[test]
 fn v1_snapshot_upgrades_then_serves() {
-    let old = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../serve/tests/fixtures/golden_v1.snap"
-    );
+    let old = flowcube_fixtures::golden_v1_path();
+    let old = old.display();
     let new = temp_path("upgraded.snap").display().to_string();
 
     let err =
@@ -172,8 +169,7 @@ fn v1_snapshot_upgrades_then_serves() {
         "/cell?cell=*,*&level=fine",
         &["\"support\":30", "\"exact\":true"],
     );
-    handle.shutdown();
-    handle.join();
+    stop(handle);
 
     let _ = std::fs::remove_file(&new);
 }

@@ -5,14 +5,14 @@ use flowcube_core::{
     display_key, CellEntry, CellKey, Cuboid, CuboidKey, FlowCube, FlowCubeParams, ItemPlan,
 };
 use flowcube_datagen::{generate, GeneratorConfig};
+use flowcube_fixtures::{Lattice, Scenario, Small};
 use flowcube_flowgraph::{FlowGraph, NodeId, NodeSpec};
 use flowcube_hier::{ConceptId, DurationLevel, ItemLevel, LocationCut, PathLatticeSpec, PathLevel};
 use flowcube_pathdb::samples;
 
+/// The paper's Table 1 under its four path levels, at δ.
 fn paper_cube(min_support: u64) -> (flowcube_pathdb::PathDatabase, FlowCube) {
-    let db = samples::paper_table1();
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
-    let cube = FlowCube::build(&db, spec, FlowCubeParams::new(min_support), ItemPlan::All);
+    let Small { db, cube, .. } = Scenario::paper_table1(min_support, 1).build();
     (db, cube)
 }
 
@@ -377,13 +377,12 @@ fn compare_names_exactly_the_perturbed_cell() {
         seed: 11,
         ..Default::default()
     };
-    let db = generate(&config).db;
-    let cube = FlowCube::build(
-        &db,
-        PathLatticeSpec::paper(db.schema().locations(), 4),
-        FlowCubeParams::new(10),
-        ItemPlan::All,
-    );
+    let scenario = Scenario {
+        data: Some(config),
+        lattice: Lattice::Paper(4),
+        ..Scenario::small(11, 10)
+    };
+    let cube = scenario.build().cube;
     assert!(cube.compare(&cube).unwrap().is_empty());
     // `f` edits one cuboid of a copy of the cube.
     let compare_edited = |ck: &CuboidKey, f: &dyn Fn(&mut Cuboid)| {

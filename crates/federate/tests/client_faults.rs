@@ -7,17 +7,14 @@
 //! mutex.
 
 use flowcube_federate::{http_post, ClientConfig, FederateError};
+use flowcube_fixtures::serial;
 use flowcube_testkit::FailAction;
 use std::io::{Read, Write};
 use std::net::TcpListener;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 static FAILPOINTS: Mutex<()> = Mutex::new(());
-
-fn lock_failpoints() -> MutexGuard<'static, ()> {
-    FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A one-shot HTTP server: accepts connections until stopped, answering
 /// each with a fixed 200. Returns the URL and a join guard.
@@ -56,7 +53,7 @@ fn cfg(retries: u32) -> ClientConfig {
 /// schedule (`backoff_schedule` with the same pinned seed).
 #[test]
 fn refused_connect_is_retried_with_backoff() {
-    let _guard = lock_failpoints();
+    let _guard = serial(&FAILPOINTS);
     flowcube_testkit::reset();
     let (url, server) = tiny_server(1);
 
@@ -94,7 +91,7 @@ fn refused_connect_is_retried_with_backoff() {
 /// gives up after 1 + retries attempts and surfaces a typed error.
 #[test]
 fn exhausted_retries_surface_the_refusal() {
-    let _guard = lock_failpoints();
+    let _guard = serial(&FAILPOINTS);
     flowcube_testkit::reset();
 
     flowcube_testkit::arm(
@@ -117,7 +114,7 @@ fn exhausted_retries_surface_the_refusal() {
 /// double-ingest it.
 #[test]
 fn post_send_failures_are_never_retried() {
-    let _guard = lock_failpoints();
+    let _guard = serial(&FAILPOINTS);
     flowcube_testkit::reset();
     let (url, server) = tiny_server(1);
 
@@ -139,7 +136,7 @@ fn post_send_failures_are_never_retried() {
 /// A torn response (short read) is malformed, not silently accepted.
 #[test]
 fn torn_response_is_an_error_not_a_success() {
-    let _guard = lock_failpoints();
+    let _guard = serial(&FAILPOINTS);
     flowcube_testkit::reset();
     let (url, _server) = tiny_server(1);
 

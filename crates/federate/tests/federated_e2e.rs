@@ -9,53 +9,13 @@
 //! larger than any one of them) — so they are asserted as bounds, not
 //! equality.
 
-mod common;
-
-use common::{parse, start_backend};
-use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
 use flowcube_datagen::{generate, GeneratorConfig};
-use flowcube_federate::{serve_front, shard_db, FrontConfig, FrontHandle, ReplicaSet};
-use flowcube_hier::PathLatticeSpec;
-use flowcube_pathdb::PathDatabase;
-use flowcube_serve::ServerHandle;
+use flowcube_federate::{serve_front, FrontConfig, ReplicaSet};
+use flowcube_fixtures::{counter, federation, parse, server_at, shard_cube, shutdown_all, stop};
 use flowcube_testkit::http::{
-    get, header, hostile_requests, parse_response, raw_roundtrip, third_connection,
+    get, get_ok, header, hostile_requests, parse_response, raw_roundtrip, third_connection,
 };
 use serde_json::Value;
-
-/// Shard-local serving params: δ = 1 so no shard loses counts the
-/// federation would need (Lemma 4.2 merges by addition).
-fn params() -> FlowCubeParams {
-    FlowCubeParams::new(1)
-}
-
-/// Boot `shards` backends over an EPC-hash partition of `db`, each
-/// cubed at the leaf path level, plus a front tier federating them.
-fn boot_federation(db: &PathDatabase, shards: u32) -> (Vec<ServerHandle>, FrontHandle) {
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
-    let backends: Vec<ServerHandle> = (0..shards)
-        .map(|k| {
-            let shard = shard_db(db, shards, k).expect("shard splits");
-            start_backend(FlowCube::build(
-                &shard,
-                spec.clone(),
-                params(),
-                ItemPlan::All,
-            ))
-        })
-        .collect();
-    let front = serve_front(FrontConfig {
-        backends: backends
-            .iter()
-            .map(|b| ReplicaSet::single(b.addr().to_string()))
-            .collect(),
-        shards,
-        workers: 2,
-        ..Default::default()
-    })
-    .expect("front starts");
-    (backends, front)
-}
 
 fn field_u64(v: &Value, key: &str) -> Option<u64> {
     v.get(key).and_then(Value::as_u64)
@@ -66,15 +26,12 @@ fn field_u64(v: &Value, key: &str) -> Option<u64> {
 #[test]
 fn federated_answers_match_single_node() {
     let db = generate(&GeneratorConfig::small(90, 21)).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
-    let single = start_backend(FlowCube::build(&db, spec, params(), ItemPlan::All));
-    let (backends, front) = boot_federation(&db, 2);
+    let single = server_at(&shard_cube(&db), "127.0.0.1:0");
+    let (groups, front) = federation(&db, 2, 1, |_| {});
 
     // Apex cell: supports partition across shards and sum back exactly.
-    let (status, _, fed_body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
-    assert_eq!(status, 200, "got {fed_body:?}");
-    let (status, _, single_body) = get(single.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
-    assert_eq!(status, 200);
+    let fed_body = get_ok(front.addr(), "/cell?cell=*,*&level=loc0/dur0");
+    let single_body = get_ok(single.addr(), "/cell?cell=*,*&level=loc0/dur0");
     let (fed, one) = (parse(&fed_body), parse(&single_body));
     assert_eq!(field_u64(&fed, "support"), Some(db.len() as u64));
     assert_eq!(field_u64(&fed, "support"), field_u64(&one, "support"));
@@ -138,10 +95,8 @@ fn federated_answers_match_single_node() {
         .trim_end_matches(')')
         .replace(", ", ",");
     let target = format!("/rollup?cell={child_query}&dim=0&level=loc0/dur0");
-    let (status, _, fed_roll) = get(front.addr(), &target, &[]);
-    assert_eq!(status, 200, "got {fed_roll:?}");
-    let (status, _, single_roll) = get(single.addr(), &target, &[]);
-    assert_eq!(status, 200);
+    let fed_roll = get_ok(front.addr(), &target);
+    let single_roll = get_ok(single.addr(), &target);
     let (fed_roll, single_roll) = (parse(&fed_roll), parse(&single_roll));
     assert_eq!(
         field_u64(&fed_roll, "support"),
@@ -190,8 +145,7 @@ fn federated_answers_match_single_node() {
 
     // Exceptions federate as a union; the endpoint answers and carries
     // a consistent count.
-    let (status, _, exc) = get(front.addr(), "/exceptions?cell=*,*&level=loc0/dur0", &[]);
-    assert_eq!(status, 200, "got {exc:?}");
+    let exc = get_ok(front.addr(), "/exceptions?cell=*,*&level=loc0/dur0");
     let exc = parse(&exc);
     let listed = exc
         .get("exceptions")
@@ -199,14 +153,8 @@ fn federated_answers_match_single_node() {
         .map_or(0, <[Value]>::len);
     assert_eq!(field_u64(&exc, "count"), Some(listed as u64));
 
-    front.shutdown();
-    front.join();
-    for b in backends {
-        b.shutdown();
-        b.join();
-    }
-    single.shutdown();
-    single.join();
+    shutdown_all(groups, front);
+    stop(single);
 }
 
 /// Degenerate single-shard federation is transparent: the front passes
@@ -214,7 +162,7 @@ fn federated_answers_match_single_node() {
 #[test]
 fn single_shard_federation_is_byte_transparent() {
     let db = generate(&GeneratorConfig::small(40, 33)).db;
-    let (backends, front) = boot_federation(&db, 1);
+    let (groups, front) = federation(&db, 1, 1, |_| {});
 
     for target in [
         "/cell?cell=*,*&level=loc0/dur0",
@@ -223,7 +171,7 @@ fn single_shard_federation_is_byte_transparent() {
         "/exceptions?cell=*,*&level=loc0/dur0",
     ] {
         let (f_status, _, f_body) = get(front.addr(), target, &[]);
-        let (b_status, _, b_body) = get(backends[0].addr(), target, &[]);
+        let (b_status, _, b_body) = get(groups[0][0].addr(), target, &[]);
         assert_eq!(f_status, b_status, "{target}");
         assert_eq!(
             f_body, b_body,
@@ -231,12 +179,7 @@ fn single_shard_federation_is_byte_transparent() {
         );
     }
 
-    front.shutdown();
-    front.join();
-    for b in backends {
-        b.shutdown();
-        b.join();
-    }
+    shutdown_all(groups, front);
 }
 
 /// One dead shard degrades the answer instead of failing it: 200 with
@@ -245,18 +188,17 @@ fn single_shard_federation_is_byte_transparent() {
 #[test]
 fn dead_shard_degrades_to_partial() {
     let db = generate(&GeneratorConfig::small(60, 47)).db;
-    let (mut backends, front) = boot_federation(&db, 2);
+    let (mut groups, front) = federation(&db, 2, 1, |_| {});
 
     // Healthy first.
-    let (status, _, healthy) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
-    assert_eq!(status, 200);
+    let healthy = get_ok(front.addr(), "/cell?cell=*,*&level=loc0/dur0");
     let healthy_support = field_u64(&parse(&healthy), "support").unwrap();
     assert_eq!(healthy_support, db.len() as u64);
 
     // Kill shard 1.
-    let dead = backends.remove(1);
-    dead.shutdown();
-    dead.join();
+    for dead in groups.remove(1) {
+        stop(dead);
+    }
 
     let (status, headers, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 200, "degradation must not be an error: {body:?}");
@@ -270,9 +212,9 @@ fn dead_shard_degrades_to_partial() {
     );
 
     // Kill the last shard: nothing to degrade to → 503 + Retry-After.
-    let dead = backends.remove(0);
-    dead.shutdown();
-    dead.join();
+    for dead in groups.remove(0) {
+        stop(dead);
+    }
     let (status, headers, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 503, "got {body:?}");
     assert_eq!(header(&headers, "retry-after"), Some("1"));
@@ -287,7 +229,7 @@ fn dead_shard_degrades_to_partial() {
 #[test]
 fn front_survives_malformed_and_hostile_input() {
     let db = generate(&GeneratorConfig::small(40, 52)).db;
-    let (backends, front) = boot_federation(&db, 2);
+    let (groups, front) = federation(&db, 2, 1, |_| {});
     let addr = front.addr();
 
     for (raw, want) in hostile_requests() {
@@ -301,22 +243,15 @@ fn front_survives_malformed_and_hostile_input() {
         );
         // The rejected bytes left nothing behind: a new connection is
         // answered as if they had never arrived.
-        let (status, _, _) = get(addr, "/healthz", &[]);
-        assert_eq!(status, 200, "after {shown:?}");
+        let _ = get_ok(addr, "/healthz");
     }
     // Half-open connection: connect, write a fragment, hang up.
     let _ = raw_roundtrip(addr, b"GET /cel");
 
-    let (status, _, body) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
-    assert_eq!(status, 200, "got {body:?}");
+    let body = get_ok(addr, "/cell?cell=*,*&level=loc0/dur0");
     assert_eq!(field_u64(&parse(&body), "support"), Some(db.len() as u64));
 
-    front.shutdown();
-    front.join();
-    for b in backends {
-        b.shutdown();
-        b.join();
-    }
+    shutdown_all(groups, front);
 }
 
 /// A full accept queue sheds with `429` + `Retry-After` at the front as
@@ -333,10 +268,7 @@ fn front_sheds_with_429_and_retry_after() {
         ..Default::default()
     })
     .expect("front starts");
-    let shed_count = || {
-        let counters = flowcube_obs::snapshot().counters;
-        counters.get("federate.shed").copied().unwrap_or(0)
-    };
+    let shed_count = || counter("federate.shed");
 
     let shed_before = shed_count();
     let (status, headers, body) = third_connection(front.addr());
@@ -355,15 +287,14 @@ fn front_sheds_with_429_and_retry_after() {
 #[test]
 fn request_id_is_in_the_fronts_flight_ring() {
     let db = generate(&GeneratorConfig::small(40, 53)).db;
-    let (backends, front) = boot_federation(&db, 2);
+    let (groups, front) = federation(&db, 2, 1, |_| {});
 
     let target = "/cell?cell=*,*&level=loc0/dur0";
     let (status, headers, _) = get(front.addr(), target, &[("X-Request-Id", "abc-1")]);
     assert_eq!(status, 200);
     assert_eq!(header(&headers, "x-request-id"), Some("abc-1"));
 
-    let (status, _, body) = get(front.addr(), "/debug/flight", &[]);
-    assert_eq!(status, 200);
+    let body = get_ok(front.addr(), "/debug/flight");
     let ring = parse(&body);
     assert_eq!(ring.get("enabled").and_then(Value::as_bool), Some(true));
     assert!(field_u64(&ring, "capacity").is_some(), "got {body:?}");
@@ -389,9 +320,8 @@ fn request_id_is_in_the_fronts_flight_ring() {
     // Every tier of this process shares one flight ring: the front's own
     // `RequestStart` for abc-1 is there, and one more per shard, recorded
     // by the shard's envelope from the forwarded `X-Request-Id`.
-    for backend in &backends {
-        let (status, _, body) = get(backend.addr(), "/debug/flight", &[]);
-        assert_eq!(status, 200);
+    for backend in groups.iter().flatten() {
+        let body = get_ok(backend.addr(), "/debug/flight");
         let starts = parse(&body)
             .get("events")
             .and_then(Value::as_array)
@@ -403,15 +333,10 @@ fn request_id_is_in_the_fronts_flight_ring() {
             })
             .count();
         assert!(
-            starts > backends.len(),
+            starts > groups.len(),
             "{starts} RequestStart events for abc-1: the front's and not one per shard"
         );
     }
 
-    front.shutdown();
-    front.join();
-    for b in backends {
-        b.shutdown();
-        b.join();
-    }
+    shutdown_all(groups, front);
 }

@@ -17,19 +17,16 @@
 //! process-global; these tests serialize on one mutex and reset all
 //! three at entry.
 
-mod common;
-
-use common::{parse, start_backend, start_backend_at};
-use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
 use flowcube_datagen::{generate, GeneratorConfig};
 use flowcube_federate::{
     serve_front, shard_db, BreakerConfig, FrontConfig, FrontHandle, HedgePolicy, ReplicaSet,
 };
-use flowcube_hier::PathLatticeSpec;
+use flowcube_fixtures::{
+    counter, federation, parse, serial, server_at, shard_cube, shutdown_all, stop,
+};
 use flowcube_obs::flight::{self, FlightKind};
 use flowcube_pathdb::PathDatabase;
-use flowcube_serve::ServerHandle;
-use flowcube_testkit::http::{get, raw_roundtrip};
+use flowcube_testkit::http::{get, get_ok, raw_roundtrip};
 use flowcube_testkit::FailAction;
 use serde_json::Value;
 use std::io::{Read, Write};
@@ -40,7 +37,7 @@ use std::time::{Duration, Instant};
 static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn lock_globals() -> MutexGuard<'static, ()> {
-    let guard = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    let guard = serial(&GLOBALS);
     // An earlier test's abandoned attempts (a held hedge loser, a probe)
     // may still be running on the background thread; they would count
     // into this test's metrics.
@@ -56,59 +53,10 @@ fn lock_globals() -> MutexGuard<'static, ()> {
     guard
 }
 
-/// Boot `shards` shard cubes at the leaf path level, each served by `replicas` identical
-/// backends (δ = 1: Lemma 4.2 merges counts by addition), federated
-/// behind one front with the given knobs. Replica servers are grouped by
-/// shard so tests can kill specific ones.
-fn boot_replicated(
-    db: &PathDatabase,
-    shards: u32,
-    replicas: usize,
-    tune: impl FnOnce(&mut FrontConfig),
-) -> (Vec<Vec<ServerHandle>>, FrontHandle) {
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
-    let params = FlowCubeParams::new(1);
-    let groups: Vec<Vec<ServerHandle>> = (0..shards)
-        .map(|k| {
-            let shard = shard_db(db, shards, k).expect("shard splits");
-            let cube = FlowCube::build(&shard, spec.clone(), params.clone(), ItemPlan::All);
-            (0..replicas).map(|_| start_backend(cube.clone())).collect()
-        })
-        .collect();
-    let mut config = FrontConfig {
-        backends: groups
-            .iter()
-            .map(|g| ReplicaSet {
-                replicas: g.iter().map(|b| b.addr().to_string()).collect(),
-            })
-            .collect(),
-        shards,
-        workers: 2,
-        ..Default::default()
-    };
-    tune(&mut config);
-    let front = serve_front(config).expect("front starts");
-    (groups, front)
-}
-
-fn shutdown_all(groups: Vec<Vec<ServerHandle>>, front: FrontHandle) {
-    front.shutdown();
-    front.join();
-    for group in groups {
-        for b in group {
-            b.shutdown();
-            b.join();
-        }
-    }
-}
-
-fn counter(name: &str, labels: &[(&str, &str)]) -> u64 {
-    let key = flowcube_obs::labeled(name, labels);
-    flowcube_obs::snapshot()
-        .counters
-        .get(&key)
-        .copied()
-        .unwrap_or(0)
+/// Replica `r` of shard `k`'s series of a per-replica counter.
+fn replica_counter(name: &str, k: usize, r: usize) -> u64 {
+    let labels = [("shard", &*k.to_string()), ("replica", &*r.to_string())];
+    counter(&flowcube_obs::labeled(name, &labels))
 }
 
 /// Sum of a counter family over all of its label sets.
@@ -129,8 +77,7 @@ fn pooled(front: &FrontHandle, k: usize, r: usize) -> usize {
 
 /// `/cell` of the apex: the whole database's support, from every shard.
 fn assert_full_answer(front: &FrontHandle, db: &PathDatabase, tag: &str) {
-    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
-    assert_eq!(status, 200, "{tag}: got {body:?}");
+    let body = get_ok(front.addr(), "/cell?cell=*,*&level=loc0/dur0");
     let v = parse(&body);
     assert_eq!(
         v.get("support").and_then(Value::as_u64),
@@ -151,7 +98,7 @@ fn flight_kinds() -> Vec<FlightKind> {
 fn hedge_first_reply_wins_and_abandons_the_slow_replica() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(50, 71)).db;
-    let (groups, front) = boot_replicated(&db, 1, 2, |c| {
+    let (groups, front) = federation(&db, 1, 2, |c| {
         c.hedge = HedgePolicy::Fixed(Duration::from_millis(20));
     });
 
@@ -180,23 +127,20 @@ fn hedge_first_reply_wins_and_abandons_the_slow_replica() {
         "first reply wins — the 400ms primary must not gate the answer, took {elapsed:?}"
     );
     assert_eq!(
-        counter(
-            "federate.replica.hedged",
-            &[("shard", "0"), ("replica", "1")]
-        ),
+        replica_counter("federate.replica.hedged", 0, 1),
         1,
         "exactly one hedge fired"
     );
     assert_eq!(
-        counter(
-            "federate.replica.hedge_won",
-            &[("shard", "0"), ("replica", "1")]
-        ),
+        replica_counter("federate.replica.hedge_won", 0, 1),
         1,
         "the hedge won the race"
     );
     assert_eq!(
-        counter("federate.replica.abandoned", &[("shard", "0")]),
+        counter(&flowcube_obs::labeled(
+            "federate.replica.abandoned",
+            &[("shard", "0")]
+        )),
         1,
         "the slow primary was abandoned"
     );
@@ -216,7 +160,7 @@ fn hedge_first_reply_wins_and_abandons_the_slow_replica() {
 fn hedge_pair_is_never_gathered_twice() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(60, 72)).db;
-    let (groups, front) = boot_replicated(&db, 2, 2, |c| {
+    let (groups, front) = federation(&db, 2, 2, |c| {
         c.hedge = HedgePolicy::Fixed(Duration::from_millis(15));
     });
 
@@ -227,8 +171,7 @@ fn hedge_pair_is_never_gathered_twice() {
         );
     }
     for _ in 0..3 {
-        let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
-        assert_eq!(status, 200, "got {body:?}");
+        let body = get_ok(front.addr(), "/cell?cell=*,*&level=loc0/dur0");
         let v = parse(&body);
         assert_eq!(
             v.get("support").and_then(Value::as_u64),
@@ -238,14 +181,8 @@ fn hedge_pair_is_never_gathered_twice() {
         assert!(v.get("partial").is_none(), "not a degradation: {body}");
     }
     assert!(
-        counter(
-            "federate.replica.hedged",
-            &[("shard", "0"), ("replica", "1")]
-        ) >= 1
-            && counter(
-                "federate.replica.hedged",
-                &[("shard", "1"), ("replica", "1")]
-            ) >= 1,
+        replica_counter("federate.replica.hedged", 0, 1) >= 1
+            && replica_counter("federate.replica.hedged", 1, 1) >= 1,
         "both shards actually hedged"
     );
 
@@ -260,7 +197,7 @@ fn hedge_pair_is_never_gathered_twice() {
 fn exhausted_budget_suppresses_the_hedge() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(40, 73)).db;
-    let (groups, front) = boot_replicated(&db, 1, 2, |c| {
+    let (groups, front) = federation(&db, 1, 2, |c| {
         c.hedge = HedgePolicy::Fixed(Duration::from_millis(10));
         c.retry_budget = 0;
     });
@@ -278,18 +215,12 @@ fn exhausted_budget_suppresses_the_hedge() {
         "with no budget the request waits for the primary, took {elapsed:?}"
     );
     assert_eq!(
-        counter(
-            "federate.replica.hedged",
-            &[("shard", "0"), ("replica", "1")]
-        ),
+        replica_counter("federate.replica.hedged", 0, 1),
         0,
         "no hedge without a token"
     );
     assert_eq!(
-        counter(
-            "federate.replica.selected",
-            &[("shard", "0"), ("replica", "1")]
-        ),
+        replica_counter("federate.replica.selected", 0, 1),
         0,
         "replica 1 was never contacted"
     );
@@ -306,7 +237,7 @@ fn exhausted_budget_suppresses_the_hedge() {
 fn breaker_opens_on_failures_and_probe_closes_it() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(40, 74)).db;
-    let (groups, front) = boot_replicated(&db, 1, 2, |c| {
+    let (groups, front) = federation(&db, 1, 2, |c| {
         c.hedge = HedgePolicy::Off;
         c.breaker = BreakerConfig {
             failure_threshold: 1,
@@ -322,25 +253,11 @@ fn breaker_opens_on_failures_and_probe_closes_it() {
         1,
         FailAction::ReturnErr(Some("injected transport failure".into())),
     );
-    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
-    assert_eq!(status, 200, "retry hides the failure: {body:?}");
+    let body = get_ok(front.addr(), "/cell?cell=*,*&level=loc0/dur0");
     assert!(parse(&body).get("partial").is_none(), "full answer: {body}");
-    assert_eq!(
-        counter(
-            "federate.replica.breaker_open",
-            &[("shard", "0"), ("replica", "0")]
-        ),
-        1
-    );
-    assert_eq!(
-        counter(
-            "federate.replica.retried",
-            &[("shard", "0"), ("replica", "1")]
-        ),
-        1
-    );
-    let (status, _, health) = get(front.addr(), "/healthz", &[]);
-    assert_eq!(status, 200);
+    assert_eq!(replica_counter("federate.replica.breaker_open", 0, 0), 1);
+    assert_eq!(replica_counter("federate.replica.retried", 0, 1), 1);
+    let health = get_ok(front.addr(), "/healthz");
     assert!(
         health.contains("\"open\""),
         "healthz names the open replica: {health}"
@@ -352,8 +269,7 @@ fn breaker_opens_on_failures_and_probe_closes_it() {
     std::thread::sleep(Duration::from_millis(80));
     let deadline = Instant::now() + Duration::from_secs(3);
     loop {
-        let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
-        assert_eq!(status, 200, "got {body:?}");
+        get_ok(front.addr(), "/cell?cell=*,*&level=loc0/dur0");
         let (_, _, health) = get(front.addr(), "/healthz", &[]);
         if !health.contains("\"open\"") && !health.contains("\"half_open\"") {
             break;
@@ -364,13 +280,7 @@ fn breaker_opens_on_failures_and_probe_closes_it() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert_eq!(
-        counter(
-            "federate.replica.breaker_close",
-            &[("shard", "0"), ("replica", "0")]
-        ),
-        1
-    );
+    assert_eq!(replica_counter("federate.replica.breaker_close", 0, 0), 1);
     assert!(flight_kinds().contains(&FlightKind::BreakerClose));
 
     flowcube_testkit::reset();
@@ -385,7 +295,7 @@ fn breaker_opens_on_failures_and_probe_closes_it() {
 fn one_dead_replica_per_shard_keeps_every_answer_full() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(80, 75)).db;
-    let (mut groups, front) = boot_replicated(&db, 2, 2, |_| {});
+    let (mut groups, front) = federation(&db, 2, 2, |_| {});
 
     for _ in 0..5 {
         assert_full_answer(&front, &db, "healthy");
@@ -393,8 +303,7 @@ fn one_dead_replica_per_shard_keeps_every_answer_full() {
     // Kill replica 1 of every shard mid-run.
     for group in &mut groups {
         let dead = group.remove(1);
-        dead.shutdown();
-        dead.join();
+        stop(dead);
     }
     for _ in 0..30 {
         assert_full_answer(&front, &db, "one replica per shard dead");
@@ -421,7 +330,7 @@ fn one_dead_replica_per_shard_keeps_every_answer_full() {
 fn front_worker_panic_is_counted_and_respawned() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(40, 76)).db;
-    let (groups, front) = boot_replicated(&db, 2, 1, |_| {});
+    let (groups, front) = federation(&db, 2, 1, |_| {});
 
     // Exactly one request panics its worker; the client sees a hangup.
     flowcube_testkit::arm_times("federate.worker.request", 1, FailAction::Panic(None));
@@ -431,22 +340,20 @@ fn front_worker_panic_is_counted_and_respawned() {
     // The supervisor notices within its poll interval and respawns.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let (status, _, health) = get(front.addr(), "/healthz", &[]);
-        assert_eq!(status, 200);
+        let health = get_ok(front.addr(), "/healthz");
         if health.contains("\"worker_crashes\":1") {
             break;
         }
         assert!(Instant::now() < deadline, "crash never recorded: {health}");
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(counter("federate.worker.crashes", &[]), 1);
-    assert_eq!(counter("serve.worker.crashes", &[]), 0);
+    assert_eq!(counter("federate.worker.crashes"), 1);
+    assert_eq!(counter("serve.worker.crashes"), 0);
     for backend in groups.iter().flatten() {
         assert_eq!(backend.state().health.worker_crashes(), 0);
     }
 
-    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
-    assert_eq!(status, 200, "got {body:?}");
+    let body = get_ok(front.addr(), "/cell?cell=*,*&level=loc0/dur0");
     let v = parse(&body);
     assert_eq!(
         v.get("support").and_then(Value::as_u64),
@@ -464,7 +371,7 @@ fn front_worker_panic_is_counted_and_respawned() {
 fn shard_connections_are_pooled_not_opened_per_attempt() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(60, 77)).db;
-    let (groups, front) = boot_replicated(&db, 2, 1, |_| {});
+    let (groups, front) = federation(&db, 2, 1, |_| {});
 
     let accepted = family("serve.connections.accepted");
     for i in 0..20 {
@@ -491,19 +398,16 @@ fn shard_connections_are_pooled_not_opened_per_attempt() {
 fn stale_pooled_connection_is_resent_not_reported() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(60, 78)).db;
-    let (mut groups, front) = boot_replicated(&db, 2, 1, |_| {});
+    let (mut groups, front) = federation(&db, 2, 1, |_| {});
     assert_full_answer(&front, &db, "before the restart");
     assert_eq!(pooled(&front, 0, 0), 1, "the front holds a connection");
 
     // Restart shard 0's only replica where it was.
     let old = groups[0].remove(0);
     let addr = old.addr().to_string();
-    old.shutdown();
-    old.join();
+    stop(old);
     let shard = shard_db(&db, 2, 0).expect("shard splits");
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
-    let cube = FlowCube::build(&shard, spec, FlowCubeParams::new(1), ItemPlan::All);
-    groups[0].push(start_backend_at(cube, &addr));
+    groups[0].push(server_at(&shard_cube(&shard), &addr));
 
     let selected = family("federate.replica.selected");
     assert_full_answer(&front, &db, "after the restart");
@@ -537,7 +441,7 @@ fn stale_pooled_connection_is_resent_not_reported() {
 fn torn_read_on_a_pooled_connection_drops_the_socket() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(40, 79)).db;
-    let (groups, front) = boot_replicated(&db, 1, 1, |_| {});
+    let (groups, front) = federation(&db, 1, 1, |_| {});
     assert_full_answer(&front, &db, "warm-up");
     assert_eq!(pooled(&front, 0, 0), 1);
 
@@ -582,7 +486,7 @@ fn torn_read_on_a_pooled_connection_drops_the_socket() {
 fn hedge_losers_socket_is_pooled_only_after_its_whole_response() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(50, 80)).db;
-    let (groups, front) = boot_replicated(&db, 1, 2, |c| {
+    let (groups, front) = federation(&db, 1, 2, |c| {
         c.hedge = HedgePolicy::Fixed(Duration::from_millis(20));
     });
 
@@ -593,10 +497,7 @@ fn hedge_losers_socket_is_pooled_only_after_its_whole_response() {
     );
     assert_full_answer(&front, &db, "hedged");
     assert_eq!(
-        counter(
-            "federate.replica.hedge_won",
-            &[("shard", "0"), ("replica", "1")]
-        ),
+        replica_counter("federate.replica.hedge_won", 0, 1),
         1,
         "the hedge won"
     );
@@ -635,7 +536,7 @@ fn hedge_losers_socket_is_pooled_only_after_its_whole_response() {
 fn breaker_open_empties_the_replicas_pool() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(40, 81)).db;
-    let (groups, front) = boot_replicated(&db, 1, 2, |c| {
+    let (groups, front) = federation(&db, 1, 2, |c| {
         c.hedge = HedgePolicy::Off;
         c.breaker = BreakerConfig {
             failure_threshold: 1,
@@ -654,13 +555,7 @@ fn breaker_open_empties_the_replicas_pool() {
         FailAction::ReturnErr(Some("injected transport failure".into())),
     );
     assert_full_answer(&front, &db, "the retry hides the failure");
-    assert_eq!(
-        counter(
-            "federate.replica.breaker_open",
-            &[("shard", "0"), ("replica", "0")]
-        ),
-        1
-    );
+    assert_eq!(replica_counter("federate.replica.breaker_open", 0, 0), 1);
     assert_eq!(
         (pooled(&front, 0, 0), pooled(&front, 0, 1)),
         (0, 1),
@@ -707,8 +602,7 @@ fn timeout_on_a_pooled_connection_is_a_failure_not_a_stale_resend() {
     })
     .expect("front starts");
 
-    let (status, _, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
-    assert_eq!(status, 200, "the first request is answered: {body}");
+    get_ok(front.addr(), "/cell?cell=*,*&level=loc0/dur0");
     assert_eq!(pooled(&front, 0, 0), 1, "and its connection pooled");
 
     let start = Instant::now();
@@ -770,7 +664,7 @@ fn a_hung_connect_stalls_neither_the_hedge_nor_the_other_shard() {
         assert!(queued.len() < 4096, "the accept queue never filled");
     }
     let shard_timeout = Duration::from_secs(1);
-    let (groups, front) = boot_replicated(&db, 2, 2, |c| {
+    let (groups, front) = federation(&db, 2, 2, |c| {
         c.backends[0].replicas[1] = hung_addr.to_string();
         c.hedge = HedgePolicy::Fixed(Duration::from_millis(20));
         c.shard_timeout = shard_timeout;
@@ -786,10 +680,7 @@ fn a_hung_connect_stalls_neither_the_hedge_nor_the_other_shard() {
         );
     }
     assert!(
-        counter(
-            "federate.replica.hedged",
-            &[("shard", "0"), ("replica", "0")]
-        ) >= 3,
+        replica_counter("federate.replica.hedged", 0, 0) >= 3,
         "the rotation led with the hung replica, and the hedge answered"
     );
 
@@ -805,7 +696,7 @@ fn a_hung_connect_stalls_neither_the_hedge_nor_the_other_shard() {
 fn warm_front_spawns_no_attempt_workers() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(60, 82)).db;
-    let (groups, front) = boot_replicated(&db, 2, 2, |_| {});
+    let (groups, front) = federation(&db, 2, 2, |_| {});
 
     // One forced hedge first, so the background thread starts now and not
     // during the steady reads: shard 0's first primary (replica 0, where
@@ -818,7 +709,7 @@ fn warm_front_spawns_no_attempt_workers() {
     );
     assert_full_answer(&front, &db, "hedged");
     assert_eq!(
-        counter("federate.attempts.handed_off", &[]),
+        counter("federate.attempts.handed_off"),
         1,
         "the held loser went to the background thread"
     );
@@ -849,14 +740,14 @@ fn warm_front_spawns_no_attempt_workers() {
     };
     let (before, handed, hedged) = (
         settled(),
-        counter("federate.attempts.handed_off", &[]),
+        counter("federate.attempts.handed_off"),
         family("federate.replica.hedged"),
     );
     for i in 0..100 {
         assert_full_answer(&front, &db, &format!("steady {i}"));
     }
     assert_eq!(threads(), before, "steady-state reads started a thread");
-    let handed = counter("federate.attempts.handed_off", &[]) - handed;
+    let handed = counter("federate.attempts.handed_off") - handed;
     let hedged = family("federate.replica.hedged") - hedged;
     assert!(
         handed <= hedged,

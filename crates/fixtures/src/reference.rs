@@ -16,11 +16,13 @@
 //! Nothing here calls the build, BUC, the mining crate or the build's
 //! counting tables: a bug there cannot hide in the oracle.
 
-use flowcube::core::{aggregate_key, BuildStats, CellEntry, CellKey, Cuboid, CuboidKey};
-use flowcube::flowgraph::{is_redundant, mine_exceptions, ExceptionParams, KlSimilarity};
-use flowcube::hier::ItemLattice;
-use flowcube::pathdb::{aggregate_stages, AggStage};
-use flowcube::{FlowCube, FlowCubeParams, FlowGraph, ItemPlan, PathDatabase, PathLatticeSpec};
+use flowcube_core::{
+    aggregate_key, BuildStats, CellEntry, CellKey, Cuboid, CuboidKey, FlowCube, FlowCubeParams,
+    ItemPlan,
+};
+use flowcube_flowgraph::{is_redundant, mine_exceptions, ExceptionParams, FlowGraph, KlSimilarity};
+use flowcube_hier::{ItemLattice, PathLatticeSpec};
+use flowcube_pathdb::{aggregate_stages, AggStage, PathDatabase};
 use std::collections::BTreeMap;
 
 /// The cube `FlowCube::build(db, spec, params, plan)` must build. Its

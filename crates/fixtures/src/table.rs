@@ -10,13 +10,15 @@
 
 use super::reference::reference_cube;
 use super::scenario::Scenario;
-use super::{snapshot_bytes, split_db, temp_file};
-use flowcube::core::{aggregate_key, Algorithm, CellKey, CubeDelta};
-use flowcube::federate::build_sharded;
-use flowcube::flowgraph::{diff, NodeId};
-use flowcube::hier::ItemLevel;
-use flowcube::serve::{append_delta, compact, deltalog_path, write_snapshot, ServedCube};
-use flowcube::{FlowCube, FlowCubeParams, FlowGraph, ItemPlan, PathDatabase, PathLatticeSpec};
+use super::{snapshot_bytes, split_db, TempSnapshot};
+use flowcube_core::{
+    aggregate_key, Algorithm, CellKey, CubeDelta, FlowCube, FlowCubeParams, ItemPlan,
+};
+use flowcube_federate::build_sharded;
+use flowcube_flowgraph::{diff, FlowGraph, NodeId};
+use flowcube_hier::{ItemLevel, PathLatticeSpec};
+use flowcube_pathdb::PathDatabase;
+use flowcube_serve::{append_delta, compact, deltalog_path, write_snapshot, ServedCube};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -79,10 +81,11 @@ impl<'s> Case<'s> {
     /// Build the scenario's reference cube and the cube `FlowCube::build`
     /// builds.
     pub fn new(s: &'s Scenario) -> Self {
-        let db = s.db();
-        let (spec, params, plan) = (s.spec(&db), s.params(), s.item_plan(&db));
+        let built = s.build();
+        let (db, spec, params) = (built.db, built.spec, built.params);
+        let plan = s.item_plan(&db);
         let reference = reference_cube(&db, &spec, &params, &plan);
-        let built = FlowCube::build(&db, spec.clone(), params.clone(), plan.clone());
+        let built = built.cube;
         Case {
             s,
             reference_bytes: snapshot_bytes(&reference),
@@ -204,27 +207,25 @@ impl<'s> Case<'s> {
     /// The cube file, written, then opened and decoded as the server
     /// does: content.
     pub fn snapshot_file(&self) -> Result<(), String> {
-        in_temp_file(|path| {
-            write_snapshot(&self.built, path).map_err(|e| e.to_string())?;
-            self.same(&served(path)?)
-        })
+        let path = TempSnapshot::new("pipeline.snap");
+        write_snapshot(&self.built, &path).map_err(|e| e.to_string())?;
+        self.same(&served(&path)?)
     }
 
     /// A base snapshot plus a sidecar of the later batches' deltas,
     /// served, then compacted and reopened: content.
     pub fn overlay(&self) -> Result<(), String> {
-        in_temp_file(|path| {
-            let (base, deltas) = self.base_and_deltas();
-            write_snapshot(&base, path).map_err(|e| e.to_string())?;
-            for delta in &deltas {
-                append_delta(&deltalog_path(path), delta).map_err(|e| e.to_string())?;
-            }
-            self.same(&served(path)?)
-                .map_err(|e| format!("overlay: {e}"))?;
-            compact(path).map_err(|e| e.to_string())?;
-            self.same(&served(path)?)
-                .map_err(|e| format!("compacted: {e}"))
-        })
+        let path = TempSnapshot::new("pipeline.snap");
+        let (base, deltas) = self.base_and_deltas();
+        write_snapshot(&base, &path).map_err(|e| e.to_string())?;
+        for delta in &deltas {
+            append_delta(&deltalog_path(&path), delta).map_err(|e| e.to_string())?;
+        }
+        self.same(&served(&path)?)
+            .map_err(|e| format!("overlay: {e}"))?;
+        compact(&path).map_err(|e| e.to_string())?;
+        self.same(&served(&path)?)
+            .map_err(|e| format!("compacted: {e}"))
     }
 
     /// [`roll_up_laws`] on the build, at every parent level.
@@ -236,18 +237,6 @@ impl<'s> Case<'s> {
     pub fn conservation(&self) -> Result<(), String> {
         node_conservation(&self.built).map(drop)
     }
-}
-
-/// Run `f` on a fresh temp path, then remove every file it left there.
-fn in_temp_file(f: impl FnOnce(&Path) -> Result<(), String>) -> Result<(), String> {
-    let path = temp_file("pipeline.snap");
-    let result = f(&path);
-    for suffix in ["", ".deltas", ".compact", ".compact-tmp", ".compact.tmp"] {
-        let mut name = path.as_os_str().to_os_string();
-        name.push(suffix);
-        let _ = std::fs::remove_file(name);
-    }
-    result
 }
 
 /// The cube at `path` as the server opens it: snapshot plus sidecar.

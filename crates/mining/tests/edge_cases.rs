@@ -1,5 +1,6 @@
 //! Edge-case integration tests for the mining crate.
 
+use flowcube_fixtures::two_level_spec;
 use flowcube_hier::{
     ConceptHierarchy, DurationLevel, LocationCut, PathLatticeSpec, PathLevel, Schema,
 };
@@ -29,26 +30,10 @@ fn one_record_db() -> PathDatabase {
     db
 }
 
-fn spec_for(db: &PathDatabase) -> PathLatticeSpec {
-    let loc = db.schema().locations();
-    PathLatticeSpec::new(vec![
-        PathLevel::new(
-            "fine",
-            LocationCut::uniform_level(loc, 2),
-            DurationLevel::Raw,
-        ),
-        PathLevel::new(
-            "coarse",
-            LocationCut::uniform_level(loc, 1),
-            DurationLevel::Any,
-        ),
-    ])
-}
-
 #[test]
 fn single_record_database() {
     let db = one_record_db();
-    let tx = TransactionDb::encode(&db, spec_for(&db), MergePolicy::Sum);
+    let tx = TransactionDb::encode(&db, two_level_spec(&db), MergePolicy::Sum);
     assert_eq!(tx.len(), 1);
     let out = mine_shared(&tx, 1);
     // Every itemset of the single transaction without ancestor pairs is
@@ -67,7 +52,7 @@ fn empty_database() {
     let db = one_record_db();
     let (schema, _) = db.into_parts();
     let db = PathDatabase::new(schema);
-    let tx = TransactionDb::encode(&db, spec_for(&db), MergePolicy::Sum);
+    let tx = TransactionDb::encode(&db, two_level_spec(&db), MergePolicy::Sum);
     assert_eq!(tx.len(), 0);
     let out = mine_shared(&tx, 1);
     assert!(out.itemsets.is_empty());
@@ -115,7 +100,7 @@ fn precount_level_variants_do_not_change_output() {
     // The pre-count threshold is a pure optimization: any dim level must
     // give identical frequent itemsets.
     let db = flowcube_pathdb::samples::paper_table1();
-    let spec = spec_for(&db);
+    let spec = two_level_spec(&db);
     let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
     let baseline = mine_shared(&tx, 2);
     for level in [0u8, 1, 2, 3, 9] {
@@ -135,7 +120,7 @@ fn merge_policy_changes_coarse_supports_only_consistently() {
     // Different merge policies change coarse durations, but fine-level
     // patterns (no merging) must be identical.
     let db = flowcube_pathdb::samples::paper_table1();
-    let spec = spec_for(&db);
+    let spec = two_level_spec(&db);
     let outputs: Vec<_> = [MergePolicy::Sum, MergePolicy::Max, MergePolicy::First]
         .into_iter()
         .map(|mp| {
@@ -186,7 +171,7 @@ fn parallel_mine_with_empty_chunks_is_bit_identical() {
     // 16 transactions over 7 workers → ceil(16/7)=3 per chunk, so the
     // last chunk is empty; its zeroed count vector must merge as a no-op.
     let db = doubled_paper_db();
-    let tx = TransactionDb::encode(&db, spec_for(&db), MergePolicy::Sum);
+    let tx = TransactionDb::encode(&db, two_level_spec(&db), MergePolicy::Sum);
     assert_eq!(tx.len(), 16);
     for config in [
         SharedConfig::shared(2),
@@ -206,7 +191,7 @@ fn zero_min_support_equals_one() {
     // δ=0 is clamped to 1 (any itemset in the output must occur at least
     // once), for Shared and Cubing alike, at any thread count.
     let db = doubled_paper_db();
-    let tx = TransactionDb::encode(&db, spec_for(&db), MergePolicy::Sum);
+    let tx = TransactionDb::encode(&db, two_level_spec(&db), MergePolicy::Sum);
     let one = mine(&tx, &SharedConfig::shared(1));
     for threads in [1usize, 7] {
         let zero = mine(&tx, &SharedConfig::shared(0).with_threads(threads));
@@ -220,7 +205,7 @@ fn zero_min_support_equals_one() {
 #[test]
 fn min_support_above_db_is_empty_at_any_thread_count() {
     let db = doubled_paper_db();
-    let tx = TransactionDb::encode(&db, spec_for(&db), MergePolicy::Sum);
+    let tx = TransactionDb::encode(&db, two_level_spec(&db), MergePolicy::Sum);
     for threads in [1usize, 2, 7, 8] {
         let out = mine(&tx, &SharedConfig::shared(17).with_threads(threads));
         assert!(out.itemsets.is_empty(), "threads={threads}");
@@ -234,7 +219,7 @@ fn min_support_above_db_is_empty_at_any_thread_count() {
 #[test]
 fn basic_superset_property_on_paper_data() {
     let db = flowcube_pathdb::samples::paper_table1();
-    let spec = spec_for(&db);
+    let spec = two_level_spec(&db);
     let tx = TransactionDb::encode(&db, spec, MergePolicy::Sum);
     let shared = mine_shared(&tx, 2);
     let basic = mine_basic(&tx, 2);

@@ -70,6 +70,11 @@ pub struct ServedCube {
     /// [`view::walk_order`]: the levels a fallback walk probes. Built on
     /// the first fallback, never at open.
     stored: OnceLock<Vec<Vec<ItemLevel>>>,
+    /// Responses rendered from this cube. They live and die with it: a
+    /// swap drops them with the old cube, so no body rendered before an
+    /// acked write is served after it. Disabled until [`AppState`]
+    /// installs the cube.
+    cache: ResponseCache,
 }
 
 impl ServedCube {
@@ -115,6 +120,7 @@ impl ServedCube {
             deltas,
             resident: RwLock::new(vec![FxHashMap::default(); path_levels]),
             stored: OnceLock::new(),
+            cache: ResponseCache::new(0),
         }
     }
 
@@ -431,7 +437,6 @@ fn record_swap(cause: &'static str, failed: bool, value: u64) {
 pub struct AppState {
     scope: Scope,
     cube: RwLock<Arc<ServedCube>>,
-    pub cache: ResponseCache,
     pub health: HealthState,
     /// Structured JSON access log; `None` disables request logging.
     pub access: Option<AccessLog>,
@@ -450,11 +455,13 @@ pub struct AppState {
 }
 
 impl AppState {
-    pub fn new(cube: ServedCube, cache: ResponseCache) -> Self {
+    /// Serve `cube`, caching up to `cache_capacity` rendered responses
+    /// per installed cube (`0` disables the cache).
+    pub fn new(mut cube: ServedCube, cache_capacity: usize) -> Self {
+        cube.cache = ResponseCache::new(cache_capacity);
         AppState {
             scope: Scope::new("serve", ENDPOINTS),
             cube: RwLock::new(Arc::new(cube)),
-            cache,
             health: HealthState::default(),
             access: None,
             admin: Mutex::new(()),
@@ -487,11 +494,13 @@ impl AppState {
         self.cube.read().clone()
     }
 
-    /// Swap in a new cube and drop every cached response (they were
-    /// rendered from the old one).
-    pub fn install_cube(&self, cube: ServedCube) {
-        *self.cube.write() = Arc::new(cube);
-        self.cache.clear();
+    /// Swap in a new cube with an empty response cache; the old cube's
+    /// cached responses go with it.
+    pub fn install_cube(&self, mut cube: ServedCube) {
+        let mut current = self.cube.write();
+        cube.cache = current.cache.renewed();
+        *current = Arc::new(cube);
+        drop(current);
         flowcube_obs::gauge_set("serve.cache.entries", 0.0);
     }
 
@@ -547,7 +556,7 @@ impl AppState {
     /// has a file (durable across restarts and reloads), then swap in the
     /// served cube with the delta added to its overlay — nothing is
     /// reopened or re-read. In-flight requests keep the cube they started
-    /// with (`Arc` swap); the response cache is dropped. An in-memory
+    /// with (`Arc` swap) and its cached responses. An in-memory
     /// image skips only the append and answers `mode: "in-memory"`.
     ///
     /// Exceptions on delta-touched cells are *cleared*, not re-mined —
@@ -1383,7 +1392,8 @@ impl Service for AppState {
 
     fn route(&self, req: &Request, ctx: &RequestCtx, trace: u64) -> HttpResponse {
         let resp = respond(self, req, ctx, trace);
-        flowcube_obs::gauge_set("serve.cache.hit_rate", self.cache.hit_rate());
+        let hit_rate = self.cube.read().cache.hit_rate();
+        flowcube_obs::gauge_set("serve.cache.hit_rate", hit_rate);
         resp
     }
 
@@ -1428,8 +1438,11 @@ fn respond(state: &AppState, req: &Request, ctx: &RequestCtx, trace: u64) -> Htt
     let label = state.scope.endpoint(&req.path).label;
     let use_cache = cacheable(&req.path);
     let cache_key = req.cache_key();
+    // The cube first: a body is cached with the cube it was rendered
+    // from, so a swap that replaces the cube drops the body too.
+    let served = state.cube();
     if use_cache {
-        if let Some(hit) = state.cache.get(&cache_key) {
+        if let Some(hit) = served.cache.get(&cache_key) {
             flight::record(FlightKind::CacheHit, trace, label, hit.status, 0);
             return HttpResponse::json(hit.status, hit.body.clone());
         }
@@ -1444,7 +1457,6 @@ fn respond(state: &AppState, req: &Request, ctx: &RequestCtx, trace: u64) -> Htt
         return error_response(&e);
     }
 
-    let served = state.cube();
     let result = match req.path.as_str() {
         "/cell" => handle_cell(&served, req),
         "/rollup" => handle_rollup(&served, req),
@@ -1473,14 +1485,17 @@ fn respond(state: &AppState, req: &Request, ctx: &RequestCtx, trace: u64) -> Htt
     match result {
         Ok(body) => {
             if use_cache {
-                state.cache.insert(
+                // Fault injection: hold a rendered body back from the
+                // cache, so a swap can land between render and insert.
+                flowcube_testkit::fail_point_unit("serve.cache.insert");
+                served.cache.insert(
                     cache_key,
                     CachedResponse {
                         status: 200,
                         body: body.clone(),
                     },
                 );
-                flowcube_obs::gauge_set("serve.cache.entries", state.cache.len() as f64);
+                flowcube_obs::gauge_set("serve.cache.entries", served.cache.len() as f64);
             }
             HttpResponse::json(200, body)
         }

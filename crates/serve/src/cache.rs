@@ -7,6 +7,18 @@
 //! per-shard logical clock; eviction scans the (small, bounded) shard
 //! for the stalest entry — O(shard capacity), which stays trivial at the
 //! configured sizes and avoids intrusive-list unsafe code.
+//!
+//! Each served cube owns its cache (`ServedCube`): a request looks up,
+//! renders and inserts on the cube it took, so a swap (reload, ingest,
+//! compaction) drops the old cube's bodies with it, and the new cube
+//! starts from [`ResponseCache::renewed`]. The hit and miss tallies
+//! carry over, so `serve.cache.hit_rate` reads over the process's life.
+//!
+//! The integration suites that drive the cache take their cubes and
+//! servers from `crates/fixtures`, whose crate docs say when a suite may
+//! call `FlowCube::build` itself. The `serve.cache.insert` failpoint
+//! holds a rendered body back from the cache, so a test can land a swap
+//! between render and insert.
 
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
@@ -32,15 +44,21 @@ struct Shard {
     clock: u64,
 }
 
+/// Hits and misses, shared by a cache and the caches renewed from it.
+#[derive(Default)]
+struct Lookups {
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
 /// The cache; cheap to share via `Arc`.
 pub struct ResponseCache {
     shards: Vec<Mutex<Shard>>,
     capacity_per_shard: usize,
     /// Entries across all shards, changed only under the shard lock that
-    /// inserts, evicts or clears, so reading it locks nothing.
+    /// inserts or evicts, so reading it locks nothing.
     entries: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    lookups: Arc<Lookups>,
 }
 
 const NUM_SHARDS: usize = 8;
@@ -60,8 +78,16 @@ impl ResponseCache {
                 .collect(),
             capacity_per_shard: capacity.div_ceil(NUM_SHARDS),
             entries: AtomicUsize::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            lookups: Arc::default(),
+        }
+    }
+
+    /// An empty cache of this one's capacity that counts its hits and
+    /// misses into this one's tallies.
+    pub fn renewed(&self) -> Self {
+        ResponseCache {
+            lookups: self.lookups.clone(),
+            ..ResponseCache::new(self.capacity_per_shard * NUM_SHARDS)
         }
     }
 
@@ -74,7 +100,7 @@ impl ResponseCache {
     /// Look up a response, refreshing its recency on hit.
     pub fn get(&self, key: &str) -> Option<Arc<CachedResponse>> {
         if self.capacity_per_shard == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.lookups.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let mut shard = self.shard_of(key).lock();
@@ -85,13 +111,13 @@ impl ResponseCache {
                 entry.last_used = clock;
                 let response = entry.response.clone();
                 drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.lookups.hits.fetch_add(1, Ordering::Relaxed);
                 flowcube_obs::counter_add("serve.cache.hits", 1);
                 Some(response)
             }
             None => {
                 drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.lookups.misses.fetch_add(1, Ordering::Relaxed);
                 flowcube_obs::counter_add("serve.cache.misses", 1);
                 None
             }
@@ -128,15 +154,6 @@ impl ResponseCache {
         }
     }
 
-    /// Drop every cached response (used by benches to measure cold paths).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            self.entries.fetch_sub(shard.map.len(), Ordering::Relaxed);
-            shard.map.clear();
-        }
-    }
-
     /// Total entries across shards, without taking a shard lock.
     pub fn len(&self) -> usize {
         self.entries.load(Ordering::Relaxed)
@@ -146,11 +163,12 @@ impl ResponseCache {
         self.len() == 0
     }
 
-    /// `(hits, misses)` since construction.
+    /// `(hits, misses)` since construction, over the caches this one
+    /// was renewed from too.
     pub fn counters(&self) -> (u64, u64) {
         (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
+            self.lookups.hits.load(Ordering::Relaxed),
+            self.lookups.misses.load(Ordering::Relaxed),
         )
     }
 
@@ -243,7 +261,7 @@ mod tests {
         }
         assert!(cache.len() <= 2 * NUM_SHARDS, "evictions kept the bound");
         assert!(cache.len() >= NUM_SHARDS, "100 keys fill most shards");
-        cache.clear();
+        let cache = cache.renewed();
         assert_eq!((cache.len(), locked_len(&cache)), (0, 0));
         cache.insert("again".into(), resp("z"));
         assert_eq!((cache.len(), locked_len(&cache)), (1, 1));
@@ -257,14 +275,20 @@ mod tests {
         assert!(cache.is_empty());
     }
 
+    /// A renewed cache is the empty cache a swapped-in cube starts with:
+    /// no entry of the old one, the same capacity, the same tallies.
     #[test]
     fn clear_empties_all_shards() {
         let cache = ResponseCache::new(64);
         for i in 0..20 {
             cache.insert(format!("k{i}"), resp("x"));
         }
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
+        assert!(cache.get("k0").is_some());
+        let renewed = cache.renewed();
+        assert!(renewed.is_empty() && !cache.is_empty());
+        assert!((0..20).all(|i| renewed.get(&format!("k{i}")).is_none()));
+        assert_eq!(renewed.capacity_per_shard, cache.capacity_per_shard);
+        assert_eq!(renewed.counters(), (1, 20));
+        assert_eq!(cache.counters(), renewed.counters());
     }
 }

@@ -336,8 +336,13 @@ impl StringsCtx {
     pub fn sids_of_key(&self, key: &[ConceptId]) -> Option<Vec<u32>> {
         key.iter()
             .enumerate()
-            .map(|(d, &c)| sid_in(self.dim_to_sid.get(d)?, c))
+            .map(|(d, &c)| self.dim_sid(d, c))
             .collect()
+    }
+
+    /// The string id of dimension `d`'s concept `c`, if it was interned.
+    fn dim_sid(&self, d: usize, c: ConceptId) -> Option<u32> {
+        sid_in(self.dim_to_sid.get(d)?, c)
     }
 
     fn dim_concept(&self, d: usize, sid: u32) -> Option<ConceptId> {
@@ -978,18 +983,24 @@ impl ColumnarSection {
         )
     }
 
-    /// Binary-search a cell row by its string-id key.
-    pub fn find_row(&self, sids: &[u32]) -> Option<usize> {
+    /// Binary-search a cell row by concept key. Each coordinate is
+    /// translated to its string id as it is compared, so a probe — a
+    /// fallback walk makes one per stored ancestor level — allocates
+    /// nothing. `None` also when some coordinate's name was never
+    /// interned: the cell cannot be in this section.
+    pub fn find(&self, key: &[ConceptId]) -> Option<usize> {
         let dims = self.hdr.dims;
-        if sids.len() != dims {
+        let ctx = &self.ctx;
+        if key.len() != dims || (0..dims).any(|d| ctx.dim_sid(d, key[d]).is_none()) {
             return None;
         }
+        let sid = |d: usize| ctx.dim_sid(d, key[d]).unwrap_or(NO_SID);
         let mut lo = 0usize;
         let mut hi = self.hdr.cell_count;
         while lo < hi {
             let mid = (lo + hi) / 2;
             let ord = (0..dims)
-                .map(|d| self.sid_at(mid, d).cmp(&sids[d]))
+                .map(|d| self.sid_at(mid, d).cmp(&sid(d)))
                 .find(|o| o.is_ne())
                 .unwrap_or(std::cmp::Ordering::Equal);
             match ord {
@@ -999,11 +1010,6 @@ impl ColumnarSection {
             }
         }
         None
-    }
-
-    /// Probe for a cell by concept key.
-    pub fn find(&self, key: &[ConceptId]) -> Option<usize> {
-        self.find_row(&self.ctx.sids_of_key(key)?)
     }
 
     /// The concept key of a row.

@@ -67,7 +67,6 @@
 
 use crate::access::AccessLog;
 use crate::api::{error_response, handle_request, AppState, HttpResponse, RequestCtx};
-use crate::cache::ResponseCache;
 use crate::error::ApiError;
 use crate::http::{
     read_request, request_buffered, write_response, HttpError, Request, MAX_IDLE_CONNECTIONS,
@@ -642,8 +641,7 @@ fn host_capped<S: Service>(
 
 /// Convenience: build the [`AppState`] and start serving.
 pub fn serve_cube(cube: crate::api::ServedCube, config: ServerConfig) -> io::Result<ServerHandle> {
-    let cache = ResponseCache::new(config.cache_capacity);
-    serve(AppState::new(cube, cache), config)
+    serve(AppState::new(cube, config.cache_capacity), config)
 }
 
 /// The acceptor thread's state: the listener and its own readiness set

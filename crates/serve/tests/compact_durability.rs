@@ -13,54 +13,32 @@
 //! The failpoint registry is process-global, so the tests that arm it
 //! serialize on a mutex instead of relying on `--test-threads=1`.
 
-use flowcube_core::{CubeDelta, FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, GeneratorConfig};
-use flowcube_hier::{DurationLevel, ItemLattice, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube_core::{CubeDelta, FlowCube};
+use flowcube_fixtures::{image, ingest, serial, server, stop, Lattice, Scenario, TempSnapshot};
+use flowcube_hier::ItemLattice;
 use flowcube_pathdb::PathDatabase;
 use flowcube_serve::{
-    append_delta, compact, deltalog_path, read_deltas, serve_cube, write_snapshot, Recovery,
-    ServedCube, ServerConfig, ServerHandle, Snapshot,
+    append_delta, compact, deltalog_path, read_deltas, write_snapshot, Recovery, ServedCube,
+    ServerConfig, ServerHandle, Snapshot,
 };
-use flowcube_testkit::http::request;
-use flowcube_testkit::{temp_path, FailAction};
+use flowcube_testkit::http::{ok, request};
+use flowcube_testkit::FailAction;
 use std::net::SocketAddr;
-use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 /// Serializes every test that compacts: the failpoint registry is shared
 /// across the threads of this test binary, so a crash armed by one test
 /// would otherwise fire inside another's fold.
 static FAILPOINTS: Mutex<()> = Mutex::new(());
 
-fn lock_failpoints() -> MutexGuard<'static, ()> {
-    FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn base_and_batches(seed: u64, batches: usize) -> (PathDatabase, Vec<PathDatabase>) {
-    let db = generate(&GeneratorConfig::small(80 + batches * 10, seed)).db;
-    let records = db.records();
-    let base = PathDatabase::from_records(db.schema().clone(), records[..80].to_vec()).unwrap();
-    let tail: Vec<PathDatabase> = records[80..]
-        .chunks(10)
-        .map(|c| PathDatabase::from_records(db.schema().clone(), c.to_vec()).unwrap())
-        .collect();
-    (base, tail)
-}
-
-fn spec_for(db: &PathDatabase) -> PathLatticeSpec {
-    let loc = db.schema().locations();
-    PathLatticeSpec::new(vec![
-        PathLevel::new(
-            "fine",
-            LocationCut::uniform_level(loc, loc.max_level()),
-            DurationLevel::Raw,
-        ),
-        PathLevel::new(
-            "coarse",
-            LocationCut::uniform_level(loc, 1),
-            DurationLevel::Any,
-        ),
-    ])
+/// A stream of 80 base paths and ten-path batches, cubed at the leaf
+/// path level (`l0`) and at location groups (`l1`), exceptions off.
+fn stream(seed: u64, min_support: u64) -> Scenario {
+    Scenario {
+        lattice: Lattice::leaf_and_group(),
+        exceptions: false,
+        ..Scenario::small(seed, min_support)
+    }
 }
 
 /// A snapshot built over a base batch, and one delta per later batch.
@@ -69,40 +47,27 @@ fn spec_for(db: &PathDatabase) -> PathLatticeSpec {
 struct Fixture {
     cube: FlowCube,
     deltas: Vec<CubeDelta>,
-    path: PathBuf,
+    path: TempSnapshot,
 }
 
 impl Fixture {
-    fn new(name: &str, base: &PathDatabase, batches: &[PathDatabase], min_support: u64) -> Self {
-        let spec = spec_for(base);
-        let params = FlowCubeParams::new(min_support).with_exceptions(false);
-        let cube = FlowCube::build(base, spec.clone(), params.clone(), ItemPlan::All);
-        let deltas = (batches.iter())
-            .map(|b| CubeDelta::compute(b, &spec, &params, &ItemPlan::All))
-            .collect();
-        let path = temp_path(name);
-        let fixture = Fixture { cube, deltas, path };
-        fixture.clean();
-        write_snapshot(&fixture.cube, &fixture.path).unwrap();
-        fixture
+    fn new(name: &str, stream: &Scenario, base: &PathDatabase, batches: &[PathDatabase]) -> Self {
+        let cube = stream.cube_of(base);
+        let deltas = batches.iter().map(|b| stream.delta(b)).collect();
+        let path = TempSnapshot::new(name);
+        write_snapshot(&cube, &path).unwrap();
+        Fixture { cube, deltas, path }
     }
 
     fn generated(name: &str, seed: u64, batches: usize, min_support: u64) -> Self {
-        let (base, batches) = base_and_batches(seed, batches);
-        Self::new(name, &base, &batches, min_support)
-    }
-
-    fn clean(&self) {
-        for suffix in ["", ".deltas", ".compact", ".compact-tmp", ".compact.tmp"] {
-            let mut name = self.path.file_name().unwrap().to_os_string();
-            name.push(suffix);
-            let _ = std::fs::remove_file(self.path.with_file_name(name));
-        }
+        let stream = stream(seed, min_support);
+        let (base, batches) = stream.base_and_batches(80, batches);
+        Self::new(name, &stream, &base, &batches)
     }
 
     fn serve(&self, config: ServerConfig) -> ServerHandle {
         let served = ServedCube::from_snapshot(Snapshot::open(&self.path).unwrap());
-        serve_cube(served, config).expect("server starts")
+        server(served, config)
     }
 
     fn append_all(&self) {
@@ -132,8 +97,7 @@ impl Fixture {
         for delta in &self.deltas {
             reference.apply_delta(delta).unwrap();
         }
-        let served = ServedCube::from_cube(&reference).expect("encode image");
-        assert_eq!(self.reconstruct(), answers(served));
+        assert_eq!(self.reconstruct(), answers(image(&reference)));
         if self.sidecar_deltas() > 0 {
             return;
         }
@@ -149,12 +113,6 @@ impl Fixture {
     }
 }
 
-impl Drop for Fixture {
-    fn drop(&mut self) {
-        self.clean();
-    }
-}
-
 /// Every cell of every cuboid as the server at `addr` answers it: one
 /// `/dice` per (item level, path level) listing the cuboid's cells with
 /// support, node and exception counts, then `/paths/topk` of each cell.
@@ -162,8 +120,7 @@ fn answers_at(addr: SocketAddr, shell: &FlowCube) -> Vec<String> {
     let schema = shell.schema();
     let lattice = ItemLattice::new(schema.dims().iter().map(|h| h.max_level()).collect());
     let get = |target: String| {
-        let (status, _, body) = request(addr, "GET", &target, &[], "");
-        assert_eq!(status, 200, "{target}: {body}");
+        let body = ok(addr, "GET", &target, "");
         format!("{target} → {body}")
     };
     let mut out = Vec::new();
@@ -189,25 +146,10 @@ fn answers_at(addr: SocketAddr, shell: &FlowCube) -> Vec<String> {
 /// [`answers_at`] of a cube served on its own server.
 fn answers(served: ServedCube) -> Vec<String> {
     let shell = served.shell().clone();
-    let handle = serve_cube(served, ServerConfig::default()).expect("server starts");
+    let handle = server(served, ServerConfig::default());
     let out = answers_at(handle.addr(), &shell);
-    handle.shutdown();
-    handle.join();
+    stop(handle);
     out
-}
-
-fn post(addr: SocketAddr, target: &str, body: &str) -> (u16, String) {
-    let (status, _, resp) = request(addr, "POST", target, &[], body);
-    (status, resp)
-}
-
-fn ingest(addr: SocketAddr, delta: &CubeDelta) {
-    let (status, resp) = post(
-        addr,
-        "/admin/ingest",
-        &serde_json::to_string(delta).unwrap(),
-    );
-    assert_eq!(status, 200, "got {resp:?}");
 }
 
 /// `POST /admin/compact` folds the sidecar into the snapshot while the
@@ -216,17 +158,18 @@ fn ingest(addr: SocketAddr, delta: &CubeDelta) {
 /// is exact, and at δ = 2, where it must cut once, as the overlay does.
 #[test]
 fn admin_compact_folds_sidecar_over_http() {
-    let _guard = lock_failpoints();
+    let _guard = serial(&FAILPOINTS);
     for min_support in [1, 2] {
         let f = Fixture::generated(&format!("http-{min_support}.snap"), 101, 2, min_support);
         let handle = f.serve(ServerConfig::default());
         let addr = handle.addr();
-        f.deltas.iter().for_each(|delta| ingest(addr, delta));
+        for delta in &f.deltas {
+            ingest(addr, delta);
+        }
         let before = answers_at(addr, &f.cube);
         assert_eq!(f.sidecar_deltas(), 2);
 
-        let (status, resp) = post(addr, "/admin/compact", "");
-        assert_eq!(status, 200, "got {resp:?}");
+        let resp = ok(addr, "POST", "/admin/compact", "");
         assert!(resp.contains("\"compacted\":true"), "got {resp:?}");
         assert!(resp.contains("\"folded_deltas\":2"), "got {resp:?}");
         assert!(resp.contains("\"remaining_deltas\":0"), "got {resp:?}");
@@ -238,11 +181,9 @@ fn admin_compact_folds_sidecar_over_http() {
         assert!(stats.contains("\"pending_deltas\":0"), "got {stats:?}");
 
         // A second compact is a no-op, not an error.
-        let (status, resp) = post(addr, "/admin/compact", "");
-        assert_eq!(status, 200);
+        let resp = ok(addr, "POST", "/admin/compact", "");
         assert!(resp.contains("\"compacted\":false"), "got {resp:?}");
-        handle.shutdown();
-        handle.join();
+        stop(handle);
 
         // Restart: the snapshot alone now carries the folded deltas.
         assert_eq!(f.reconstruct(), before, "δ = {min_support}");
@@ -259,8 +200,9 @@ fn admin_compact_folds_sidecar_over_http() {
 /// level answers the same at all three points.
 #[test]
 fn compaction_keeps_a_cell_only_the_deltas_lift_over_min_support() {
-    let _guard = lock_failpoints();
-    let (db, _) = base_and_batches(131, 4);
+    let _guard = serial(&FAILPOINTS);
+    let stream = stream(131, 2);
+    let (db, _) = stream.base_and_batches(80, 4);
     // A dimension-0 leaf value carried by at least two paths: the base
     // gets none of them, each delta exactly one.
     let records = db.records();
@@ -270,23 +212,23 @@ fn compaction_keeps_a_cell_only_the_deltas_lift_over_min_support() {
     let (late, early): (Vec<_>, Vec<_>) = records.iter().cloned().partition(|r| r.dims[0] == v);
     let part = |records: Vec<_>| PathDatabase::from_records(db.schema().clone(), records).unwrap();
     let batches = [part(vec![late[0].clone()]), part(vec![late[1].clone()])];
-    let f = Fixture::new("lifted.snap", &part(early), &batches, 2);
+    let f = Fixture::new("lifted.snap", &stream, &part(early), &batches);
 
     let handle = f.serve(ServerConfig::default());
     let addr = handle.addr();
-    f.deltas.iter().for_each(|delta| ingest(addr, delta));
-    let cell = format!("/cell?cell={},*&level=fine", db.schema().dim(0).name_of(v));
+    for delta in &f.deltas {
+        ingest(addr, delta);
+    }
+    let cell = format!("/cell?cell={},*&level=l0", db.schema().dim(0).name_of(v));
     let (_, _, lifted) = request(addr, "GET", &cell, &[], "");
     assert!(lifted.contains("\"exact\":true"), "got {lifted:?}");
     assert!(lifted.contains("\"support\":2"), "got {lifted:?}");
     let before = answers_at(addr, &f.cube);
 
-    let (status, resp) = post(addr, "/admin/compact", "");
-    assert_eq!(status, 200, "got {resp:?}");
+    ok(addr, "POST", "/admin/compact", "");
     assert_eq!(request(addr, "GET", &cell, &[], "").2, lifted);
     assert_eq!(answers_at(addr, &f.cube), before, "after /admin/compact");
-    handle.shutdown();
-    handle.join();
+    stop(handle);
     assert_eq!(f.reconstruct(), before, "after a restart");
 }
 
@@ -297,7 +239,7 @@ fn compaction_keeps_a_cell_only_the_deltas_lift_over_min_support() {
 /// apex counts every acknowledged path exactly once.
 #[test]
 fn reload_after_a_failed_compaction_counts_each_path_once() {
-    let _guard = lock_failpoints();
+    let _guard = serial(&FAILPOINTS);
     flowcube_testkit::reset();
     let f = Fixture::generated("failed-fold.snap", 127, 3, 1);
     let handle = f.serve(ServerConfig::default());
@@ -310,13 +252,12 @@ fn reload_after_a_failed_compaction_counts_each_path_once() {
         1,
         FailAction::ReturnErr(Some("fold failed after rename".into())),
     );
-    let (status, resp) = post(addr, "/admin/compact", "");
+    let (status, _, resp) = request(addr, "POST", "/admin/compact", &[], "");
     flowcube_testkit::reset();
     assert_ne!(status, 200, "got {resp:?}");
 
     let apex_support = || {
-        let (status, _, body) = request(addr, "GET", "/cell?cell=*,*&level=fine", &[], "");
-        assert_eq!(status, 200, "got {body:?}");
+        let body = ok(addr, "GET", "/cell?cell=*,*&level=l0", "");
         let body = serde_json::parse_value_str(&body).unwrap();
         body.get("support").and_then(|s| s.as_u64()).unwrap()
     };
@@ -330,19 +271,17 @@ fn reload_after_a_failed_compaction_counts_each_path_once() {
     ingest(addr, &f.deltas[2]);
     assert_eq!(apex_support(), acked(3), "ingest after the failed fold");
 
-    let (status, resp) = post(addr, "/admin/reload", "");
-    assert_eq!(status, 200, "got {resp:?}");
+    let resp = ok(addr, "POST", "/admin/reload", "");
     assert!(resp.contains("\"deltas\":1"), "got {resp:?}");
     assert_eq!(apex_support(), acked(3), "reload after the failed fold");
-    handle.shutdown();
-    handle.join();
+    stop(handle);
 }
 
 /// `--compact-after-bytes`: once the sidecar outgrows the threshold, the
 /// next accepted ingest folds it automatically.
 #[test]
 fn auto_compaction_triggers_on_sidecar_size() {
-    let _guard = lock_failpoints();
+    let _guard = serial(&FAILPOINTS);
     let f = Fixture::generated("auto.snap", 103, 1, 1);
     let handle = f.serve(ServerConfig {
         compact_after_bytes: Some(1), // any non-empty sidecar folds
@@ -360,8 +299,7 @@ fn auto_compaction_triggers_on_sidecar_size() {
     );
     let (_, _, stats) = request(addr, "GET", "/stats", &[], "");
     assert!(stats.contains("\"pending_deltas\":0"), "got {stats:?}");
-    handle.shutdown();
-    handle.join();
+    stop(handle);
     f.assert_restart_is_reference();
 }
 
@@ -370,7 +308,7 @@ fn auto_compaction_triggers_on_sidecar_size() {
 /// recovery discards the half-done job and a restart replays everything.
 #[test]
 fn crash_before_rename_loses_nothing() {
-    let _guard = lock_failpoints();
+    let _guard = serial(&FAILPOINTS);
     flowcube_testkit::reset();
     let f = Fixture::generated("pre-rename.snap", 107, 3, 1);
     let snapshot_bytes_before = std::fs::read(&f.path).unwrap();
@@ -413,7 +351,7 @@ fn crash_before_rename_loses_nothing() {
 /// trim and a restart does not double-apply the folded deltas.
 #[test]
 fn crash_after_rename_finishes_trim() {
-    let _guard = lock_failpoints();
+    let _guard = serial(&FAILPOINTS);
     flowcube_testkit::reset();
     let f = Fixture::generated("post-rename.snap", 109, 2, 1);
     f.append_all();
@@ -452,7 +390,7 @@ fn crash_after_rename_finishes_trim() {
 /// folded.
 #[test]
 fn tail_appended_mid_compaction_survives() {
-    let _guard = lock_failpoints();
+    let _guard = serial(&FAILPOINTS);
     let f = Fixture::generated("tail.snap", 113, 3, 1);
     let sidecar = deltalog_path(&f.path);
     append_delta(&sidecar, &f.deltas[0]).unwrap();

@@ -6,35 +6,28 @@
 //! them with `--test-threads=1` because the failpoint registry is
 //! shared across the whole process.
 
-use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, GeneratorConfig};
-use flowcube_hier::PathLatticeSpec;
-use flowcube_serve::{
-    serve_cube, write_snapshot, ServedCube, ServerConfig, ServerHandle, Snapshot,
-};
-use flowcube_testkit::http::{get, raw_roundtrip, request, Persistent};
+use flowcube_fixtures::{image, server, small_cube, stop, TempSnapshot};
+use flowcube_serve::{write_snapshot, ServedCube, ServerConfig, Snapshot};
+use flowcube_testkit::http::{get, get_ok, ok, raw_roundtrip, request, Persistent};
 use flowcube_testkit::{temp_path, FailAction};
 use std::time::{Duration, Instant};
 
+/// Whether the fault tests run; when they do, every failpoint starts
+/// disarmed.
 fn gated() -> bool {
-    if std::env::var("FLOWCUBE_FAULT_TESTS").as_deref() == Ok("1") {
-        true
-    } else {
-        eprintln!("skipped: set FLOWCUBE_FAULT_TESTS=1 to run fault-injection tests");
-        false
+    let on = std::env::var("FLOWCUBE_FAULT_TESTS").as_deref() == Ok("1");
+    match on {
+        true => flowcube_testkit::reset(),
+        false => eprintln!("skipped: set FLOWCUBE_FAULT_TESTS=1 to run fault-injection tests"),
     }
-}
-
-fn start(served: ServedCube, config: ServerConfig) -> ServerHandle {
-    serve_cube(served, config).expect("server starts")
+    on
 }
 
 /// The `summary` field of a `/stats` body: identifies *which* cube is
 /// serving without the resident-cuboid counts that legitimately change
 /// as lazy hydration proceeds.
 fn stats_summary(addr: std::net::SocketAddr) -> String {
-    let (status, _, body) = get(addr, "/stats", &[]);
-    assert_eq!(status, 200, "got {body:?}");
+    let body = get_ok(addr, "/stats");
     let start = body.find("\"summary\":").expect("stats has summary");
     body[start..]
         .split(",\"build\"")
@@ -50,17 +43,9 @@ fn worker_panic_is_counted_and_respawned() {
     if !gated() {
         return;
     }
-    flowcube_testkit::reset();
-    let db = generate(&GeneratorConfig::small(120, 11)).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
-    let cube = FlowCube::build(
-        &db,
-        spec,
-        FlowCubeParams::new(8).with_threads(1),
-        ItemPlan::All,
-    );
-    let handle = start(
-        ServedCube::from_cube(&cube).expect("encode image"),
+    let cube = small_cube(11, 8).cube;
+    let handle = server(
+        image(&cube),
         ServerConfig {
             workers: 2,
             degraded_after: 0,
@@ -68,8 +53,7 @@ fn worker_panic_is_counted_and_respawned() {
         },
     );
     let addr = handle.addr();
-    let (status, _, _) = get(addr, "/healthz", &[]);
-    assert_eq!(status, 200);
+    get_ok(addr, "/healthz");
 
     // Exactly one request panics its worker; the client sees a hangup.
     flowcube_testkit::arm_times("serve.worker.request", 1, FailAction::Panic(None));
@@ -86,25 +70,21 @@ fn worker_panic_is_counted_and_respawned() {
         assert!(Instant::now() < deadline, "crash never recorded");
         std::thread::sleep(Duration::from_millis(10));
     }
-    let (status, _, body) = get(addr, "/healthz", &[]);
-    assert_eq!(status, 200);
+    let body = get_ok(addr, "/healthz");
     assert!(body.contains("\"worker_crashes\":1"), "got {body:?}");
     assert!(body.contains("\"ok\":true"), "got {body:?}");
 
     // With a threshold of 1 the same count reads as degraded.
     handle.state().health.set_degraded_after(1);
-    let (status, _, body) = get(addr, "/healthz", &[]);
-    assert_eq!(status, 200);
+    let body = get_ok(addr, "/healthz");
     assert!(body.contains("\"status\":\"degraded\""), "got {body:?}");
     assert!(body.contains("\"ok\":false"), "got {body:?}");
 
     // And the pool still has live workers serving real queries.
-    let (status, _, body) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
-    assert_eq!(status, 200, "got {body:?}");
+    get_ok(addr, "/cell?cell=*,*&level=loc0/dur0");
 
     flowcube_testkit::reset();
-    handle.shutdown();
-    handle.join();
+    stop(handle);
 }
 
 /// A worker that panics loses only the connection it was serving: a
@@ -115,17 +95,9 @@ fn worker_crash_loses_only_the_connection_it_was_serving() {
     if !gated() {
         return;
     }
-    flowcube_testkit::reset();
-    let db = generate(&GeneratorConfig::small(120, 11)).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
-    let cube = FlowCube::build(
-        &db,
-        spec,
-        FlowCubeParams::new(8).with_threads(1),
-        ItemPlan::All,
-    );
-    let handle = start(
-        ServedCube::from_cube(&cube).expect("encode image"),
+    let cube = small_cube(11, 8).cube;
+    let handle = server(
+        image(&cube),
         ServerConfig {
             workers: 2,
             ..Default::default()
@@ -155,8 +127,7 @@ fn worker_crash_loses_only_the_connection_it_was_serving() {
     );
 
     flowcube_testkit::reset();
-    handle.shutdown();
-    handle.join();
+    stop(handle);
 }
 
 /// A request that outlives `request_deadline` answers 503, and the
@@ -166,17 +137,9 @@ fn deadline_exceeded_returns_503() {
     if !gated() {
         return;
     }
-    flowcube_testkit::reset();
-    let db = generate(&GeneratorConfig::small(120, 12)).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
-    let cube = FlowCube::build(
-        &db,
-        spec,
-        FlowCubeParams::new(8).with_threads(1),
-        ItemPlan::All,
-    );
-    let handle = start(
-        ServedCube::from_cube(&cube).expect("encode image"),
+    let cube = small_cube(12, 8).cube;
+    let handle = server(
+        image(&cube),
         ServerConfig {
             workers: 2,
             request_deadline: Some(Duration::from_millis(40)),
@@ -194,12 +157,10 @@ fn deadline_exceeded_returns_503() {
     assert_eq!(status, 503, "got {body:?}");
     assert!(body.contains("deadline"), "got {body:?}");
 
-    let (status, _, _) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
-    assert_eq!(status, 200);
+    get_ok(addr, "/cell?cell=*,*&level=loc0/dur0");
 
     flowcube_testkit::reset();
-    handle.shutdown();
-    handle.join();
+    stop(handle);
 }
 
 /// `POST /admin/reload` swaps in the snapshot newly written at the same
@@ -210,18 +171,10 @@ fn reload_swaps_and_corruption_rolls_back() {
     if !gated() {
         return;
     }
-    flowcube_testkit::reset();
-    let path = temp_path("reload.snap");
-    let db = generate(&GeneratorConfig::small(120, 21)).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
-    let v1 = FlowCube::build(
-        &db,
-        spec,
-        FlowCubeParams::new(8).with_threads(1),
-        ItemPlan::All,
-    );
+    let path = TempSnapshot::new("reload.snap");
+    let v1 = small_cube(21, 8).cube;
     write_snapshot(&v1, &path).expect("write v1");
-    let handle = start(
+    let handle = server(
         ServedCube::from_snapshot(Snapshot::open(&path).expect("open")),
         ServerConfig {
             workers: 2,
@@ -232,17 +185,9 @@ fn reload_swaps_and_corruption_rolls_back() {
     let stats_v1 = stats_summary(addr);
 
     // Replace the file with a different cube and reload: stats change.
-    let db = generate(&GeneratorConfig::small(120, 22)).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
-    let v2 = FlowCube::build(
-        &db,
-        spec,
-        FlowCubeParams::new(4).with_threads(1),
-        ItemPlan::All,
-    );
+    let v2 = small_cube(22, 4).cube;
     write_snapshot(&v2, &path).expect("write v2");
-    let (status, _, body) = request(addr, "POST", "/admin/reload", &[], "");
-    assert_eq!(status, 200, "got {body:?}");
+    let body = ok(addr, "POST", "/admin/reload", "");
     assert!(body.contains("\"reloaded\":true"), "got {body:?}");
     let stats_v2 = stats_summary(addr);
     assert_ne!(stats_v1, stats_v2, "reload must swap the served cube");
@@ -262,8 +207,7 @@ fn reload_swaps_and_corruption_rolls_back() {
         stats_summary(addr),
         "failed reload must not change state"
     );
-    let (status, _, _) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
-    assert_eq!(status, 200);
+    get_ok(addr, "/cell?cell=*,*&level=loc0/dur0");
 
     // Same rollback when the *open* itself fails via failpoint (the file
     // on disk is valid again): the live server never sees the fault.
@@ -280,13 +224,10 @@ fn reload_swaps_and_corruption_rolls_back() {
     assert_eq!(stats_v2, stats_summary(addr));
 
     // With the failpoint drained, the very same request now succeeds.
-    let (status, _, body) = request(addr, "POST", "/admin/reload", &[], "");
-    assert_eq!(status, 200, "got {body:?}");
+    ok(addr, "POST", "/admin/reload", "");
 
     flowcube_testkit::reset();
-    handle.shutdown();
-    handle.join();
-    let _ = std::fs::remove_file(&path);
+    stop(handle);
 }
 
 /// A short read while decoding a section surfaces as a checksum error to
@@ -297,18 +238,10 @@ fn section_short_read_does_not_poison_server() {
     if !gated() {
         return;
     }
-    flowcube_testkit::reset();
-    let path = temp_path("short-read.snap");
-    let db = generate(&GeneratorConfig::small(120, 23)).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
-    let cube = FlowCube::build(
-        &db,
-        spec,
-        FlowCubeParams::new(8).with_threads(1),
-        ItemPlan::All,
-    );
+    let path = TempSnapshot::new("short-read.snap");
+    let cube = small_cube(23, 8).cube;
     write_snapshot(&cube, &path).expect("write");
-    let handle = start(
+    let handle = server(
         ServedCube::from_snapshot(Snapshot::open(&path).expect("open")),
         ServerConfig {
             workers: 2,
@@ -323,11 +256,8 @@ fn section_short_read_does_not_poison_server() {
     assert!((400..=599).contains(&status), "got {status} {body:?}");
 
     // The failpoint is drained; the identical request succeeds now.
-    let (status, _, body) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
-    assert_eq!(status, 200, "got {body:?}");
+    get_ok(addr, "/cell?cell=*,*&level=loc0/dur0");
 
     flowcube_testkit::reset();
-    handle.shutdown();
-    handle.join();
-    let _ = std::fs::remove_file(&path);
+    stop(handle);
 }

@@ -9,12 +9,12 @@
 //! The metrics registry is process-global and both tiers' shards write
 //! the `serve.*` series; the tests serialize on one mutex.
 
-use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, GeneratorConfig};
-use flowcube_federate::{serve_front, FrontConfig, FrontHandle, ReplicaSet};
-use flowcube_hier::PathLatticeSpec;
-use flowcube_serve::{serve_cube, ServedCube, ServerConfig, ServerHandle};
-use flowcube_testkit::http::{get, header, parse_response, raw_roundtrip, Persistent, Response};
+use flowcube_federate::FrontHandle;
+use flowcube_fixtures::{counter, front_over, gauge, image, serial, server, small_cube, stop};
+use flowcube_serve::{ServerConfig, ServerHandle};
+use flowcube_testkit::http::{
+    get, get_ok, header, parse_response, raw_roundtrip, Persistent, Response,
+};
 use std::net::SocketAddr;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn lock_globals() -> MutexGuard<'static, ()> {
-    let guard = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    let guard = serial(&GLOBALS);
     flowcube_obs::enable();
     guard
 }
@@ -51,45 +51,28 @@ impl Tier {
             start.elapsed()
         });
         if let Some(server) = self.server {
-            server.shutdown();
-            server.join();
+            stop(server);
         }
         front_took.unwrap_or_else(|| start.elapsed())
     }
 
     fn counter(&self, suffix: &str) -> u64 {
-        let name = format!("{}.{suffix}", self.scope);
-        flowcube_obs::snapshot()
-            .counters
-            .get(&name)
-            .copied()
-            .unwrap_or(0)
+        counter(&format!("{}.{suffix}", self.scope))
     }
 
     fn idle_gauge(&self) -> f64 {
-        let name = format!("{}.connections.idle", self.scope);
-        flowcube_obs::snapshot()
-            .gauges
-            .get(&name)
-            .copied()
-            .unwrap_or(0.0)
+        gauge(&format!("{}.connections.idle", self.scope))
     }
 }
 
 fn backend(workers: usize, read_timeout: Duration) -> ServerHandle {
-    let db = generate(&GeneratorConfig::small(120, 11)).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
-    let cube = FlowCube::build(&db, spec, FlowCubeParams::new(8), ItemPlan::All);
-    serve_cube(
-        ServedCube::from_cube(&cube).expect("encode image"),
-        ServerConfig {
-            workers,
-            read_timeout,
-            write_timeout: Duration::from_secs(2),
-            ..Default::default()
-        },
-    )
-    .expect("server starts")
+    let config = ServerConfig {
+        workers,
+        read_timeout,
+        write_timeout: Duration::from_secs(2),
+        ..Default::default()
+    };
+    server(image(&small_cube(11, 8).cube), config)
 }
 
 /// Both tiers, each with `workers` workers and about `idle` of idle
@@ -103,21 +86,16 @@ fn tiers(workers: usize, idle: Duration) -> Vec<Tier> {
         server: Some(server),
         front: None,
     };
-    let shard = backend(2, Duration::from_secs(5));
     let request_deadline = idle.saturating_sub(Duration::from_millis(250));
-    let front = serve_front(FrontConfig {
-        backends: vec![ReplicaSet::single(shard.addr().to_string())],
-        shards: 1,
-        workers,
-        request_deadline,
-        ..Default::default()
-    })
-    .expect("front starts");
+    let (mut shards, front) = front_over(&[small_cube(11, 8).cube], 1, |config| {
+        config.workers = workers;
+        config.request_deadline = request_deadline;
+    });
     let front = Tier {
         scope: "federate",
         addr: front.addr(),
         idle_budget: request_deadline + Duration::from_millis(250),
-        server: Some(shard),
+        server: shards.pop().and_then(|mut replicas| replicas.pop()),
         front: Some(front),
     };
     vec![query_api, front]
@@ -137,8 +115,7 @@ fn connection(response: &Response) -> Option<&str> {
 fn sequential_requests_share_one_connection() {
     let _guard = lock_globals();
     for tier in default_tiers() {
-        let (status, _, want) = get(tier.addr, CELL, &[]);
-        assert_eq!(status, 200, "{}: {want}", tier.scope);
+        let want = get_ok(tier.addr, CELL);
         let reused_before = tier.counter("connections.reused");
         let accepted_before = tier.counter("connections.accepted");
 

@@ -2,15 +2,13 @@
 //! a cold server pays for what a query reads, not for the whole path
 //! level, and a corrupt section fails exactly the lookups that reach it.
 
-use flowcube_core::{view, CuboidKey, FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, DimShape, GeneratorConfig};
-use flowcube_hier::{ConceptId, ItemLevel, PathLatticeSpec};
+use flowcube_core::{view, CuboidKey, FlowCube};
+use flowcube_datagen::{DimShape, GeneratorConfig};
+use flowcube_fixtures::{cell_spec, get_request, snapshot_bytes, Lattice, Scenario, TempSnapshot};
+use flowcube_hier::{ConceptId, ItemLevel};
 use flowcube_serve::http::Request;
 use flowcube_serve::snapshot::SectionDesc;
-use flowcube_serve::{
-    handle_request, write_snapshot, AppState, RequestCtx, ResponseCache, ServedCube, Snapshot,
-};
-use flowcube_testkit::temp_path;
+use flowcube_serve::{handle_request, AppState, RequestCtx, ServedCube, Snapshot};
 use std::collections::BTreeSet;
 
 /// Two dimensions three levels deep, at a δ that leaves most fine cells
@@ -20,48 +18,27 @@ fn cube() -> FlowCube {
         dims: vec![DimShape::new(vec![2, 2, 2], 0.7); 2],
         ..GeneratorConfig::small(400, 5)
     };
-    let db = generate(&config).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
-    let params = FlowCubeParams::new(25)
-        .with_exceptions(false)
-        .with_threads(1);
-    FlowCube::build(&db, spec, params, ItemPlan::All)
+    let scenario = Scenario {
+        data: Some(config),
+        lattice: Lattice::Paper(2),
+        exceptions: false,
+        ..Scenario::small(5, 25)
+    };
+    scenario.build().cube
 }
 
 /// Serve `bytes` from a file, cold.
 fn serve(bytes: &[u8], name: &str) -> AppState {
-    let path = temp_path(name);
-    std::fs::write(&path, bytes).unwrap();
-    let served = ServedCube::from_snapshot(Snapshot::open(&path).expect("open"));
-    let _ = std::fs::remove_file(&path);
-    AppState::new(served, ResponseCache::new(0))
-}
-
-fn snapshot_bytes(cube: &FlowCube, name: &str) -> Vec<u8> {
-    let path = temp_path(name);
-    write_snapshot(cube, &path).expect("write");
-    let bytes = std::fs::read(&path).unwrap();
-    let _ = std::fs::remove_file(&path);
-    bytes
+    let path = TempSnapshot::holding(name, bytes);
+    AppState::new(
+        ServedCube::from_snapshot(Snapshot::open(&path).expect("open")),
+        0,
+    )
 }
 
 fn cell_request(cube: &FlowCube, key: &[ConceptId]) -> Request {
-    let spec: Vec<String> = (key.iter().enumerate())
-        .map(|(d, &c)| match c {
-            ConceptId::ROOT => "*".to_string(),
-            c => cube.schema().dim(d as u8).name_of(c).to_string(),
-        })
-        .collect();
-    Request {
-        method: "GET".to_string(),
-        path: "/cell".to_string(),
-        query: vec![
-            ("cell".to_string(), spec.join(",")),
-            ("level".to_string(), "loc0/dur0".to_string()),
-        ],
-        headers: Vec::new(),
-        body: Vec::new(),
-    }
+    let cell = cell_spec(cube.schema(), key);
+    get_request("/cell", &[("cell", &cell), ("level", "loc0/dur0")])
 }
 
 /// Every key at the finest item level, in hierarchy order.
@@ -87,7 +64,7 @@ fn finest_keys(cube: &FlowCube) -> Vec<Vec<ConceptId>> {
 #[test]
 fn a_lookup_at_the_apex_hydrates_one_section() {
     let cube = cube();
-    let state = serve(&snapshot_bytes(&cube, "apex.snap"), "apex-served.snap");
+    let state = serve(&snapshot_bytes(&cube), "apex-served.snap");
     assert_eq!(state.cube().resident_cuboids(), 0, "cold");
     let apex = vec![ConceptId::ROOT; cube.schema().num_dims()];
     let resp = handle_request(&state, &cell_request(&cube, &apex), &RequestCtx::default());
@@ -99,7 +76,7 @@ fn a_lookup_at_the_apex_hydrates_one_section() {
 #[test]
 fn a_fallback_hydrates_exactly_the_levels_the_walk_probed() {
     let cube = cube();
-    let state = serve(&snapshot_bytes(&cube, "walk.snap"), "walk-served.snap");
+    let state = serve(&snapshot_bytes(&cube), "walk-served.snap");
     let depth = |level: &ItemLevel| level.0.iter().map(|&l| l as usize).sum::<usize>();
     // A finest key answered two lattice steps up, and every item level
     // the walk probed on the way.
@@ -140,7 +117,7 @@ fn a_fallback_hydrates_exactly_the_levels_the_walk_probed() {
 #[test]
 fn a_corrupt_section_fails_only_the_lookups_that_probe_it() {
     let cube = cube();
-    let mut bytes = snapshot_bytes(&cube, "corrupt.snap");
+    let mut bytes = snapshot_bytes(&cube);
     // Flip a byte inside the (1, 0) cuboid's section at the fine level.
     let target = CuboidKey {
         item_level: ItemLevel(vec![1, 0]),

@@ -4,14 +4,15 @@
 //! cause of every swap of the served cube, and structured access logging
 //! with flight dumps.
 
-use flowcube_core::{CubeDelta, FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, GeneratorConfig};
-use flowcube_hier::PathLatticeSpec;
+use flowcube_core::{CubeDelta, ItemPlan};
+use flowcube_fixtures::{
+    counter, get_request, serial, server, small_cube, stop, Small, TempSnapshot,
+};
 use flowcube_obs::flight::{self, FlightKind};
 use flowcube_serve::http::Request;
 use flowcube_serve::{
-    handle_request, serve_cube, write_snapshot, AccessLog, AppState, RequestCtx, ResponseCache,
-    ServedCube, ServerConfig, ServerHandle, Snapshot,
+    handle_request, write_snapshot, AccessLog, AppState, RequestCtx, ServedCube, ServerConfig,
+    ServerHandle, Snapshot,
 };
 use flowcube_testkit::http::{get, header, third_connection};
 use flowcube_testkit::temp_path;
@@ -23,14 +24,11 @@ use std::time::Duration;
 static FLIGHT_RING: Mutex<()> = Mutex::new(());
 
 fn image() -> ServedCube {
-    let db = generate(&GeneratorConfig::small(120, 11)).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
-    let cube = FlowCube::build(&db, spec, FlowCubeParams::new(8), ItemPlan::All);
-    ServedCube::from_cube(&cube).expect("encode image")
+    flowcube_fixtures::image(&small_cube(11, 8).cube)
 }
 
 fn start(config: ServerConfig) -> ServerHandle {
-    serve_cube(image(), config).expect("server starts")
+    server(image(), config)
 }
 
 fn default_config() -> ServerConfig {
@@ -42,20 +40,9 @@ fn default_config() -> ServerConfig {
     }
 }
 
-fn plain_request(path: &str, query: &[(&str, &str)], headers: &[(&str, &str)]) -> Request {
-    Request {
-        method: "GET".to_string(),
-        path: path.to_string(),
-        query: query
-            .iter()
-            .map(|&(k, v)| (k.to_string(), v.to_string()))
-            .collect(),
-        headers: headers
-            .iter()
-            .map(|&(k, v)| (k.to_string(), v.to_string()))
-            .collect(),
-        body: Vec::new(),
-    }
+/// `GET /cell` of the apex.
+fn apex_request() -> Request {
+    get_request("/cell", &[("cell", "*,*"), ("level", "loc0/dur0")])
 }
 
 #[test]
@@ -90,8 +77,7 @@ fn request_ids_are_honored_generated_and_echoed() {
     let id3 = header(&h3, "x-request-id").expect("replacement id");
     assert_ne!(id3, "a b\tc");
 
-    handle.shutdown();
-    handle.join();
+    stop(handle);
 }
 
 #[test]
@@ -147,14 +133,13 @@ fn prometheus_scrape_is_conformant_with_per_endpoint_histograms() {
     let (_, _, via_accept) = get(addr, "/metrics", &[("Accept", "text/plain")]);
     assert!(via_accept.contains("# TYPE"), "got {via_accept:?}");
 
-    handle.shutdown();
-    handle.join();
+    stop(handle);
 }
 
 #[test]
 fn deadline_503_carries_retry_after_and_request_id() {
-    let state = AppState::new(image(), ResponseCache::new(8));
-    let req = plain_request("/cell", &[("cell", "*,*"), ("level", "loc0/dur0")], &[]);
+    let state = AppState::new(image(), 8);
+    let req = apex_request();
     let ctx = RequestCtx::with_timeout(Duration::ZERO);
     let resp = handle_request(&state, &req, &ctx);
     assert_eq!(resp.status, 503, "got {}", resp.body);
@@ -162,7 +147,7 @@ fn deadline_503_carries_retry_after_and_request_id() {
     assert!(resp.header("x-request-id").is_some());
 
     // Client-error statuses are not retryable: no Retry-After.
-    let req = plain_request("/cell", &[], &[]);
+    let req = get_request("/cell", &[]);
     let resp = handle_request(&state, &req, &RequestCtx::default());
     assert_eq!(resp.status, 400);
     assert_eq!(resp.header("retry-after"), None);
@@ -173,10 +158,10 @@ fn deadline_503_carries_retry_after_and_request_id() {
 /// ring and the metrics registry, both bounded.
 #[test]
 fn requests_leave_the_span_trace_alone() {
-    let _ring = FLIGHT_RING.lock().unwrap_or_else(|e| e.into_inner());
+    let _ring = serial(&FLIGHT_RING);
     flowcube_obs::enable();
-    let state = AppState::new(image(), ResponseCache::new(8));
-    let req = plain_request("/cell", &[("cell", "*,*"), ("level", "loc0/dur0")], &[]);
+    let state = AppState::new(image(), 8);
+    let req = apex_request();
     // Hydration happens (and may span) on the first touch only.
     assert_eq!(
         handle_request(&state, &req, &RequestCtx::default()).status,
@@ -196,11 +181,6 @@ fn requests_leave_the_span_trace_alone() {
     assert_eq!(on_lane(), before);
 }
 
-fn shed_count() -> u64 {
-    let counters = flowcube_obs::snapshot().counters;
-    counters.get("serve.shed").copied().unwrap_or(0)
-}
-
 #[test]
 fn shed_429_carries_retry_after() {
     // One worker, queue depth one: occupy the worker with a silent
@@ -216,14 +196,13 @@ fn shed_429_carries_retry_after() {
     let addr = handle.addr();
 
     flowcube_obs::enable();
-    let shed_before = shed_count();
+    let shed_before = counter("serve.shed");
     let (status, headers, body) = third_connection(addr);
     assert_eq!(status, 429, "got {body:?}");
     assert_eq!(header(&headers, "retry-after"), Some("1"));
-    assert_eq!(shed_count(), shed_before + 1);
+    assert_eq!(counter("serve.shed"), shed_before + 1);
 
-    handle.shutdown();
-    handle.join();
+    stop(handle);
 }
 
 #[test]
@@ -240,8 +219,7 @@ fn debug_flight_exposes_recent_events() {
     assert!(body.contains("RequestEnd"), "got {body:?}");
     assert!(body.contains("healthz"), "got {body:?}");
 
-    handle.shutdown();
-    handle.join();
+    stop(handle);
 }
 
 /// Reload, ingest and compaction all swap the served cube; each swap is a
@@ -249,18 +227,18 @@ fn debug_flight_exposes_recent_events() {
 /// attempt carries status 1.
 #[test]
 fn swap_events_name_their_cause() {
-    let _ring = FLIGHT_RING.lock().unwrap_or_else(|e| e.into_inner());
+    let _ring = serial(&FLIGHT_RING);
     flight::enable();
-    let db = generate(&GeneratorConfig::small(120, 11)).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
-    let params = FlowCubeParams::new(8);
-    let path = temp_path("swaps.snap");
-    let sidecar = flowcube_serve::deltalog_path(&path);
-    let _ = std::fs::remove_file(&sidecar);
-    let cube = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
+    let Small {
+        db,
+        spec,
+        params,
+        cube,
+    } = small_cube(11, 8);
+    let path = TempSnapshot::new("swaps.snap");
     write_snapshot(&cube, &path).expect("write snapshot");
     let served = ServedCube::from_snapshot(Snapshot::open(&path).expect("open snapshot"));
-    let state = AppState::new(served, ResponseCache::new(8));
+    let state = AppState::new(served, 8);
 
     let delta = CubeDelta::compute(&db, &spec, &params, &ItemPlan::All);
     let body = serde_json::to_string(&delta).expect("encode delta");
@@ -277,9 +255,6 @@ fn swap_events_name_their_cause() {
         swaps.ends_with(&causes.map(|(cause, status)| (cause.to_string(), status))),
         "got {swaps:?}"
     );
-
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&sidecar);
 }
 
 #[test]
@@ -289,19 +264,22 @@ fn access_log_writes_entries_and_dumps_flight_when_bad() {
     let _ = std::fs::remove_file(&path);
     let log =
         AccessLog::open(path.to_str().expect("utf8 path"), Some(10_000)).expect("open access log");
-    let state = AppState::new(image(), ResponseCache::new(8)).with_access_log(log);
+    let state = AppState::new(image(), 8).with_access_log(log);
 
     // A routine 200: logged without a flight dump.
     let ok = handle_request(
         &state,
-        &plain_request("/healthz", &[], &[("x-request-id", "routine-1")]),
+        &Request {
+            headers: vec![("x-request-id".to_string(), "routine-1".to_string())],
+            ..get_request("/healthz", &[])
+        },
         &RequestCtx::default(),
     );
     assert_eq!(ok.status, 200);
     // A 503 deadline miss: logged with the flight window attached.
     let bad = handle_request(
         &state,
-        &plain_request("/cell", &[("cell", "*,*"), ("level", "loc0/dur0")], &[]),
+        &apex_request(),
         &RequestCtx::with_timeout(Duration::ZERO),
     );
     assert_eq!(bad.status, 503);

@@ -2,89 +2,27 @@
 //! `/slice`, answered through `handle_request` once their sections are
 //! resident, make a bounded number of allocations: the handlers render
 //! their JSON straight from the response structs, without a `Value`
-//! tree per response.
+//! tree per response. A `/cell` that falls back to an ancestor costs
+//! the same whether its walk probes few stored levels or many.
 
-use flowcube_core::{display_key, FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, GeneratorConfig};
-use flowcube_hier::{ConceptId, PathLatticeSpec};
+use flowcube_core::{display_key, view};
+use flowcube_datagen::{DimShape, GeneratorConfig};
+use flowcube_fixtures::{cell_spec, get_request, image, Lattice, Scenario, Small};
+use flowcube_hier::ConceptId;
 use flowcube_serve::http::Request;
-use flowcube_serve::{handle_request, AppState, RequestCtx, ResponseCache, ServedCube};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// The system allocator, counting the allocations of threads that ask
-/// for it — only this test's, not the harness's.
-struct Counting;
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note_allocation() {
-    // `try_with`: a thread being torn down has no locals left to count in.
-    let _ = COUNTING.try_with(|on| {
-        if on.get() {
-            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        }
-    });
-}
-
-// SAFETY: every call goes straight to `System`; counting touches only
-// const-initialised thread locals, which allocate nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use flowcube_serve::{handle_request, AppState, RequestCtx};
+use flowcube_testkit::alloc::{allocations_in, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocations `f` makes on this thread.
-fn allocations_in(f: impl FnOnce()) -> u64 {
-    ALLOCATIONS.with(|n| n.set(0));
-    COUNTING.with(|on| on.set(true));
-    f();
-    COUNTING.with(|on| on.set(false));
-    ALLOCATIONS.with(Cell::get)
-}
-
-fn get(path: &str, query: &[(&str, String)]) -> Request {
-    Request {
-        method: "GET".to_string(),
-        path: path.to_string(),
-        query: (query.iter())
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect(),
-        headers: Vec::new(),
-        body: Vec::new(),
-    }
-}
-
-fn cell_spec(cube: &FlowCube, key: &[ConceptId]) -> String {
-    (key.iter().enumerate())
-        .map(|(d, &c)| match c {
-            ConceptId::ROOT => "*",
-            c => cube.schema().dim(d as u8).name_of(c),
-        })
-        .collect::<Vec<_>>()
-        .join(",")
+/// The cube both tests read: 400 paths under two path levels at δ = 4.
+fn small() -> Small {
+    let scenario = Scenario {
+        lattice: Lattice::Paper(2),
+        ..Scenario::small(3, 4).paths(400)
+    };
+    scenario.build()
 }
 
 /// Allocations of the third identical request, after two have made its
@@ -105,14 +43,8 @@ fn warm_allocations(state: &AppState, req: &Request) -> (u64, String) {
 #[test]
 fn warm_rollup_and_slice_allocate_a_bounded_amount() {
     flowcube_obs::enable();
-    let db = generate(&GeneratorConfig::small(400, 3)).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
-    let params = FlowCubeParams::new(4).with_threads(1);
-    let cube = FlowCube::build(&db, spec, params, ItemPlan::All);
-    let state = AppState::new(
-        ServedCube::from_cube(&cube).expect("encode image"),
-        ResponseCache::new(0),
-    );
+    let cube = small().cube;
+    let state = AppState::new(image(&cube), 0);
     let pl = 0;
     let level = cube.spec().level(pl).name.clone();
 
@@ -126,12 +58,12 @@ fn warm_rollup_and_slice_allocate_a_bounded_amount() {
         .filter(|k| k[0] != ConceptId::ROOT)
         .find(|k| cube.roll_up(k, 0, pl).is_some())
         .expect("a cell whose dimension-0 parent is materialized");
-    let rollup = get(
+    let rollup = get_request(
         "/rollup",
         &[
-            ("cell", cell_spec(&cube, &key)),
-            ("level", level.clone()),
-            ("dim", "0".to_string()),
+            ("cell", &cell_spec(cube.schema(), &key)),
+            ("level", &level),
+            ("dim", "0"),
         ],
     );
 
@@ -145,13 +77,13 @@ fn warm_rollup_and_slice_allocate_a_bounded_amount() {
         .expect("a cuboid to slice");
     assert!(rows >= 4, "a multi-row slice: {rows} rows");
     let at: Vec<String> = at.0.iter().map(u8::to_string).collect();
-    let slice = get(
+    let slice = get_request(
         "/slice",
         &[
-            ("at", at.join(",")),
-            ("level", level),
-            ("dim", "0".to_string()),
-            ("value", cube.schema().dim(0).name_of(value).to_string()),
+            ("at", &at.join(",")),
+            ("level", &level),
+            ("dim", "0"),
+            ("value", cube.schema().dim(0).name_of(value)),
         ],
     );
 
@@ -169,5 +101,77 @@ fn warm_rollup_and_slice_allocate_a_bounded_amount() {
     assert!(
         slice_allocs <= 24 + 8 * rows as u64,
         "warm /slice of {rows} rows made {slice_allocs} allocations"
+    );
+}
+
+/// A record's leaf cell that the iceberg left out is answered by its
+/// nearest stored ancestor; the walk probes each stored level on the
+/// way once. A probe allocates nothing, so the fallback that probes the
+/// most levels allocates no more than the one that probes the fewest.
+#[test]
+fn a_fallback_allocates_alike_however_many_levels_it_probes() {
+    flowcube_obs::enable();
+    // Two dimensions three levels deep at a δ that leaves most fine
+    // cells out: sixteen item levels for a walk to probe.
+    let deep = GeneratorConfig {
+        dims: vec![DimShape::new(vec![2, 2, 2], 0.7); 2],
+        ..GeneratorConfig::small(400, 5)
+    };
+    let scenario = Scenario {
+        data: Some(deep),
+        exceptions: false,
+        ..Scenario::small(5, 25)
+    };
+    let Small { db, cube, .. } = scenario.build();
+    let state = AppState::new(image(&cube), 0);
+    let level = cube.spec().level(0).name.clone();
+    let stored = view::walk_order(
+        (cube.cuboids())
+            .filter(|(ck, _)| ck.path_level == 0)
+            .map(|(ck, _)| ck.item_level.clone()),
+    );
+    let mut keys: Vec<_> = db.records().iter().map(|r| r.dims.clone()).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    // Each key that falls back, after the stored levels its walk probes.
+    let mut fallbacks: Vec<_> = (keys.into_iter())
+        .filter_map(|key| {
+            let mut probes = 0;
+            let (route, ()) = view::lookup_route(
+                cube.schema(),
+                &key,
+                || &stored,
+                |at, k| {
+                    let cuboid = cube.cuboid(at, 0)?;
+                    probes += 1;
+                    cuboid.get(k).map(drop)
+                },
+            )?;
+            (route.key != key).then_some((probes, key))
+        })
+        .collect();
+    fallbacks.sort();
+    let (fewest, most) = (&fallbacks[0], &fallbacks[fallbacks.len() - 1]);
+    assert!(most.0 >= fewest.0 + 4, "probe counts spread: {fallbacks:?}");
+
+    let allocations = |key| {
+        let spec = cell_spec(cube.schema(), key);
+        let cell = get_request("/cell", &[("cell", &spec), ("level", &level)]);
+        let (made, body) = warm_allocations(&state, &cell);
+        assert!(body.contains("\"exact\":false"), "{body}");
+        made
+    };
+    let (few, many) = (allocations(&fewest.1), allocations(&most.1));
+    eprintln!(
+        "fallback /cell: {} probes, {few} allocations; {} probes, {many} allocations",
+        fewest.0, most.0
+    );
+    // A vector per probe, as `find` once built, would add one allocation
+    // per extra level probed.
+    assert!(
+        many <= few + 1,
+        "{} probes made {many} allocations, {} made {few}",
+        most.0,
+        fewest.0
     );
 }

@@ -2,28 +2,20 @@
 //! must never take the server down — a well-formed request afterwards
 //! still gets a correct answer.
 
-use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, GeneratorConfig};
-use flowcube_hier::PathLatticeSpec;
-use flowcube_serve::{serve_cube, ServedCube, ServerConfig, ServerHandle};
-use flowcube_testkit::http::{get, hostile_requests, parse_response, raw_roundtrip};
+use flowcube_fixtures::{image, server, small_cube, stop};
+use flowcube_serve::{ServerConfig, ServerHandle};
+use flowcube_testkit::http::{get, get_ok, hostile_requests, parse_response, raw_roundtrip};
 use serde_json::Value;
 use std::time::Duration;
 
 fn start() -> ServerHandle {
-    let db = generate(&GeneratorConfig::small(120, 11)).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
-    let cube = FlowCube::build(&db, spec, FlowCubeParams::new(8), ItemPlan::All);
-    serve_cube(
-        ServedCube::from_cube(&cube).expect("encode image"),
-        ServerConfig {
-            workers: 2,
-            read_timeout: Duration::from_millis(500),
-            write_timeout: Duration::from_millis(500),
-            ..Default::default()
-        },
-    )
-    .expect("server starts")
+    let config = ServerConfig {
+        workers: 2,
+        read_timeout: Duration::from_millis(500),
+        write_timeout: Duration::from_millis(500),
+        ..Default::default()
+    };
+    server(image(&small_cube(11, 8).cube), config)
 }
 
 #[test]
@@ -46,8 +38,7 @@ fn survives_malformed_and_hostile_input() {
         );
         // The rejected bytes left nothing behind: a new connection is
         // answered as if they had never arrived.
-        let (status, _, _) = get(addr, "/healthz", &[]);
-        assert_eq!(status, 200, "after {shown:?}");
+        let _ = get_ok(addr, "/healthz");
     }
 
     // Half-open connection: connect, write a fragment, hang up.
@@ -72,17 +63,14 @@ fn survives_malformed_and_hostile_input() {
     }
 
     // After all that abuse the server still answers correctly.
-    let (status, _, body) = get(addr, "/healthz", &[]);
-    assert_eq!(status, 200);
+    let body = get_ok(addr, "/healthz");
     assert!(body.contains("\"ok\":true"), "got {body:?}");
     assert!(body.contains("\"status\":\"ok\""), "got {body:?}");
     assert!(body.contains("\"worker_crashes\":0"), "got {body:?}");
-    let (status, _, body) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
-    assert_eq!(status, 200, "got {body:?}");
+    let body = get_ok(addr, "/cell?cell=*,*&level=loc0/dur0");
     assert!(body.contains("\"support\""), "got {body:?}");
 
-    handle.shutdown();
-    handle.join();
+    stop(handle);
 }
 
 #[test]
@@ -95,8 +83,7 @@ fn concurrent_clients_get_consistent_answers() {
         threads.push(std::thread::spawn(move || {
             let mut bodies = Vec::new();
             for _ in 0..10 {
-                let (status, _, body) = get(addr, "/cell?cell=*,*&level=loc0/dur0", &[]);
-                assert_eq!(status, 200);
+                let body = get_ok(addr, "/cell?cell=*,*&level=loc0/dur0");
                 bodies.push(body);
             }
             bodies
@@ -112,6 +99,5 @@ fn concurrent_clients_get_consistent_answers() {
         "all clients must see the same answer"
     );
 
-    handle.shutdown();
-    handle.join();
+    stop(handle);
 }

@@ -17,32 +17,28 @@
 //!   `Snapshot::open`, decodes through the upgrade reader to the cube it
 //!   was written from, and answers queries identically once re-encoded.
 
-use flowcube_core::{display_key, FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, GeneratorConfig};
-use flowcube_hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
+use flowcube_core::{display_key, FlowCube};
+use flowcube_fixtures::{
+    golden_v1_cube, golden_v1_path, snapshot_bytes, Lattice, Scenario, TempSnapshot,
+};
 use flowcube_serve::crc::crc32;
 use flowcube_serve::snapshot::{SectionDesc, KIND_CUBOID};
 use flowcube_serve::{
     load_v1_cube, write_snapshot, ServedCube, Snapshot, SnapshotError, FORMAT_VERSION,
 };
-use flowcube_testkit::temp_path;
 use proptest::prelude::*;
-use std::path::PathBuf;
 use std::sync::Mutex;
 
-/// A small deterministic cube, varied by the inputs.
-fn small_cube_threads(paths: usize, seed: u64, min_support: u64, threads: usize) -> FlowCube {
-    let db = generate(&GeneratorConfig::small(paths, seed)).db;
-    FlowCube::build(
-        &db,
-        PathLatticeSpec::paper(db.schema().locations(), 2),
-        FlowCubeParams::new(min_support).with_threads(threads),
-        ItemPlan::All,
-    )
+/// The small cube under two path levels, varied by the inputs.
+fn scenario(paths: usize, seed: u64, min_support: u64) -> Scenario {
+    Scenario {
+        lattice: Lattice::Paper(2),
+        ..Scenario::small(seed, min_support).paths(paths)
+    }
 }
 
 fn small_cube(paths: usize, seed: u64, min_support: u64) -> FlowCube {
-    small_cube_threads(paths, seed, min_support, 1)
+    scenario(paths, seed, min_support).build().cube
 }
 
 /// Every cell's `lookup` route plus a dim-0 `roll_up` target, named
@@ -88,7 +84,7 @@ proptest! {
         min_support in 4u64..20,
     ) {
         let cube = small_cube(paths, seed, min_support);
-        let path = temp_path(&format!("rt-{paths}-{seed}-{min_support}.snap"));
+        let path = TempSnapshot::new("rt.snap");
         write_snapshot(&cube, &path).expect("write");
 
         let snap = Snapshot::open(&path).expect("open");
@@ -97,24 +93,17 @@ proptest! {
         prop_assert_eq!(loaded.num_cuboids(), cube.num_cuboids());
         loaded.ensure_same(&cube)?;
         prop_assert_eq!(query_fingerprint(&loaded), query_fingerprint(&cube));
-        let _ = std::fs::remove_file(&path);
     }
 }
 
 #[test]
 fn snapshot_bytes_are_deterministic() {
     let cube = small_cube(80, 7, 8);
-    let a = temp_path("det-a.snap");
-    let b = temp_path("det-b.snap");
-    write_snapshot(&cube, &a).expect("write a");
-    write_snapshot(&cube, &b).expect("write b");
     assert_eq!(
-        std::fs::read(&a).unwrap(),
-        std::fs::read(&b).unwrap(),
+        snapshot_bytes(&cube),
+        snapshot_bytes(&cube),
         "same cube must produce identical snapshot bytes"
     );
-    let _ = std::fs::remove_file(&a);
-    let _ = std::fs::remove_file(&b);
 }
 
 /// Building the same database at different thread counts must produce
@@ -123,11 +112,11 @@ fn snapshot_bytes_are_deterministic() {
 #[test]
 fn snapshot_bytes_identical_across_thread_counts() {
     let bytes = |threads| {
-        let p = temp_path(&format!("threads-{threads}.snap"));
-        write_snapshot(&small_cube_threads(90, 13, 8, threads), &p).expect("write");
-        let bytes = std::fs::read(&p).unwrap();
-        let _ = std::fs::remove_file(&p);
-        bytes
+        let at_threads = Scenario {
+            threads,
+            ..scenario(90, 13, 8)
+        };
+        snapshot_bytes(&at_threads.build().cube)
     };
     let reference = bytes(1);
     for threads in [2usize, 7] {
@@ -143,34 +132,25 @@ fn snapshot_bytes_identical_across_thread_counts() {
 /// panic (and certainly not a silently short cube).
 #[test]
 fn truncation_fails_cleanly() {
-    let cube = small_cube(60, 3, 6);
-    let path = temp_path("trunc.snap");
-    write_snapshot(&cube, &path).expect("write");
-    let full = std::fs::read(&path).unwrap();
+    let full = snapshot_bytes(&small_cube(60, 3, 6));
 
     // A spread of cut points: inside magic, header, index, payloads.
     let cuts = [0, 4, 8, 11, 16, 23, 40, full.len() / 2, full.len() - 1];
     for cut in cuts {
-        let t = temp_path(&format!("trunc-{cut}.snap"));
-        std::fs::write(&t, &full[..cut]).unwrap();
+        let t = TempSnapshot::holding("trunc.snap", &full[..cut]);
         let result = Snapshot::open(&t).and_then(|s| ServedCube::from_snapshot(s).folded_cube());
         assert!(
             result.is_err(),
             "truncation at {cut}/{} bytes must fail",
             full.len()
         );
-        let _ = std::fs::remove_file(&t);
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 /// A flipped byte anywhere in the data region is caught by a section CRC.
 #[test]
 fn corrupted_payload_is_detected() {
-    let cube = small_cube(60, 4, 6);
-    let path = temp_path("crc.snap");
-    write_snapshot(&cube, &path).expect("write");
-    let full = std::fs::read(&path).unwrap();
+    let full = snapshot_bytes(&small_cube(60, 4, 6));
 
     // Flip one byte in several spots of the payload region (the tail of
     // the file is cuboid payloads; the area right after the header is
@@ -179,8 +159,7 @@ fn corrupted_payload_is_detected() {
         let pos = full.len() - full.len() / frac - 1;
         let mut bad = full.clone();
         bad[pos] ^= 0x40;
-        let t = temp_path(&format!("crc-{frac}.snap"));
-        std::fs::write(&t, &bad).unwrap();
+        let t = TempSnapshot::holding("crc.snap", &bad);
         let result = Snapshot::open(&t).and_then(|s| {
             // Either open itself (metadata/index) or a cuboid load must
             // notice the flip.
@@ -192,20 +171,15 @@ fn corrupted_payload_is_detected() {
             | Err(SnapshotError::Truncated { .. }) => {}
             other => panic!("flipped byte at {pos} not detected: {other:?}"),
         }
-        let _ = std::fs::remove_file(&t);
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn future_version_is_rejected() {
-    let cube = small_cube(50, 5, 6);
-    let path = temp_path("ver.snap");
-    write_snapshot(&cube, &path).expect("write");
-    let mut bytes = std::fs::read(&path).unwrap();
+    let mut bytes = snapshot_bytes(&small_cube(50, 5, 6));
     // Bytes 8..12 are the little-endian format version.
     bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
+    let path = TempSnapshot::holding("ver.snap", &bytes);
     match Snapshot::open(&path).map(|_| ()) {
         Err(SnapshotError::UnsupportedVersion { found, supported }) => {
             assert_eq!(found, FORMAT_VERSION + 1);
@@ -213,18 +187,15 @@ fn future_version_is_rejected() {
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn wrong_magic_is_rejected() {
-    let path = temp_path("magic.snap");
-    std::fs::write(&path, b"NOTACUBExxxxxxxxxxxxxxxxxxxxxxxx").unwrap();
+    let path = TempSnapshot::holding("magic.snap", b"NOTACUBExxxxxxxxxxxxxxxxxxxxxxxx");
     assert!(matches!(
         Snapshot::open(&path),
         Err(SnapshotError::BadMagic)
     ));
-    let _ = std::fs::remove_file(&path);
 }
 
 /// Version 0 never existed; like any version other than
@@ -232,12 +203,9 @@ fn wrong_magic_is_rejected() {
 /// negotiation in the error.
 #[test]
 fn version_zero_is_rejected() {
-    let cube = small_cube(50, 5, 6);
-    let path = temp_path("ver0.snap");
-    write_snapshot(&cube, &path).expect("write");
-    let mut bytes = std::fs::read(&path).unwrap();
+    let mut bytes = snapshot_bytes(&small_cube(50, 5, 6));
     bytes[8..12].copy_from_slice(&0u32.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
+    let path = TempSnapshot::holding("ver0.snap", &bytes);
     match Snapshot::open(&path).map(|_| ()) {
         Err(SnapshotError::UnsupportedVersion { found, supported }) => {
             assert_eq!(found, 0);
@@ -245,7 +213,6 @@ fn version_zero_is_rejected() {
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 // ---------------------------------------------------------------------------
@@ -325,22 +292,15 @@ fn at_1_and_4_threads<R: PartialEq + std::fmt::Debug>(check: impl Fn() -> R) -> 
 /// the hot-reload admission path, and the one that must reject every
 /// corruption class below with a typed error instead of a panic.
 fn open_and_verify(bytes: &[u8], name: &str) -> Result<(), SnapshotError> {
-    let p = temp_path(name);
-    std::fs::write(&p, bytes).unwrap();
-    let r = at_1_and_4_threads(|| Snapshot::open(&p).and_then(|s| s.verify_all()));
-    let _ = std::fs::remove_file(&p);
-    r
+    let p = TempSnapshot::holding(name, bytes);
+    at_1_and_4_threads(|| Snapshot::open(&p).and_then(|s| s.verify_all()))
 }
 
 /// A v2 snapshot's bytes, plus the index position of a cuboid section
 /// holding at least `min_cells` cells (every class below needs real rows
 /// to corrupt).
-fn v2_bytes_with_cuboid(name: &str, min_cells: u64) -> (Vec<u8>, usize) {
-    let cube = small_cube(120, 11, 4);
-    let p = temp_path(name);
-    write_snapshot(&cube, &p).expect("write");
-    let full = std::fs::read(&p).unwrap();
-    let _ = std::fs::remove_file(&p);
+fn v2_bytes_with_cuboid(min_cells: u64) -> (Vec<u8>, usize) {
+    let full = snapshot_bytes(&small_cube(120, 11, 4));
     let (index, data_start) = parse_container(&full);
     let target = index
         .iter()
@@ -364,7 +324,7 @@ fn hdr_u64(payload: &[u8], off: usize) -> u64 {
 /// can notice.
 #[test]
 fn v2_truncated_cuboid_section_is_typed() {
-    let (full, target) = v2_bytes_with_cuboid("c1-base.snap", 1);
+    let (full, target) = v2_bytes_with_cuboid(1);
     let bad = rebuild_with_patched_section(&full, target, |p| p.truncate(100));
     match open_and_verify(&bad, "c1.snap") {
         Err(SnapshotError::Truncated { .. }) => {}
@@ -376,7 +336,7 @@ fn v2_truncated_cuboid_section_is_typed() {
 /// cuboid payload does not start with `FCC2`.
 #[test]
 fn v2_bad_section_magic_is_typed() {
-    let (full, target) = v2_bytes_with_cuboid("c2-base.snap", 1);
+    let (full, target) = v2_bytes_with_cuboid(1);
     let bad = rebuild_with_patched_section(&full, target, |p| p[..4].copy_from_slice(b"XXXX"));
     match open_and_verify(&bad, "c2.snap") {
         Err(SnapshotError::Corrupt { detail }) => {
@@ -391,7 +351,7 @@ fn v2_bad_section_magic_is_typed() {
 /// honest.
 #[test]
 fn v2_misaligned_region_offset_is_typed() {
-    let (full, target) = v2_bytes_with_cuboid("c3-base.snap", 1);
+    let (full, target) = v2_bytes_with_cuboid(1);
     let bad = rebuild_with_patched_section(&full, target, |p| {
         let keys_off = hdr_u64(p, 16);
         p[16..24].copy_from_slice(&(keys_off + 4).to_le_bytes());
@@ -408,7 +368,7 @@ fn v2_misaligned_region_offset_is_typed() {
 /// id points past the shared table.
 #[test]
 fn v2_out_of_bounds_string_id_is_typed() {
-    let (full, target) = v2_bytes_with_cuboid("c4-base.snap", 1);
+    let (full, target) = v2_bytes_with_cuboid(1);
     let bad = rebuild_with_patched_section(&full, target, |p| {
         let keys_off = hdr_u64(p, 16) as usize;
         p[keys_off..keys_off + 4].copy_from_slice(&0xFFFF_FF00u32.to_le_bytes());
@@ -426,7 +386,7 @@ fn v2_out_of_bounds_string_id_is_typed() {
 /// reader treat the node table as per-cell without a reference count.
 #[test]
 fn v2_overlapping_cell_ranges_is_typed() {
-    let (full, target) = v2_bytes_with_cuboid("c5-base.snap", 2);
+    let (full, target) = v2_bytes_with_cuboid(2);
     let bad = rebuild_with_patched_section(&full, target, |p| {
         let cells_off = hdr_u64(p, 24) as usize;
         // Second cell row (40 bytes per row), gstart field at +16.
@@ -445,7 +405,7 @@ fn v2_overlapping_cell_ranges_is_typed() {
 /// job: the structural validator never even runs.
 #[test]
 fn v2_bit_flip_under_crc_is_typed() {
-    let (full, target) = v2_bytes_with_cuboid("c6-base.snap", 1);
+    let (full, target) = v2_bytes_with_cuboid(1);
     let (index, data_start) = parse_container(&full);
     let mut bad = full.clone();
     bad[data_start + index[target].offset as usize + 64] ^= 0x01;
@@ -463,7 +423,7 @@ fn v2_bit_flip_under_crc_is_typed() {
 /// until the stack overflowed.
 #[test]
 fn spec_section_with_a_repeated_level_is_typed() {
-    let (full, _) = v2_bytes_with_cuboid("spec-base.snap", 1);
+    let (full, _) = v2_bytes_with_cuboid(1);
     let (index, _) = parse_container(&full);
     let target = index
         .iter()
@@ -494,7 +454,7 @@ fn spec_section_with_a_repeated_level_is_typed() {
 #[test]
 fn file_truncated_under_an_open_snapshot_is_typed() {
     let cube = small_cube(120, 11, 4);
-    let p = temp_path("shrunk.snap");
+    let p = TempSnapshot::new("shrunk.snap");
     write_snapshot(&cube, &p).expect("write");
     let snapshot = Snapshot::open(&p).expect("open");
     assert!(snapshot.num_cuboids() > 8, "enough sections to fan out");
@@ -511,35 +471,11 @@ fn file_truncated_under_an_open_snapshot_is_typed() {
             other => panic!("expected Io or Truncated, got {other:?}"),
         }
     }
-    let _ = std::fs::remove_file(&p);
 }
 
 // ---------------------------------------------------------------------------
 // Golden v1 fixture
 // ---------------------------------------------------------------------------
-
-/// The cube the checked-in v1 fixture was written from. The fixture is
-/// frozen: this build has no v1 writer to regenerate it with.
-fn golden_cube() -> FlowCube {
-    let db = generate(&GeneratorConfig::small(30, 1)).db;
-    let loc = db.schema().locations();
-    let fine = LocationCut::uniform_level(loc, loc.max_level());
-    // Hand-built, not `paper(_, 2)`: the fixture stores these level names.
-    let spec = PathLatticeSpec::new(vec![
-        PathLevel::new("fine", fine.clone(), DurationLevel::Raw),
-        PathLevel::new("fine/any", fine, DurationLevel::Any),
-    ]);
-    FlowCube::build(
-        &db,
-        spec,
-        FlowCubeParams::new(4).with_threads(1),
-        ItemPlan::All,
-    )
-}
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v1.snap")
-}
 
 /// Compatibility contract for the checked-in v1 file: serving refuses it
 /// with the typed version error, the upgrade reader decodes it to the
@@ -548,20 +484,20 @@ fn golden_path() -> PathBuf {
 /// reference in `tests/snapshot_differential.rs`.)
 #[test]
 fn golden_v1_fixture_is_upgrade_only() {
-    match Snapshot::open(golden_path()).map(|_| ()) {
+    match Snapshot::open(golden_v1_path()).map(|_| ()) {
         Err(SnapshotError::UnsupportedVersion { found, supported }) => {
             assert_eq!((found, supported), (1, FORMAT_VERSION));
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 
-    let cube = load_v1_cube(golden_path()).expect("load golden v1");
-    let golden = golden_cube();
+    let cube = load_v1_cube(golden_v1_path()).expect("load golden v1");
+    let golden = golden_v1_cube();
     let want = query_fingerprint(&golden);
     cube.ensure_same(&golden).unwrap_or_else(|d| panic!("{d}"));
     assert_eq!(query_fingerprint(&cube), want);
 
-    let v2 = temp_path("golden-v2.snap");
+    let v2 = TempSnapshot::new("golden-v2.snap");
     write_snapshot(&cube, &v2).expect("write v2");
     let loaded_v2 = ServedCube::from_snapshot(Snapshot::open(&v2).expect("open v2"))
         .folded_cube()
@@ -575,5 +511,4 @@ fn golden_v1_fixture_is_upgrade_only() {
         load_v1_cube(&v2),
         Err(SnapshotError::UnsupportedVersion { found: 2, .. })
     ));
-    let _ = std::fs::remove_file(&v2);
 }

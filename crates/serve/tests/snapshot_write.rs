@@ -5,9 +5,7 @@
 //! One test, so the process-global `serve.snapshot.write` failpoint has
 //! no concurrent writer to land in.
 
-use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
-use flowcube_datagen::{generate, GeneratorConfig};
-use flowcube_hier::PathLatticeSpec;
+use flowcube_fixtures::small_cube;
 use flowcube_serve::{write_snapshot, ServedCube, Snapshot, SnapshotError};
 use flowcube_testkit::{temp_path, FailAction};
 
@@ -26,11 +24,7 @@ fn a_write_onto_a_served_path_replaces_the_file_atomically() {
         names
     };
 
-    let cube = |seed, min_support| {
-        let db = generate(&GeneratorConfig::small(120, seed)).db;
-        let spec = PathLatticeSpec::paper(db.schema().locations(), 1);
-        FlowCube::build(&db, spec, FlowCubeParams::new(min_support), ItemPlan::All)
-    };
+    let cube = |seed, min_support| small_cube(seed, min_support).cube;
     let (old, new) = (cube(31, 4), cube(32, 8));
     assert_ne!(old.total_cells(), new.total_cells());
     write_snapshot(&old, &path).expect("write old");

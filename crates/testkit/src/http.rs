@@ -1,11 +1,12 @@
 //! The raw HTTP/1.1 clients of the integration suites, over a plain
 //! `TcpStream`, so a test sees exactly the bytes a server wrote — status
 //! line, headers, body — or the hangup. The one-shot helpers ([`get`],
-//! [`request`]) send `Connection: close` and read to the end of the
-//! stream: one request per connection, whatever the server would have
-//! allowed. [`Persistent`] is the other kind of client: it keeps its
-//! connection, frames every response by `Content-Length`, and counts
-//! how often it had to connect. Std only: the servers under test depend
+//! [`request`], and [`get_ok`] and [`ok`], which require a `200`) send
+//! `Connection: close` and read to the end of the stream: one request
+//! per connection, whatever the server would have allowed.
+//! [`Persistent`] is the other kind of client: it keeps its connection,
+//! frames every response by `Content-Length`, and counts how often it
+//! had to connect. Std only: the servers under test depend
 //! on this crate, not the other way round.
 
 use std::io::{Read, Write};
@@ -234,6 +235,19 @@ pub fn third_connection(addr: SocketAddr) -> Response {
 /// `GET target` with extra request headers.
 pub fn get(addr: SocketAddr, target: &str, headers: &[(&str, &str)]) -> Response {
     request(addr, "GET", target, headers, "")
+}
+
+/// The body of a `200` answer to `method target` with `body`; any other
+/// status fails the test, naming the request and the answer.
+pub fn ok(addr: SocketAddr, method: &str, target: &str, body: &str) -> String {
+    let (status, _, answer) = request(addr, method, target, &[], body);
+    assert_eq!(status, 200, "{method} {target}: {answer:?}");
+    answer
+}
+
+/// The body of a `200` answer to `GET target`.
+pub fn get_ok(addr: SocketAddr, target: &str) -> String {
+    ok(addr, "GET", target, "")
 }
 
 /// First value of a response header, by lowercased name.

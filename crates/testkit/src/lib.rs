@@ -69,8 +69,10 @@
 //!
 //! The crate also carries the integration suites' one raw HTTP client,
 //! [`http`], the digest golden-file tests pin bytes with,
-//! [`sha256_hex`], and their one scratch-file namer, [`temp_path`].
+//! [`sha256_hex`], their one scratch-file namer, [`temp_path`], and
+//! the counting allocator the allocation suites install, [`alloc`].
 
+pub mod alloc;
 pub mod http;
 mod sha256;
 pub use sha256::sha256_hex;

@@ -1,7 +1,7 @@
 //! Every stored cell holds the graph walked from its own paths at its
 //! path level, carries the exceptions mined from those paths, and
 //! survives Definition 4.4: the `build` row of the one table
-//! (`common::table`), content, snapshot bytes and pruned-cell count
+//! (`flowcube_fixtures::table`), content, snapshot bytes and pruned-cell count
 //! against the reference cube, and with τ set the `prune after` row.
 //!
 //! The scenarios are the table's: lattices over `Raw`, `Bucket(2)`,
@@ -11,9 +11,8 @@
 
 use proptest::prelude::*;
 
-mod common;
-use common::scenario::Scenarios;
-use common::table::Case;
+use flowcube_fixtures::scenario::Scenarios;
+use flowcube_fixtures::table::Case;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]

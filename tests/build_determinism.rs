@@ -9,16 +9,11 @@ use flowcube::datagen::{generate, DimShape, GeneratorConfig};
 use flowcube::hier::{ItemLevel, PathLatticeSpec};
 use flowcube::testkit::{self, sha256_hex, FailAction};
 use flowcube::{FlowCube, FlowCubeParams, ItemPlan, PathDatabase};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
-mod common;
-use common::snapshot_bytes;
+use flowcube_fixtures::{serial, snapshot_bytes};
 
 static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The paper's four path levels over a small generated database: two
 /// location cuts, durations as recorded and `*`.
@@ -67,7 +62,7 @@ const GOLDEN_SHA256: &str = "6bc25b3e837538442553a417d04b7a1a81ae09021bd2e92b2f0
 
 #[test]
 fn golden_snapshot_digest() {
-    let _guard = serial();
+    let _guard = serial(&SERIAL);
     let (db, spec) = fixture();
     let cube = FlowCube::build(&db, spec, params(1), ItemPlan::All);
     assert!(cube.total_cells() > 100, "fixture must not be trivial");
@@ -101,7 +96,7 @@ fn golden_snapshot_digest() {
 /// golden digest — exceptions on, τ set, every phase running.
 #[test]
 fn golden_digest_holds_at_any_build_thread_count_and_after_a_retried_chunk() {
-    let _guard = serial();
+    let _guard = serial(&SERIAL);
     let (db, spec) = fixture();
     let build = |threads| FlowCube::build(&db, spec.clone(), params(threads), ItemPlan::All);
     for threads in [1, 2, 3, 7] {
@@ -139,7 +134,7 @@ fn golden_digest_holds_at_any_build_thread_count_and_after_a_retried_chunk() {
 
 #[test]
 fn thread_count_and_chunk_retry_leave_the_bytes_alone() {
-    let _guard = serial();
+    let _guard = serial(&SERIAL);
     let (db, spec) = fixture();
     let build = |threads| FlowCube::build(&db, spec.clone(), params(threads), ItemPlan::All);
     let serial_bytes = snapshot_bytes(&build(1));
@@ -175,7 +170,7 @@ fn thread_count_and_chunk_retry_leave_the_bytes_alone() {
 /// through the levels a plan drops, the plan only filters what it emits.
 #[test]
 fn plans_without_parents_match_the_full_plan() {
-    let _guard = serial();
+    let _guard = serial(&SERIAL);
     let (db, spec) = fixture();
     let unpruned = |plan| {
         let mut p = params(2);

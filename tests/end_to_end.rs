@@ -1,17 +1,31 @@
 //! Workspace-level integration: the full pipeline from raw RFID readings
 //! to a queried flowcube, and the cube's laws on fixed databases. The
-//! laws are the ones the table's rows check (`common::table`).
+//! laws are the ones the table's rows check (`flowcube_fixtures::table`).
 
-use flowcube::core::{FlowCube, FlowCubeParams, ItemPlan};
+use flowcube::core::FlowCube;
 use flowcube::datagen::{generate, to_readings, GeneratorConfig};
 use flowcube::hier::{ConceptId, ItemLevel};
 use flowcube::pathdb::{clean_readings, stays_to_record, CleanerConfig, PathDatabase};
 
-mod common;
-use common::table::{node_conservation, roll_up_laws};
-use common::two_level_spec;
+use flowcube_fixtures::reference::reference_cube;
+use flowcube_fixtures::table::{node_conservation, roll_up_laws};
+use flowcube_fixtures::{Lattice, Scenario, Small};
 
-fn pipeline_db(num_paths: usize, seed: u64) -> PathDatabase {
+/// `config`'s database at δ, exceptions off, under two path levels: leaf
+/// locations with durations as recorded, and location groups with
+/// durations at `*`.
+fn scenario(config: GeneratorConfig, min_support: u64) -> Scenario {
+    Scenario {
+        data: Some(config),
+        lattice: Lattice::leaf_and_group(),
+        exceptions: false,
+        ..Scenario::small(0, min_support)
+    }
+}
+
+/// A generated database, turned into readings, cleaned, and assembled
+/// back into paths: the cube of it at δ, and the database.
+fn pipeline_cube(num_paths: usize, seed: u64, min_support: u64) -> (PathDatabase, FlowCube) {
     let config = GeneratorConfig {
         num_paths,
         seed,
@@ -39,19 +53,13 @@ fn pipeline_db(num_paths: usize, seed: u64) -> PathDatabase {
         ))
         .unwrap();
     }
-    db
+    let cube = scenario(config, min_support).cube_of(&db);
+    (db, cube)
 }
 
 #[test]
 fn readings_to_cube_pipeline() {
-    let db = pipeline_db(500, 17);
-    let spec = two_level_spec(&db);
-    let cube = FlowCube::build(
-        &db,
-        spec,
-        FlowCubeParams::new(25).with_exceptions(false),
-        ItemPlan::All,
-    );
+    let (db, cube) = pipeline_cube(500, 17, 25);
     assert!(cube.total_cells() > 0);
     // Apex cell at each path level covers all records.
     let apex_key = vec![ConceptId::ROOT; db.schema().num_dims()];
@@ -61,24 +69,13 @@ fn readings_to_cube_pipeline() {
     }
 }
 
-/// The cube over `config`'s database at δ = 1, exceptions off, every
-/// item level.
-fn cube_at_delta_1(config: &GeneratorConfig) -> (PathDatabase, FlowCube) {
-    let db = generate(config).db;
-    let params = FlowCubeParams::new(1).with_exceptions(false);
-    let cube = FlowCube::build(&db, two_level_spec(&db), params, ItemPlan::All);
-    (db, cube)
-}
-
 /// Node-local invariants of every materialized flowgraph, on a cube of
 /// cleaned readings: child counts plus terminations equal the node
 /// count, duration observations equal it, transition probabilities sum
 /// to 1.
 #[test]
 fn flowgraph_conservation_invariants() {
-    let db = pipeline_db(400, 23);
-    let params = FlowCubeParams::new(10).with_exceptions(false);
-    let cube = FlowCube::build(&db, two_level_spec(&db), params, ItemPlan::All);
+    let (_, cube) = pipeline_cube(400, 23, 10);
     let checked = node_conservation(&cube).unwrap_or_else(|e| panic!("{e}"));
     assert!(checked > 100);
 }
@@ -94,7 +91,7 @@ fn parent_graph_is_merge_of_children() {
         seed: 31,
         ..Default::default()
     };
-    let (_, cube) = cube_at_delta_1(&config);
+    let cube = scenario(config, 1).build().cube;
     let apex = |level: &ItemLevel| level.0.iter().all(|&l| l == 0);
     roll_up_laws(&cube, apex).unwrap_or_else(|e| panic!("{e}"));
 }
@@ -107,23 +104,21 @@ fn cuboid_partitions_database() {
         seed: 41,
         ..Default::default()
     };
-    let (db, cube) = cube_at_delta_1(&config);
+    let Small { db, cube, .. } = scenario(config, 1).build();
     for (ck, cuboid) in cube.cuboids() {
         let total: u64 = cuboid.iter().map(|(_, e)| e.support).sum();
         assert_eq!(total, db.len() as u64, "{ck:?}");
     }
 }
 
-/// The facade crate re-exports work end to end.
+/// The facade crate re-exports work end to end: its types are the
+/// workspace crates' own, so they pass straight to the reference cube,
+/// which is written against those crates.
 #[test]
 fn facade_reexports() {
     let db = flowcube::pathdb::samples::paper_table1();
     let spec = flowcube::PathLatticeSpec::paper(db.schema().locations(), 1);
-    let cube = flowcube::FlowCube::build(
-        &db,
-        spec,
-        flowcube::FlowCubeParams::new(2),
-        flowcube::ItemPlan::All,
-    );
+    let params = flowcube::FlowCubeParams::new(2);
+    let cube: flowcube::FlowCube = reference_cube(&db, &spec, &params, &flowcube::ItemPlan::All);
     assert!(cube.total_cells() > 0);
 }

@@ -3,7 +3,7 @@
 //!
 //! At δ = 1, incremental apply and dirty-cell re-mining equal the
 //! definitional cube, and so the batch rebuild: the first two properties
-//! run those rows of the one table (`common::table`). At δ > 1 a
+//! run those rows of the one table (`flowcube_fixtures::table`). At δ > 1 a
 //! maintained `FlowCube` is lossy by design (each apply cuts at δ,
 //! forgetting early sub-threshold contributions), so this suite asserts
 //! the documented weaker contract — the iceberg invariant always holds
@@ -12,15 +12,23 @@
 //! partition merge combines build statistics.
 
 use flowcube::core::CubeDelta;
-use flowcube::datagen::generate;
 use flowcube::hier::{DurationLevel, LocationCut, PathLatticeSpec, PathLevel};
-use flowcube::{FlowCube, FlowCubeParams, ItemPlan, PathDatabase};
+use flowcube::{FlowCube, ItemPlan, PathDatabase};
 use proptest::prelude::*;
 
-mod common;
-use common::scenario::{Scenario, Scenarios};
-use common::table::Case;
-use common::{short_paths, split_db};
+use flowcube_fixtures::scenario::{Scenario, Scenarios};
+use flowcube_fixtures::table::Case;
+use flowcube_fixtures::{short_paths, split_db, Lattice, Small};
+
+/// `short_paths(paths, seed)` under two path levels at δ, exceptions off.
+fn stream(paths: usize, seed: u64, min_support: u64) -> Scenario {
+    Scenario {
+        data: Some(short_paths(paths, seed)),
+        lattice: Lattice::Paper(2),
+        exceptions: false,
+        ..Scenario::small(seed, min_support)
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
@@ -68,17 +76,15 @@ proptest! {
         seed in 0u64..1000,
         k in 2usize..5,
     ) {
-        let db = generate(&short_paths(paths, seed)).db;
-        let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
-        let params = FlowCubeParams::new(3).with_exceptions(false);
+        let scenario = stream(paths, seed, 3);
+        let Small { db, spec, params, cube: batch } = scenario.build();
         let batches = split_db(&db, k);
 
-        let mut incr = FlowCube::build(&batches[0], spec.clone(), params.clone(), ItemPlan::All);
+        let mut incr = scenario.cube_of(&batches[0]);
         for batch in &batches[1..] {
             let delta = CubeDelta::compute(batch, &spec, &params, &ItemPlan::All);
             incr.apply_delta(&delta).expect("same schema and spec");
         }
-        let batch = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
 
         for (ck, cuboid) in incr.cuboids() {
             for (cell, entry) in cuboid.iter() {
@@ -105,10 +111,12 @@ proptest! {
 /// paths and zero cells, and applying it changes nothing.
 #[test]
 fn empty_batch_delta_is_a_noop() {
-    let db = generate(&short_paths(24, 7)).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
-    let params = FlowCubeParams::new(1).with_exceptions(false);
-    let mut cube = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
+    let Small {
+        db,
+        spec,
+        params,
+        mut cube,
+    } = stream(24, 7, 1).build();
     let before = cube.clone();
 
     let empty = PathDatabase::from_records(db.schema().clone(), Vec::new())
@@ -132,10 +140,12 @@ fn empty_batch_delta_is_a_noop() {
 /// before it can corrupt the cube.
 #[test]
 fn mismatched_delta_is_rejected() {
-    let db = generate(&short_paths(24, 11)).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
-    let params = FlowCubeParams::new(1).with_exceptions(false);
-    let mut cube = FlowCube::build(&db, spec.clone(), params.clone(), ItemPlan::All);
+    let Small {
+        db,
+        params,
+        mut cube,
+        ..
+    } = stream(24, 11, 1).build();
     let before = cube.clone();
 
     // Same db, different path-level names → different fingerprint.
@@ -157,13 +167,12 @@ fn mismatched_delta_is_rejected() {
 /// iceberg is re-enforced on the union.
 #[test]
 fn merge_from_combines_stats_and_reenforces_iceberg() {
-    let db = generate(&short_paths(48, 3)).db;
-    let spec = PathLatticeSpec::paper(db.schema().locations(), 2);
-    let params = FlowCubeParams::new(2).with_exceptions(false);
+    let scenario = stream(48, 3, 2);
+    let (db, params) = (scenario.db(), scenario.params());
     let halves = split_db(&db, 2);
 
-    let left = FlowCube::build(&halves[0], spec.clone(), params.clone(), ItemPlan::All);
-    let right = FlowCube::build(&halves[1], spec.clone(), params.clone(), ItemPlan::All);
+    let left = scenario.cube_of(&halves[0]);
+    let right = scenario.cube_of(&halves[1]);
     let (lf, rf) = (left.stats().frequent_cells, right.stats().frequent_cells);
     let (ls, rs) = (left.stats().mining.scans, right.stats().mining.scans);
 

@@ -17,8 +17,7 @@ use flowcube::mining::{
 use flowcube::pathdb::{MergePolicy, PathDatabase};
 use proptest::prelude::*;
 
-mod common;
-use common::short_paths;
+use flowcube_fixtures::short_paths;
 
 /// A generated path database plus its transaction encoding, sized so the
 /// parallel cutoff (8 transactions) is always cleared.

@@ -12,8 +12,7 @@ use serde_json::{Number, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
-mod common;
-use common::two_level_spec;
+use flowcube_fixtures::two_level_spec;
 
 /// The recorder is process-global; every test here serializes on this so
 /// one test's spans never leak into another's exported trace.

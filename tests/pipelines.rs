@@ -1,16 +1,15 @@
 //! One table: every pipeline that builds a flowcube answers what the
 //! paper's definitions answer.
 //!
-//! The table and its rows are `common::table`; this suite runs every row
+//! The table and its rows are `flowcube_fixtures::table`; this suite runs every row
 //! on generated scenarios and on the paper's Table 1. The suites that own
 //! one contract (`build_derivations`, `sharded_differential`,
 //! `incremental_differential`) call their rows.
 
 use proptest::prelude::*;
 
-mod common;
-use common::scenario::{Scenario, Scenarios};
-use common::table::run_table;
+use flowcube_fixtures::scenario::{Scenario, Scenarios};
+use flowcube_fixtures::table::run_table;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

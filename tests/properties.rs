@@ -2,78 +2,11 @@
 //! algorithm invariants.
 
 use flowcube::flowgraph::{CountDist, FlowGraph};
-use flowcube::hier::{ConceptHierarchy, ConceptId, PathLatticeSpec, Schema};
+use flowcube::hier::PathLatticeSpec;
 use flowcube::mining::{mine_basic, mine_cubing, mine_shared, CubingConfig, TransactionDb};
-use flowcube::pathdb::{aggregate_stages, AggStage, MergePolicy, PathDatabase, PathRecord, Stage};
+use flowcube::pathdb::{aggregate_stages, AggStage, MergePolicy, PathDatabase};
+use flowcube_fixtures::scenario::{arb_db, small_schema};
 use proptest::prelude::*;
-
-/// A small fixed schema: 2 dims (2-level and 1-level), 2 location groups
-/// of 3 leaves.
-fn small_schema() -> Schema {
-    let mut d0 = ConceptHierarchy::new("d0");
-    for a in 0..2 {
-        for b in 0..2 {
-            d0.add_path([format!("a{a}"), format!("a{a}b{b}")]).unwrap();
-        }
-    }
-    let mut d1 = ConceptHierarchy::new("d1");
-    d1.add_path(["x"]).unwrap();
-    d1.add_path(["y"]).unwrap();
-    let mut loc = ConceptHierarchy::new("location");
-    for g in 0..2 {
-        for l in 0..3 {
-            loc.add_path([format!("g{g}"), format!("g{g}l{l}")])
-                .unwrap();
-        }
-    }
-    Schema::new(vec![d0, d1], loc)
-}
-
-/// Strategy: a random path database over the small schema.
-fn arb_db(max_records: usize) -> impl Strategy<Value = PathDatabase> {
-    let schema = small_schema();
-    let leaf_ids: Vec<ConceptId> = schema.locations().leaves().collect();
-    let d0_leaves: Vec<ConceptId> = schema.dim(0).leaves().collect();
-    let d1_leaves: Vec<ConceptId> = schema.dim(1).leaves().collect();
-    let record = (
-        0..d0_leaves.len(),
-        0..d1_leaves.len(),
-        prop::collection::vec((0..leaf_ids.len(), 0u32..6), 1..6),
-    );
-    prop::collection::vec(record, 1..=max_records).prop_map(move |rows| {
-        let mut db = PathDatabase::new(small_schema());
-        for (i, (a, b, stages)) in rows.into_iter().enumerate() {
-            let mut prev = usize::MAX;
-            let stages: Vec<Stage> = stages
-                .into_iter()
-                .filter(|&(l, _)| {
-                    let keep = l != prev;
-                    prev = l;
-                    keep
-                })
-                .map(|(l, d)| Stage::new(leaf_ids[l], d))
-                .collect();
-            if stages.is_empty() {
-                continue;
-            }
-            db.push(PathRecord::new(
-                i as u64,
-                vec![d0_leaves[a], d1_leaves[b]],
-                stages,
-            ))
-            .unwrap();
-        }
-        if db.is_empty() {
-            db.push(PathRecord::new(
-                999,
-                vec![d0_leaves[0], d1_leaves[0]],
-                vec![Stage::new(leaf_ids[0], 1)],
-            ))
-            .unwrap();
-        }
-        db
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

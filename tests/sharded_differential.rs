@@ -1,5 +1,5 @@
 //! The sharded build pipeline (DESIGN.md §13) against the single-node
-//! build, as rows of the one table (`common::table`): both snapshot to
+//! build, as rows of the one table (`flowcube_fixtures::table`): both snapshot to
 //! the reference cube's bytes, so to each other's.
 //!
 //! The contract, from the paper's Lemma 4.2: flowgraph counts are
@@ -14,10 +14,9 @@ use flowcube::federate::{shard_db, FederateError, ShardPart};
 use flowcube::{FlowCubeParams, PathLatticeSpec};
 use proptest::prelude::*;
 
-mod common;
-use common::scenario::{Scenario, Scenarios};
-use common::short_paths;
-use common::table::Case;
+use flowcube_fixtures::scenario::{Scenario, Scenarios};
+use flowcube_fixtures::short_paths;
+use flowcube_fixtures::table::Case;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]

@@ -21,71 +21,40 @@
 //! through `load_v1_cube` + `write_snapshot`, it answers like core.
 
 use flowcube::core::{display_key, view, CellKey, CuboidRead};
-use flowcube::datagen::{generate, GeneratorConfig};
 use flowcube::flowgraph::{path_probability, top_k_paths, ExceptionDetail, GraphRead};
 use flowcube::hier::PathLevelId;
-use flowcube::hier::{ConceptId, PathLatticeSpec, Schema};
+use flowcube::hier::{ConceptId, Schema};
 use flowcube::pathdb::AggStage;
 use flowcube::serve::http::Request;
 use flowcube::serve::{
-    handle_request, load_v1_cube, write_snapshot, AppState, RequestCtx, ResponseCache, ServedCube,
-    Snapshot,
+    handle_request, load_v1_cube, write_snapshot, AppState, RequestCtx, ServedCube, Snapshot,
 };
-use flowcube::testkit::temp_path;
-use flowcube::{FlowCube, FlowCubeParams, ItemPlan};
+use flowcube::FlowCube;
+use flowcube_fixtures::{
+    cell_spec, get_request, golden_v1_path, image, snapshot_bytes, Lattice, Scenario, Small,
+    TempSnapshot,
+};
 use proptest::prelude::*;
 use serde_json::{Number, Value};
 
-/// A small deterministic cube with exceptions on — the exception
-/// columns must survive the encoding too, not just the flowgraphs.
-fn small_cube(paths: usize, seed: u64, min_support: u64) -> FlowCube {
-    small_cube_and_records(paths, seed, min_support).0
+/// A small cube with exceptions on — the exception columns must survive
+/// the encoding too, not just the flowgraphs — under two path levels.
+fn scenario(paths: usize, seed: u64, min_support: u64) -> Scenario {
+    Scenario {
+        lattice: Lattice::Paper(2),
+        ..Scenario::small(seed, min_support).paths(paths)
+    }
 }
 
 /// The cube, and the distinct keys of its records in ascending order:
 /// leaf cells, most of which the iceberg does not keep, so a point
 /// lookup of one walks up to an ancestor.
 fn small_cube_and_records(paths: usize, seed: u64, min_support: u64) -> (FlowCube, Vec<CellKey>) {
-    let db = generate(&GeneratorConfig::small(paths, seed)).db;
+    let Small { db, cube, .. } = scenario(paths, seed, min_support).build();
     let mut keys: Vec<CellKey> = db.records().iter().map(|r| r.dims.clone()).collect();
     keys.sort_unstable();
     keys.dedup();
-    let cube = FlowCube::build(
-        &db,
-        PathLatticeSpec::paper(db.schema().locations(), 2),
-        FlowCubeParams::new(min_support).with_threads(1),
-        ItemPlan::All,
-    );
     (cube, keys)
-}
-
-fn get(path: &str, query: &[(&str, &str)]) -> Request {
-    Request {
-        method: "GET".to_string(),
-        path: path.to_string(),
-        query: query
-            .iter()
-            .map(|&(k, v)| (k.to_string(), v.to_string()))
-            .collect(),
-        headers: Vec::new(),
-        body: Vec::new(),
-    }
-}
-
-/// Render a cell key the way a client would spell it: value names,
-/// `*` for the all-aggregated root.
-fn cell_spec(key: &[ConceptId], schema: &Schema) -> String {
-    key.iter()
-        .enumerate()
-        .map(|(d, &c)| {
-            if c == ConceptId::ROOT {
-                "*".to_string()
-            } else {
-                schema.dim(d as u8).name_of(c).to_string()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 // ---- the core reference --------------------------------------------------
@@ -154,18 +123,21 @@ fn point_requests(cube: &FlowCube, key: &[ConceptId], pl: PathLevelId) -> Vec<(R
     let schema = cube.schema();
     let loc = schema.locations();
     let level = cube.spec().level(pl).name.clone();
-    let spec = cell_spec(key, schema);
+    let spec = cell_spec(schema, key);
     let shown = display_key(key, schema);
     let mut reqs = Vec::new();
     let Some(lk) = cube.lookup(key, pl) else {
         for path in ["/cell", "/paths/topk", "/exceptions"] {
-            reqs.push((get(path, &[("cell", &spec), ("level", &level)]), None));
+            reqs.push((
+                get_request(path, &[("cell", &spec), ("level", &level)]),
+                None,
+            ));
         }
         return reqs;
     };
     let source = display_key(lk.source_key, schema);
     reqs.push((
-        get("/cell", &[("cell", &spec), ("level", &level)]),
+        get_request("/cell", &[("cell", &spec), ("level", &level)]),
         Some(obj(vec![
             ("cell", text(&shown)),
             ("level", text(&level)),
@@ -179,7 +151,7 @@ fn point_requests(cube: &FlowCube, key: &[ConceptId], pl: PathLevelId) -> Vec<(R
     ));
     let top = top_k_paths(&lk.entry.graph, 3);
     reqs.push((
-        get(
+        get_request(
             "/paths/topk",
             &[("cell", &spec), ("level", &level), ("k", "3")],
         ),
@@ -214,7 +186,7 @@ fn point_requests(cube: &FlowCube, key: &[ConceptId], pl: PathLevelId) -> Vec<(R
             .collect::<Vec<_>>()
             .join(",");
         reqs.push((
-            get(
+            get_request(
                 "/paths/probability",
                 &[("cell", &spec), ("level", &level), ("path", &path)],
             ),
@@ -254,7 +226,7 @@ fn point_requests(cube: &FlowCube, key: &[ConceptId], pl: PathLevelId) -> Vec<(R
         })
         .collect();
     reqs.push((
-        get("/exceptions", &[("cell", &spec), ("level", &level)]),
+        get_request("/exceptions", &[("cell", &spec), ("level", &level)]),
         Some(obj(vec![
             ("cell", text(&source)),
             ("count", count(exceptions.len())),
@@ -286,13 +258,13 @@ fn request_matrix(cube: &FlowCube) -> Vec<(Request, Expected)> {
             .collect::<Vec<_>>()
             .join(",");
         for key in cuboid.keys_sorted() {
-            let spec = cell_spec(&key, schema);
+            let spec = cell_spec(schema, &key);
             let shown = display_key(&key, schema);
             reqs.extend(point_requests(cube, &key, pl));
             for dim in 0..schema.num_dims() {
                 let d = dim.to_string();
                 reqs.push((
-                    get(
+                    get_request(
                         "/rollup",
                         &[("cell", &spec), ("level", &level), ("dim", &d)],
                     ),
@@ -306,7 +278,7 @@ fn request_matrix(cube: &FlowCube) -> Vec<(Request, Expected)> {
                     }),
                 ));
                 reqs.push((
-                    get(
+                    get_request(
                         "/drilldown",
                         &[("cell", &spec), ("level", &level), ("dim", &d)],
                     ),
@@ -317,7 +289,7 @@ fn request_matrix(cube: &FlowCube) -> Vec<(Request, Expected)> {
                 let value = schema.dim(0).name_of(key[0]).to_string();
                 let expected = cell_rows(cube, cube.slice(&ck.item_level, pl, 0, key[0]));
                 reqs.push((
-                    get(
+                    get_request(
                         "/slice",
                         &[
                             ("at", &at),
@@ -329,7 +301,7 @@ fn request_matrix(cube: &FlowCube) -> Vec<(Request, Expected)> {
                     Some(expected.clone()),
                 ));
                 reqs.push((
-                    get(
+                    get_request(
                         "/dice",
                         &[
                             ("at", &at),
@@ -344,7 +316,7 @@ fn request_matrix(cube: &FlowCube) -> Vec<(Request, Expected)> {
         // The unconstrained dice enumerates the whole cuboid — a direct
         // probe of `keys_sorted` order.
         reqs.push((
-            get("/dice", &[("at", &at), ("level", &level)]),
+            get_request("/dice", &[("at", &at), ("level", &level)]),
             Some(cell_rows(cube, cube.dice(&ck.item_level, pl, |_| true))),
         ));
     }
@@ -415,16 +387,12 @@ proptest! {
             .count();
         prop_assert!(inexact > 0, "no record's leaf cell falls back");
         matrix.extend(fallbacks);
-        let tag = format!("{paths}-{seed}-{min_support}");
-        let file = temp_path(&format!("{tag}.snap"));
+        let file = TempSnapshot::new("endpoints.snap");
         write_snapshot(&cube, &file).expect("write");
 
-        let image = AppState::new(
-            ServedCube::from_cube(&cube).expect("encode image"),
-            ResponseCache::new(64),
-        );
+        let image = AppState::new(image(&cube), 64);
         let snapshot = Snapshot::open(&file).expect("open");
-        let from_file = AppState::new(ServedCube::from_snapshot(snapshot), ResponseCache::new(64));
+        let from_file = AppState::new(ServedCube::from_snapshot(snapshot), 64);
 
         let image_bodies = check_against_core(&image, &matrix, "image");
         let file_bodies = check_against_core(&from_file, &matrix, "file");
@@ -436,17 +404,11 @@ proptest! {
         // Re-encode stability: one canonical byte string per content.
         let reopened = Snapshot::open(&file).expect("reopen");
         let reloaded = ServedCube::from_snapshot(reopened).folded_cube().expect("load");
-        let rewrite = temp_path(&format!("{tag}-rewrite.snap"));
-        write_snapshot(&reloaded, &rewrite).expect("rewrite");
         prop_assert_eq!(
             std::fs::read(&file).expect("read"),
-            std::fs::read(&rewrite).expect("read rewrite"),
+            snapshot_bytes(&reloaded),
             "write → open → load → rewrite is not byte-stable"
         );
-
-        for p in [&file, &rewrite] {
-            let _ = std::fs::remove_file(p);
-        }
     }
 
     /// Property 2: `CuboidRead` / `GraphRead` over a columnar section ≡
@@ -457,8 +419,8 @@ proptest! {
         seed in 0u64..1000,
         min_support in 2u64..10,
     ) {
-        let cube = small_cube(paths, seed, min_support);
-        let file = temp_path(&format!("ops-{paths}-{seed}-{min_support}.snap"));
+        let cube = scenario(paths, seed, min_support).build().cube;
+        let file = TempSnapshot::new("ops.snap");
         write_snapshot(&cube, &file).expect("write");
         let snapshot = Snapshot::open(&file).expect("open");
 
@@ -502,7 +464,6 @@ proptest! {
             let apex = vec![ConceptId::ROOT; cube.schema().num_dims()];
             prop_assert_eq!(section.contains(&apex), cuboid.get(&apex).is_some());
         }
-        let _ = std::fs::remove_file(&file);
     }
 }
 
@@ -511,17 +472,12 @@ proptest! {
 /// cube the v1 reader decoded.
 #[test]
 fn golden_v1_upgrade_answers_like_core() {
-    let fixture = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/crates/serve/tests/fixtures/golden_v1.snap"
-    );
-    let cube = load_v1_cube(fixture).expect("read golden v1");
-    let upgraded = temp_path("golden-upgraded.snap");
+    let cube = load_v1_cube(golden_v1_path()).expect("read golden v1");
+    let upgraded = TempSnapshot::new("golden-upgraded.snap");
     write_snapshot(&cube, &upgraded).expect("write upgrade");
     let snapshot = Snapshot::open(&upgraded).expect("open upgrade");
-    let state = AppState::new(ServedCube::from_snapshot(snapshot), ResponseCache::new(64));
+    let state = AppState::new(ServedCube::from_snapshot(snapshot), 64);
     let matrix = request_matrix(&cube);
     assert!(!matrix.is_empty());
     check_against_core(&state, &matrix, "golden upgrade");
-    let _ = std::fs::remove_file(&upgraded);
 }
