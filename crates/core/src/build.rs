@@ -205,6 +205,7 @@ pub(crate) fn build(
     let (levels, retries) = Levels::new(db, &spec, params);
     stats.chunk_retries += retries;
     stats.prepare_time = prepare_timer.stop();
+    flowcube_obs::rss::record_hwm("build.prepare");
 
     // ---- Phase 4: count every cell at every path level, one work item
     // per (cell, location cut).
@@ -277,6 +278,7 @@ pub(crate) fn build(
         }
     }
     let mut materialize_time = materialize_timer.stop();
+    flowcube_obs::rss::record_hwm("build.materialize");
 
     // ---- Phase 5: non-redundancy (Definition 4.4), decided on the
     // counts against every parent's counts at the same path level.
@@ -319,6 +321,7 @@ pub(crate) fn build(
         }
     }
     stats.redundancy_time = redundancy_timer.stop();
+    flowcube_obs::rss::record_hwm("build.redundancy");
 
     // ---- Phase 6: a flowgraph for each stored (cell, level) — already
     // written when τ is unset.
@@ -348,6 +351,7 @@ pub(crate) fn build(
             .map(|(&item, g)| (item / num_levels, (item % num_levels) as PathLevelId, g))
             .collect();
         materialize_time += graphs_timer.stop();
+        flowcube_obs::rss::record_hwm("build.graphs");
     }
     let graphs_built = stored.len();
     let mut cuboids: FxHashMap<CuboidKey, Cuboid> = FxHashMap::default();
@@ -399,6 +403,7 @@ pub(crate) fn build(
     }
     stats.chunk_retries += attach_exceptions(&mut cuboids, &pending, &levels, params);
     stats.materialize_time = materialize_time + exceptions_timer.stop();
+    flowcube_obs::rss::record_hwm("build.exceptions");
 
     if flowcube_obs::is_enabled() {
         flowcube_obs::gauge_set("build.frequent_cells", stats.frequent_cells as f64);
@@ -423,6 +428,7 @@ fn run_mining(
     let timer = Timer::start("build.encode");
     let tx = TransactionDb::encode(db, spec.clone(), params.merge);
     stats.encode_time = timer.stop();
+    flowcube_obs::rss::record_hwm("build.encode");
     let timer = Timer::start("build.mine");
     let shared = |config: SharedConfig| mine(&tx, &config.with_threads(params.threads));
     let (mined, algo_prefix): (FrequentItemsets, &str) = match params.algorithm {
@@ -447,6 +453,7 @@ fn run_mining(
     };
     stats.mining = mined.stats.clone();
     stats.mining_time = timer.stop();
+    flowcube_obs::rss::record_hwm("build.mine");
     mined.stats.publish(algo_prefix);
     (tx, mined)
 }

@@ -27,7 +27,7 @@ fn field_u64(v: &Value, key: &str) -> Option<u64> {
 fn federated_answers_match_single_node() {
     let db = generate(&GeneratorConfig::small(90, 21)).db;
     let single = server_at(&shard_cube(&db), "127.0.0.1:0");
-    let (groups, front) = federation(&db, 2, 1, |_| {});
+    let (groups, front) = federation(shard_cube, &db, 2, 1, |_| {});
 
     // Apex cell: supports partition across shards and sum back exactly.
     let fed_body = get_ok(front.addr(), "/cell?cell=*,*&level=loc0/dur0");
@@ -162,7 +162,7 @@ fn federated_answers_match_single_node() {
 #[test]
 fn single_shard_federation_is_byte_transparent() {
     let db = generate(&GeneratorConfig::small(40, 33)).db;
-    let (groups, front) = federation(&db, 1, 1, |_| {});
+    let (groups, front) = federation(shard_cube, &db, 1, 1, |_| {});
 
     for target in [
         "/cell?cell=*,*&level=loc0/dur0",
@@ -188,7 +188,7 @@ fn single_shard_federation_is_byte_transparent() {
 #[test]
 fn dead_shard_degrades_to_partial() {
     let db = generate(&GeneratorConfig::small(60, 47)).db;
-    let (mut groups, front) = federation(&db, 2, 1, |_| {});
+    let (mut groups, front) = federation(shard_cube, &db, 2, 1, |_| {});
 
     // Healthy first.
     let healthy = get_ok(front.addr(), "/cell?cell=*,*&level=loc0/dur0");
@@ -229,7 +229,7 @@ fn dead_shard_degrades_to_partial() {
 #[test]
 fn front_survives_malformed_and_hostile_input() {
     let db = generate(&GeneratorConfig::small(40, 52)).db;
-    let (groups, front) = federation(&db, 2, 1, |_| {});
+    let (groups, front) = federation(shard_cube, &db, 2, 1, |_| {});
     let addr = front.addr();
 
     for (raw, want) in hostile_requests() {
@@ -287,7 +287,7 @@ fn front_sheds_with_429_and_retry_after() {
 #[test]
 fn request_id_is_in_the_fronts_flight_ring() {
     let db = generate(&GeneratorConfig::small(40, 53)).db;
-    let (groups, front) = federation(&db, 2, 1, |_| {});
+    let (groups, front) = federation(shard_cube, &db, 2, 1, |_| {});
 
     let target = "/cell?cell=*,*&level=loc0/dur0";
     let (status, headers, _) = get(front.addr(), target, &[("X-Request-Id", "abc-1")]);

@@ -22,7 +22,7 @@ use flowcube_federate::{
     serve_front, shard_db, BreakerConfig, FrontConfig, FrontHandle, HedgePolicy, ReplicaSet,
 };
 use flowcube_fixtures::{
-    counter, federation, parse, serial, server_at, shard_cube, shutdown_all, stop,
+    counter, federation, parse, serial, server_at, shard_counts, shutdown_all, stop,
 };
 use flowcube_obs::flight::{self, FlightKind};
 use flowcube_pathdb::PathDatabase;
@@ -98,7 +98,7 @@ fn flight_kinds() -> Vec<FlightKind> {
 fn hedge_first_reply_wins_and_abandons_the_slow_replica() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(50, 71)).db;
-    let (groups, front) = federation(&db, 1, 2, |c| {
+    let (groups, front) = federation(shard_counts, &db, 1, 2, |c| {
         c.hedge = HedgePolicy::Fixed(Duration::from_millis(20));
     });
 
@@ -160,7 +160,7 @@ fn hedge_first_reply_wins_and_abandons_the_slow_replica() {
 fn hedge_pair_is_never_gathered_twice() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(60, 72)).db;
-    let (groups, front) = federation(&db, 2, 2, |c| {
+    let (groups, front) = federation(shard_counts, &db, 2, 2, |c| {
         c.hedge = HedgePolicy::Fixed(Duration::from_millis(15));
     });
 
@@ -197,7 +197,7 @@ fn hedge_pair_is_never_gathered_twice() {
 fn exhausted_budget_suppresses_the_hedge() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(40, 73)).db;
-    let (groups, front) = federation(&db, 1, 2, |c| {
+    let (groups, front) = federation(shard_counts, &db, 1, 2, |c| {
         c.hedge = HedgePolicy::Fixed(Duration::from_millis(10));
         c.retry_budget = 0;
     });
@@ -237,7 +237,7 @@ fn exhausted_budget_suppresses_the_hedge() {
 fn breaker_opens_on_failures_and_probe_closes_it() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(40, 74)).db;
-    let (groups, front) = federation(&db, 1, 2, |c| {
+    let (groups, front) = federation(shard_counts, &db, 1, 2, |c| {
         c.hedge = HedgePolicy::Off;
         c.breaker = BreakerConfig {
             failure_threshold: 1,
@@ -295,7 +295,7 @@ fn breaker_opens_on_failures_and_probe_closes_it() {
 fn one_dead_replica_per_shard_keeps_every_answer_full() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(80, 75)).db;
-    let (mut groups, front) = federation(&db, 2, 2, |_| {});
+    let (mut groups, front) = federation(shard_counts, &db, 2, 2, |_| {});
 
     for _ in 0..5 {
         assert_full_answer(&front, &db, "healthy");
@@ -330,7 +330,7 @@ fn one_dead_replica_per_shard_keeps_every_answer_full() {
 fn front_worker_panic_is_counted_and_respawned() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(40, 76)).db;
-    let (groups, front) = federation(&db, 2, 1, |_| {});
+    let (groups, front) = federation(shard_counts, &db, 2, 1, |_| {});
 
     // Exactly one request panics its worker; the client sees a hangup.
     flowcube_testkit::arm_times("federate.worker.request", 1, FailAction::Panic(None));
@@ -371,7 +371,7 @@ fn front_worker_panic_is_counted_and_respawned() {
 fn shard_connections_are_pooled_not_opened_per_attempt() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(60, 77)).db;
-    let (groups, front) = federation(&db, 2, 1, |_| {});
+    let (groups, front) = federation(shard_counts, &db, 2, 1, |_| {});
 
     let accepted = family("serve.connections.accepted");
     for i in 0..20 {
@@ -398,7 +398,7 @@ fn shard_connections_are_pooled_not_opened_per_attempt() {
 fn stale_pooled_connection_is_resent_not_reported() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(60, 78)).db;
-    let (mut groups, front) = federation(&db, 2, 1, |_| {});
+    let (mut groups, front) = federation(shard_counts, &db, 2, 1, |_| {});
     assert_full_answer(&front, &db, "before the restart");
     assert_eq!(pooled(&front, 0, 0), 1, "the front holds a connection");
 
@@ -407,7 +407,7 @@ fn stale_pooled_connection_is_resent_not_reported() {
     let addr = old.addr().to_string();
     stop(old);
     let shard = shard_db(&db, 2, 0).expect("shard splits");
-    groups[0].push(server_at(&shard_cube(&shard), &addr));
+    groups[0].push(server_at(&shard_counts(&shard), &addr));
 
     let selected = family("federate.replica.selected");
     assert_full_answer(&front, &db, "after the restart");
@@ -441,7 +441,7 @@ fn stale_pooled_connection_is_resent_not_reported() {
 fn torn_read_on_a_pooled_connection_drops_the_socket() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(40, 79)).db;
-    let (groups, front) = federation(&db, 1, 1, |_| {});
+    let (groups, front) = federation(shard_counts, &db, 1, 1, |_| {});
     assert_full_answer(&front, &db, "warm-up");
     assert_eq!(pooled(&front, 0, 0), 1);
 
@@ -486,7 +486,7 @@ fn torn_read_on_a_pooled_connection_drops_the_socket() {
 fn hedge_losers_socket_is_pooled_only_after_its_whole_response() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(50, 80)).db;
-    let (groups, front) = federation(&db, 1, 2, |c| {
+    let (groups, front) = federation(shard_counts, &db, 1, 2, |c| {
         c.hedge = HedgePolicy::Fixed(Duration::from_millis(20));
     });
 
@@ -536,7 +536,7 @@ fn hedge_losers_socket_is_pooled_only_after_its_whole_response() {
 fn breaker_open_empties_the_replicas_pool() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(40, 81)).db;
-    let (groups, front) = federation(&db, 1, 2, |c| {
+    let (groups, front) = federation(shard_counts, &db, 1, 2, |c| {
         c.hedge = HedgePolicy::Off;
         c.breaker = BreakerConfig {
             failure_threshold: 1,
@@ -664,7 +664,7 @@ fn a_hung_connect_stalls_neither_the_hedge_nor_the_other_shard() {
         assert!(queued.len() < 4096, "the accept queue never filled");
     }
     let shard_timeout = Duration::from_secs(1);
-    let (groups, front) = federation(&db, 2, 2, |c| {
+    let (groups, front) = federation(shard_counts, &db, 2, 2, |c| {
         c.backends[0].replicas[1] = hung_addr.to_string();
         c.hedge = HedgePolicy::Fixed(Duration::from_millis(20));
         c.shard_timeout = shard_timeout;
@@ -696,7 +696,7 @@ fn a_hung_connect_stalls_neither_the_hedge_nor_the_other_shard() {
 fn warm_front_spawns_no_attempt_workers() {
     let _guard = lock_globals();
     let db = generate(&GeneratorConfig::small(60, 82)).db;
-    let (groups, front) = federation(&db, 2, 2, |_| {});
+    let (groups, front) = federation(shard_counts, &db, 2, 2, |_| {});
 
     // One forced hedge first, so the background thread starts now and not
     // during the steady reads: shard 0's first primary (replica 0, where

@@ -27,7 +27,7 @@ pub mod table;
 pub use scenario::{Lattice, Scenario, Small};
 pub use servers::{
     cell_spec, counter, federation, front_over, gauge, get_request, image, ingest, parse, server,
-    server_at, shard_cube, shutdown_all, stop,
+    server_at, shard_counts, shard_cube, shutdown_all, stop,
 };
 
 use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};

@@ -41,6 +41,23 @@ pub fn current_rss_bytes() -> Option<u64> {
     None
 }
 
+/// With recording on, set the gauge `process.hwm_mb{phase="<phase>"}`
+/// to the process's peak RSS so far, in MB. Each build phase and the
+/// snapshot writer call it as they end, so the gauges rise phase by
+/// phase, and the first phase whose gauge reads the final value is the
+/// one that set the high-water mark.
+pub fn record_hwm(phase: &str) {
+    if !crate::is_enabled() {
+        return;
+    }
+    if let Some(bytes) = peak_rss_bytes() {
+        crate::gauge_set(
+            &crate::labeled("process.hwm_mb", &[("phase", phase)]),
+            bytes as f64 / 1e6,
+        );
+    }
+}
+
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     #[test]

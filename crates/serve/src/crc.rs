@@ -7,9 +7,16 @@
 //! sixteen dependent ones. `TABLES[0]` is the classic bytewise table and
 //! finishes the sub-16-byte tail; the unit tests hold the kernel to the
 //! bytewise loop at every length, alignment and split point.
+//!
+//! [`crc32_combine`] joins the CRCs of two pieces into the CRC of their
+//! concatenation without the bytes: the snapshot writer builds a file's
+//! CRC from its header's, index's and sections' CRCs.
 
 /// Bytes folded per step of [`Crc32::update`].
 const STRIDE: usize = 16;
+
+/// The generator polynomial, bit-reflected.
+const POLY: u32 = 0xEDB8_8320;
 
 /// `TABLES[0][b]` is the CRC state after byte `b`; `TABLES[k][b]` is the
 /// state after byte `b` followed by `k` zero bytes.
@@ -21,7 +28,7 @@ const fn build_tables() -> [[u32; 256]; STRIDE] {
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ POLY
             } else {
                 crc >> 1
             };
@@ -47,23 +54,17 @@ static TABLES: [[u32; 256]; STRIDE] = build_tables();
 
 /// A running CRC-32: feed it the bytes in any number of pieces, in
 /// order, and [`Crc32::finish`] is the CRC of their concatenation.
-#[derive(Clone, Copy, Debug)]
-pub struct Crc32 {
+/// Pieces that are CRC'd apart join with [`crc32_combine`].
+struct Crc32 {
     state: u32,
 }
 
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
-}
-
 impl Crc32 {
-    pub fn new() -> Crc32 {
+    fn new() -> Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    pub fn update(&mut self, bytes: &[u8]) {
+    fn update(&mut self, bytes: &[u8]) {
         let mut crc = self.state;
         let mut blocks = bytes.chunks_exact(STRIDE);
         for block in &mut blocks {
@@ -93,7 +94,7 @@ impl Crc32 {
         self.state = crc;
     }
 
-    pub fn finish(&self) -> u32 {
+    fn finish(&self) -> u32 {
         !self.state
     }
 }
@@ -103,6 +104,58 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = Crc32::new();
     crc.update(bytes);
     crc.finish()
+}
+
+/// `a · b mod P` over GF(2), both reflected (bit 31 is x⁰). `a` must not
+/// be zero — every power of x the callers pass is not.
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0u32;
+    loop {
+        if a & m != 0 {
+            p ^= b;
+            if a & (m - 1) == 0 {
+                return p;
+            }
+        }
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+}
+
+/// `X2N[k]` is x^(2^k) mod P.
+static X2N: [u32; 32] = {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x¹
+    table[0] = p;
+    let mut k = 1;
+    while k < 32 {
+        p = multmodp(p, p);
+        table[k] = p;
+        k += 1;
+    }
+    table
+};
+
+/// x^(n · 2^k) mod P.
+fn x2nmodp(mut n: u64, mut k: usize) -> u32 {
+    let mut p = 1u32 << 31; // x⁰
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(X2N[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// The CRC-32 of `a ++ b` from `crc32(a)`, `crc32(b)` and `b.len()`,
+/// without the bytes (zlib's `crc32_combine`): shifting `a`'s CRC past
+/// `len_b` bytes is multiplying it by x^(8·len_b) mod P, and the
+/// pre- and post-conditioning cancel. O(log len_b).
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    multmodp(x2nmodp(len_b, 3), crc_a) ^ crc_b
 }
 
 #[cfg(test)]
@@ -173,6 +226,44 @@ mod tests {
             crc.update(&buf[..split]);
             crc.update(&buf[split..]);
             assert_eq!(crc.finish(), whole, "split={split}");
+        }
+    }
+
+    /// Its definition: combining the CRCs of the two halves of a buffer,
+    /// split anywhere (either half empty too), is the CRC of the whole.
+    #[test]
+    fn combine_of_a_split_equals_one_shot() {
+        for (len, seed) in [(0, 30), (1, 31), (67, 32), (300, 33), (4099, 34)] {
+            let buf = random_bytes(len, seed);
+            let whole = crc32(&buf);
+            for split in 0..=buf.len() {
+                let (a, b) = buf.split_at(split);
+                assert_eq!(
+                    crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                    whole,
+                    "len={len} split={split}"
+                );
+            }
+        }
+    }
+
+    /// Folded over many parts of uneven sizes, empty ones among them,
+    /// combining gives the one-shot CRC: how the writer computes a
+    /// file's CRC from its pieces.
+    #[test]
+    fn combine_folded_over_many_parts_equals_one_shot() {
+        let mut rng = StdRng::seed_from_u64(35);
+        for round in 0..20 {
+            let buf = random_bytes(rng.gen_range(0..20_000usize), 36 + round);
+            let mut crc = crc32(b"");
+            let mut rest = &buf[..];
+            while !rest.is_empty() {
+                let take = rng.gen_range(0..=rest.len().min(3000));
+                let (part, tail) = rest.split_at(take);
+                crc = crc32_combine(crc, crc32(part), part.len() as u64);
+                rest = tail;
+            }
+            assert_eq!(crc, crc32(&buf), "round={round}");
         }
     }
 }

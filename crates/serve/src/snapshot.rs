@@ -43,24 +43,28 @@
 //!
 //! Cuboid sections are independent: each is a pure function of its
 //! cuboid and the string table, and each is checked against its own CRC.
-//! The writer encodes + checksums them, and [`Snapshot::verify_all`] /
-//! first-query hydration read + checksum + validate them, as one chunk
-//! per section on the workspace's chunk runner (`run_sections`).
-//! Results come back in section order, so neither the bytes written nor
-//! the error reported can depend on the thread count.
+//! The writer streams them: workers plan, encode and checksum a window
+//! of a few sections at a time, and the calling thread hands each to
+//! its sink in section order as it is done (`stream_cuboids`) — so a
+//! write holds a few sections, never the file.
+//! [`Snapshot::verify_all`] reads + checksums + validates them as one
+//! chunk per section on the workspace's chunk runner (`run_sections`).
+//! Either way results arrive in section order, so neither the bytes
+//! written nor the error reported can depend on the thread count.
 
 use crate::columnar::{ColumnarSection, SectionPlan, StringTable, StringsCtx};
-use crate::crc::{crc32, Crc32};
+use crate::crc::{crc32, crc32_combine};
 use crate::error::SnapshotError;
 use flowcube_core::parallel::run_chunks_counted;
 use flowcube_core::{Cuboid, CuboidKey, FlowCube, FlowCubeParams};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::fs::File;
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// First 8 bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"FCUBSNAP";
@@ -99,8 +103,9 @@ pub struct SnapshotInfo {
     pub sections: usize,
     pub cuboids: usize,
     pub bytes: u64,
-    /// CRC-32 of the whole file, folded over the bytes as they were
-    /// written.
+    /// CRC-32 of the whole file, combined from the CRCs of its header,
+    /// its index and its sections ([`crate::crc::crc32_combine`]) rather
+    /// than computed over its bytes.
     pub crc: u32,
 }
 
@@ -135,7 +140,7 @@ pub(crate) fn check_failpoint(name: &str) -> Result<(), SnapshotError> {
 /// workers as they go, since sections differ in size by orders of
 /// magnitude — under the cube's own thread policy. Results are in index
 /// order at any thread count.
-pub(crate) fn run_sections<R: Send>(
+fn run_sections<R: Send>(
     name: &'static str,
     params: &FlowCubeParams,
     n: usize,
@@ -203,21 +208,33 @@ fn canonical_stats(stats: &flowcube_core::BuildStats) -> flowcube_core::BuildSta
     s
 }
 
-/// Encode `cube` as the chunks of a snapshot container, in file order:
-/// header, index, then one payload per section. The file writers and the
-/// in-memory image ([`Snapshot::from_cube`]) are all exactly these
-/// bytes. `extra` is one more metadata section, after the strings table.
+/// Cuboid sections in flight at once per writer worker. The writer
+/// holds this many plans and section buffers per worker, never the
+/// whole file.
+const SECTIONS_PER_WORKER: usize = 2;
+
+/// Where [`encode_sections`] hands each finished section, in file
+/// order. A sink that keeps the bytes takes the buffer
+/// (`std::mem::take`); one that leaves it lets the encoder reuse it.
+type Sink<'s> = dyn FnMut(&mut Vec<u8>) -> Result<(), SnapshotError> + 's;
+
+/// Encode `cube`'s sections in file order — the metadata sections,
+/// `extra` after the strings table, then the cuboids in sorted key
+/// order — handing each to `sink` as soon as it is encoded and
+/// checksummed; returns the index that describes them. The file writer
+/// and the in-memory image ([`Snapshot::from_cube`]) are this one
+/// encoder with two sinks.
 ///
-/// The pipeline is intern → count → (encode in place → CRC, per cuboid,
-/// in parallel) → index. Nothing a worker computes depends on which
-/// worker computed it or when, and every section has its own buffer at
-/// its sorted position, so the bytes are the serial bytes at any thread
-/// count.
-fn encode_container(
+/// The pipeline is intern → (plan → allocate → encode in place → CRC →
+/// sink, per cuboid, through [`stream_cuboids`]'s window). Nothing a
+/// worker computes depends on which worker computed it or when, and the
+/// sink sees the sections in sorted order, so the bytes are the serial
+/// bytes at any thread count.
+fn encode_sections(
     cube: &FlowCube,
     extra: Option<(&'static str, Vec<u8>)>,
-) -> Result<Vec<Vec<u8>>, SnapshotError> {
-    // Metadata sections first, then cuboids in deterministic order.
+    sink: &mut Sink<'_>,
+) -> Result<Vec<SectionDesc>, SnapshotError> {
     let mut cuboids: Vec<(&CuboidKey, &Cuboid)> = cube.cuboids().collect();
     cuboids.sort_by(|a, b| a.0.cmp(b.0));
     let strings = {
@@ -236,60 +253,242 @@ fn encode_container(
         (KIND_STRINGS, strings.table.encode()),
     ];
     meta.extend(extra);
-    // Workers count and workers fill, but the section buffers are
-    // allocated here in between: one a worker thread allocated could not
-    // reuse the memory the build just freed on this thread, and the
-    // process's high-water mark would pay for it.
-    let plans = run_sections("serve.snapshot.plan", cube.params(), cuboids.len(), |i| {
-        SectionPlan::new(cuboids[i].1, &strings)
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
-    let sections: Vec<Mutex<Vec<u8>>> = plans
-        .iter()
-        .map(|plan| Mutex::new(vec![0u8; plan.byte_len()]))
-        .collect();
-    let crcs = run_sections("serve.snapshot.encode", cube.params(), plans.len(), |i| {
-        let mut section = sections[i].lock();
-        plans[i].write(&strings, &mut section)?;
-        Ok(crc32(&section))
-    })
-    .into_iter()
-    .collect::<Result<Vec<u32>, SnapshotError>>()?;
-    let encoded = sections.into_iter().map(Mutex::into_inner).zip(crcs);
 
     let mut index: Vec<SectionDesc> = Vec::with_capacity(meta.len() + cuboids.len());
-    // Header and index lead the file but are known last.
-    let mut chunks: Vec<Vec<u8>> = vec![Vec::new(); 2];
-    let mut offset = 0u64;
-    let meta = meta
-        .into_iter()
-        .map(|(kind, bytes)| (kind, None, crc32(&bytes), bytes));
-    let cuboids = cuboids
-        .iter()
-        .zip(encoded)
-        .map(|(&(key, _), (bytes, crc))| (KIND_CUBOID, Some(key.clone()), crc, bytes));
-    for (kind, cuboid, crc, bytes) in meta.chain(cuboids) {
+    let mut emit = |kind: &str, cuboid: Option<&CuboidKey>, crc: u32, section: &mut Vec<u8>| {
         index.push(SectionDesc {
             kind: kind.into(),
-            cuboid,
-            offset,
-            len: bytes.len() as u64,
+            cuboid: cuboid.cloned(),
+            offset: index.last().map_or(0, |s| s.offset + s.len),
+            len: section.len() as u64,
             crc,
         });
-        offset += bytes.len() as u64;
-        chunks.push(bytes);
+        sink(section)
+    };
+    for (kind, mut bytes) in meta {
+        let crc = crc32(&bytes);
+        emit(kind, None, crc, &mut bytes)?;
     }
-    let index_bytes = encode("index", &index)?;
+    stream_cuboids(&cuboids, &strings, cube.params(), |i, crc, section| {
+        emit(KIND_CUBOID, Some(cuboids[i].0), crc, section)
+    })?;
+    Ok(index)
+}
 
+/// One step of a cuboid section's encoding.
+enum Job<'a> {
+    /// Sort and count the cells of cuboid `i`.
+    Plan(usize),
+    /// Write cuboid `i`'s section into its zeroed buffer and checksum it.
+    Encode(usize, SectionPlan<'a>, Vec<u8>),
+}
+
+/// What a [`Job`] produced.
+enum Done<'a> {
+    Planned(SectionPlan<'a>),
+    Encoded(u32),
+}
+
+/// A job handed back with its outcome; `Err` when it panicked.
+type Finished<'a> = (
+    Job<'a>,
+    std::thread::Result<Result<Done<'a>, SnapshotError>>,
+);
+
+fn run_job<'a>(
+    job: &mut Job<'a>,
+    cuboids: &[(&'a CuboidKey, &'a Cuboid)],
+    strings: &StringsCtx,
+) -> Result<Done<'a>, SnapshotError> {
+    // The workspace's chunk failpoint, as the chunk runner evaluates it.
+    flowcube_testkit::fail_point_unit("mining.chunk");
+    match job {
+        Job::Plan(i) => {
+            let _span = flowcube_obs::span!("serve.snapshot.plan");
+            SectionPlan::new(cuboids[*i].1, strings).map(Done::Planned)
+        }
+        Job::Encode(_, plan, section) => {
+            plan.write(strings, section)?;
+            Ok(Done::Encoded(crc32(section)))
+        }
+    }
+}
+
+/// Where [`stream_cuboids`] runs its jobs.
+enum Lanes<'a> {
+    /// On the calling thread, as they are submitted.
+    Inline(VecDeque<Finished<'a>>),
+    /// On worker threads, which hang up when `jobs` is dropped.
+    Workers {
+        jobs: mpsc::Sender<Job<'a>>,
+        done: mpsc::Receiver<Finished<'a>>,
+    },
+}
+
+impl<'a> Lanes<'a> {
+    fn submit(
+        &mut self,
+        mut job: Job<'a>,
+        cuboids: &[(&'a CuboidKey, &'a Cuboid)],
+        strings: &StringsCtx,
+    ) {
+        match self {
+            Lanes::Inline(done) => {
+                let outcome = run_job(&mut job, cuboids, strings);
+                done.push_back((job, Ok(outcome)));
+            }
+            // Cannot fail: the queue's receiving end outlives the hub.
+            Lanes::Workers { jobs, .. } => {
+                let _ = jobs.send(job);
+            }
+        }
+    }
+
+    /// The next finished job. Only workers that all died outside a job
+    /// leave nothing to wait for.
+    fn next(&mut self) -> Result<Finished<'a>, SnapshotError> {
+        let next = match self {
+            Lanes::Inline(done) => done.pop_front(),
+            Lanes::Workers { done, .. } => done.recv().ok(),
+        };
+        next.ok_or_else(|| SnapshotError::Io {
+            path: "serve.snapshot.encode".into(),
+            detail: "the writer's workers exited early".into(),
+        })
+    }
+}
+
+/// Encode every cuboid section and hand it to `sink(i, crc, section)`
+/// in index order, with at most [`SECTIONS_PER_WORKER`] sections per
+/// worker in flight: a section is planned, encoded, checksummed, sunk
+/// and its buffer reused before the window moves past it, so the
+/// writer's memory is a few sections, not the file.
+///
+/// Workers plan and encode; the calling thread is the hub. It sizes each
+/// section's buffer between the two steps, from a pool of the window's
+/// buffers that it owns and reuses, and it alone calls the sink. The
+/// buffers are allocated here, not on the workers, on purpose: memory a
+/// worker allocates comes from that thread's malloc arena, which keeps
+/// it resident once freed — the same lesson as BUC's tid lists (DESIGN
+/// §14). A job whose worker panics is redone here, once, like a chunk
+/// of the chunk runner; a second panic propagates.
+fn stream_cuboids<'a>(
+    cuboids: &[(&'a CuboidKey, &'a Cuboid)],
+    strings: &StringsCtx,
+    params: &FlowCubeParams,
+    mut sink: impl FnMut(usize, u32, &mut Vec<u8>) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    let n = cuboids.len();
+    let threads = params.threads_for(n);
+    let window = threads * SECTIONS_PER_WORKER;
+    let mut hub = |mut lanes: Lanes<'a>| -> Result<(), SnapshotError> {
+        let mut pool: Vec<Vec<u8>> = Vec::with_capacity(window);
+        // Finished sections by `i % window`, until their turn.
+        let mut ready: Vec<Option<(Vec<u8>, u32)>> = (0..window).map(|_| None).collect();
+        let mut admitted = n.min(window);
+        for i in 0..admitted {
+            lanes.submit(Job::Plan(i), cuboids, strings);
+        }
+        let mut sunk = 0;
+        while sunk < n {
+            let (mut job, outcome) = lanes.next()?;
+            let done = match outcome {
+                Ok(done) => done?,
+                Err(_) => {
+                    flowcube_obs::counter_add("mining.chunk.retries", 1);
+                    run_job(&mut job, cuboids, strings)?
+                }
+            };
+            match (job, done) {
+                (Job::Plan(i), Done::Planned(plan)) => {
+                    let section = take_buffer(&mut pool, plan.byte_len());
+                    lanes.submit(Job::Encode(i, plan, section), cuboids, strings);
+                }
+                (Job::Encode(i, _, section), Done::Encoded(crc)) => {
+                    ready[i % window] = Some((section, crc));
+                    while let Some((mut section, crc)) = ready[sunk % window].take() {
+                        sink(sunk, crc, &mut section)?;
+                        pool.push(section);
+                        sunk += 1;
+                        if admitted < n {
+                            lanes.submit(Job::Plan(admitted), cuboids, strings);
+                            admitted += 1;
+                        }
+                    }
+                }
+                _ => unreachable!("a job's outcome is of its own kind"),
+            }
+        }
+        Ok(())
+    };
+    if threads <= 1 {
+        let _lane = flowcube_obs::span!("serve.snapshot.encode", worker = 0usize);
+        return hub(Lanes::Inline(VecDeque::new()));
+    }
+    let (jobs, queue) = mpsc::channel::<Job<'a>>();
+    let (finished, done) = mpsc::channel::<Finished<'a>>();
+    let queue = Mutex::new(queue);
+    std::thread::scope(|scope| {
+        for worker in 0..threads {
+            let (queue, finished) = (&queue, finished.clone());
+            scope.spawn(move || {
+                let _lane = flowcube_obs::span!("serve.snapshot.encode", worker = worker);
+                loop {
+                    // The guard drops with this statement: no worker
+                    // holds the queue while it works.
+                    let Ok(mut job) = queue.lock().recv() else {
+                        return;
+                    };
+                    // AssertUnwindSafe: a panicked job's partial state is
+                    // its own — the hub redoes it from the start.
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        run_job(&mut job, cuboids, strings)
+                    }));
+                    if finished.send((job, outcome)).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+        drop(finished);
+        // The hub owns both channel ends: however it returns, the workers
+        // hang up and the scope joins them.
+        hub(Lanes::Workers { jobs, done })
+    })
+}
+
+/// A zeroed buffer of `len` bytes for the next section: the pooled
+/// buffer that fits it best, unless more than half of it would go
+/// unused, else a new one in place of a pooled one. So there are never
+/// more buffers than the window has sections, and a buffer is never
+/// much larger than the section it holds, whatever the sections' sizes.
+fn take_buffer(pool: &mut Vec<Vec<u8>>, len: usize) -> Vec<u8> {
+    let best = (0..pool.len())
+        .filter(|&i| pool[i].capacity() >= len)
+        .min_by_key(|&i| pool[i].capacity());
+    match best {
+        Some(i) if pool[i].capacity() / 2 <= len => {
+            let mut buffer = pool.swap_remove(i);
+            buffer.clear();
+            buffer.resize(len, 0);
+            return buffer;
+        }
+        Some(i) => drop(pool.swap_remove(i)),
+        None => drop(pool.pop()),
+    }
+    vec![0; len]
+}
+
+/// The header and the JSON index that lead a container whose data
+/// region `index` describes.
+fn frame(index: &[SectionDesc]) -> Result<[Vec<u8>; 2], SnapshotError> {
+    let index_bytes = encode("index", &index)?;
     let mut header = Vec::with_capacity(HEADER_LEN as usize);
     header.extend_from_slice(&MAGIC);
     header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     header.extend_from_slice(&(index_bytes.len() as u64).to_le_bytes());
     header.extend_from_slice(&crc32(&index_bytes).to_le_bytes());
-    chunks[0] = header;
-    chunks[1] = index_bytes;
-    Ok(chunks)
+    Ok([header, index_bytes])
 }
 
 /// Serialize `cube` into a snapshot file at `path` (format
@@ -300,11 +499,16 @@ fn encode_container(
 /// always produces byte-identical snapshots — even when built with
 /// different thread counts.
 ///
-/// The bytes go to a sibling temp file that is renamed over `path` once
-/// complete: a process that holds the old file open (a running `serve`)
-/// keeps reading the old, whole inode, and a writer that dies leaves
-/// `path` as it was. No fsync — a crash-durable replacement is
-/// compaction's marker protocol ([`crate::compact`]), not this function.
+/// The sections stream through a window of a few per worker into a
+/// spool file — unlinked as soon as it is open — while their CRCs fill
+/// the index; the header and index then go to a sibling temp file, the
+/// spool is copied behind them in the kernel, and the temp file is
+/// renamed over `path`. So a write holds a few sections in memory, never
+/// the file; a process that holds the old file open (a running `serve`)
+/// keeps reading the old, whole inode; and a writer that fails leaves
+/// `path` and its directory as they were. No fsync — a crash-durable
+/// replacement is compaction's marker protocol ([`crate::compact`]), not
+/// this function.
 pub fn write_snapshot(
     cube: &FlowCube,
     path: impl AsRef<Path>,
@@ -328,45 +532,76 @@ fn write_container(
     extra: Option<(&'static str, Vec<u8>)>,
     path: &Path,
 ) -> Result<SnapshotInfo, SnapshotError> {
-    let _span = flowcube_obs::span!("serve.snapshot.write");
-    let chunks = encode_container(cube, extra)?;
+    let span = flowcube_obs::span!("serve.snapshot.write");
     let tmp = sibling(path, &format!(".write-tmp.{}", std::process::id()));
-    let written = write_chunks(&tmp, &chunks).and_then(|crc| {
+    let written = write_file(cube, extra, path, &tmp).and_then(|info| {
         std::fs::rename(&tmp, path)
             .map_err(|e| io_err(path, e))
-            .map(|()| crc)
+            .map(|()| info)
     });
-    match written {
-        Ok(crc) => {
-            let bytes = chunks.iter().map(|c| c.len() as u64).sum();
-            flowcube_obs::counter_add("serve.snapshot.bytes_written", bytes);
-            Ok(SnapshotInfo {
-                // Everything after the header and the index.
-                sections: chunks.len() - 2,
-                cuboids: cube.num_cuboids(),
-                bytes,
-                crc,
-            })
-        }
-        Err(e) => {
+    match &written {
+        Ok(info) => flowcube_obs::counter_add("serve.snapshot.bytes_written", info.bytes),
+        Err(_) => {
             let _ = std::fs::remove_file(&tmp);
-            Err(e)
         }
     }
+    drop(span);
+    flowcube_obs::rss::record_hwm("serve.snapshot.write");
+    written
 }
 
-/// Write `chunks` to a new file at `tmp`; the CRC of everything written.
-fn write_chunks(tmp: &Path, chunks: &[Vec<u8>]) -> Result<u32, SnapshotError> {
+/// Stream `cube`'s data region to a spool beside `path`, then write the
+/// header, the index and the spooled data region to a new file at `tmp`.
+fn write_file(
+    cube: &FlowCube,
+    extra: Option<(&'static str, Vec<u8>)>,
+    path: &Path,
+    tmp: &Path,
+) -> Result<SnapshotInfo, SnapshotError> {
+    // The header and index lead the file but hold every section's CRC,
+    // so the data region is written first. Its spool is unlinked as soon
+    // as it is open: no writer, failed or killed, leaves it behind.
+    let spool_path = sibling(path, &format!(".write-spool.{}", std::process::id()));
+    let mut spool = File::options()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&spool_path)
+        .map_err(|e| io_err(&spool_path, e))?;
+    std::fs::remove_file(&spool_path).map_err(|e| io_err(&spool_path, e))?;
+    let index = encode_sections(cube, extra, &mut |section| {
+        // Fault injection: the writer dies between two sections.
+        check_failpoint("serve.snapshot.spool")?;
+        spool.write_all(section).map_err(|e| io_err(&spool_path, e))
+    })?;
+    let [header, index_bytes] = frame(&index)?;
+
     let _span = flowcube_obs::span!("serve.snapshot.file_write");
-    let mut file = File::create(tmp).map_err(|e| io_err(tmp, e))?;
-    let mut crc = Crc32::new();
-    for chunk in chunks {
-        file.write_all(chunk).map_err(|e| io_err(tmp, e))?;
-        crc.update(chunk);
-    }
+    let io = |e| io_err(tmp, e);
+    let mut file = File::create(tmp).map_err(io)?;
+    file.write_all(&header).map_err(io)?;
+    file.write_all(&index_bytes).map_err(io)?;
+    spool.seek(SeekFrom::Start(0)).map_err(io)?;
+    // File to file: `copy_file_range` on Linux, so the data region is
+    // copied in the kernel and never comes back through this process.
+    let data_len = std::io::copy(&mut spool, &mut file).map_err(io)?;
     // Fault injection: the writer dies with the temp file on disk.
     check_failpoint("serve.snapshot.write")?;
-    Ok(crc.finish())
+    // The file's CRC from its pieces' CRCs, without a pass over the bytes.
+    let head = crc32_combine(
+        crc32(&header),
+        crc32(&index_bytes),
+        index_bytes.len() as u64,
+    );
+    Ok(SnapshotInfo {
+        sections: index.len(),
+        cuboids: cube.num_cuboids(),
+        bytes: (header.len() + index_bytes.len()) as u64 + data_len,
+        crc: index
+            .iter()
+            .fold(head, |crc, s| crc32_combine(crc, s.crc, s.len)),
+    })
 }
 
 /// Where a container's bytes live. Everything above `Source::read_at`
@@ -374,9 +609,9 @@ fn write_chunks(tmp: &Path, chunks: &[Vec<u8>]) -> Result<u32, SnapshotError> {
 /// the same code for both.
 enum Source {
     File(File),
-    /// The container's chunks as [`encode_container`] produced them, in
-    /// file order — never concatenated, so an in-process cube is held
-    /// once.
+    /// The container in file order — header, index, then every section
+    /// as [`encode_sections`] handed it over — never concatenated, so an
+    /// in-process cube is held once.
     Image(Vec<Vec<u8>>),
 }
 
@@ -622,7 +857,12 @@ impl Snapshot {
     /// Encode `cube` into an in-memory image and open it through the
     /// same validation as a file.
     pub(crate) fn from_cube(cube: &FlowCube) -> Result<Snapshot, SnapshotError> {
-        let chunks = encode_container(cube, None)?;
+        let mut sections = Vec::new();
+        let index = encode_sections(cube, None, &mut |section| {
+            sections.push(std::mem::take(section));
+            Ok(())
+        })?;
+        let chunks = frame(&index)?.into_iter().chain(sections).collect();
         let container = Container::parse(Source::Image(chunks), Path::new("<image>"))?;
         Snapshot::new(container, None)
     }

@@ -2,8 +2,9 @@
 //! a process holding the old file open keeps a whole snapshot, and a
 //! writer that fails leaves `path` and its directory as they were.
 //!
-//! One test, so the process-global `serve.snapshot.write` failpoint has
-//! no concurrent writer to land in.
+//! One test, so the process-global `serve.snapshot.write` and
+//! `serve.snapshot.spool` failpoints have no concurrent writer to land
+//! in.
 
 use flowcube_fixtures::small_cube;
 use flowcube_serve::{write_snapshot, ServedCube, Snapshot, SnapshotError};
@@ -69,6 +70,29 @@ fn a_write_onto_a_served_path_replaces_the_file_atomically() {
         other => panic!("expected the injected Io error, got {other:?}"),
     }
     assert_eq!(listing(), ["cube.snap"], "no temp file after a failure");
+    assert_eq!(std::fs::read(&path).unwrap(), on_disk);
+
+    // The writer fails between two sections, its data region half
+    // spooled: the same error, and neither the spool nor a temp file is
+    // left beside `path`.
+    flowcube_testkit::arm_after(
+        "serve.snapshot.spool",
+        7,
+        FailAction::ReturnErr(Some("disk full".into())),
+    );
+    let failed = write_snapshot(&old, &path);
+    let fired = flowcube_testkit::hits("serve.snapshot.spool");
+    flowcube_testkit::reset();
+    assert_eq!(fired, 1, "the fault must land between two sections");
+    match failed {
+        Err(SnapshotError::Io { detail, .. }) => assert!(detail.contains("disk full")),
+        other => panic!("expected the injected Io error, got {other:?}"),
+    }
+    assert_eq!(
+        listing(),
+        ["cube.snap"],
+        "no spool and no temp file after a failure between sections"
+    );
     assert_eq!(std::fs::read(&path).unwrap(), on_disk);
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -9,9 +9,14 @@
 //! and then asks [`allocations_in`] what a closure allocates. It counts
 //! only on the calling thread, and only inside that call, so the test
 //! harness's own threads do not count.
+//!
+//! [`peak_growth_in`] asks the other question, how much memory a closure
+//! holds at once: the process-wide high-water of live heap bytes while
+//! it runs, the closure's worker threads included.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 
 /// The system allocator, counting the allocations of threads that ask
 /// for it.
@@ -31,25 +36,55 @@ fn note_allocation() {
     });
 }
 
+/// Whether [`peak_growth_in`] is running; live bytes are tracked only
+/// then.
+static TRACKING: AtomicBool = AtomicBool::new(false);
+/// Heap bytes live now, relative to when tracking started: frees of
+/// older blocks take it below zero.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+/// The most `LIVE` has read since tracking started.
+static PEAK: AtomicI64 = AtomicI64::new(0);
+
+fn note_live(delta: i64) {
+    if TRACKING.load(Ordering::Relaxed) {
+        let now = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+        PEAK.fetch_max(now, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every call goes straight to `System`; counting touches only
-// const-initialised thread locals, which allocate nothing.
+// const-initialised thread locals and static atomics, which allocate
+// nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_allocation();
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            note_live(layout.size() as i64);
+        }
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note_allocation();
-        System.alloc_zeroed(layout)
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            note_live(layout.size() as i64);
+        }
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note_allocation();
-        System.realloc(ptr, layout, new_size)
+        let moved = System.realloc(ptr, layout, new_size);
+        if !moved.is_null() {
+            note_live(new_size as i64 - layout.size() as i64);
+        }
+        moved
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -62,4 +97,17 @@ pub fn allocations_in(f: impl FnOnce()) -> u64 {
     f();
     COUNTING.with(|on| on.set(false));
     ALLOCATIONS.with(Cell::get)
+}
+
+/// The most heap, across all threads, that was live above its level at
+/// the call's start while `f` ran, in bytes. Reads 0 unless [`Counting`]
+/// is the global allocator. The measure is process-wide, so calls must
+/// not overlap, and other threads allocating meanwhile count too.
+pub fn peak_growth_in(f: impl FnOnce()) -> u64 {
+    LIVE.store(0, Ordering::Relaxed);
+    PEAK.store(0, Ordering::Relaxed);
+    TRACKING.store(true, Ordering::SeqCst);
+    f();
+    TRACKING.store(false, Ordering::SeqCst);
+    PEAK.load(Ordering::Relaxed).max(0) as u64
 }

@@ -127,6 +127,8 @@ struct Entry {
     action: FailAction,
     /// `None` = unlimited; `Some(n)` = fires `n` more times.
     remaining: Option<u64>,
+    /// Visits still to pass quietly before the point fires.
+    skip: u64,
     hits: u64,
 }
 
@@ -202,6 +204,10 @@ fn fire(name: &str) -> Option<FailAction> {
     if entry.action == FailAction::Off {
         return None;
     }
+    if entry.skip > 0 {
+        entry.skip -= 1;
+        return None;
+    }
     if let Some(remaining) = &mut entry.remaining {
         if *remaining == 0 {
             return None;
@@ -233,16 +239,22 @@ fn act(name: &str, action: FailAction) -> Option<Fault> {
 
 /// Arm `name` to fire `action` on every visit until [`disarm`]/[`reset`].
 pub fn arm(name: &str, action: FailAction) {
-    arm_entry(name, action, None);
+    arm_entry(name, action, None, 0);
 }
 
 /// Arm `name` with a trigger budget: fires on the first `times` visits,
 /// then goes quiet (hits keep counting the fired visits only).
 pub fn arm_times(name: &str, times: u64, action: FailAction) {
-    arm_entry(name, action, Some(times));
+    arm_entry(name, action, Some(times), 0);
 }
 
-fn arm_entry(name: &str, action: FailAction, remaining: Option<u64>) {
+/// Arm `name` to let its first `skip` visits pass, then fire once: a
+/// fault that lands part-way through a loop of visits.
+pub fn arm_after(name: &str, skip: u64, action: FailAction) {
+    arm_entry(name, action, Some(1), skip);
+}
+
+fn arm_entry(name: &str, action: FailAction, remaining: Option<u64>, skip: u64) {
     let mut reg = REGISTRY.lock();
     let hits = reg.get(name).map_or(0, |e| e.hits);
     reg.insert(
@@ -250,6 +262,7 @@ fn arm_entry(name: &str, action: FailAction, remaining: Option<u64>) {
         Entry {
             action,
             remaining,
+            skip,
             hits,
         },
     );
@@ -422,6 +435,18 @@ mod tests {
             assert!(fail_point("flaky").is_some());
             assert!(fail_point("flaky").is_none());
             assert_eq!(hits("flaky"), 2, "exhausted visits do not count as hits");
+        });
+    }
+
+    #[test]
+    fn arm_after_passes_the_first_visits_then_fires_once() {
+        with_clean_registry(|| {
+            arm_after("late", 2, FailAction::ReturnErr(None));
+            assert!(fail_point("late").is_none());
+            assert!(fail_point("late").is_none());
+            assert!(fail_point("late").is_some());
+            assert!(fail_point("late").is_none());
+            assert_eq!(hits("late"), 1);
         });
     }
 

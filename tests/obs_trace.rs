@@ -203,6 +203,52 @@ fn parallel_build_chrome_trace_wellformed() {
     assert!(snapshot.gauges.contains_key("process.peak_rss_bytes"));
 }
 
+/// The high-water mark has an owner: with metrics on, every build phase
+/// and the snapshot write leave a `process.hwm_mb{phase=…}` gauge, and
+/// in phase order the gauges never fall, so the first one that reads
+/// the final value names the phase that set the peak.
+#[cfg(target_os = "linux")]
+#[test]
+fn every_phase_records_the_high_water_mark_so_far() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    obs::reset();
+    obs::enable();
+    let db = test_db();
+    let spec = two_level_spec(&db);
+    let params = FlowCubeParams::new(20).with_redundancy(0.05);
+    let cube = FlowCube::build(&db, spec, params, ItemPlan::All);
+    let snap = flowcube::testkit::temp_path("obs-hwm.snap");
+    flowcube::serve::write_snapshot(&cube, &snap).expect("snapshot writes");
+    let _ = std::fs::remove_file(&snap);
+    let gauges = obs::snapshot().gauges;
+    obs::disable();
+    obs::reset();
+
+    let hwm: Vec<f64> = [
+        "build.encode",
+        "build.mine",
+        "build.prepare",
+        "build.materialize",
+        "build.redundancy",
+        "build.graphs",
+        "build.exceptions",
+        "serve.snapshot.write",
+    ]
+    .iter()
+    .map(|phase| {
+        let series = obs::labeled("process.hwm_mb", &[("phase", phase)]);
+        *gauges
+            .get(&series)
+            .unwrap_or_else(|| panic!("no high-water gauge for {phase}"))
+    })
+    .collect();
+    assert!(hwm[0] > 0.0, "{hwm:?}");
+    assert!(
+        hwm.windows(2).all(|pair| pair[0] <= pair[1]),
+        "the high-water mark fell between phases: {hwm:?}"
+    );
+}
+
 #[test]
 fn metrics_cover_all_three_algorithms() {
     let _guard = OBS_LOCK.lock().unwrap();
