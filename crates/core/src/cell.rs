@@ -128,7 +128,7 @@ impl Cuboid {
     }
 
     /// The one fold of an assembled cube: add `parts` into this cuboid
-    /// ([`Cuboid::merge_from`], Lemma 4.2), then cut at `min_support`
+    /// (`Cuboid::merge_from`, Lemma 4.2), then cut at `min_support`
     /// **once**, over the summed supports. A partition merge, a delta
     /// apply, a served overlay and a compaction all fold through here, so
     /// a cell the parts only lift over δ together survives in each.

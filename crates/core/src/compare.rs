@@ -6,7 +6,7 @@
 //! the comparisons Vassiliadis's cube algebra names: containment and
 //! overlap (cells on one side only) and distance (per shared cell, the
 //! supports, the exception lists, the redundancy marks and the exact per-node
-//! [`flowgraph::diff`](flowcube_flowgraph::diff)).
+//! [`flowgraph::diff`](fn@flowcube_flowgraph::diff)).
 
 use crate::cell::{display_key, CellEntry, CellKey, CuboidKey};
 use crate::cube::FlowCube;

@@ -108,8 +108,9 @@ pub fn partial_params(full: &FlowCubeParams) -> FlowCubeParams {
 }
 
 /// Which item-lattice levels get materialized (§5, "Partial
-/// Materialization", after Han et al.'s minimum/observation-layer
-/// strategy).
+/// Materialization"). Han et al.'s minimum/observation-layer strategy
+/// is a [`ItemPlan::Selected`] list: the minimum layer, the observation
+/// layer and the popular cuboids between them.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub enum ItemPlan {
     /// Materialize every frequent cell at every item level.
@@ -117,16 +118,6 @@ pub enum ItemPlan {
     All,
     /// Materialize only the listed item levels.
     Selected(Vec<ItemLevel>),
-    /// Materialize a minimum layer, an observation layer, and selected
-    /// cuboids on popular drill paths between them.
-    Layers {
-        /// Most aggregated layer users ever need.
-        minimum: ItemLevel,
-        /// Layer where most analysis happens (more detailed).
-        observation: ItemLevel,
-        /// Extra cuboids between the two layers.
-        popular: Vec<ItemLevel>,
-    },
 }
 
 impl ItemPlan {
@@ -135,11 +126,6 @@ impl ItemPlan {
         match self {
             ItemPlan::All => true,
             ItemPlan::Selected(levels) => levels.contains(level),
-            ItemPlan::Layers {
-                minimum,
-                observation,
-                popular,
-            } => level == minimum || level == observation || popular.contains(level),
         }
     }
 
@@ -148,17 +134,6 @@ impl ItemPlan {
         match self {
             ItemPlan::All => None,
             ItemPlan::Selected(levels) => Some(levels.clone()),
-            ItemPlan::Layers {
-                minimum,
-                observation,
-                popular,
-            } => Some(
-                [minimum, observation]
-                    .into_iter()
-                    .chain(popular)
-                    .cloned()
-                    .collect(),
-            ),
         }
     }
 }
@@ -204,14 +179,5 @@ mod tests {
         let sel = ItemPlan::Selected(vec![ItemLevel(vec![0, 0]), ItemLevel(vec![1, 1])]);
         assert!(sel.includes(&ItemLevel(vec![1, 1])));
         assert!(!sel.includes(&ItemLevel(vec![0, 1])));
-        let layers = ItemPlan::Layers {
-            minimum: ItemLevel(vec![1, 0]),
-            observation: ItemLevel(vec![2, 1]),
-            popular: vec![ItemLevel(vec![2, 0])],
-        };
-        assert!(layers.includes(&ItemLevel(vec![1, 0])));
-        assert!(layers.includes(&ItemLevel(vec![2, 1])));
-        assert!(layers.includes(&ItemLevel(vec![2, 0])));
-        assert!(!layers.includes(&ItemLevel(vec![1, 1])));
     }
 }

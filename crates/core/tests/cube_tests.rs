@@ -137,11 +137,7 @@ fn plan_restricts_materialized_levels() {
     let spec = PathLatticeSpec::paper(db.schema().locations(), 4);
     let observation = ItemLevel(vec![2, 2]);
     let minimum = ItemLevel(vec![1, 1]);
-    let plan = ItemPlan::Layers {
-        minimum: minimum.clone(),
-        observation: observation.clone(),
-        popular: vec![],
-    };
+    let plan = ItemPlan::Selected(vec![minimum.clone(), observation.clone()]);
     let cube = FlowCube::build(&db, spec, FlowCubeParams::new(2), plan);
     for (ck, _) in cube.cuboids() {
         assert!(

@@ -3,16 +3,16 @@
 //! Speaks the dialect the serving layer's hand-rolled server speaks:
 //! persistent connections, every response framed by `Content-Length`,
 //! JSON bodies. Every response is read through one incremental
-//! [`ResponseParser`]: it is fed bytes as they arrive, scans only the
+//! `ResponseParser`: it is fed bytes as they arrive, scans only the
 //! ones that are new for the end of the head, and refuses a head longer
 //! than [`MAX_HEAD_BYTES`] — a peer that dribbles an endless head costs
 //! at most that much memory, not a socket timeout's worth. Two call
 //! shapes:
 //!
-//! * [`Attempt`] — one `GET` under a hard time budget that never blocks:
+//! * `Attempt` — one `GET` under a hard time budget that never blocks:
 //!   connect (non-blocking, `EINPROGRESS` then writable then
 //!   [`TcpStream::take_error`]) → send → read → done, advanced by
-//!   [`Attempt::step`] whenever `poll(2)` says its socket is ready or its
+//!   `Attempt::step` whenever `poll(2)` says its socket is ready or its
 //!   budget runs out. The front's request coordinator drives its shard
 //!   attempts this way, all in one `poll` (`crate::replica`). The attempt
 //!   rides a connection from the replica's [`Pool`] when one is idle

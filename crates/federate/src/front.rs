@@ -24,7 +24,7 @@
 //! The fan-out hands nothing to another thread while the request is
 //! open. The front worker answering the request is the coordinator of
 //! every shard leg and owns its attempts' sockets: each attempt is a
-//! non-blocking state machine ([`crate::client::Attempt`]), and the
+//! non-blocking state machine (`client::Attempt`), and the
 //! worker waits in one `poll(2)` over them until a socket is ready, the
 //! earliest pending hedge, an attempt's socket budget, or the request's
 //! deadline. Every data attempt forwards the request's id — the one the

@@ -28,12 +28,12 @@
 //! Attempts ride persistent connections: each replica owns a small pool
 //! of idle ones ([`client::Pool`]), emptied when its breaker opens. A
 //! pooled connection the replica had already closed costs one resend on
-//! a fresh connection inside [`client::Attempt`]; only that attempt's
+//! a fresh connection inside `client::Attempt`; only that attempt's
 //! outcome reaches the breaker, the retry budget and the metrics below.
 //! Half-open probes never use the pool.
 //!
 //! The coordinator owns its attempts' sockets. Each attempt is a
-//! non-blocking [`client::Attempt`] wrapped in a `Flight` (which replica,
+//! non-blocking `client::Attempt` wrapped in a `Flight` (which replica,
 //! which leg, what its end records), and one `poll(2)` over the request's
 //! few sockets waits for whichever comes first: a socket ready, the
 //! earliest hedge instant, an attempt's socket budget, or the request's

@@ -11,7 +11,7 @@
 
 use flowcube_datagen::{generate, GeneratorConfig};
 use flowcube_federate::{serve_front, FrontConfig, ReplicaSet};
-use flowcube_fixtures::{counter, federation, parse, server_at, shard_cube, shutdown_all, stop};
+use flowcube_fixtures::{counter, federation, parse, server_at, shard_cube, shutdown_all};
 use flowcube_testkit::http::{
     get, get_ok, header, hostile_requests, parse_response, raw_roundtrip, third_connection,
 };
@@ -154,7 +154,7 @@ fn federated_answers_match_single_node() {
     assert_eq!(field_u64(&exc, "count"), Some(listed as u64));
 
     shutdown_all(groups, front);
-    stop(single);
+    single.stop();
 }
 
 /// Degenerate single-shard federation is transparent: the front passes
@@ -197,7 +197,7 @@ fn dead_shard_degrades_to_partial() {
 
     // Kill shard 1.
     for dead in groups.remove(1) {
-        stop(dead);
+        dead.stop();
     }
 
     let (status, headers, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
@@ -213,7 +213,7 @@ fn dead_shard_degrades_to_partial() {
 
     // Kill the last shard: nothing to degrade to → 503 + Retry-After.
     for dead in groups.remove(0) {
-        stop(dead);
+        dead.stop();
     }
     let (status, headers, body) = get(front.addr(), "/cell?cell=*,*&level=loc0/dur0", &[]);
     assert_eq!(status, 503, "got {body:?}");

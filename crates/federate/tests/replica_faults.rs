@@ -22,7 +22,7 @@ use flowcube_federate::{
     serve_front, shard_db, BreakerConfig, FrontConfig, FrontHandle, HedgePolicy, ReplicaSet,
 };
 use flowcube_fixtures::{
-    counter, federation, parse, serial, server_at, shard_counts, shutdown_all, stop,
+    counter, federation, parse, serial, server_at, shard_counts, shutdown_all,
 };
 use flowcube_obs::flight::{self, FlightKind};
 use flowcube_pathdb::PathDatabase;
@@ -303,7 +303,7 @@ fn one_dead_replica_per_shard_keeps_every_answer_full() {
     // Kill replica 1 of every shard mid-run.
     for group in &mut groups {
         let dead = group.remove(1);
-        stop(dead);
+        dead.stop();
     }
     for _ in 0..30 {
         assert_full_answer(&front, &db, "one replica per shard dead");
@@ -405,7 +405,7 @@ fn stale_pooled_connection_is_resent_not_reported() {
     // Restart shard 0's only replica where it was.
     let old = groups[0].remove(0);
     let addr = old.addr().to_string();
-    stop(old);
+    old.stop();
     let shard = shard_db(&db, 2, 0).expect("shard splits");
     groups[0].push(server_at(&shard_counts(&shard), &addr));
 

@@ -3,7 +3,7 @@
 //!
 //! - [`small_cube`] and [`Scenario::small`]: the cube a suite builds
 //!   when it needs *a* cube, with its database, lattice and parameters;
-//! - [`reference`], [`scenario`], [`table`]: the one table — every
+//! - [`reference`](mod@reference), [`scenario`], [`table`]: the one table — every
 //!   pipeline that builds a flowcube answers what the paper's
 //!   definitions answer (`tests/pipelines.rs` runs it);
 //! - [`servers`]: a server over a cube, an N-shard × R-replica
@@ -26,8 +26,8 @@ pub mod table;
 
 pub use scenario::{Lattice, Scenario, Small};
 pub use servers::{
-    cell_spec, counter, federation, front_over, gauge, get_request, image, ingest, parse, server,
-    server_at, shard_counts, shard_cube, shutdown_all, stop,
+    cell_spec, counter, cube_server, federation, front_over, gauge, get_request, ingest, parse,
+    served_file, server, server_at, shard_counts, shard_cube, shutdown_all, stop, CubeServer,
 };
 
 use flowcube_core::{FlowCube, FlowCubeParams, ItemPlan};
@@ -103,10 +103,10 @@ pub fn temp_file(name: &str) -> PathBuf {
     temp_path(&format!("{}-{name}", NEXT.fetch_add(1, Ordering::Relaxed)))
 }
 
-/// A scratch snapshot path unique to this value. It and the files a
-/// served snapshot gathers beside it — the delta sidecar, compaction's
-/// marker and temp files — are removed when it is made and when it
-/// drops.
+/// A scratch snapshot path unique to this value. It and every sibling
+/// the serve crate writes beside it — named `<snapshot>.<suffix>`: the
+/// delta sidecar, compaction's marker and temp files, the writer's temp
+/// file — are removed when it is made and when it drops.
 pub struct TempSnapshot(PathBuf);
 
 impl TempSnapshot {
@@ -124,10 +124,23 @@ impl TempSnapshot {
     }
 
     fn remove(&self) {
-        for suffix in ["", ".deltas", ".compact", ".compact-tmp", ".compact.tmp"] {
-            let mut name = self.0.as_os_str().to_os_string();
-            name.push(suffix);
-            let _ = std::fs::remove_file(name);
+        let _ = std::fs::remove_file(&self.0);
+        let (Some(dir), Some(name)) = (self.0.parent(), self.0.file_name()) else {
+            return;
+        };
+        let mut prefix = name.to_os_string();
+        prefix.push(".");
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            if entry
+                .file_name()
+                .as_encoded_bytes()
+                .starts_with(prefix.as_encoded_bytes())
+            {
+                let _ = std::fs::remove_file(entry.path());
+            }
         }
     }
 }
@@ -177,4 +190,33 @@ pub fn golden_v1_cube() -> FlowCube {
 /// The checked-in format-1 snapshot.
 pub fn golden_v1_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../serve/tests/fixtures/golden_v1.snap")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Dropping a `TempSnapshot` removes every `<snapshot>.<suffix>`
+    /// sibling — a trim's `.deltas.tmp` and a writer's `.write-tmp.<pid>`
+    /// among them — and leaves a file that only shares its name's start.
+    #[test]
+    fn a_temp_snapshot_removes_every_sibling() {
+        let snapshot = TempSnapshot::new("siblings.snap");
+        let beside = |suffix: &str| {
+            let mut name = snapshot.as_os_str().to_os_string();
+            name.push(suffix);
+            PathBuf::from(name)
+        };
+        let siblings = ["", ".deltas", ".deltas.tmp", ".compact.tmp", ".write-tmp.7"].map(beside);
+        let stranger = beside("-other");
+        for file in siblings.iter().chain([&stranger]) {
+            std::fs::write(file, b"x").expect("scratch file writes");
+        }
+        drop(snapshot);
+        for file in &siblings {
+            assert!(!file.exists(), "{} is left", file.display());
+        }
+        assert!(stranger.exists(), "a file that is no sibling went");
+        std::fs::remove_file(&stranger).expect("stranger removes");
+    }
 }

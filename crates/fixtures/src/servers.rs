@@ -1,19 +1,27 @@
 //! Servers over a cube, a federation of them, and the requests and
 //! answers in-process suites exchange with them.
 
+use crate::TempSnapshot;
 use flowcube_core::{CubeDelta, FlowCube, FlowCubeParams, ItemPlan};
 use flowcube_federate::{serve_front, shard_db, FrontConfig, FrontHandle, ReplicaSet};
 use flowcube_hier::{ConceptId, PathLatticeSpec, Schema};
 use flowcube_pathdb::PathDatabase;
 use flowcube_serve::http::Request;
-use flowcube_serve::{serve_cube, ServedCube, ServerConfig, ServerHandle};
+use flowcube_serve::{serve_cube, write_snapshot, ServedCube, ServerConfig, ServerHandle};
 use flowcube_testkit::http::ok;
 use serde_json::Value;
 use std::net::SocketAddr;
+use std::ops::Deref;
 
-/// `cube` encoded as an in-memory image.
-pub fn image(cube: &FlowCube) -> ServedCube {
-    ServedCube::from_cube(cube).expect("encode image")
+/// `cube` written to a scratch snapshot and opened from it, as `flowcube
+/// serve` opens one. Keep the snapshot as long as the server or state
+/// the cube backs: ingest and compaction write beside it, and reload
+/// reads it.
+pub fn served_file(cube: &FlowCube) -> (TempSnapshot, ServedCube) {
+    let snapshot = TempSnapshot::new("served.snap");
+    write_snapshot(cube, &snapshot).expect("snapshot writes");
+    let (served, _) = ServedCube::open(&snapshot).expect("snapshot opens");
+    (snapshot, served)
 }
 
 /// A server over `served`.
@@ -21,15 +29,47 @@ pub fn server(served: ServedCube, config: ServerConfig) -> ServerHandle {
     serve_cube(served, config).expect("server starts")
 }
 
-/// A two-worker server over `cube`'s image on `addr` — `127.0.0.1:0`
-/// for a fresh port, or a replica's old address to restart it there.
-pub fn server_at(cube: &FlowCube, addr: &str) -> ServerHandle {
+/// A server over a cube's own scratch snapshot ([`cube_server`]). It
+/// derefs to its [`ServerHandle`]; [`CubeServer::stop`] stops it and
+/// then removes the snapshot.
+pub struct CubeServer {
+    handle: ServerHandle,
+    _snapshot: TempSnapshot,
+}
+
+impl CubeServer {
+    /// Shut the server down, wait for its threads, remove its snapshot.
+    pub fn stop(self) {
+        stop(self.handle);
+    }
+}
+
+impl Deref for CubeServer {
+    type Target = ServerHandle;
+
+    fn deref(&self) -> &ServerHandle {
+        &self.handle
+    }
+}
+
+/// A server over `cube`, served from its [`served_file`].
+pub fn cube_server(cube: &FlowCube, config: ServerConfig) -> CubeServer {
+    let (snapshot, served) = served_file(cube);
+    CubeServer {
+        handle: server(served, config),
+        _snapshot: snapshot,
+    }
+}
+
+/// A two-worker [`cube_server`] on `addr` — `127.0.0.1:0` for a fresh
+/// port, or a replica's old address to restart it there.
+pub fn server_at(cube: &FlowCube, addr: &str) -> CubeServer {
     let config = ServerConfig {
         addr: addr.to_string(),
         workers: 2,
         ..Default::default()
     };
-    server(image(cube), config)
+    cube_server(cube, config)
 }
 
 /// `db` cubed as a shard of a [`federation`] is: the leaf path level at
@@ -56,7 +96,7 @@ pub fn federation(
     shards: u32,
     replicas: usize,
     tune: impl FnOnce(&mut FrontConfig),
-) -> (Vec<Vec<ServerHandle>>, FrontHandle) {
+) -> (Vec<Vec<CubeServer>>, FrontHandle) {
     let shard = |k| cube(&shard_db(db, shards, k).expect("shard splits"));
     front_over(&(0..shards).map(shard).collect::<Vec<_>>(), replicas, tune)
 }
@@ -68,15 +108,15 @@ pub fn front_over(
     cubes: &[FlowCube],
     replicas: usize,
     tune: impl FnOnce(&mut FrontConfig),
-) -> (Vec<Vec<ServerHandle>>, FrontHandle) {
-    let groups: Vec<Vec<ServerHandle>> = (cubes.iter())
+) -> (Vec<Vec<CubeServer>>, FrontHandle) {
+    let groups: Vec<Vec<CubeServer>> = (cubes.iter())
         .map(|cube| {
             (0..replicas)
                 .map(|_| server_at(cube, "127.0.0.1:0"))
                 .collect()
         })
         .collect();
-    let replica_set = |group: &Vec<ServerHandle>| ReplicaSet {
+    let replica_set = |group: &Vec<CubeServer>| ReplicaSet {
         replicas: group.iter().map(|b| b.addr().to_string()).collect(),
     };
     let mut config = FrontConfig {
@@ -96,10 +136,10 @@ pub fn stop(server: ServerHandle) {
 }
 
 /// Stop the front, then every server of every shard.
-pub fn shutdown_all(groups: Vec<Vec<ServerHandle>>, front: FrontHandle) {
+pub fn shutdown_all(groups: Vec<Vec<CubeServer>>, front: FrontHandle) {
     front.shutdown();
     front.join();
-    groups.into_iter().flatten().for_each(stop);
+    groups.into_iter().flatten().for_each(CubeServer::stop);
 }
 
 /// Post `delta` to the server at `addr`; the answer must be a `200`.

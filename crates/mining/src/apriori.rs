@@ -5,6 +5,7 @@
 
 use crate::bitmap::TidRows;
 use crate::item::ItemId;
+use crate::parallel::{balanced_chunks, run_chunks_counted};
 use flowcube_hier::FxHashSet;
 use serde::{Deserialize, Serialize};
 
@@ -190,10 +191,12 @@ fn charge_prune(stats: &mut MiningStats, reason: PruneReason) {
 /// lexicographically.
 ///
 /// With `threads > 1` the join units (one per left parent, in join order)
-/// are sharded into contiguous batches balanced by pair count; each
-/// worker fills a private output and a private [`MiningStats`] shard, and
-/// the batches are concatenated / absorbed in batch order — the output
-/// and every prune counter are identical to the serial join.
+/// run on the chunk runner in small chunks that workers claim as they go
+/// (a unit's cost is its group's tail, so units differ widely); each
+/// chunk fills a private output and a private [`MiningStats`] shard, and
+/// the chunks are concatenated / absorbed in chunk order — the output
+/// and every prune counter are identical to the serial join. A chunk
+/// whose worker panics is redone serially, as in every other phase.
 pub fn generate_candidates(
     prev: &[Itemset],
     k: usize,
@@ -281,56 +284,27 @@ pub fn generate_candidates(
         return out;
     }
 
-    let batches = batch_units_by_cost(&units, threads);
-    let units = &units[..];
-    let join_unit = &join_unit;
-    let parts: Vec<(Vec<Itemset>, MiningStats)> = crossbeam::scope(|s| {
-        let handles: Vec<_> = batches
-            .into_iter()
-            .map(|batch| {
-                s.spawn(move |_| {
-                    let _span = flowcube_obs::span!("mining.generate.chunk", units = batch.len());
-                    let mut out: Vec<Itemset> = Vec::new();
-                    let mut shard = MiningStats::default();
-                    for unit in &units[batch] {
-                        join_unit(unit, &mut out, &mut shard);
-                    }
-                    (out, shard)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("candidate generation worker panicked"))
-            .collect()
-    })
-    .expect("crossbeam scope");
-
+    let n = units.len();
+    let parts = run_chunks_counted(
+        "mining.generate.chunk",
+        n,
+        balanced_chunks(n),
+        threads,
+        |range| {
+            let mut out: Vec<Itemset> = Vec::new();
+            let mut shard = MiningStats::default();
+            for unit in &units[range] {
+                join_unit(unit, &mut out, &mut shard);
+            }
+            (out, shard)
+        },
+    )
+    .results;
     let mut out: Vec<Itemset> = Vec::with_capacity(parts.iter().map(|(p, _)| p.len()).sum());
     for (part, shard) in parts {
         out.extend(part);
         stats.absorb(&shard);
     }
-    out
-}
-
-/// Partition the join units into at most `threads` contiguous batches of
-/// roughly equal pair cost (a unit `(i, end)` joins `end - 1 - i` pairs).
-fn batch_units_by_cost(units: &[(usize, usize)], threads: usize) -> Vec<std::ops::Range<usize>> {
-    let total: usize = units.iter().map(|&(i, end)| end - 1 - i).sum();
-    let target = total.div_ceil(threads).max(1);
-    let mut out: Vec<std::ops::Range<usize>> = Vec::with_capacity(threads);
-    let mut start = 0;
-    let mut cost = 0;
-    for (x, &(i, end)) in units.iter().enumerate() {
-        cost += end - 1 - i;
-        if cost >= target && out.len() + 1 < threads {
-            out.push(start..x + 1);
-            start = x + 1;
-            cost = 0;
-        }
-    }
-    out.push(start..units.len());
     out
 }
 
@@ -358,6 +332,43 @@ mod tests {
 
     fn ids(v: &[u32]) -> Itemset {
         v.iter().map(|&x| ItemId(x)).collect()
+    }
+
+    /// Above the cutoff the join runs on the chunk runner: one chunk
+    /// whose worker panics is redone serially, and the candidates and
+    /// every prune counter are the serial join's.
+    #[test]
+    fn a_panicking_generation_chunk_is_redone_serially() {
+        use flowcube_testkit::FailAction;
+        // Most pairs of 0..40 in lexicographic order — 40 prefix groups,
+        // thousands of join pairs — with some missing, so that the
+        // subset check prunes too.
+        let prev: Vec<Itemset> = (0..40u32)
+            .flat_map(|a| (a + 1..40).map(move |b| (a, b)))
+            .filter(|&(a, b)| !(a + 2 * b).is_multiple_of(11))
+            .map(|(a, b)| ids(&[a, b]))
+            .collect();
+        let pair_ok = |a: ItemId, b: ItemId| match (a.0 + b.0).is_multiple_of(7) {
+            true => (false, PruneReason::Unlinkable),
+            false => (true, PruneReason::None),
+        };
+        let hooks = PruneHooks {
+            pair_ok: Some(&pair_ok),
+            candidate_ok: None,
+            subsets: true,
+        };
+        let mut serial_stats = MiningStats::default();
+        let serial = generate_candidates(&prev, 3, &hooks, &mut serial_stats, 1);
+        assert!(serial_stats.pruned_subset > 0 && serial_stats.pruned_unlinkable > 0);
+
+        flowcube_testkit::arm_times("mining.generate.chunk", 1, FailAction::Panic(None));
+        let mut stats = MiningStats::default();
+        let healed = generate_candidates(&prev, 3, &hooks, &mut stats, 2);
+        let fired = flowcube_testkit::hits("mining.generate.chunk");
+        flowcube_testkit::reset();
+        assert_eq!(fired, 1, "the fault must land in candidate generation");
+        assert_eq!(healed, serial);
+        assert_eq!(stats, serial_stats);
     }
 
     #[test]

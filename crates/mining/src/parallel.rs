@@ -86,7 +86,7 @@ const BALANCED_CHUNK_ITEMS: usize = 16;
 /// magnitude (a cell's materialization costs its path count, and cells
 /// arrive roughly largest first): equal contiguous shares would leave one
 /// worker with most of the work, so such phases cut `0..n` into chunks of
-/// [`BALANCED_CHUNK_ITEMS`] and let workers claim them as they go.
+/// `BALANCED_CHUNK_ITEMS` (16) and let workers claim them as they go.
 pub fn balanced_chunks(n: usize) -> usize {
     n.div_ceil(BALANCED_CHUNK_ITEMS).max(1)
 }

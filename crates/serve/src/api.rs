@@ -52,9 +52,8 @@ use std::time::{Duration, Instant};
 
 /// A cube being served. Every cuboid is answered from one form: a
 /// validated FCC2 columnar section ([`ColumnarSection`]), hydrated from
-/// the snapshot — a file, or the in-memory image of an in-process cube
-/// — the first time a query touches it, so startup cost is the metadata
-/// sections only and a `serve` process never re-mines.
+/// the snapshot file the first time a query touches it, so startup cost
+/// is the metadata sections only and a `serve` process never re-mines.
 pub struct ServedCube {
     /// The section source, and the immutable metadata shell (schema,
     /// spec, params, stats) every request resolves names against.
@@ -88,13 +87,6 @@ impl ServedCube {
         let snapshot = Snapshot::open(path)?;
         let deltas = deltalog::read_deltas(&deltalog::deltalog_path(path))?;
         Ok((Self::from_snapshot_with_deltas(snapshot, deltas), recovery))
-    }
-
-    /// Serve an in-process cube (tests, benches). The cube is encoded
-    /// into the bytes [`crate::write_snapshot`] would put in a file and
-    /// served from that image like from a file.
-    pub fn from_cube(cube: &FlowCube) -> Result<Self, SnapshotError> {
-        Snapshot::from_cube(cube).map(Self::from_snapshot)
     }
 
     /// Serve lazily from an opened snapshot.
@@ -342,11 +334,10 @@ impl ServedCube {
         self.deltas.iter().map(|d| d.paths).sum()
     }
 
-    /// The snapshot file backing this cube, if any — the hot-reload
-    /// source and the anchor of the delta sidecar. `None` for a cube
-    /// served from an in-memory image.
-    pub fn snapshot_path(&self) -> Option<PathBuf> {
-        self.snapshot.path().map(PathBuf::from)
+    /// The snapshot file backing this cube — the hot-reload source and
+    /// the anchor of the delta sidecar.
+    pub fn snapshot_path(&self) -> PathBuf {
+        self.snapshot.path().to_path_buf()
     }
 }
 
@@ -504,13 +495,6 @@ impl AppState {
         flowcube_obs::gauge_set("serve.cache.entries", 0.0);
     }
 
-    /// The snapshot file the admin routes reopen or rewrite.
-    fn snapshot_file(&self) -> Result<PathBuf, ApiError> {
-        self.cube()
-            .snapshot_path()
-            .ok_or_else(|| ApiError::BadRequest("server is not snapshot-backed".into()))
-    }
-
     /// Hot-reload the snapshot backing this server.
     ///
     /// The file (at the path the server was started from) is reopened
@@ -522,7 +506,7 @@ impl AppState {
     pub fn reload(&self) -> Result<ReloadResponse, ApiError> {
         let _span = flowcube_obs::span!("serve.reload");
         let _admin = self.admin.lock();
-        let path = self.snapshot_file()?;
+        let path = self.cube().snapshot_path();
         let reloaded = ServedCube::open(&path).and_then(|(served, _)| {
             served.snapshot.verify_all()?;
             Ok(served)
@@ -552,12 +536,11 @@ impl AppState {
     /// `POST /admin/ingest`) into the live cube, without ever taking the
     /// server offline.
     ///
-    /// Validate, append to the `<snapshot>.deltas` sidecar iff the cube
-    /// has a file (durable across restarts and reloads), then swap in the
-    /// served cube with the delta added to its overlay — nothing is
-    /// reopened or re-read. In-flight requests keep the cube they started
-    /// with (`Arc` swap) and its cached responses. An in-memory
-    /// image skips only the append and answers `mode: "in-memory"`.
+    /// Validate, append to the `<snapshot>.deltas` sidecar (durable
+    /// across restarts and reloads), then swap in the served cube with
+    /// the delta added to its overlay — nothing is reopened or re-read.
+    /// In-flight requests keep the cube they started with (`Arc` swap)
+    /// and its cached responses.
     ///
     /// Exceptions on delta-touched cells are *cleared*, not re-mined —
     /// mining is holistic (Lemma 4.3) and needs the path database, which
@@ -585,7 +568,7 @@ impl AppState {
     }
 
     /// Fold the delta sidecar into the snapshot (marker-file protocol,
-    /// see [`crate::compact`]) and swap in the compacted cube, reopened
+    /// see [`crate::compact`](mod@crate::compact)) and swap in the compacted cube, reopened
     /// the one way ([`ServedCube::open`]). The served data is unchanged —
     /// compaction writes exactly the cuboids the overlay serves — but the
     /// sidecar shrinks to only the deltas appended mid-fold. A fold that
@@ -594,7 +577,7 @@ impl AppState {
     pub fn compact(&self) -> Result<CompactResponse, ApiError> {
         let _span = flowcube_obs::span!("serve.compact.admin");
         let _admin = self.admin.lock();
-        let path = self.snapshot_file()?;
+        let path = self.cube().snapshot_path();
         let compacted = crate::compact::compact(&path)
             .and_then(|report| Ok((report, ServedCube::open(&path)?.0)));
         let (report, served) = match compacted {
@@ -625,10 +608,7 @@ impl AppState {
         if after_bytes == 0 && after_secs == 0 {
             return;
         }
-        let Some(path) = self.cube().snapshot_path() else {
-            return;
-        };
-        let log = deltalog::deltalog_path(&path);
+        let log = deltalog::deltalog_path(&self.cube().snapshot_path());
         let size = std::fs::metadata(&log).map(|m| m.len()).unwrap_or(0);
         if size == 0 {
             return;
@@ -659,13 +639,7 @@ impl AppState {
         // durable or touches the cube.
         delta.validate_against(served.shell())?;
         let (paths, delta_cells) = (delta.paths, delta.total_cells());
-        let mode = match served.snapshot_path() {
-            Some(path) => {
-                deltalog::append_delta(&deltalog::deltalog_path(&path), &delta)?;
-                "sidecar"
-            }
-            None => "in-memory",
-        };
+        deltalog::append_delta(&deltalog::deltalog_path(&served.snapshot_path()), &delta)?;
         let next = served.with_delta(delta);
         let pending_deltas = next.pending_deltas();
         self.install_cube(next);
@@ -673,7 +647,7 @@ impl AppState {
             ingested: true,
             paths,
             delta_cells,
-            mode,
+            mode: "sidecar",
             pending_deltas,
         })
     }
@@ -764,6 +738,8 @@ struct StatsResponse {
     cuboids: usize,
     resident_cuboids: usize,
     resident_cells: usize,
+    /// Always `true`: every served cube is a snapshot file. Kept so
+    /// clients that read it keep working.
     snapshot_backed: bool,
     /// Ingested deltas overlaid on the snapshot.
     pending_deltas: usize,
@@ -796,9 +772,9 @@ pub struct IngestResponse {
     pub paths: u64,
     /// Cells carried by the delta (before iceberg re-enforcement).
     pub delta_cells: usize,
-    /// `"sidecar"` (the cube has a file: the delta is durable) or
-    /// `"in-memory"` (served from an image: the delta dies with the
-    /// process). Both overlay it lazily.
+    /// Always `"sidecar"`: the delta is appended to the snapshot's
+    /// sidecar, so it is durable, and overlaid lazily. Kept so clients
+    /// that read it keep working.
     pub mode: &'static str,
     /// Deltas now pending in the overlay.
     pub pending_deltas: usize,
@@ -1083,7 +1059,7 @@ fn handle_stats(served: &ServedCube) -> Result<String, ApiError> {
         cuboids: served.total_cuboids(),
         resident_cuboids: served.resident_cuboids(),
         resident_cells: served.resident_cells(),
-        snapshot_backed: served.snapshot_path().is_some(),
+        snapshot_backed: true,
         pending_deltas: served.pending_deltas(),
         pending_delta_paths: served.pending_delta_paths(),
         summary: stats.summary(),

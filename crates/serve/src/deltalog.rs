@@ -6,7 +6,7 @@
 //! `<snapshot>.deltas` and replayed on top of the snapshot's cuboids
 //! whenever the pair is opened (startup, hot-reload, the swap after a
 //! compaction). The server itself folds the sidecar back into the
-//! snapshot and trims it ([`crate::compact`], `POST /admin/compact` or
+//! snapshot and trims it ([`crate::compact`](mod@crate::compact), `POST /admin/compact` or
 //! the size/age triggers).
 //!
 //! ## Record layout

@@ -35,10 +35,6 @@
 //! is upgrade-only: [`load_v1_cube`] decodes such a file into a
 //! [`FlowCube`] for [`write_snapshot`] to re-encode.
 //!
-//! The same container also exists as an owned in-memory image — how an
-//! in-process [`FlowCube`] is served. File and image differ in one
-//! function, `Source::read_at`.
-//!
 //! ## Writing and verifying in parallel
 //!
 //! Cuboid sections are independent: each is a pure function of its
@@ -213,17 +209,10 @@ fn canonical_stats(stats: &flowcube_core::BuildStats) -> flowcube_core::BuildSta
 /// whole file.
 const SECTIONS_PER_WORKER: usize = 2;
 
-/// Where [`encode_sections`] hands each finished section, in file
-/// order. A sink that keeps the bytes takes the buffer
-/// (`std::mem::take`); one that leaves it lets the encoder reuse it.
-type Sink<'s> = dyn FnMut(&mut Vec<u8>) -> Result<(), SnapshotError> + 's;
-
 /// Encode `cube`'s sections in file order — the metadata sections,
 /// `extra` after the strings table, then the cuboids in sorted key
-/// order — handing each to `sink` as soon as it is encoded and
-/// checksummed; returns the index that describes them. The file writer
-/// and the in-memory image ([`Snapshot::from_cube`]) are this one
-/// encoder with two sinks.
+/// order — handing each to `sink` (the writer's spool) as soon as it is
+/// encoded and checksummed; returns the index that describes them.
 ///
 /// The pipeline is intern → (plan → allocate → encode in place → CRC →
 /// sink, per cuboid, through [`stream_cuboids`]'s window). Nothing a
@@ -233,7 +222,7 @@ type Sink<'s> = dyn FnMut(&mut Vec<u8>) -> Result<(), SnapshotError> + 's;
 fn encode_sections(
     cube: &FlowCube,
     extra: Option<(&'static str, Vec<u8>)>,
-    sink: &mut Sink<'_>,
+    mut sink: impl FnMut(&[u8]) -> Result<(), SnapshotError>,
 ) -> Result<Vec<SectionDesc>, SnapshotError> {
     let mut cuboids: Vec<(&CuboidKey, &Cuboid)> = cube.cuboids().collect();
     cuboids.sort_by(|a, b| a.0.cmp(b.0));
@@ -255,7 +244,7 @@ fn encode_sections(
     meta.extend(extra);
 
     let mut index: Vec<SectionDesc> = Vec::with_capacity(meta.len() + cuboids.len());
-    let mut emit = |kind: &str, cuboid: Option<&CuboidKey>, crc: u32, section: &mut Vec<u8>| {
+    let mut emit = |kind: &str, cuboid: Option<&CuboidKey>, crc: u32, section: &[u8]| {
         index.push(SectionDesc {
             kind: kind.into(),
             cuboid: cuboid.cloned(),
@@ -265,9 +254,8 @@ fn encode_sections(
         });
         sink(section)
     };
-    for (kind, mut bytes) in meta {
-        let crc = crc32(&bytes);
-        emit(kind, None, crc, &mut bytes)?;
+    for (kind, bytes) in meta {
+        emit(kind, None, crc32(&bytes), &bytes)?;
     }
     stream_cuboids(&cuboids, &strings, cube.params(), |i, crc, section| {
         emit(KIND_CUBOID, Some(cuboids[i].0), crc, section)
@@ -376,7 +364,7 @@ fn stream_cuboids<'a>(
     cuboids: &[(&'a CuboidKey, &'a Cuboid)],
     strings: &StringsCtx,
     params: &FlowCubeParams,
-    mut sink: impl FnMut(usize, u32, &mut Vec<u8>) -> Result<(), SnapshotError>,
+    mut sink: impl FnMut(usize, u32, &[u8]) -> Result<(), SnapshotError>,
 ) -> Result<(), SnapshotError> {
     let n = cuboids.len();
     let threads = params.threads_for(n);
@@ -406,8 +394,8 @@ fn stream_cuboids<'a>(
                 }
                 (Job::Encode(i, _, section), Done::Encoded(crc)) => {
                     ready[i % window] = Some((section, crc));
-                    while let Some((mut section, crc)) = ready[sunk % window].take() {
-                        sink(sunk, crc, &mut section)?;
+                    while let Some((section, crc)) = ready[sunk % window].take() {
+                        sink(sunk, crc, &section)?;
                         pool.push(section);
                         sunk += 1;
                         if admitted < n {
@@ -507,7 +495,7 @@ fn frame(index: &[SectionDesc]) -> Result<[Vec<u8>; 2], SnapshotError> {
 /// the file; a process that holds the old file open (a running `serve`)
 /// keeps reading the old, whole inode; and a writer that fails leaves
 /// `path` and its directory as they were. No fsync — a crash-durable
-/// replacement is compaction's marker protocol ([`crate::compact`]), not
+/// replacement is compaction's marker protocol ([`crate::compact`](mod@crate::compact)), not
 /// this function.
 pub fn write_snapshot(
     cube: &FlowCube,
@@ -570,7 +558,7 @@ fn write_file(
         .open(&spool_path)
         .map_err(|e| io_err(&spool_path, e))?;
     std::fs::remove_file(&spool_path).map_err(|e| io_err(&spool_path, e))?;
-    let index = encode_sections(cube, extra, &mut |section| {
+    let index = encode_sections(cube, extra, |section| {
         // Fault injection: the writer dies between two sections.
         check_failpoint("serve.snapshot.spool")?;
         spool.write_all(section).map_err(|e| io_err(&spool_path, e))
@@ -604,88 +592,31 @@ fn write_file(
     })
 }
 
-/// Where a container's bytes live. Everything above `Source::read_at`
-/// — header and index parsing, section CRCs, columnar validation — is
-/// the same code for both.
-enum Source {
-    File(File),
-    /// The container in file order — header, index, then every section
-    /// as [`encode_sections`] handed it over — never concatenated, so an
-    /// in-process cube is held once.
-    Image(Vec<Vec<u8>>),
-}
-
-impl Source {
-    fn len(&self) -> std::io::Result<u64> {
-        match self {
-            Source::File(file) => Ok(file.metadata()?.len()),
-            Source::Image(chunks) => Ok(chunks.iter().map(|c| c.len() as u64).sum()),
-        }
-    }
-
-    /// Read `len` bytes at `offset`. Callers have bounds-checked the
-    /// range against `Source::len`; a file that shrank since then
-    /// surfaces as `UnexpectedEof`.
-    fn read_at(&self, offset: u64, len: u64) -> std::io::Result<Vec<u8>> {
-        match self {
-            Source::File(file) => {
-                // Positional reads share no cursor, so readers need no
-                // lock. `vec![0; n]` is `calloc`: a section-sized buffer
-                // arrives as fresh zero pages, not as a second pass.
-                let mut bytes = vec![0u8; len as usize];
-                file.read_exact_at(&mut bytes, offset)?;
-                Ok(bytes)
-            }
-            Source::Image(chunks) => {
-                let want = len as usize;
-                let mut bytes = Vec::with_capacity(want);
-                let mut skip = offset as usize;
-                for chunk in chunks {
-                    if bytes.len() == want {
-                        break;
-                    }
-                    if skip >= chunk.len() {
-                        skip -= chunk.len();
-                        continue;
-                    }
-                    let take = (want - bytes.len()).min(chunk.len() - skip);
-                    bytes.extend_from_slice(&chunk[skip..skip + take]);
-                    skip = 0;
-                }
-                if bytes.len() == want {
-                    Ok(bytes)
-                } else {
-                    Err(std::io::ErrorKind::UnexpectedEof.into())
-                }
-            }
-        }
-    }
-}
-
-/// A parsed container: validated header and index over a byte source,
+/// A parsed container: validated header and index over an open file,
 /// with CRC-checked section reads. Format-version agnostic — the
 /// version is recorded, and the callers decide what they accept.
 struct Container {
-    source: Source,
-    /// Names the source in errors.
-    label: PathBuf,
+    file: File,
+    /// The file's path: where it was opened from, and its name in errors.
+    path: PathBuf,
     version: u32,
     data_start: u64,
     sections: Vec<SectionDesc>,
 }
 
 impl Container {
-    /// Validate magic, index CRC and section bounds against the source
-    /// length. Section payloads are *not* read here.
-    fn parse(source: Source, label: &Path) -> Result<Container, SnapshotError> {
-        let io = |e| io_err(label, e);
-        let mut total_len = source.len().map_err(io)?;
+    /// Open `path` and validate magic, index CRC and section bounds
+    /// against the file's length. Section payloads are *not* read here.
+    fn open(path: &Path) -> Result<Container, SnapshotError> {
+        let io = |e| io_err(path, e);
+        let file = File::open(path).map_err(io)?;
+        let mut total_len = file.metadata().map_err(io)?.len();
         // Fault injection: pretend the file ends early (a torn copy /
         // partial download) or that the open itself failed.
         match flowcube_testkit::fail_point("serve.snapshot.open") {
             Some(flowcube_testkit::Fault::Error(detail)) => {
                 return Err(SnapshotError::Io {
-                    path: label.display().to_string(),
+                    path: path.display().to_string(),
                     detail,
                 });
             }
@@ -695,7 +626,7 @@ impl Container {
         if total_len < HEADER_LEN {
             return Err(SnapshotError::Truncated { what: "header" });
         }
-        let header = source.read_at(0, HEADER_LEN).map_err(io)?;
+        let header = read_at(&file, 0, HEADER_LEN).map_err(io)?;
         if header[0..8] != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
@@ -706,7 +637,7 @@ impl Container {
             .checked_add(index_len)
             .filter(|&end| end <= total_len)
             .ok_or(SnapshotError::Truncated { what: "index" })?;
-        let index_bytes = source.read_at(HEADER_LEN, index_len).map_err(io)?;
+        let index_bytes = read_at(&file, HEADER_LEN, index_len).map_err(io)?;
         if crc32(&index_bytes) != index_crc {
             return Err(SnapshotError::ChecksumMismatch {
                 section: "index".into(),
@@ -735,17 +666,12 @@ impl Container {
             }
         }
         Ok(Container {
-            source,
-            label: label.to_path_buf(),
+            file,
+            path: path.to_path_buf(),
             version,
             data_start,
             sections,
         })
-    }
-
-    fn open(path: &Path) -> Result<Container, SnapshotError> {
-        let file = File::open(path).map_err(|e| io_err(path, e))?;
-        Container::parse(Source::File(file), path)
     }
 
     fn meta(&self, kind: &'static str) -> Result<&SectionDesc, SnapshotError> {
@@ -757,17 +683,15 @@ impl Container {
 
     /// Read one section's raw payload and verify its CRC.
     fn section_bytes(&self, desc: &SectionDesc) -> Result<Vec<u8>, SnapshotError> {
-        let mut bytes = self
-            .source
-            .read_at(self.data_start + desc.offset, desc.len)
-            .map_err(|e| io_err(&self.label, e))?;
+        let mut bytes = read_at(&self.file, self.data_start + desc.offset, desc.len)
+            .map_err(|e| io_err(&self.path, e))?;
         // Fault injection: lose the payload's tail (torn write / bad disk) —
         // the CRC below then fails exactly as it would on real corruption.
         match flowcube_testkit::fail_point("serve.snapshot.section") {
             Some(flowcube_testkit::Fault::ShortRead(n)) => bytes.truncate(n.min(bytes.len())),
             Some(flowcube_testkit::Fault::Error(detail)) => {
                 return Err(SnapshotError::Io {
-                    path: self.label.display().to_string(),
+                    path: self.path.display().to_string(),
                     detail,
                 });
             }
@@ -831,12 +755,9 @@ pub fn load_v1_cube(path: impl AsRef<Path>) -> Result<FlowCube, SnapshotError> {
     Ok(cube)
 }
 
-/// An open, validated snapshot with lazily-loaded cuboid sections,
-/// backed by a file or by an owned in-memory image.
+/// An open, validated snapshot file with lazily-loaded cuboid sections.
 pub struct Snapshot {
     container: Container,
-    /// The file this snapshot was opened from; `None` for an image.
-    path: Option<PathBuf>,
     shell: FlowCube,
     /// Interned names resolved against the schema. Shared (`Arc`) with
     /// every columnar section loaded from this snapshot.
@@ -849,25 +770,8 @@ impl Snapshot {
     /// integrity of the metadata sections. Cuboid payloads are *not*
     /// read here — they load (and CRC-verify) on first access.
     pub fn open(path: impl AsRef<Path>) -> Result<Snapshot, SnapshotError> {
-        let path = path.as_ref();
         let _span = flowcube_obs::span!("serve.snapshot.open");
-        Snapshot::new(Container::open(path)?, Some(path.to_path_buf()))
-    }
-
-    /// Encode `cube` into an in-memory image and open it through the
-    /// same validation as a file.
-    pub(crate) fn from_cube(cube: &FlowCube) -> Result<Snapshot, SnapshotError> {
-        let mut sections = Vec::new();
-        let index = encode_sections(cube, None, &mut |section| {
-            sections.push(std::mem::take(section));
-            Ok(())
-        })?;
-        let chunks = frame(&index)?.into_iter().chain(sections).collect();
-        let container = Container::parse(Source::Image(chunks), Path::new("<image>"))?;
-        Snapshot::new(container, None)
-    }
-
-    fn new(container: Container, path: Option<PathBuf>) -> Result<Snapshot, SnapshotError> {
+        let container = Container::open(path.as_ref())?;
         if container.version != FORMAT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: container.version,
@@ -882,7 +786,6 @@ impl Snapshot {
         let strings = Arc::new(StringsCtx::new(table, shell.schema()));
         Ok(Snapshot {
             container,
-            path,
             shell,
             strings,
         })
@@ -894,10 +797,9 @@ impl Snapshot {
         &self.shell
     }
 
-    /// The file this snapshot was opened from (`None` for an in-memory
-    /// image).
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
+    /// The file this snapshot was opened from.
+    pub fn path(&self) -> &Path {
+        &self.container.path
     }
 
     /// Read, CRC-check and decode the JSON metadata section `kind` —
@@ -969,6 +871,18 @@ impl Snapshot {
         flowcube_obs::counter_add("serve.snapshot.cuboid_loads", 1);
         self.load_section(desc).map(Some)
     }
+}
+
+/// Read `len` bytes of `file` at `offset`. Callers have bounds-checked
+/// the range against the file's length at open; a file that shrank
+/// since then surfaces as `UnexpectedEof`.
+fn read_at(file: &File, offset: u64, len: u64) -> std::io::Result<Vec<u8>> {
+    // Positional reads share no cursor, so readers need no lock.
+    // `vec![0; n]` is `calloc`: a section-sized buffer arrives as fresh
+    // zero pages, not as a second pass.
+    let mut bytes = vec![0u8; len as usize];
+    file.read_exact_at(&mut bytes, offset)?;
+    Ok(bytes)
 }
 
 /// Copy a header slice into a fixed-size array for `from_le_bytes`.

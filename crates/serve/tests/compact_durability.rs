@@ -14,7 +14,9 @@
 //! serialize on a mutex instead of relying on `--test-threads=1`.
 
 use flowcube_core::{CubeDelta, FlowCube};
-use flowcube_fixtures::{image, ingest, serial, server, stop, Lattice, Scenario, TempSnapshot};
+use flowcube_fixtures::{
+    ingest, serial, served_file, server, stop, Lattice, Scenario, TempSnapshot,
+};
 use flowcube_hier::ItemLattice;
 use flowcube_pathdb::PathDatabase;
 use flowcube_serve::{
@@ -97,7 +99,8 @@ impl Fixture {
         for delta in &self.deltas {
             reference.apply_delta(delta).unwrap();
         }
-        assert_eq!(self.reconstruct(), answers(image(&reference)));
+        let (_snapshot, served) = served_file(&reference);
+        assert_eq!(self.reconstruct(), answers(served));
         if self.sidecar_deltas() > 0 {
             return;
         }

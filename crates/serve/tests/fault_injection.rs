@@ -6,7 +6,7 @@
 //! them with `--test-threads=1` because the failpoint registry is
 //! shared across the whole process.
 
-use flowcube_fixtures::{image, server, small_cube, stop, TempSnapshot};
+use flowcube_fixtures::{cube_server, server, small_cube, stop, TempSnapshot};
 use flowcube_serve::{write_snapshot, ServedCube, ServerConfig, Snapshot};
 use flowcube_testkit::http::{get, get_ok, ok, raw_roundtrip, request, Persistent};
 use flowcube_testkit::{temp_path, FailAction};
@@ -44,8 +44,8 @@ fn worker_panic_is_counted_and_respawned() {
         return;
     }
     let cube = small_cube(11, 8).cube;
-    let handle = server(
-        image(&cube),
+    let handle = cube_server(
+        &cube,
         ServerConfig {
             workers: 2,
             degraded_after: 0,
@@ -84,7 +84,7 @@ fn worker_panic_is_counted_and_respawned() {
     get_ok(addr, "/cell?cell=*,*&level=loc0/dur0");
 
     flowcube_testkit::reset();
-    stop(handle);
+    handle.stop();
 }
 
 /// A worker that panics loses only the connection it was serving: a
@@ -96,8 +96,8 @@ fn worker_crash_loses_only_the_connection_it_was_serving() {
         return;
     }
     let cube = small_cube(11, 8).cube;
-    let handle = server(
-        image(&cube),
+    let handle = cube_server(
+        &cube,
         ServerConfig {
             workers: 2,
             ..Default::default()
@@ -127,7 +127,7 @@ fn worker_crash_loses_only_the_connection_it_was_serving() {
     );
 
     flowcube_testkit::reset();
-    stop(handle);
+    handle.stop();
 }
 
 /// A request that outlives `request_deadline` answers 503, and the
@@ -138,8 +138,8 @@ fn deadline_exceeded_returns_503() {
         return;
     }
     let cube = small_cube(12, 8).cube;
-    let handle = server(
-        image(&cube),
+    let handle = cube_server(
+        &cube,
         ServerConfig {
             workers: 2,
             request_deadline: Some(Duration::from_millis(40)),
@@ -160,7 +160,7 @@ fn deadline_exceeded_returns_503() {
     get_ok(addr, "/cell?cell=*,*&level=loc0/dur0");
 
     flowcube_testkit::reset();
-    stop(handle);
+    handle.stop();
 }
 
 /// `POST /admin/reload` swaps in the snapshot newly written at the same

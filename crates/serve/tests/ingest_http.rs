@@ -1,16 +1,13 @@
-//! End-to-end `POST /admin/ingest`: live delta ingestion over HTTP for
-//! a snapshot file and for an in-memory image, with the availability
-//! guarantee the design demands — the server keeps answering queries
-//! while deltas land, and a restart from the same snapshot replays the
-//! sidecar. Delta-patched cuboids are served from re-encoded sections:
+//! End-to-end `POST /admin/ingest`: live delta ingestion over HTTP into
+//! a served snapshot file, with the availability guarantee the design
+//! demands — the server keeps answering queries while deltas land, and
+//! a restart from the same snapshot replays the sidecar. Delta-patched cuboids are served from re-encoded sections:
 //! names the snapshot never interned, and cuboids that fall below δ, are
 //! covered here.
 
-use flowcube_fixtures::{image, ingest, serial, server, stop, Scenario, TempSnapshot};
+use flowcube_fixtures::{ingest, serial, served_file, server, stop, Scenario};
 use flowcube_pathdb::PathDatabase;
-use flowcube_serve::{
-    deltalog_path, read_deltas, write_snapshot, ServedCube, ServerConfig, ServerHandle, Snapshot,
-};
+use flowcube_serve::{deltalog_path, read_deltas, ServedCube, ServerConfig, ServerHandle};
 use flowcube_testkit::http::{get, get_ok, ok, request};
 use flowcube_testkit::FailAction;
 use std::sync::Mutex;
@@ -41,84 +38,35 @@ fn start(served: ServedCube) -> ServerHandle {
 /// request and no other.
 static CACHE_INSERT: Mutex<()> = Mutex::new(());
 
-/// In-memory image: the delta joins the overlay exactly as it would
-/// over a file, minus the sidecar — queries answer before, after, and
-/// with the merged counts; malformed and mismatched deltas are rejected
-/// without hurting the server.
-#[test]
-fn in_memory_ingest_applies_and_rejects_bad_deltas() {
-    let stream = stream(31, 4);
-    let (base, batches) = stream.base_and_batches(100, 2);
-    let cube = stream.cube_of(&base);
-    let handle = start(image(&cube));
-    let addr = handle.addr();
-
-    let stats_before = get_ok(addr, "/stats");
-    assert!(stats_before.contains("\"pending_deltas\":0"));
-
-    let resp = ingest(addr, &stream.delta(&batches[0]));
-    assert!(resp.contains("\"ingested\":true"), "got {resp:?}");
-    assert!(resp.contains("\"mode\":\"in-memory\""), "got {resp:?}");
-    assert!(resp.contains("\"paths\":10"), "got {resp:?}");
-    assert!(resp.contains("\"pending_deltas\":1"), "got {resp:?}");
-
-    // Queries still answer, with the merged counts.
-    let apex = get_ok(addr, "/cell?cell=*,*&level=loc0/dur0");
-    assert!(apex.contains("\"support\":110"), "got {apex:?}");
-
-    // The delta is pending in the overlay, like a sidecar delta — the
-    // only difference from a file-backed cube is that it is not durable.
-    let stats_after = get_ok(addr, "/stats");
-    assert!(
-        stats_after.contains("\"snapshot_backed\":false"),
-        "got {stats_after:?}"
-    );
-    assert!(
-        stats_after.contains("\"pending_deltas\":1"),
-        "got {stats_after:?}"
-    );
-    assert!(
-        stats_after.contains("\"pending_delta_paths\":10"),
-        "got {stats_after:?}"
-    );
-
-    // Malformed JSON → 400; a delta with a foreign fingerprint → 409.
-    let (status, _, _) = request(addr, "POST", "/admin/ingest", &[], "{not json");
-    assert_eq!(status, 400);
-    let mut foreign = stream.delta(&batches[1]);
-    foreign.path_levels = vec!["coarse".into()];
-    let body = serde_json::to_string(&foreign).unwrap();
-    let (status, _, resp) = request(addr, "POST", "/admin/ingest", &[], &body);
-    assert_eq!(status, 409, "got {resp:?}");
-
-    // Neither rejection changed the served cube.
-    let stats_final = get_ok(addr, "/stats");
-    assert_eq!(stats_after, stats_final);
-
-    stop(handle);
-}
-
-/// Snapshot backing: an accepted delta lands in the `<snapshot>.deltas`
-/// sidecar, is overlaid lazily on queries, survives `POST /admin/reload`,
-/// and is replayed by a fresh process opening the same snapshot. A
-/// rejected delta leaves the sidecar untouched.
+/// An accepted delta lands in the `<snapshot>.deltas` sidecar, is
+/// overlaid lazily on queries, survives `POST /admin/reload`, and is
+/// replayed by a fresh process opening the same snapshot. Malformed and
+/// mismatched deltas are rejected without touching the sidecar or the
+/// served cube.
 #[test]
 fn snapshot_ingest_is_durable_across_reload_and_restart() {
     let stream = stream(47, 4);
     let (base, batches) = stream.base_and_batches(100, 3);
     let cube = stream.cube_of(&base);
-    let path = TempSnapshot::new("durable.snap");
+    let (path, served) = served_file(&cube);
     let sidecar = deltalog_path(&path);
-    write_snapshot(&cube, &path).expect("write snapshot");
-
-    let handle = start(ServedCube::from_snapshot(Snapshot::open(&path).unwrap()));
+    let handle = start(served);
     let addr = handle.addr();
+
+    let stats_before = get_ok(addr, "/stats");
+    assert!(stats_before.contains("\"pending_deltas\":0"));
+    assert!(
+        stats_before.contains("\"snapshot_backed\":true"),
+        "got {stats_before:?}"
+    );
 
     // Hydrate a cell from the snapshot, then ingest two deltas.
     let cell_before = get_ok(addr, "/cell?cell=*,*&level=loc0/dur0");
     for (i, batch) in batches[..2].iter().enumerate() {
         let resp = ingest(addr, &stream.delta(batch));
+        assert!(resp.contains("\"ingested\":true"), "got {resp:?}");
         assert!(resp.contains("\"mode\":\"sidecar\""), "got {resp:?}");
+        assert!(resp.contains("\"paths\":10"), "got {resp:?}");
         assert!(
             resp.contains(&format!("\"pending_deltas\":{}", i + 1)),
             "got {resp:?}"
@@ -133,20 +81,30 @@ fn snapshot_ingest_is_durable_across_reload_and_restart() {
     // The apex cell now includes the deltas' paths: support grew.
     let cell_after = get_ok(addr, "/cell?cell=*,*&level=loc0/dur0");
     assert_ne!(cell_before, cell_after, "overlay must change the apex cell");
+    assert!(cell_after.contains("\"support\":120"), "got {cell_after:?}");
     let stats = get_ok(addr, "/stats");
+    assert!(stats.contains("\"snapshot_backed\":true"), "got {stats:?}");
     assert!(stats.contains("\"pending_deltas\":2"), "got {stats:?}");
     assert!(
         stats.contains("\"pending_delta_paths\":20"),
         "got {stats:?}"
     );
 
-    // A rejected delta must not grow the sidecar.
-    let mut foreign = stream.delta(&batches[2]);
-    foreign.dims = vec!["bogus".into()];
-    let body = serde_json::to_string(&foreign).unwrap();
-    let (status, _, _) = request(addr, "POST", "/admin/ingest", &[], &body);
-    assert_eq!(status, 409);
+    // Malformed JSON → 400; a delta with a foreign fingerprint → 409.
+    // Neither grows the sidecar or changes the served cube.
+    let (status, _, _) = request(addr, "POST", "/admin/ingest", &[], "{not json");
+    assert_eq!(status, 400);
+    let mut foreign_dims = stream.delta(&batches[2]);
+    foreign_dims.dims = vec!["bogus".into()];
+    let mut foreign_levels = stream.delta(&batches[2]);
+    foreign_levels.path_levels = vec!["coarse".into()];
+    for foreign in [foreign_dims, foreign_levels] {
+        let body = serde_json::to_string(&foreign).unwrap();
+        let (status, _, resp) = request(addr, "POST", "/admin/ingest", &[], &body);
+        assert_eq!(status, 409, "got {resp:?}");
+    }
     assert_eq!(read_deltas(&sidecar).unwrap().len(), 2);
+    assert_eq!(stats, get_ok(addr, "/stats"));
 
     // Hot reload replays the sidecar on top of the re-opened snapshot.
     let resp = ok(addr, "POST", "/admin/reload", "");
@@ -176,10 +134,8 @@ fn queries_keep_answering_during_ingest() {
     let stream = stream(59, 4);
     let (base, batches) = stream.base_and_batches(100, 3);
     let cube = stream.cube_of(&base);
-    let path = TempSnapshot::new("live.snap");
-    write_snapshot(&cube, &path).expect("write snapshot");
-
-    let handle = start(ServedCube::from_snapshot(Snapshot::open(&path).unwrap()));
+    let (_snapshot, served) = served_file(&cube);
+    let handle = start(served);
     let addr = handle.addr();
 
     let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -210,8 +166,7 @@ fn queries_keep_answering_during_ingest() {
 /// string table never interned. The patched cuboid is re-encoded with a
 /// table of its own, so the new names are served — `/cell` support, a
 /// `/drilldown` row, `/paths/topk` — byte for byte as a batch rebuild
-/// over the union serves them (δ = 1, where the merge is exact). Same
-/// from a file and from an image.
+/// over the union serves them (δ = 1, where the merge is exact).
 #[test]
 fn delta_with_names_the_snapshot_never_interned_is_served() {
     let _cache = serial(&CACHE_INSERT);
@@ -242,7 +197,8 @@ fn delta_with_names_the_snapshot_never_interned_is_served() {
     ];
     // The reference: the union, batch-built and served unpatched.
     let full = stream.cube_of(&db);
-    let reference = start(image(&full));
+    let (_full_snapshot, served_full) = served_file(&full);
+    let reference = start(served_full);
     // Status and body: the headers carry a per-request id.
     let answer = |addr, t: &String| {
         let (status, _, body) = get(addr, t, &[]);
@@ -254,24 +210,17 @@ fn delta_with_names_the_snapshot_never_interned_is_served() {
     assert!(want[2].1.contains(l_name), "got {want:?}");
     stop(reference);
 
-    let path = TempSnapshot::new("new-names.snap");
-    write_snapshot(&cube, &path).expect("write snapshot");
-    let sources = [
-        ServedCube::from_snapshot(Snapshot::open(&path).unwrap()),
-        image(&cube),
-    ];
-    for served in sources {
-        let handle = start(served);
-        let addr = handle.addr();
-        // Before the delta the value has no cell of its own.
-        let cell = get_ok(addr, &targets[0]);
-        assert!(cell.contains("\"exact\":false"), "got {cell:?}");
+    let (_snapshot, served) = served_file(&cube);
+    let handle = start(served);
+    let addr = handle.addr();
+    // Before the delta the value has no cell of its own.
+    let cell = get_ok(addr, &targets[0]);
+    assert!(cell.contains("\"exact\":false"), "got {cell:?}");
 
-        ingest(addr, &delta);
-        assert_eq!(targets.each_ref().map(|t| answer(addr, t)), want);
+    ingest(addr, &delta);
+    assert_eq!(targets.each_ref().map(|t| answer(addr, t)), want);
 
-        stop(handle);
-    }
+    stop(handle);
 }
 
 /// The overlay re-enforces the cube's iceberg δ: a patched cuboid whose
@@ -284,7 +233,8 @@ fn patched_cuboid_below_min_support_disappears() {
     let (base, batches) = stream.base_and_batches(100, 1);
     let cube = stream.cube_of(&base);
     assert_eq!(cube.num_cuboids(), 1, "apex cuboid only");
-    let handle = start(image(&cube));
+    let (_snapshot, served) = served_file(&cube);
+    let handle = start(served);
     let addr = handle.addr();
 
     let delta = stream.delta(&batches[0]);
@@ -323,7 +273,8 @@ fn a_body_rendered_before_an_ingest_is_not_served_after_it() {
     let stream = stream(61, 4);
     let (base, batches) = stream.base_and_batches(100, 1);
     let cube = stream.cube_of(&base);
-    let handle = start(image(&cube));
+    let (_snapshot, served) = served_file(&cube);
+    let handle = start(served);
     let addr = handle.addr();
     let target = "/paths/topk?cell=*,*&level=loc0/dur0&k=3";
 

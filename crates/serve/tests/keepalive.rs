@@ -10,8 +10,8 @@
 //! the `serve.*` series; the tests serialize on one mutex.
 
 use flowcube_federate::FrontHandle;
-use flowcube_fixtures::{counter, front_over, gauge, image, serial, server, small_cube, stop};
-use flowcube_serve::{ServerConfig, ServerHandle};
+use flowcube_fixtures::{counter, cube_server, front_over, gauge, serial, small_cube, CubeServer};
+use flowcube_serve::ServerConfig;
 use flowcube_testkit::http::{
     get, get_ok, header, parse_response, raw_roundtrip, Persistent, Response,
 };
@@ -36,7 +36,7 @@ struct Tier {
     addr: SocketAddr,
     /// How long the tier lets a connection idle.
     idle_budget: Duration,
-    server: Option<ServerHandle>,
+    server: Option<CubeServer>,
     front: Option<FrontHandle>,
 }
 
@@ -51,7 +51,7 @@ impl Tier {
             start.elapsed()
         });
         if let Some(server) = self.server {
-            stop(server);
+            server.stop();
         }
         front_took.unwrap_or_else(|| start.elapsed())
     }
@@ -65,14 +65,14 @@ impl Tier {
     }
 }
 
-fn backend(workers: usize, read_timeout: Duration) -> ServerHandle {
+fn backend(workers: usize, read_timeout: Duration) -> CubeServer {
     let config = ServerConfig {
         workers,
         read_timeout,
         write_timeout: Duration::from_secs(2),
         ..Default::default()
     };
-    server(image(&small_cube(11, 8).cube), config)
+    cube_server(&small_cube(11, 8).cube, config)
 }
 
 /// Both tiers, each with `workers` workers and about `idle` of idle

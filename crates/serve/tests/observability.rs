@@ -6,14 +6,12 @@
 
 use flowcube_core::{CubeDelta, ItemPlan};
 use flowcube_fixtures::{
-    counter, get_request, serial, server, small_cube, stop, Small, TempSnapshot,
+    counter, cube_server, get_request, serial, served_file, small_cube, CubeServer, Small,
+    TempSnapshot,
 };
 use flowcube_obs::flight::{self, FlightKind};
 use flowcube_serve::http::Request;
-use flowcube_serve::{
-    handle_request, write_snapshot, AccessLog, AppState, RequestCtx, ServedCube, ServerConfig,
-    ServerHandle, Snapshot,
-};
+use flowcube_serve::{handle_request, AccessLog, AppState, RequestCtx, ServerConfig};
 use flowcube_testkit::http::{get, header, third_connection};
 use flowcube_testkit::temp_path;
 use std::sync::Mutex;
@@ -23,12 +21,14 @@ use std::time::Duration;
 /// floods the ring, so the flood cannot lap the events being read.
 static FLIGHT_RING: Mutex<()> = Mutex::new(());
 
-fn image() -> ServedCube {
-    flowcube_fixtures::image(&small_cube(11, 8).cube)
+/// A state over the small cube, and the snapshot it is served from.
+fn served_state() -> (TempSnapshot, AppState) {
+    let (snapshot, served) = served_file(&small_cube(11, 8).cube);
+    (snapshot, AppState::new(served, 8))
 }
 
-fn start(config: ServerConfig) -> ServerHandle {
-    server(image(), config)
+fn start(config: ServerConfig) -> CubeServer {
+    cube_server(&small_cube(11, 8).cube, config)
 }
 
 fn default_config() -> ServerConfig {
@@ -77,7 +77,7 @@ fn request_ids_are_honored_generated_and_echoed() {
     let id3 = header(&h3, "x-request-id").expect("replacement id");
     assert_ne!(id3, "a b\tc");
 
-    stop(handle);
+    handle.stop();
 }
 
 #[test]
@@ -133,12 +133,12 @@ fn prometheus_scrape_is_conformant_with_per_endpoint_histograms() {
     let (_, _, via_accept) = get(addr, "/metrics", &[("Accept", "text/plain")]);
     assert!(via_accept.contains("# TYPE"), "got {via_accept:?}");
 
-    stop(handle);
+    handle.stop();
 }
 
 #[test]
 fn deadline_503_carries_retry_after_and_request_id() {
-    let state = AppState::new(image(), 8);
+    let (_snapshot, state) = served_state();
     let req = apex_request();
     let ctx = RequestCtx::with_timeout(Duration::ZERO);
     let resp = handle_request(&state, &req, &ctx);
@@ -160,7 +160,7 @@ fn deadline_503_carries_retry_after_and_request_id() {
 fn requests_leave_the_span_trace_alone() {
     let _ring = serial(&FLIGHT_RING);
     flowcube_obs::enable();
-    let state = AppState::new(image(), 8);
+    let (_snapshot, state) = served_state();
     let req = apex_request();
     // Hydration happens (and may span) on the first touch only.
     assert_eq!(
@@ -202,7 +202,7 @@ fn shed_429_carries_retry_after() {
     assert_eq!(header(&headers, "retry-after"), Some("1"));
     assert_eq!(counter("serve.shed"), shed_before + 1);
 
-    stop(handle);
+    handle.stop();
 }
 
 #[test]
@@ -219,7 +219,7 @@ fn debug_flight_exposes_recent_events() {
     assert!(body.contains("RequestEnd"), "got {body:?}");
     assert!(body.contains("healthz"), "got {body:?}");
 
-    stop(handle);
+    handle.stop();
 }
 
 /// Reload, ingest and compaction all swap the served cube; each swap is a
@@ -235,9 +235,7 @@ fn swap_events_name_their_cause() {
         params,
         cube,
     } = small_cube(11, 8);
-    let path = TempSnapshot::new("swaps.snap");
-    write_snapshot(&cube, &path).expect("write snapshot");
-    let served = ServedCube::from_snapshot(Snapshot::open(&path).expect("open snapshot"));
+    let (_snapshot, served) = served_file(&cube);
     let state = AppState::new(served, 8);
 
     let delta = CubeDelta::compute(&db, &spec, &params, &ItemPlan::All);
@@ -264,7 +262,8 @@ fn access_log_writes_entries_and_dumps_flight_when_bad() {
     let _ = std::fs::remove_file(&path);
     let log =
         AccessLog::open(path.to_str().expect("utf8 path"), Some(10_000)).expect("open access log");
-    let state = AppState::new(image(), 8).with_access_log(log);
+    let (_snapshot, state) = served_state();
+    let state = state.with_access_log(log);
 
     // A routine 200: logged without a flight dump.
     let ok = handle_request(

@@ -7,7 +7,7 @@
 
 use flowcube_core::{display_key, view};
 use flowcube_datagen::{DimShape, GeneratorConfig};
-use flowcube_fixtures::{cell_spec, get_request, image, Lattice, Scenario, Small};
+use flowcube_fixtures::{cell_spec, get_request, served_file, Lattice, Scenario, Small};
 use flowcube_hier::ConceptId;
 use flowcube_serve::http::Request;
 use flowcube_serve::{handle_request, AppState, RequestCtx};
@@ -44,7 +44,8 @@ fn warm_allocations(state: &AppState, req: &Request) -> (u64, String) {
 fn warm_rollup_and_slice_allocate_a_bounded_amount() {
     flowcube_obs::enable();
     let cube = small().cube;
-    let state = AppState::new(image(&cube), 0);
+    let (_snapshot, served) = served_file(&cube);
+    let state = AppState::new(served, 0);
     let pl = 0;
     let level = cube.spec().level(pl).name.clone();
 
@@ -123,7 +124,8 @@ fn a_fallback_allocates_alike_however_many_levels_it_probes() {
         ..Scenario::small(5, 25)
     };
     let Small { db, cube, .. } = scenario.build();
-    let state = AppState::new(image(&cube), 0);
+    let (_snapshot, served) = served_file(&cube);
+    let state = AppState::new(served, 0);
     let level = cube.spec().level(0).name.clone();
     let stored = view::walk_order(
         (cube.cuboids())

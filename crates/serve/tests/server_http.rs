@@ -2,20 +2,20 @@
 //! must never take the server down — a well-formed request afterwards
 //! still gets a correct answer.
 
-use flowcube_fixtures::{image, server, small_cube, stop};
-use flowcube_serve::{ServerConfig, ServerHandle};
+use flowcube_fixtures::{cube_server, small_cube, CubeServer};
+use flowcube_serve::ServerConfig;
 use flowcube_testkit::http::{get, get_ok, hostile_requests, parse_response, raw_roundtrip};
 use serde_json::Value;
 use std::time::Duration;
 
-fn start() -> ServerHandle {
+fn start() -> CubeServer {
     let config = ServerConfig {
         workers: 2,
         read_timeout: Duration::from_millis(500),
         write_timeout: Duration::from_millis(500),
         ..Default::default()
     };
-    server(image(&small_cube(11, 8).cube), config)
+    cube_server(&small_cube(11, 8).cube, config)
 }
 
 #[test]
@@ -70,7 +70,7 @@ fn survives_malformed_and_hostile_input() {
     let body = get_ok(addr, "/cell?cell=*,*&level=loc0/dur0");
     assert!(body.contains("\"support\""), "got {body:?}");
 
-    stop(handle);
+    handle.stop();
 }
 
 #[test]
@@ -99,5 +99,5 @@ fn concurrent_clients_get_consistent_answers() {
         "all clients must see the same answer"
     );
 
-    stop(handle);
+    handle.stop();
 }

@@ -181,11 +181,11 @@ fn plans_without_parents_match_the_full_plan() {
     let plans = [
         ItemPlan::Selected(vec![ItemLevel(vec![2, 1, 0]), ItemLevel(vec![1, 1, 1])]),
         ItemPlan::Selected(vec![ItemLevel(vec![1, 0, 0]), ItemLevel(vec![2, 0, 0])]),
-        ItemPlan::Layers {
-            minimum: ItemLevel(vec![1, 0, 0]),
-            observation: ItemLevel(vec![2, 2, 1]),
-            popular: vec![ItemLevel(vec![2, 1, 0])],
-        },
+        ItemPlan::Selected(vec![
+            ItemLevel(vec![1, 0, 0]),
+            ItemLevel(vec![2, 2, 1]),
+            ItemLevel(vec![2, 1, 0]),
+        ]),
     ];
     for plan in plans {
         let partial = unpruned(plan.clone());

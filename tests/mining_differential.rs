@@ -210,11 +210,11 @@ proptest! {
         let plans = [
             ItemPlan::All,
             ItemPlan::Selected(vec![ItemLevel(vec![1, 0]), ItemLevel(vec![2, 1])]),
-            ItemPlan::Layers {
-                minimum: ItemLevel(vec![1, 0]),
-                observation: ItemLevel(vec![2, 2]),
-                popular: vec![ItemLevel(vec![0, 1])],
-            },
+            ItemPlan::Selected(vec![
+                ItemLevel(vec![1, 0]),
+                ItemLevel(vec![2, 2]),
+                ItemLevel(vec![0, 1]),
+            ]),
         ];
         for config in [SharedConfig::shared(delta), SharedConfig::cube_family(delta)] {
             let mined = mined_cells(&db, &tx, &mine(&tx, &config.with_threads(2)), delta);

@@ -8,9 +8,8 @@
 //! the heap `FlowGraph`, the cell's exception list. Three properties:
 //!
 //! 1. every endpoint, over every materialized cell of a generated cube,
-//!    answers field by field what the core API answers — both from the
-//!    in-memory image (`ServedCube::from_cube`) and from a snapshot file,
-//!    whose bodies must also be byte-identical to each other;
+//!    answers from the cube's snapshot file field by field, and byte for
+//!    byte, what the core API answers;
 //! 2. the operator contracts the endpoints are built on (`CuboidRead`,
 //!    `GraphRead`) agree between a `ColumnarSection` and the `Cuboid` it
 //!    encodes;
@@ -31,8 +30,7 @@ use flowcube::serve::{
 };
 use flowcube::FlowCube;
 use flowcube_fixtures::{
-    cell_spec, get_request, golden_v1_path, image, snapshot_bytes, Lattice, Scenario, Small,
-    TempSnapshot,
+    cell_spec, get_request, golden_v1_path, snapshot_bytes, Lattice, Scenario, Small, TempSnapshot,
 };
 use proptest::prelude::*;
 use serde_json::{Number, Value};
@@ -335,44 +333,34 @@ fn fallback_matrix(cube: &FlowCube, record_keys: &[CellKey]) -> Vec<(Request, Ex
         .collect()
 }
 
-/// Answer every request of the matrix from `state`, check each body
-/// byte for byte against the core reference's rendering, and return the
-/// raw `(status, body)` pairs for cross-source comparison.
-fn check_against_core(
-    state: &AppState,
-    matrix: &[(Request, Expected)],
-    source: &str,
-) -> Vec<(u16, String)> {
-    matrix
-        .iter()
-        .map(|(req, expected)| {
-            let resp = handle_request(state, req, &RequestCtx::default());
-            let what = format!("{source}: {} {:?}", req.path, req.query);
-            match expected {
-                Some(want) => {
-                    assert_eq!(resp.status, 200, "{what}: {}", resp.body);
-                    let got = serde_json::parse_value_str(&resp.body).expect("JSON body");
-                    assert_eq!(&got, want, "{what}");
-                    assert_eq!(resp.body, serde_json::to_string(want).unwrap(), "{what}");
-                }
-                None => assert_eq!(resp.status, 404, "{what}: {}", resp.body),
+/// Answer every request of the matrix from `state` and check each body
+/// byte for byte against the core reference's rendering.
+fn check_against_core(state: &AppState, matrix: &[(Request, Expected)], source: &str) {
+    for (req, expected) in matrix {
+        let resp = handle_request(state, req, &RequestCtx::default());
+        let what = format!("{source}: {} {:?}", req.path, req.query);
+        match expected {
+            Some(want) => {
+                assert_eq!(resp.status, 200, "{what}: {}", resp.body);
+                let got = serde_json::parse_value_str(&resp.body).expect("JSON body");
+                assert_eq!(&got, want, "{what}");
+                assert_eq!(resp.body, serde_json::to_string(want).unwrap(), "{what}");
             }
-            (resp.status, resp.body)
-        })
-        .collect()
+            None => assert_eq!(resp.status, 404, "{what}: {}", resp.body),
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Properties 1 and 3: the in-memory image and the snapshot file
-    /// both answer every endpoint like the in-process cube, identically
-    /// to each other — over every materialized cell, and for the point
-    /// lookups over every record's leaf cell, which mostly falls back to
-    /// an ancestor — and the file survives write → open → load →
+    /// Properties 1 and 3: the snapshot file answers every endpoint
+    /// like the in-process cube — over every materialized cell, and for
+    /// the point lookups over every record's leaf cell, which mostly
+    /// falls back to an ancestor — and survives write → open → load →
     /// rewrite byte-for-byte.
     #[test]
-    fn endpoints_match_core_from_image_and_file(
+    fn endpoints_match_core_from_the_snapshot_file(
         paths in 40usize..120,
         seed in 0u64..1000,
         min_support in 2u64..10,
@@ -390,16 +378,9 @@ proptest! {
         let file = TempSnapshot::new("endpoints.snap");
         write_snapshot(&cube, &file).expect("write");
 
-        let image = AppState::new(image(&cube), 64);
         let snapshot = Snapshot::open(&file).expect("open");
         let from_file = AppState::new(ServedCube::from_snapshot(snapshot), 64);
-
-        let image_bodies = check_against_core(&image, &matrix, "image");
-        let file_bodies = check_against_core(&from_file, &matrix, "file");
-        prop_assert_eq!(
-            image_bodies, file_bodies,
-            "image and file diverged ({} requests)", matrix.len()
-        );
+        check_against_core(&from_file, &matrix, "file");
 
         // Re-encode stability: one canonical byte string per content.
         let reopened = Snapshot::open(&file).expect("reopen");
