@@ -1,15 +1,14 @@
 //! End-to-end CLI flow: generate → build → cells/query/mine against
 //! temp files, driving the command functions directly.
 
-use flowcube_cli::{commands, Args};
+mod common;
+
+use common::args;
+use flowcube_cli::commands;
 use flowcube_fixtures::stop;
 use flowcube_serve::{crc::crc32, snapshot::SectionDesc};
 use flowcube_testkit::temp_path;
 use serde_json::Value;
-
-fn args(line: &str) -> Args {
-    Args::parse(line.split_whitespace().map(String::from)).expect("parse")
-}
 
 #[test]
 fn generate_build_query_cycle() {

@@ -6,16 +6,15 @@
 //! endpoint. This is the check CI runs against a release build — a new
 //! endpoint that forgets its metrics fails here.
 
-use flowcube_cli::{commands, Args};
+mod common;
+
+use common::args;
+use flowcube_cli::commands;
 use flowcube_fixtures::stop;
 use flowcube_obs::export::check_prometheus_text;
 use flowcube_serve::registered_endpoints;
 use flowcube_testkit::http::get;
 use flowcube_testkit::temp_path;
-
-fn args(line: &str) -> Args {
-    Args::parse(line.split_whitespace().map(String::from)).expect("parse")
-}
 
 /// A request that exercises the endpoint behind each registered tag.
 fn target_for(tag: &str) -> String {

@@ -3,15 +3,14 @@
 //! acceptance property that a served `/rollup` equals the in-process
 //! `FlowCube::roll_up` on the same snapshot.
 
-use flowcube_cli::{commands, Args};
+mod common;
+
+use common::args;
+use flowcube_cli::commands;
 use flowcube_fixtures::stop;
 use flowcube_testkit::http::get_ok;
 use flowcube_testkit::temp_path;
 use std::net::SocketAddr;
-
-fn args(line: &str) -> Args {
-    Args::parse(line.split_whitespace().map(String::from)).expect("parse")
-}
 
 /// Assert a 200 whose JSON body contains every expected fragment.
 fn expect_json(addr: SocketAddr, target: &str, fragments: &[&str]) -> String {

@@ -38,7 +38,7 @@
 
 use crate::error::FederateError;
 use flowcube_hier::fx::splitmix64;
-use flowcube_serve::http::MAX_HEAD_BYTES;
+use flowcube_serve::http::{self, MAX_HEAD_BYTES};
 use flowcube_serve::server::sys::{self, PollFd};
 use flowcube_testkit::{fail_point, Fault};
 use std::io::{ErrorKind, Read, Write};
@@ -354,21 +354,19 @@ fn parse_head(head: &[u8]) -> Result<Head, Malformed> {
         .and_then(|line| line.split_whitespace().nth(1))
         .and_then(|s| s.parse().ok())
         .ok_or(Malformed("no status"))?;
-    let (mut content_length, mut keep_alive) = (None, false);
-    for (name, value) in lines.filter_map(|line| line.split_once(':')) {
-        if name.eq_ignore_ascii_case("content-length") {
-            let len = value
-                .trim()
-                .parse::<usize>()
-                .map_err(|_| Malformed("bad Content-Length"))?;
-            body_start
-                .checked_add(len)
-                .ok_or(Malformed("bad Content-Length"))?;
-            content_length = Some(len);
-        } else if name.eq_ignore_ascii_case("connection") {
-            keep_alive = value.trim().eq_ignore_ascii_case("keep-alive");
-        }
+    let mut fields = lines.filter_map(|line| line.split_once(':'));
+    // The server's framing rule: a response whose length is in doubt
+    // would leave a pooled socket out of step for the next request.
+    let content_length = http::content_length(fields.clone().map(|(k, v)| (k.trim(), v)))
+        .map_err(|_| Malformed("bad framing"))?;
+    if let Some(len) = content_length {
+        body_start
+            .checked_add(len)
+            .ok_or(Malformed("bad framing"))?;
     }
+    let keep_alive = fields
+        .rfind(|(name, _)| name.eq_ignore_ascii_case("connection"))
+        .is_some_and(|(_, value)| value.trim().eq_ignore_ascii_case("keep-alive"));
     Ok(Head {
         status,
         body_start,
@@ -869,6 +867,24 @@ mod tests {
         assert_eq!(parse_chunks([&cut[..]]), Ok(None));
         let bad = b"HTTP/1.1 200 OK\r\nContent-Length: lots\r\n\r\n";
         assert!(parse_chunks([&bad[..]]).is_err());
+    }
+
+    /// A head whose body length is in doubt is refused, as the server
+    /// refuses such a request, rather than read by a guess.
+    #[test]
+    fn unframeable_responses_are_malformed() {
+        for head in [
+            "Content-Length: +5",
+            "Content-Length: 5\r\nContent-Length: 5",
+            "Transfer-Encoding: chunked\r\nContent-Length: 5",
+        ] {
+            let wire = format!("HTTP/1.1 200 OK\r\n{head}\r\nConnection: keep-alive\r\n\r\nhello");
+            assert_eq!(
+                parse_chunks([wire.as_bytes()]),
+                Err(Malformed("bad framing")),
+                "{head:?}"
+            );
+        }
     }
 
     /// A head that never ends: fed a byte at a time or in large pieces,

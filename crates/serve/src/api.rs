@@ -1151,25 +1151,21 @@ const ENDPOINTS: &[(&str, &str)] = &[
     ("/admin/compact", "admin_compact"),
 ];
 
-/// Every routable `GET` endpoint tag. A scrape conformance check walks
-/// this list and fails if any of them is missing a per-endpoint latency
-/// histogram after traffic — so a new route can't silently ship without
-/// observability.
+/// Every routable `GET` endpoint tag: the tags of `ENDPOINTS` and
+/// `BUILTIN_ENDPOINTS` but the `/admin/*` `POST` routes. A scrape
+/// conformance check walks this list and fails if any of them is missing
+/// a per-endpoint latency histogram after traffic — so a new route can't
+/// silently ship without observability.
 pub fn registered_endpoints() -> &'static [&'static str] {
-    &[
-        "cell",
-        "rollup",
-        "drilldown",
-        "slice",
-        "dice",
-        "paths_topk",
-        "paths_probability",
-        "exceptions",
-        "stats",
-        "metrics",
-        "healthz",
-        "debug_flight",
-    ]
+    static TAGS: OnceLock<Vec<&'static str>> = OnceLock::new();
+    TAGS.get_or_init(|| {
+        ENDPOINTS
+            .iter()
+            .chain(BUILTIN_ENDPOINTS)
+            .filter(|(path, _)| !path.starts_with("/admin/"))
+            .map(|&(_, tag)| tag)
+            .collect()
+    })
 }
 
 /// The `status` label values of the per-endpoint latency histograms,

@@ -388,9 +388,9 @@ fn observation_count(detail: &ExceptionDetail) -> usize {
 
 /// One cuboid laid out but not yet written: its cells in ascending
 /// string-id key order, every region's row count and offset, and the
-/// section's length. Planning and writing are separate so that whoever
-/// owns the output buffer can allocate it — the snapshot writer plans on
-/// its own thread, allocates there, and lets workers fill.
+/// section's length. Planning and writing are separate so that the
+/// snapshot writer can lay out the whole file from the plans' lengths
+/// before any section is written, and hand workers buffers it owns.
 pub struct SectionPlan<'a> {
     rows: Vec<(Vec<u32>, &'a CellEntry)>,
     hdr: Header,

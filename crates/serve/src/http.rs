@@ -16,9 +16,10 @@
 //! Because a mis-framed body would desynchronise every later request on
 //! the socket, a request whose length cannot be known for certain —
 //! `Transfer-Encoding`, several `Content-Length`s, a `Content-Length`
-//! that is not plain digits — is rejected, not guessed at. Socket
-//! timeouts are the caller's: the parser honors whatever the stream
-//! carries.
+//! that is not plain digits — is rejected, not guessed at
+//! ([`content_length`], the rule the federation front also reads shard
+//! responses by). Socket timeouts are the caller's: the parser honors
+//! whatever the stream carries.
 
 use crate::api::HttpResponse;
 use std::fmt::Write as _;
@@ -198,7 +199,8 @@ fn parse(buf: &[u8]) -> Result<Parsed, HttpError> {
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    let content_length = content_length(&headers)?;
+    let content_length =
+        content_length(headers.iter().map(|(k, v)| (k.as_str(), v.as_str())))?.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::TooLarge);
     }
@@ -244,22 +246,29 @@ fn parse(buf: &[u8]) -> Result<Parsed, HttpError> {
     })
 }
 
-/// The body length a head declares — or a refusal, when it cannot be
-/// known for certain. On a persistent connection a wrong guess hands
-/// body bytes to the parser as the next request (request smuggling).
-fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
-    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
-        return Err(HttpError::Malformed(
-            "transfer-encoding is not supported".into(),
-        ));
+/// The body length a head's `(name, value)` header fields declare —
+/// `None` when they declare none — or a refusal, when it cannot be known
+/// for certain. Names match in any case; values are trimmed. On a
+/// persistent connection a wrong guess hands body bytes to the parser as
+/// the next message (request smuggling), so requests and the federation
+/// front's shard responses are framed by this one rule.
+pub fn content_length<'h>(
+    headers: impl IntoIterator<Item = (&'h str, &'h str)>,
+) -> Result<Option<usize>, HttpError> {
+    let mut declared = None;
+    for (name, value) in headers {
+        if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(HttpError::Malformed(
+                "transfer-encoding is not supported".into(),
+            ));
+        }
+        if name.eq_ignore_ascii_case("content-length") && declared.replace(value.trim()).is_some() {
+            return Err(HttpError::Malformed("more than one content-length".into()));
+        }
     }
-    let mut declared = headers.iter().filter(|(k, _)| k == "content-length");
-    let Some((_, value)) = declared.next() else {
-        return Ok(0);
+    let Some(value) = declared else {
+        return Ok(None);
     };
-    if declared.next().is_some() {
-        return Err(HttpError::Malformed("more than one content-length".into()));
-    }
     // `str::parse` alone would accept a leading `+`.
     if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
         return Err(HttpError::Malformed(format!(
@@ -267,7 +276,7 @@ fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
         )));
     }
     // All digits and still unparseable: more than a `usize` holds.
-    value.parse().map_err(|_| HttpError::TooLarge)
+    value.parse().map(Some).map_err(|_| HttpError::TooLarge)
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {

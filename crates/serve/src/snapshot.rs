@@ -39,14 +39,15 @@
 //!
 //! Cuboid sections are independent: each is a pure function of its
 //! cuboid and the string table, and each is checked against its own CRC.
-//! The writer streams them: workers plan, encode and checksum a window
-//! of a few sections at a time, and the calling thread hands each to
-//! its sink in section order as it is done (`stream_cuboids`) — so a
-//! write holds a few sections, never the file.
-//! [`Snapshot::verify_all`] reads + checksums + validates them as one
-//! chunk per section on the workspace's chunk runner (`run_sections`).
-//! Either way results arrive in section order, so neither the bytes
-//! written nor the error reported can depend on the thread count.
+//! Both directions run one chunk per section on the workspace's chunk
+//! runner (`run_sections`). The writer plans every section first, so
+//! each one's offset is known before any is encoded; then each chunk
+//! encodes and checksums its section into a pooled buffer and writes it
+//! at its offset — so a write holds the plans (sorted cell references)
+//! and one section's bytes per worker, never the file's.
+//! [`Snapshot::verify_all`] reads + checksums + validates them. Either
+//! way results arrive in section order, so neither the bytes written
+//! nor the error reported can depend on the thread count.
 
 use crate::columnar::{ColumnarSection, SectionPlan, StringTable, StringsCtx};
 use crate::crc::{crc32, crc32_combine};
@@ -55,12 +56,11 @@ use flowcube_core::parallel::run_chunks_counted;
 use flowcube_core::{Cuboid, CuboidKey, FlowCube, FlowCubeParams};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{Seek, SeekFrom, Write};
+use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// First 8 bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"FCUBSNAP";
@@ -204,25 +204,23 @@ fn canonical_stats(stats: &flowcube_core::BuildStats) -> flowcube_core::BuildSta
     s
 }
 
-/// Cuboid sections in flight at once per writer worker. The writer
-/// holds this many plans and section buffers per worker, never the
-/// whole file.
-const SECTIONS_PER_WORKER: usize = 2;
-
 /// Encode `cube`'s sections in file order — the metadata sections,
 /// `extra` after the strings table, then the cuboids in sorted key
-/// order — handing each to `sink` (the writer's spool) as soon as it is
-/// encoded and checksummed; returns the index that describes them.
+/// order — and write each into `spool` at its offset in the data
+/// region; returns the index that describes them.
 ///
-/// The pipeline is intern → (plan → allocate → encode in place → CRC →
-/// sink, per cuboid, through [`stream_cuboids`]'s window). Nothing a
-/// worker computes depends on which worker computed it or when, and the
-/// sink sees the sections in sorted order, so the bytes are the serial
-/// bytes at any thread count.
+/// The pipeline is intern → plan every cuboid → lay the sections out
+/// from the plans' lengths → encode, CRC and write each section at its
+/// offset. Planning and encoding run one chunk per section on the chunk
+/// runner ([`run_sections`]). Nothing a chunk computes depends on which
+/// worker ran it or when, and every section lands at the offset the
+/// serial layout gives it, so the bytes are the serial bytes at any
+/// thread count.
 fn encode_sections(
     cube: &FlowCube,
     extra: Option<(&'static str, Vec<u8>)>,
-    mut sink: impl FnMut(&[u8]) -> Result<(), SnapshotError>,
+    spool: &File,
+    spool_path: &Path,
 ) -> Result<Vec<SectionDesc>, SnapshotError> {
     let mut cuboids: Vec<(&CuboidKey, &Cuboid)> = cube.cuboids().collect();
     cuboids.sort_by(|a, b| a.0.cmp(b.0));
@@ -242,229 +240,72 @@ fn encode_sections(
         (KIND_STRINGS, strings.table.encode()),
     ];
     meta.extend(extra);
+    let write_at = |section: &[u8], offset: u64| {
+        // Fault injection: the writer dies between two sections.
+        check_failpoint("serve.snapshot.spool")?;
+        spool
+            .write_all_at(section, offset)
+            .map_err(|e| io_err(spool_path, e))
+    };
 
     let mut index: Vec<SectionDesc> = Vec::with_capacity(meta.len() + cuboids.len());
-    let mut emit = |kind: &str, cuboid: Option<&CuboidKey>, crc: u32, section: &[u8]| {
+    let mut offset = 0;
+    for (kind, bytes) in meta {
+        write_at(&bytes, offset)?;
         index.push(SectionDesc {
             kind: kind.into(),
-            cuboid: cuboid.cloned(),
-            offset: index.last().map_or(0, |s| s.offset + s.len),
-            len: section.len() as u64,
-            crc,
+            cuboid: None,
+            offset,
+            len: bytes.len() as u64,
+            crc: crc32(&bytes),
         });
-        sink(section)
-    };
-    for (kind, bytes) in meta {
-        emit(kind, None, crc32(&bytes), &bytes)?;
-    }
-    stream_cuboids(&cuboids, &strings, cube.params(), |i, crc, section| {
-        emit(KIND_CUBOID, Some(cuboids[i].0), crc, section)
-    })?;
-    Ok(index)
-}
-
-/// One step of a cuboid section's encoding.
-enum Job<'a> {
-    /// Sort and count the cells of cuboid `i`.
-    Plan(usize),
-    /// Write cuboid `i`'s section into its zeroed buffer and checksum it.
-    Encode(usize, SectionPlan<'a>, Vec<u8>),
-}
-
-/// What a [`Job`] produced.
-enum Done<'a> {
-    Planned(SectionPlan<'a>),
-    Encoded(u32),
-}
-
-/// A job handed back with its outcome; `Err` when it panicked.
-type Finished<'a> = (
-    Job<'a>,
-    std::thread::Result<Result<Done<'a>, SnapshotError>>,
-);
-
-fn run_job<'a>(
-    job: &mut Job<'a>,
-    cuboids: &[(&'a CuboidKey, &'a Cuboid)],
-    strings: &StringsCtx,
-) -> Result<Done<'a>, SnapshotError> {
-    // The workspace's chunk failpoint, as the chunk runner evaluates it.
-    flowcube_testkit::fail_point_unit("mining.chunk");
-    match job {
-        Job::Plan(i) => {
-            let _span = flowcube_obs::span!("serve.snapshot.plan");
-            SectionPlan::new(cuboids[*i].1, strings).map(Done::Planned)
-        }
-        Job::Encode(_, plan, section) => {
-            plan.write(strings, section)?;
-            Ok(Done::Encoded(crc32(section)))
-        }
-    }
-}
-
-/// Where [`stream_cuboids`] runs its jobs.
-enum Lanes<'a> {
-    /// On the calling thread, as they are submitted.
-    Inline(VecDeque<Finished<'a>>),
-    /// On worker threads, which hang up when `jobs` is dropped.
-    Workers {
-        jobs: mpsc::Sender<Job<'a>>,
-        done: mpsc::Receiver<Finished<'a>>,
-    },
-}
-
-impl<'a> Lanes<'a> {
-    fn submit(
-        &mut self,
-        mut job: Job<'a>,
-        cuboids: &[(&'a CuboidKey, &'a Cuboid)],
-        strings: &StringsCtx,
-    ) {
-        match self {
-            Lanes::Inline(done) => {
-                let outcome = run_job(&mut job, cuboids, strings);
-                done.push_back((job, Ok(outcome)));
-            }
-            // Cannot fail: the queue's receiving end outlives the hub.
-            Lanes::Workers { jobs, .. } => {
-                let _ = jobs.send(job);
-            }
-        }
+        offset += bytes.len() as u64;
     }
 
-    /// The next finished job. Only workers that all died outside a job
-    /// leave nothing to wait for.
-    fn next(&mut self) -> Result<Finished<'a>, SnapshotError> {
-        let next = match self {
-            Lanes::Inline(done) => done.pop_front(),
-            Lanes::Workers { done, .. } => done.recv().ok(),
-        };
-        next.ok_or_else(|| SnapshotError::Io {
-            path: "serve.snapshot.encode".into(),
-            detail: "the writer's workers exited early".into(),
-        })
-    }
-}
-
-/// Encode every cuboid section and hand it to `sink(i, crc, section)`
-/// in index order, with at most [`SECTIONS_PER_WORKER`] sections per
-/// worker in flight: a section is planned, encoded, checksummed, sunk
-/// and its buffer reused before the window moves past it, so the
-/// writer's memory is a few sections, not the file.
-///
-/// Workers plan and encode; the calling thread is the hub. It sizes each
-/// section's buffer between the two steps, from a pool of the window's
-/// buffers that it owns and reuses, and it alone calls the sink. The
-/// buffers are allocated here, not on the workers, on purpose: memory a
-/// worker allocates comes from that thread's malloc arena, which keeps
-/// it resident once freed — the same lesson as BUC's tid lists (DESIGN
-/// §14). A job whose worker panics is redone here, once, like a chunk
-/// of the chunk runner; a second panic propagates.
-fn stream_cuboids<'a>(
-    cuboids: &[(&'a CuboidKey, &'a Cuboid)],
-    strings: &StringsCtx,
-    params: &FlowCubeParams,
-    mut sink: impl FnMut(usize, u32, &[u8]) -> Result<(), SnapshotError>,
-) -> Result<(), SnapshotError> {
-    let n = cuboids.len();
-    let threads = params.threads_for(n);
-    let window = threads * SECTIONS_PER_WORKER;
-    let mut hub = |mut lanes: Lanes<'a>| -> Result<(), SnapshotError> {
-        let mut pool: Vec<Vec<u8>> = Vec::with_capacity(window);
-        // Finished sections by `i % window`, until their turn.
-        let mut ready: Vec<Option<(Vec<u8>, u32)>> = (0..window).map(|_| None).collect();
-        let mut admitted = n.min(window);
-        for i in 0..admitted {
-            lanes.submit(Job::Plan(i), cuboids, strings);
-        }
-        let mut sunk = 0;
-        while sunk < n {
-            let (mut job, outcome) = lanes.next()?;
-            let done = match outcome {
-                Ok(done) => done?,
-                Err(_) => {
-                    flowcube_obs::counter_add("mining.chunk.retries", 1);
-                    run_job(&mut job, cuboids, strings)?
-                }
-            };
-            match (job, done) {
-                (Job::Plan(i), Done::Planned(plan)) => {
-                    let section = take_buffer(&mut pool, plan.byte_len());
-                    lanes.submit(Job::Encode(i, plan, section), cuboids, strings);
-                }
-                (Job::Encode(i, _, section), Done::Encoded(crc)) => {
-                    ready[i % window] = Some((section, crc));
-                    while let Some((section, crc)) = ready[sunk % window].take() {
-                        sink(sunk, crc, &section)?;
-                        pool.push(section);
-                        sunk += 1;
-                        if admitted < n {
-                            lanes.submit(Job::Plan(admitted), cuboids, strings);
-                            admitted += 1;
-                        }
-                    }
-                }
-                _ => unreachable!("a job's outcome is of its own kind"),
-            }
-        }
-        Ok(())
-    };
-    if threads <= 1 {
-        let _lane = flowcube_obs::span!("serve.snapshot.encode", worker = 0usize);
-        return hub(Lanes::Inline(VecDeque::new()));
-    }
-    let (jobs, queue) = mpsc::channel::<Job<'a>>();
-    let (finished, done) = mpsc::channel::<Finished<'a>>();
-    let queue = Mutex::new(queue);
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let (queue, finished) = (&queue, finished.clone());
-            scope.spawn(move || {
-                let _lane = flowcube_obs::span!("serve.snapshot.encode", worker = worker);
-                loop {
-                    // The guard drops with this statement: no worker
-                    // holds the queue while it works.
-                    let Ok(mut job) = queue.lock().recv() else {
-                        return;
-                    };
-                    // AssertUnwindSafe: a panicked job's partial state is
-                    // its own — the hub redoes it from the start.
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_job(&mut job, cuboids, strings)
-                    }));
-                    if finished.send((job, outcome)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(finished);
-        // The hub owns both channel ends: however it returns, the workers
-        // hang up and the scope joins them.
-        hub(Lanes::Workers { jobs, done })
+    let (params, n) = (cube.params(), cuboids.len());
+    let plans = run_sections("serve.snapshot.plan", params, n, |i| {
+        SectionPlan::new(cuboids[i].1, &strings)
     })
-}
-
-/// A zeroed buffer of `len` bytes for the next section: the pooled
-/// buffer that fits it best, unless more than half of it would go
-/// unused, else a new one in place of a pooled one. So there are never
-/// more buffers than the window has sections, and a buffer is never
-/// much larger than the section it holds, whatever the sections' sizes.
-fn take_buffer(pool: &mut Vec<Vec<u8>>, len: usize) -> Vec<u8> {
-    let best = (0..pool.len())
-        .filter(|&i| pool[i].capacity() >= len)
-        .min_by_key(|&i| pool[i].capacity());
-    match best {
-        Some(i) if pool[i].capacity() / 2 <= len => {
-            let mut buffer = pool.swap_remove(i);
-            buffer.clear();
-            buffer.resize(len, 0);
-            return buffer;
-        }
-        Some(i) => drop(pool.swap_remove(i)),
-        None => drop(pool.pop()),
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
+    let mut offsets = Vec::with_capacity(n);
+    for plan in &plans {
+        offsets.push(offset);
+        offset += plan.byte_len() as u64;
     }
-    vec![0; len]
+    // One buffer per worker, as large as the largest section, allocated
+    // here and not on the workers on purpose: memory a worker allocates
+    // comes from that thread's malloc arena, which keeps it resident once
+    // freed — the same lesson as BUC's tid lists (DESIGN §14). A chunk
+    // takes a buffer from the pool and puts it back when it is done.
+    let largest = plans.iter().map(SectionPlan::byte_len).max().unwrap_or(0);
+    let pool: Mutex<Vec<Vec<u8>>> = Mutex::new(
+        (0..params.threads_for(n))
+            .map(|_| Vec::with_capacity(largest))
+            .collect(),
+    );
+    let crcs = run_sections("serve.snapshot.encode", params, n, |i| {
+        // Only a chunk that panicked holding a buffer leaves the pool dry.
+        let mut section = pool.lock().pop().unwrap_or_default();
+        section.clear();
+        section.resize(plans[i].byte_len(), 0);
+        let written = plans[i].write(&strings, &mut section).and_then(|()| {
+            let crc = crc32(&section);
+            write_at(&section, offsets[i]).map(|()| crc)
+        });
+        pool.lock().push(section);
+        written
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
+    index.extend((0..n).map(|i| SectionDesc {
+        kind: KIND_CUBOID.into(),
+        cuboid: Some(cuboids[i].0.clone()),
+        offset: offsets[i],
+        len: plans[i].byte_len() as u64,
+        crc: crcs[i],
+    }));
+    Ok(index)
 }
 
 /// The header and the JSON index that lead a container whose data
@@ -487,14 +328,14 @@ fn frame(index: &[SectionDesc]) -> Result<[Vec<u8>; 2], SnapshotError> {
 /// always produces byte-identical snapshots — even when built with
 /// different thread counts.
 ///
-/// The sections stream through a window of a few per worker into a
-/// spool file — unlinked as soon as it is open — while their CRCs fill
-/// the index; the header and index then go to a sibling temp file, the
-/// spool is copied behind them in the kernel, and the temp file is
-/// renamed over `path`. So a write holds a few sections in memory, never
-/// the file; a process that holds the old file open (a running `serve`)
-/// keeps reading the old, whole inode; and a writer that fails leaves
-/// `path` and its directory as they were. No fsync — a crash-durable
+/// The sections are written at their offsets into a spool file —
+/// unlinked as soon as it is open — while their CRCs fill the index; the
+/// header and index then go to a sibling temp file, the spool is copied
+/// behind them in the kernel, and the temp file is renamed over `path`.
+/// So a write holds the plans and one section's bytes per worker, never
+/// the file's bytes; a process that holds the old file open (a running
+/// `serve`) keeps reading the old, whole inode; and a writer that fails
+/// leaves `path` and its directory as they were. No fsync — a crash-durable
 /// replacement is compaction's marker protocol ([`crate::compact`](mod@crate::compact)), not
 /// this function.
 pub fn write_snapshot(
@@ -538,7 +379,7 @@ fn write_container(
     written
 }
 
-/// Stream `cube`'s data region to a spool beside `path`, then write the
+/// Write `cube`'s data region to a spool beside `path`, then write the
 /// header, the index and the spooled data region to a new file at `tmp`.
 fn write_file(
     cube: &FlowCube,
@@ -558,11 +399,7 @@ fn write_file(
         .open(&spool_path)
         .map_err(|e| io_err(&spool_path, e))?;
     std::fs::remove_file(&spool_path).map_err(|e| io_err(&spool_path, e))?;
-    let index = encode_sections(cube, extra, |section| {
-        // Fault injection: the writer dies between two sections.
-        check_failpoint("serve.snapshot.spool")?;
-        spool.write_all(section).map_err(|e| io_err(&spool_path, e))
-    })?;
+    let index = encode_sections(cube, extra, &spool, &spool_path)?;
     let [header, index_bytes] = frame(&index)?;
 
     let _span = flowcube_obs::span!("serve.snapshot.file_write");
@@ -570,8 +407,7 @@ fn write_file(
     let mut file = File::create(tmp).map_err(io)?;
     file.write_all(&header).map_err(io)?;
     file.write_all(&index_bytes).map_err(io)?;
-    spool.seek(SeekFrom::Start(0)).map_err(io)?;
-    // File to file: `copy_file_range` on Linux, so the data region is
+    // Positional writes left the spool's cursor at its start. File to file: `copy_file_range` on Linux, so the data region is
     // copied in the kernel and never comes back through this process.
     let data_len = std::io::copy(&mut spool, &mut file).map_err(io)?;
     // Fault injection: the writer dies with the temp file on disk.

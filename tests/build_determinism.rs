@@ -88,6 +88,15 @@ fn golden_snapshot_digest() {
     testkit::reset();
     assert_eq!(fired, 1, "the fault must land in the writer");
     assert_eq!(sha256_hex(&healed), GOLDEN_SHA256);
+    // A plan chunk or an encode chunk of the writer heals the same way.
+    for phase in ["serve.snapshot.plan", "serve.snapshot.encode"] {
+        testkit::arm_times(phase, 1, FailAction::Panic(None));
+        let healed = snapshot_bytes(&with_writer_threads(&cube, 2));
+        let fired = testkit::hits(phase);
+        testkit::reset();
+        assert_eq!(fired, 1, "the fault must land in {phase}");
+        assert_eq!(sha256_hex(&healed), GOLDEN_SHA256, "{phase}");
+    }
 }
 
 /// The build itself at any thread count, and with one BUC subtree, one
