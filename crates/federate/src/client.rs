@@ -2,11 +2,13 @@
 //!
 //! Speaks the dialect the serving layer's hand-rolled server speaks:
 //! persistent connections, every response framed by `Content-Length`,
-//! JSON bodies. Every response is read through one incremental
-//! `ResponseParser`: it is fed bytes as they arrive, scans only the
-//! ones that are new for the end of the head, and refuses a head longer
-//! than [`MAX_HEAD_BYTES`] — a peer that dribbles an endless head costs
-//! at most that much memory, not a socket timeout's worth. Two call
+//! JSON bodies. Every response is read by the server's own incremental
+//! framer ([`flowcube_serve::http::Framer`]), so a response head is held
+//! to the rules a request head is: the one head cap (a peer that
+//! dribbles an endless head costs at most that much memory, not a socket
+//! timeout's worth), `HTTP/1.x`, a colon on every header line, the one
+//! `Content-Length` rule, and RFC 9112's connection rule. A response
+//! without `Content-Length` is framed by the peer's close. Two call
 //! shapes:
 //!
 //! * `Attempt` — one `GET` under a hard time budget that never blocks:
@@ -38,7 +40,7 @@
 
 use crate::error::FederateError;
 use flowcube_hier::fx::splitmix64;
-use flowcube_serve::http::{self, MAX_HEAD_BYTES};
+use flowcube_serve::http::{Framer, HttpError, Start};
 use flowcube_serve::server::sys::{self, PollFd};
 use flowcube_testkit::{fail_point, Fault};
 use std::io::{ErrorKind, Read, Write};
@@ -223,160 +225,89 @@ fn connect_error(peer: &dyn std::fmt::Display, e: &std::io::Error) -> AttemptErr
 pub(crate) struct Response {
     pub(crate) status: u16,
     pub(crate) body: String,
-    /// The whole response was read, framed by `Content-Length`, and the
-    /// server said it keeps the connection: the socket can carry another
-    /// request.
+    /// The whole response was read, framed by `Content-Length`, nothing
+    /// past it arrived, and the server keeps the connection: the socket
+    /// can carry another request.
     pub(crate) reusable: bool,
 }
 
-/// Bytes that are no HTTP response: what is wrong with them.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct Malformed(pub(crate) &'static str);
-
-impl std::fmt::Display for Malformed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed response: {}", self.0)
-    }
-}
-
-/// Where a [`ResponseParser`] stands after a feed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Parsed {
-    /// More bytes are needed.
-    Incomplete,
-    /// One whole response, framed by its `Content-Length`.
-    Done(Response),
-}
-
-/// The parsed head of a response.
-struct Head {
-    status: u16,
-    body_start: usize,
-    content_length: Option<usize>,
-    keep_alive: bool,
-}
-
-/// An incremental reader of one response: fed bytes as they arrive, it
-/// finds the end of the head by scanning only what is new, holds at most
-/// [`MAX_HEAD_BYTES`] before the head is complete, then reads the body by
-/// `Content-Length` (or, without one, until the peer closes:
-/// [`ResponseParser::finish`]).
-#[derive(Default)]
-pub(crate) struct ResponseParser {
-    buf: Vec<u8>,
-    /// How much of `buf` was scanned for the head's end without a find.
-    scanned: usize,
-    head: Option<Head>,
-}
-
-impl ResponseParser {
-    pub(crate) fn new() -> ResponseParser {
-        ResponseParser::default()
-    }
-
-    /// Whether any byte of a response has arrived.
-    pub(crate) fn received(&self) -> bool {
-        !self.buf.is_empty()
-    }
-
-    /// Take the next bytes off the wire.
-    pub(crate) fn feed(&mut self, mut bytes: &[u8]) -> Result<Parsed, Malformed> {
-        if self.head.is_none() {
-            // The head, its blank line included, must fit the cap: take
-            // no more than the room left under it.
-            let take = bytes.len().min(MAX_HEAD_BYTES - self.buf.len());
-            self.buf.extend_from_slice(&bytes[..take]);
-            bytes = &bytes[take..];
-            // The blank line may straddle the previous feed's end.
-            let from = self.scanned.saturating_sub(3);
-            match self.buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
-                Some(pos) => self.head = Some(parse_head(&self.buf[..from + pos])?),
-                None if self.buf.len() >= MAX_HEAD_BYTES => {
-                    return Err(Malformed("head over the size cap"));
-                }
-                None => {
-                    self.scanned = self.buf.len();
-                    return Ok(Parsed::Incomplete);
-                }
-            }
+/// The response in `framer` (one of [`Start::Status`]), once what was
+/// read holds it whole; `closed` says the peer has closed, which ends a
+/// body not framed by `Content-Length`.
+fn response(framer: &mut Framer, closed: bool) -> Result<Option<Response>, HttpError> {
+    let Some(head) = framer.head()? else {
+        return Ok(None);
+    };
+    let status = (head.start[1].parse())
+        .map_err(|_| HttpError::Malformed(format!("bad status {:?}", head.start[1])))?;
+    // Exactly one response was asked for: bytes past it mean the stream
+    // is not where this client thinks it is.
+    let (body, reusable) = match head.content_length {
+        Some(len) if head.rest.len() >= len => {
+            (&head.rest[..len], head.rest.len() == len && head.keep_alive)
         }
-        self.buf.extend_from_slice(bytes);
-        let Some(head) = &self.head else {
-            return Ok(Parsed::Incomplete);
-        };
-        let Some(len) = head.content_length else {
-            return Ok(Parsed::Incomplete);
-        };
-        // `parse_head` checked that this does not overflow.
-        let total = head.body_start.saturating_add(len);
-        if self.buf.len() < total {
-            return Ok(Parsed::Incomplete);
-        }
-        // Exactly one response was asked for: bytes past it mean the
-        // stream is not where this client thinks it is.
-        let exact = self.buf.len() == total;
-        self.buf.truncate(total);
-        let reusable = exact && head.keep_alive;
-        self.response(reusable).map(Parsed::Done)
-    }
-
-    /// The peer closed the connection: the response it framed so, or
-    /// `None` when what arrived is cut short.
-    pub(crate) fn finish(&mut self) -> Result<Option<Response>, Malformed> {
-        match &self.head {
-            Some(head) if head.content_length.is_none() => self.response(false).map(Some),
-            _ => Ok(None),
-        }
-    }
-
-    fn response(&mut self, reusable: bool) -> Result<Response, Malformed> {
-        let (status, body_start) = match &self.head {
-            Some(head) => (head.status, head.body_start),
-            None => return Err(Malformed("no head")),
-        };
-        let body = String::from_utf8(self.buf.split_off(body_start))
-            .map_err(|_| Malformed("body is not UTF-8"))?;
-        Ok(Response {
-            status,
-            body,
-            reusable,
-        })
-    }
-}
-
-/// Parse a response head: the bytes before its blank line.
-fn parse_head(head: &[u8]) -> Result<Head, Malformed> {
-    let body_start = head.len() + 4;
-    let head = std::str::from_utf8(head).map_err(|_| Malformed("head is not UTF-8"))?;
-    let mut lines = head.lines();
-    let status: u16 = lines
-        .next()
-        .and_then(|line| line.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .ok_or(Malformed("no status"))?;
-    let mut fields = lines.filter_map(|line| line.split_once(':'));
-    // The server's framing rule: a response whose length is in doubt
-    // would leave a pooled socket out of step for the next request.
-    let content_length = http::content_length(fields.clone().map(|(k, v)| (k.trim(), v)))
-        .map_err(|_| Malformed("bad framing"))?;
-    if let Some(len) = content_length {
-        body_start
-            .checked_add(len)
-            .ok_or(Malformed("bad framing"))?;
-    }
-    let keep_alive = fields
-        .rfind(|(name, _)| name.eq_ignore_ascii_case("connection"))
-        .is_some_and(|(_, value)| value.trim().eq_ignore_ascii_case("keep-alive"));
-    Ok(Head {
+        None if closed => (head.rest, false),
+        _ => return Ok(None),
+    };
+    let body =
+        std::str::from_utf8(body).map_err(|_| HttpError::Malformed("body is not UTF-8".into()))?;
+    Ok(Some(Response {
         status,
-        body_start,
-        content_length,
-        keep_alive,
-    })
+        body: body.to_owned(),
+        reusable,
+    }))
 }
 
-/// What one socket read hands the parser at most.
-const READ_CHUNK: usize = 16 * 1024;
+/// Read `stream` until the response is whole, or `Ok(None)` when the
+/// socket has nothing more for now (a non-blocking one would block, a
+/// blocking one's timer fired). `reused` says the socket came from a
+/// pool: closed before any response byte, it is stale.
+fn read_response(
+    framer: &mut Framer,
+    stream: &mut impl Read,
+    peer: &dyn std::fmt::Display,
+    reused: bool,
+) -> Result<Option<Response>, AttemptError> {
+    loop {
+        let (kind, msg) = match framer.read_from(stream) {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => (e.kind(), format!("read from {peer}: {e}")),
+            Ok(n) => match response(framer, n == 0) {
+                Ok(None) if n > 0 => continue,
+                Ok(None) => (
+                    ErrorKind::UnexpectedEof,
+                    format!("read from {peer}: connection closed mid-response"),
+                ),
+                done => {
+                    return done.map_err(|e| {
+                        AttemptError::Other(format!("read from {peer}: malformed response: {e}"))
+                    })
+                }
+            },
+        };
+        return Err(early(reused && framer.is_empty(), kind, msg));
+    }
+}
+
+/// A reused connection found closed — EOF, reset, aborted, broken pipe
+/// — before any response byte arrived (`unanswered_reuse`) was closed by
+/// the server while it idled. Anything else, a timeout above all, is the
+/// replica's.
+fn early(unanswered_reuse: bool, kind: ErrorKind, msg: String) -> AttemptError {
+    let closed = matches!(
+        kind,
+        ErrorKind::UnexpectedEof
+            | ErrorKind::ConnectionReset
+            | ErrorKind::ConnectionAborted
+            | ErrorKind::BrokenPipe
+    );
+    if unanswered_reuse && closed {
+        AttemptError::Stale(msg)
+    } else {
+        AttemptError::Other(msg)
+    }
+}
 
 /// What an attempt is waiting for.
 enum Stage {
@@ -409,7 +340,8 @@ pub(crate) struct Attempt {
     /// fresh one after going stale).
     reused: bool,
     stage: Stage,
-    parser: ResponseParser,
+    /// The response as it arrives.
+    framer: Framer,
 }
 
 impl Attempt {
@@ -432,7 +364,7 @@ impl Attempt {
             reused: reused.is_some(),
             stream: reused,
             stage: Stage::Sending(0),
-            parser: ResponseParser::new(),
+            framer: Framer::new(Start::Status),
         };
         if attempt.stream.is_none() {
             attempt.connect(attempt.deadline);
@@ -450,7 +382,7 @@ impl Attempt {
     fn connect(&mut self, deadline: Instant) {
         self.deadline = deadline;
         self.reused = false;
-        self.parser = ResponseParser::new();
+        self.framer = Framer::new(Start::Status);
         self.stream = None;
         if let Some(refused) = injected_refusal() {
             self.stage = Stage::Failed(Some(refused));
@@ -534,24 +466,6 @@ impl Attempt {
         format!("{what} {}: timed out after {:?}", self.peer, self.budget)
     }
 
-    /// Until a response byte arrives, a reused connection found closed —
-    /// EOF, reset, aborted, broken pipe — was closed by the server while
-    /// it idled. Anything else, a timeout above all, is the replica's.
-    fn early(&self, kind: ErrorKind, msg: String) -> AttemptError {
-        let closed = matches!(
-            kind,
-            ErrorKind::UnexpectedEof
-                | ErrorKind::ConnectionReset
-                | ErrorKind::ConnectionAborted
-                | ErrorKind::BrokenPipe
-        );
-        if self.reused && closed && !self.parser.received() {
-            AttemptError::Stale(msg)
-        } else {
-            AttemptError::Other(msg)
-        }
-    }
-
     /// Connect once `poll` says the handshake ended, send whatever the
     /// socket takes, and read once `poll` says the answer is arriving.
     fn advance(&mut self, revents: i16) -> Result<Option<Answer>, AttemptError> {
@@ -581,7 +495,10 @@ impl Attempt {
                         return Ok(None);
                     }
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(e) => return Err(self.early(e.kind(), format!("send to {peer}: {e}"))),
+                    Err(e) => {
+                        let msg = format!("send to {peer}: {e}");
+                        return Err(early(self.reused, e.kind(), msg));
+                    }
                 }
             }
             if let Some(fault) = injected_read_fault(&peer) {
@@ -594,39 +511,18 @@ impl Attempt {
         if revents == 0 {
             return Ok(None);
         }
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            let Some(stream) = &mut self.stream else {
-                return Ok(None);
-            };
-            match stream.read(&mut chunk) {
-                Ok(0) => {
-                    return match self.parser.finish() {
-                        Ok(Some(response)) => Ok(Some((response.status, response.body, None))),
-                        Ok(None) => Err(self.early(
-                            ErrorKind::UnexpectedEof,
-                            format!("read from {peer}: connection closed mid-response"),
-                        )),
-                        Err(e) => Err(AttemptError::Other(format!("read from {peer}: {e}"))),
-                    };
-                }
-                Ok(n) => match self.parser.feed(&chunk[..n]) {
-                    Ok(Parsed::Incomplete) => {}
-                    Ok(Parsed::Done(response)) => {
-                        let socket = if response.reusable {
-                            self.stream.take()
-                        } else {
-                            None
-                        };
-                        return Ok(Some((response.status, response.body, socket)));
-                    }
-                    Err(e) => return Err(AttemptError::Other(format!("read from {peer}: {e}"))),
-                },
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(self.early(e.kind(), format!("read from {peer}: {e}"))),
-            }
-        }
+        let Some(stream) = &mut self.stream else {
+            return Ok(None);
+        };
+        let Some(response) = read_response(&mut self.framer, stream, &peer, self.reused)? else {
+            return Ok(None);
+        };
+        let socket = if response.reusable {
+            self.stream.take()
+        } else {
+            None
+        };
+        Ok(Some((response.status, response.body, socket)))
     }
 }
 
@@ -664,27 +560,8 @@ fn exchange_blocking(
     if let Some(fault) = injected_read_fault(&host) {
         return Err(fault);
     }
-    let mut parser = ResponseParser::new();
-    let mut chunk = [0u8; READ_CHUNK];
-    loop {
-        let n = match stream.read(&mut chunk) {
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(other("read from", &e)),
-        };
-        if n == 0 {
-            return match parser.finish() {
-                Ok(Some(response)) => Ok(response),
-                Ok(None) => Err(other("read from", &"connection closed mid-response")),
-                Err(e) => Err(other("read from", &e)),
-            };
-        }
-        match parser.feed(&chunk[..n]) {
-            Ok(Parsed::Incomplete) => {}
-            Ok(Parsed::Done(response)) => return Ok(response),
-            Err(e) => return Err(other("read from", &e)),
-        }
-    }
+    read_response(&mut Framer::new(Start::Status), &mut stream, &host, false)?
+        .ok_or_else(|| other("read from", &"timed out"))
 }
 
 /// Split `http://host:port/path` into `(host:port, /path)`.
@@ -745,6 +622,8 @@ pub fn http_post(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowcube_serve::http::MAX_HEAD_BYTES;
+    use flowcube_testkit::http::hostile_requests;
 
     #[test]
     fn jitter_schedule_is_deterministic_under_a_pinned_seed() {
@@ -782,17 +661,30 @@ mod tests {
         assert_ne!(backoff_schedule(&cfg, 8), backoff_schedule(&cfg, 8));
     }
 
-    /// Feed `chunks` in turn; at their end the peer closes.
-    fn parse_chunks<'a>(
-        chunks: impl IntoIterator<Item = &'a [u8]>,
-    ) -> Result<Option<Response>, Malformed> {
-        let mut parser = ResponseParser::new();
-        for chunk in chunks {
-            if let Parsed::Done(response) = parser.feed(chunk)? {
+    /// Read `bytes` into `framer` as a socket would hand them over: the
+    /// response once it is whole.
+    fn feed(framer: &mut Framer, mut bytes: &[u8]) -> Result<Option<Response>, HttpError> {
+        while !bytes.is_empty() {
+            let read = framer.read_from(&mut bytes);
+            assert!(read.is_ok_and(|n| n > 0), "a slice reads");
+            if let Some(response) = response(framer, false)? {
                 return Ok(Some(response));
             }
         }
-        parser.finish()
+        Ok(None)
+    }
+
+    /// Feed `chunks` in turn; at their end the peer closes.
+    fn parse_chunks<'a>(
+        chunks: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Result<Option<Response>, HttpError> {
+        let mut framer = Framer::new(Start::Status);
+        for chunk in chunks {
+            if let Some(response) = feed(&mut framer, chunk)? {
+                return Ok(Some(response));
+            }
+        }
+        response(&mut framer, true)
     }
 
     /// A response the shard could send: framed by `Content-Length` or by
@@ -862,6 +754,13 @@ mod tests {
         let extra = [&keep[..], b"!"].concat();
         let done = parse_chunks([&extra[..]]).unwrap().unwrap();
         assert_eq!((done.body.as_str(), done.reusable), ("{}", false));
+        // Also past a body longer than the first read.
+        let long = format!(
+            "HTTP/1.1 200 OK\r\nContent-Length: 5000\r\n\r\n{}!",
+            "x".repeat(5000)
+        );
+        let done = parse_chunks([long.as_bytes()]).unwrap().unwrap();
+        assert_eq!((done.body.len(), done.reusable), (5000, false));
         // A body cut short by the peer's close is no response.
         let cut = b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n{}";
         assert_eq!(parse_chunks([&cut[..]]), Ok(None));
@@ -879,37 +778,94 @@ mod tests {
             "Transfer-Encoding: chunked\r\nContent-Length: 5",
         ] {
             let wire = format!("HTTP/1.1 200 OK\r\n{head}\r\nConnection: keep-alive\r\n\r\nhello");
-            assert_eq!(
-                parse_chunks([wire.as_bytes()]),
-                Err(Malformed("bad framing")),
+            assert!(
+                matches!(
+                    parse_chunks([wire.as_bytes()]),
+                    Err(HttpError::Malformed(_))
+                ),
                 "{head:?}"
             );
         }
     }
 
     /// A head that never ends: fed a byte at a time or in large pieces,
-    /// the parser holds no more than the cap and then refuses it.
+    /// the framer holds no more than the cap and then refuses it.
     #[test]
     fn an_endless_head_is_malformed_at_the_cap() {
         for piece in [1usize, 1000, 5000, MAX_HEAD_BYTES + 7] {
-            let mut parser = ResponseParser::new();
-            parser.feed(b"HTTP/1.1 200 OK\r\n").expect("a status line");
+            let mut framer = Framer::new(Start::Status);
+            feed(&mut framer, b"HTTP/1.1 200 OK\r\n").expect("a status line");
             let filler = vec![b'a'; piece];
             let err = loop {
-                match parser.feed(&filler) {
-                    Ok(Parsed::Incomplete) => {
-                        assert!(parser.buf.len() <= MAX_HEAD_BYTES, "{}", parser.buf.len());
+                match feed(&mut framer, &filler) {
+                    Ok(None) => {
+                        assert!(framer.len() <= MAX_HEAD_BYTES, "{}", framer.len());
                     }
-                    Ok(Parsed::Done(r)) => panic!("an endless head parsed: {r:?}"),
+                    Ok(Some(r)) => panic!("an endless head parsed: {r:?}"),
                     Err(e) => break e,
                 }
             };
-            assert_eq!(
-                err,
-                Malformed("head over the size cap"),
-                "pieces of {piece}"
+            assert_eq!(err, HttpError::HeadTooLarge, "pieces of {piece}");
+            assert!(framer.len() <= MAX_HEAD_BYTES);
+        }
+    }
+
+    /// The rows of the server's hostile-request table whose framing is
+    /// in doubt, and its oversized head, sent as response heads: each is
+    /// refused, and the framer never holds more than the head cap.
+    #[test]
+    fn hostile_framing_is_refused_in_a_response() {
+        let mut refused = 0;
+        for (raw, status) in hostile_requests() {
+            let text = String::from_utf8_lossy(&raw);
+            let framing = text.contains("Content-Length") || text.contains("Transfer-Encoding");
+            if !(status == 431 || status == 400 && framing) {
+                continue;
+            }
+            let fields = &raw[raw.windows(2).position(|w| w == b"\r\n").expect("a line")..];
+            let wire = [&b"HTTP/1.1 200 OK"[..], fields].concat();
+            let mut framer = Framer::new(Start::Status);
+            let outcome = feed(&mut framer, &wire).and_then(|done| match done {
+                Some(response) => Ok(Some(response)),
+                None => response(&mut framer, true),
+            });
+            assert!(outcome.is_err(), "{text:?} read as {outcome:?}");
+            assert!(framer.len() <= MAX_HEAD_BYTES, "{text:?}");
+            refused += 1;
+        }
+        assert_eq!(
+            refused, 6,
+            "transfer-encoding, four bad lengths, one long head"
+        );
+    }
+
+    /// A response's socket is reused by the server's connection rule
+    /// (RFC 9112 §9.3), as a request's is kept.
+    #[test]
+    fn the_connection_rule_is_the_servers() {
+        for (head, reusable) in [
+            ("HTTP/1.1 200 OK", true),
+            ("HTTP/1.1 200 OK\r\nConnection: keep-alive", true),
+            ("HTTP/1.1 200 OK\r\nConnection: keep-alive, close", false),
+            ("HTTP/1.1 200 OK\r\nConnection: close", false),
+            ("HTTP/1.0 200 OK", false),
+            ("HTTP/1.0 200 OK\r\nConnection: Keep-Alive", true),
+        ] {
+            let wire = format!("{head}\r\nContent-Length: 2\r\n\r\n{{}}");
+            let done = parse_chunks([wire.as_bytes()])
+                .expect("parses")
+                .expect("whole");
+            assert_eq!(done.reusable, reusable, "{head:?}");
+        }
+        for line in ["HTTP/2 200 OK", "SPDY/3 200 OK", "HTTP/1.1 OK"] {
+            let wire = format!("{line}\r\nContent-Length: 2\r\n\r\n{{}}");
+            assert!(
+                matches!(
+                    parse_chunks([wire.as_bytes()]),
+                    Err(HttpError::Malformed(_))
+                ),
+                "{line:?}"
             );
-            assert!(parser.buf.len() <= MAX_HEAD_BYTES);
         }
     }
 
@@ -942,7 +898,7 @@ mod tests {
             let mut fd = [attempt.pollfd()];
             sys::poll_fds(&mut fd, Some(Duration::from_millis(100))).expect("poll");
             let outcome = attempt.step(fd[0].revents, Instant::now());
-            assert!(attempt.parser.buf.len() <= MAX_HEAD_BYTES);
+            assert!(attempt.framer.len() <= MAX_HEAD_BYTES);
             if let Some(outcome) = outcome {
                 break outcome;
             }

@@ -50,7 +50,7 @@ use crate::health::BreakerConfig;
 use crate::merge;
 use crate::replica::{Fanout, HedgePolicy, ReplicaSet, RetryBudget, ShardOutcome, ShardRuntime};
 use flowcube_obs::flight::{self, FlightKind};
-use flowcube_serve::http::Request;
+use flowcube_serve::http::{rebuild_target, Request};
 use flowcube_serve::{
     echoed_request_id, error_response, host, ApiError, HealthState, HttpResponse, RequestCtx,
     Scope, ServerConfig, ServerHandle, Service,
@@ -381,39 +381,10 @@ fn gather(req: &Request, config: &FrontConfig, replies: &[ShardOutcome]) -> Http
     }
 }
 
-/// Re-encode the inbound path + query for the backend hop. Parsing
-/// decoded `%XX` and `+`; this escapes every byte that is not printable
-/// ASCII (so a decoded CR LF cannot split the request line, and a UTF-8
-/// name crosses the hop as its own bytes) and the query delimiters.
-fn rebuild_target(req: &Request) -> String {
-    let mut target = req.path.clone();
-    for (i, (k, v)) in req.query.iter().enumerate() {
-        target.push(if i == 0 { '?' } else { '&' });
-        target.push_str(&encode_component(k));
-        target.push('=');
-        target.push_str(&encode_component(v));
-    }
-    target
-}
-
-fn encode_component(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        if b.is_ascii_graphic() && !matches!(b, b'%' | b'&' | b'=' | b'#' | b'+' | b'?') {
-            out.push(char::from(b));
-        } else {
-            out.push_str(&format!("%{b:02X}"));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use flowcube_serve::handle_request;
-    use flowcube_serve::http::read_request;
-    use proptest::prelude::*;
 
     fn get(path: &str, query: &[(&str, &str)]) -> Request {
         Request {
@@ -480,55 +451,6 @@ mod tests {
         assert!(body.contains("127.0.0.1:2"), "{body}");
         assert!(body.contains("\"state\":\"closed\""), "{body}");
         assert!(body.contains("\"worker_crashes\":0"), "{body}");
-    }
-
-    #[test]
-    fn rebuilds_targets_with_escapes() {
-        let req = get("/cell", &[("cell", "a b,*"), ("level", "loc0/dur0")]);
-        assert_eq!(rebuild_target(&req), "/cell?cell=a%20b,*&level=loc0/dur0");
-        let req = get("/cell", &[("cell", "é\r\nX: y")]);
-        assert_eq!(rebuild_target(&req), "/cell?cell=%C3%A9%0D%0AX:%20y");
-    }
-
-    /// A character the old hop mangled (CR, LF, NUL, space, a query
-    /// delimiter, a non-ASCII name) half the time, any scalar value else.
-    fn any_char() -> impl Strategy<Value = char> {
-        const TRICKY: &[char] = &[
-            '\r', '\n', '\0', ' ', '%', '&', '=', '#', '+', '?', 'é', '日', '🦀', '\u{7f}', 'a',
-            ',', '*', '/',
-        ];
-        (0u8..2, 0u32..0x11_0000).prop_map(|(pick, code)| match pick {
-            0 => TRICKY[code as usize % TRICKY.len()],
-            _ => char::from_u32(code).unwrap_or('\u{FFFD}'),
-        })
-    }
-
-    fn any_text() -> impl Strategy<Value = String> {
-        prop::collection::vec(any_char(), 0..8).prop_map(|cs| cs.into_iter().collect())
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// What the front sends a shard parses, on the shard, back to the
-        /// query the client sent the front.
-        #[test]
-        fn rebuilt_targets_parse_back_to_the_same_query(
-            query in prop::collection::vec((any_text(), any_text()), 0..5)
-        ) {
-            let mut req = get("/cell", &[]);
-            req.query = query;
-            let mut wire =
-                format!("GET {} HTTP/1.1\r\nHost: shard\r\n\r\n", rebuild_target(&req))
-                    .into_bytes();
-            match read_request(&mut std::io::empty(), &mut wire) {
-                Ok((back, _)) => {
-                    prop_assert_eq!(&back.path, &req.path);
-                    prop_assert_eq!(&back.query, &req.query);
-                }
-                Err(e) => prop_assert!(false, "{e:?} for {:?}", req.query),
-            }
-        }
     }
 
     #[test]

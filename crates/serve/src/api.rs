@@ -1408,13 +1408,12 @@ fn respond(state: &AppState, req: &Request, ctx: &RequestCtx, trace: u64) -> Htt
     }
 
     let label = state.scope.endpoint(&req.path).label;
-    let use_cache = cacheable(&req.path);
-    let cache_key = req.cache_key();
+    let cache_key = cacheable(&req.path).then(|| req.cache_key());
     // The cube first: a body is cached with the cube it was rendered
     // from, so a swap that replaces the cube drops the body too.
     let served = state.cube();
-    if use_cache {
-        if let Some(hit) = served.cache.get(&cache_key) {
+    if let Some(key) = &cache_key {
+        if let Some(hit) = served.cache.get(key) {
             flight::record(FlightKind::CacheHit, trace, label, hit.status, 0);
             return HttpResponse::json(hit.status, hit.body.clone());
         }
@@ -1456,12 +1455,12 @@ fn respond(state: &AppState, req: &Request, ctx: &RequestCtx, trace: u64) -> Htt
 
     match result {
         Ok(body) => {
-            if use_cache {
+            if let Some(key) = cache_key {
                 // Fault injection: hold a rendered body back from the
                 // cache, so a swap can land between render and insert.
                 flowcube_testkit::fail_point_unit("serve.cache.insert");
                 served.cache.insert(
-                    cache_key,
+                    key,
                     CachedResponse {
                         status: 200,
                         body: body.clone(),

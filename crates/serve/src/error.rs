@@ -104,8 +104,10 @@ pub enum ApiError {
     Unavailable(String),
     /// The bytes on the socket were not a request (the parser's detail).
     Malformed(String),
-    /// The request head or body exceeded its bound.
-    TooLarge,
+    /// The request head exceeded its bound.
+    HeadTooLarge,
+    /// The request body exceeded its bound.
+    BodyTooLarge,
     /// The route does not take this method.
     MethodNotAllowed(String),
     /// The accept queue was full: the connection is shed at the door.
@@ -132,7 +134,8 @@ impl ApiError {
             },
             ApiError::Snapshot(_) => 500,
             ApiError::Deadline | ApiError::Unavailable(_) => 503,
-            ApiError::TooLarge => 431,
+            ApiError::HeadTooLarge => 431,
+            ApiError::BodyTooLarge => 413,
             ApiError::MethodNotAllowed(_) => 405,
             ApiError::Overloaded => 429,
         }
@@ -161,7 +164,8 @@ impl fmt::Display for ApiError {
             ApiError::Deadline => write!(f, "deadline exceeded"),
             ApiError::Unavailable(m) => write!(f, "{m}"),
             ApiError::Malformed(detail) => write!(f, "malformed request: {detail}"),
-            ApiError::TooLarge => write!(f, "request too large"),
+            ApiError::HeadTooLarge => write!(f, "request head too large"),
+            ApiError::BodyTooLarge => write!(f, "request body too large"),
             ApiError::MethodNotAllowed(method) => write!(f, "method {method} not allowed"),
             ApiError::Overloaded => write!(f, "server overloaded"),
         }

@@ -1,31 +1,31 @@
-//! Minimal HTTP/1.1 request parsing and response writing — the wire
-//! code of the server runtime ([`crate::server`]), so of the query API
-//! and of the federation front alike: `GET` requests with query strings
-//! and `POST` requests with a `Content-Length` body, head and body sizes
-//! bounded ([`MAX_HEAD_BYTES`], [`MAX_BODY_BYTES`]).
+//! The HTTP/1.1 wire code of both tiers: the server runtime
+//! ([`crate::server`]) reads requests, and the federation front reads its
+//! shards' responses, through one incremental [`Framer`] by one rule
+//! (RFC 9112, [`Framer::head`]): a head ends within [`MAX_HEAD_BYTES`],
+//! blank line included; the start line names `HTTP/1.x`; every header
+//! line has a colon; and a connection persists by §9.3. A body whose
+//! length cannot be known for certain — `Transfer-Encoding`, several
+//! `Content-Length`s, one that is not plain digits — is refused, not
+//! guessed at: a wrong guess would desynchronise every later message on
+//! a persistent connection.
 //!
-//! Connections persist (RFC 9112 §9.3). A connection carries a **carry
-//! buffer**: [`read_request`] consumes exactly one request from its
-//! front, and whatever was read past that request's `Content-Length`
-//! stays there for the next call — a second pipelined request is never
-//! thrown away and never glued to the first. Every response states
-//! whether the server keeps the socket (`Connection: keep-alive`) or
-//! closes it (`Connection: close`); [`read_request`] reports what the
-//! client asked for, the runtime decides.
-//!
-//! Because a mis-framed body would desynchronise every later request on
-//! the socket, a request whose length cannot be known for certain —
-//! `Transfer-Encoding`, several `Content-Length`s, a `Content-Length`
-//! that is not plain digits — is rejected, not guessed at
-//! ([`content_length`], the rule the federation front also reads shard
-//! responses by). Socket timeouts are the caller's: the parser honors
-//! whatever the stream carries.
+//! A connection's framer owns its **carry buffer**: the bytes read and
+//! not yet consumed, and how far they were scanned for a head's end, so
+//! each byte is scanned once. [`read_request`] consumes exactly one
+//! request from its front; bytes read past it stay for the next call — a
+//! pipelined request is never thrown away and never glued to the first.
+//! It reports whether the client lets the connection persist; the runtime
+//! decides, and every response says which (`Connection: keep-alive` or
+//! `close`). Socket timeouts are the caller's. The target's encoder for
+//! the front's hop to a shard, [`rebuild_target`], lives next to its
+//! decoder.
 
 use crate::api::HttpResponse;
 use std::fmt::Write as _;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
-/// Largest accepted request head (request line + headers).
+/// Largest accepted head (start line, header lines and the blank line
+/// that ends them), in either direction.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Largest accepted request body — sized for `POST /admin/ingest`,
 /// whose body is a JSON-encoded micro-batch delta.
@@ -81,194 +81,215 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
+/// Why a message could not be read.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HttpError {
-    /// Malformed request line, header, or encoding.
+    /// Malformed start line, header, framing or encoding.
     Malformed(String),
-    /// Head or body exceeded the configured bound.
-    TooLarge,
+    /// The head did not end within [`MAX_HEAD_BYTES`].
+    HeadTooLarge,
+    /// The declared body is over [`MAX_BODY_BYTES`], or over what a
+    /// `usize` holds.
+    BodyTooLarge,
     /// The peer closed or timed out before a full request arrived.
     Disconnected,
 }
 
-/// One request off the front of a buffer, or how much buffer it needs.
-enum Parsed {
-    Complete {
-        request: Request,
-        /// The client allows the connection to persist.
-        keep_alive: bool,
-        /// Bytes of the buffer the request occupied.
-        used: usize,
-    },
-    /// The buffer must grow to at least `need` bytes before another look
-    /// can tell more.
-    Partial { need: usize },
+impl std::fmt::Display for HttpError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            HttpError::Malformed(detail) => f.write_str(detail),
+            HttpError::HeadTooLarge => write!(f, "head over {MAX_HEAD_BYTES} bytes"),
+            HttpError::BodyTooLarge => f.write_str("body too large"),
+            HttpError::Disconnected => f.write_str("connection closed"),
+        }
+    }
 }
 
-/// Read one request: parse it off the front of `carry` (the bytes this
-/// connection has read and not yet consumed), reading from `stream` only
-/// while the request is incomplete. On success the request's own bytes
-/// are consumed and anything behind them stays in `carry` for the next
-/// call; the flag says whether the client allows the connection to
-/// persist (HTTP/1.1 without `Connection: close`, or HTTP/1.0 with
-/// `Connection: keep-alive`).
-///
-/// Honors the stream's configured read timeout: a slow-loris peer
-/// surfaces as [`HttpError::Disconnected`] when the socket timer fires.
-/// After any error the stream position is unknown and the connection
-/// must be closed.
-pub fn read_request(
-    stream: &mut impl Read,
-    carry: &mut Vec<u8>,
-) -> Result<(Request, bool), HttpError> {
-    loop {
-        match parse(carry)? {
-            Parsed::Complete {
-                request,
-                keep_alive,
-                used,
-            } => {
-                carry.drain(..used);
-                return Ok((request, keep_alive));
-            }
-            Parsed::Partial { need } => {
-                while carry.len() < need {
-                    fill(stream, carry, need)?;
+/// Which start line a [`Framer`] reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Start {
+    /// `method SP target SP version`: the framer reads requests.
+    Request,
+    /// `version SP status [SP reason]`: the framer reads responses.
+    Status,
+}
+
+/// A head at the front of a [`Framer`]'s buffer, checked.
+#[derive(Debug)]
+pub struct Head<'a> {
+    /// The start line's three fields in wire order: method, target and
+    /// version for a request; version, status and reason phrase (maybe
+    /// empty) for a response.
+    pub start: [&'a str; 3],
+    /// The header lines.
+    lines: &'a str,
+    /// Bytes of the head, blank line included: where the body starts.
+    pub len: usize,
+    /// The body length the header fields declare, if any.
+    pub content_length: Option<usize>,
+    /// The sender allows the connection to persist (RFC 9112 §9.3).
+    pub keep_alive: bool,
+    /// What the buffer holds past the head: the body or its start, and
+    /// whatever follows it.
+    pub rest: &'a [u8],
+}
+
+impl<'a> Head<'a> {
+    /// The header fields as `(name, value)`, both trimmed, names as sent.
+    fn fields(&self) -> impl Iterator<Item = (&'a str, &'a str)> + Clone {
+        (self.lines.split("\r\n"))
+            .filter_map(|line| line.split_once(':'))
+            .map(|(name, value)| (name.trim(), value.trim()))
+    }
+}
+
+/// The incremental reader of one connection's messages, requests or
+/// responses: its carry buffer, and how far that buffer was scanned for
+/// the end of the head at its front.
+#[derive(Debug)]
+pub struct Framer {
+    start: Start,
+    buf: Vec<u8>,
+    /// How much of `buf` was scanned for the end of the head without a
+    /// find.
+    scanned: usize,
+    /// The head at the front of `buf`, once found: its length and the
+    /// body length it declares.
+    found: Option<(usize, Option<usize>)>,
+}
+
+impl Framer {
+    pub fn new(start: Start) -> Framer {
+        Framer {
+            start,
+            buf: Vec::new(),
+            scanned: 0,
+            found: None,
+        }
+    }
+
+    /// Bytes held: read and not yet consumed.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// One `read` from `stream` onto the end of the buffer, sized by what
+    /// the message still needs plus a byte, so that bytes past it that
+    /// have already arrived are seen — 1 to 64 KiB, so that a small
+    /// message costs one small buffer — and, while no head is found, no
+    /// further than [`MAX_HEAD_BYTES`]: a peer that dribbles an endless
+    /// head costs that much memory, no more. `Ok(0)` is the end of the
+    /// stream.
+    pub fn read_from(&mut self, stream: &mut impl Read) -> io::Result<usize> {
+        let have = self.buf.len();
+        let (need, room) = match self.found {
+            Some((len, body)) => (len.saturating_add(body.unwrap_or(0)), usize::MAX),
+            None => (0, MAX_HEAD_BYTES.saturating_sub(have)),
+        };
+        let want = (need.saturating_sub(have) + 1)
+            .clamp(1024, 64 * 1024)
+            .min(room);
+        self.buf.resize(have + want, 0);
+        let read = stream.read(&mut self.buf[have..]);
+        self.buf.truncate(have + read.as_ref().map_or(0, |&n| n));
+        read
+    }
+
+    /// The head at the front of the buffer, checked, once it is whole:
+    /// `None` while its blank line has not arrived. Only bytes read since
+    /// the last look are scanned for that line.
+    pub fn head(&mut self) -> Result<Option<Head<'_>>, HttpError> {
+        let len = match self.found {
+            Some((len, _)) => len,
+            None => {
+                let end = self.buf.len().min(MAX_HEAD_BYTES);
+                // The blank line may straddle the previous read's end.
+                let from = self.scanned.saturating_sub(3);
+                match self.buf[from..end]
+                    .windows(4)
+                    .position(|w| w == b"\r\n\r\n")
+                {
+                    Some(pos) => from + pos + 4,
+                    None if end == MAX_HEAD_BYTES => return Err(HttpError::HeadTooLarge),
+                    None => {
+                        self.scanned = end;
+                        return Ok(None);
+                    }
                 }
             }
-        }
+        };
+        let head = check_head(&self.buf, len, self.start)?;
+        self.found = Some((len, head.content_length));
+        Ok(Some(head))
+    }
+
+    /// Drop the first `n` bytes: a message that was read whole.
+    fn consume(&mut self, n: usize) {
+        self.buf.drain(..n);
+        self.scanned = 0;
+        self.found = None;
     }
 }
 
-/// Would [`read_request`] return without touching the socket? True when
-/// a pipelined request (or a rejection) is already decided by `carry`.
-pub fn request_buffered(carry: &[u8]) -> bool {
-    !matches!(parse(carry), Ok(Parsed::Partial { .. }))
-}
-
-/// One `read` onto the end of `carry`, sized by what is still missing.
-fn fill(stream: &mut impl Read, carry: &mut Vec<u8>, need: usize) -> Result<(), HttpError> {
-    let have = carry.len();
-    carry.resize(have + (need - have).clamp(1024, 64 * 1024), 0);
-    let n = stream.read(&mut carry[have..]).unwrap_or(0);
-    carry.truncate(have + n);
-    if n == 0 {
-        return Err(HttpError::Disconnected);
-    }
-    Ok(())
-}
-
-fn parse(buf: &[u8]) -> Result<Parsed, HttpError> {
-    let Some(head_end) = find_head_end(buf) else {
-        if buf.len() > MAX_HEAD_BYTES + 3 {
-            return Err(HttpError::TooLarge);
-        }
-        return Ok(Parsed::Partial {
-            need: buf.len() + 1,
-        });
-    };
-    if head_end > MAX_HEAD_BYTES {
-        return Err(HttpError::TooLarge);
-    }
-    let head = std::str::from_utf8(&buf[..head_end])
+/// The head that is `buf[..len]`, blank line included, split and checked.
+fn check_head(buf: &[u8], len: usize, kind: Start) -> Result<Head<'_>, HttpError> {
+    let text = std::str::from_utf8(&buf[..len - 4])
         .map_err(|_| HttpError::Malformed("head is not UTF-8".into()))?;
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or_default();
-    let mut parts = request_line.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
-        _ => {
-            return Err(HttpError::Malformed(format!(
-                "bad request line {request_line:?}"
-            )))
-        }
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::Malformed(format!("bad version {version:?}")));
+    let (line, lines) = text.split_once("\r\n").unwrap_or((text, ""));
+    let mut parts = line.splitn(3, ' ');
+    let start = [(); 3].map(|()| parts.next().unwrap_or_default());
+    let version = start[if kind == Start::Request { 2 } else { 0 }];
+    // `HTTP/1.` and one digit: so a request line with a fourth field
+    // has no version.
+    let minor = version.strip_prefix("HTTP/1.").unwrap_or_default();
+    if !(minor.len() == 1 && minor.as_bytes()[0].is_ascii_digit())
+        || kind == Start::Request && start[..2].contains(&"")
+    {
+        return Err(HttpError::Malformed(format!("bad start line {line:?}")));
     }
-
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::Malformed(format!("bad header {line:?}")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-
-    let content_length =
-        content_length(headers.iter().map(|(k, v)| (k.as_str(), v.as_str())))?.unwrap_or(0);
-    if content_length > MAX_BODY_BYTES {
-        return Err(HttpError::TooLarge);
-    }
-    let used = head_end + 4 + content_length;
-    if buf.len() < used {
-        return Ok(Parsed::Partial { need: used });
-    }
-
-    let (raw_path, raw_query) = match target.split_once('?') {
-        Some((p, q)) => (p, Some(q)),
-        None => (target, None),
-    };
-    let path = percent_decode(raw_path)?;
-    let mut query = Vec::new();
-    if let Some(q) = raw_query {
-        for pair in q.split('&').filter(|p| !p.is_empty()) {
-            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-            query.push((percent_decode(k)?, percent_decode(v)?));
-        }
-    }
-
-    // `close` wins over `keep-alive`; HTTP/1.1 persists unless told
-    // otherwise, HTTP/1.0 only when asked to.
-    let asks = |wanted: &str| {
-        headers
-            .iter()
-            .filter(|(k, _)| k == "connection")
-            .flat_map(|(_, v)| v.split(','))
-            .any(|token| token.trim().eq_ignore_ascii_case(wanted))
-    };
-    let keep_alive = !asks("close") && (version == "HTTP/1.1" || asks("keep-alive"));
-
-    Ok(Parsed::Complete {
-        request: Request {
-            method: method.to_string(),
-            path,
-            query,
-            headers,
-            body: buf[head_end + 4..used].to_vec(),
-        },
-        keep_alive,
-        used,
-    })
-}
-
-/// The body length a head's `(name, value)` header fields declare —
-/// `None` when they declare none — or a refusal, when it cannot be known
-/// for certain. Names match in any case; values are trimmed. On a
-/// persistent connection a wrong guess hands body bytes to the parser as
-/// the next message (request smuggling), so requests and the federation
-/// front's shard responses are framed by this one rule.
-pub fn content_length<'h>(
-    headers: impl IntoIterator<Item = (&'h str, &'h str)>,
-) -> Result<Option<usize>, HttpError> {
-    let mut declared = None;
-    for (name, value) in headers {
+    // One pass over the fields. A body length in doubt is refused: on a
+    // persistent connection a wrong guess hands body bytes to the reader
+    // as the next message (request smuggling).
+    let (mut declared, mut close, mut keep_alive) = (None, false, false);
+    for line in lines.split("\r\n").filter(|line| !line.is_empty()) {
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(HttpError::Malformed(format!("bad header {line:?}")));
+        };
+        let (name, value) = (name.trim(), value.trim());
         if name.eq_ignore_ascii_case("transfer-encoding") {
             return Err(HttpError::Malformed(
                 "transfer-encoding is not supported".into(),
             ));
         }
-        if name.eq_ignore_ascii_case("content-length") && declared.replace(value.trim()).is_some() {
+        if name.eq_ignore_ascii_case("content-length") && declared.replace(value).is_some() {
             return Err(HttpError::Malformed("more than one content-length".into()));
         }
+        if name.eq_ignore_ascii_case("connection") {
+            for token in value.split(',').map(str::trim) {
+                close |= token.eq_ignore_ascii_case("close");
+                keep_alive |= token.eq_ignore_ascii_case("keep-alive");
+            }
+        }
     }
-    let Some(value) = declared else {
-        return Ok(None);
-    };
+    Ok(Head {
+        start,
+        lines,
+        len,
+        content_length: declared.map(content_length).transpose()?,
+        // `close` wins over `keep-alive`; HTTP/1.1 persists unless told
+        // otherwise, HTTP/1.0 only when asked to.
+        keep_alive: !close && (version == "HTTP/1.1" || keep_alive),
+        rest: &buf[len..],
+    })
+}
+
+/// A `Content-Length` value: plain digits, or a refusal.
+fn content_length(value: &str) -> Result<usize, HttpError> {
     // `str::parse` alone would accept a leading `+`.
     if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
         return Err(HttpError::Malformed(format!(
@@ -276,11 +297,80 @@ pub fn content_length<'h>(
         )));
     }
     // All digits and still unparseable: more than a `usize` holds.
-    value.parse().map(Some).map_err(|_| HttpError::TooLarge)
+    value.parse().map_err(|_| HttpError::BodyTooLarge)
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Read one request: take it off the front of `conn` (the bytes this
+/// connection has read and not yet consumed), reading from `stream` only
+/// while the request is incomplete. On success the request's own bytes
+/// are consumed and anything behind them stays in `conn` for the next
+/// call; the flag says whether the client allows the connection to
+/// persist. A request without `Content-Length` has no body.
+///
+/// Honors the stream's configured read timeout: a slow-loris peer
+/// surfaces as [`HttpError::Disconnected`] when the socket timer fires.
+/// After any error the stream position is unknown and the connection
+/// must be closed.
+pub fn read_request(
+    stream: &mut impl Read,
+    conn: &mut Framer,
+) -> Result<(Request, bool), HttpError> {
+    loop {
+        if let Some(head) = conn.head()? {
+            let body_len = body_len(&head)?;
+            if head.rest.len() >= body_len {
+                let request = parse_request(&head, &head.rest[..body_len])?;
+                let (used, keep_alive) = (head.len + body_len, head.keep_alive);
+                conn.consume(used);
+                return Ok((request, keep_alive));
+            }
+        }
+        match conn.read_from(stream) {
+            Ok(1..) => {}
+            _ => return Err(HttpError::Disconnected),
+        }
+    }
+}
+
+/// Would [`read_request`] return without touching the socket? True when
+/// a pipelined request (or a rejection) is already decided by `conn`.
+pub fn request_buffered(conn: &mut Framer) -> bool {
+    match conn.head() {
+        Ok(Some(head)) => body_len(&head).map_or(true, |n| head.rest.len() >= n),
+        Ok(None) => false,
+        Err(_) => true,
+    }
+}
+
+/// A request body's length: as declared, 0 when not, refused over the
+/// cap.
+fn body_len(head: &Head) -> Result<usize, HttpError> {
+    match head.content_length.unwrap_or(0) {
+        n if n > MAX_BODY_BYTES => Err(HttpError::BodyTooLarge),
+        n => Ok(n),
+    }
+}
+
+/// The request a checked head and its body make: target decoded, header
+/// names lowercased.
+fn parse_request(head: &Head, body: &[u8]) -> Result<Request, HttpError> {
+    let [method, target, _] = head.start;
+    let (raw_path, raw_query) = target.split_once('?').unwrap_or((target, ""));
+    let mut query = Vec::new();
+    for pair in raw_query.split('&').filter(|pair| !pair.is_empty()) {
+        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
+        query.push((percent_decode(k)?, percent_decode(v)?));
+    }
+    Ok(Request {
+        method: method.to_string(),
+        path: percent_decode(raw_path)?,
+        query,
+        headers: head
+            .fields()
+            .map(|(name, value)| (name.to_ascii_lowercase(), value.to_string()))
+            .collect(),
+        body: body.to_vec(),
+    })
 }
 
 /// Decode `%XX` escapes and `+` (as space).
@@ -314,6 +404,32 @@ fn percent_decode(s: &str) -> Result<String, HttpError> {
     String::from_utf8(out).map_err(|_| HttpError::Malformed("decoded bytes not UTF-8".into()))
 }
 
+/// The request's path and query, encoded for the front's hop to a
+/// shard. `percent_decode` decoded `%XX` and `+`; this escapes every
+/// byte that is not printable ASCII (so a decoded CR LF cannot split the
+/// request line, and a UTF-8 name crosses the hop as its own bytes) and
+/// the query delimiters.
+pub fn rebuild_target(req: &Request) -> String {
+    let mut target = req.path.clone();
+    for (i, (k, v)) in req.query.iter().enumerate() {
+        target.push(if i == 0 { '?' } else { '&' });
+        encode_component(&mut target, k);
+        target.push('=');
+        encode_component(&mut target, v);
+    }
+    target
+}
+
+fn encode_component(out: &mut String, s: &str) {
+    for b in s.bytes() {
+        if b.is_ascii_graphic() && !matches!(b, b'%' | b'&' | b'=' | b'#' | b'+' | b'?') {
+            out.push(char::from(b));
+        } else {
+            let _ = write!(out, "%{b:02X}");
+        }
+    }
+}
+
 /// Canonical reason phrase for the statuses this server emits.
 pub fn status_text(status: u16) -> &'static str {
     match status {
@@ -322,6 +438,7 @@ pub fn status_text(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         409 => "Conflict",
+        413 => "Content Too Large",
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
@@ -403,11 +520,15 @@ mod tests {
 
     /// Parse the first request of a stream that then ends.
     fn parse_raw(raw: &[u8]) -> Result<Request, HttpError> {
-        read_request(&mut Chunked::new(raw, vec![raw.len()]), &mut Vec::new()).map(|(req, _)| req)
+        read_request(&mut Chunked::new(raw, vec![raw.len()]), &mut requests()).map(|(req, _)| req)
+    }
+
+    fn requests() -> Framer {
+        Framer::new(Start::Request)
     }
 
     fn keeps_alive(raw: &[u8]) -> bool {
-        read_request(&mut Chunked::new(raw, vec![raw.len()]), &mut Vec::new())
+        read_request(&mut Chunked::new(raw, vec![raw.len()]), &mut requests())
             .expect("parses")
             .1
     }
@@ -455,16 +576,19 @@ mod tests {
     fn bytes_past_content_length_belong_to_the_next_request() {
         let raw = b"POST /q HTTP/1.1\r\nContent-Length: 5\r\n\r\nhelloGET /next HTTP/1.1\r\n\r\n";
         let mut stream = Chunked::new(raw, vec![raw.len()]);
-        let mut carry = Vec::new();
+        let mut carry = requests();
         let (first, _) = read_request(&mut stream, &mut carry).unwrap();
         assert_eq!(first.body, b"hello");
-        assert!(request_buffered(&carry), "the GET is already in the carry");
+        assert!(
+            request_buffered(&mut carry),
+            "the GET is already in the carry"
+        );
         let (second, _) = read_request(&mut stream, &mut carry).unwrap();
         assert_eq!(
             (second.method.as_str(), second.path.as_str()),
             ("GET", "/next")
         );
-        assert!(carry.is_empty() && !request_buffered(&carry));
+        assert!(carry.is_empty() && !request_buffered(&mut carry));
     }
 
     #[test]
@@ -486,7 +610,7 @@ mod tests {
             );
         }
         let huge = format!("POST /q HTTP/1.1\r\nContent-Length: {}0\r\n\r\n", u64::MAX);
-        assert_eq!(parse_raw(huge.as_bytes()), Err(HttpError::TooLarge));
+        assert_eq!(parse_raw(huge.as_bytes()), Err(HttpError::BodyTooLarge));
     }
 
     #[test]
@@ -507,7 +631,103 @@ mod tests {
         let mut raw = b"GET /x HTTP/1.1\r\nX-Pad: ".to_vec();
         raw.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + 10));
         raw.extend_from_slice(b"\r\n\r\n");
-        assert_eq!(parse_raw(&raw), Err(HttpError::TooLarge));
+        assert_eq!(parse_raw(&raw), Err(HttpError::HeadTooLarge));
+    }
+
+    /// The head cap counts the blank line, in both directions: a head of
+    /// exactly [`MAX_HEAD_BYTES`] is read, one byte more is refused, and
+    /// the framer holds no more than the cap while it looks.
+    #[test]
+    fn the_head_cap_counts_the_blank_line_in_both_directions() {
+        for (start, line) in [
+            (Start::Request, "GET /x HTTP/1.1"),
+            (Start::Status, "HTTP/1.1 200 OK"),
+        ] {
+            for (len, fits) in [(MAX_HEAD_BYTES, true), (MAX_HEAD_BYTES + 1, false)] {
+                let pad = len - line.len() - "\r\nX-Pad: \r\n\r\n".len();
+                let head = format!("{line}\r\nX-Pad: {}\r\n\r\n", "a".repeat(pad));
+                assert_eq!(head.len(), len);
+                let mut framer = Framer::new(start);
+                let mut stream = Chunked::new(head.as_bytes(), Vec::new());
+                let outcome = loop {
+                    assert!(framer.len() <= MAX_HEAD_BYTES, "{start:?} {len}");
+                    match framer.head() {
+                        Ok(Some(head)) => break Ok(head.len),
+                        Ok(None) => {
+                            let read = framer.read_from(&mut stream);
+                            assert!(read.is_ok_and(|n| n > 0), "{start:?} {len}: ran dry");
+                        }
+                        Err(e) => break Err(e),
+                    }
+                };
+                let want = if fits {
+                    Ok(len)
+                } else {
+                    Err(HttpError::HeadTooLarge)
+                };
+                assert_eq!(outcome, want, "{start:?} {len}");
+            }
+        }
+    }
+
+    fn get(path: &str, query: &[(&str, &str)]) -> Request {
+        Request {
+            method: "GET".into(),
+            path: path.into(),
+            query: query
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn rebuilds_targets_with_escapes() {
+        let req = get("/cell", &[("cell", "a b,*"), ("level", "loc0/dur0")]);
+        assert_eq!(rebuild_target(&req), "/cell?cell=a%20b,*&level=loc0/dur0");
+        let req = get("/cell", &[("cell", "é\r\nX: y")]);
+        assert_eq!(rebuild_target(&req), "/cell?cell=%C3%A9%0D%0AX:%20y");
+    }
+
+    /// A character the old hop mangled (CR, LF, NUL, space, a query
+    /// delimiter, a non-ASCII name) half the time, any scalar value else.
+    fn any_char() -> impl Strategy<Value = char> {
+        const TRICKY: &[char] = &[
+            '\r', '\n', '\0', ' ', '%', '&', '=', '#', '+', '?', 'é', '日', '🦀', '\u{7f}', 'a',
+            ',', '*', '/',
+        ];
+        (0u8..2, 0u32..0x11_0000).prop_map(|(pick, code)| match pick {
+            0 => TRICKY[code as usize % TRICKY.len()],
+            _ => char::from_u32(code).unwrap_or('\u{FFFD}'),
+        })
+    }
+
+    fn any_text() -> impl Strategy<Value = String> {
+        prop::collection::vec(any_char(), 0..8).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// What the front sends a shard parses, on the shard, back to the
+        /// query the client sent the front.
+        #[test]
+        fn rebuilt_targets_parse_back_to_the_same_query(
+            query in prop::collection::vec((any_text(), any_text()), 0..5)
+        ) {
+            let mut req = get("/cell", &[]);
+            req.query = query;
+            let wire = format!("GET {} HTTP/1.1\r\nHost: shard\r\n\r\n", rebuild_target(&req));
+            match read_request(&mut wire.as_bytes(), &mut requests()) {
+                Ok((back, _)) => {
+                    prop_assert_eq!(&back.path, &req.path);
+                    prop_assert_eq!(&back.query, &req.query);
+                }
+                Err(e) => prop_assert!(false, "{e:?} for {:?}", req.query),
+            }
+        }
     }
 
     #[test]
@@ -587,7 +807,7 @@ mod tests {
 
     /// Every request `read_request` yields before the stream runs dry.
     fn drain(stream: &mut impl Read) -> (Vec<Request>, HttpError) {
-        let mut carry = Vec::new();
+        let mut carry = requests();
         let mut out = Vec::new();
         loop {
             match read_request(stream, &mut carry) {

@@ -69,7 +69,8 @@ use crate::access::AccessLog;
 use crate::api::{error_response, handle_request, AppState, HttpResponse, RequestCtx};
 use crate::error::ApiError;
 use crate::http::{
-    read_request, request_buffered, write_response, HttpError, Request, MAX_IDLE_CONNECTIONS,
+    read_request, request_buffered, write_response, Framer, HttpError, Request, Start,
+    MAX_IDLE_CONNECTIONS,
 };
 use flowcube_obs::flight::{self, FlightKind};
 use std::collections::VecDeque;
@@ -277,7 +278,7 @@ impl Default for ServerConfig {
 struct Conn {
     stream: TcpStream,
     /// Bytes read past the last answered request: the start of the next.
-    carry: Vec<u8>,
+    carry: Framer,
     /// Requests answered on this connection so far.
     served: u64,
     /// Registered in the readiness set: parking it again re-arms it.
@@ -697,7 +698,7 @@ impl<S: Service> Acceptor<S> {
                     flowcube_obs::counter_add(&scope.connections_accepted, 1);
                     let conn = Conn {
                         stream,
-                        carry: Vec::new(),
+                        carry: Framer::new(Start::Request),
                         served: 0,
                         registered: false,
                     };
@@ -873,13 +874,14 @@ fn serve_connection<S: Service>(
                 return;
             }
             Err(HttpError::Malformed(detail)) => (rejected(ApiError::Malformed(detail)), false),
-            Err(HttpError::TooLarge) => (rejected(ApiError::TooLarge), false),
+            Err(HttpError::HeadTooLarge) => (rejected(ApiError::HeadTooLarge), false),
+            Err(HttpError::BodyTooLarge) => (rejected(ApiError::BodyTooLarge), false),
         };
         if write_response(&mut conn.stream, &resp, keep_alive).is_err() || !keep_alive {
             return;
         }
         conn.served += 1;
-        if !request_buffered(&conn.carry) {
+        if !request_buffered(&mut conn.carry) {
             pool.parking.park(conn);
             return;
         }

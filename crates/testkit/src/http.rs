@@ -176,9 +176,10 @@ impl Persistent {
 /// Requests no server may answer with anything but a JSON error body:
 /// raw bytes and the status they must draw. Quotes, backslashes and a
 /// control byte ride in the request line and in a header line, where a
-/// hand-escaped error body would break. The last rows are requests whose
-/// body length cannot be known for certain; a server that guessed would
-/// read the rest of a persistent connection out of step.
+/// hand-escaped error body would break. The last rows are a body over
+/// the 1 MiB cap, and requests whose body length cannot be known for
+/// certain; a server that guessed would read the rest of a persistent
+/// connection out of step.
 pub fn hostile_requests() -> Vec<(Vec<u8>, u16)> {
     let mut oversized = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
     oversized.resize(oversized.len() + 20 * 1024, b'a');
@@ -194,6 +195,10 @@ pub fn hostile_requests() -> Vec<(Vec<u8>, u16)> {
             400,
         ),
         (oversized, 431),
+        (
+            b"POST /admin/ingest HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n{}".to_vec(),
+            413,
+        ),
         (
             b"POST /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n".to_vec(),
             400,
